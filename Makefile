@@ -54,9 +54,11 @@ BENCH_WORKERS ?= 8
 bench:
 	$(GO) run ./cmd/benchrun -rung $(RUNG) -workers $(BENCH_WORKERS) -out BENCH_$(RUNG).json
 
-# The pre-existing micro-benchmarks over the small topology.
+# The pre-existing micro-benchmarks over the small topology, and the
+# two trace loaders over a simulated campaign (MB/s per serialization).
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt
 # schema by reportcheck, compared metric-by-metric against the committed
@@ -86,7 +88,7 @@ smoke:
 
 # Short fuzzing burst over every parser fuzz target. Each target needs
 # its own invocation: -fuzz must match exactly one function per package
-# (traceroute has two). Seed corpora include faultio-derived truncated,
+# (traceroute has three). Seed corpora include faultio-derived truncated,
 # corrupted, and garbled variants, so even a short burst revisits the
 # fault classes the loaders must survive.
 FUZZTIME ?= 10s
@@ -100,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/itdk -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzJSONLDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)

@@ -233,6 +233,11 @@ type Builder struct {
 	byIface  map[netip.Addr]*Router // singleton routers
 	traces   int
 	resolved map[netip.Addr]ip2as.Result // PreResolve lookup cache
+
+	// cleanHops scratch, reused by every AddTrace: its result never
+	// outlives the call.
+	hops []traceroute.Hop
+	seen map[netip.Addr]bool
 }
 
 // NewBuilder returns a Builder resolving addresses through resolver and
@@ -245,6 +250,7 @@ func NewBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *Builder {
 		ifaces:   make(map[netip.Addr]*Interface),
 		routers:  make(map[int]*Router),
 		byIface:  make(map[netip.Addr]*Router),
+		seen:     make(map[netip.Addr]bool),
 	}
 }
 
@@ -340,7 +346,7 @@ func (b *Builder) iface(addr netip.Addr) *Interface {
 // per §4.3), and destination-AS bookkeeping per §4.4.
 func (b *Builder) AddTrace(t *traceroute.Trace) {
 	b.traces++
-	hops := cleanHops(t.Hops)
+	hops := b.cleanHops(t.Hops)
 	if len(hops) == 0 {
 		return
 	}
@@ -409,16 +415,27 @@ func classifyLink(a, c *Interface, reply traceroute.ReplyType, dist int) LinkLab
 	return LabelMultihop
 }
 
+// maxSeenScratch is the most addresses the seen scratch may hold and
+// still be kept: clearing a map costs its capacity, so one record with
+// an absurd hop count must not leave every later trace paying for it. A
+// real trace has at most 255 hops (ProbeTTL is a byte).
+const maxSeenScratch = 256
+
 // cleanHops removes hops with private/special addresses (treated as
-// unresponsive, per §4.2) and truncates at forwarding loops.
-func cleanHops(hops []traceroute.Hop) []traceroute.Hop {
-	out := make([]traceroute.Hop, 0, len(hops))
-	seen := make(map[netip.Addr]bool, len(hops))
+// unresponsive, per §4.2) and truncates at forwarding loops. The result
+// is the Builder's scratch, valid until the next call.
+func (b *Builder) cleanHops(hops []traceroute.Hop) []traceroute.Hop {
+	if len(b.seen) > maxSeenScratch {
+		b.seen = make(map[netip.Addr]bool)
+	} else {
+		clear(b.seen)
+	}
+	out := b.hops[:0]
 	for _, h := range hops {
 		if netutil.IsSpecial(h.Addr) {
 			continue
 		}
-		if seen[h.Addr] {
+		if b.seen[h.Addr] {
 			// Allow immediate repetition (same router answering twice in
 			// a row via per-TTL retries); a non-adjacent repeat is a loop.
 			if len(out) > 0 && out[len(out)-1].Addr == h.Addr {
@@ -426,9 +443,10 @@ func cleanHops(hops []traceroute.Hop) []traceroute.Hop {
 			}
 			break
 		}
-		seen[h.Addr] = true
+		b.seen[h.Addr] = true
 		out = append(out, h)
 	}
+	b.hops = out
 	return out
 }
 

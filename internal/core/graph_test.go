@@ -268,4 +268,25 @@ func TestTraceWithOnlySpecialHops(t *testing.T) {
 	}
 }
 
+// TestAddTraceSeenPathAllocatesNothing: once a path's interfaces, links
+// and destination AS are in the graph, adding it again is bookkeeping
+// over Builder-owned scratch. The path carries what cleanHops has to
+// handle: a private hop, an immediate repeat, and a loop that cuts it.
+func TestAddTraceSeenPathAllocatesNothing(t *testing.T) {
+	e := newEnv(t)
+	e.announce("1.0.0.0/24", 100)
+	e.announce("2.0.0.0/24", 200)
+	e.announce("9.9.9.0/24", 300)
+	e.trace("9.9.9.9", "1.0.0.1", "10.0.0.1", "2.0.0.1", "2.0.0.1", "2.0.0.2", "1.0.0.1", "9.9.9.9/e")
+	b := NewBuilder(e.resolver, e.aliases)
+	b.AddTrace(e.traces[0])
+	if n := testing.AllocsPerRun(100, func() { b.AddTrace(e.traces[0]) }); n != 0 {
+		t.Errorf("AddTrace on a seen path: %v allocations, want 0", n)
+	}
+	g := b.Finish(e.rels)
+	if len(g.Interfaces) != 3 {
+		t.Errorf("%d interfaces, want the 3 before the loop", len(g.Interfaces))
+	}
+}
+
 var _ = traceroute.Trace{} // keep the import referenced in all builds

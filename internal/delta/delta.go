@@ -24,7 +24,6 @@
 package delta
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -424,42 +423,32 @@ func ValidateBatch(name string, fp uint64, data []byte, maxBad int) ([]*tracerou
 		stats  BatchStats
 		traces []*traceroute.Trace
 	)
-	refuse := func(class RefusalClass, err error) ([]*traceroute.Trace, BatchStats, error) {
-		return nil, stats, &Refusal{Class: class, Batch: name, FP: fp, Err: err}
+	refusal := func(class RefusalClass, err error) error {
+		return &Refusal{Class: class, Batch: name, FP: fp, Err: err}
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		st, err := traceroute.ReadJSONLStats(bytes.NewReader(line), func(t *traceroute.Trace) error {
-			traces = append(traces, t)
+	rs, err := traceroute.ScanJSONL(bytes.NewReader(data), func(t *traceroute.Trace) error {
+		traces = append(traces, t)
+		return nil
+	}, func(bad error) error {
+		stats.BadRecords++
+		switch {
+		case stats.BadRecords <= maxBad:
 			return nil
-		})
-		stats.Skipped += st.SkippedRecords
-		stats.DroppedHops += st.DroppedHops
-		if err != nil {
-			stats.BadRecords++
-			if stats.BadRecords > maxBad {
-				if maxBad == 0 {
-					return refuse(RefusalDecode, fmt.Errorf("line %d: %w", lineno, err))
-				}
-				return refuse(RefusalBudget, fmt.Errorf("%d malformed record(s) exceed budget %d (line %d: %w)",
-					stats.BadRecords, maxBad, lineno, err))
-			}
-			continue
+		case maxBad == 0:
+			return refusal(RefusalDecode, bad)
 		}
-		stats.Traces += st.Traces
+		return refusal(RefusalBudget, fmt.Errorf("%d malformed record(s) exceed budget %d (%w)", stats.BadRecords, maxBad, bad))
+	})
+	stats.Traces, stats.Skipped, stats.DroppedHops = rs.Traces, rs.SkippedRecords, rs.DroppedHops
+	var refused *Refusal
+	switch {
+	case errors.As(err, &refused): // the budget's verdict, as returned above
+	case err != nil: // the scan itself failed: an over-long line
+		err = refusal(RefusalDecode, err)
+	case stats.Traces == 0:
+		err = refusal(RefusalDecode, errors.New("batch contains no traces"))
+	default:
+		return traces, stats, nil
 	}
-	if err := sc.Err(); err != nil {
-		return refuse(RefusalDecode, err)
-	}
-	if stats.Traces == 0 {
-		return refuse(RefusalDecode, errors.New("batch contains no traces"))
-	}
-	return traces, stats, nil
+	return nil, stats, err
 }

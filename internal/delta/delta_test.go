@@ -190,6 +190,37 @@ func TestValidateBatch(t *testing.T) {
 	}
 }
 
+// TestValidateBatchTallies: BatchStats counts what accepted records
+// contributed. A record rejected inside the error budget adds to
+// BadRecords only, even when the decoder had already dropped one of its
+// hops before reaching the part that is malformed; whitespace around a
+// record and whitespace-only lines are forgiven as they always were.
+func TestValidateBatchTallies(t *testing.T) {
+	const (
+		dropsOne  = `{"dst":"10.0.2.9","hops":[{"addr":"10.0.2.1","probe_ttl":1,"icmp_type":12},{"addr":"10.0.2.9","probe_ttl":2,"icmp_type":0}]}` + "\n"
+		badAfter  = `{"dst":"10.0.3.9","hops":[{"addr":"10.0.3.1","probe_ttl":1,"icmp_type":12},{"addr":"not-an-address","probe_ttl":2,"icmp_type":11}]}` + "\n"
+		badBefore = `{"dst":"nowhere","hops":[{"addr":"10.0.3.1","probe_ttl":1,"icmp_type":12}]}` + "\n"
+	)
+	for _, c := range []struct {
+		name   string
+		data   string
+		maxBad int
+		want   BatchStats
+	}{
+		{"clean", goodBatch, 0, BatchStats{Traces: 2, Skipped: 1}},
+		{"dropped hop of an accepted record", goodBatch + dropsOne, 0, BatchStats{Traces: 3, Skipped: 1, DroppedHops: 1}},
+		{"dropped hop of a rejected record", goodBatch + badAfter, 1, BatchStats{Traces: 2, Skipped: 1, BadRecords: 1}},
+		{"rejected before its hops", goodBatch + badBefore, 1, BatchStats{Traces: 2, Skipped: 1, BadRecords: 1}},
+		{"rejected between accepted drops", dropsOne + badAfter + dropsOne, 1, BatchStats{Traces: 2, BadRecords: 1, DroppedHops: 2}},
+		{"stray whitespace", "  \t\n\v" + dropsOne[:len(dropsOne)-1] + " \u00a0\r\n \n", 0, BatchStats{Traces: 1, DroppedHops: 1}},
+	} {
+		traces, stats, err := ValidateBatch("b.jsonl", 7, []byte(c.data), c.maxBad)
+		if err != nil || stats != c.want || len(traces) != c.want.Traces {
+			t.Errorf("%s: traces=%d stats=%+v err=%v, want %+v", c.name, len(traces), stats, err, c.want)
+		}
+	}
+}
+
 // TestRetrierBackoff drives the retrier through a fake clock and pins
 // the backoff contract: bounded attempts, delays in [d/2, d] with d
 // doubling from Base and capped at Max, and a deterministic jitter

@@ -3,6 +3,7 @@ package traceroute
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -107,6 +108,9 @@ func (bw *BinaryWriter) Write(t *Trace) error {
 func (bw *BinaryWriter) Flush() error { return bw.bw.Flush() }
 
 // ReadBinary streams traces from the binary form, invoking fn for each.
+// Like the JSONL reader it delivers only what the heuristics can take:
+// a record with an undefined reply type or stop reason, or without a
+// destination or a hop address, is an error naming the record and hop.
 func ReadBinary(r io.Reader, fn func(*Trace) error) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [5]byte
@@ -122,6 +126,7 @@ func ReadBinary(r io.Reader, fn func(*Trace) error) error {
 	if hdr[4] != binaryVersion {
 		return fmt.Errorf("traceroute: unsupported binary version %d", hdr[4])
 	}
+	var addrBuf [16]byte // one buffer for every address: a local one would escape per call
 	readAddr := func() (netip.Addr, error) {
 		n, err := br.ReadByte()
 		if err != nil {
@@ -131,76 +136,102 @@ func ReadBinary(r io.Reader, fn func(*Trace) error) error {
 		case 0:
 			return netip.Addr{}, nil
 		case 4:
-			var b [4]byte
-			if _, err := io.ReadFull(br, b[:]); err != nil {
+			if _, err := io.ReadFull(br, addrBuf[:4]); err != nil {
 				return netip.Addr{}, err
 			}
-			return netip.AddrFrom4(b), nil
+			return netip.AddrFrom4([4]byte(addrBuf[:4])), nil
 		case 16:
-			var b [16]byte
-			if _, err := io.ReadFull(br, b[:]); err != nil {
+			if _, err := io.ReadFull(br, addrBuf[:]); err != nil {
 				return netip.Addr{}, err
 			}
-			return netip.AddrFrom16(b), nil
+			return netip.AddrFrom16(addrBuf), nil
 		default:
-			return netip.Addr{}, fmt.Errorf("traceroute: bad address length %d", n)
+			return netip.Addr{}, fmt.Errorf("bad address length %d", n)
 		}
 	}
-	for {
+	var (
+		vps   = make(interner)
+		vpBuf []byte
+		f32   [4]byte
+	)
+	// readRecord returns (nil, nil) at a clean end of stream.
+	readRecord := func() (*Trace, error) {
 		vpLen, err := binary.ReadUvarint(br)
 		if err == io.EOF {
-			return nil
+			return nil, nil
 		}
 		if err != nil {
-			return fmt.Errorf("traceroute: binary record: %w", err)
+			return nil, err
 		}
 		if vpLen > 1<<16 {
-			return fmt.Errorf("traceroute: implausible VP name length %d", vpLen)
+			return nil, fmt.Errorf("implausible VP name length %d", vpLen)
 		}
-		vp := make([]byte, vpLen)
-		if _, err := io.ReadFull(br, vp); err != nil {
-			return fmt.Errorf("traceroute: binary vp: %w", err)
+		if uint64(cap(vpBuf)) < vpLen {
+			vpBuf = make([]byte, vpLen)
 		}
-		t := &Trace{VP: string(vp)}
+		vpBuf = vpBuf[:vpLen]
+		if _, err := io.ReadFull(br, vpBuf); err != nil {
+			return nil, fmt.Errorf("vp: %w", err)
+		}
+		t := &Trace{VP: vps.intern(vpBuf)}
 		if t.Src, err = readAddr(); err != nil {
-			return fmt.Errorf("traceroute: binary src: %w", err)
+			return nil, fmt.Errorf("src: %w", err)
 		}
 		if t.Dst, err = readAddr(); err != nil {
-			return fmt.Errorf("traceroute: binary dst: %w", err)
+			return nil, fmt.Errorf("dst: %w", err)
+		}
+		if !t.Dst.IsValid() {
+			return nil, errors.New("no destination address")
 		}
 		stop, err := br.ReadByte()
 		if err != nil {
-			return fmt.Errorf("traceroute: binary stop: %w", err)
+			return nil, fmt.Errorf("stop: %w", err)
 		}
-		t.Stop = StopReason(stop)
+		if t.Stop = StopReason(stop); !t.Stop.defined() {
+			return nil, fmt.Errorf("undefined stop reason %d", stop)
+		}
 		nhops, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fmt.Errorf("traceroute: binary hop count: %w", err)
+			return nil, fmt.Errorf("hop count: %w", err)
 		}
 		if nhops > 512 {
-			return fmt.Errorf("traceroute: implausible hop count %d", nhops)
+			return nil, fmt.Errorf("implausible hop count %d", nhops)
 		}
 		if nhops > 0 {
 			t.Hops = make([]Hop, nhops)
 		}
-		var f32 [4]byte
 		for i := range t.Hops {
 			h := &t.Hops[i]
 			if h.Addr, err = readAddr(); err != nil {
-				return fmt.Errorf("traceroute: binary hop addr: %w", err)
+				return nil, fmt.Errorf("hop %d: addr: %w", i, err)
+			}
+			if !h.Addr.IsValid() {
+				return nil, fmt.Errorf("hop %d: no address", i)
 			}
 			if h.ProbeTTL, err = br.ReadByte(); err != nil {
-				return fmt.Errorf("traceroute: binary hop ttl: %w", err)
+				return nil, fmt.Errorf("hop %d: ttl: %w", i, err)
 			}
 			reply, err := br.ReadByte()
 			if err != nil {
-				return fmt.Errorf("traceroute: binary hop reply: %w", err)
+				return nil, fmt.Errorf("hop %d: reply: %w", i, err)
 			}
-			h.Reply = ReplyType(reply)
+			if h.Reply = ReplyType(reply); !h.Reply.defined() {
+				return nil, fmt.Errorf("hop %d: undefined reply type %d", i, reply)
+			}
 			if _, err := io.ReadFull(br, f32[:]); err != nil {
-				return fmt.Errorf("traceroute: binary hop rtt: %w", err)
+				return nil, fmt.Errorf("hop %d: rtt: %w", i, err)
 			}
 			h.RTTMillis = math.Float32frombits(binary.LittleEndian.Uint32(f32[:]))
+		}
+		return t, nil
+	}
+	for record := 1; ; record++ {
+		t, err := readRecord()
+		if err != nil {
+			return fmt.Errorf("traceroute: binary record %d: %w", record, err)
+		}
+		if t == nil {
+			return nil
 		}
 		if err := fn(t); err != nil {
 			return err

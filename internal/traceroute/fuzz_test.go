@@ -29,7 +29,8 @@ func FuzzReadJSONL(f *testing.F) {
 }
 
 // FuzzReadBinary asserts the binary reader never panics on corrupted
-// streams.
+// streams and that what it accepts is what the JSONL reader would have
+// delivered: defined reply types and stop reasons, valid addresses.
 func FuzzReadBinary(f *testing.F) {
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf)
@@ -40,7 +41,26 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("BDRT\x01"))
 	f.Add([]byte("XXXX\x01"))
+	undefinedReply := bytes.Clone(buf.Bytes())
+	undefinedReply[len(undefinedReply)-5] = 9
+	f.Add(undefinedReply)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		_ = ReadBinary(bytes.NewReader(in), func(tr *Trace) error { return nil })
+		_ = ReadBinary(bytes.NewReader(in), func(tr *Trace) error {
+			if !tr.Dst.IsValid() {
+				t.Fatal("accepted trace with invalid dst")
+			}
+			if !tr.Stop.defined() {
+				t.Fatalf("accepted undefined stop reason %d", tr.Stop)
+			}
+			for _, h := range tr.Hops {
+				if !h.Addr.IsValid() {
+					t.Fatal("accepted hop with invalid addr")
+				}
+				if !h.Reply.defined() {
+					t.Fatalf("accepted undefined reply type %d", h.Reply)
+				}
+			}
+			return nil
+		})
 	})
 }

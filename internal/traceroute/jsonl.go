@@ -3,9 +3,7 @@ package traceroute
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net/netip"
 )
 
 // jsonHop is the wire form of a hop in the JSONL codec, mirroring the
@@ -67,105 +65,3 @@ func (jw *JSONLWriter) Write(t *Trace) error {
 
 // Flush flushes buffered output.
 func (jw *JSONLWriter) Flush() error { return jw.bw.Flush() }
-
-// ReadStats tallies what a JSONL scan consumed versus skipped, feeding
-// the pipeline's load.* telemetry counters.
-type ReadStats struct {
-	// Traces is the number of traces delivered to the callback.
-	Traces int
-	// SkippedRecords counts records whose "type" was not "trace"
-	// (scamper cycle markers and other stream bookkeeping).
-	SkippedRecords int
-	// DroppedHops counts hops discarded because their ICMP reply type
-	// is outside the three classes the heuristics consume.
-	DroppedHops int
-}
-
-// ReadJSONL streams traces from JSON-lines input, invoking fn for each.
-// fn returning an error aborts the scan with that error.
-//
-// The reader accepts scamper (sc_warts2json) streams as a superset of
-// its own output: records whose "type" is not "trace" are skipped, a
-// missing stop_reason is inferred from the final hop, and hops with
-// ICMP reply types outside {Time Exceeded, Echo Reply, Destination
-// Unreachable} are dropped (bdrmapIT's heuristics only consume those
-// three).
-func ReadJSONL(r io.Reader, fn func(*Trace) error) error {
-	_, err := ReadJSONLStats(r, fn)
-	return err
-}
-
-// ReadJSONLStats is ReadJSONL returning skip/drop tallies alongside the
-// scan result.
-func ReadJSONLStats(r io.Reader, fn func(*Trace) error) (ReadStats, error) {
-	var stats ReadStats
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var wire jsonTrace
-		if err := json.Unmarshal(line, &wire); err != nil {
-			return stats, fmt.Errorf("traceroute: jsonl line %d: %w", lineno, err)
-		}
-		if wire.Type != "" && wire.Type != "trace" {
-			stats.SkippedRecords++
-			continue // scamper cycle-start / cycle-stop records
-		}
-		t, err := wire.toTrace(&stats)
-		if err != nil {
-			return stats, fmt.Errorf("traceroute: jsonl line %d: %w", lineno, err)
-		}
-		stats.Traces++
-		if err := fn(t); err != nil {
-			return stats, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return stats, fmt.Errorf("traceroute: jsonl read: %w", err)
-	}
-	return stats, nil
-}
-
-func (wire jsonTrace) toTrace(stats *ReadStats) (*Trace, error) {
-	dst, err := netip.ParseAddr(wire.Dst)
-	if err != nil {
-		return nil, fmt.Errorf("dst: %w", err)
-	}
-	t := &Trace{VP: wire.VP, Dst: dst}
-	if wire.Src != "" {
-		src, err := netip.ParseAddr(wire.Src)
-		if err != nil {
-			return nil, fmt.Errorf("src: %w", err)
-		}
-		t.Src = src
-	}
-	for i, h := range wire.Hops {
-		rt, err := ReplyTypeFromICMP(h.ICMPType)
-		if err != nil {
-			stats.DroppedHops++
-			continue // a reply class the heuristics do not consume
-		}
-		addr, err := netip.ParseAddr(h.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("hop %d addr: %w", i, err)
-		}
-		t.Hops = append(t.Hops, Hop{Addr: addr, ProbeTTL: h.ProbeTTL, Reply: rt, RTTMillis: h.RTT})
-	}
-	if wire.Stop != "" {
-		stop, err := ParseStopReason(wire.Stop)
-		if err != nil {
-			return nil, err
-		}
-		t.Stop = stop
-	} else if t.ReachedDst() {
-		t.Stop = StopCompleted
-	} else {
-		t.Stop = StopGapLimit
-	}
-	return t, nil
-}

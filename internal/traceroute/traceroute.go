@@ -57,17 +57,30 @@ func (rt ReplyType) ICMPType() uint8 {
 
 // ReplyTypeFromICMP maps an ICMP type number to a ReplyType.
 func ReplyTypeFromICMP(t uint8) (ReplyType, error) {
-	switch t {
-	case 11:
-		return TimeExceeded, nil
-	case 0:
-		return EchoReply, nil
-	case 3:
-		return DestUnreachable, nil
-	default:
+	rt, ok := replyFromICMP(t)
+	if !ok {
 		return 0, fmt.Errorf("traceroute: unsupported ICMP type %d", t)
 	}
+	return rt, nil
 }
+
+// replyFromICMP is ReplyTypeFromICMP without the error value, for the
+// decoders, which drop or count such hops by the thousand.
+func replyFromICMP(t uint8) (ReplyType, bool) {
+	switch t {
+	case 11:
+		return TimeExceeded, true
+	case 0:
+		return EchoReply, true
+	case 3:
+		return DestUnreachable, true
+	default:
+		return 0, false
+	}
+}
+
+// defined reports whether rt is one of the declared reply classes.
+func (rt ReplyType) defined() bool { return rt <= DestUnreachable }
 
 // Hop is one responsive traceroute hop. Unresponsive probes produce no
 // Hop; gaps are visible as jumps in ProbeTTL.
@@ -116,19 +129,30 @@ func (s StopReason) String() string {
 
 // ParseStopReason inverts StopReason.String.
 func ParseStopReason(s string) (StopReason, error) {
-	switch s {
-	case "COMPLETED":
-		return StopCompleted, nil
-	case "GAPLIMIT":
-		return StopGapLimit, nil
-	case "UNREACH":
-		return StopUnreach, nil
-	case "LOOP":
-		return StopLoop, nil
-	default:
+	stop, ok := lookupStop(s)
+	if !ok {
 		return 0, fmt.Errorf("traceroute: unknown stop reason %q", s)
 	}
+	return stop, nil
 }
+
+func lookupStop(s string) (StopReason, bool) {
+	switch s {
+	case "COMPLETED":
+		return StopCompleted, true
+	case "GAPLIMIT":
+		return StopGapLimit, true
+	case "UNREACH":
+		return StopUnreach, true
+	case "LOOP":
+		return StopLoop, true
+	default:
+		return 0, false
+	}
+}
+
+// defined reports whether s is one of the declared stop reasons.
+func (s StopReason) defined() bool { return s <= StopLoop }
 
 // Trace is one traceroute measurement: a vantage point, a probed
 // destination, and the responsive hops in probe-TTL order.
@@ -177,4 +201,24 @@ func (t *Trace) LastHop() *Hop {
 func (t *Trace) ReachedDst() bool {
 	h := t.LastHop()
 	return h != nil && h.Addr == t.Dst
+}
+
+// interner deduplicates vantage-point names across the traces of one
+// reader, JSONL or binary: a campaign has a handful of VPs and would
+// otherwise allocate the same few names once per trace.
+type interner map[string]string
+
+// maxInterned bounds the table against input that names a fresh VP in
+// every record; names past it are allocated as they come.
+const maxInterned = 4096
+
+func (in interner) intern(b []byte) string {
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(in) < maxInterned {
+		in[s] = s
+	}
+	return s
 }

@@ -199,6 +199,31 @@ func TestBinaryEmptyAndErrors(t *testing.T) {
 	if err := ReadBinary(bytes.NewReader(trunc), func(*Trace) error { return nil }); err == nil {
 		t.Error("truncated stream accepted")
 	}
+	// Values the model does not define are refused where they stand, as
+	// the JSONL reader refuses or drops them, not passed on as enums.
+	for _, c := range []struct {
+		name   string
+		mutate func(*Trace)
+		want   string
+	}{
+		{"reply type 9", func(tr *Trace) { tr.Hops[1].Reply = 9 }, "record 2: hop 1: undefined reply type 9"},
+		{"stop reason 7", func(tr *Trace) { tr.Stop = 7 }, "record 2: undefined stop reason 7"},
+		{"no destination", func(tr *Trace) { tr.Dst = netip.Addr{} }, "record 2: no destination address"},
+		{"hop without address", func(tr *Trace) { tr.Hops[2].Addr = netip.Addr{} }, "record 2: hop 2: no address"},
+	} {
+		var buf bytes.Buffer
+		w := NewBinaryWriter(&buf)
+		bad := sampleTrace()
+		c.mutate(bad)
+		w.Write(sampleTrace())
+		w.Write(bad)
+		w.Flush()
+		delivered := 0
+		err := ReadBinary(&buf, func(*Trace) error { delivered++; return nil })
+		if err == nil || !strings.Contains(err.Error(), c.want) || delivered != 1 {
+			t.Errorf("%s: delivered %d, err %v; want 1 and %q", c.name, delivered, err, c.want)
+		}
+	}
 }
 
 // Property test: random traces survive both codecs byte-exactly.
