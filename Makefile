@@ -54,11 +54,13 @@ BENCH_WORKERS ?= 8
 bench:
 	$(GO) run ./cmd/benchrun -rung $(RUNG) -workers $(BENCH_WORKERS) -out BENCH_$(RUNG).json
 
-# The pre-existing micro-benchmarks over the small topology, and the
-# two trace loaders over a simulated campaign (MB/s per serialization).
+# The pre-existing micro-benchmarks over the small topology, the two
+# trace loaders over a simulated campaign (MB/s per serialization), and
+# graph construction alone (traces/s and hops/s at 1 and N workers).
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph' -benchmem ./internal/core
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt
 # schema by reportcheck, compared metric-by-metric against the committed
@@ -90,7 +92,10 @@ smoke:
 # its own invocation: -fuzz must match exactly one function per package
 # (traceroute has three). Seed corpora include faultio-derived truncated,
 # corrupted, and garbled variants, so even a short burst revisits the
-# fault classes the loaders must survive.
+# fault classes the loaders must survive. The graph-builder target caps
+# minimization: its oracle ranges over maps, so block counts jitter from
+# run to run and the engine would otherwise spend the whole burst
+# re-running one "interesting" input.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/alias -run '^$$' -fuzz '^FuzzReadNodes$$' -fuzztime $(FUZZTIME)
@@ -103,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzJSONLDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAddTraceDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -207,3 +213,5 @@ profile-micro:
 		-cpuprofile profiles/refine.cpu.pprof -memprofile profiles/refine.mem.pprof .
 	$(GO) test -short -run XXX -bench BenchmarkInferenceWorkers \
 		-cpuprofile profiles/inference.cpu.pprof -memprofile profiles/inference.mem.pprof .
+	$(GO) test -run XXX -bench BenchmarkBuildGraph -o profiles/core.test \
+		-cpuprofile profiles/construct-graph.cpu.pprof -memprofile profiles/construct-graph.mem.pprof ./internal/core

@@ -176,6 +176,27 @@ func routerStructDigest(r *Router) uint64 {
 	return h
 }
 
+// structDigests returns the graph's structural digests: routers by
+// router ID, interfaces by sortedAddrs position. Structure is immutable
+// once Finish returns (annotations are not part of it), so the vectors
+// are computed on first use and kept: the merged graph of one absorb is
+// the base graph of the next, and must not be digested twice. Not safe
+// for concurrent first use; the delta engine calls it from its
+// orchestrating goroutine only.
+func (g *Graph) structDigests() (routers, ifaces []uint64) {
+	if g.routerDigests == nil {
+		g.routerDigests = make([]uint64, len(g.Routers))
+		for id, r := range g.Routers {
+			g.routerDigests[id] = routerStructDigest(r)
+		}
+		g.ifaceDigests = make([]uint64, len(g.sortedAddrs))
+		for idx, a := range g.sortedAddrs {
+			g.ifaceDigests[idx] = ifaceStructDigest(g.Interfaces[a])
+		}
+	}
+	return g.routerDigests, g.ifaceDigests
+}
+
 // computeDeltaSeed diffs merged against base structurally. Identity
 // crosses the graphs by representative address (each router's smallest
 // interface address): alias sets are an input, not an inference, so a
@@ -193,29 +214,37 @@ func computeDeltaSeed(merged, base *Graph) *deltaSeed {
 	for idx, a := range merged.sortedAddrs {
 		s.mergedIdx[a] = idx
 	}
+	baseRDig, baseIDig := base.structDigests()
+	mergedRDig, mergedIDig := merged.structDigests()
 
-	baseRDig := make(map[netip.Addr]uint64, len(base.Routers))
 	for bi, br := range base.Routers {
-		baseRDig[br.Interfaces[0].Addr] = routerStructDigest(br)
 		s.baseToMergedR[bi] = merged.Interfaces[br.Interfaces[0].Addr].Router.ID
 	}
+	// mergedToBaseI inverts baseToMergedI; -1 marks an interface the
+	// base graph does not have.
+	mergedToBaseI := make([]int, len(merged.sortedAddrs))
+	for idx := range mergedToBaseI {
+		mergedToBaseI[idx] = -1
+	}
 	for bi, a := range base.sortedAddrs {
-		s.baseToMergedI[bi] = s.mergedIdx[a]
+		idx := s.mergedIdx[a]
+		s.baseToMergedI[bi] = idx
+		mergedToBaseI[idx] = bi
 	}
 
 	var dirtyRouters []int
 	for id, r := range merged.Routers {
-		want, ok := baseRDig[r.Interfaces[0].Addr]
-		if !ok || want != routerStructDigest(r) {
+		// The base counterpart is the base router with the same
+		// representative address, if there is one.
+		bi, ok := base.Interfaces[r.Interfaces[0].Addr]
+		if !ok || bi.Router.Interfaces[0] != bi || baseRDig[bi.Router.ID] != mergedRDig[id] {
 			s.rdirty[id] = true
 			s.structRouters++
 			dirtyRouters = append(dirtyRouters, id)
 		}
 	}
-	for idx, a := range merged.sortedAddrs {
-		i := merged.Interfaces[a]
-		bi, ok := base.Interfaces[a]
-		if !ok || ifaceStructDigest(bi) != ifaceStructDigest(i) {
+	for idx, bi := range mergedToBaseI {
+		if bi < 0 || baseIDig[bi] != mergedIDig[idx] {
 			s.idirty[idx] = true
 			s.structIfaces++
 			s.frontier = append(s.frontier, idx)

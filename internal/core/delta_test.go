@@ -25,10 +25,7 @@ import (
 // in absorption order.
 func buildGraph(ds *eval.Dataset, traces []*traceroute.Trace) *core.Graph {
 	b := core.NewBuilder(ds.Resolver, ds.Aliases)
-	b.PreResolve(eval.ObservedAddrs(traces))
-	for _, tr := range traces {
-		b.AddTrace(tr)
-	}
+	b.AddTraces(traces)
 	return b.Finish(ds.Rels)
 }
 

@@ -36,10 +36,7 @@ func runEquivalence(t *testing.T, cfg topo.Config, numVPs int) {
 		t.Fatalf("BuildDataset: %v", err)
 	}
 	b := core.NewBuilder(ds.Resolver, ds.Aliases)
-	b.PreResolve(eval.ObservedAddrs(ds.Traces))
-	for _, tr := range ds.Traces {
-		b.AddTrace(tr)
-	}
+	b.AddTraces(ds.Traces)
 	g := b.Finish(ds.Rels)
 
 	run := func(reference bool, workers int) equivalenceOutcome {

@@ -7,12 +7,12 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 
 	"repro/internal/alias"
 	"repro/internal/asn"
 	"repro/internal/ip2as"
-	"repro/internal/netutil"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/traceroute"
@@ -83,6 +83,10 @@ type Link struct {
 	To   *Interface
 	// Label is the highest-confidence label observed for this link.
 	Label LinkLabel
+	// lastPrev is Builder scratch: the interned ID of the Prev key
+	// written most recently. It occupies padding after Label and means
+	// nothing once Finish returns.
+	lastPrev uint32
 	// Prev maps each of From's interface addresses seen immediately
 	// prior to To in a traceroute to that interface's origin AS; its
 	// value set is the link origin-AS set L(IRi,j) (§4.3), and its key
@@ -194,6 +198,9 @@ type Graph struct {
 	// hashing and iteration.
 	sortedAddrs []netip.Addr
 
+	// routerDigests/ifaceDigests cache structDigests.
+	routerDigests, ifaceDigests []uint64
+
 	// Stats accumulates dataset statistics reported in the paper.
 	Stats GraphStats
 }
@@ -211,33 +218,72 @@ type GraphStats struct {
 	LastHopEmptyDst int // last-hop IRs with an empty destination AS set
 }
 
+// internEntry is everything the Builder knows about one interned
+// address. Entries live in Builder.tab, indexed by the address's ID.
+type internEntry struct {
+	// iface is nil until the address first survives hop cleaning: an
+	// address seen only as a destination, as a special hop, or past a
+	// loop cut is interned but never becomes an interface.
+	iface *Interface
+	// origin and kind are the ip2as.Result, resolved once when the
+	// address is interned; kind == ip2as.Special is netutil.IsSpecial.
+	origin asn.ASN
+	// stamp is the generation of the last trace that kept the address
+	// as a hop — the per-trace loop detector.
+	stamp uint32
+	kind  ip2as.Kind
+}
+
+// keptHop is one hop that survived cleaning in the trace being added.
+type keptHop struct {
+	iface *Interface
+	id    uint32
+	ttl   uint8
+	reply traceroute.ReplyType
+}
+
+// invalidID is the reserved ID of the invalid (zero) netip.Addr. Its
+// entry is permanently special, so an address-less hop is skipped and
+// an address-less destination has no origin AS without either costing
+// a branch per hop; it is not counted as an observed address.
+const invalidID = 0
+
 // Builder constructs the IR graph incrementally from traceroutes
-// (paper §4). Feed traces with AddTrace, then call Finish. Optionally
-// call PreResolve first to perform the IP→AS lookups concurrently.
+// (paper §4). Feed traces with AddTraces (or AddTrace, one at a time),
+// then call Finish.
+//
+// Internally every address is interned on first sight to a dense
+// uint32 ID — first-seen order, private to this Builder, never
+// serialised — and everything done per hop indexes slices by that ID
+// (DESIGN §18). Addresses are unmapped before interning, so a v4-mapped
+// IPv6 hop is the same interface as its plain IPv4 form.
 type Builder struct {
 	resolver *ip2as.Resolver
 	aliases  *alias.Sets
 
 	// Workers is the worker count for the parallel parts of
-	// construction (PreResolve sharding and Finish's per-router pass);
-	// <= 0 means runtime.GOMAXPROCS.
+	// construction (resolving newly interned addresses and Finish's
+	// per-router pass); <= 0 means runtime.GOMAXPROCS.
 	Workers int
 
 	// Rec receives construction telemetry (resolve coverage, graph
 	// shape, link-label breakdown). Nil disables recording.
 	Rec *obs.Recorder
 
-	ifaces   map[netip.Addr]*Interface
-	routers  map[int]*Router // alias group id → router
-	nextID   int
-	byIface  map[netip.Addr]*Router // singleton routers
-	traces   int
-	resolved map[netip.Addr]ip2as.Result // PreResolve lookup cache
+	ids     map[netip.Addr]uint32 // unmapped address → ID: the one address-keyed lookup per hop
+	tab     []internEntry         // ID → entry
+	links   map[uint64]*Link      // linkKey(from-router, to-ID) → link
+	groups  map[int]*Router       // alias group id → router
+	routers []*Router             // creation order; Router.ID indexes it until Finish renumbers
+	nIfaces int
+	traces  int
+	gen     uint32 // current trace's generation; never 0
 
-	// cleanHops scratch, reused by every AddTrace: its result never
-	// outlives the call.
-	hops []traceroute.Hop
-	seen map[netip.Addr]bool
+	// Per-chunk scratch, reused by every AddTraces call.
+	chunkIDs []uint32     // per trace: the destination's ID, then one per hop
+	newAddrs []netip.Addr // addresses first interned by this chunk, in ID order
+	kept     []keptHop    // cleaned hops of the trace being added
+	one      [1]*traceroute.Trace
 }
 
 // NewBuilder returns a Builder resolving addresses through resolver and
@@ -247,56 +293,81 @@ func NewBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *Builder {
 	return &Builder{
 		resolver: resolver,
 		aliases:  aliases,
-		ifaces:   make(map[netip.Addr]*Interface),
-		routers:  make(map[int]*Router),
-		byIface:  make(map[netip.Addr]*Router),
-		seen:     make(map[netip.Addr]bool),
+		ids:      make(map[netip.Addr]uint32),
+		tab:      []internEntry{invalidID: {kind: ip2as.Special}},
+		links:    make(map[uint64]*Link),
+		groups:   make(map[int]*Router),
 	}
 }
 
-func (b *Builder) routerFor(addr netip.Addr) *Router {
-	if b.aliases != nil {
-		if g, ok := b.aliases.GroupOf(addr); ok {
-			r, ok := b.routers[g]
-			if !ok {
-				r = b.newRouter()
-				b.routers[g] = r
-			}
-			return r
+// AddTrace is AddTraces for a single trace.
+func (b *Builder) AddTrace(t *traceroute.Trace) {
+	b.one[0] = t
+	b.AddTraces(b.one[:])
+	b.one[0] = nil
+}
+
+// AddTraces incorporates a chunk of traceroutes into the graph, in
+// order: it interns every hop and destination address of the chunk,
+// resolves the addresses this chunk introduced concurrently across the
+// Builder's workers (the trie-backed resolver layers are read-only
+// during lookups, so shards share them safely), then adds the traces
+// sequentially, which keeps the build deterministic. Scratch memory is
+// proportional to the chunk, not to the corpus.
+//
+//lint:hotpath
+func (b *Builder) AddTraces(traces []*traceroute.Trace) {
+	first := len(b.tab)
+	b.newAddrs = b.newAddrs[:0]
+	need := len(traces)
+	for _, t := range traces {
+		need += len(t.Hops)
+	}
+	ids := slices.Grow(b.chunkIDs[:0], need)
+	for _, t := range traces {
+		ids = append(ids, b.intern(t.Dst))
+		for i := range t.Hops {
+			ids = append(ids, b.intern(t.Hops[i].Addr))
 		}
 	}
-	r, ok := b.byIface[addr]
-	if !ok {
-		r = b.newRouter()
-		b.byIface[addr] = r
+	b.chunkIDs = ids
+	if len(b.newAddrs) > 0 {
+		b.resolveNew(first)
 	}
-	return r
+	for _, t := range traces {
+		n := 1 + len(t.Hops)
+		b.addInterned(t, ids[:n])
+		ids = ids[n:]
+	}
 }
 
-func (b *Builder) newRouter() *Router {
-	r := &Router{
-		ID:        b.nextID,
-		Links:     make(map[netip.Addr]*Link),
-		OriginSet: asn.NewSet(),
-		DestASes:  asn.NewSet(),
+// intern returns addr's ID, assigning the next one on first sight.
+//
+//lint:hotpath
+func (b *Builder) intern(addr netip.Addr) uint32 {
+	if !addr.IsValid() {
+		return invalidID
 	}
-	b.nextID++
-	return r
+	addr = addr.Unmap()
+	if id, ok := b.ids[addr]; ok {
+		return id
+	}
+	id := uint32(len(b.tab))
+	b.ids[addr] = id
+	b.tab = append(b.tab, internEntry{})
+	b.newAddrs = append(b.newAddrs, addr)
+	return id
 }
 
-// PreResolve performs the IP→AS lookups for addrs concurrently across
-// the Builder's workers and caches the results for AddTrace. The
-// trie-backed resolver layers are read-only during lookups, so shards
-// share them safely; results land in a cache the (sequential) graph
-// build then consults, keeping the build itself deterministic.
-func (b *Builder) PreResolve(addrs []netip.Addr) {
+// resolveNew performs the IP→AS lookups for the addresses the current
+// chunk interned (IDs first, first+1, …) and records the results in
+// their entries.
+func (b *Builder) resolveNew(first int) {
 	ph := b.Rec.Phase("resolve")
-	results := b.resolver.ResolveBatch(addrs, b.Workers)
-	if b.resolved == nil {
-		b.resolved = make(map[netip.Addr]ip2as.Result, len(addrs))
-	}
-	for i, a := range addrs {
-		b.resolved[a] = results[i]
+	results := b.resolver.ResolveBatch(b.newAddrs, b.Workers)
+	for i, res := range results {
+		e := &b.tab[first+i]
+		e.origin, e.kind = res.Origin, res.Kind
 	}
 	if b.Rec.Enabled() {
 		cov := ip2as.MeasureResults(results)
@@ -311,88 +382,159 @@ func (b *Builder) PreResolve(addrs []netip.Addr) {
 	ph.End()
 }
 
-// lookup resolves addr, consulting the PreResolve cache first.
-func (b *Builder) lookup(addr netip.Addr) ip2as.Result {
-	if res, ok := b.resolved[addr]; ok {
-		return res
+func (b *Builder) routerFor(addr netip.Addr) *Router {
+	if b.aliases != nil {
+		if g, ok := b.aliases.GroupOf(addr); ok {
+			r, ok := b.groups[g]
+			if !ok {
+				r = b.newRouter()
+				b.groups[g] = r
+			}
+			return r
+		}
 	}
-	return b.resolver.Lookup(addr)
+	return b.newRouter()
 }
 
-func (b *Builder) iface(addr netip.Addr) *Interface {
-	i, ok := b.ifaces[addr]
-	if !ok {
-		res := b.lookup(addr)
-		i = &Interface{
-			Addr:     addr,
-			Origin:   res.Origin,
-			Kind:     res.Kind,
-			DestASes: asn.NewSet(),
-			EchoOnly: true,
-		}
-		i.Router = b.routerFor(addr)
-		i.Router.Interfaces = append(i.Router.Interfaces, i)
-		if i.Origin != asn.None && i.Kind != ip2as.IXP {
-			i.Router.OriginSet.Add(i.Origin)
-		}
-		b.ifaces[addr] = i
+func (b *Builder) newRouter() *Router {
+	r := &Router{
+		ID:        len(b.routers),
+		Links:     make(map[netip.Addr]*Link),
+		OriginSet: asn.NewSet(),
+		DestASes:  asn.NewSet(),
 	}
+	b.routers = append(b.routers, r)
+	return r
+}
+
+// newIface creates the interface for the interned address id, whose
+// unmapped form is addr, on its first appearance as a kept hop.
+func (b *Builder) newIface(id uint32, addr netip.Addr) *Interface {
+	e := &b.tab[id]
+	i := &Interface{
+		Addr:     addr,
+		Origin:   e.origin,
+		Kind:     e.kind,
+		DestASes: asn.NewSet(),
+		EchoOnly: true,
+	}
+	i.Router = b.routerFor(addr)
+	i.Router.Interfaces = append(i.Router.Interfaces, i)
+	if i.Origin != asn.None && i.Kind != ip2as.IXP {
+		i.Router.OriginSet.Add(i.Origin)
+	}
+	e.iface = i
+	b.nIfaces++
 	return i
 }
 
-// AddTrace incorporates one traceroute into the graph: interfaces for
-// each responsive hop, a link from each IR to the first interface seen
-// subsequently (with a confidence label per §4.2 and the origin-AS set
-// per §4.3), and destination-AS bookkeeping per §4.4.
-func (b *Builder) AddTrace(t *traceroute.Trace) {
-	b.traces++
-	hops := b.cleanHops(t.Hops)
-	if len(hops) == 0 {
-		return
-	}
-	dstAS := b.lookup(t.Dst).Origin
+// linkKey identifies the link from a router (by its build-time ID) to
+// an interned subsequent address.
+func linkKey(from *Router, to uint32) uint64 {
+	return uint64(from.ID)<<32 | uint64(to)
+}
 
-	for idx := range hops {
-		h := &hops[idx]
-		i := b.iface(h.Addr)
+func (b *Builder) newLink(key uint64, from *Router, to *Interface, label LinkLabel) *Link {
+	l := &Link{
+		From:     from,
+		To:       to,
+		Label:    label,
+		Prev:     make(map[netip.Addr]asn.ASN, 1),
+		DestASes: asn.NewSet(),
+	}
+	b.links[key] = l
+	from.Links[to.Addr] = l
+	to.InLinks = append(to.InLinks, l)
+	return l
+}
+
+// addInterned incorporates one traceroute whose addresses are already
+// interned (ids[0] is the destination's ID, ids[1+k] hop k's):
+// interfaces for each responsive hop, a link from each IR to the first
+// interface seen subsequently (with a confidence label per §4.2 and the
+// origin-AS set per §4.3), and destination-AS bookkeeping per §4.4.
+//
+//lint:hotpath
+func (b *Builder) addInterned(t *traceroute.Trace, ids []uint32) {
+	b.traces++
+	b.gen++
+	if b.gen == 0 {
+		// The generation counter wrapped: stamps from 2^32 traces ago
+		// would read as current. Forget them all and restart at 1.
+		for i := range b.tab {
+			b.tab[i].stamp = 0
+		}
+		b.gen = 1
+	}
+
+	// Clean the hops: private/special addresses are dropped (treated as
+	// unresponsive, per §4.2) and the trace is cut at a forwarding loop.
+	kept := b.kept[:0]
+	for k := range t.Hops {
+		h := &t.Hops[k]
+		id := ids[1+k]
+		e := &b.tab[id]
+		if e.kind == ip2as.Special {
+			continue
+		}
+		if e.stamp == b.gen {
+			// Allow immediate repetition (same router answering twice in
+			// a row via per-TTL retries); a non-adjacent repeat is a
+			// loop. A current stamp means this trace already kept the
+			// address, so kept is not empty.
+			if kept[len(kept)-1].id == id {
+				continue
+			}
+			break
+		}
+		e.stamp = b.gen
+		i := e.iface
+		if i == nil {
+			i = b.newIface(id, h.Addr.Unmap())
+		}
 		if h.Reply != traceroute.EchoReply {
 			i.EchoOnly = false
 		}
+		kept = append(kept, keptHop{iface: i, id: id, ttl: h.ProbeTTL, reply: h.Reply})
+	}
+	b.kept = kept
+	if len(kept) == 0 {
+		return
+	}
+	dstAS := b.tab[ids[0]].origin
+
+	for idx := range kept {
+		c := &kept[idx]
+		ci := c.iface
 		// Destination-AS recording (§4.4): every replying interface,
 		// except the last hop of a trace ending in an Echo Reply.
-		last := idx == len(hops)-1
-		if dstAS != asn.None && !(last && h.Reply == traceroute.EchoReply) {
-			i.DestASes.Add(dstAS)
+		last := idx == len(kept)-1
+		if dstAS != asn.None && !(last && c.reply == traceroute.EchoReply) {
+			ci.DestASes.Add(dstAS)
 		}
-	}
-
-	for idx := 0; idx+1 < len(hops); idx++ {
-		a, c := &hops[idx], &hops[idx+1]
-		if a.Addr == c.Addr {
+		if idx == 0 {
 			continue
 		}
-		ai := b.ifaces[a.Addr]
-		ci := b.ifaces[c.Addr]
+		a := &kept[idx-1]
+		ai := a.iface
 		if ai.Router == ci.Router {
 			continue // both interfaces aliased onto the same IR
 		}
-		dist := int(c.ProbeTTL) - int(a.ProbeTTL)
-		label := classifyLink(ai, ci, c.Reply, dist)
-		l, ok := ai.Router.Links[c.Addr]
-		if !ok {
-			l = &Link{
-				From:     ai.Router,
-				To:       ci,
-				Label:    label,
-				Prev:     make(map[netip.Addr]asn.ASN, 1),
-				DestASes: asn.NewSet(),
-			}
-			ai.Router.Links[c.Addr] = l
-			ci.InLinks = append(ci.InLinks, l)
+		label := classifyLink(ai, ci, c.reply, int(c.ttl)-int(a.ttl))
+		key := linkKey(ai.Router, c.id)
+		l := b.links[key]
+		if l == nil {
+			l = b.newLink(key, ai.Router, ci, label)
 		} else if label > l.Label {
 			l.Label = label
 		}
-		l.Prev[a.Addr] = ai.Origin
+		// A link is usually entered from the same previous hop trace
+		// after trace; re-storing that key is the one address-keyed map
+		// write the per-hop path would otherwise still make.
+		if l.lastPrev != a.id {
+			l.Prev[ai.Addr] = ai.Origin
+			l.lastPrev = a.id
+		}
 		if dstAS != asn.None {
 			l.DestASes.Add(dstAS)
 		}
@@ -415,41 +557,6 @@ func classifyLink(a, c *Interface, reply traceroute.ReplyType, dist int) LinkLab
 	return LabelMultihop
 }
 
-// maxSeenScratch is the most addresses the seen scratch may hold and
-// still be kept: clearing a map costs its capacity, so one record with
-// an absurd hop count must not leave every later trace paying for it. A
-// real trace has at most 255 hops (ProbeTTL is a byte).
-const maxSeenScratch = 256
-
-// cleanHops removes hops with private/special addresses (treated as
-// unresponsive, per §4.2) and truncates at forwarding loops. The result
-// is the Builder's scratch, valid until the next call.
-func (b *Builder) cleanHops(hops []traceroute.Hop) []traceroute.Hop {
-	if len(b.seen) > maxSeenScratch {
-		b.seen = make(map[netip.Addr]bool)
-	} else {
-		clear(b.seen)
-	}
-	out := b.hops[:0]
-	for _, h := range hops {
-		if netutil.IsSpecial(h.Addr) {
-			continue
-		}
-		if b.seen[h.Addr] {
-			// Allow immediate repetition (same router answering twice in
-			// a row via per-TTL retries); a non-adjacent repeat is a loop.
-			if len(out) > 0 && out[len(out)-1].Addr == h.Addr {
-				continue
-			}
-			break
-		}
-		b.seen[h.Addr] = true
-		out = append(out, h)
-	}
-	b.hops = out
-	return out
-}
-
 // Finish completes phase 1: reallocated-prefix cleanup of destination-AS
 // sets (§4.4), IR destination-set aggregation, last-hop marking, initial
 // interface annotations (§6), and statistics. The Builder must not be
@@ -457,20 +564,32 @@ func (b *Builder) cleanHops(hops []traceroute.Hop) []traceroute.Hop {
 func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 	ph := b.Rec.Phase("finish-graph")
 	defer ph.End()
-	g := &Graph{Interfaces: b.ifaces}
+	g := &Graph{
+		Interfaces:  make(map[netip.Addr]*Interface, b.nIfaces),
+		Routers:     b.routers,
+		sortedAddrs: make([]netip.Addr, 0, b.nIfaces),
+	}
 	g.Stats.Traces = b.traces
+	for idx := range b.tab {
+		if i := b.tab[idx].iface; i != nil {
+			g.Interfaces[i.Addr] = i
+			g.sortedAddrs = append(g.sortedAddrs, i.Addr)
+		}
+	}
+	// Release every construction table before the allocating passes
+	// below: the Graph holds none of them, and a Builder reused by
+	// mistake fails on its first trace.
+	workers, rec := b.Workers, b.Rec
+	*b = Builder{}
 
-	// Deterministic router order: by smallest interface address.
-	routerSet := make(map[*Router]bool)
-	for _, i := range b.ifaces {
-		routerSet[i.Router] = true
-	}
-	g.Routers = make([]*Router, 0, len(routerSet))
-	//lint:ignore maporder collected in arbitrary order, then sorted by smallest interface address below
-	for r := range routerSet {
-		g.Routers = append(g.Routers, r)
-	}
-	shard.For(len(g.Routers), b.Workers, func(lo, hi int) {
+	sort.Slice(g.sortedAddrs, func(i, j int) bool {
+		return g.sortedAddrs[i].Less(g.sortedAddrs[j])
+	})
+
+	// Deterministic router order: by smallest interface address. Every
+	// router was created for an interface, so the creation-order slice
+	// is exactly the set of routers in the graph.
+	shard.For(len(g.Routers), workers, func(lo, hi int) {
 		for _, r := range g.Routers[lo:hi] {
 			sort.Slice(r.Interfaces, func(a, b int) bool {
 				return r.Interfaces[a].Addr.Less(r.Interfaces[b].Addr)
@@ -484,19 +603,11 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 		r.ID = id
 	}
 
-	g.sortedAddrs = make([]netip.Addr, 0, len(b.ifaces))
-	for a := range b.ifaces {
-		g.sortedAddrs = append(g.sortedAddrs, a)
-	}
-	sort.Slice(g.sortedAddrs, func(i, j int) bool {
-		return g.sortedAddrs[i].Less(g.sortedAddrs[j])
-	})
-
 	// Per-router finishing touches only that router's state, so the pass
 	// shards cleanly; statistics accumulate into per-shard slots merged
 	// afterwards (counter sums commute, so the merge order is moot).
-	perShard := make([]GraphStats, len(shard.Bounds(len(g.Routers), b.Workers)))
-	shard.ForShards(len(g.Routers), b.Workers, func(s, lo, hi int) {
+	perShard := make([]GraphStats, len(shard.Bounds(len(g.Routers), workers)))
+	shard.ForShards(len(g.Routers), workers, func(s, lo, hi int) {
 		st := &perShard[s]
 		for _, r := range g.Routers[lo:hi] {
 			// §4.4: per-interface reallocated-prefix cleanup, then aggregate.
@@ -554,17 +665,17 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 	for _, st := range perShard {
 		g.Stats.merge(st)
 	}
-	if b.Rec.Enabled() {
-		b.Rec.Counter("graph.traces").Add(int64(g.Stats.Traces))
-		b.Rec.Counter("graph.interfaces").Add(int64(len(g.Interfaces)))
-		b.Rec.Counter("graph.routers").Add(int64(len(g.Routers)))
-		b.Rec.Counter("graph.links.nexthop").Add(int64(g.Stats.LinksNexthop))
-		b.Rec.Counter("graph.links.echo").Add(int64(g.Stats.LinksEcho))
-		b.Rec.Counter("graph.links.multihop").Add(int64(g.Stats.LinksMultihop))
-		b.Rec.Counter("graph.irs_with_links").Add(int64(g.Stats.IRsWithLinks))
-		b.Rec.Counter("graph.irs_echo_only").Add(int64(g.Stats.IRsEchoOnlyLink))
-		b.Rec.Counter("graph.lasthop_irs").Add(int64(g.Stats.LastHopIRs))
-		b.Rec.Counter("graph.lasthop_empty_dst").Add(int64(g.Stats.LastHopEmptyDst))
+	if rec.Enabled() {
+		rec.Counter("graph.traces").Add(int64(g.Stats.Traces))
+		rec.Counter("graph.interfaces").Add(int64(len(g.Interfaces)))
+		rec.Counter("graph.routers").Add(int64(len(g.Routers)))
+		rec.Counter("graph.links.nexthop").Add(int64(g.Stats.LinksNexthop))
+		rec.Counter("graph.links.echo").Add(int64(g.Stats.LinksEcho))
+		rec.Counter("graph.links.multihop").Add(int64(g.Stats.LinksMultihop))
+		rec.Counter("graph.irs_with_links").Add(int64(g.Stats.IRsWithLinks))
+		rec.Counter("graph.irs_echo_only").Add(int64(g.Stats.IRsEchoOnlyLink))
+		rec.Counter("graph.lasthop_irs").Add(int64(g.Stats.LastHopIRs))
+		rec.Counter("graph.lasthop_empty_dst").Add(int64(g.Stats.LastHopEmptyDst))
 		ph.Note("interfaces", int64(len(g.Interfaces)))
 		ph.Note("routers", int64(len(g.Routers)))
 	}

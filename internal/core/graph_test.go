@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 
@@ -289,4 +290,151 @@ func TestAddTraceSeenPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-var _ = traceroute.Trace{} // keep the import referenced in all builds
+// buildChunk builds traces in one AddTraces call.
+func buildChunk(e *testEnv, traces []*traceroute.Trace) *Graph {
+	b := NewBuilder(e.resolver, e.aliases)
+	b.AddTraces(traces)
+	return b.Finish(e.rels)
+}
+
+// TestRepeatedTracesChangeNothing: the memo paths — an address already
+// interned, a link already known, a previous hop already recorded —
+// must be pure shortcuts. Appending a second copy of every trace, or
+// adding any one trace again, leaves the finished graph structurally
+// identical apart from the trace count.
+func TestRepeatedTracesChangeNothing(t *testing.T) {
+	e, traces := campaign(t, 1, 8)
+	want := buildChunk(e, traces)
+
+	doubled := append(append([]*traceroute.Trace{}, traces...), traces...)
+	got := buildChunk(e, doubled)
+	if d := diffGraphs(got, want, true, false); d != "" {
+		t.Errorf("corpus + a copy of itself: %s", d)
+	}
+	if got.Stats.Traces != 2*want.Stats.Traces {
+		t.Errorf("corpus + a copy of itself: %d traces, want %d", got.Stats.Traces, 2*want.Stats.Traces)
+	}
+
+	for _, k := range []int{0, len(traces) / 3, len(traces) - 1} {
+		b := NewBuilder(e.resolver, e.aliases)
+		b.AddTraces(traces)
+		b.AddTrace(traces[k])
+		if d := diffGraphs(b.Finish(e.rels), want, true, false); d != "" {
+			t.Errorf("trace %d added again: %s", k, d)
+		}
+	}
+}
+
+// TestTraceOrderChangesOnlyOrder: however the traces of different VPs
+// interleave, every set-valued field of the graph is the same; only
+// first-seen orders (InLinks) may differ.
+func TestTraceOrderChangesOnlyOrder(t *testing.T) {
+	e, traces := campaign(t, 1, 8)
+	want := buildChunk(e, traces)
+
+	byVP := map[string][]*traceroute.Trace{}
+	var vps []string
+	for _, tr := range traces {
+		if _, ok := byVP[tr.VP]; !ok {
+			vps = append(vps, tr.VP)
+		}
+		byVP[tr.VP] = append(byVP[tr.VP], tr)
+	}
+	if len(vps) < 2 {
+		t.Fatalf("campaign has %d VPs, want at least 2", len(vps))
+	}
+	// Round-robin across the VPs, last VP first.
+	var mixed []*traceroute.Trace
+	for k := 0; len(mixed) < len(traces); k++ {
+		for v := len(vps) - 1; v >= 0; v-- {
+			if q := byVP[vps[v]]; k < len(q) {
+				mixed = append(mixed, q[k])
+			}
+		}
+	}
+	if d := diffGraphs(buildChunk(e, mixed), want, false, true); d != "" {
+		t.Errorf("VPs interleaved round-robin: %s", d)
+	}
+	reversed := append([]*traceroute.Trace{}, traces...)
+	for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+		reversed[i], reversed[j] = reversed[j], reversed[i]
+	}
+	if d := diffGraphs(buildChunk(e, reversed), want, false, true); d != "" {
+		t.Errorf("corpus reversed: %s", d)
+	}
+}
+
+// TestMappedAddressesAreTheSameInterfaces: a corpus whose every address
+// arrives in v4-mapped IPv6 form (::ffff:a.b.c.d, as a JSONL record can
+// spell it) builds the graph the plain corpus builds — same interfaces,
+// same alias groups, same origins.
+func TestMappedAddressesAreTheSameInterfaces(t *testing.T) {
+	e, traces := campaign(t, 1, 8)
+	want := buildChunk(e, traces)
+
+	mapAddr := func(a netip.Addr) netip.Addr {
+		if !a.Is4() {
+			return a
+		}
+		return netip.AddrFrom16(a.As16())
+	}
+	mapped := make([]*traceroute.Trace, len(traces))
+	n := 0
+	for k, tr := range traces {
+		m := *tr
+		m.Dst = mapAddr(tr.Dst)
+		m.Hops = append([]traceroute.Hop{}, tr.Hops...)
+		for h := range m.Hops {
+			m.Hops[h].Addr = mapAddr(m.Hops[h].Addr)
+			if m.Hops[h].Addr != tr.Hops[h].Addr {
+				n++
+			}
+		}
+		mapped[k] = &m
+	}
+	if n == 0 {
+		t.Fatal("no address was mapped")
+	}
+	if d := diffGraphs(buildChunk(e, mapped), want, true, true); d != "" {
+		t.Errorf("all-mapped corpus: %s", d)
+	}
+	// And mixed in one corpus: each mapped trace right after its plain twin.
+	var both []*traceroute.Trace
+	for k := range traces {
+		both = append(both, traces[k], mapped[k])
+	}
+	if d := diffGraphs(buildChunk(e, both), want, true, false); d != "" {
+		t.Errorf("plain and mapped twins interleaved: %s", d)
+	}
+}
+
+// TestLoopDetectorSurvivesGenerationWrap forces the per-trace stamp
+// counter through its uint32 wrap while traces with loops and repeats
+// are being added: a stamp left by a trace 2^32 generations ago must
+// not read as "seen in this trace".
+func TestLoopDetectorSurvivesGenerationWrap(t *testing.T) {
+	e := poolEnv(t)
+	// Three one-hop traces leave stamps 1, 2 and 3 on three addresses;
+	// the next three walk those addresses in generations that, after a
+	// wrap that forgot to clear them, would be 1, 2 and 3 again.
+	traces := decodePoolTraces([]byte{
+		7, 0, poolEnd, 7, 2, poolEnd, 7, 4, poolEnd,
+		7, 1, 0, 2, 4, poolEnd, 7, 1, 2, 4, 0, poolEnd, 7, 1, 4, 0, 2, poolEnd,
+	})
+	for _, c := range poolCases {
+		traces = append(traces, decodePoolTraces(c.data)...)
+	}
+	want := buildChunk(e, traces)
+	for _, before := range []uint32{0, 1, 2, 5} {
+		b := NewBuilder(e.resolver, e.aliases)
+		b.AddTraces(traces[:3])
+		b.gen = math.MaxUint32 - before
+		b.AddTraces(traces[3:])
+		if b.gen >= uint32(len(traces)) {
+			t.Fatalf("generation %d after wrapping from MaxUint32-%d: the counter did not wrap", b.gen, before)
+		}
+		if d := diffGraphs(b.Finish(e.rels), want, true, true); d != "" {
+			t.Errorf("wrap %d traces in: %s", before, d)
+		}
+	}
+}

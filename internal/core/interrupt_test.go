@@ -157,9 +157,6 @@ func buildGraph(t *testing.T, e *testEnv, workers int) *Graph {
 	t.Helper()
 	b := NewBuilder(e.resolver, e.aliases)
 	b.Workers = workers
-	b.PreResolve(distinctAddrs(e.traces))
-	for _, tr := range e.traces {
-		b.AddTrace(tr)
-	}
+	b.AddTraces(e.traces)
 	return b.Finish(e.rels)
 }

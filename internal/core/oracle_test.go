@@ -1,0 +1,792 @@
+package core
+
+// The differential oracle for graph construction: the map-keyed Builder
+// exactly as it stood before construction moved onto interned IDs
+// (DESIGN §18), kept test-only. Every address-keyed map the production
+// Builder no longer has — resolved, seen, ifaces, byIface, the
+// distinct-address set, routerSet — is still here, so agreement between
+// the two is agreement between two independent derivations of §4.
+//
+// The oracle keys by the raw netip.Addr; it does not unmap. Inputs to
+// the differential tests therefore carry no v4-mapped addresses; the
+// mapped ≡ plain property has its own test.
+
+import (
+	"context"
+	"fmt"
+	"net/netip"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/alias"
+	"repro/internal/asn"
+	"repro/internal/asrel"
+	"repro/internal/bgp"
+	"repro/internal/ip2as"
+	"repro/internal/netutil"
+	"repro/internal/obs"
+	"repro/internal/shard"
+	"repro/internal/topo"
+	"repro/internal/traceroute"
+)
+
+// oracleBuilder constructs the IR graph incrementally from traceroutes
+// (paper §4). Feed traces with AddTrace, then call Finish. Optionally
+// call PreResolve first to perform the IP→AS lookups concurrently.
+type oracleBuilder struct {
+	resolver *ip2as.Resolver
+	aliases  *alias.Sets
+
+	// Workers is the worker count for the parallel parts of
+	// construction (PreResolve sharding and Finish's per-router pass);
+	// <= 0 means runtime.GOMAXPROCS.
+	Workers int
+
+	// Rec receives construction telemetry (resolve coverage, graph
+	// shape, link-label breakdown). Nil disables recording.
+	Rec *obs.Recorder
+
+	ifaces   map[netip.Addr]*Interface
+	routers  map[int]*Router // alias group id → router
+	nextID   int
+	byIface  map[netip.Addr]*Router // singleton routers
+	traces   int
+	resolved map[netip.Addr]ip2as.Result // PreResolve lookup cache
+
+	// cleanHops scratch, reused by every AddTrace: its result never
+	// outlives the call.
+	hops []traceroute.Hop
+	seen map[netip.Addr]bool
+}
+
+// newOracleBuilder returns an oracleBuilder resolving addresses through resolver and
+// grouping interfaces through aliases (nil aliases → every interface is
+// its own IR, paper §7.4).
+func newOracleBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *oracleBuilder {
+	return &oracleBuilder{
+		resolver: resolver,
+		aliases:  aliases,
+		ifaces:   make(map[netip.Addr]*Interface),
+		routers:  make(map[int]*Router),
+		byIface:  make(map[netip.Addr]*Router),
+		seen:     make(map[netip.Addr]bool),
+	}
+}
+
+func (b *oracleBuilder) routerFor(addr netip.Addr) *Router {
+	if b.aliases != nil {
+		if g, ok := b.aliases.GroupOf(addr); ok {
+			r, ok := b.routers[g]
+			if !ok {
+				r = b.newRouter()
+				b.routers[g] = r
+			}
+			return r
+		}
+	}
+	r, ok := b.byIface[addr]
+	if !ok {
+		r = b.newRouter()
+		b.byIface[addr] = r
+	}
+	return r
+}
+
+func (b *oracleBuilder) newRouter() *Router {
+	r := &Router{
+		ID:        b.nextID,
+		Links:     make(map[netip.Addr]*Link),
+		OriginSet: asn.NewSet(),
+		DestASes:  asn.NewSet(),
+	}
+	b.nextID++
+	return r
+}
+
+// PreResolve performs the IP→AS lookups for addrs concurrently across
+// the Builder's workers and caches the results for AddTrace. The
+// trie-backed resolver layers are read-only during lookups, so shards
+// share them safely; results land in a cache the (sequential) graph
+// build then consults, keeping the build itself deterministic.
+func (b *oracleBuilder) PreResolve(addrs []netip.Addr) {
+	ph := b.Rec.Phase("resolve")
+	results := b.resolver.ResolveBatch(addrs, b.Workers)
+	if b.resolved == nil {
+		b.resolved = make(map[netip.Addr]ip2as.Result, len(addrs))
+	}
+	for i, a := range addrs {
+		b.resolved[a] = results[i]
+	}
+	if b.Rec.Enabled() {
+		cov := ip2as.MeasureResults(results)
+		b.Rec.Counter("resolve.addrs").Add(int64(cov.Total))
+		b.Rec.Counter("resolve.by_bgp").Add(int64(cov.ByBGP))
+		b.Rec.Counter("resolve.by_rir").Add(int64(cov.ByRIR))
+		b.Rec.Counter("resolve.by_ixp").Add(int64(cov.ByIXP))
+		b.Rec.Counter("resolve.unannounced").Add(int64(cov.UnannouncedN))
+		b.Rec.Counter("resolve.special").Add(int64(cov.SpecialN))
+		ph.Note("addrs", int64(cov.Total))
+	}
+	ph.End()
+}
+
+// lookup resolves addr, consulting the PreResolve cache first.
+func (b *oracleBuilder) lookup(addr netip.Addr) ip2as.Result {
+	if res, ok := b.resolved[addr]; ok {
+		return res
+	}
+	return b.resolver.Lookup(addr)
+}
+
+func (b *oracleBuilder) iface(addr netip.Addr) *Interface {
+	i, ok := b.ifaces[addr]
+	if !ok {
+		res := b.lookup(addr)
+		i = &Interface{
+			Addr:     addr,
+			Origin:   res.Origin,
+			Kind:     res.Kind,
+			DestASes: asn.NewSet(),
+			EchoOnly: true,
+		}
+		i.Router = b.routerFor(addr)
+		i.Router.Interfaces = append(i.Router.Interfaces, i)
+		if i.Origin != asn.None && i.Kind != ip2as.IXP {
+			i.Router.OriginSet.Add(i.Origin)
+		}
+		b.ifaces[addr] = i
+	}
+	return i
+}
+
+// AddTrace incorporates one traceroute into the graph: interfaces for
+// each responsive hop, a link from each IR to the first interface seen
+// subsequently (with a confidence label per §4.2 and the origin-AS set
+// per §4.3), and destination-AS bookkeeping per §4.4.
+func (b *oracleBuilder) AddTrace(t *traceroute.Trace) {
+	b.traces++
+	hops := b.cleanHops(t.Hops)
+	if len(hops) == 0 {
+		return
+	}
+	dstAS := b.lookup(t.Dst).Origin
+
+	for idx := range hops {
+		h := &hops[idx]
+		i := b.iface(h.Addr)
+		if h.Reply != traceroute.EchoReply {
+			i.EchoOnly = false
+		}
+		// Destination-AS recording (§4.4): every replying interface,
+		// except the last hop of a trace ending in an Echo Reply.
+		last := idx == len(hops)-1
+		if dstAS != asn.None && !(last && h.Reply == traceroute.EchoReply) {
+			i.DestASes.Add(dstAS)
+		}
+	}
+
+	for idx := 0; idx+1 < len(hops); idx++ {
+		a, c := &hops[idx], &hops[idx+1]
+		if a.Addr == c.Addr {
+			continue
+		}
+		ai := b.ifaces[a.Addr]
+		ci := b.ifaces[c.Addr]
+		if ai.Router == ci.Router {
+			continue // both interfaces aliased onto the same IR
+		}
+		dist := int(c.ProbeTTL) - int(a.ProbeTTL)
+		label := classifyLink(ai, ci, c.Reply, dist)
+		l, ok := ai.Router.Links[c.Addr]
+		if !ok {
+			l = &Link{
+				From:     ai.Router,
+				To:       ci,
+				Label:    label,
+				Prev:     make(map[netip.Addr]asn.ASN, 1),
+				DestASes: asn.NewSet(),
+			}
+			ai.Router.Links[c.Addr] = l
+			ci.InLinks = append(ci.InLinks, l)
+		} else if label > l.Label {
+			l.Label = label
+		}
+		l.Prev[a.Addr] = ai.Origin
+		if dstAS != asn.None {
+			l.DestASes.Add(dstAS)
+		}
+	}
+}
+
+// oracleMaxSeenScratch is the most addresses the seen scratch may hold and
+// still be kept: clearing a map costs its capacity, so one record with
+// an absurd hop count must not leave every later trace paying for it. A
+// real trace has at most 255 hops (ProbeTTL is a byte).
+const oracleMaxSeenScratch = 256
+
+// cleanHops removes hops with private/special addresses (treated as
+// unresponsive, per §4.2) and truncates at forwarding loops. The result
+// is the Builder's scratch, valid until the next call.
+func (b *oracleBuilder) cleanHops(hops []traceroute.Hop) []traceroute.Hop {
+	if len(b.seen) > oracleMaxSeenScratch {
+		b.seen = make(map[netip.Addr]bool)
+	} else {
+		clear(b.seen)
+	}
+	out := b.hops[:0]
+	for _, h := range hops {
+		if netutil.IsSpecial(h.Addr) {
+			continue
+		}
+		if b.seen[h.Addr] {
+			// Allow immediate repetition (same router answering twice in
+			// a row via per-TTL retries); a non-adjacent repeat is a loop.
+			if len(out) > 0 && out[len(out)-1].Addr == h.Addr {
+				continue
+			}
+			break
+		}
+		b.seen[h.Addr] = true
+		out = append(out, h)
+	}
+	b.hops = out
+	return out
+}
+
+// Finish completes phase 1: reallocated-prefix cleanup of destination-AS
+// sets (§4.4), IR destination-set aggregation, last-hop marking, initial
+// interface annotations (§6), and statistics. The oracleBuilder must not be
+// used afterwards.
+func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
+	ph := b.Rec.Phase("finish-graph")
+	defer ph.End()
+	g := &Graph{Interfaces: b.ifaces}
+	g.Stats.Traces = b.traces
+
+	// Deterministic router order: by smallest interface address.
+	routerSet := make(map[*Router]bool)
+	for _, i := range b.ifaces {
+		routerSet[i.Router] = true
+	}
+	g.Routers = make([]*Router, 0, len(routerSet))
+	for r := range routerSet {
+		g.Routers = append(g.Routers, r)
+	}
+	shard.For(len(g.Routers), b.Workers, func(lo, hi int) {
+		for _, r := range g.Routers[lo:hi] {
+			sort.Slice(r.Interfaces, func(a, b int) bool {
+				return r.Interfaces[a].Addr.Less(r.Interfaces[b].Addr)
+			})
+		}
+	})
+	sort.Slice(g.Routers, func(i, j int) bool {
+		return g.Routers[i].Interfaces[0].Addr.Less(g.Routers[j].Interfaces[0].Addr)
+	})
+	for id, r := range g.Routers {
+		r.ID = id
+	}
+
+	g.sortedAddrs = make([]netip.Addr, 0, len(b.ifaces))
+	for a := range b.ifaces {
+		g.sortedAddrs = append(g.sortedAddrs, a)
+	}
+	sort.Slice(g.sortedAddrs, func(i, j int) bool {
+		return g.sortedAddrs[i].Less(g.sortedAddrs[j])
+	})
+
+	// Per-router finishing touches only that router's state, so the pass
+	// shards cleanly; statistics accumulate into per-shard slots merged
+	// afterwards (counter sums commute, so the merge order is moot).
+	perShard := make([]GraphStats, len(shard.Bounds(len(g.Routers), b.Workers)))
+	shard.ForShards(len(g.Routers), b.Workers, func(s, lo, hi int) {
+		st := &perShard[s]
+		for _, r := range g.Routers[lo:hi] {
+			// §4.4: per-interface reallocated-prefix cleanup, then aggregate.
+			for _, i := range r.Interfaces {
+				dests := i.DestASes
+				if dests.Len() == 2 && rels != nil {
+					cleanReallocatedDest(i, rels)
+				}
+				r.DestASes.AddAll(dests)
+			}
+			if len(r.Links) == 0 {
+				r.LastHop = true
+				st.LastHopIRs++
+				if r.DestASes.Len() == 0 {
+					st.LastHopEmptyDst++
+				}
+			} else {
+				st.IRsWithLinks++
+				hasN, hasE := false, false
+				for _, l := range r.Links {
+					switch l.Label {
+					case LabelNexthop:
+						hasN = true
+						st.LinksNexthop++
+					case LabelEcho:
+						hasE = true
+						st.LinksEcho++
+					default:
+						st.LinksMultihop++
+					}
+				}
+				if hasE && !hasN {
+					st.IRsEchoOnlyLink++
+				}
+			}
+			// Initial interface annotations: the origin AS (§6).
+			for _, i := range r.Interfaces {
+				i.Annotation = i.Origin
+			}
+			// Refinement hot-loop caches. Links and their Prev maps are
+			// immutable from here on, so the per-iteration vote can read
+			// precomputed origin sets and link selections instead of
+			// re-deriving them for every router every iteration.
+			for _, l := range r.Links {
+				l.origins = l.OriginSet()
+				l.originsSorted = l.origins.Sorted()
+			}
+			if len(r.Links) > 0 {
+				r.voteLinks = selectLinks(r)
+			}
+		}
+	})
+	for _, st := range perShard {
+		g.Stats.merge(st)
+	}
+	if b.Rec.Enabled() {
+		b.Rec.Counter("graph.traces").Add(int64(g.Stats.Traces))
+		b.Rec.Counter("graph.interfaces").Add(int64(len(g.Interfaces)))
+		b.Rec.Counter("graph.routers").Add(int64(len(g.Routers)))
+		b.Rec.Counter("graph.links.nexthop").Add(int64(g.Stats.LinksNexthop))
+		b.Rec.Counter("graph.links.echo").Add(int64(g.Stats.LinksEcho))
+		b.Rec.Counter("graph.links.multihop").Add(int64(g.Stats.LinksMultihop))
+		b.Rec.Counter("graph.irs_with_links").Add(int64(g.Stats.IRsWithLinks))
+		b.Rec.Counter("graph.irs_echo_only").Add(int64(g.Stats.IRsEchoOnlyLink))
+		b.Rec.Counter("graph.lasthop_irs").Add(int64(g.Stats.LastHopIRs))
+		b.Rec.Counter("graph.lasthop_empty_dst").Add(int64(g.Stats.LastHopEmptyDst))
+		ph.Note("interfaces", int64(len(g.Interfaces)))
+		ph.Note("routers", int64(len(g.Routers)))
+	}
+	return g
+}
+
+// oracleDistinctAddrs collects every distinct hop and destination address of
+// the traces, in first-seen order.
+func oracleDistinctAddrs(traces []*traceroute.Trace) []netip.Addr {
+	seen := make(map[netip.Addr]bool)
+	var out []netip.Addr
+	add := func(a netip.Addr) {
+		if a.IsValid() && !seen[a] {
+			seen[a] = true
+			out = append(out, a)
+		}
+	}
+	for _, t := range traces {
+		add(t.Dst)
+		for _, h := range t.Hops {
+			add(h.Addr)
+		}
+	}
+	return out
+}
+
+// buildOracle runs the parent's construction the way BuildGraphContext
+// used to: one PreResolve over the whole corpus, then the traces.
+func buildOracle(e *testEnv, traces []*traceroute.Trace, workers int, rec *obs.Recorder) *Graph {
+	b := newOracleBuilder(e.resolver, e.aliases)
+	b.Workers = workers
+	b.Rec = rec
+	b.PreResolve(oracleDistinctAddrs(traces))
+	for _, t := range traces {
+		b.AddTrace(t)
+	}
+	return b.Finish(e.rels)
+}
+
+// linkName identifies a link across two graphs: representative address
+// of the source router, address of the target interface.
+func linkName(l *Link) string {
+	return l.From.Interfaces[0].Addr.String() + ">" + l.To.Addr.String()
+}
+
+// diffGraphs returns the first structural difference between two
+// finished graphs, or "". Structure is everything phase 1 decides: the
+// router partition and order, every set-valued field (through the
+// structural digests, which hash members in sorted order), the link
+// caches Finish fills, and the statistics. With ordered set, the
+// first-seen order of InLinks must agree too; Stats.Traces is compared
+// only when traces is set.
+func diffGraphs(got, want *Graph, ordered, traces bool) string {
+	gs, ws := got.Stats, want.Stats
+	if !traces {
+		gs.Traces, ws.Traces = 0, 0
+	}
+	if gs != ws {
+		return fmt.Sprintf("stats %+v, want %+v", gs, ws)
+	}
+	if len(got.Interfaces) != len(want.Interfaces) || len(got.sortedAddrs) != len(want.sortedAddrs) {
+		return fmt.Sprintf("%d interfaces (%d sorted), want %d (%d)",
+			len(got.Interfaces), len(got.sortedAddrs), len(want.Interfaces), len(want.sortedAddrs))
+	}
+	if len(got.Routers) != len(want.Routers) {
+		return fmt.Sprintf("%d routers, want %d", len(got.Routers), len(want.Routers))
+	}
+	for id, wr := range want.Routers {
+		gr := got.Routers[id]
+		if gr.ID != id || wr.ID != id {
+			return fmt.Sprintf("router %d carries ID %d (want side %d)", id, gr.ID, wr.ID)
+		}
+		if len(gr.Interfaces) != len(wr.Interfaces) {
+			return fmt.Sprintf("router %d: %d interfaces, want %d", id, len(gr.Interfaces), len(wr.Interfaces))
+		}
+		for k, wi := range wr.Interfaces {
+			if gi := gr.Interfaces[k]; gi.Addr != wi.Addr || gi.Router != gr {
+				return fmt.Sprintf("router %d interface %d: %v, want %v", id, k, gi.Addr, wi.Addr)
+			}
+		}
+		if g, w := routerStructDigest(gr), routerStructDigest(wr); g != w {
+			return fmt.Sprintf("router %d (%v): structural digest %016x, want %016x", id, wr.Interfaces[0].Addr, g, w)
+		}
+		if gr.LastHop != wr.LastHop || gr.Annotation != wr.Annotation {
+			return fmt.Sprintf("router %d: lasthop/annotation %v/%v, want %v/%v", id, gr.LastHop, gr.Annotation, wr.LastHop, wr.Annotation)
+		}
+		if len(gr.voteLinks) != len(wr.voteLinks) {
+			return fmt.Sprintf("router %d: %d vote links, want %d", id, len(gr.voteLinks), len(wr.voteLinks))
+		}
+		for k, wl := range wr.voteLinks {
+			gl := gr.voteLinks[k]
+			if linkName(gl) != linkName(wl) {
+				return fmt.Sprintf("router %d vote link %d: %s, want %s", id, k, linkName(gl), linkName(wl))
+			}
+			if !gl.origins.Equal(wl.origins) || fmt.Sprint(gl.originsSorted) != fmt.Sprint(wl.originsSorted) {
+				return fmt.Sprintf("link %s: cached origins %v, want %v", linkName(wl), gl.originsSorted, wl.originsSorted)
+			}
+		}
+	}
+	for idx, a := range want.sortedAddrs {
+		if got.sortedAddrs[idx] != a {
+			return fmt.Sprintf("sorted address %d: %v, want %v", idx, got.sortedAddrs[idx], a)
+		}
+		gi, wi := got.Interfaces[a], want.Interfaces[a]
+		if gi == nil {
+			return fmt.Sprintf("interface %v missing", a)
+		}
+		if g, w := ifaceStructDigest(gi), ifaceStructDigest(wi); g != w {
+			return fmt.Sprintf("interface %v: structural digest %016x, want %016x", a, g, w)
+		}
+		if gi.Annotation != wi.Annotation || gi.Router.ID != wi.Router.ID {
+			return fmt.Sprintf("interface %v: annotation/router %v/%d, want %v/%d", a, gi.Annotation, gi.Router.ID, wi.Annotation, wi.Router.ID)
+		}
+		if !ordered {
+			continue
+		}
+		for k, wl := range wi.InLinks {
+			if g, w := linkName(gi.InLinks[k]), linkName(wl); g != w {
+				return fmt.Sprintf("interface %v in-link %d: %s, want %s", a, k, g, w)
+			}
+		}
+	}
+	return ""
+}
+
+// buildCounters renders the non-zero construction counters of a report,
+// the part of the telemetry both builders must agree on. (A counter that
+// never fired and one that was never created read the same: the oracle
+// registers resolve.* even for a corpus without addresses.)
+func buildCounters(rec *obs.Recorder) string {
+	c := rec.Report().Counters
+	names := make([]string, 0, len(c))
+	for name, v := range c {
+		if v != 0 && (strings.HasPrefix(name, "resolve.") || strings.HasPrefix(name, "graph.")) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&sb, "%s=%d ", name, c[name])
+	}
+	return sb.String()
+}
+
+// checkAgainstOracle builds traces with the production Builder — in
+// traceBatch chunks through BuildGraphContext, or trace by trace through
+// AddTrace when oneByOne is set — and with the oracle, and demands the
+// same graph and the same construction counters.
+func checkAgainstOracle(t *testing.T, e *testEnv, traces []*traceroute.Trace, workers int, oneByOne bool) {
+	t.Helper()
+	wantRec := obs.New()
+	want := buildOracle(e, traces, workers, wantRec)
+
+	gotRec := obs.New()
+	var got *Graph
+	if oneByOne {
+		b := NewBuilder(e.resolver, e.aliases)
+		b.Workers = workers
+		b.Rec = gotRec
+		for _, tr := range traces {
+			b.AddTrace(tr)
+		}
+		got = b.Finish(e.rels)
+	} else {
+		var err error
+		got, err = BuildGraphContext(context.Background(), traces, e.resolver, e.aliases, e.rels,
+			Options{Workers: workers, Recorder: gotRec})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := diffGraphs(got, want, true, true); d != "" {
+		t.Fatalf("graph differs from the oracle's: %s", d)
+	}
+	if g, w := buildCounters(gotRec), buildCounters(wantRec); g != w {
+		t.Fatalf("construction counters differ from the oracle's:\n got %s\nwant %s", g, w)
+	}
+}
+
+// campaign simulates a measurement campaign over the small topology:
+// what eval.BuildDataset does, without importing eval (which imports
+// this package).
+func campaign(t testing.TB, seed int64, vps int) (*testEnv, []*traceroute.Trace) {
+	t.Helper()
+	in, err := topo.Generate(topo.SmallConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := in.RunCampaign(in.SelectVPs(vps, asn.NewSet()), in.Targets())
+	seen := make(map[netip.Addr]bool)
+	var addrs []netip.Addr
+	for _, a := range oracleDistinctAddrs(traces) {
+		if !netutil.IsSpecial(a) && !seen[a] {
+			seen[a] = true
+			addrs = append(addrs, a)
+		}
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+	p := in.Prober()
+	e := &testEnv{
+		resolver: in.Resolver(),
+		aliases:  alias.Merge(alias.MIDAR(p, addrs, alias.MIDAROptions{}), alias.Iffinder(p, addrs)),
+		rels:     asrel.Infer(in.ASPaths()),
+	}
+	return e, traces
+}
+
+// TestBuilderMatchesOracleOnCampaigns: simulated campaigns × alias
+// resolution on/off × workers {1, 4} × chunked/one-by-one.
+func TestBuilderMatchesOracleOnCampaigns(t *testing.T) {
+	for _, seed := range []int64{1, 2018} {
+		e, traces := campaign(t, seed, 12)
+		// Pad the front with repeats of the first half until the second
+		// half — other VPs, so addresses not seen before — starts in a
+		// later chunk and is resolved by a later ResolveBatch.
+		half := len(traces) / 2
+		var padded []*traceroute.Trace
+		for len(padded) < traceBatch {
+			padded = append(padded, traces[:half]...)
+		}
+		traces = append(padded, traces[half:]...)
+		for _, aliases := range []*alias.Sets{e.aliases, nil} {
+			env := &testEnv{resolver: e.resolver, aliases: aliases, rels: e.rels}
+			for _, workers := range []int{1, 4} {
+				for _, oneByOne := range []bool{false, true} {
+					name := fmt.Sprintf("seed=%d/aliases=%v/workers=%d/oneByOne=%v", seed, aliases != nil, workers, oneByOne)
+					t.Run(name, func(t *testing.T) {
+						checkAgainstOracle(t, env, traces, workers, oneByOne)
+					})
+				}
+			}
+		}
+	}
+}
+
+// The hand-written table and the fuzz target share one small world: 16
+// addresses (announced, aliased, IXP, unannounced, private, IPv6,
+// invalid) and a byte language for trace sets over them, so every table
+// case is also a fuzz seed.
+
+// poolAddrs are the addresses a pool trace can use, by index.
+var poolAddrs = [16]netip.Addr{
+	0:  netip.MustParseAddr("1.0.0.1"),     // AS100
+	1:  netip.MustParseAddr("1.0.0.2"),     // AS100
+	2:  netip.MustParseAddr("2.0.0.1"),     // AS200, aliased with 3
+	3:  netip.MustParseAddr("2.0.0.2"),     // AS200, aliased with 2
+	4:  netip.MustParseAddr("3.0.0.1"),     // AS300
+	5:  netip.MustParseAddr("3.0.0.2"),     // AS300, aliased with 6
+	6:  netip.MustParseAddr("4.0.0.1"),     // AS400, aliased with 5
+	7:  netip.MustParseAddr("9.9.9.9"),     // AS900: the usual destination
+	8:  netip.MustParseAddr("11.0.0.2"),    // IXP LAN
+	9:  netip.MustParseAddr("7.7.7.7"),     // unannounced
+	10: netip.MustParseAddr("10.0.0.1"),    // private
+	11: netip.MustParseAddr("192.168.1.1"), // private
+	12: {},                                 // no address at all
+	13: netip.MustParseAddr("2400::1"),     // AS600 (IPv6)
+	14: netip.MustParseAddr("2400::2"),     // AS600 (IPv6)
+	15: netip.MustParseAddr("2001:db8::1"), // IPv6 documentation space: special
+}
+
+// poolEnv resolves poolAddrs as annotated above.
+func poolEnv(t testing.TB) *testEnv {
+	t.Helper()
+	e := newEnv(nil)
+	for prefix, origin := range map[string]uint32{
+		"1.0.0.0/24": 100, "2.0.0.0/24": 200, "3.0.0.0/24": 300,
+		"4.0.0.0/24": 400, "9.9.9.0/24": 900, "2400::/32": 600,
+	} {
+		path, err := bgp.ParsePath("64999 " + asnString(origin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.resolver.Table.Add(bgp.Route{Prefix: netip.MustParsePrefix(prefix), Path: path})
+	}
+	e.ixpPrefix("11.0.0.0/24")
+	e.aliases.Add(poolAddrs[2], poolAddrs[3])
+	e.aliases.Add(poolAddrs[5], poolAddrs[6])
+	return e
+}
+
+// poolEnd terminates a trace in the byte language.
+const poolEnd = 0xFF
+
+// decodePoolTraces reads a trace set from data. A trace is its
+// destination's pool index (low 4 bits), then one byte per hop — pool
+// index in bits 0–3, reply type in bits 4–5 (mod 3), TTL gap beyond 1 in
+// bits 6–7 — up to a poolEnd byte or 40 hops.
+func decodePoolTraces(data []byte) []*traceroute.Trace {
+	var traces []*traceroute.Trace
+	for len(data) > 0 && len(traces) < 64 {
+		t := &traceroute.Trace{VP: "vp", Dst: poolAddrs[data[0]&15], Stop: traceroute.StopGapLimit}
+		data = data[1:]
+		ttl := uint8(0)
+		for len(data) > 0 && len(t.Hops) < 40 {
+			b := data[0]
+			data = data[1:]
+			if b == poolEnd {
+				break
+			}
+			ttl += 1 + b>>6
+			t.Hops = append(t.Hops, traceroute.Hop{
+				Addr: poolAddrs[b&15], ProbeTTL: ttl, Reply: traceroute.ReplyType((b >> 4 & 3) % 3),
+			})
+		}
+		traces = append(traces, t)
+	}
+	return traces
+}
+
+// Hop bytes for the table: pool index, optionally marked.
+const (
+	echo = 1 << 4 // the hop answered with an Echo Reply
+	gap  = 1 << 6 // one unresponsive TTL before the hop
+)
+
+// poolCases is the hand-written table: each case is a trace set in the
+// byte language, chosen to take one branch of AddTrace.
+var poolCases = []struct {
+	name string
+	data []byte
+}{
+	{"plain path", []byte{7, 0, 2, 4, 7 | echo}},
+	{"loop cut", []byte{7, 0, 2, 4, 0, 5}},
+	{"immediate repeat", []byte{7, 0, 2, 2, 4}},
+	{"repeat across a dropped private hop", []byte{7, 0, 2, 10, 2, 4}},
+	{"loop across a dropped private hop", []byte{7, 0, 2, 4, 10, 2, 1}},
+	{"all-special trace", []byte{7, 10, 11, 15, 12}},
+	{"empty trace", []byte{7, poolEnd, 7, 0, 2}},
+	{"hop without an address", []byte{7, 0, 12, 2, 12, 12}},
+	{"destination without an address", []byte{12, 0, 2, 4}},
+	{"special destination", []byte{10, 0, 2, 4, poolEnd, 15, 0, 2, 4}},
+	{"unannounced and IXP destinations", []byte{9, 0, 2, poolEnd, 8, 0, 4}},
+	{"echo-reply last hop", []byte{7, 0, 2, 7 | echo, poolEnd, 7, 0, 2 | echo, 4}},
+	{"echo-only interface", []byte{7, 0, 4 | echo, poolEnd, 7, 1, 4 | echo}},
+	{"label upgrade M→E→N", []byte{7, 0, 4 | gap, poolEnd, 7, 0, 4 | echo, poolEnd, 7, 0, 4}},
+	{"label never downgrades", []byte{7, 0, 4, poolEnd, 7, 0, 4 | gap, poolEnd, 7, 0, 4 | echo}},
+	{"same-origin gap is a nexthop", []byte{7, 0, 1 | 2*gap}},
+	{"two aliased hops adjacent", []byte{7, 0, 2, 3, 4, poolEnd, 7, 5, 6}},
+	{"aliased hops in separate traces", []byte{7, 0, 2, 4, poolEnd, 7, 1, 3, 4}},
+	{"previous hop alternates", []byte{7, 0, 4, poolEnd, 7, 1, 4, poolEnd, 7, 0, 4, poolEnd, 7, 0, 4}},
+	{"previous hops through one aliased router", []byte{7, 2, 4, poolEnd, 7, 3, 4, poolEnd, 7, 2, 4}},
+	{"IXP and unannounced hops", []byte{7, 0, 8, 2, 9, 4}},
+	{"IPv6 hops", []byte{13, 13, 14 | echo, poolEnd, 14, 13, 15, 14}},
+	{"destination seen later as a hop", []byte{4, 0, 2, poolEnd, 7, 0, 4, 2}},
+}
+
+// checkPoolTraces runs one decoded trace set through both builders in
+// all four arrangements: aliases on/off × one chunk/one trace at a time.
+func checkPoolTraces(t *testing.T, e *testEnv, traces []*traceroute.Trace) {
+	t.Helper()
+	for _, aliases := range []*alias.Sets{e.aliases, nil} {
+		env := &testEnv{resolver: e.resolver, aliases: aliases, rels: e.rels}
+		for _, oneByOne := range []bool{false, true} {
+			checkAgainstOracle(t, env, traces, 1, oneByOne)
+		}
+	}
+}
+
+func TestBuilderMatchesOracleOnTable(t *testing.T) {
+	e := poolEnv(t)
+	var all []*traceroute.Trace
+	for _, c := range poolCases {
+		traces := decodePoolTraces(c.data)
+		all = append(all, traces...)
+		t.Run(c.name, func(t *testing.T) { checkPoolTraces(t, e, traces) })
+	}
+	t.Run("every case in one corpus", func(t *testing.T) { checkPoolTraces(t, e, all) })
+}
+
+// TestPoolCasesBuildWhatTheyName spot-checks that the byte language
+// says what the case names claim, so the table cannot rot into traces
+// that exercise nothing.
+func TestPoolCasesBuildWhatTheyName(t *testing.T) {
+	e := poolEnv(t)
+	build := func(name string) *Graph {
+		for _, c := range poolCases {
+			if c.name == name {
+				b := NewBuilder(e.resolver, e.aliases)
+				b.AddTraces(decodePoolTraces(c.data))
+				return b.Finish(e.rels)
+			}
+		}
+		t.Fatalf("no case %q", name)
+		return nil
+	}
+	if g := build("loop cut"); len(g.Interfaces) != 3 {
+		t.Errorf("loop cut: %d interfaces, want the 3 before the loop", len(g.Interfaces))
+	}
+	if g := build("all-special trace"); len(g.Interfaces) != 0 || g.Stats.Traces != 1 {
+		t.Errorf("all-special trace: %d interfaces over %d traces", len(g.Interfaces), g.Stats.Traces)
+	}
+	g := build("label upgrade M→E→N")
+	if l := g.Interfaces[poolAddrs[0]].Router.Links[poolAddrs[4]]; l == nil || l.Label != LabelNexthop {
+		t.Errorf("label upgrade: link %+v, want label N", l)
+	}
+	g = build("two aliased hops adjacent")
+	if r := g.Interfaces[poolAddrs[2]].Router; r != g.Interfaces[poolAddrs[3]].Router || len(r.Links) != 1 {
+		t.Errorf("aliased hops: routers differ or %d links, want one shared router with the one link onward", len(r.Links))
+	}
+	g = build("previous hop alternates")
+	if l := g.Interfaces[poolAddrs[0]].Router.Links[poolAddrs[4]]; l == nil || len(l.Prev) != 1 {
+		t.Errorf("previous hop alternates: link from 1.0.0.1 %+v, want one previous hop", l)
+	}
+	g = build("previous hops through one aliased router")
+	if l := g.Interfaces[poolAddrs[2]].Router.Links[poolAddrs[4]]; l == nil || len(l.Prev) != 2 {
+		t.Errorf("aliased previous hops: link %+v, want two previous hops", l)
+	}
+	if g := build("IPv6 hops"); len(g.Interfaces) != 2 {
+		t.Errorf("IPv6 hops: %d interfaces, want 2", len(g.Interfaces))
+	}
+}
+
+// FuzzAddTraceDifferential holds the production Builder to the oracle
+// on arbitrary small trace sets over the pool.
+func FuzzAddTraceDifferential(f *testing.F) {
+	for _, c := range poolCases {
+		f.Add(c.data)
+	}
+	e := poolEnv(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPoolTraces(t, e, decodePoolTraces(data))
+	})
+}

@@ -25,8 +25,9 @@ var (
 )
 
 // parallelDataset builds one seeded simnet campaign shared by the tests
-// in this file (the same substrate simnet.Generate wraps).
-func parallelDataset(t *testing.T) *eval.Dataset {
+// and benchmarks of this package (the same substrate simnet.Generate
+// wraps).
+func parallelDataset(t testing.TB) *eval.Dataset {
 	t.Helper()
 	parallelOnce.Do(func() {
 		parallelDS, parallelErr = eval.BuildDataset(topo.SmallConfig(2018), 20, true)

@@ -163,9 +163,11 @@ func Infer(traces []*traceroute.Trace, resolver *ip2as.Resolver,
 	return res
 }
 
-// traceBatch is how many traces the graph build adds between context
-// checks — frequent enough that cancellation lands within milliseconds,
-// coarse enough that the check never shows up in a profile.
+// traceBatch is how many traces the graph build hands the Builder at a
+// time: the unit of address interning and concurrent resolution, whose
+// scratch it bounds, and the interval between context checks — frequent
+// enough that cancellation lands within milliseconds, coarse enough
+// that the check never shows up in a profile.
 const traceBatch = 4096
 
 // InferContext is Infer with cooperative cancellation. Cancellation
@@ -206,37 +208,16 @@ func BuildGraphContext(ctx context.Context, traces []*traceroute.Trace, resolver
 	b := NewBuilder(resolver, aliases)
 	b.Workers = opts.Workers
 	b.Rec = rec
-	b.PreResolve(distinctAddrs(traces))
-	for i, t := range traces {
-		if i%traceBatch == 0 && i > 0 {
+	for lo := 0; lo < len(traces); lo += traceBatch {
+		if lo > 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		b.AddTrace(t)
+		b.AddTraces(traces[lo:min(lo+traceBatch, len(traces))])
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return b.Finish(rels), nil
-}
-
-// distinctAddrs collects every distinct hop and destination address of
-// the traces, in first-seen order.
-func distinctAddrs(traces []*traceroute.Trace) []netip.Addr {
-	seen := make(map[netip.Addr]bool)
-	var out []netip.Addr
-	add := func(a netip.Addr) {
-		if a.IsValid() && !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, t := range traces {
-		add(t.Dst)
-		for _, h := range t.Hops {
-			add(h.Addr)
-		}
-	}
-	return out
 }

@@ -136,7 +136,7 @@ func (r *Resolver) Measure(addrs []netip.Addr) Coverage {
 }
 
 // MeasureResults tallies coverage over already-resolved results, so
-// callers that batch-resolved (e.g. the graph builder's PreResolve) can
+// callers that batch-resolved (e.g. the graph builder) can
 // report coverage without paying for a second trie walk per address.
 func MeasureResults(results []Result) Coverage {
 	var c Coverage
