@@ -36,9 +36,12 @@ build:
 	$(GO) build ./...
 
 # -shuffle=on randomizes test order to flush ordering-dependent tests —
-# the dynamic counterpart of the maporder static check.
+# the dynamic counterpart of the maporder static check. bench/ is its
+# own module (./... stops at its go.mod), so the product-loop
+# benchmark's tests need their own invocation.
 test:
 	$(GO) test -shuffle=on ./...
+	$(GO) test -C bench ./...
 
 # The full concurrency surface under the race detector; the parallel
 # refinement engine makes every package a potential concurrent caller.
@@ -95,7 +98,9 @@ smoke:
 # fault classes the loaders must survive. The graph-builder target caps
 # minimization: its oracle ranges over maps, so block counts jitter from
 # run to run and the engine would otherwise spend the whole burst
-# re-running one "interesting" input.
+# re-running one "interesting" input. The provenance target caps it too:
+# uncapped, a cold 30 s burst stalled in minimization after 28 k
+# executions; capped, 15 s reach 300 k.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/alias -run '^$$' -fuzz '^FuzzReadNodes$$' -fuzztime $(FUZZTIME)
@@ -112,6 +117,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/prov -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # Decision-provenance smoke: run the quickstart topology with
 # -provenance on, check the prov.* aggregates reached the run report,

@@ -5,21 +5,17 @@
 // with wall clock, peak RSS, per-phase timings, and the refinement
 // loop's per-iteration cost.
 //
-// Unless -skip-reference is set, the run then replays phases 2–3 over
-// the same graph under Options.ReferenceMode (the pre-optimization
-// refinement path), verifies the two paths produced byte-identical
-// annotations, and records the per-iteration comparison the ≥20%
-// optimization acceptance gate reads. Unless -skip-provenance is set,
-// a second replay measures the per-iteration cost of decision-
-// provenance collection (Options.Provenance), again held to identical
-// annotations; the committed M-rung artifact asserts that overhead
-// stays within the 5% budget.
+// Unless -skip-provenance is set, the run then replays phases 2–3 over
+// the same graph with decision-provenance collection on
+// (Options.Provenance), verifies the annotations are byte-identical,
+// and records the per-iteration cost of collection; the committed
+// M-rung artifact asserts that overhead stays within the 5% budget.
 //
 // Usage:
 //
 //	benchrun -rung S [-seed N] [-workers N] [-out FILE]
-//	         [-chunk N] [-aliases=false] [-skip-reference]
-//	         [-skip-provenance] [-cpuprofile FILE] [-memprofile FILE]
+//	         [-chunk N] [-aliases=false] [-skip-provenance]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -53,7 +49,6 @@ func main() {
 		out        = flag.String("out", "", "output file (default BENCH_<rung>.json)")
 		chunk      = flag.Int("chunk", 0, "campaign streaming chunk (default: the rung's)")
 		aliases    = flag.Bool("aliases", true, "resolve aliases (midar+iffinder) before inference")
-		skipRef    = flag.Bool("skip-reference", false, "skip the reference-mode comparison run")
 		skipProv   = flag.Bool("skip-provenance", false, "skip the provenance-overhead comparison run")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the pipeline")
 		memprofile = flag.String("memprofile", "", "write a heap profile at pipeline end")
@@ -128,9 +123,9 @@ func main() {
 		Workers:  *workers,
 		Recorder: rec,
 	})
-	optDigest := annotationDigest(res.Graph)
+	digest := annotationDigest(res.Graph)
 	log.Printf("inference: %d IRs, %d interfaces, %d iterations (converged=%v), digest %016x",
-		len(res.Graph.Routers), len(res.Graph.Interfaces), res.Iterations, res.Converged, optDigest)
+		len(res.Graph.Routers), len(res.Graph.Interfaces), res.Iterations, res.Converged, digest)
 
 	rep := rec.Report()
 	file := &benchfmt.File{
@@ -167,40 +162,6 @@ func main() {
 		file.Refine.PerIterNS = refineNS / int64(res.Iterations)
 	}
 
-	if !*skipRef {
-		// Replay phases 2–3 on the same graph under the pre-optimization
-		// path and hold the two to byte-identical annotations.
-		res.Graph.ResetAnnotations()
-		refRec := obs.New()
-		refRes := core.Run(res.Graph, rels, core.Options{
-			Workers:       *workers,
-			ReferenceMode: true,
-			Recorder:      refRec,
-		})
-		refDigest := annotationDigest(refRes.Graph)
-		if refDigest != optDigest {
-			log.Fatalf("reference/optimized divergence: reference digest %016x, optimized %016x", refDigest, optDigest)
-		}
-		if refRes.Iterations != res.Iterations {
-			log.Fatalf("reference/optimized divergence: %d vs %d iterations", refRes.Iterations, res.Iterations)
-		}
-		var refNS int64
-		for _, p := range refRec.Report().Phases {
-			if p.Name == "refine" {
-				refNS = p.DurationNS
-			}
-		}
-		if refRes.Iterations > 0 {
-			file.Refine.ReferencePerIterNS = refNS / int64(refRes.Iterations)
-		}
-		if file.Refine.ReferencePerIterNS > 0 {
-			file.Refine.SpeedupPct = 100 * (1 - float64(file.Refine.PerIterNS)/float64(file.Refine.ReferencePerIterNS))
-		}
-		log.Printf("refine per-iteration: optimized %s, reference %s (%.1f%% faster); annotations byte-identical",
-			obs.FormatDuration(file.Refine.PerIterNS), obs.FormatDuration(file.Refine.ReferencePerIterNS),
-			file.Refine.SpeedupPct)
-	}
-
 	if !*skipProv {
 		// Replay phases 2–3 with decision-provenance collection on. The
 		// records are written to preallocated flat slices and never read
@@ -215,8 +176,8 @@ func main() {
 			Recorder:   provRec,
 		})
 		provDigest := annotationDigest(provRes.Graph)
-		if provDigest != optDigest {
-			log.Fatalf("provenance-on divergence: digest %016x with collection, %016x without", provDigest, optDigest)
+		if provDigest != digest {
+			log.Fatalf("provenance-on divergence: digest %016x with collection, %016x without", provDigest, digest)
 		}
 		if provRes.Iterations != res.Iterations {
 			log.Fatalf("provenance-on divergence: %d vs %d iterations", provRes.Iterations, res.Iterations)
@@ -258,8 +219,8 @@ func main() {
 }
 
 // annotationDigest hashes every router and interface annotation in
-// deterministic (sorted-address) order: the cross-path equivalence
-// self-check.
+// deterministic (sorted-address) order: the provenance replay's
+// equivalence self-check.
 func annotationDigest(g *core.Graph) uint64 {
 	addrs := make([]netip.Addr, 0, len(g.Interfaces))
 	for a := range g.Interfaces {

@@ -45,18 +45,12 @@ type Phase struct {
 }
 
 // Refine captures the refinement loop's convergence and per-iteration
-// cost, plus the reference (pre-optimization) comparison when the run
-// measured it.
+// cost, plus the provenance-collection comparison when the run measured
+// it.
 type Refine struct {
 	Iterations int   `json:"iterations"`
 	Converged  bool  `json:"converged"`
 	PerIterNS  int64 `json:"per_iter_ns"`
-	// ReferencePerIterNS is the per-iteration cost of the same graph
-	// under Options.ReferenceMode; 0 when the run skipped the
-	// comparison (-skip-reference).
-	ReferencePerIterNS int64 `json:"reference_per_iter_ns,omitempty"`
-	// SpeedupPct = 100 × (1 − PerIterNS/ReferencePerIterNS).
-	SpeedupPct float64 `json:"speedup_pct,omitempty"`
 	// ProvPerIterNS is the per-iteration cost of the same graph with
 	// Options.Provenance collection on; 0 when the run skipped the
 	// comparison (-skip-provenance).
@@ -146,9 +140,6 @@ func (f *File) Validate() error {
 	}
 	if f.Refine.PerIterNS <= 0 {
 		return fmt.Errorf("benchfmt: rung %s: refine.per_iter_ns %d, want > 0", f.Rung, f.Refine.PerIterNS)
-	}
-	if f.Refine.ReferencePerIterNS < 0 {
-		return fmt.Errorf("benchfmt: rung %s: refine.reference_per_iter_ns %d, want >= 0", f.Rung, f.Refine.ReferencePerIterNS)
 	}
 	if f.Refine.ProvPerIterNS < 0 {
 		return fmt.Errorf("benchfmt: rung %s: refine.prov_per_iter_ns %d, want >= 0", f.Rung, f.Refine.ProvPerIterNS)

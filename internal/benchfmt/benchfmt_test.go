@@ -34,11 +34,9 @@ func valid(rung string, scale int) *File {
 			{Name: "refine", DurationNS: 4e8},
 		},
 		Refine: Refine{
-			Iterations:         6,
-			Converged:          true,
-			PerIterNS:          6e7,
-			ReferencePerIterNS: 9e7,
-			SpeedupPct:         33.3,
+			Iterations: 6,
+			Converged:  true,
+			PerIterNS:  6e7,
 		},
 	}
 }
@@ -68,9 +66,7 @@ func TestValidate(t *testing.T) {
 		{"zero phase duration", func(f *File) { f.Phases[2].DurationNS = 0 }, "duration_ns"},
 		{"no iterations", func(f *File) { f.Refine.Iterations = 0 }, "refine.iterations"},
 		{"no per-iter cost", func(f *File) { f.Refine.PerIterNS = 0 }, "refine.per_iter_ns"},
-		{"negative reference", func(f *File) { f.Refine.ReferencePerIterNS = -1 }, "reference_per_iter_ns"},
 		{"extra phase ok", func(f *File) { f.Phases = append(f.Phases, Phase{Name: "resolve", DurationNS: 1}) }, ""},
-		{"no reference ok", func(f *File) { f.Refine.ReferencePerIterNS = 0; f.Refine.SpeedupPct = 0 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,10 +17,7 @@ import (
 // checkpoint taken at -workers 8 must resume cleanly at -workers 1.
 // MaxIterations is excluded because it is a stopping rule, not a state
 // input: resuming a capped run under a larger cap is exactly how an
-// interrupted run gets extended to convergence. ReferenceMode is
-// excluded for the same reason as Workers: the reference and optimized
-// paths commit byte-identical states, so a checkpoint from either
-// resumes cleanly under the other.
+// interrupted run gets extended to convergence.
 func (o *Options) fingerprint() uint64 {
 	h := fnv.New64a()
 	for _, b := range []bool{

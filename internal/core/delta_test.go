@@ -52,15 +52,6 @@ func checkpointedRun(t *testing.T, ds *eval.Dataset, traces []*traceroute.Trace,
 	return g, st
 }
 
-func outcomeOf(res *core.Result) equivalenceOutcome {
-	return equivalenceOutcome{
-		annotations: annotationBytes(res),
-		iterations:  res.Iterations,
-		converged:   res.Converged,
-		cycleLen:    res.CycleLength,
-	}
-}
-
 func TestDeltaEquivalence(t *testing.T) {
 	ds := parallelDataset(t)
 	traces := ds.Traces

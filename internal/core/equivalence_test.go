@@ -1,19 +1,24 @@
 package core_test
 
-// The optimized/reference equivalence suite: the regression gate for
-// the profile-guided refinement optimizations (per-shard scratch reuse,
-// changed-set snapshots, precomputed link caches). Options.ReferenceMode
-// forces the pre-optimization path; these tests hold the two paths to
-// byte-identical annotations, iteration counts, and convergence
-// metadata across ladder rungs and worker counts, so any future change
-// that lets them drift fails loudly here rather than silently shifting
-// inferences.
+// The production/oracle equivalence suite: the regression gate for the
+// profile-guided refinement optimizations (per-shard scratch reuse,
+// changed-set snapshots, precomputed link caches). The path those
+// optimizations replaced lives on as the test-only oracle
+// (core.OracleRefine, oracle_test.go); these tests hold production to
+// it — byte-identical annotations, iteration counts, and convergence
+// metadata across ladder rungs and worker counts — so any future change
+// that lets the two drift fails loudly here rather than silently
+// shifting inferences.
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -25,10 +30,19 @@ type equivalenceOutcome struct {
 	cycleLen    int
 }
 
+func outcomeOf(res *core.Result) equivalenceOutcome {
+	return equivalenceOutcome{
+		annotations: annotationBytes(res),
+		iterations:  res.Iterations,
+		converged:   res.Converged,
+		cycleLen:    res.CycleLength,
+	}
+}
+
 // runEquivalence builds the rung's graph once, then replays phases 2–3
-// over it for every (mode, workers) combination, resetting annotations
-// between runs. Sharing the graph keeps the suite fast (the campaign
-// and phase 1 dominate) and is exactly the benchmark harness's shape.
+// over it with the oracle and with production at every worker count,
+// resetting annotations between runs. Sharing the graph keeps the suite
+// fast (the campaign and phase 1 dominate).
 func runEquivalence(t *testing.T, cfg topo.Config, numVPs int) {
 	t.Helper()
 	ds, err := eval.BuildDataset(cfg, numVPs, true)
@@ -39,30 +53,18 @@ func runEquivalence(t *testing.T, cfg topo.Config, numVPs int) {
 	b.AddTraces(ds.Traces)
 	g := b.Finish(ds.Rels)
 
-	run := func(reference bool, workers int) equivalenceOutcome {
-		g.ResetAnnotations()
-		res := core.Run(g, ds.Rels, core.Options{Workers: workers, ReferenceMode: reference})
-		return equivalenceOutcome{
-			annotations: annotationBytes(res),
-			iterations:  res.Iterations,
-			converged:   res.Converged,
-			cycleLen:    res.CycleLength,
-		}
-	}
-
-	want := run(true, 1) // the pre-optimization path, serial: the oracle
+	want := outcomeOf(core.OracleRefine(g, ds.Rels, core.Options{}))
 	if want.annotations == "" {
-		t.Fatal("reference run produced no annotations")
+		t.Fatal("oracle run produced no annotations")
 	}
 	for _, workers := range []int{1, 4, 8} {
-		for _, reference := range []bool{true, false} {
-			got := run(reference, workers)
-			if got != want {
-				t.Errorf("reference=%v workers=%d diverges from serial reference: iterations %d vs %d, converged %v vs %v, cycle %d vs %d, annotations equal: %v",
-					reference, workers, got.iterations, want.iterations,
-					got.converged, want.converged, got.cycleLen, want.cycleLen,
-					got.annotations == want.annotations)
-			}
+		g.ResetAnnotations()
+		got := outcomeOf(core.Run(g, ds.Rels, core.Options{Workers: workers}))
+		if got != want {
+			t.Errorf("workers=%d diverges from the oracle: iterations %d vs %d, converged %v vs %v, cycle %d vs %d, annotations equal: %v",
+				workers, got.iterations, want.iterations,
+				got.converged, want.converged, got.cycleLen, want.cycleLen,
+				got.annotations == want.annotations)
 		}
 	}
 }
@@ -84,8 +86,7 @@ func TestEquivalenceRungS(t *testing.T) {
 	runEquivalence(t, rung.Cfg, rung.NumVPs)
 }
 
-// TestEquivalenceRungM covers the M benchmark rung — the rung the ≥20%
-// per-iteration acceptance threshold is measured on.
+// TestEquivalenceRungM covers the M benchmark rung.
 func TestEquivalenceRungM(t *testing.T) {
 	if raceEnabled {
 		t.Skip("M-rung equivalence under the race detector")
@@ -98,4 +99,63 @@ func TestEquivalenceRungM(t *testing.T) {
 		t.Fatal(err)
 	}
 	runEquivalence(t, rung.Cfg, rung.NumVPs)
+}
+
+// TestSkippingKeepsTheConvergenceTrace holds the per-iteration tallies
+// to a full evaluation. After its first pass the loop evaluates only
+// routers and interfaces whose inputs changed and takes everyone else's
+// heuristic counts from their last evaluation; a resumed run's first
+// pass evaluates everything. So resuming after every iteration k of a
+// long-tailed run (4x core chains from few vantage points: a dozen or
+// more iterations, most of them moving a handful of routers) and
+// requiring the same trace, row for row, checks each row against a full
+// evaluation of that iteration, and the oracle pins the annotations.
+func TestSkippingKeepsTheConvergenceTrace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("quadratic in the iteration count; the race build covers resume in checkpoint_test.go")
+	}
+	cfg := topo.DefaultConfig(7)
+	cfg.EnableIPv6 = false
+	cfg.HostsPerAS = 1
+	cfg.CoreScale = 4
+	ds, err := eval.BuildDataset(cfg, 6, false)
+	if err != nil {
+		t.Fatalf("BuildDataset: %v", err)
+	}
+	b := core.NewBuilder(ds.Resolver, ds.Aliases)
+	b.AddTraces(ds.Traces)
+	g := b.Finish(ds.Rels)
+
+	want := outcomeOf(core.OracleRefine(g, ds.Rels, core.Options{}))
+	g.ResetAnnotations()
+	full := core.Run(g, ds.Rels, core.Options{Workers: 1, Recorder: obs.New()})
+	if got := outcomeOf(full); got != want {
+		t.Fatalf("uninterrupted run diverges from the oracle (iterations %d vs %d)", got.iterations, want.iterations)
+	}
+	wantTrace := full.Report.Series["refine.iterations"]
+	if len(wantTrace) != full.Iterations || full.Iterations < 6 {
+		t.Fatalf("%d trace rows for %d iterations; the fixture needs a tail of at least 6", len(wantTrace), full.Iterations)
+	}
+	ctx := context.Background()
+	for k := 1; k < full.Iterations; k++ {
+		dir := t.TempDir()
+		g.ResetAnnotations()
+		if _, err := core.RunContext(ctx, g, ds.Rels, core.Options{
+			Workers: 4, MaxIterations: k, Checkpoint: &ckpt.Config{Dir: dir},
+		}); err != nil {
+			t.Fatalf("k=%d: capped run: %v", k, err)
+		}
+		res, err := core.RunContext(ctx, g, ds.Rels, core.Options{
+			Workers: 1 + k%4, Recorder: obs.New(), Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+		})
+		if err != nil {
+			t.Fatalf("k=%d: resume: %v", k, err)
+		}
+		if got := outcomeOf(res); got != want {
+			t.Errorf("k=%d: resumed run diverges from the oracle (iterations %d vs %d)", k, got.iterations, want.iterations)
+		}
+		if got := res.Report.Series["refine.iterations"]; !reflect.DeepEqual(got, wantTrace) {
+			t.Errorf("k=%d: resumed trace differs from the uninterrupted run's\n got %v\nwant %v", k, got, wantTrace)
+		}
+	}
 }

@@ -60,6 +60,10 @@ type Interface struct {
 
 	// Annotation is the AS inferred to be connected to this interface.
 	Annotation asn.ASN
+	// changedIter is the refinement iteration whose interface pass last
+	// changed Annotation (0: never). The next router pass reads it to
+	// skip routers none of whose inputs moved.
+	changedIter int32
 
 	// DestASes are the origin ASes of destinations of traceroutes in
 	// which this interface replied (paper §4.4), before reallocated-
@@ -99,8 +103,7 @@ type Link struct {
 	// origins/originsSorted cache OriginSet and its sorted form. Prev is
 	// immutable once Finish returns, so Finish computes them once and
 	// the refinement hot loop stops re-deriving a set per link per
-	// iteration. nil on graphs assembled without Finish; readers fall
-	// back to live computation.
+	// iteration. Both are shared: readers must not mutate them.
 	origins       asn.Set
 	originsSorted []asn.ASN
 }
@@ -116,24 +119,6 @@ func (l *Link) OriginSet() asn.Set {
 		}
 	}
 	return s
-}
-
-// originSet returns the cached origin set, or computes it live in
-// reference mode (the pre-optimization path) and on Finish-less graphs.
-// The cached set is shared and must not be mutated by callers.
-func (l *Link) originSet(reference bool) asn.Set {
-	if !reference && l.origins != nil {
-		return l.origins
-	}
-	return l.OriginSet()
-}
-
-// originSorted is originSet's sorted-slice counterpart.
-func (l *Link) originSorted(reference bool) []asn.ASN {
-	if !reference && l.origins != nil {
-		return l.originsSorted
-	}
-	return l.OriginSet().Sorted()
 }
 
 // Router is an inferred router (IR): a set of aliased interfaces, its
@@ -157,14 +142,18 @@ type Router struct {
 	// routers exclusively through it, so annotation within an iteration
 	// is order-free — the property the parallel engine shards on.
 	prevAnnotation asn.ASN
+	// changedIter is the refinement iteration whose router pass last
+	// changed Annotation (0: never), stamped when the next iteration
+	// snapshots it into prevAnnotation — so, like prevAnnotation, it is
+	// only ever read a barrier after it was written.
+	changedIter int32
 	// LastHop marks routers without outgoing links; they are annotated
 	// in phase 2 and never revisited (§3.3).
 	LastHop bool
 
 	// voteLinks caches selectLinks(r): the sorted best-label link
-	// selection the refinement vote iterates, immutable once Finish
-	// returns. nil on graphs assembled without Finish; readers fall back
-	// to computing the selection live.
+	// selection the refinement vote iterates, shared and immutable once
+	// Finish returns (nil for a last-hop router, which has no links).
 	voteLinks []*Link
 }
 
@@ -179,14 +168,24 @@ func (r *Router) SortedLinks() []*Link {
 	return out
 }
 
-// voteLinksFor returns the cached best-label link selection, or computes
-// it live in reference mode and on Finish-less graphs. The cached slice
-// is shared and must not be mutated by callers.
-func (r *Router) voteLinksFor(reference bool) []*Link {
-	if !reference && r.voteLinks != nil {
-		return r.voteLinks
+// selectLinks returns the IR's links of the highest available confidence
+// class: Nexthop links when any exist, otherwise Echo, otherwise
+// Multihop (§4.2, §6.1.1).
+func selectLinks(r *Router) []*Link {
+	links := r.SortedLinks()
+	best := LabelMultihop
+	for _, l := range links {
+		if l.Label > best {
+			best = l.Label
+		}
 	}
-	return selectLinks(r)
+	out := links[:0:0]
+	for _, l := range links {
+		if l.Label == best {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // Graph is the annotated IR graph (phase 1 output).
@@ -683,15 +682,18 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 }
 
 // ResetAnnotations returns the graph to its just-built annotation state:
-// no router annotations, interface annotations at their origin AS. The
-// benchmark harness uses it to run phases 2–3 repeatedly over one graph
-// (optimized vs. reference) without rebuilding phase 1.
+// no router annotations, interface annotations at their origin AS.
+// cmd/benchrun's provenance-overhead replay and the tests that hold Run
+// to oracleRefine (equivalence_test.go, checkRefineAgainstOracle) use it
+// to run phases 2–3 repeatedly over one graph without rebuilding phase 1.
 func (g *Graph) ResetAnnotations() {
 	for _, r := range g.Routers {
 		r.Annotation = asn.None
 		r.prevAnnotation = asn.None
+		r.changedIter = 0
 		for _, i := range r.Interfaces {
 			i.Annotation = i.Origin
+			i.changedIter = 0
 		}
 	}
 }

@@ -13,6 +13,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -514,7 +515,8 @@ func buildCounters(rec *obs.Recorder) string {
 // checkAgainstOracle builds traces with the production Builder — in
 // traceBatch chunks through BuildGraphContext, or trace by trace through
 // AddTrace when oneByOne is set — and with the oracle, and demands the
-// same graph and the same construction counters.
+// same graph and the same construction counters, then the same
+// refinement of that graph.
 func checkAgainstOracle(t *testing.T, e *testEnv, traces []*traceroute.Trace, workers int, oneByOne bool) {
 	t.Helper()
 	wantRec := obs.New()
@@ -543,6 +545,26 @@ func checkAgainstOracle(t *testing.T, e *testEnv, traces []*traceroute.Trace, wo
 	}
 	if g, w := buildCounters(gotRec), buildCounters(wantRec); g != w {
 		t.Fatalf("construction counters differ from the oracle's:\n got %s\nwant %s", g, w)
+	}
+	checkRefineAgainstOracle(t, got, e.rels)
+}
+
+// checkRefineAgainstOracle refines g with oracleRefine and with
+// production Run at workers 1 and 4, and demands the same annotations,
+// iteration count and convergence verdict.
+func checkRefineAgainstOracle(t *testing.T, g *Graph, rels RelationshipOracle) {
+	t.Helper()
+	want := oracleRefine(g, rels, Options{})
+	wantState := oracleState(g)
+	for _, workers := range []int{1, 4} {
+		g.ResetAnnotations()
+		got := Run(g, rels, Options{Workers: workers})
+		if got.Iterations != want.Iterations || got.Converged != want.Converged ||
+			got.CycleLength != want.CycleLength || oracleState(g) != wantState {
+			t.Fatalf("workers=%d refinement differs from the oracle's: iterations %d vs %d, converged %v vs %v, cycle %d vs %d, annotations equal: %v",
+				workers, got.Iterations, want.Iterations, got.Converged, want.Converged,
+				got.CycleLength, want.CycleLength, oracleState(g) == wantState)
+		}
 	}
 }
 
@@ -789,4 +811,488 @@ func FuzzAddTraceDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPoolTraces(t, e, decodePoolTraces(data))
 	})
+}
+
+// The differential oracle for refinement: the loop and the voting
+// helpers exactly as the pre-optimization path ran them (DESIGN §12) —
+// fresh maps and sets for every router, a full prevAnnotation snapshot
+// every iteration, origin sets re-derived from Link.Prev and the link
+// selection from Router.Links on every use — kept test-only and serial.
+// It shares no voting code with production: none of the per-shard
+// scratch, the changed-set snapshot or the caches Finish fills is read
+// here, and a repeated state (§6.3) is recognised by comparing whole
+// annotation states, not their hashes. Telemetry and provenance, which
+// never feed back into an annotation, are not reproduced.
+
+// oracleRefine runs phases 2 and 3 over a finished graph and returns
+// what the loop decided: the annotations (on g), the iteration count,
+// and the §6.3 convergence verdict.
+func oracleRefine(g *Graph, rels RelationshipOracle, opts Options) *Result {
+	opts.setDefaults()
+	opts.Workers = 1
+	annotateLastHops(g, rels, opts, nil)
+	res := &Result{Graph: g}
+	seen := make(map[string]int) // annotation state → iteration it first appeared
+	for iter := 1; iter <= opts.MaxIterations; iter++ {
+		for _, r := range g.Routers {
+			r.prevAnnotation = r.Annotation
+		}
+		for _, r := range g.Routers {
+			if !r.LastHop {
+				r.Annotation = oracleAnnotateRouter(r, rels, opts)
+			}
+		}
+		for _, a := range g.sortedAddrs {
+			oracleAnnotateInterface(g.Interfaces[a], rels)
+		}
+		res.Iterations = iter
+		state := oracleState(g)
+		if first, ok := seen[state]; ok {
+			res.Converged = true
+			res.CycleLength = iter - first
+			break
+		}
+		seen[state] = iter
+	}
+	return res
+}
+
+// OracleRefine hands oracleRefine to equivalence_test.go, which has to
+// live in package core_test: it builds its datasets with eval, and eval
+// imports this package.
+var OracleRefine = oracleRefine
+
+// oracleState renders the complete annotation state.
+func oracleState(g *Graph) string {
+	b := make([]byte, 0, 4*(len(g.Routers)+len(g.sortedAddrs)))
+	for _, r := range g.Routers {
+		b = binary.BigEndian.AppendUint32(b, uint32(r.Annotation))
+	}
+	for _, a := range g.sortedAddrs {
+		b = binary.BigEndian.AppendUint32(b, uint32(g.Interfaces[a].Annotation))
+	}
+	return string(b)
+}
+
+// oracleAnnotateRouter implements Algorithm 2 (§6.1): link votes with
+// the Algorithm 3 heuristics, reallocated-prefix correction, interface
+// votes, exception checks, the relationship-restricted election, and
+// the hidden-AS check.
+func oracleAnnotateRouter(r *Router, rels RelationshipOracle, opts Options) asn.ASN {
+	votes := make(asn.Counter)
+	m := make(map[asn.ASN]asn.Set) // vote AS → link origin ASes backing it
+	linkVote := make(map[*Link]asn.ASN)
+
+	links := selectLinks(r)
+	for _, l := range links {
+		a := oracleLinkHeuristics(l, rels, opts)
+		if a == asn.None {
+			continue
+		}
+		votes.Inc(a, 1)
+		s, ok := m[a]
+		if !ok {
+			s = asn.NewSet()
+			m[a] = s
+		}
+		s.AddAll(l.OriginSet())
+		linkVote[l] = a
+	}
+
+	if !opts.DisableRealloc {
+		oracleFixReallocatedVotes(r, links, linkVote, votes, m, rels)
+	}
+
+	// Alg. 2 line 9: each IR interface votes with its origin AS.
+	for _, i := range r.Interfaces {
+		if i.Origin != asn.None {
+			votes.Inc(i.Origin, 1)
+		}
+	}
+
+	if !opts.DisableExceptions {
+		if a, ok := oracleExceptionCases(r, linkVote, votes, rels); ok {
+			return a
+		}
+	}
+
+	if len(votes) == 0 {
+		// Nothing to vote with (all interfaces and neighbours
+		// unannounced); keep the previous annotation so propagated
+		// annotations survive (§6.1.1 unannounced-address chains).
+		return r.prevAnnotation
+	}
+
+	// Alg. 2 lines 11–12: restrict the election to origin ASes plus
+	// subsequent ASes with a relationship to an origin on their links.
+	restricted := r.OriginSet.Clone()
+	grew := false
+	for v := range votes {
+		if r.OriginSet.Has(v) {
+			continue
+		}
+		for o := range m[v] {
+			if rels.HasRelationship(o, v) {
+				restricted.Add(v)
+				grew = true
+				break
+			}
+		}
+	}
+	if grew {
+		if w := oracleElectFrom(r, votes, restricted, rels, opts); w != asn.None {
+			return w
+		}
+	}
+
+	// Alg. 2 lines 13–14: unrestricted election, then hidden-AS check.
+	top, _ := votes.Max()
+	a := oracleBreakTie(r, top, rels, opts)
+	if opts.DisableHiddenAS || a == asn.None {
+		return a
+	}
+	return oracleHiddenAS(r, a, m[a], rels)
+}
+
+// oracleElectFrom picks the AS with the most votes among the allowed
+// set. asn.None when no allowed AS has votes.
+func oracleElectFrom(r *Router, votes asn.Counter, allowed asn.Set, rels RelationshipOracle, opts Options) asn.ASN {
+	best := 0
+	for v, n := range votes {
+		if allowed.Has(v) && n > best {
+			best = n
+		}
+	}
+	if best == 0 {
+		return asn.None
+	}
+	var tied []asn.ASN
+	for v, n := range votes {
+		if allowed.Has(v) && n == best {
+			tied = append(tied, v)
+		}
+	}
+	return oracleBreakTie(r, tied, rels, opts)
+}
+
+// oracleBreakTie resolves a vote tie: first (unless ablated) toward the
+// AS whose customer cone covers the most of the IR's destination ASes,
+// then toward the smallest customer cone (§6.1.4: "the most likely
+// customer AS").
+func oracleBreakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options) asn.ASN {
+	if len(tied) <= 1 {
+		return rels.SmallestCone(tied)
+	}
+	if !opts.DisableDestTieBreak && r.DestASes.Len() > 0 {
+		// Restrict to candidates whose customer cone accounts for every
+		// destination probed through the router: on edge routers the
+		// destinations concentrate inside the true operator's cone,
+		// while on transit routers (global destination sets) no
+		// candidate qualifies and the rule stays silent.
+		var full []asn.ASN
+		for _, v := range tied {
+			cone := rels.CustomerCone(v)
+			all := true
+			for d := range r.DestASes {
+				if !cone.Has(d) {
+					all = false
+					break
+				}
+			}
+			if all {
+				full = append(full, v)
+			}
+		}
+		if len(full) > 0 {
+			tied = full
+		} else if r.DestASes.Len() <= 10 {
+			// Small (edge) destination sets: a unique best-coverage
+			// candidate still identifies the operator even when one
+			// destination escapes its visible cone. Large destination
+			// sets stay with the paper's smallest-cone rule — there,
+			// coverage only measures cone size.
+			best, bestCover := []asn.ASN(nil), 0
+			for _, v := range tied {
+				cone := rels.CustomerCone(v)
+				cover := 0
+				for d := range r.DestASes {
+					if cone.Has(d) {
+						cover++
+					}
+				}
+				switch {
+				case cover > bestCover:
+					best, bestCover = []asn.ASN{v}, cover
+				case cover == bestCover && cover > 0:
+					best = append(best, v)
+				}
+			}
+			if len(best) == 1 {
+				return best[0]
+			}
+		}
+	}
+	return rels.SmallestCone(tied)
+}
+
+// oracleLinkHeuristics implements Algorithm 3 (§6.1.1): the vote
+// contributed by one link, with special cases for IXP addresses,
+// unannounced addresses, and third-party addresses.
+func oracleLinkHeuristics(l *Link, rels RelationshipOracle, opts Options) asn.ASN {
+	j := l.To
+	origins := l.OriginSet()
+
+	// Line 1: subsequent origin already among the link's origins.
+	if j.Origin != asn.None && origins.Has(j.Origin) {
+		return j.Origin
+	}
+	// Line 2: IXP public peering address → the likely transit provider:
+	// the link origin AS with the largest customer cone (valley-free
+	// reasoning, §6.1.1).
+	if j.Kind == ip2as.IXP {
+		return rels.LargestCone(l.OriginSet().Sorted())
+	}
+	// The neighbour IR's annotation comes from the previous iteration's
+	// snapshot.
+	asj := j.Router.prevAnnotation
+	// Lines 4–5: unannounced subsequent address → vote for its IR's
+	// annotation, which propagates across unannounced chains (Fig. 8).
+	if j.Origin == asn.None {
+		return asj
+	}
+	// Lines 6–8: third-party test. The reply may have come from an
+	// off-path interface owned by a third AS; detect via (1) an AS
+	// relationship between a link origin and j's router annotation that
+	// bypasses j's origin, and (2) j's origin never being a destination
+	// of probes crossing this link.
+	if !opts.DisableThirdParty && asj != asn.None && j.Origin != asj {
+		bypass := false
+		for o := range origins {
+			if rels.HasRelationship(o, asj) {
+				bypass = true
+				break
+			}
+		}
+		if bypass && !l.DestASes.Has(j.Origin) {
+			return asj
+		}
+	}
+	// Line 9: the interface's current annotation.
+	return j.Annotation
+}
+
+// oracleFixReallocatedVotes implements §6.1.2: when every subsequent
+// interface whose origin is in the IR's origin set (a) shares a single
+// /24, (b) belongs to IRs annotated with one single AS, and (c) that AS
+// is a customer of an IR origin AS, the addresses are inferred to be a
+// reallocated prefix and their votes move from the provider to the
+// customer.
+func oracleFixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
+	votes asn.Counter, m map[asn.ASN]asn.Set, rels RelationshipOracle) {
+
+	var cands []*Link
+	for _, l := range links {
+		if l.To.Origin != asn.None && r.OriginSet.Has(l.To.Origin) {
+			cands = append(cands, l)
+		}
+	}
+	if len(cands) < 2 {
+		return // require multiple links (§6.1.2)
+	}
+	var annot asn.ASN
+	var prefix netip.Prefix
+	for i, l := range cands {
+		a := l.To.Router.prevAnnotation // previous iteration's snapshot
+		p := netutil.Slash24(l.To.Addr)
+		if i == 0 {
+			annot, prefix = a, p
+			continue
+		}
+		if a != annot || p != prefix {
+			return
+		}
+	}
+	if annot == asn.None {
+		return
+	}
+	isCustomer := false
+	for o := range r.OriginSet {
+		if rels.IsProvider(o, annot) {
+			isCustomer = true
+			break
+		}
+	}
+	if !isCustomer {
+		return
+	}
+	for _, l := range cands {
+		old, ok := linkVote[l]
+		if !ok || old == annot {
+			continue
+		}
+		votes.Inc(old, -1)
+		if votes[old] <= 0 {
+			delete(votes, old)
+		}
+		votes.Inc(annot, 1)
+		linkVote[l] = annot
+		s, ok := m[annot]
+		if !ok {
+			s = asn.NewSet()
+			m[annot] = s
+		}
+		s.AddAll(l.OriginSet())
+	}
+}
+
+// oracleExceptionCases implements §6.1.3: the multihomed-customer
+// exception and the multiple-peers/providers exception. ok reports
+// whether an exception fired.
+func oracleExceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
+	rels RelationshipOracle) (asn.ASN, bool) {
+
+	subs := asn.NewSet()
+	for _, v := range linkVote {
+		if v != asn.None {
+			subs.Add(v)
+		}
+	}
+
+	// Multihomed to a provider: a single subsequent AS that is a
+	// customer of an IR origin AS operates the router (Fig. 11).
+	if subs.Len() == 1 {
+		asj := subs.Sorted()[0]
+		if !r.OriginSet.Has(asj) {
+			for o := range r.OriginSet {
+				if rels.IsProvider(o, asj) {
+					return asj, true
+				}
+			}
+		}
+	}
+
+	// Multiple peers/providers: the common denominator operates the IR,
+	// provided it retains at least half the top vote count.
+	_, maxVotes := votes.Max()
+	halfOK := func(a asn.ASN) bool { return votes[a]*2 >= maxVotes }
+
+	if r.OriginSet.Len() == 1 && subs.Len() > 1 {
+		origin := r.OriginSet.Sorted()[0]
+		all := true
+		for s := range subs {
+			if s != origin && !rels.IsPeer(origin, s) && !rels.IsProvider(s, origin) {
+				all = false
+				break
+			}
+		}
+		if all && halfOK(origin) {
+			return origin, true
+		}
+	}
+	if r.OriginSet.Len() > 1 && subs.Len() == 1 {
+		s := subs.Sorted()[0]
+		all := true
+		for o := range r.OriginSet {
+			if o != s && !rels.IsPeer(s, o) && !rels.IsProvider(s, o) {
+				all = false
+				break
+			}
+		}
+		if all && !r.OriginSet.Has(s) && halfOK(s) {
+			return s, true
+		}
+	}
+	return asn.None, false
+}
+
+// oracleHiddenAS implements §6.1.5: when the selected AS has no
+// relationship with any IR origin AS, look for a single AS bridging the
+// link origins and the selection — a customer of a link origin that is a
+// provider of the selection (Fig. 12) — and use it instead.
+func oracleHiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels RelationshipOracle) asn.ASN {
+	if r.OriginSet.Has(selected) {
+		return selected
+	}
+	for o := range r.OriginSet {
+		if rels.HasRelationship(o, selected) {
+			return selected
+		}
+	}
+	bridges := asn.NewSet()
+	for p := range rels.Providers(selected) {
+		for o := range backing {
+			if rels.IsProvider(o, p) {
+				bridges.Add(p)
+				break
+			}
+		}
+	}
+	if bridges.Len() == 0 {
+		// Fall back to the IR origin set when the links carried no
+		// origins (e.g. all unannounced).
+		for p := range rels.Providers(selected) {
+			for o := range r.OriginSet {
+				if rels.IsProvider(o, p) {
+					bridges.Add(p)
+					break
+				}
+			}
+		}
+	}
+	if bridges.Len() == 1 {
+		return bridges.Sorted()[0]
+	}
+	return selected
+}
+
+// oracleAnnotateInterface implements §6.2: align each interface's
+// annotation with the router it connects to. When the interface's origin
+// differs from its IR's annotation the origin identifies the far router;
+// otherwise the connected IRs vote, weighted by how many of their
+// interfaces preceded this one in traceroutes.
+func oracleAnnotateInterface(i *Interface, rels RelationshipOracle) {
+	if i.Kind == ip2as.IXP || i.Origin == asn.None {
+		return
+	}
+	if i.Origin != i.Router.Annotation {
+		i.Annotation = i.Origin
+		return
+	}
+	// Restrict the vote to the highest-confidence in-links available
+	// (§4.2's class hierarchy): a Nexthop link identifies the connected
+	// router far more reliably than a Multihop link bridging a gap.
+	best := LabelMultihop
+	for _, l := range i.InLinks {
+		if l.Label > best {
+			best = l.Label
+		}
+	}
+	votes := make(asn.Counter)
+	for _, l := range i.InLinks {
+		if l.Label != best {
+			continue
+		}
+		if a := l.From.Annotation; a != asn.None {
+			votes.Inc(a, len(l.Prev))
+		}
+	}
+	top, _ := votes.Max()
+	switch len(top) {
+	case 0:
+		i.Annotation = i.Origin
+	case 1:
+		i.Annotation = top[0]
+	default:
+		var related []asn.ASN
+		for _, t := range top {
+			if rels.HasRelationship(t, i.Origin) {
+				related = append(related, t)
+			}
+		}
+		if len(related) > 0 {
+			i.Annotation = rels.LargestCone(related)
+		} else {
+			i.Annotation = i.Origin
+		}
+	}
 }

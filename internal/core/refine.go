@@ -60,16 +60,6 @@ type Options struct {
 	// cancel a context at exactly iteration k and prove interruption
 	// determinism; nothing outside the package can set it.
 	hookIterEnd func(iter int)
-	// ReferenceMode forces the pre-optimization refinement path: fresh
-	// voting maps for every router, a full annotation snapshot every
-	// iteration, and live origin-set/link-selection computation instead
-	// of the caches Finish precomputed. The annotations are byte-
-	// identical to the default optimized path — the equivalence suite
-	// holds the two to that — so, like Workers, the switch can change
-	// only the wall clock. It exists for the benchmark harness (to
-	// measure the optimization) and the regression gate (to prove the
-	// two paths never drift).
-	ReferenceMode bool
 	// Provenance records per-router decision provenance (the winning
 	// heuristic, final vote tally and runner-up, tie-break path, and
 	// iteration of last change) and per-interface §6.2 branch outcomes
@@ -109,8 +99,7 @@ func (o *Options) setDefaults() {
 // recycles between routers (never within one — every set handed out
 // stays live until the router's annotation completes), and result
 // slices reuse their backing arrays. Scratch never crosses shards, so
-// no synchronization is needed. A nil *voteScratch selects the
-// reference (allocate-fresh) path.
+// no synchronization is needed.
 type voteScratch struct {
 	votes    asn.Counter         // annotateRouter's vote tally
 	m        map[asn.ASN]asn.Set // vote AS → backing link origins
@@ -165,19 +154,9 @@ func (sc *voteScratch) newSet() asn.Set {
 	return s
 }
 
-// scNewSet allocates through the scratch freelist when one is attached,
-// and freshly otherwise (the reference path).
-func scNewSet(sc *voteScratch) asn.Set {
-	if sc != nil {
-		return sc.newSet()
-	}
-	return asn.NewSet()
-}
-
 // maxInto is asn.Counter.Max with caller-owned result storage: the
-// tied-max ASes land in dst[:0] (ascending) with the max count. The
-// optimized path uses it to keep the per-router/per-interface election
-// allocation-free.
+// tied-max ASes land in dst[:0] (ascending) with the max count, which
+// keeps the per-router/per-interface election allocation-free.
 //
 //lint:hotpath
 func maxInto(votes asn.Counter, dst []asn.ASN) ([]asn.ASN, int) {
@@ -343,6 +322,15 @@ func (c *refineCounters) flush(t *iterTally) {
 //     router annotations step 2 just committed (interfaces never read
 //     other interfaces).
 //
+// Both annotation functions are pure in those reads, so after the first
+// pass an entity none of whose reads changed since its last evaluation
+// is not evaluated again — it would commit the value it already holds
+// (inputsChanged, votersChanged). An iteration therefore costs what the
+// previous one changed, not the size of the graph: the long tail of
+// iterations that move one or two routers before the state repeats is
+// nearly free, and a run's time no longer swings with how many of them
+// a dataset happens to need.
+//
 // Because every read is against a barrier-separated earlier step and
 // every write is owned by exactly one shard, the outcome is independent
 // of worker count and shard boundaries: Run(w=1) and Run(w=N) produce
@@ -449,29 +437,31 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 			startIter = opts.MaxIterations + 1
 		}
 	}
-	// Per-shard reusable scratch and the changed-set snapshot (nil and
-	// unused in reference mode). Shard boundaries come from shard.Bounds
-	// — a pure function of the element and worker counts — so shard s
-	// covers the same routers every iteration: its scratch never crosses
-	// shards and its changed list indexes exactly the routers it owns.
-	reference := opts.ReferenceMode
-	var routerScratch, ifaceScratch []*voteScratch
-	var changed [][]int // per router-shard: indices changed last iteration
-	if !reference {
-		routerScratch = make([]*voteScratch, len(shard.Bounds(len(g.Routers), opts.Workers)))
-		for i := range routerScratch {
-			routerScratch[i] = newVoteScratch()
-		}
-		ifaceScratch = make([]*voteScratch, len(shard.Bounds(len(g.sortedAddrs), opts.Workers)))
-		for i := range ifaceScratch {
-			ifaceScratch[i] = newVoteScratch()
-		}
-		changed = make([][]int, len(routerScratch))
+	// Per-shard reusable scratch and the changed-set snapshot. Shard
+	// boundaries come from shard.Bounds — a pure function of the element
+	// and worker counts — so shard s covers the same routers every
+	// iteration: its scratch never crosses shards and its changed list
+	// indexes exactly the routers it owns.
+	routerScratch := make([]*voteScratch, len(shard.Bounds(len(g.Routers), opts.Workers)))
+	for i := range routerScratch {
+		routerScratch[i] = newVoteScratch()
+	}
+	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(g.sortedAddrs), opts.Workers)))
+	for i := range ifaceScratch {
+		ifaceScratch[i] = newVoteScratch()
+	}
+	changed := make([][]int, len(routerScratch)) // per router-shard: indices changed last iteration
+	// memo[idx] holds the heuristic tallies of router idx's most recent
+	// evaluation, so a skipped router still contributes the counts a
+	// re-evaluation would have produced and the convergence trace does
+	// not depend on what was skipped.
+	var memo []iterTally
+	if collect {
+		memo = make([]iterTally, len(g.Routers))
 	}
 	// Checkpointed runs also record each iteration's change set (the
 	// refinement history delta ingest replays). Collection is per-shard —
-	// shard s writes only histR[s]/histI[s] — and independent of
-	// reference mode, since both paths commit identical states.
+	// shard s writes only histR[s]/histI[s].
 	var histR, histI [][]ckpt.AnnChange
 	if ckr != nil {
 		histR = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.Routers), opts.Workers)))
@@ -482,14 +472,16 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 	// already satisfies prevAnnotation == Annotation, so subsequent
 	// snapshots shrink to the changed routers. A resumed run restores
 	// Annotation only, so it, like the first iteration, needs the full
-	// copy — which the initial true covers for both.
+	// copy — which the initial true covers for both. The same flag makes
+	// that first iteration evaluate every router and interface: nothing
+	// has been evaluated yet in this process, so nothing can be skipped.
 	fullSnapshot := true
 	var mu sync.Mutex //lint:mutex merges per-shard telemetry tallies into the iteration total; never guards annotation state
 	for iter := startIter; iter <= opts.MaxIterations; iter++ {
 		var it iterTally
 		// Step 1: snapshot. A cancellation observed here leaves every
 		// annotation at the previous iteration's committed state.
-		if reference || fullSnapshot {
+		if fullSnapshot {
 			if !shard.ForCtx(ctx, len(g.Routers), opts.Workers, func(lo, hi int) {
 				for _, r := range g.Routers[lo:hi] {
 					r.prevAnnotation = r.Annotation
@@ -507,6 +499,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 					for _, idx := range idxs {
 						r := g.Routers[idx]
 						r.prevAnnotation = r.Annotation
+						r.changedIter = int32(iter - 1)
 					}
 				}
 			}) {
@@ -524,13 +517,9 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 		// state untouched.
 		if !shard.ForShardsTimedCtx(ctx, len(g.Routers), opts.Workers, func(s, lo, hi int) {
 			var local iterTally
-			var sc *voteScratch
-			var chg []int
+			sc := routerScratch[s]
+			chg := changed[s][:0]
 			var hr []ckpt.AnnChange
-			if !reference {
-				sc = routerScratch[s]
-				chg = changed[s][:0]
-			}
 			if histR != nil {
 				hr = histR[s][:0]
 			}
@@ -539,27 +528,34 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 				if r.LastHop {
 					continue
 				}
+				if !fullSnapshot && !r.inputsChanged(int32(iter-1)) {
+					if memo != nil {
+						local.add(&memo[idx])
+					}
+					continue
+				}
 				var pr *prov.Record
 				if pc != nil {
 					pr = &pc.routers[idx]
 				}
-				r.Annotation = annotateRouter(r, rels, opts, &local, sc, pr)
+				var rt iterTally
+				r.Annotation = annotateRouter(r, rels, opts, &rt, sc, pr)
+				local.add(&rt)
+				if memo != nil {
+					memo[idx] = rt
+				}
 				if r.Annotation != r.prevAnnotation {
 					local.changedRouters++
 					if pr != nil {
 						pr.Iter = int32(iter)
 					}
-					if !reference {
-						chg = append(chg, idx)
-					}
+					chg = append(chg, idx)
 					if histR != nil {
 						hr = append(hr, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(r.Annotation)})
 					}
 				}
 			}
-			if !reference {
-				changed[s] = chg
-			}
+			changed[s] = chg
 			if histR != nil {
 				histR[s] = hr
 			}
@@ -579,16 +575,16 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 		// mixed state with new routers and old interfaces.
 		if !shard.ForShardsTimedCtx(ctx, len(g.sortedAddrs), opts.Workers, func(s, lo, hi int) {
 			var flipped int64
-			var sc *voteScratch
+			sc := ifaceScratch[s]
 			var hi2 []ckpt.AnnChange
-			if !reference {
-				sc = ifaceScratch[s]
-			}
 			if histI != nil {
 				hi2 = histI[s][:0]
 			}
 			for idx := lo; idx < hi; idx++ {
 				i := g.Interfaces[g.sortedAddrs[idx]]
+				if !fullSnapshot && !i.votersChanged() {
+					continue
+				}
 				var pir *prov.IfaceRule
 				if pc != nil {
 					pir = &pc.ifaces[idx]
@@ -597,6 +593,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 				annotateInterface(i, rels, sc, pir)
 				if i.Annotation != prev {
 					flipped++
+					i.changedIter = int32(iter)
 					if histI != nil {
 						hi2 = append(hi2, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(i.Annotation)})
 					}
@@ -703,32 +700,49 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// selectLinks returns the IR's links of the highest available confidence
-// class: Nexthop links when any exist, otherwise Echo, otherwise
-// Multihop (§4.2, §6.1.1).
-func selectLinks(r *Router) []*Link {
-	links := r.SortedLinks()
-	best := LabelMultihop
-	for _, l := range links {
-		if l.Label > best {
-			best = l.Label
+// inputsChanged reports whether anything annotateRouter reads for r
+// changed during iteration last: r's own committed annotation (the
+// keep-previous fallback), or, across the links it votes over, the
+// subsequent interface's annotation or its owning router's. When none
+// did, annotateRouter would return r's current annotation with the
+// tallies and provenance of its previous evaluation.
+//
+//lint:hotpath
+func (r *Router) inputsChanged(last int32) bool {
+	if r.changedIter == last {
+		return true
+	}
+	for _, l := range r.voteLinks {
+		if l.To.changedIter == last || l.To.Router.changedIter == last {
+			return true
 		}
 	}
-	out := links[:0:0]
-	for _, l := range links {
-		if l.Label == best {
-			out = append(out, l)
+	return false
+}
+
+// votersChanged reports whether the router pass that just ran changed
+// any annotation annotateInterface reads for i: its owning router's or
+// that of a router behind an incoming link. prevAnnotation still holds
+// the pre-pass value, so the comparison needs no extra state.
+//
+//lint:hotpath
+func (i *Interface) votersChanged() bool {
+	if i.Router.Annotation != i.Router.prevAnnotation {
+		return true
+	}
+	for _, l := range i.InLinks {
+		if l.From.Annotation != l.From.prevAnnotation {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // annotateRouter implements Algorithm 2 (§6.1): link votes with the
 // Algorithm 3 heuristics, reallocated-prefix correction, interface
 // votes, exception checks, the relationship-restricted election, and
-// the hidden-AS check. A nil sc selects the reference path (fresh
-// allocations, live caches); otherwise all working storage comes from
-// the shard's scratch. A non-nil pr receives the decision's provenance
+// the hidden-AS check. All working storage comes from the shard's
+// scratch sc. A non-nil pr receives the decision's provenance
 // (rule, tally, tie path); it is written to, never read, so it cannot
 // influence the annotation.
 func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTally, sc *voteScratch, pr *prov.Record) asn.ASN {
@@ -737,22 +751,12 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 		// across iterations (the caller maintains it).
 		*pr = prov.Record{Iter: pr.Iter}
 	}
-	reference := sc == nil
-	var votes asn.Counter
-	var m map[asn.ASN]asn.Set // vote AS → link origin ASes backing it
-	var linkVote map[*Link]asn.ASN
-	if reference {
-		votes = make(asn.Counter)
-		m = make(map[asn.ASN]asn.Set)
-		linkVote = make(map[*Link]asn.ASN)
-	} else {
-		sc.reset()
-		votes, m, linkVote = sc.votes, sc.m, sc.linkVote
-	}
+	sc.reset()
+	votes, m, linkVote := sc.votes, sc.m, sc.linkVote
 
-	links := r.voteLinksFor(reference)
+	links := r.voteLinks
 	for _, l := range links {
-		a := linkHeuristics(l, rels, opts, t, reference)
+		a := linkHeuristics(l, rels, opts, t)
 		if a == asn.None {
 			continue
 		}
@@ -760,10 +764,10 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 		votes.Inc(a, 1)
 		s, ok := m[a]
 		if !ok {
-			s = scNewSet(sc)
+			s = sc.newSet()
 			m[a] = s
 		}
-		s.AddAll(l.originSet(reference))
+		s.AddAll(l.origins)
 		linkVote[l] = a
 	}
 
@@ -803,14 +807,9 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 
 	// Alg. 2 lines 11–12: restrict the election to origin ASes plus
 	// subsequent ASes with a relationship to an origin on their links.
-	var restricted asn.Set
-	if reference {
-		restricted = r.OriginSet.Clone()
-	} else {
-		clear(sc.restricted)
-		restricted = sc.restricted
-		restricted.AddAll(r.OriginSet)
-	}
+	clear(sc.restricted)
+	restricted := sc.restricted
+	restricted.AddAll(r.OriginSet)
 	grew := false
 	//lint:ignore maporder set insertion and a boolean flag; neither depends on which vote AS is visited first
 	for v := range votes {
@@ -836,13 +835,8 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	}
 
 	// Alg. 2 lines 13–14: unrestricted election, then hidden-AS check.
-	var top []asn.ASN
-	if reference {
-		top, _ = votes.Max()
-	} else {
-		top, _ = maxInto(votes, sc.top)
-		sc.top = top
-	}
+	top, _ := maxInto(votes, sc.top)
+	sc.top = top
 	a := breakTie(r, top, rels, opts, t, pr)
 	if pr != nil {
 		pr.Rule = prov.RuleElection
@@ -882,19 +876,14 @@ func electFrom(r *Router, votes asn.Counter, allowed asn.Set, rels RelationshipO
 	if best == 0 {
 		return asn.None
 	}
-	var tied []asn.ASN
-	if sc != nil {
-		tied = sc.tied[:0]
-	}
+	tied := sc.tied[:0]
 	//lint:ignore maporder tied's element order varies but its contents do not, and breakTie reduces it by total orders only
 	for v, n := range votes {
 		if allowed.Has(v) && n == best {
 			tied = append(tied, v)
 		}
 	}
-	if sc != nil {
-		sc.tied = tied
-	}
+	sc.tied = tied
 	return breakTie(r, tied, rels, opts, t, pr)
 }
 
@@ -975,9 +964,9 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 // linkHeuristics implements Algorithm 3 (§6.1.1): the vote contributed
 // by one link, with special cases for IXP addresses, unannounced
 // addresses, and third-party addresses.
-func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally, reference bool) asn.ASN {
+func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally) asn.ASN {
 	j := l.To
-	origins := l.originSet(reference)
+	origins := l.origins
 
 	// Line 1: subsequent origin already among the link's origins.
 	if j.Origin != asn.None && origins.Has(j.Origin) {
@@ -989,7 +978,7 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 	// reasoning, §6.1.1).
 	if j.Kind == ip2as.IXP {
 		t.heurIXP++
-		return rels.LargestCone(l.originSorted(reference))
+		return rels.LargestCone(l.originsSorted)
 	}
 	// The neighbour IR's annotation comes from the previous iteration's
 	// snapshot: within an iteration every router reads the same
@@ -1032,11 +1021,8 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 func fixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
 	votes asn.Counter, m map[asn.ASN]asn.Set, rels RelationshipOracle, t *iterTally, sc *voteScratch) {
 
-	var cands []*Link
-	if sc != nil {
-		cands = sc.cands[:0]
-		defer func() { sc.cands = cands }()
-	}
+	cands := sc.cands[:0]
+	defer func() { sc.cands = cands }()
 	for _, l := range links {
 		if l.To.Origin != asn.None && r.OriginSet.Has(l.To.Origin) {
 			cands = append(cands, l)
@@ -1085,10 +1071,10 @@ func fixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
 		linkVote[l] = annot
 		s, ok := m[annot]
 		if !ok {
-			s = scNewSet(sc)
+			s = sc.newSet()
 			m[annot] = s
 		}
-		s.AddAll(l.originSet(sc == nil))
+		s.AddAll(l.origins)
 	}
 }
 
@@ -1098,7 +1084,7 @@ func fixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
 func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 	rels RelationshipOracle, sc *voteScratch) (asn.ASN, bool) {
 
-	subs := scNewSet(sc)
+	subs := sc.newSet()
 	//lint:ignore maporder set insertion commutes; subs is only read via Len, Has, and Sorted
 	for _, v := range linkVote {
 		if v != asn.None {
@@ -1122,16 +1108,11 @@ func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 	// Multiple peers/providers: the common denominator operates the IR,
 	// provided it retains at least half the top vote count.
 	var maxVotes int
-	if sc != nil {
-		// Only the count is needed; skip Max's tied-key slice.
-		//lint:ignore maporder pure max reduction; every visit order yields the same maximum
-		for _, n := range votes {
-			if n > maxVotes {
-				maxVotes = n
-			}
+	//lint:ignore maporder pure max reduction; every visit order yields the same maximum
+	for _, n := range votes {
+		if n > maxVotes {
+			maxVotes = n
 		}
-	} else {
-		_, maxVotes = votes.Max()
 	}
 	halfOK := func(a asn.ASN) bool { return votes[a]*2 >= maxVotes }
 
@@ -1177,7 +1158,7 @@ func hiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels RelationshipOra
 			return selected
 		}
 	}
-	bridges := scNewSet(sc)
+	bridges := sc.newSet()
 	//lint:ignore maporder set insertion commutes; bridges is only read via Len and Sorted
 	for p := range rels.Providers(selected) {
 		for o := range backing {
@@ -1237,14 +1218,8 @@ func annotateInterface(i *Interface, rels RelationshipOracle, sc *voteScratch, p
 			best = l.Label
 		}
 	}
-	var votes asn.Counter
-	if sc != nil {
-		clear(sc.ifVotes)
-		votes = sc.ifVotes
-	} else {
-		//lint:ignore hotpath reference (no-scratch) arm only; the optimized path reuses sc.ifVotes above
-		votes = make(asn.Counter)
-	}
+	clear(sc.ifVotes)
+	votes := sc.ifVotes
 	for _, l := range i.InLinks {
 		if l.Label != best {
 			continue
@@ -1253,13 +1228,8 @@ func annotateInterface(i *Interface, rels RelationshipOracle, sc *voteScratch, p
 			votes.Inc(a, len(l.Prev))
 		}
 	}
-	var top []asn.ASN
-	if sc != nil {
-		top, _ = maxInto(votes, sc.top)
-		sc.top = top
-	} else {
-		top, _ = votes.Max()
-	}
+	top, _ := maxInto(votes, sc.top)
+	sc.top = top
 	switch len(top) {
 	case 0:
 		if pir != nil {
@@ -1272,18 +1242,13 @@ func annotateInterface(i *Interface, rels RelationshipOracle, sc *voteScratch, p
 		}
 		i.Annotation = top[0]
 	default:
-		var related []asn.ASN
-		if sc != nil {
-			related = sc.related[:0]
-		}
+		related := sc.related[:0]
 		for _, t := range top {
 			if rels.HasRelationship(t, i.Origin) {
 				related = append(related, t)
 			}
 		}
-		if sc != nil {
-			sc.related = related
-		}
+		sc.related = related
 		if len(related) > 0 {
 			if pir != nil {
 				*pir = prov.IfaceVoteRelated

@@ -28,8 +28,8 @@ import (
 //   - capturing function literals — a closure over local state escapes
 //     to the heap along with everything it captures.
 //
-// Sites that are provably cold (a reference-mode arm, a once-per-run
-// grow path) carry a //lint:ignore hotpath <reason> annotation.
+// Sites that are provably cold (a once-per-run grow path) carry a
+// //lint:ignore hotpath <reason> annotation.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "functions marked //lint:hotpath must contain no allocating constructs",

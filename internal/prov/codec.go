@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/netip"
 	"os"
 
@@ -99,6 +100,9 @@ func appendRecord(p []byte, r *Record) []byte {
 // Decode reads one artifact from r, validating magic, version, the
 // length prefix, the trailing CRC, and every payload bound. Structural
 // failures return a *FormatError; Decode never panics on corrupt input.
+// Only Encode's own byte choices are accepted — minimal varints, 0/1
+// booleans, no unknown flag bits — so an accepted artifact re-encodes
+// to the bytes it was read from.
 func Decode(r io.Reader) (*Artifact, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -113,11 +117,14 @@ func Decode(r io.Reader) (*Artifact, error) {
 		return nil, err
 	}
 	d := &decoder{b: payload}
-	a := &Artifact{Iterations: d.count("iterations")}
+	a := &Artifact{Iterations: d.intv("iterations")}
 	flags := d.u8()
+	if flags&^3 != 0 {
+		d.fail(fmt.Sprintf("unknown flag bits %#x", flags))
+	}
 	a.Converged = flags&1 != 0
 	a.Interrupted = flags&2 != 0
-	a.CycleLength = d.count("cycle length")
+	a.CycleLength = d.intv("cycle length")
 	n := d.count("router count")
 	d.checkLen(n, 9, "router records")
 	if d.err == nil && n > 0 {
@@ -126,7 +133,11 @@ func Decode(r io.Reader) (*Artifact, error) {
 	for i := 0; i < n && d.err == nil; i++ {
 		var rr RouterRec
 		rr.Annotation = asn.ASN(d.u32v("router annotation"))
-		rr.LastHop = d.u8() != 0
+		lastHop := d.u8()
+		if lastHop > 1 {
+			d.fail(fmt.Sprintf("router last-hop flag %d is not 0 or 1", lastHop))
+		}
+		rr.LastHop = lastHop == 1
 		d.record(&rr.Record)
 		a.Routers = append(a.Routers, rr)
 	}
@@ -270,6 +281,10 @@ func (d *decoder) uvarint(what string) uint64 {
 		d.fail("malformed varint in " + what)
 		return 0
 	}
+	if n > 1 && d.b[d.off+n-1] == 0 {
+		d.fail("non-minimal varint in " + what)
+		return 0
+	}
 	d.off += n
 	return v
 }
@@ -280,6 +295,18 @@ func (d *decoder) count(what string) int {
 	v := d.uvarint(what)
 	if v > uint64(len(d.b))+1 {
 		d.fail(fmt.Sprintf("implausible %s %d for a %d-byte payload", what, v, len(d.b)))
+		return 0
+	}
+	return int(v)
+}
+
+// intv reads a non-negative integer that must fit an int. Unlike count
+// it carries no payload-size bound: the value is data (an iteration
+// number), not an element count driving an allocation.
+func (d *decoder) intv(what string) int {
+	v := d.uvarint(what)
+	if v > math.MaxInt {
+		d.fail(what + " overflows int")
 		return 0
 	}
 	return int(v)

@@ -6,8 +6,11 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/ckpt"
 )
 
 func sampleArtifact() *Artifact {
@@ -43,29 +46,31 @@ func encode(t *testing.T, a *Artifact) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	a := sampleArtifact()
-	raw := encode(t, a)
-	got, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	// Re-encoding the decoded artifact must reproduce the bytes: the
-	// byte-identity gates (worker counts, resume points) rely on the
-	// encoding being a pure function of the artifact.
-	if !bytes.Equal(raw, encode(t, got)) {
-		t.Fatal("re-encoded artifact differs from original bytes")
-	}
-	if got.Iterations != 7 || !got.Converged || got.CycleLength != 1 || got.Interrupted {
-		t.Errorf("metadata mismatch: %+v", got)
-	}
-	if len(got.Routers) != 3 || len(got.Ifaces) != 3 {
-		t.Fatalf("got %d routers, %d ifaces", len(got.Routers), len(got.Ifaces))
-	}
-	if got.Routers[0] != a.Routers[0] || got.Routers[1] != a.Routers[1] {
-		t.Errorf("router records mismatch:\n got %+v\nwant %+v", got.Routers, a.Routers)
-	}
-	if got.Ifaces[1] != a.Ifaces[1] {
-		t.Errorf("iface mismatch: got %+v want %+v", got.Ifaces[1], a.Ifaces[1])
+	for name, a := range map[string]*Artifact{
+		"sample": sampleArtifact(),
+		// Iterations and CycleLength are data, not element counts: they
+		// may exceed the payload's length in bytes.
+		"more iterations than payload bytes": {
+			Iterations: 50, CycleLength: 48,
+			Routers: []RouterRec{{Record: Record{Rule: RuleKeepPrevious}}},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			raw := encode(t, a)
+			got, err := Decode(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, a) {
+				t.Errorf("decoded artifact mismatch:\n got %+v\nwant %+v", got, a)
+			}
+			// Re-encoding the decoded artifact must reproduce the bytes: the
+			// byte-identity gates (worker counts, resume points) rely on the
+			// encoding being a pure function of the artifact.
+			if !bytes.Equal(raw, encode(t, got)) {
+				t.Fatal("re-encoded artifact differs from original bytes")
+			}
+		})
 	}
 }
 
@@ -117,6 +122,33 @@ func TestDecodeRejectsBadRuleAndRouterIndex(t *testing.T) {
 	}
 	if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("bad router index not rejected: %v", err)
+	}
+}
+
+// TestDecodeRejectsNonCanonicalPayload: a payload that says what Encode
+// would say, in bytes Encode would not choose, is refused — otherwise
+// two different files could decode to one artifact.
+func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		wantSub string
+	}{
+		{"unknown flag bit", []byte{0, 4, 0, 0, 0}, "unknown flag bits"},
+		{"overlong varint", []byte{0x80, 0, 0, 0, 0, 0}, "non-minimal varint"},
+		{"last-hop byte 2", []byte{0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0}, "last-hop flag"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var framed bytes.Buffer
+			if err := ckpt.WriteFrame(&framed, magic, Version, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Decode(&framed)
+			var fe *FormatError
+			if !errors.As(err, &fe) || !strings.Contains(fe.Reason, tc.wantSub) {
+				t.Fatalf("want *FormatError mentioning %q, got %v", tc.wantSub, err)
+			}
+		})
 	}
 }
 
