@@ -95,8 +95,8 @@ smoke:
 # its own invocation: -fuzz must match exactly one function per package
 # (traceroute has three). Seed corpora include faultio-derived truncated,
 # corrupted, and garbled variants, so even a short burst revisits the
-# fault classes the loaders must survive. The graph-builder target caps
-# minimization: its oracle ranges over maps, so block counts jitter from
+# fault classes the loaders must survive. The two graph-builder targets cap
+# minimization: their oracle ranges over maps, so block counts jitter from
 # run to run and the engine would otherwise spend the whole burst
 # re-running one "interesting" input. The provenance target caps it too:
 # uncapped, a cold 30 s burst stalled in minimization after 28 k
@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzJSONLDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAddTraceDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAppendDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)

@@ -1,6 +1,7 @@
 package bdrmapit
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -93,12 +94,14 @@ type IngestResult struct {
 	Report *obs.Report
 }
 
-// ingestState is the session's rolling inference state: the current
-// merged corpus, its graph, and the converged checkpoint that the next
-// batch's delta run uses as its base.
+// ingestState is the session's rolling inference state: the converged
+// checkpoint that the next batch's delta run uses as its base, and the
+// run that committed it. The graph itself lives in the session's
+// Builder, which grows it batch by batch.
 type ingestState struct {
+	// traces is the merged corpus. Past bootstrap only the VerifyDelta
+	// oracle reads it, so a session without the oracle lets it go.
 	traces  []*traceroute.Trace
-	graph   *core.Graph
 	state   *ckpt.State
 	lineage []ckpt.BatchInfo
 	res     *core.Result
@@ -182,6 +185,13 @@ type ingester struct {
 	aliases  *alias.Sets
 	copts    core.Options
 	baseDig  uint64
+	// builder holds the session's one graph: built from the checkpointed
+	// corpus at start-up, appended to by every absorb.
+	builder *core.Builder
+	// prefixes is the resolver's prefix table in serving-snapshot order.
+	// The resolver is constant for the session, so it is flattened and
+	// sorted once.
+	prefixes []serve.Prefix
 	cur      ingestState
 }
 
@@ -273,9 +283,9 @@ func (ing *ingester) bootstrapOrRecover() error {
 		ing.rec.Logf("ingest: no checkpoint under %s; bootstrapping from the base corpus", ing.store.Dir)
 		bopts := ing.copts
 		bopts.Checkpoint = ing.ckptConfig(nil, false)
-		g, err := core.BuildGraphContext(ing.ctx, ing.cur.traces, ing.resolver, ing.aliases, ing.rels, bopts)
+		g, err := ing.buildCorpus()
 		if err != nil {
-			return fmt.Errorf("bdrmapit: ingest: %w", err)
+			return err
 		}
 		res, err := core.RunContext(ing.ctx, g, ing.rels, bopts)
 		if err != nil {
@@ -304,9 +314,9 @@ func (ing *ingester) bootstrapOrRecover() error {
 	}
 	ropts := ing.copts
 	ropts.Checkpoint = ing.ckptConfig(st.Lineage, true)
-	g, err := core.BuildGraphContext(ing.ctx, ing.cur.traces, ing.resolver, ing.aliases, ing.rels, ropts)
+	g, err := ing.buildCorpus()
 	if err != nil {
-		return fmt.Errorf("bdrmapit: ingest: %w", err)
+		return err
 	}
 	res, err := core.RunContext(ing.ctx, g, ing.rels, ropts)
 	if err != nil {
@@ -319,9 +329,26 @@ func (ing *ingester) bootstrapOrRecover() error {
 	return ing.adoptState(res, st.Lineage)
 }
 
+// buildCorpus builds the session's graph from scratch over the corpus
+// loaded so far — once per session — on the Builder every later absorb
+// appends to.
+func (ing *ingester) buildCorpus() (*core.Graph, error) {
+	ing.builder = core.NewBuilder(ing.resolver, ing.aliases)
+	ing.builder.Workers = ing.copts.Workers
+	ing.builder.Rec = ing.rec
+	g, err := ing.builder.BuildContext(ing.ctx, ing.cur.traces, ing.rels)
+	if err != nil {
+		return nil, fmt.Errorf("bdrmapit: ingest: %w", err)
+	}
+	if !ing.opts.VerifyDelta {
+		ing.cur.traces = nil
+	}
+	return g, nil
+}
+
 // adoptState installs a just-committed run as the session's rolling
 // base: reload the checkpoint it saved (the next delta's base state
-// must carry that run's history) and remember graph and lineage.
+// must carry that run's history) and remember the lineage.
 func (ing *ingester) adoptState(res *core.Result, lineage []ckpt.BatchInfo) error {
 	st, err := ckpt.Load(ing.store.Dir)
 	if err != nil {
@@ -330,7 +357,6 @@ func (ing *ingester) adoptState(res *core.Result, lineage []ckpt.BatchInfo) erro
 	if err := st.RequireHistory(); err != nil {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
-	ing.cur.graph = res.Graph
 	ing.cur.state = st
 	ing.cur.lineage = lineage
 	ing.cur.res = res
@@ -451,11 +477,16 @@ func (ing *ingester) offerBatch(path string) error {
 	return ing.applyBatch(name, fp, traces, decision)
 }
 
-// applyBatch absorbs a validated batch: delta-refine the merged corpus
-// against the current base state, optionally prove delta≡full, publish
-// the artifacts, and complete the journal. Any error before the
-// applied record leaves the intent pending — the crash-recovery
-// contract — so a restart redoes the apply instead of losing it.
+// applyBatch absorbs a validated batch: append it to the session's
+// graph, delta-refine against the current base state, optionally prove
+// delta≡full, publish the artifacts, and complete the journal. Any error
+// before the applied record leaves the intent pending — the crash-
+// recovery contract — so a restart redoes the apply instead of losing
+// it. And every error out of here ends the session (each caller returns
+// it straight up to IngestContext), which is what makes appending in
+// place safe: a graph that holds a batch whose apply failed, or half of
+// one, is never used again — the restart rebuilds from the durable
+// copies.
 func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*traceroute.Trace, decision delta.Decision) error {
 	phase := ing.rec.Phase("ingest-batch")
 	defer phase.End()
@@ -463,15 +494,14 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 
 	newLineage := append(append([]ckpt.BatchInfo{}, ing.cur.lineage...),
 		ckpt.BatchInfo{FP: fp, Name: name, Traces: len(batchTraces)})
-	merged := append(append([]*traceroute.Trace{}, ing.cur.traces...), batchTraces...)
 
 	dopts := ing.copts
 	dopts.Checkpoint = ing.ckptConfig(newLineage, false)
-	mg, err := core.BuildGraphContext(ing.ctx, merged, ing.resolver, ing.aliases, ing.rels, dopts)
+	g, err := ing.builder.BuildContext(ing.ctx, batchTraces, ing.rels)
 	if err != nil {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
-	res, err := core.RunDeltaContext(ing.ctx, mg, ing.cur.graph, ing.cur.state, ing.rels, dopts)
+	res, err := core.RunDeltaContext(ing.ctx, g, ing.builder.LastAppend(), ing.cur.state, ing.rels, dopts)
 	if err != nil {
 		return fmt.Errorf("bdrmapit: ingest: absorbing %s: %w", name, err)
 	}
@@ -481,7 +511,8 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	phase.Note("iterations", int64(res.Iterations))
 
 	if ing.opts.VerifyDelta {
-		if err := ing.verifyDelta(merged, res); err != nil {
+		ing.cur.traces = append(ing.cur.traces, batchTraces...)
+		if err := ing.verifyDelta(ing.cur.traces, res); err != nil {
 			return fmt.Errorf("bdrmapit: ingest: batch %s: %w", name, err)
 		}
 	}
@@ -492,7 +523,6 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	if err := ing.adoptState(res, newLineage); err != nil {
 		return err
 	}
-	ing.cur.traces = merged
 	if err := ing.store.MarkApplied(fp, name, annDigest); err != nil {
 		return err
 	}
@@ -557,17 +587,27 @@ func (ing *ingester) publish(res *core.Result) (uint64, error) {
 		Iterations: res.Iterations, Converged: res.Converged,
 		Interrupted: res.Interrupted, Report: res.Report,
 	}
-	annDigest, err := annotationsDigest(res, ing.resolver)
+	// One rendering feeds the journal's digest, the file and the
+	// snapshot's digest.
+	ann, annDigest, err := renderAnnotations(r)
 	if err != nil {
 		return 0, err
 	}
 	if p := ing.opts.AnnotationsPath; p != "" {
-		if err := ckpt.AtomicWrite(p, r.Annotations); err != nil {
+		write := func(w io.Writer) error { _, err := w.Write(ann); return err }
+		if err := ckpt.AtomicWrite(p, write); err != nil {
 			return 0, fmt.Errorf("bdrmapit: ingest: publishing annotations: %w", err)
 		}
 	}
 	if p := ing.opts.SnapshotPath; p != "" {
-		if err := r.WriteServeSnapshot(p); err != nil {
+		if ing.prefixes == nil {
+			ing.prefixes = sortedPrefixes(ing.resolver)
+		}
+		snap, err := r.serveSnapshot(annDigest, ing.prefixes)
+		if err == nil {
+			err = serve.WriteFile(p, snap)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("bdrmapit: ingest: publishing snapshot: %w", err)
 		}
 	}
@@ -679,16 +719,23 @@ func lineageHas(lineage []ckpt.BatchInfo, fp uint64) bool {
 	return false
 }
 
-// annotationsDigest is the FNV-64a of the exact bytes Annotations
-// would render — the same digest ServeSnapshot records, tying the
-// journal's applied records to the published artifacts.
-func annotationsDigest(res *core.Result, resolver *ip2as.Resolver) (uint64, error) {
-	r := &Result{res: res, resolver: resolver, Interrupted: res.Interrupted, Iterations: res.Iterations}
-	h := fnv.New64a()
-	if err := r.Annotations(h); err != nil {
-		return 0, fmt.Errorf("bdrmapit: ingest: digesting annotations: %w", err)
+// renderAnnotations returns the exact bytes Annotations writes and their
+// FNV-64a — the digest ServeSnapshot records, tying the journal's
+// applied records to the published artifacts.
+func renderAnnotations(r *Result) ([]byte, uint64, error) {
+	var buf bytes.Buffer
+	if err := r.Annotations(&buf); err != nil {
+		return nil, 0, fmt.Errorf("bdrmapit: ingest: rendering annotations: %w", err)
 	}
-	return h.Sum64(), nil
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	return buf.Bytes(), h.Sum64(), nil
+}
+
+// annotationsDigest is renderAnnotations' digest for a bare core result.
+func annotationsDigest(res *core.Result, resolver *ip2as.Resolver) (uint64, error) {
+	_, d, err := renderAnnotations(&Result{res: res, resolver: resolver, Interrupted: res.Interrupted, Iterations: res.Iterations})
+	return d, err
 }
 
 func fnvString(s string) uint64 {

@@ -43,6 +43,7 @@ func (o *Options) fingerprint() uint64 {
 // to "router i" and "interface j", which is what makes restoring flat
 // annotation arrays safe; anything that changes alias resolution or the
 // observed address set changes the digest and is refused on resume.
+// Finish computes it once and keeps it on the graph (Graph.digest).
 func graphDigest(g *Graph) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -51,7 +52,7 @@ func graphDigest(g *Graph) uint64 {
 		h.Write(buf[:])
 	}
 	u64(uint64(len(g.Routers)))
-	u64(uint64(len(g.sortedAddrs)))
+	u64(uint64(len(g.sortedIfaces)))
 	for _, addr := range g.sortedAddrs {
 		b := addr.As16()
 		h.Write(b[:])
@@ -84,7 +85,7 @@ type ckptRunner struct {
 }
 
 func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph) *ckptRunner {
-	return &ckptRunner{cfg: cfg, optFP: opts.fingerprint(), gDig: graphDigest(g), rec: opts.Recorder, prov: opts.Provenance}
+	return &ckptRunner{cfg: cfg, optFP: opts.fingerprint(), gDig: g.digest, rec: opts.Recorder, prov: opts.Provenance}
 }
 
 // due reports whether iteration iter's committed state should be made
@@ -117,8 +118,8 @@ func (c *ckptRunner) load(g *Graph) (*ckpt.State, error) {
 	if len(st.Routers) != len(g.Routers) {
 		return nil, &ckpt.MismatchError{Field: "routers", Want: uint64(len(st.Routers)), Got: uint64(len(g.Routers))}
 	}
-	if len(st.Ifaces) != len(g.sortedAddrs) {
-		return nil, &ckpt.MismatchError{Field: "interfaces", Want: uint64(len(st.Ifaces)), Got: uint64(len(g.sortedAddrs))}
+	if len(st.Ifaces) != len(g.sortedIfaces) {
+		return nil, &ckpt.MismatchError{Field: "interfaces", Want: uint64(len(st.Ifaces)), Got: uint64(len(g.sortedIfaces))}
 	}
 	if c.prov && !st.HasProv {
 		// Provenance is not fingerprinted (it cannot change annotations),
@@ -147,8 +148,8 @@ func (c *ckptRunner) restore(g *Graph, st *ckpt.State, cycles *cycleDetector, re
 	for i, r := range g.Routers {
 		r.Annotation = asn.ASN(st.Routers[i])
 	}
-	for i, addr := range g.sortedAddrs {
-		g.Interfaces[addr].Annotation = asn.ASN(st.Ifaces[i])
+	for pos, i := range g.sortedIfaces {
+		i.Annotation = asn.ASN(st.Ifaces[pos])
 	}
 	for _, h := range st.Hashes {
 		cycles.seen[h.Hash] = h.Iter
@@ -186,14 +187,14 @@ func (c *ckptRunner) save(g *Graph, res *Result, cycles *cycleDetector, traceRow
 		Converged:   res.Converged,
 		CycleLength: res.CycleLength,
 		Routers:     make([]uint32, len(g.Routers)),
-		Ifaces:      make([]uint32, len(g.sortedAddrs)),
+		Ifaces:      make([]uint32, len(g.sortedIfaces)),
 		Trace:       traceRows,
 	}
 	for i, r := range g.Routers {
 		st.Routers[i] = uint32(r.Annotation)
 	}
-	for i, addr := range g.sortedAddrs {
-		st.Ifaces[i] = uint32(g.Interfaces[addr].Annotation)
+	for pos, i := range g.sortedIfaces {
+		st.Ifaces[pos] = uint32(i.Annotation)
 	}
 	st.Hashes = make([]ckpt.IterHash, 0, len(cycles.seen))
 	for h, iter := range cycles.seen {

@@ -2,8 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
-	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,8 +26,9 @@ import (
 // committed at that iteration. Those values are already recorded:
 // version-3 checkpoints carry the full per-iteration change history.
 //
-// The engine therefore seeds a dirty set from the structural diff (new
-// or changed routers and interfaces), grows it one influence hop per
+// The engine therefore seeds a dirty set from what the batch touched
+// (new or changed routers and interfaces, marked by the Builder as it
+// appended the batch), grows it one influence hop per
 // iteration (dirtiness propagates along links exactly as fast as
 // annotations do), recomputes only dirty entities, and replays the
 // base history onto everything else. Past the base run's recorded
@@ -43,219 +43,60 @@ import (
 // exact, which is what the ingest pipeline's -verify-delta oracle
 // checks end to end.
 
-// deltaSeed is the structural diff between the base and merged graphs,
-// plus the index mappings replay needs.
+// deltaSeed is the dirty set of a delta run, plus the index mappings
+// replay needs. "Merged" names the graph after the append — base corpus
+// plus batch — and "base" the same graph before it, which is what the
+// base checkpoint's indices refer to.
 type deltaSeed struct {
 	// rdirty/idirty mark merged routers (by ID) and interfaces (by
-	// sorted-address position) that must be recomputed rather than
-	// replayed. Seeded structurally, grown one hop per iteration.
+	// sorted position) that must be recomputed rather than replayed.
+	// Seeded structurally, grown one hop per iteration.
 	rdirty, idirty []bool
 	// frontier holds the interface positions newly dirtied by the most
 	// recent expansion; the next expansion dirties their voters.
 	frontier []int
-	// baseToMergedR maps a base router ID to the merged router ID
-	// holding the same interfaces; baseToMergedI maps base
-	// sorted-address positions to merged ones. Both are monotone on the
-	// clean subset: identity crosses the graphs by representative
-	// (smallest) interface address, and both graphs sort by it.
+	// baseToMergedR maps a base router ID to its merged ID;
+	// baseToMergedI maps base sorted positions to merged ones. Both are
+	// monotone on the clean subset: appending inserts into the sorted
+	// orders and moves only routers whose representative changed, which
+	// are dirty.
 	baseToMergedR []int
 	baseToMergedI []int
-	// mergedIdx maps an interface address to its merged sorted
-	// position.
-	mergedIdx map[netip.Addr]int
 	// structRouters/structIfaces count the structurally dirty seeds,
 	// for observability.
 	structRouters, structIfaces int
 }
 
-const fnvOffset = 14695981039346656037
-const fnvPrime = 1099511628211
-
-// hashU64 folds v into the running FNV-64a hash at h.
-func hashU64(h *uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	for _, x := range b {
-		*h = (*h ^ uint64(x)) * fnvPrime
-	}
-}
-
-func hashAddr(h *uint64, a netip.Addr) {
-	b := a.As16()
-	for _, x := range b {
-		*h = (*h ^ uint64(x)) * fnvPrime
-	}
-}
-
-func hashSet(h *uint64, s asn.Set) {
-	sorted := s.Sorted()
-	hashU64(h, uint64(len(sorted)))
-	for _, a := range sorted {
-		hashU64(h, uint64(a))
-	}
-}
-
-// ifaceStructDigest fingerprints every structural input the annotation
-// passes read through an interface: identity, origin, resolution kind,
-// echo-only status, destination ASes, the owning router's identity
-// (its representative address), and each incoming link's source
-// router, label, and vote weight. Over-approximation is safe — a
-// digest that flags too much only shrinks the replayed region — so the
-// digest errs broad.
-func ifaceStructDigest(i *Interface) uint64 {
-	h := uint64(fnvOffset)
-	hashAddr(&h, i.Addr)
-	hashU64(&h, uint64(i.Origin))
-	hashU64(&h, uint64(i.Kind))
-	if i.EchoOnly {
-		hashU64(&h, 1)
-	} else {
-		hashU64(&h, 0)
-	}
-	hashSet(&h, i.DestASes)
-	hashAddr(&h, i.Router.Interfaces[0].Addr)
-	links := append([]*Link(nil), i.InLinks...)
-	sort.Slice(links, func(a, b int) bool {
-		return links[a].From.Interfaces[0].Addr.Less(links[b].From.Interfaces[0].Addr)
-	})
-	hashU64(&h, uint64(len(links)))
-	for _, l := range links {
-		hashAddr(&h, l.From.Interfaces[0].Addr)
-		hashU64(&h, uint64(l.Label))
-		hashU64(&h, uint64(len(l.Prev)))
-	}
-	return h
-}
-
-// routerStructDigest fingerprints every structural input of the router
-// vote: last-hop status, origin and destination AS sets, the member
-// interfaces, and every outgoing link with its label, previous-hop
-// origins, and destination ASes.
-func routerStructDigest(r *Router) uint64 {
-	h := uint64(fnvOffset)
-	if r.LastHop {
-		hashU64(&h, 1)
-	} else {
-		hashU64(&h, 0)
-	}
-	hashSet(&h, r.OriginSet)
-	hashSet(&h, r.DestASes)
-	hashU64(&h, uint64(len(r.Interfaces)))
-	for _, i := range r.Interfaces {
-		hashAddr(&h, i.Addr)
-		hashU64(&h, uint64(i.Origin))
-		hashU64(&h, uint64(i.Kind))
-		if i.EchoOnly {
-			hashU64(&h, 1)
-		} else {
-			hashU64(&h, 0)
-		}
-	}
-	addrs := make([]netip.Addr, 0, len(r.Links))
-	for a := range r.Links {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-	hashU64(&h, uint64(len(addrs)))
-	for _, a := range addrs {
-		l := r.Links[a]
-		hashAddr(&h, a)
-		hashU64(&h, uint64(l.Label))
-		prevAddrs := make([]netip.Addr, 0, len(l.Prev))
-		for pa := range l.Prev {
-			prevAddrs = append(prevAddrs, pa)
-		}
-		sort.Slice(prevAddrs, func(i, j int) bool { return prevAddrs[i].Less(prevAddrs[j]) })
-		hashU64(&h, uint64(len(prevAddrs)))
-		for _, pa := range prevAddrs {
-			hashAddr(&h, pa)
-			hashU64(&h, uint64(l.Prev[pa]))
-		}
-		hashSet(&h, l.DestASes)
-	}
-	return h
-}
-
-// structDigests returns the graph's structural digests: routers by
-// router ID, interfaces by sortedAddrs position. Structure is immutable
-// once Finish returns (annotations are not part of it), so the vectors
-// are computed on first use and kept: the merged graph of one absorb is
-// the base graph of the next, and must not be digested twice. Not safe
-// for concurrent first use; the delta engine calls it from its
-// orchestrating goroutine only.
-func (g *Graph) structDigests() (routers, ifaces []uint64) {
-	if g.routerDigests == nil {
-		g.routerDigests = make([]uint64, len(g.Routers))
-		for id, r := range g.Routers {
-			g.routerDigests[id] = routerStructDigest(r)
-		}
-		g.ifaceDigests = make([]uint64, len(g.sortedAddrs))
-		for idx, a := range g.sortedAddrs {
-			g.ifaceDigests[idx] = ifaceStructDigest(g.Interfaces[a])
-		}
-	}
-	return g.routerDigests, g.ifaceDigests
-}
-
-// computeDeltaSeed diffs merged against base structurally. Identity
-// crosses the graphs by representative address (each router's smallest
-// interface address): alias sets are an input, not an inference, so a
-// base router's interfaces always land in one merged router, and a
-// merged router whose structure matches its base counterpart
-// byte-for-byte starts clean.
-func computeDeltaSeed(merged, base *Graph) *deltaSeed {
+// seedFromAppend turns the record of the Finish that appended the batch
+// into the delta run's structural seed. The Builder marked a router or
+// interface at every statement that changed structure an annotation
+// pass reads through it, so the touched set is the seed, and the
+// position maps that Finish produced carry base indices onto the graph
+// as it now is. Identity crosses an append by object: alias sets are an
+// input, not an inference, so a router keeps its interfaces, and one
+// whose representative address changed was touched.
+func seedFromAppend(g *Graph, app *Append) *deltaSeed {
 	s := &deltaSeed{
-		rdirty:        make([]bool, len(merged.Routers)),
-		idirty:        make([]bool, len(merged.sortedAddrs)),
-		baseToMergedR: make([]int, len(base.Routers)),
-		baseToMergedI: make([]int, len(base.sortedAddrs)),
-		mergedIdx:     make(map[netip.Addr]int, len(merged.sortedAddrs)),
+		rdirty:        make([]bool, len(g.Routers)),
+		idirty:        make([]bool, len(g.sortedIfaces)),
+		frontier:      slices.Clone(app.ifaces),
+		baseToMergedR: app.routerPos,
+		baseToMergedI: app.ifacePos,
+		structRouters: len(app.routers),
+		structIfaces:  len(app.ifaces),
 	}
-	for idx, a := range merged.sortedAddrs {
-		s.mergedIdx[a] = idx
+	for _, id := range app.routers {
+		s.rdirty[id] = true
 	}
-	baseRDig, baseIDig := base.structDigests()
-	mergedRDig, mergedIDig := merged.structDigests()
-
-	for bi, br := range base.Routers {
-		s.baseToMergedR[bi] = merged.Interfaces[br.Interfaces[0].Addr].Router.ID
-	}
-	// mergedToBaseI inverts baseToMergedI; -1 marks an interface the
-	// base graph does not have.
-	mergedToBaseI := make([]int, len(merged.sortedAddrs))
-	for idx := range mergedToBaseI {
-		mergedToBaseI[idx] = -1
-	}
-	for bi, a := range base.sortedAddrs {
-		idx := s.mergedIdx[a]
-		s.baseToMergedI[bi] = idx
-		mergedToBaseI[idx] = bi
-	}
-
-	var dirtyRouters []int
-	for id, r := range merged.Routers {
-		// The base counterpart is the base router with the same
-		// representative address, if there is one.
-		bi, ok := base.Interfaces[r.Interfaces[0].Addr]
-		if !ok || bi.Router.Interfaces[0] != bi || baseRDig[bi.Router.ID] != mergedRDig[id] {
-			s.rdirty[id] = true
-			s.structRouters++
-			dirtyRouters = append(dirtyRouters, id)
-		}
-	}
-	for idx, bi := range mergedToBaseI {
-		if bi < 0 || baseIDig[bi] != mergedIDig[idx] {
-			s.idirty[idx] = true
-			s.structIfaces++
-			s.frontier = append(s.frontier, idx)
-		}
+	for _, idx := range app.ifaces {
+		s.idirty[idx] = true
 	}
 	// Iteration 0 is purely structural (interface origins plus last-hop
 	// annotation), so the initial frontier is the structural interface
 	// seed plus the influence surface of the structurally dirty
 	// routers: member interfaces and link targets read router values
 	// from iteration 0 onward.
-	s.expandRouters(merged, dirtyRouters)
+	s.expandRouters(g, app.routers)
 	return s
 }
 
@@ -268,14 +109,14 @@ func (s *deltaSeed) expandRouters(g *Graph, newRD []int) {
 	for _, id := range newRD {
 		r := g.Routers[id]
 		for _, i := range r.Interfaces {
-			if idx := s.mergedIdx[i.Addr]; !s.idirty[idx] {
+			if idx := int(i.pos); !s.idirty[idx] {
 				s.idirty[idx] = true
 				s.frontier = append(s.frontier, idx)
 			}
 		}
 		//lint:ignore maporder sets membership bits and appends to an unordered work-list; the resulting dirty sets are iteration-order independent
 		for _, l := range r.Links {
-			if idx := s.mergedIdx[l.To.Addr]; !s.idirty[idx] {
+			if idx := int(l.To.pos); !s.idirty[idx] {
 				s.idirty[idx] = true
 				s.frontier = append(s.frontier, idx)
 			}
@@ -295,8 +136,7 @@ func (s *deltaSeed) expand(g *Graph) {
 	s.frontier = nil
 	var newRD []int
 	for _, jIdx := range frontier {
-		j := g.Interfaces[g.sortedAddrs[jIdx]]
-		for _, l := range j.InLinks {
+		for _, l := range g.sortedIfaces[jIdx].InLinks {
 			if id := l.From.ID; !s.rdirty[id] {
 				s.rdirty[id] = true
 				newRD = append(newRD, id)
@@ -338,22 +178,24 @@ type DeltaBaseError struct{ Reason string }
 
 func (e *DeltaBaseError) Error() string { return "core: delta refinement: " + e.Reason }
 
-// RunDeltaContext anneals the merged graph — the base corpus plus one
-// or more new batches — into its converged annotation state by
-// replaying the base run's recorded trajectory over structurally clean
-// entities and recomputing only the dirty frontier. The committed
+// RunDeltaContext anneals the merged graph — the base corpus plus the
+// batch its Builder just appended — into its converged annotation state
+// by replaying the base run's recorded trajectory over structurally
+// clean entities and recomputing only the dirty frontier. The committed
 // state after every iteration is byte-identical to the state a
 // from-scratch RunContext over the merged corpus commits at that
 // iteration, at every worker count; the run therefore converges on the
 // same iteration with the same final annotations.
 //
-// base is the graph rebuilt from exactly the inputs baseState was
-// taken over (fingerprint-checked); baseState must be a complete
-// version-3 snapshot (RequireHistory). Provenance collection is
-// refused — replayed iterations carry no vote trace to record — as is
-// resuming: a delta run is always computed whole from the replayed
-// trajectory.
-func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.State, rels RelationshipOracle, opts Options) (*Result, error) {
+// app is the Builder's record of the Finish that appended the batch
+// (Builder.LastAppend), and baseState a complete version-3 snapshot
+// (RequireHistory) of a run over the graph as it was before that
+// Finish — checked against the digest the graph carried then. Whatever
+// annotations the graph still holds from that run are discarded.
+// Provenance collection is refused — replayed iterations carry no vote
+// trace to record — as is resuming: a delta run is always computed
+// whole from the replayed trajectory.
+func RunDeltaContext(ctx context.Context, merged *Graph, app *Append, baseState *ckpt.State, rels RelationshipOracle, opts Options) (*Result, error) {
 	opts.setDefaults()
 	rec := opts.Recorder
 	if opts.Provenance {
@@ -362,20 +204,23 @@ func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.S
 	if opts.Checkpoint != nil && opts.Checkpoint.Resume {
 		return nil, &DeltaBaseError{Reason: "resume is not supported; a delta run recomputes from the base trajectory (rerun without resume)"}
 	}
+	if app == nil || app.graph != merged || app.finish != merged.finishes {
+		return nil, &DeltaBaseError{Reason: "the append record does not describe the graph's most recent Finish"}
+	}
 	if err := baseState.RequireHistory(); err != nil {
 		return nil, err
 	}
 	if fp := (&opts).fingerprint(); fp != baseState.OptionsFP {
 		return nil, &ckpt.MismatchError{Field: "options", Want: baseState.OptionsFP, Got: fp}
 	}
-	if gd := graphDigest(base); gd != baseState.GraphDigest {
-		return nil, &ckpt.MismatchError{Field: "graph", Want: baseState.GraphDigest, Got: gd}
+	if app.baseDigest != baseState.GraphDigest {
+		return nil, &ckpt.MismatchError{Field: "graph", Want: baseState.GraphDigest, Got: app.baseDigest}
 	}
-	if len(baseState.Routers) != len(base.Routers) {
-		return nil, &ckpt.MismatchError{Field: "routers", Want: uint64(len(baseState.Routers)), Got: uint64(len(base.Routers))}
+	if len(baseState.Routers) != len(app.routerPos) {
+		return nil, &ckpt.MismatchError{Field: "routers", Want: uint64(len(baseState.Routers)), Got: uint64(len(app.routerPos))}
 	}
-	if len(baseState.Ifaces) != len(base.sortedAddrs) {
-		return nil, &ckpt.MismatchError{Field: "interfaces", Want: uint64(len(baseState.Ifaces)), Got: uint64(len(base.sortedAddrs))}
+	if len(baseState.Ifaces) != len(app.ifacePos) {
+		return nil, &ckpt.MismatchError{Field: "interfaces", Want: uint64(len(baseState.Ifaces)), Got: uint64(len(app.ifacePos))}
 	}
 
 	if ctx.Err() != nil {
@@ -386,13 +231,16 @@ func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.S
 		return res, nil
 	}
 
+	// The graph was appended to in place: it still carries the base run's
+	// converged annotations, and the trajectory starts from none.
+	merged.ResetAnnotations()
 	lh := rec.Phase("lasthop")
 	annotateLastHops(merged, rels, opts, nil)
 	lh.Note("lasthop_irs", int64(merged.Stats.LastHopIRs))
 	lh.End()
 
 	sd := rec.Phase("delta-seed")
-	seed := computeDeltaSeed(merged, base)
+	seed := seedFromAppend(merged, app)
 	sd.Note("struct_dirty_routers", int64(seed.structRouters))
 	sd.Note("struct_dirty_ifaces", int64(seed.structIfaces))
 	sd.End()
@@ -417,7 +265,7 @@ func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.S
 	for i := range routerScratch {
 		routerScratch[i] = newVoteScratch()
 	}
-	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(merged.sortedAddrs), opts.Workers)))
+	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(merged.sortedIfaces), opts.Workers)))
 	for i := range ifaceScratch {
 		ifaceScratch[i] = newVoteScratch()
 	}
@@ -520,7 +368,7 @@ func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.S
 		// Step 3: interfaces, same split. A cancellation here rolls the
 		// routers back to the snapshot so the partial result is the
 		// last fully committed iteration.
-		if !shard.ForShardsTimedCtx(ctx, len(merged.sortedAddrs), opts.Workers, func(s, lo, hi int) {
+		if !shard.ForShardsTimedCtx(ctx, len(merged.sortedIfaces), opts.Workers, func(s, lo, hi int) {
 			var flipped int64
 			sc := ifaceScratch[s]
 			var hi2 []ckpt.AnnChange
@@ -531,7 +379,7 @@ func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.S
 				if !seed.idirty[idx] {
 					continue
 				}
-				i := merged.Interfaces[merged.sortedAddrs[idx]]
+				i := merged.sortedIfaces[idx]
 				prev := i.Annotation
 				annotateInterface(i, rels, sc, nil)
 				if i.Annotation != prev {
@@ -565,7 +413,7 @@ func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.S
 			if seed.idirty[idx] {
 				continue
 			}
-			i := merged.Interfaces[merged.sortedAddrs[idx]]
+			i := merged.sortedIfaces[idx]
 			if uint32(i.Annotation) != c.Ann {
 				i.Annotation = asn.ASN(c.Ann)
 				it.changedIfaces++
@@ -579,7 +427,7 @@ func RunDeltaContext(ctx context.Context, merged, base *Graph, baseState *ckpt.S
 			// committed change set covers clean and dirty entities
 			// alike, and the next delta run replays this history.
 			foldReplayed(histR, replayedR, len(merged.Routers), opts.Workers)
-			foldReplayed(histI, replayedI, len(merged.sortedAddrs), opts.Workers)
+			foldReplayed(histI, replayedI, len(merged.sortedIfaces), opts.Workers)
 			ckr.appendHistory(histR, histI)
 		}
 		if collect {

@@ -20,20 +20,19 @@ import (
 	"repro/internal/traceroute"
 )
 
-// buildGraph runs phase 1 over the given traces, matching the ingest
-// pipeline's build order exactly: base corpus first, batches appended
-// in absorption order.
+// buildGraph runs phase 1 over the given traces from scratch: the
+// oracle side, and what crash recovery does. The delta side grows one
+// Builder's graph batch by batch, as the ingest pipeline does.
 func buildGraph(ds *eval.Dataset, traces []*traceroute.Trace) *core.Graph {
 	b := core.NewBuilder(ds.Resolver, ds.Aliases)
 	b.AddTraces(traces)
 	return b.Finish(ds.Rels)
 }
 
-// checkpointedRun executes a full run over traces with per-iteration
+// checkpointedRun executes a full run over g with per-iteration
 // checkpointing and returns the final snapshot.
-func checkpointedRun(t *testing.T, ds *eval.Dataset, traces []*traceroute.Trace, maxIter int) (*core.Graph, *ckpt.State) {
+func checkpointedRun(t *testing.T, ds *eval.Dataset, g *core.Graph, maxIter int) *ckpt.State {
 	t.Helper()
-	g := buildGraph(ds, traces)
 	opts := core.Options{Workers: 4, Checkpoint: &ckpt.Config{Dir: t.TempDir(), InputDigest: 0x1234}}
 	if maxIter > 0 {
 		opts.MaxIterations = maxIter
@@ -49,29 +48,45 @@ func checkpointedRun(t *testing.T, ds *eval.Dataset, traces []*traceroute.Trace,
 	if err := st.RequireHistory(); err != nil {
 		t.Fatalf("full run produced an incomplete history: %v", err)
 	}
-	return g, st
+	return st
+}
+
+// absorbed builds base on a new Builder, runs it to a checkpoint (capped
+// at maxIter when positive), then appends batch: the graph, the record of
+// that append and the base state are what a delta run takes.
+func absorbed(t *testing.T, ds *eval.Dataset, base, batch []*traceroute.Trace, maxIter int) (*core.Builder, *core.Graph, *ckpt.State) {
+	t.Helper()
+	b := core.NewBuilder(ds.Resolver, ds.Aliases)
+	b.AddTraces(base)
+	g := b.Finish(ds.Rels)
+	st := checkpointedRun(t, ds, g, maxIter)
+	b.AddTraces(batch)
+	if b.Finish(ds.Rels) != g {
+		t.Fatal("an appending Finish returned a different graph")
+	}
+	return b, g, st
 }
 
 func TestDeltaEquivalence(t *testing.T) {
 	ds := parallelDataset(t)
 	traces := ds.Traces
 	cut := len(traces) * 17 / 20
-	baseTraces, merged := traces[:cut], traces
 
-	base, st := checkpointedRun(t, ds, baseTraces, 0)
+	b, g, st := absorbed(t, ds, traces[:cut], traces[cut:], 0)
 	if !st.Converged {
 		t.Fatalf("base run did not converge in %d iterations; pick a different split", st.Iteration)
 	}
 
-	oracle := outcomeOf(core.Run(buildGraph(ds, merged), ds.Rels, core.Options{Workers: 1}))
+	oracle := outcomeOf(core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1}))
 	if oracle.annotations == "" {
 		t.Fatal("oracle run produced no annotations")
 	}
 
+	// One appended graph serves every worker count: a delta run starts by
+	// discarding whatever annotations the graph holds.
 	for _, workers := range []int{1, 4, 8} {
-		mg := buildGraph(ds, merged)
 		ckDir := t.TempDir()
-		res, err := core.RunDeltaContext(context.Background(), mg, base, st, ds.Rels, core.Options{
+		res, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st, ds.Rels, core.Options{
 			Workers: workers,
 			Checkpoint: &ckpt.Config{
 				Dir:         ckDir,
@@ -113,15 +128,13 @@ func TestDeltaEquivalenceStacked(t *testing.T) {
 	traces := ds.Traces
 	cutA, cutB := len(traces)*7/10, len(traces)*17/20
 
-	base, st := checkpointedRun(t, ds, traces[:cutA], 0)
+	// First absorption: traces[cutA:cutB].
+	b, g, st := absorbed(t, ds, traces[:cutA], traces[cutA:cutB], 0)
 	if !st.Converged {
 		t.Fatalf("base run did not converge; pick a different split")
 	}
-
-	// First absorption: traces[:cutB].
-	g1 := buildGraph(ds, traces[:cutB])
 	ck1 := t.TempDir()
-	res1, err := core.RunDeltaContext(context.Background(), g1, base, st, ds.Rels, core.Options{
+	res1, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st, ds.Rels, core.Options{
 		Workers:    4,
 		Checkpoint: &ckpt.Config{Dir: ck1, InputDigest: 2, Lineage: []ckpt.BatchInfo{{FP: 1, Name: "b1"}}},
 	})
@@ -137,8 +150,9 @@ func TestDeltaEquivalenceStacked(t *testing.T) {
 	}
 
 	// Second absorption stacks on the delta checkpoint.
-	g2 := buildGraph(ds, traces)
-	res2, err := core.RunDeltaContext(context.Background(), g2, g1, st1, ds.Rels, core.Options{Workers: 4})
+	b.AddTraces(traces[cutB:])
+	b.Finish(ds.Rels)
+	res2, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st1, ds.Rels, core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +176,13 @@ func TestDeltaCappedBaseFallback(t *testing.T) {
 	// A one-iteration cap can never observe a repeated state hash, so the
 	// base is guaranteed unconverged and the delta run has no trajectory
 	// to replay past iteration 1.
-	base, st := checkpointedRun(t, ds, traces[:cut], 1)
+	b, g, st := absorbed(t, ds, traces[:cut], traces[cut:], 1)
 	if st.Converged {
 		t.Fatalf("one-iteration base run claims convergence")
 	}
 
 	oracle := outcomeOf(core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1}))
-	mg := buildGraph(ds, traces)
-	res, err := core.RunDeltaContext(context.Background(), mg, base, st, ds.Rels, core.Options{Workers: 4})
+	res, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st, ds.Rels, core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,39 +193,52 @@ func TestDeltaCappedBaseFallback(t *testing.T) {
 }
 
 // TestDeltaRefusals pins the typed error paths: legacy snapshots,
-// provenance, resume, and option mismatches are refused before any
-// annotation work happens.
+// provenance, resume, option mismatches, a base state taken over some
+// other graph and an append record that is not the graph's latest are
+// refused before any annotation work happens.
 func TestDeltaRefusals(t *testing.T) {
 	ds := parallelDataset(t)
 	traces := ds.Traces
 	cut := len(traces) * 17 / 20
-	base, st := checkpointedRun(t, ds, traces[:cut], 0)
-	mg := buildGraph(ds, traces)
+	b, g, st := absorbed(t, ds, traces[:cut], traces[cut:], 0)
+	app := b.LastAppend()
 	ctx := context.Background()
 
 	legacy := *st
 	legacy.FormatVersion = 2
 	legacy.History = nil
 	var he *ckpt.HistoryError
-	if _, err := core.RunDeltaContext(ctx, mg, base, &legacy, ds.Rels, core.Options{}); !errors.As(err, &he) {
+	if _, err := core.RunDeltaContext(ctx, g, app, &legacy, ds.Rels, core.Options{}); !errors.As(err, &he) {
 		t.Errorf("legacy base state accepted: %v", err)
 	}
 
 	var de *core.DeltaBaseError
-	if _, err := core.RunDeltaContext(ctx, mg, base, st, ds.Rels, core.Options{Provenance: true}); !errors.As(err, &de) {
+	if _, err := core.RunDeltaContext(ctx, g, app, st, ds.Rels, core.Options{Provenance: true}); !errors.As(err, &de) {
 		t.Errorf("provenance delta accepted: %v", err)
 	}
-	if _, err := core.RunDeltaContext(ctx, mg, base, st, ds.Rels, core.Options{
+	if _, err := core.RunDeltaContext(ctx, g, app, st, ds.Rels, core.Options{
 		Checkpoint: &ckpt.Config{Dir: t.TempDir(), Resume: true},
 	}); !errors.As(err, &de) {
 		t.Errorf("resuming delta accepted: %v", err)
 	}
 
 	var me *ckpt.MismatchError
-	if _, err := core.RunDeltaContext(ctx, mg, base, st, ds.Rels, core.Options{DisableThirdParty: true}); !errors.As(err, &me) || me.Field != "options" {
+	if _, err := core.RunDeltaContext(ctx, g, app, st, ds.Rels, core.Options{DisableThirdParty: true}); !errors.As(err, &me) || me.Field != "options" {
 		t.Errorf("option-mismatched delta accepted: %v", err)
 	}
-	if _, err := core.RunDeltaContext(ctx, mg, mg, st, ds.Rels, core.Options{}); !errors.As(err, &me) || me.Field != "graph" {
+	// A state taken over the merged corpus is not a state of the graph
+	// before the append.
+	wrong := checkpointedRun(t, ds, buildGraph(ds, traces), 0)
+	if _, err := core.RunDeltaContext(ctx, g, app, wrong, ds.Rels, core.Options{}); !errors.As(err, &me) || me.Field != "graph" {
 		t.Errorf("graph-mismatched delta accepted: %v", err)
+	}
+
+	// An append record goes stale with the next Finish, even one that
+	// adds nothing; so does having none.
+	b.Finish(ds.Rels)
+	for _, stale := range []*core.Append{app, nil} {
+		if _, err := core.RunDeltaContext(ctx, g, stale, st, ds.Rels, core.Options{}); !errors.As(err, &de) {
+			t.Errorf("stale append record %v accepted: %v", stale != nil, err)
+		}
 	}
 }

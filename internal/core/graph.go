@@ -66,8 +66,8 @@ type Interface struct {
 	changedIter int32
 
 	// DestASes are the origin ASes of destinations of traceroutes in
-	// which this interface replied (paper §4.4), before reallocated-
-	// prefix cleanup.
+	// which this interface replied (paper §4.4). Once Finish returns,
+	// reallocated-prefix cleanup has been applied to it.
 	DestASes asn.Set
 
 	// InLinks are the links pointing at this interface, used by the
@@ -78,6 +78,18 @@ type Interface struct {
 	// with ICMP Echo Reply; such interfaces are excluded from recall
 	// computations (§7.2).
 	EchoOnly bool
+
+	// droppedDest is the destination AS the §4.4 cleanup removed from
+	// DestASes (asn.None: none). The cleanup is not monotone — a third
+	// destination AS voids it — so the Builder keeps what was removed and
+	// the set as observed stays recoverable: DestASes ∪ {droppedDest}.
+	droppedDest asn.ASN
+	// pos is the interface's position in Graph.sortedIfaces (-1 until a
+	// Finish has placed it).
+	pos int32
+	// touched is Builder scratch: the append epoch whose traces last
+	// changed this interface's structure.
+	touched uint32
 }
 
 // Link is an inferred connection from an IR to a subsequent interface
@@ -89,7 +101,7 @@ type Link struct {
 	Label LinkLabel
 	// lastPrev is Builder scratch: the interned ID of the Prev key
 	// written most recently. It occupies padding after Label and means
-	// nothing once Finish returns.
+	// nothing outside the Builder that wrote it.
 	lastPrev uint32
 	// Prev maps each of From's interface addresses seen immediately
 	// prior to To in a traceroute to that interface's origin AS; its
@@ -100,10 +112,10 @@ type Link struct {
 	// crossed this link, consulted by the third-party test (§6.1.1).
 	DestASes asn.Set
 
-	// origins/originsSorted cache OriginSet and its sorted form. Prev is
-	// immutable once Finish returns, so Finish computes them once and
-	// the refinement hot loop stops re-deriving a set per link per
-	// iteration. Both are shared: readers must not mutate them.
+	// origins/originsSorted cache OriginSet and its sorted form. Prev
+	// changes only between one Finish and the next, so Finish computes
+	// them and the refinement hot loop stops re-deriving a set per link
+	// per iteration. Both are shared: readers must not mutate them.
 	origins       asn.Set
 	originsSorted []asn.ASN
 }
@@ -124,6 +136,9 @@ func (l *Link) OriginSet() asn.Set {
 // Router is an inferred router (IR): a set of aliased interfaces, its
 // outgoing links, and its static metadata plus dynamic AS annotation.
 type Router struct {
+	// ID is the router's index in Graph.Routers: its rank by smallest
+	// interface address. Finish assigns it, and assigns it again when an
+	// append inserts routers ahead of this one (-1 until then).
 	ID         int
 	Interfaces []*Interface
 	// Links maps subsequent interface address → link.
@@ -152,9 +167,21 @@ type Router struct {
 	LastHop bool
 
 	// voteLinks caches selectLinks(r): the sorted best-label link
-	// selection the refinement vote iterates, shared and immutable once
-	// Finish returns (nil for a last-hop router, which has no links).
+	// selection the refinement vote iterates, shared and immutable from
+	// one Finish to the next (nil for a last-hop router, which has no
+	// links).
 	voteLinks []*Link
+
+	// buildID is the router's index in its Builder's creation order. It
+	// never changes, which is what the Builder's link table is keyed by;
+	// ID moves whenever an append re-sorts the routers.
+	buildID uint32
+	// queued and touched are Builder scratch: the append epoch in which
+	// Finish last had this router to re-derive, and in which its structure
+	// last changed. Touching queues; a destination AS new to one of the
+	// router's interfaces only queues — whether the aggregate moved is
+	// for Finish to say.
+	queued, touched uint32
 }
 
 // SortedLinks returns the router's links ordered by subsequent interface
@@ -193,12 +220,17 @@ type Graph struct {
 	Interfaces map[netip.Addr]*Interface
 	Routers    []*Router
 
-	// sortedAddrs fixes a deterministic interface order for state
-	// hashing and iteration.
-	sortedAddrs []netip.Addr
+	// sortedIfaces fixes a deterministic interface order — ascending
+	// address — for state hashing, iteration and every position-indexed
+	// array (checkpoints, provenance, the delta engine's dirty sets);
+	// sortedAddrs is the same order as addresses.
+	sortedIfaces []*Interface
+	sortedAddrs  []netip.Addr
 
-	// routerDigests/ifaceDigests cache structDigests.
-	routerDigests, ifaceDigests []uint64
+	// digest is graphDigest(g) as of the last Finish, and finishes how
+	// many there have been.
+	digest   uint64
+	finishes uint32
 
 	// Stats accumulates dataset statistics reported in the paper.
 	Stats GraphStats
@@ -233,6 +265,12 @@ type internEntry struct {
 	kind  ip2as.Kind
 }
 
+// destGrowth is one destination AS added to an interface's set.
+type destGrowth struct {
+	iface *Interface
+	as    asn.ASN
+}
+
 // keptHop is one hop that survived cleaning in the trace being added.
 type keptHop struct {
 	iface *Interface
@@ -249,7 +287,11 @@ const invalidID = 0
 
 // Builder constructs the IR graph incrementally from traceroutes
 // (paper §4). Feed traces with AddTraces (or AddTrace, one at a time),
-// then call Finish.
+// then call Finish. Phase 1 is an accumulation — a trace only ever adds
+// interfaces, links, previous hops and destination ASes, and raises
+// labels — so the Builder outlives Finish: more traces and another
+// Finish grow the same Graph in place, at a cost proportional to what
+// the new traces touched (DESIGN §18).
 //
 // Internally every address is interned on first sight to a dense
 // uint32 ID — first-seen order, private to this Builder, never
@@ -273,10 +315,24 @@ type Builder struct {
 	tab     []internEntry         // ID → entry
 	links   map[uint64]*Link      // linkKey(from-router, to-ID) → link
 	groups  map[int]*Router       // alias group id → router
-	routers []*Router             // creation order; Router.ID indexes it until Finish renumbers
-	nIfaces int
+	routers []*Router             // creation order, indexed by Router.buildID
 	traces  int
 	gen     uint32 // current trace's generation; never 0
+
+	// The append being accumulated: what the traces added since the last
+	// Finish changed. A router or interface is listed once, when a
+	// statement that mutates its structure first finds its stamp behind
+	// epoch. queue holds the routers Finish must re-derive, touched or
+	// not; grown holds each destination AS an interface gained, which
+	// changes the interface only if §4.4 cleanup lets it stand.
+	epoch    uint32 // never 0; a wrap would need 2^32 Finish calls
+	queue    []*Router
+	touchedI []*Interface
+	grown    []destGrowth
+
+	graph *Graph     // what Finish returns, grown in place by every later Finish
+	stats GraphStats // graph.Stats, kept current across touches (see touchRouter)
+	last  *Append
 
 	// Per-chunk scratch, reused by every AddTraces call.
 	chunkIDs []uint32     // per trace: the destination's ID, then one per hop
@@ -296,6 +352,7 @@ func NewBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *Builder {
 		tab:      []internEntry{invalidID: {kind: ip2as.Special}},
 		links:    make(map[uint64]*Link),
 		groups:   make(map[int]*Router),
+		epoch:    1,
 	}
 }
 
@@ -397,13 +454,56 @@ func (b *Builder) routerFor(addr netip.Addr) *Router {
 
 func (b *Builder) newRouter() *Router {
 	r := &Router{
-		ID:        len(b.routers),
+		ID:        -1,
 		Links:     make(map[netip.Addr]*Link),
 		OriginSet: asn.NewSet(),
 		DestASes:  asn.NewSet(),
+		buildID:   uint32(len(b.routers)),
+		queued:    b.epoch,
+		touched:   b.epoch,
 	}
 	b.routers = append(b.routers, r)
+	b.queue = append(b.queue, r)
 	return r
+}
+
+// requeue has the next Finish derive r again. Queueing a router an
+// earlier Finish completed also takes its contribution out of the
+// running statistics, so it must come before the statement that adds a
+// link or raises a label: the router's links and last-hop flag still
+// read as that Finish counted them. Finish counts every queued router
+// back in.
+//
+//lint:hotpath
+func (b *Builder) requeue(r *Router) {
+	if r.queued == b.epoch {
+		return
+	}
+	r.queued = b.epoch
+	b.queue = append(b.queue, r)
+	b.stats.count(r, -1)
+}
+
+// touchRouter records that the current append changes r's structure.
+//
+//lint:hotpath
+func (b *Builder) touchRouter(r *Router) {
+	if r.touched == b.epoch {
+		return
+	}
+	r.touched = b.epoch
+	b.requeue(r)
+}
+
+// touchIface records that the current append changes i's structure.
+//
+//lint:hotpath
+func (b *Builder) touchIface(i *Interface) {
+	if i.touched == b.epoch {
+		return
+	}
+	i.touched = b.epoch
+	b.touchedI = append(b.touchedI, i)
 }
 
 // newIface creates the interface for the interned address id, whose
@@ -416,24 +516,29 @@ func (b *Builder) newIface(id uint32, addr netip.Addr) *Interface {
 		Kind:     e.kind,
 		DestASes: asn.NewSet(),
 		EchoOnly: true,
+		pos:      -1,
+		touched:  b.epoch,
 	}
+	b.touchedI = append(b.touchedI, i)
 	i.Router = b.routerFor(addr)
+	b.touchRouter(i.Router)
 	i.Router.Interfaces = append(i.Router.Interfaces, i)
 	if i.Origin != asn.None && i.Kind != ip2as.IXP {
 		i.Router.OriginSet.Add(i.Origin)
 	}
 	e.iface = i
-	b.nIfaces++
 	return i
 }
 
-// linkKey identifies the link from a router (by its build-time ID) to
-// an interned subsequent address.
+// linkKey identifies the link from a router to an interned subsequent
+// address.
 func linkKey(from *Router, to uint32) uint64 {
-	return uint64(from.ID)<<32 | uint64(to)
+	return uint64(from.buildID)<<32 | uint64(to)
 }
 
 func (b *Builder) newLink(key uint64, from *Router, to *Interface, label LinkLabel) *Link {
+	b.touchRouter(from)
+	b.touchIface(to)
 	l := &Link{
 		From:     from,
 		To:       to,
@@ -447,11 +552,31 @@ func (b *Builder) newLink(key uint64, from *Router, to *Interface, label LinkLab
 	return l
 }
 
+// addDest adds a destination AS that is not in interface i's set. A set
+// the §4.4 cleanup cut to one AS gets the removed AS back first: Finish
+// decides afresh, from the set as observed, whether the cleanup still
+// applies — and with that, whether i and its router's aggregate changed
+// at all. (They did not if a is just the removed AS seen again.)
+func (b *Builder) addDest(i *Interface, a asn.ASN) {
+	if i.droppedDest != asn.None {
+		i.DestASes.Add(i.droppedDest)
+		i.droppedDest = asn.None
+	}
+	i.DestASes.Add(a)
+	if i.touched != b.epoch {
+		b.grown = append(b.grown, destGrowth{i, a})
+	}
+	b.requeue(i.Router)
+}
+
 // addInterned incorporates one traceroute whose addresses are already
 // interned (ids[0] is the destination's ID, ids[1+k] hop k's):
 // interfaces for each responsive hop, a link from each IR to the first
 // interface seen subsequently (with a confidence label per §4.2 and the
 // origin-AS set per §4.3), and destination-AS bookkeeping per §4.4.
+// Every statement that changes structure — and only those: a repeated
+// observation changes nothing — touches the router and interface whose
+// structure it is.
 //
 //lint:hotpath
 func (b *Builder) addInterned(t *traceroute.Trace, ids []uint32) {
@@ -491,8 +616,10 @@ func (b *Builder) addInterned(t *traceroute.Trace, ids []uint32) {
 		if i == nil {
 			i = b.newIface(id, h.Addr.Unmap())
 		}
-		if h.Reply != traceroute.EchoReply {
+		if i.EchoOnly && h.Reply != traceroute.EchoReply {
 			i.EchoOnly = false
+			b.touchIface(i)
+			b.touchRouter(i.Router)
 		}
 		kept = append(kept, keptHop{iface: i, id: id, ttl: h.ProbeTTL, reply: h.Reply})
 	}
@@ -508,8 +635,8 @@ func (b *Builder) addInterned(t *traceroute.Trace, ids []uint32) {
 		// Destination-AS recording (§4.4): every replying interface,
 		// except the last hop of a trace ending in an Echo Reply.
 		last := idx == len(kept)-1
-		if dstAS != asn.None && !(last && c.reply == traceroute.EchoReply) {
-			ci.DestASes.Add(dstAS)
+		if dstAS != asn.None && !(last && c.reply == traceroute.EchoReply) && !ci.DestASes.Has(dstAS) {
+			b.addDest(ci, dstAS)
 		}
 		if idx == 0 {
 			continue
@@ -525,17 +652,25 @@ func (b *Builder) addInterned(t *traceroute.Trace, ids []uint32) {
 		if l == nil {
 			l = b.newLink(key, ai.Router, ci, label)
 		} else if label > l.Label {
+			b.touchRouter(ai.Router)
+			b.touchIface(ci)
 			l.Label = label
 		}
 		// A link is usually entered from the same previous hop trace
 		// after trace; re-storing that key is the one address-keyed map
 		// write the per-hop path would otherwise still make.
 		if l.lastPrev != a.id {
+			n := len(l.Prev)
 			l.Prev[ai.Addr] = ai.Origin
 			l.lastPrev = a.id
+			if len(l.Prev) != n {
+				b.touchRouter(ai.Router)
+				b.touchIface(ci)
+			}
 		}
-		if dstAS != asn.None {
+		if dstAS != asn.None && !l.DestASes.Has(dstAS) {
 			l.DestASes.Add(dstAS)
+			b.touchRouter(ai.Router)
 		}
 	}
 }
@@ -556,129 +691,282 @@ func classifyLink(a, c *Interface, reply traceroute.ReplyType, dist int) LinkLab
 	return LabelMultihop
 }
 
-// Finish completes phase 1: reallocated-prefix cleanup of destination-AS
-// sets (§4.4), IR destination-set aggregation, last-hop marking, initial
-// interface annotations (§6), and statistics. The Builder must not be
-// used afterwards.
+// Append is the record of one Finish: which routers and interfaces the
+// traces added since the previous Finish touched, and where that Finish
+// moved everything the graph already held. It is what lets a delta run
+// (RunDeltaContext) carry a checkpoint taken over the graph as it was
+// onto the graph as it is.
+type Append struct {
+	// graph and finish say which Finish of which graph this describes.
+	graph  *Graph
+	finish uint32
+	// traces is the number of traces added since the previous Finish.
+	traces int
+	// baseDigest is the graph's digest before that Finish.
+	baseDigest uint64
+	// routerPos maps a router ID, and ifacePos a sorted-interface
+	// position, from before this Finish to after it. Both are monotone
+	// over everything untouched: appending inserts, it never reorders.
+	routerPos, ifacePos []int
+	// routers (by ID) and ifaces (by sorted position) are the touched
+	// set. After the first Finish of a Builder that is everything.
+	routers, ifaces []int
+}
+
+// LastAppend returns the record of the most recent Finish (nil before
+// the first).
+func (b *Builder) LastAppend() *Append { return b.last }
+
+// byAddr orders interfaces by address; byRep orders routers by their
+// representative — smallest — interface address.
+func byAddr(a, b *Interface) int { return a.Addr.Compare(b.Addr) }
+func byRep(a, b *Router) int     { return a.Interfaces[0].Addr.Compare(b.Interfaces[0].Addr) }
+
+// mergeSorted merges add into old — both ascending under cmp, sharing no
+// element — without disturbing the relative order of either.
+func mergeSorted[T any](old, add []T, cmp func(a, b T) int) []T {
+	if len(add) == 0 {
+		return old
+	}
+	if len(old) == 0 {
+		return add
+	}
+	out := make([]T, 0, len(old)+len(add))
+	for len(old) > 0 && len(add) > 0 {
+		if cmp(add[0], old[0]) < 0 {
+			out = append(out, add[0])
+			add = add[1:]
+		} else {
+			out = append(out, old[0])
+			old = old[1:]
+		}
+	}
+	return append(append(out, old...), add...)
+}
+
+// Finish completes phase 1 for the traces added so far: reallocated-
+// prefix cleanup of destination-AS sets (§4.4), IR destination-set
+// aggregation, last-hop marking, initial interface annotations (§6), the
+// refinement caches, and statistics — for the routers those traces
+// touched, which on a new Builder is every router. It then merges new
+// interfaces and routers into the graph's sorted orders and renumbers
+// them.
+//
+// The first call returns a new Graph; every later call grows that same
+// Graph in place and returns it again, identical in structure to the
+// graph a new Builder would build from all the traces in the same
+// order. LastAppend describes what the call changed. rels must be the
+// same oracle on every call. Annotations on a graph that has been
+// appended to are stale until ResetAnnotations.
 func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 	ph := b.Rec.Phase("finish-graph")
 	defer ph.End()
-	g := &Graph{
-		Interfaces:  make(map[netip.Addr]*Interface, b.nIfaces),
-		Routers:     b.routers,
-		sortedAddrs: make([]netip.Addr, 0, b.nIfaces),
+	g := b.graph
+	if g == nil {
+		g = &Graph{Interfaces: make(map[netip.Addr]*Interface, len(b.touchedI))}
+		b.graph = g
 	}
-	g.Stats.Traces = b.traces
-	for idx := range b.tab {
-		if i := b.tab[idx].iface; i != nil {
-			g.Interfaces[i.Addr] = i
-			g.sortedAddrs = append(g.sortedAddrs, i.Addr)
-		}
-	}
-	// Release every construction table before the allocating passes
-	// below: the Graph holds none of them, and a Builder reused by
-	// mistake fails on its first trace.
-	workers, rec := b.Workers, b.Rec
-	*b = Builder{}
+	g.finishes++
+	app := &Append{graph: g, finish: g.finishes, traces: b.traces - g.Stats.Traces, baseDigest: g.digest}
+	before, beforeIfaces, beforeRouters := g.Stats, len(g.sortedIfaces), len(g.Routers)
 
-	sort.Slice(g.sortedAddrs, func(i, j int) bool {
-		return g.sortedAddrs[i].Less(g.sortedAddrs[j])
-	})
-
-	// Deterministic router order: by smallest interface address. Every
-	// router was created for an interface, so the creation-order slice
-	// is exactly the set of routers in the graph.
-	shard.For(len(g.Routers), workers, func(lo, hi int) {
-		for _, r := range g.Routers[lo:hi] {
-			sort.Slice(r.Interfaces, func(a, b int) bool {
-				return r.Interfaces[a].Addr.Less(r.Interfaces[b].Addr)
-			})
+	// A router the graph already holds that gained an interface smaller
+	// than all it had has a new representative: that is its identity and
+	// its sort key, and it is part of the structure of its member
+	// interfaces (their owner) and of its link targets (who points at
+	// them). Such a router is pulled out of the order (ID -1, and a copy
+	// of the order: the old one still says where everything was) and
+	// merged back in with the new ones. It is rare, and the marking
+	// appends to shared lists, so this runs before the sharded pass.
+	old, placed := g.Routers, g.Routers
+	moved := make([]*Router, 0, len(b.routers)-len(old))
+	for _, r := range b.queue {
+		if r.ID >= 0 {
+			rep := r.Interfaces[0]
+			slices.SortFunc(r.Interfaces, byAddr)
+			if r.Interfaces[0] == rep {
+				continue
+			}
+			r.ID = -1
+			placed = slices.DeleteFunc(slices.Clone(placed), func(p *Router) bool { return p == r })
+			for _, i := range r.Interfaces {
+				b.touchIface(i)
+			}
+			//lint:ignore maporder stamps interfaces and appends them to the touched list, which is consumed as a set
+			for _, l := range r.Links {
+				b.touchIface(l.To)
+			}
 		}
-	})
-	sort.Slice(g.Routers, func(i, j int) bool {
-		return g.Routers[i].Interfaces[0].Addr.Less(g.Routers[j].Interfaces[0].Addr)
-	})
-	for id, r := range g.Routers {
-		r.ID = id
+		moved = append(moved, r) // new routers sort their interfaces below, in parallel
 	}
 
 	// Per-router finishing touches only that router's state, so the pass
 	// shards cleanly; statistics accumulate into per-shard slots merged
-	// afterwards (counter sums commute, so the merge order is moot).
-	perShard := make([]GraphStats, len(shard.Bounds(len(g.Routers), workers)))
-	shard.ForShards(len(g.Routers), workers, func(s, lo, hi int) {
+	// afterwards (counter sums commute, so the merge order is moot). A
+	// router queued only because an interface gained a destination AS is
+	// touched if that moved its aggregate.
+	queue, epoch := b.queue, b.epoch
+	perShard := make([]GraphStats, len(shard.Bounds(len(queue), b.Workers)))
+	shard.ForShards(len(queue), b.Workers, func(s, lo, hi int) {
 		st := &perShard[s]
-		for _, r := range g.Routers[lo:hi] {
-			// §4.4: per-interface reallocated-prefix cleanup, then aggregate.
-			for _, i := range r.Interfaces {
-				dests := i.DestASes
-				if dests.Len() == 2 && rels != nil {
-					cleanReallocatedDest(i, rels)
-				}
-				r.DestASes.AddAll(dests)
+		agg := asn.NewSet()
+		for _, r := range queue[lo:hi] {
+			if r.ID < 0 {
+				slices.SortFunc(r.Interfaces, byAddr)
 			}
-			if len(r.Links) == 0 {
-				r.LastHop = true
-				st.LastHopIRs++
-				if r.DestASes.Len() == 0 {
-					st.LastHopEmptyDst++
-				}
-			} else {
-				st.IRsWithLinks++
-				hasN, hasE := false, false
-				//lint:ignore maporder per-label counter bumps and boolean flags commute
-				for _, l := range r.Links {
-					switch l.Label {
-					case LabelNexthop:
-						hasN = true
-						st.LinksNexthop++
-					case LabelEcho:
-						hasE = true
-						st.LinksEcho++
-					default:
-						st.LinksMultihop++
-					}
-				}
-				if hasE && !hasN {
-					st.IRsEchoOnlyLink++
-				}
+			if finishRouter(r, rels, r.touched == epoch, agg) {
+				r.touched = epoch
 			}
-			// Initial interface annotations: the origin AS (§6).
-			for _, i := range r.Interfaces {
-				i.Annotation = i.Origin
-			}
-			// Refinement hot-loop caches. Links and their Prev maps are
-			// immutable from here on, so the per-iteration vote can read
-			// precomputed origin sets and link selections instead of
-			// re-deriving them for every router every iteration.
-			//lint:ignore maporder each link's cache fill is independent of every other's
-			for _, l := range r.Links {
-				l.origins = l.OriginSet()
-				l.originsSorted = l.origins.Sorted()
-			}
-			if len(r.Links) > 0 {
-				r.voteLinks = selectLinks(r)
-			}
+			st.count(r, 1)
 		}
 	})
 	for _, st := range perShard {
-		g.Stats.merge(st)
+		b.stats.merge(st)
 	}
-	if rec.Enabled() {
-		rec.Counter("graph.traces").Add(int64(g.Stats.Traces))
-		rec.Counter("graph.interfaces").Add(int64(len(g.Interfaces)))
-		rec.Counter("graph.routers").Add(int64(len(g.Routers)))
-		rec.Counter("graph.links.nexthop").Add(int64(g.Stats.LinksNexthop))
-		rec.Counter("graph.links.echo").Add(int64(g.Stats.LinksEcho))
-		rec.Counter("graph.links.multihop").Add(int64(g.Stats.LinksMultihop))
-		rec.Counter("graph.irs_with_links").Add(int64(g.Stats.IRsWithLinks))
-		rec.Counter("graph.irs_echo_only").Add(int64(g.Stats.IRsEchoOnlyLink))
-		rec.Counter("graph.lasthop_irs").Add(int64(g.Stats.LastHopIRs))
-		rec.Counter("graph.lasthop_empty_dst").Add(int64(g.Stats.LastHopEmptyDst))
-		ph.Note("interfaces", int64(len(g.Interfaces)))
+	b.stats.Traces = b.traces
+	g.Stats = b.stats
+	// And an interface that gained a destination AS is touched unless
+	// the cleanup just removed that very AS again.
+	for _, d := range b.grown {
+		if d.as != d.iface.droppedDest {
+			b.touchIface(d.iface)
+		}
+	}
+
+	// Deterministic router order: by smallest interface address.
+	slices.SortFunc(moved, byRep)
+	g.Routers = mergeSorted(placed, moved, byRep)
+	for id, r := range g.Routers {
+		r.ID = id
+	}
+	app.routerPos = make([]int, len(old))
+	for id, r := range old {
+		app.routerPos[id] = r.ID
+	}
+
+	// The same for interfaces: new ones are those no Finish has placed.
+	var added []*Interface
+	for _, i := range b.touchedI {
+		if i.pos < 0 {
+			added = append(added, i)
+			g.Interfaces[i.Addr] = i
+		}
+	}
+	slices.SortFunc(added, byAddr)
+	oldIfaces := g.sortedIfaces
+	g.sortedIfaces = mergeSorted(oldIfaces, added, byAddr)
+	if len(added) > 0 {
+		g.sortedAddrs = make([]netip.Addr, len(g.sortedIfaces))
+		for pos, i := range g.sortedIfaces {
+			i.pos = int32(pos)
+			g.sortedAddrs[pos] = i.Addr
+		}
+	}
+	app.ifacePos = make([]int, len(oldIfaces))
+	for pos, i := range oldIfaces {
+		app.ifacePos[pos] = int(i.pos)
+	}
+
+	app.routers = make([]int, 0, len(b.queue))
+	for _, r := range b.queue {
+		if r.touched == b.epoch {
+			app.routers = append(app.routers, r.ID)
+		}
+	}
+	app.ifaces = make([]int, len(b.touchedI))
+	for k, i := range b.touchedI {
+		app.ifaces[k] = int(i.pos)
+	}
+	g.digest = graphDigest(g)
+	b.last = app
+	b.epoch++
+	b.queue, b.touchedI, b.grown = b.queue[:0], b.touchedI[:0], b.grown[:0]
+
+	if rec := b.Rec; rec.Enabled() {
+		rec.Counter("graph.traces").Add(int64(g.Stats.Traces - before.Traces))
+		rec.Counter("graph.interfaces").Add(int64(len(g.sortedIfaces) - beforeIfaces))
+		rec.Counter("graph.routers").Add(int64(len(g.Routers) - beforeRouters))
+		rec.Counter("graph.links.nexthop").Add(int64(g.Stats.LinksNexthop - before.LinksNexthop))
+		rec.Counter("graph.links.echo").Add(int64(g.Stats.LinksEcho - before.LinksEcho))
+		rec.Counter("graph.links.multihop").Add(int64(g.Stats.LinksMultihop - before.LinksMultihop))
+		rec.Counter("graph.irs_with_links").Add(int64(g.Stats.IRsWithLinks - before.IRsWithLinks))
+		rec.Counter("graph.irs_echo_only").Add(int64(g.Stats.IRsEchoOnlyLink - before.IRsEchoOnlyLink))
+		rec.Counter("graph.lasthop_irs").Add(int64(g.Stats.LastHopIRs - before.LastHopIRs))
+		rec.Counter("graph.lasthop_empty_dst").Add(int64(g.Stats.LastHopEmptyDst - before.LastHopEmptyDst))
+		ph.Note("interfaces", int64(len(g.sortedIfaces)))
 		ph.Note("routers", int64(len(g.Routers)))
+		ph.Note("touched_routers", int64(len(app.routers)))
+		ph.Note("touched_ifaces", int64(len(app.ifaces)))
 	}
 	return g
+}
+
+// finishRouter derives everything Finish owes one router from the
+// structure the Builder accumulated for it, from scratch: the §4.4
+// cleanup of its interfaces' destination sets and their aggregate, the
+// last-hop flag, the initial interface annotations (the origin AS, §6),
+// and the refinement hot-loop caches — links and their Prev maps do not
+// change again before the next Finish, so the per-iteration vote can
+// read precomputed origin sets and link selections instead of
+// re-deriving them for every router every iteration. For a router not
+// yet known to be touched the aggregate is built in agg, the caller's
+// scratch, and the result says whether it differs from the one r had.
+func finishRouter(r *Router, rels RelationshipOracle, touched bool, agg asn.Set) (destChanged bool) {
+	dests := r.DestASes
+	if !touched {
+		dests = agg
+	}
+	clear(dests)
+	for _, i := range r.Interfaces {
+		if i.DestASes.Len() == 2 && rels != nil {
+			cleanReallocatedDest(i, rels)
+		}
+		dests.AddAll(i.DestASes)
+		i.Annotation = i.Origin
+	}
+	if destChanged = !touched && !agg.Equal(r.DestASes); destChanged {
+		clear(r.DestASes)
+		r.DestASes.AddAll(agg)
+	}
+	r.LastHop = len(r.Links) == 0
+	//lint:ignore maporder each link's cache fill is independent of every other's
+	for _, l := range r.Links {
+		l.origins = l.OriginSet()
+		l.originsSorted = l.origins.Sorted()
+	}
+	if !r.LastHop {
+		r.voteLinks = selectLinks(r)
+	}
+	return destChanged
+}
+
+// count adds d times router r's contribution to the per-router tallies.
+func (s *GraphStats) count(r *Router, d int) {
+	if len(r.Links) == 0 {
+		s.LastHopIRs += d
+		if r.DestASes.Len() == 0 {
+			s.LastHopEmptyDst += d
+		}
+		return
+	}
+	s.IRsWithLinks += d
+	hasN, hasE := false, false
+	//lint:ignore maporder per-label counter bumps and boolean flags commute
+	for _, l := range r.Links {
+		switch l.Label {
+		case LabelNexthop:
+			hasN = true
+			s.LinksNexthop += d
+		case LabelEcho:
+			hasE = true
+			s.LinksEcho += d
+		default:
+			s.LinksMultihop += d
+		}
+	}
+	if hasE && !hasN {
+		s.IRsEchoOnlyLink += d
+	}
 }
 
 // ResetAnnotations returns the graph to its just-built annotation state:
@@ -732,7 +1020,8 @@ type RelationshipOracle interface {
 // interface with exactly two destination ASes: when one AS matches the
 // interface origin, the other has a customer cone of at most five ASes,
 // and the two share no BGP-observable relationship, the AS with the
-// larger cone is inferred to be the reallocating provider and removed.
+// larger cone is inferred to be the reallocating provider and removed
+// (and remembered in droppedDest, should a third destination AS turn up).
 func cleanReallocatedDest(i *Interface, rels RelationshipOracle) {
 	ds := i.DestASes.Sorted()
 	a, b := ds[0], ds[1]
@@ -758,4 +1047,5 @@ func cleanReallocatedDest(i *Interface, rels RelationshipOracle) {
 		drop = other
 	}
 	delete(i.DestASes, drop)
+	i.droppedDest = drop
 }

@@ -364,6 +364,28 @@ func TestTraceOrderChangesOnlyOrder(t *testing.T) {
 	}
 }
 
+// v4Mapped returns copies of traces with every IPv4 address, hop and
+// destination, in its v4-mapped IPv6 form.
+func v4Mapped(traces []*traceroute.Trace) []*traceroute.Trace {
+	mapAddr := func(a netip.Addr) netip.Addr {
+		if !a.Is4() {
+			return a
+		}
+		return netip.AddrFrom16(a.As16())
+	}
+	mapped := make([]*traceroute.Trace, len(traces))
+	for k, tr := range traces {
+		m := *tr
+		m.Dst = mapAddr(tr.Dst)
+		m.Hops = append([]traceroute.Hop{}, tr.Hops...)
+		for h := range m.Hops {
+			m.Hops[h].Addr = mapAddr(m.Hops[h].Addr)
+		}
+		mapped[k] = &m
+	}
+	return mapped
+}
+
 // TestMappedAddressesAreTheSameInterfaces: a corpus whose every address
 // arrives in v4-mapped IPv6 form (::ffff:a.b.c.d, as a JSONL record can
 // spell it) builds the graph the plain corpus builds — same interfaces,
@@ -372,25 +394,14 @@ func TestMappedAddressesAreTheSameInterfaces(t *testing.T) {
 	e, traces := campaign(t, 1, 8)
 	want := buildChunk(e, traces)
 
-	mapAddr := func(a netip.Addr) netip.Addr {
-		if !a.Is4() {
-			return a
-		}
-		return netip.AddrFrom16(a.As16())
-	}
-	mapped := make([]*traceroute.Trace, len(traces))
+	mapped := v4Mapped(traces)
 	n := 0
 	for k, tr := range traces {
-		m := *tr
-		m.Dst = mapAddr(tr.Dst)
-		m.Hops = append([]traceroute.Hop{}, tr.Hops...)
-		for h := range m.Hops {
-			m.Hops[h].Addr = mapAddr(m.Hops[h].Addr)
-			if m.Hops[h].Addr != tr.Hops[h].Addr {
+		for h := range tr.Hops {
+			if mapped[k].Hops[h].Addr != tr.Hops[h].Addr {
 				n++
 			}
 		}
-		mapped[k] = &m
 	}
 	if n == 0 {
 		t.Fatal("no address was mapped")

@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 	"sort"
 	"strings"
@@ -733,6 +734,8 @@ var poolCases = []struct {
 	{"IXP and unannounced hops", []byte{7, 0, 8, 2, 9, 4}},
 	{"IPv6 hops", []byte{13, 13, 14 | echo, poolEnd, 14, 13, 15, 14}},
 	{"destination seen later as a hop", []byte{4, 0, 2, poolEnd, 7, 0, 4, 2}},
+	{"last hop goes on to a further hop", []byte{7, 0, 2, poolEnd, 7, 0, 2, 4}},
+	{"third destination AS after a reallocated-prefix cleanup", []byte{4, 5, poolEnd, 7, 5, poolEnd, 13, 5}},
 }
 
 // checkPoolTraces runs one decoded trace set through both builders in
@@ -811,6 +814,262 @@ func FuzzAddTraceDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPoolTraces(t, e, decodePoolTraces(data))
 	})
+}
+
+// Flags in the first byte of a FuzzAppendDifferential input, above the
+// six bits that place the split.
+const (
+	appendMapped = 1 << 6 // the second part's IPv4 addresses arrive v4-mapped
+	appendWrap   = 1 << 7 // the generation counter wraps during the second part
+)
+
+// checkAppendedPoolTraces builds traces on one production Builder in two
+// parts — AddTraces, Finish, AddTraces, Finish — and holds the grown
+// graph to the oracle's build of the whole list, with aliases and
+// without. head picks the split point and the flags above.
+func checkAppendedPoolTraces(t *testing.T, e *testEnv, head byte, traces []*traceroute.Trace) {
+	t.Helper()
+	split := int(head&63) % (len(traces) + 1)
+	second := traces[split:]
+	if head&appendMapped != 0 {
+		second = v4Mapped(second)
+	}
+	for _, aliases := range []*alias.Sets{e.aliases, nil} {
+		env := &testEnv{resolver: e.resolver, aliases: aliases, rels: e.rels}
+		want := buildOracle(env, traces, 1, nil)
+		b := NewBuilder(env.resolver, env.aliases)
+		b.AddTraces(traces[:split])
+		g := b.Finish(env.rels)
+		if head&appendWrap != 0 {
+			b.gen = math.MaxUint32 - uint32(len(second)/2)
+		}
+		b.AddTraces(second)
+		if b.Finish(env.rels) != g {
+			t.Fatal("the second Finish returned a different graph")
+		}
+		if d := diffGraphs(g, want, true, true); d != "" {
+			t.Fatalf("split at %d of %d (aliases %v): appended graph differs from the oracle's: %s", split, len(traces), aliases != nil, d)
+		}
+		if g.digest != graphDigest(g) {
+			t.Fatalf("split at %d of %d: stale graph digest", split, len(traces))
+		}
+	}
+}
+
+// FuzzAppendDifferential holds a Builder that is finished, fed more
+// traces and finished again to the oracle's one build of all of them, on
+// arbitrary small trace sets over the pool split at an arbitrary point.
+// The seeds are the table's cases split after their first and second
+// trace, and the table as one corpus split early, in the middle and at
+// either end, plain, v4-mapped and across a generation wrap.
+func FuzzAppendDifferential(f *testing.F) {
+	var all []byte
+	for _, c := range poolCases {
+		f.Add(append([]byte{1}, c.data...))
+		f.Add(append([]byte{2}, c.data...))
+		all = append(append(all, c.data...), poolEnd)
+	}
+	for _, head := range []byte{0, 1, 12, 63, 7 | appendMapped, 9 | appendWrap, 20 | appendMapped | appendWrap} {
+		f.Add(append([]byte{head}, all...))
+	}
+	e := poolEnv(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		checkAppendedPoolTraces(t, e, data[0], decodePoolTraces(data[1:]))
+	})
+}
+
+// The differential oracle for delta seeding: the structural digests and
+// the two-graph diff exactly as the delta engine ran them before the
+// Builder learned to say what an append touched (DESIGN §16) — every
+// router and interface of both graphs fingerprinted, sorting link,
+// previous-hop and AS sets as it goes, and compared by representative
+// address. Production seeds from Builder marks set where structure
+// mutates; this derives the same answer from the finished graphs alone,
+// so agreement between the two is agreement between two independent
+// accounts of what a batch changed.
+
+const fnvOffset = 14695981039346656037
+const fnvPrime = 1099511628211
+
+// hashU64 folds v into the running FNV-64a hash at h.
+func hashU64(h *uint64, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	for _, x := range b {
+		*h = (*h ^ uint64(x)) * fnvPrime
+	}
+}
+
+func hashAddr(h *uint64, a netip.Addr) {
+	b := a.As16()
+	for _, x := range b {
+		*h = (*h ^ uint64(x)) * fnvPrime
+	}
+}
+
+func hashSet(h *uint64, s asn.Set) {
+	sorted := s.Sorted()
+	hashU64(h, uint64(len(sorted)))
+	for _, a := range sorted {
+		hashU64(h, uint64(a))
+	}
+}
+
+// ifaceStructDigest fingerprints every structural input the annotation
+// passes read through an interface: identity, origin, resolution kind,
+// echo-only status, destination ASes, the owning router's identity
+// (its representative address), and each incoming link's source
+// router, label, and vote weight. Over-approximation is safe — a
+// digest that flags too much only shrinks the replayed region — so the
+// digest errs broad.
+func ifaceStructDigest(i *Interface) uint64 {
+	h := uint64(fnvOffset)
+	hashAddr(&h, i.Addr)
+	hashU64(&h, uint64(i.Origin))
+	hashU64(&h, uint64(i.Kind))
+	if i.EchoOnly {
+		hashU64(&h, 1)
+	} else {
+		hashU64(&h, 0)
+	}
+	hashSet(&h, i.DestASes)
+	hashAddr(&h, i.Router.Interfaces[0].Addr)
+	links := append([]*Link(nil), i.InLinks...)
+	sort.Slice(links, func(a, b int) bool {
+		return links[a].From.Interfaces[0].Addr.Less(links[b].From.Interfaces[0].Addr)
+	})
+	hashU64(&h, uint64(len(links)))
+	for _, l := range links {
+		hashAddr(&h, l.From.Interfaces[0].Addr)
+		hashU64(&h, uint64(l.Label))
+		hashU64(&h, uint64(len(l.Prev)))
+	}
+	return h
+}
+
+// routerStructDigest fingerprints every structural input of the router
+// vote: last-hop status, origin and destination AS sets, the member
+// interfaces, and every outgoing link with its label, previous-hop
+// origins, and destination ASes.
+func routerStructDigest(r *Router) uint64 {
+	h := uint64(fnvOffset)
+	if r.LastHop {
+		hashU64(&h, 1)
+	} else {
+		hashU64(&h, 0)
+	}
+	hashSet(&h, r.OriginSet)
+	hashSet(&h, r.DestASes)
+	hashU64(&h, uint64(len(r.Interfaces)))
+	for _, i := range r.Interfaces {
+		hashAddr(&h, i.Addr)
+		hashU64(&h, uint64(i.Origin))
+		hashU64(&h, uint64(i.Kind))
+		if i.EchoOnly {
+			hashU64(&h, 1)
+		} else {
+			hashU64(&h, 0)
+		}
+	}
+	addrs := make([]netip.Addr, 0, len(r.Links))
+	for a := range r.Links {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+	hashU64(&h, uint64(len(addrs)))
+	for _, a := range addrs {
+		l := r.Links[a]
+		hashAddr(&h, a)
+		hashU64(&h, uint64(l.Label))
+		prevAddrs := make([]netip.Addr, 0, len(l.Prev))
+		for pa := range l.Prev {
+			prevAddrs = append(prevAddrs, pa)
+		}
+		sort.Slice(prevAddrs, func(i, j int) bool { return prevAddrs[i].Less(prevAddrs[j]) })
+		hashU64(&h, uint64(len(prevAddrs)))
+		for _, pa := range prevAddrs {
+			hashAddr(&h, pa)
+			hashU64(&h, uint64(l.Prev[pa]))
+		}
+		hashSet(&h, l.DestASes)
+	}
+	return h
+}
+
+// oracleStructDigests returns the graph's structural digests: routers by
+// router ID, interfaces by sortedAddrs position.
+func oracleStructDigests(g *Graph) (routers, ifaces []uint64) {
+	routers = make([]uint64, len(g.Routers))
+	for id, r := range g.Routers {
+		routers[id] = routerStructDigest(r)
+	}
+	ifaces = make([]uint64, len(g.sortedAddrs))
+	for idx, a := range g.sortedAddrs {
+		ifaces[idx] = ifaceStructDigest(g.Interfaces[a])
+	}
+	return routers, ifaces
+}
+
+// oracleSeed is the structural half of the old deltaSeed: which merged
+// routers (by ID) and interfaces (by sorted position) differ from their
+// base counterpart or have none, and the base → merged index maps.
+type oracleSeed struct {
+	rdirty, idirty               []bool
+	baseToMergedR, baseToMergedI []int
+}
+
+// oracleDeltaSeed diffs merged against base structurally. Identity
+// crosses the graphs by representative address (each router's smallest
+// interface address): alias sets are an input, not an inference, so a
+// base router's interfaces always land in one merged router, and a
+// merged router whose structure matches its base counterpart
+// byte-for-byte starts clean.
+func oracleDeltaSeed(merged, base *Graph) *oracleSeed {
+	s := &oracleSeed{
+		rdirty:        make([]bool, len(merged.Routers)),
+		idirty:        make([]bool, len(merged.sortedAddrs)),
+		baseToMergedR: make([]int, len(base.Routers)),
+		baseToMergedI: make([]int, len(base.sortedAddrs)),
+	}
+	mergedIdx := make(map[netip.Addr]int, len(merged.sortedAddrs))
+	for idx, a := range merged.sortedAddrs {
+		mergedIdx[a] = idx
+	}
+	baseRDig, baseIDig := oracleStructDigests(base)
+	mergedRDig, mergedIDig := oracleStructDigests(merged)
+
+	for bi, br := range base.Routers {
+		s.baseToMergedR[bi] = merged.Interfaces[br.Interfaces[0].Addr].Router.ID
+	}
+	// mergedToBaseI inverts baseToMergedI; -1 marks an interface the
+	// base graph does not have.
+	mergedToBaseI := make([]int, len(merged.sortedAddrs))
+	for idx := range mergedToBaseI {
+		mergedToBaseI[idx] = -1
+	}
+	for bi, a := range base.sortedAddrs {
+		idx := mergedIdx[a]
+		s.baseToMergedI[bi] = idx
+		mergedToBaseI[idx] = bi
+	}
+
+	for id, r := range merged.Routers {
+		// The base counterpart is the base router with the same
+		// representative address, if there is one.
+		bi, ok := base.Interfaces[r.Interfaces[0].Addr]
+		if !ok || bi.Router.Interfaces[0] != bi || baseRDig[bi.Router.ID] != mergedRDig[id] {
+			s.rdirty[id] = true
+		}
+	}
+	for idx, bi := range mergedToBaseI {
+		if bi < 0 || baseIDig[bi] != mergedIDig[idx] {
+			s.idirty[idx] = true
+		}
+	}
+	return s
 }
 
 // The differential oracle for refinement: the loop and the voting

@@ -24,7 +24,7 @@ type provCollector struct {
 func newProvCollector(g *Graph) *provCollector {
 	return &provCollector{
 		routers:     make([]prov.Record, len(g.Routers)),
-		ifaces:      make([]prov.IfaceRule, len(g.sortedAddrs)),
+		ifaces:      make([]prov.IfaceRule, len(g.sortedIfaces)),
 		prevRouters: make([]prov.Record, len(g.Routers)),
 	}
 }
@@ -56,7 +56,7 @@ func (pc *provCollector) artifact(g *Graph, res *Result) *prov.Artifact {
 		Interrupted: res.Interrupted,
 		CycleLength: res.CycleLength,
 		Routers:     make([]prov.RouterRec, len(g.Routers)),
-		Ifaces:      make([]prov.Iface, len(g.sortedAddrs)),
+		Ifaces:      make([]prov.Iface, len(g.sortedIfaces)),
 	}
 	for i, r := range g.Routers {
 		a.Routers[i] = prov.RouterRec{
@@ -65,10 +65,9 @@ func (pc *provCollector) artifact(g *Graph, res *Result) *prov.Artifact {
 			Record:     pc.routers[i],
 		}
 	}
-	for i, addr := range g.sortedAddrs {
-		ifc := g.Interfaces[addr]
+	for i, ifc := range g.sortedIfaces {
 		a.Ifaces[i] = prov.Iface{
-			Addr:       addr,
+			Addr:       ifc.Addr,
 			Origin:     ifc.Origin,
 			Annotation: ifc.Annotation,
 			Router:     int32(ifc.Router.ID),

@@ -446,7 +446,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 	for i := range routerScratch {
 		routerScratch[i] = newVoteScratch()
 	}
-	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(g.sortedAddrs), opts.Workers)))
+	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(g.sortedIfaces), opts.Workers)))
 	for i := range ifaceScratch {
 		ifaceScratch[i] = newVoteScratch()
 	}
@@ -465,7 +465,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 	var histR, histI [][]ckpt.AnnChange
 	if ckr != nil {
 		histR = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.Routers), opts.Workers)))
-		histI = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.sortedAddrs), opts.Workers)))
+		histI = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.sortedIfaces), opts.Workers)))
 	}
 	// fullSnapshot forces step 1 to copy every router's annotation. Once
 	// an iteration commits in full, every router outside its changed set
@@ -573,7 +573,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 		// annotations; roll those back to the snapshot so the partial
 		// result is exactly the last fully committed iteration — never a
 		// mixed state with new routers and old interfaces.
-		if !shard.ForShardsTimedCtx(ctx, len(g.sortedAddrs), opts.Workers, func(s, lo, hi int) {
+		if !shard.ForShardsTimedCtx(ctx, len(g.sortedIfaces), opts.Workers, func(s, lo, hi int) {
 			var flipped int64
 			sc := ifaceScratch[s]
 			var hi2 []ckpt.AnnChange
@@ -581,7 +581,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 				hi2 = histI[s][:0]
 			}
 			for idx := lo; idx < hi; idx++ {
-				i := g.Interfaces[g.sortedAddrs[idx]]
+				i := g.sortedIfaces[idx]
 				if !fullSnapshot && !i.votersChanged() {
 					continue
 				}
@@ -1278,8 +1278,8 @@ func (g *Graph) stateHash() uint64 {
 	for _, r := range g.Routers {
 		write(r.Annotation)
 	}
-	for _, addr := range g.sortedAddrs {
-		write(g.Interfaces[addr].Annotation)
+	for _, i := range g.sortedIfaces {
+		write(i.Annotation)
 	}
 	return h.Sum64()
 }

@@ -190,24 +190,36 @@ func InferContext(ctx context.Context, traces []*traceroute.Trace, resolver *ip2
 }
 
 // BuildGraphContext runs phase 1 alone: construct the annotation graph
-// from traces without starting refinement. The ingest path uses it to
-// rebuild base and merged graphs deterministically — the same trace
-// order always yields the same graph, which is what lets a delta run
-// map the base graph's routers into the merged one's. Cancellation
-// returns (nil, ctx.Err()); there is no partial graph to salvage.
+// from traces without starting refinement. It is a from-scratch build
+// on a Builder of its own, which it lets go of — the graph holds none of
+// the construction tables. The same traces in the same order always
+// yield the same graph, however they were split across Builder.Finish
+// calls, which is what lets a session that grows one graph batch by
+// batch be recovered, and checked, by building its corpus here.
+// Cancellation returns (nil, ctx.Err()); there is no partial graph to
+// salvage.
 func BuildGraphContext(ctx context.Context, traces []*traceroute.Trace, resolver *ip2as.Resolver,
 	aliases *alias.Sets, rels RelationshipOracle, opts Options) (*Graph, error) {
 
 	opts.setDefaults()
-	rec := opts.Recorder
-	phase := rec.Phase("construct-graph")
+	b := NewBuilder(resolver, aliases)
+	b.Workers = opts.Workers
+	b.Rec = opts.Recorder
+	return b.BuildContext(ctx, traces, rels)
+}
+
+// BuildContext is AddTraces then Finish under a "construct-graph" phase,
+// with ctx checked between chunks of traceBatch traces. Called again on
+// the same Builder it appends: the returned Graph is the one the first
+// call returned, grown in place. A cancelled call leaves the Builder
+// holding traces no Finish has accounted for; neither it nor its graph
+// may be used again.
+func (b *Builder) BuildContext(ctx context.Context, traces []*traceroute.Trace, rels RelationshipOracle) (*Graph, error) {
+	phase := b.Rec.Phase("construct-graph")
 	defer phase.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b := NewBuilder(resolver, aliases)
-	b.Workers = opts.Workers
-	b.Rec = rec
 	for lo := 0; lo < len(traces); lo += traceBatch {
 		if lo > 0 {
 			if err := ctx.Err(); err != nil {
@@ -219,5 +231,7 @@ func BuildGraphContext(ctx context.Context, traces []*traceroute.Trace, resolver
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return b.Finish(rels), nil
+	g := b.Finish(rels)
+	phase.Note("appended_traces", int64(b.last.traces))
+	return g, nil
 }

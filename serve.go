@@ -17,6 +17,20 @@ import (
 // byte-identical runs produce byte-identical snapshots (no
 // timestamps, no map-order leakage).
 func (r *Result) ServeSnapshot() (*serve.Snapshot, error) {
+	// The byte-equality contract with the offline annotations file: the
+	// digest of the exact rendering Annotations would write.
+	h := fnv.New64a()
+	if err := r.Annotations(h); err != nil {
+		return nil, fmt.Errorf("bdrmapit: digesting annotations: %w", err)
+	}
+	return r.serveSnapshot(h.Sum64(), sortedPrefixes(r.resolver))
+}
+
+// serveSnapshot is ServeSnapshot given what does not depend on this
+// run's graph walk: the digest of the rendered annotations, and the
+// resolver's prefix table already in snapshot order (sortedPrefixes),
+// which the snapshot shares and does not modify.
+func (r *Result) serveSnapshot(annDigest uint64, prefixes []serve.Prefix) (*serve.Snapshot, error) {
 	if r.Interrupted {
 		return nil, fmt.Errorf("bdrmapit: refusing to build a serving snapshot from an interrupted run (annotations are a non-converged partial result)")
 	}
@@ -24,15 +38,8 @@ func (r *Result) ServeSnapshot() (*serve.Snapshot, error) {
 	snap := &serve.Snapshot{
 		Source: fmt.Sprintf("bdrmapit run: %d routers, %d interfaces, %d refinement iteration(s), converged=%v",
 			r.NumRouters(), r.NumInterfaces(), r.Iterations, r.Converged),
+		AnnDigest: annDigest,
 	}
-
-	// The byte-equality contract with the offline annotations file: the
-	// digest of the exact rendering Annotations would write.
-	h := fnv.New64a()
-	if err := r.Annotations(h); err != nil {
-		return nil, fmt.Errorf("bdrmapit: digesting annotations: %w", err)
-	}
-	snap.AnnDigest = h.Sum64()
 
 	// Routers and interfaces, with the router's position in the graph as
 	// the dense index Iface.Router refers to.
@@ -81,11 +88,19 @@ func (r *Result) ServeSnapshot() (*serve.Snapshot, error) {
 	}
 
 	// The ip2as view, flattened so the daemon can answer the cheap
-	// query class (and degraded lookups) without any loader.
-	snap.Prefixes = flattenIP2AS(r.resolver)
-
+	// query class (and degraded lookups) without any loader. It arrives
+	// sorted; SortTables orders the two tables built here.
 	snap.SortTables()
+	snap.Prefixes = prefixes
 	return snap, nil
+}
+
+// sortedPrefixes is the resolver's flattened prefix table in the
+// snapshot's canonical order.
+func sortedPrefixes(r *ip2as.Resolver) []serve.Prefix {
+	s := serve.Snapshot{Prefixes: flattenIP2AS(r)}
+	s.SortTables()
+	return s.Prefixes
 }
 
 // linkLabelRank orders link confidence labels nexthop > echo >
