@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-static lint-baseline build test race bench bench-micro bench-smoke smoke fuzz-smoke crash-smoke explain-smoke serve-smoke ingest-smoke profile profile-micro
+.PHONY: ci vet lint lint-static lint-baseline loc build test race bench bench-micro bench-smoke smoke fuzz-smoke crash-smoke explain-smoke serve-smoke ingest-smoke profile profile-micro
 
 ci: vet lint lint-static build test race
 
@@ -31,6 +31,19 @@ lint-static:
 lint-baseline:
 	$(GO) run ./cmd/bdrmapitlint -write-baseline lint.baseline ./...
 	git diff --exit-code -- lint.baseline
+
+# Net line count is a tracked metric (ROADMAP north-star 2), and this is
+# how it is counted: lines of non-test Go with and without bench/ (a
+# module of its own), test Go on its own line — reported, never netted
+# against the first two — and the three files of internal/core the
+# flat-graph work (ROADMAP item 2) will have to touch. Quote the output,
+# parent and change, in CHANGES.md.
+LOC_FIND = find . -path ./.bench_build -prune -o -name '*.go'
+loc:
+	@echo "non-test Go, with bench/:    $$($(LOC_FIND) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "non-test Go, without bench/: $$($(LOC_FIND) ! -name '*_test.go' ! -path './bench/*' -print | xargs cat | wc -l)"
+	@echo "test Go (not netted):        $$($(LOC_FIND) -name '*_test.go' -print | xargs cat | wc -l)"
+	@wc -l internal/core/refine.go internal/core/delta.go internal/core/graph.go
 
 build:
 	$(GO) build ./...

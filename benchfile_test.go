@@ -9,8 +9,10 @@ package bdrmapit
 // three commits later.
 
 import (
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/benchfmt"
@@ -64,6 +66,48 @@ func TestCommittedBenchArtifacts(t *testing.T) {
 	for _, rung := range topo.RungNames()[:3] {
 		if !have[rung] {
 			t.Errorf("committed ladder is missing rung %s", rung)
+		}
+	}
+}
+
+// TestDesignInventoryListsEveryPackageDir keeps DESIGN.md §3 a map of
+// the repository as it is: every directory under internal/ and cmd/ must
+// have an entry of its own — a line of the inventory block, under its
+// parent's heading, that starts with its name.
+func TestDesignInventoryListsEveryPackageDir(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "\n## 3. Module inventory\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"## 3. Module inventory\" section")
+	}
+	inventory, _, _ := strings.Cut(rest, "\n## ")
+	listed := make(map[string]bool)
+	parent := ""
+	for _, line := range strings.Split(inventory, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || !strings.HasSuffix(f[0], "/") {
+			continue
+		}
+		switch len(line) - len(strings.TrimLeft(line, " ")) {
+		case 2:
+			parent = f[0]
+		case 4:
+			name, _, _ := strings.Cut(f[0], "/") // baseline/bdrmap/ lists baseline
+			listed[parent+name] = true
+		}
+	}
+	for _, top := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() && !listed[top+"/"+e.Name()] {
+				t.Errorf("DESIGN.md §3 does not list %s/%s", top, e.Name())
+			}
 		}
 	}
 }

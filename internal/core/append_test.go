@@ -55,6 +55,10 @@ func checkpointed(t *testing.T, workers int, fn func(Options) (*Result, error)) 
 	return dumpAnnotations(res), st
 }
 
+// SameTrajectory hands sameTrajectory to equivalence_test.go (package
+// core_test, see OracleRefine).
+var SameTrajectory = sameTrajectory
+
 // sameTrajectory reports the first difference between what two runs
 // committed iteration by iteration, or "".
 func sameTrajectory(got, want *ckpt.State) string {
@@ -83,8 +87,11 @@ func sameTrajectory(got, want *ckpt.State) string {
 // the digest oracle — a superset of it for safety, equal to it for
 // checkpoint bytes — and a delta run at workers 1 and 4 — stacked on the
 // previous step's own checkpoint — to a from-scratch run: annotations,
-// stopping point and every iteration's change set. It returns the
-// Builder, the graph and each append's record for case-specific checks.
+// stopping point and every iteration's change set. Delta and from-scratch
+// runs are one loop under two inputs, so each delta result is also held
+// to oracleRefine over the from-scratch graph, which shares none of it.
+// It returns the Builder, the graph and each append's record for
+// case-specific checks.
 func checkAppendSession(t *testing.T, e *testEnv, parts [][]*traceroute.Trace, workers int, over *overApprox) (*Builder, *Graph, []*Append) {
 	t.Helper()
 	b := NewBuilder(e.resolver, e.aliases)
@@ -174,6 +181,8 @@ func checkAppendSession(t *testing.T, e *testEnv, parts [][]*traceroute.Trace, w
 
 		// The delta run, at both worker counts over the one graph.
 		wantOut, wantState := checkpointed(t, 1, func(o Options) (*Result, error) { return RunContext(context.Background(), want, e.rels, o) })
+		want.ResetAnnotations()
+		oracleOut := dumpAnnotations(oracleRefine(want, e.rels, Options{}))
 		var next *ckpt.State
 		for _, w := range []int{1, 4} {
 			gotOut, gotState := checkpointed(t, w, func(o Options) (*Result, error) {
@@ -181,6 +190,9 @@ func checkAppendSession(t *testing.T, e *testEnv, parts [][]*traceroute.Trace, w
 			})
 			if gotOut != wantOut {
 				t.Fatalf("%s: delta run at %d worker(s) differs from the from-scratch run:\n got %.80q\nwant %.80q", step, w, gotOut, wantOut)
+			}
+			if gotOut != oracleOut {
+				t.Fatalf("%s: delta run at %d worker(s) differs from the oracle's from-scratch refinement:\n got %.80q\nwant %.80q", step, w, gotOut, oracleOut)
 			}
 			if d := sameTrajectory(gotState, wantState); d != "" {
 				t.Fatalf("%s: delta run at %d worker(s): %s", step, w, d)
@@ -510,8 +522,10 @@ func TestAppendCases(t *testing.T) {
 
 // TestAppendTelemetry: an append is recorded under the names a rebuild
 // was — construct-graph with finish-graph inside it, delta-seed, the
-// delta.* gauges — plus what it touched, and the graph.* counters keep
-// reading the graph's totals.
+// delta.* gauges — plus what it touched, the graph.* counters keep
+// reading the graph's totals, and the delta run is as visible as a full
+// one: lasthop, delta-seed and refine phases in that order, and a shard
+// timing per pass per iteration.
 func TestAppendTelemetry(t *testing.T) {
 	e, traces := campaign(t, 1, 8)
 	cut := len(traces) * 9 / 10
@@ -532,10 +546,19 @@ func TestAppendTelemetry(t *testing.T) {
 	}
 	rep := rec.Report()
 	var builds []obs.PhaseReport
+	var names []string
 	for _, p := range rep.Phases {
+		names = append(names, p.Name)
 		if p.Name == "construct-graph" {
 			builds = append(builds, p)
 		}
+	}
+	if n := len(names); n < 3 || !slices.Equal(names[n-3:], []string{"lasthop", "delta-seed", "refine"}) {
+		t.Errorf("phases %v; want the delta run's lasthop, delta-seed, refine last", names)
+	}
+	iters := rep.Gauges["refine.iterations"]
+	if r, i := rep.Histograms["refine.router_shard_ns"].Count, rep.Histograms["refine.iface_shard_ns"].Count; iters == 0 || r != iters || i != iters {
+		t.Errorf("%d router and %d interface shard timings over %d iterations at one worker, want one each per iteration", r, i, iters)
 	}
 	if len(builds) != 2 {
 		t.Fatalf("%d construct-graph phases, want one per BuildContext", len(builds))

@@ -1,21 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
-	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/ckpt"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
-// Delta refinement absorbs a new trace batch without re-running the
-// full iterative loop. The insight is that both annotation passes read
-// only local, structurally determined inputs: a router's vote (§6,
-// Alg. 2) reads its own structure plus the previous-iteration
+// Delta refinement absorbs a new trace batch without re-evaluating the
+// whole graph at every iteration. The insight is that both annotation
+// passes read only local, structurally determined inputs: a router's
+// vote (§6, Alg. 2) reads its own structure plus the previous-iteration
 // annotations of the interfaces it links to and their owning routers;
 // an interface's election (Alg. 3) reads its own structure plus the
 // current-iteration annotations of its owning router and of the
@@ -26,150 +24,246 @@ import (
 // committed at that iteration. Those values are already recorded:
 // version-3 checkpoints carry the full per-iteration change history.
 //
-// The engine therefore seeds a dirty set from what the batch touched
-// (new or changed routers and interfaces, marked by the Builder as it
-// appended the batch), grows it one influence hop per
-// iteration (dirtiness propagates along links exactly as fast as
-// annotations do), recomputes only dirty entities, and replays the
-// base history onto everything else. Past the base run's recorded
-// horizon the replay uses the detected cycle: a converged base state
-// is periodic (state(N) == state(N-c) and the update is
-// deterministic), so change sets repeat with period c. A base that
-// never converged offers nothing to replay past its horizon, and the
-// engine falls back to recomputing everything. Convergence detection
-// is a fresh cycle detector over the full merged state hash — the same
-// §6.3 stopping rule, stopping exactly where a from-scratch run on the
-// merged corpus would. The equivalence is per-iteration and byte-
-// exact, which is what the ingest pipeline's -verify-delta oracle
+// A delta run is therefore the refinement loop (refine.go) with a
+// replay source. The source seeds a dirty set from what the batch
+// touched (new or changed routers and interfaces, marked by the Builder
+// as it appended the batch), grows it one influence hop per iteration
+// (dirtiness propagates along links exactly as fast as annotations do),
+// and hands the loop the base run's change set for everything still
+// clean. Past the base run's recorded horizon the replay uses the
+// detected cycle: a converged base state is periodic (state(N) ==
+// state(N-c) and the update is deterministic), so change sets repeat
+// with period c. A base that never converged offers nothing to replay
+// past its horizon, and everything turns dirty there. The equivalence
+// with a from-scratch run over the merged corpus is per-iteration and
+// byte-exact, which is what the ingest pipeline's -verify-delta oracle
 // checks end to end.
 
-// deltaSeed is the dirty set of a delta run, plus the index mappings
-// replay needs. "Merged" names the graph after the append — base corpus
-// plus batch — and "base" the same graph before it, which is what the
-// base checkpoint's indices refer to.
-type deltaSeed struct {
-	// rdirty/idirty mark merged routers (by ID) and interfaces (by
-	// sorted position) that must be recomputed rather than replayed.
-	// Seeded structurally, grown one hop per iteration.
-	rdirty, idirty []bool
+// replay is the refinement loop's replay source: what a delta run knows
+// that a full run does not. A nil *replay is a full run — everything
+// dirty from the start, nothing to replay — and every method the loop
+// calls answers for nil, so the loop never asks which it has. "Merged"
+// names the graph after the append — base corpus plus batch — and
+// "base" the same graph before it, which is what the base checkpoint's
+// indices refer to; app.routerPos and app.ifacePos carry one onto the
+// other, and are monotone on the clean subset: appending inserts into
+// the sorted orders and moves only routers whose representative
+// changed, which are dirty.
+type replay struct {
+	app  *Append
+	base *ckpt.State
+	// rsince/isince hold, per merged router (by ID) and interface (by
+	// sorted position), the iteration from which it is evaluated rather
+	// than replayed; 0 while it is clean. Seeded structurally at 1,
+	// grown one hop per iteration.
+	rsince, isince []int32
 	// frontier holds the interface positions newly dirtied by the most
 	// recent expansion; the next expansion dirties their voters.
 	frontier []int
-	// baseToMergedR maps a base router ID to its merged ID;
-	// baseToMergedI maps base sorted positions to merged ones. Both are
-	// monotone on the clean subset: appending inserts into the sorted
-	// orders and moves only routers whose representative changed, which
-	// are dirty.
-	baseToMergedR []int
-	baseToMergedI []int
-	// structRouters/structIfaces count the structurally dirty seeds,
-	// for observability.
-	structRouters, structIfaces int
+	// routers/ifaces are the current iteration's base change set in
+	// merged indices, flips aimed at dirty entities dropped — ascending,
+	// by the monotonicity above.
+	routers, ifaces []ckpt.AnnChange
 }
 
-// seedFromAppend turns the record of the Finish that appended the batch
-// into the delta run's structural seed. The Builder marked a router or
-// interface at every statement that changed structure an annotation
-// pass reads through it, so the touched set is the seed, and the
-// position maps that Finish produced carry base indices onto the graph
-// as it now is. Identity crosses an append by object: alias sets are an
-// input, not an inference, so a router keeps its interfaces, and one
-// whose representative address changed was touched.
-func seedFromAppend(g *Graph, app *Append) *deltaSeed {
-	s := &deltaSeed{
-		rdirty:        make([]bool, len(g.Routers)),
-		idirty:        make([]bool, len(g.sortedIfaces)),
-		frontier:      slices.Clone(app.ifaces),
-		baseToMergedR: app.routerPos,
-		baseToMergedI: app.ifacePos,
-		structRouters: len(app.routers),
-		structIfaces:  len(app.ifaces),
+// seed turns the record of the Finish that appended the batch into the
+// structural dirty set. The Builder marked a router or interface at
+// every statement that changed structure an annotation pass reads
+// through it, so the touched set is the seed. Identity crosses an
+// append by object: alias sets are an input, not an inference, so a
+// router keeps its interfaces, and one whose representative address
+// changed was touched.
+func (p *replay) seed(g *Graph, rec *obs.Recorder) {
+	if p == nil {
+		return
 	}
-	for _, id := range app.routers {
-		s.rdirty[id] = true
+	sd := rec.Phase("delta-seed")
+	p.rsince = make([]int32, len(g.Routers))
+	p.isince = make([]int32, len(g.sortedIfaces))
+	p.frontier = slices.Clone(p.app.ifaces)
+	for _, id := range p.app.routers {
+		p.rsince[id] = 1
 	}
-	for _, idx := range app.ifaces {
-		s.idirty[idx] = true
+	for _, idx := range p.app.ifaces {
+		p.isince[idx] = 1
 	}
 	// Iteration 0 is purely structural (interface origins plus last-hop
 	// annotation), so the initial frontier is the structural interface
 	// seed plus the influence surface of the structurally dirty
 	// routers: member interfaces and link targets read router values
 	// from iteration 0 onward.
-	s.expandRouters(g, app.routers)
-	return s
+	p.expandRouters(g, p.app.routers, 1)
+	sd.Note("struct_dirty_routers", int64(len(p.app.routers)))
+	sd.Note("struct_dirty_ifaces", int64(len(p.app.ifaces)))
+	sd.End()
+	rec.Gauge("delta.struct_dirty_routers").Set(int64(len(p.app.routers)))
+	rec.Gauge("delta.struct_dirty_ifaces").Set(int64(len(p.app.ifaces)))
 }
 
-// expandRouters marks the interfaces whose next committed value
-// depends on a router in newRD: the routers' member interfaces (an
-// interface election reads its owning router's annotation) and their
-// link targets (a link target's election counts a vote from the
-// router behind the link).
-func (s *deltaSeed) expandRouters(g *Graph, newRD []int) {
+// expandRouters marks, as dirty from iteration iter, the interfaces
+// whose next committed value depends on a router in newRD: the routers'
+// member interfaces (an interface election reads its owning router's
+// annotation) and their link targets (a link target's election counts a
+// vote from the router behind the link).
+func (p *replay) expandRouters(g *Graph, newRD []int, iter int32) {
 	for _, id := range newRD {
 		r := g.Routers[id]
 		for _, i := range r.Interfaces {
-			if idx := int(i.pos); !s.idirty[idx] {
-				s.idirty[idx] = true
-				s.frontier = append(s.frontier, idx)
+			if idx := int(i.pos); p.isince[idx] == 0 {
+				p.isince[idx] = iter
+				p.frontier = append(p.frontier, idx)
 			}
 		}
-		//lint:ignore maporder sets membership bits and appends to an unordered work-list; the resulting dirty sets are iteration-order independent
+		//lint:ignore maporder sets membership stamps and appends to an unordered work-list; the resulting dirty sets are iteration-order independent
 		for _, l := range r.Links {
-			if idx := int(l.To.pos); !s.idirty[idx] {
-				s.idirty[idx] = true
-				s.frontier = append(s.frontier, idx)
+			if idx := int(l.To.pos); p.isince[idx] == 0 {
+				p.isince[idx] = iter
+				p.frontier = append(p.frontier, idx)
 			}
 		}
 	}
 }
 
-// expand advances the dirty wavefront one iteration: every router
+// advance readies iteration iter: it picks the base change set that
+// iteration replays and moves the dirty wavefront one hop — every router
 // voting on a frontier interface becomes dirty (its next vote reads a
 // value the base run did not commit), and the newly dirty routers'
-// influence surface becomes the next frontier. Routers reading a
-// dirty interface's *owner* are covered transitively: the owner's
-// divergence surfaces through its member interfaces, which are
-// already in the frontier.
-func (s *deltaSeed) expand(g *Graph) {
-	frontier := s.frontier
-	s.frontier = nil
+// influence surface becomes the next frontier. Routers reading a dirty
+// interface's *owner* are covered transitively: the owner's divergence
+// surfaces through its member interfaces, which are already in the
+// frontier.
+func (p *replay) advance(g *Graph, iter int) {
+	if p == nil {
+		return
+	}
+	p.routers, p.ifaces = p.routers[:0], p.ifaces[:0]
+	m, n, c := iter, p.base.Iteration, p.base.CycleLength
+	if iter > n {
+		if !p.base.Converged {
+			// An unconverged base has no trajectory past its horizon:
+			// whatever is still clean is evaluated from here on.
+			for id, since := range p.rsince {
+				if since == 0 {
+					p.rsince[id] = int32(iter)
+				}
+			}
+			for idx, since := range p.isince {
+				if since == 0 {
+					p.isince[idx] = int32(iter)
+				}
+			}
+			p.frontier = nil
+			return
+		}
+		// Past the horizon a converged base is periodic: state(N) ==
+		// state(N-c) and the update is deterministic, so change sets
+		// repeat with period c. (c == 1 indexes the final, empty set.)
+		m = n - c + 1 + (iter-n-1)%c
+	}
+	frontier := p.frontier
+	p.frontier = nil
 	var newRD []int
 	for _, jIdx := range frontier {
 		for _, l := range g.sortedIfaces[jIdx].InLinks {
-			if id := l.From.ID; !s.rdirty[id] {
-				s.rdirty[id] = true
+			if id := l.From.ID; p.rsince[id] == 0 {
+				p.rsince[id] = int32(iter)
 				newRD = append(newRD, id)
 			}
 		}
 	}
-	s.expandRouters(g, newRD)
-}
+	p.expandRouters(g, newRD, int32(iter))
 
-// counts reports how many routers and interfaces are currently dirty.
-func (s *deltaSeed) counts() (nr, ni int) {
-	for _, d := range s.rdirty {
-		if d {
-			nr++
+	for _, f := range p.base.History[m-1].Routers {
+		if id := p.app.routerPos[f.Idx]; p.rsince[id] == 0 {
+			p.routers = append(p.routers, ckpt.AnnChange{Idx: uint32(id), Ann: f.Ann})
 		}
 	}
-	for _, d := range s.idirty {
-		if d {
-			ni++
+	for _, f := range p.base.History[m-1].Ifaces {
+		if idx := p.app.ifacePos[f.Idx]; p.isince[idx] == 0 {
+			p.ifaces = append(p.ifaces, ckpt.AnnChange{Idx: uint32(idx), Ann: f.Ann})
 		}
 	}
-	return nr, ni
 }
 
-// allDirty abandons replay: everything recomputes from here on.
-func (s *deltaSeed) allDirty() {
-	for i := range s.rdirty {
-		s.rdirty[i] = true
+// routerSince is the iteration from which the loop evaluates router idx
+// rather than replaying it, 0 while it is still clean.
+//
+//lint:hotpath
+func (p *replay) routerSince(idx int) int32 {
+	if p == nil {
+		return 1
 	}
-	for i := range s.idirty {
-		s.idirty[i] = true
+	return p.rsince[idx]
+}
+
+// ifaceSince is routerSince for the interface at sorted position idx.
+//
+//lint:hotpath
+func (p *replay) ifaceSince(idx int) int32 {
+	if p == nil {
+		return 1
 	}
-	s.frontier = nil
+	return p.isince[idx]
+}
+
+// routerFlips is what this iteration replays onto routers lo and up: a
+// shard's cursor as it walks its range.
+//
+//lint:hotpath
+func (p *replay) routerFlips(lo int) flips {
+	if p == nil {
+		return nil
+	}
+	return flipsFrom(p.routers, lo)
+}
+
+// ifaceFlips is routerFlips for interfaces.
+//
+//lint:hotpath
+func (p *replay) ifaceFlips(lo int) flips {
+	if p == nil {
+		return nil
+	}
+	return flipsFrom(p.ifaces, lo)
+}
+
+// gauges reports how far the dirty set spread.
+func (p *replay) gauges(rec *obs.Recorder) {
+	if p == nil {
+		return
+	}
+	count := func(since []int32) (n int64) {
+		for _, s := range since {
+			if s != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	rec.Gauge("delta.dirty_routers").Set(count(p.rsince))
+	rec.Gauge("delta.dirty_ifaces").Set(count(p.isince))
+}
+
+// flips is a run of replayed changes, ascending by index, that a pass
+// consumes from the front as it reaches each index.
+type flips []ckpt.AnnChange
+
+//lint:hotpath
+func flipsFrom(all []ckpt.AnnChange, lo int) flips {
+	k, _ := slices.BinarySearchFunc(all, uint32(lo), func(f ckpt.AnnChange, lo uint32) int { return cmp.Compare(f.Idx, lo) })
+	return all[k:]
+}
+
+// take returns the annotation replayed onto entity idx, if there is one.
+//
+//lint:hotpath
+func (f *flips) take(idx int) (asn.ASN, bool) {
+	if len(*f) == 0 || int((*f)[0].Idx) != idx {
+		return 0, false
+	}
+	a := asn.ASN((*f)[0].Ann)
+	*f = (*f)[1:]
+	return a, true
 }
 
 // DeltaBaseError reports a base checkpoint or configuration delta
@@ -179,9 +273,10 @@ type DeltaBaseError struct{ Reason string }
 func (e *DeltaBaseError) Error() string { return "core: delta refinement: " + e.Reason }
 
 // RunDeltaContext anneals the merged graph — the base corpus plus the
-// batch its Builder just appended — into its converged annotation state
-// by replaying the base run's recorded trajectory over structurally
-// clean entities and recomputing only the dirty frontier. The committed
+// batch its Builder just appended — into its converged annotation state:
+// RunContext's loop, replaying the base run's recorded trajectory over
+// structurally clean entities and evaluating only the dirty frontier,
+// with the same cancellation contract and telemetry. The committed
 // state after every iteration is byte-identical to the state a
 // from-scratch RunContext over the merged corpus commits at that
 // iteration, at every worker count; the run therefore converges on the
@@ -196,8 +291,6 @@ func (e *DeltaBaseError) Error() string { return "core: delta refinement: " + e.
 // trace to record — as is resuming: a delta run is always computed
 // whole from the replayed trajectory.
 func RunDeltaContext(ctx context.Context, merged *Graph, app *Append, baseState *ckpt.State, rels RelationshipOracle, opts Options) (*Result, error) {
-	opts.setDefaults()
-	rec := opts.Recorder
 	if opts.Provenance {
 		return nil, &DeltaBaseError{Reason: "provenance collection is not supported (replayed iterations carry no vote trace); run the full pipeline with provenance instead"}
 	}
@@ -223,277 +316,8 @@ func RunDeltaContext(ctx context.Context, merged *Graph, app *Append, baseState 
 		return nil, &ckpt.MismatchError{Field: "interfaces", Want: uint64(len(baseState.Ifaces)), Got: uint64(len(app.ifacePos))}
 	}
 
-	if ctx.Err() != nil {
-		res := &Result{Graph: merged, Interrupted: true}
-		rec.MarkInterrupted()
-		res.Report = rec.Report()
-		res.Report.Interrupted = true
-		return res, nil
-	}
-
 	// The graph was appended to in place: it still carries the base run's
 	// converged annotations, and the trajectory starts from none.
 	merged.ResetAnnotations()
-	lh := rec.Phase("lasthop")
-	annotateLastHops(merged, rels, opts, nil)
-	lh.Note("lasthop_irs", int64(merged.Stats.LastHopIRs))
-	lh.End()
-
-	sd := rec.Phase("delta-seed")
-	seed := seedFromAppend(merged, app)
-	sd.Note("struct_dirty_routers", int64(seed.structRouters))
-	sd.Note("struct_dirty_ifaces", int64(seed.structIfaces))
-	sd.End()
-	rec.Gauge("delta.struct_dirty_routers").Set(int64(seed.structRouters))
-	rec.Gauge("delta.struct_dirty_ifaces").Set(int64(seed.structIfaces))
-
-	ph := rec.Phase("refine")
-	rec.Gauge("refine.workers").Set(int64(opts.Workers))
-	counters := newRefineCounters(rec)
-	trace := rec.Series("refine.iterations")
-
-	cycles := newCycleDetector()
-	res := &Result{Graph: merged}
-	var ckr *ckptRunner
-	if opts.Checkpoint != nil {
-		ckr = newCkptRunner(opts.Checkpoint, &opts, merged)
-	}
-	collect := rec.Enabled() || ckr != nil
-	var traceRows []obs.Row
-
-	routerScratch := make([]*voteScratch, len(shard.Bounds(len(merged.Routers), opts.Workers)))
-	for i := range routerScratch {
-		routerScratch[i] = newVoteScratch()
-	}
-	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(merged.sortedIfaces), opts.Workers)))
-	for i := range ifaceScratch {
-		ifaceScratch[i] = newVoteScratch()
-	}
-	var histR, histI [][]ckpt.AnnChange
-	if ckr != nil {
-		histR = make([][]ckpt.AnnChange, len(routerScratch))
-		histI = make([][]ckpt.AnnChange, len(ifaceScratch))
-	}
-
-	baseN := baseState.Iteration
-	cycleLen := baseState.CycleLength
-	// replayFor returns the base change set reproducing iteration iter
-	// of a full run over the base corpus, or ok=false when the base
-	// trajectory offers nothing (an unconverged base past its horizon).
-	replayFor := func(iter int) (ckpt.IterDelta, bool) {
-		if iter <= baseN {
-			return baseState.History[iter-1], true
-		}
-		if !baseState.Converged {
-			return ckpt.IterDelta{}, false
-		}
-		// Past the horizon a converged base is periodic: state(N) ==
-		// state(N-c) and the update is deterministic, so change sets
-		// repeat with period c. (c == 1 indexes the final, empty set.)
-		m := baseN - cycleLen + 1 + (iter-baseN-1)%cycleLen
-		return baseState.History[m-1], true
-	}
-
-	var mu sync.Mutex //lint:mutex merges per-shard telemetry tallies into the iteration total; never guards annotation state
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		var it iterTally
-		replay, haveReplay := replayFor(iter)
-		if !haveReplay {
-			seed.allDirty()
-		} else {
-			seed.expand(merged)
-		}
-
-		// Step 1: snapshot everything. Delta runs always snapshot in
-		// full — replayed flips land on routers outside any recompute
-		// set, so the shrunk-snapshot optimization does not apply.
-		if !shard.ForCtx(ctx, len(merged.Routers), opts.Workers, func(lo, hi int) {
-			for _, r := range merged.Routers[lo:hi] {
-				r.prevAnnotation = r.Annotation
-			}
-		}) {
-			res.Interrupted = true
-			break
-		}
-
-		// Step 2: routers. Dirty ones recompute (their inputs may have
-		// diverged from the base run); clean ones replay the base
-		// change set below.
-		if !shard.ForShardsTimedCtx(ctx, len(merged.Routers), opts.Workers, func(s, lo, hi int) {
-			var local iterTally
-			sc := routerScratch[s]
-			var hr []ckpt.AnnChange
-			if histR != nil {
-				hr = histR[s][:0]
-			}
-			for idx := lo; idx < hi; idx++ {
-				r := merged.Routers[idx]
-				if !seed.rdirty[idx] || r.LastHop {
-					continue
-				}
-				r.Annotation = annotateRouter(r, rels, opts, &local, sc, nil)
-				if r.Annotation != r.prevAnnotation {
-					local.changedRouters++
-					if histR != nil {
-						hr = append(hr, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(r.Annotation)})
-					}
-				}
-			}
-			if histR != nil {
-				histR[s] = hr
-			}
-			if collect {
-				mu.Lock()
-				it.add(&local)
-				mu.Unlock()
-			}
-		}, nil) {
-			res.Interrupted = true
-			break
-		}
-		var replayedR []ckpt.AnnChange
-		for _, c := range replay.Routers {
-			id := seed.baseToMergedR[c.Idx]
-			if seed.rdirty[id] {
-				continue
-			}
-			r := merged.Routers[id]
-			r.Annotation = asn.ASN(c.Ann)
-			if r.Annotation != r.prevAnnotation {
-				it.changedRouters++
-				replayedR = append(replayedR, ckpt.AnnChange{Idx: uint32(id), Ann: c.Ann})
-			}
-		}
-
-		// Step 3: interfaces, same split. A cancellation here rolls the
-		// routers back to the snapshot so the partial result is the
-		// last fully committed iteration.
-		if !shard.ForShardsTimedCtx(ctx, len(merged.sortedIfaces), opts.Workers, func(s, lo, hi int) {
-			var flipped int64
-			sc := ifaceScratch[s]
-			var hi2 []ckpt.AnnChange
-			if histI != nil {
-				hi2 = histI[s][:0]
-			}
-			for idx := lo; idx < hi; idx++ {
-				if !seed.idirty[idx] {
-					continue
-				}
-				i := merged.sortedIfaces[idx]
-				prev := i.Annotation
-				annotateInterface(i, rels, sc, nil)
-				if i.Annotation != prev {
-					flipped++
-					if histI != nil {
-						hi2 = append(hi2, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(i.Annotation)})
-					}
-				}
-			}
-			if histI != nil {
-				histI[s] = hi2
-			}
-			if collect {
-				mu.Lock()
-				it.changedIfaces += flipped
-				mu.Unlock()
-			}
-		}, nil) {
-			//lint:ignore ctxflow the rollback must run precisely because ctx is already cancelled: it restores the snapshot so the partial result is the last committed iteration
-			shard.For(len(merged.Routers), opts.Workers, func(lo, hi int) {
-				for _, r := range merged.Routers[lo:hi] {
-					r.Annotation = r.prevAnnotation
-				}
-			})
-			res.Interrupted = true
-			break
-		}
-		var replayedI []ckpt.AnnChange
-		for _, c := range replay.Ifaces {
-			idx := seed.baseToMergedI[c.Idx]
-			if seed.idirty[idx] {
-				continue
-			}
-			i := merged.sortedIfaces[idx]
-			if uint32(i.Annotation) != c.Ann {
-				i.Annotation = asn.ASN(c.Ann)
-				it.changedIfaces++
-				replayedI = append(replayedI, ckpt.AnnChange{Idx: uint32(idx), Ann: c.Ann})
-			}
-		}
-
-		res.Iterations = iter
-		if ckr != nil {
-			// Replayed flips belong in the recorded history too — the
-			// committed change set covers clean and dirty entities
-			// alike, and the next delta run replays this history.
-			foldReplayed(histR, replayedR, len(merged.Routers), opts.Workers)
-			foldReplayed(histI, replayedI, len(merged.sortedIfaces), opts.Workers)
-			ckr.appendHistory(histR, histI)
-		}
-		if collect {
-			row := it.row(iter)
-			traceRows = append(traceRows, row)
-			trace.Append(row)
-			counters.flush(&it)
-		}
-		repeated := false
-		if n, rep := cycles.record(merged.stateHash(), iter); rep {
-			res.Converged = true
-			res.CycleLength = n
-			repeated = true
-		}
-		if ckr != nil && ckr.due(iter, repeated, opts.MaxIterations) {
-			if err := ckr.save(merged, res, cycles, traceRows, nil); err != nil {
-				ph.End()
-				return nil, err
-			}
-		}
-		if opts.hookIterEnd != nil {
-			opts.hookIterEnd(iter)
-		}
-		if repeated {
-			break
-		}
-	}
-	nr, ni := seed.counts()
-	rec.Gauge("delta.dirty_routers").Set(int64(nr))
-	rec.Gauge("delta.dirty_ifaces").Set(int64(ni))
-	rec.Gauge("refine.iterations").Set(int64(res.Iterations))
-	rec.Gauge("refine.cycle_length").Set(int64(res.CycleLength))
-	rec.Gauge("refine.converged").Set(b2i(res.Converged))
-	ph.Note("iterations", int64(res.Iterations))
-	ph.End()
-	if res.Interrupted {
-		rec.MarkInterrupted()
-		rec.Warnf("delta run cancelled after iteration %d of at most %d; annotations are the last committed iteration's partial result",
-			res.Iterations, opts.MaxIterations)
-	}
-	res.Report = rec.Report()
-	res.Report.Interrupted = res.Interrupted
-	return res, nil
-}
-
-// foldReplayed merges replayed flips (already in ascending merged
-// index order: the base-to-merged mappings are monotone on the clean
-// subset) into the per-shard recomputed change sets, keeping each
-// shard's set index-sorted so the concatenated history stays ordered.
-func foldReplayed(hist [][]ckpt.AnnChange, replayed []ckpt.AnnChange, n, workers int) {
-	if len(replayed) == 0 {
-		return
-	}
-	bounds := shard.Bounds(n, workers)
-	j := 0
-	for s := range bounds {
-		hi := bounds[s][1]
-		start := j
-		for j < len(replayed) && int(replayed[j].Idx) < hi {
-			j++
-		}
-		if j == start {
-			continue
-		}
-		hist[s] = append(hist[s], replayed[start:j]...)
-		cs := hist[s]
-		sort.Slice(cs, func(a, b int) bool { return cs[a].Idx < cs[b].Idx })
-	}
+	return refine(ctx, merged, rels, opts, &replay{app: app, base: baseState})
 }

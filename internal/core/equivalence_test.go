@@ -12,6 +12,9 @@ package core_test
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -110,6 +113,14 @@ func TestEquivalenceRungM(t *testing.T) {
 // more iterations, most of them moving a handful of routers) and
 // requiring the same trace, row for row, checks each row against a full
 // evaluation of that iteration, and the oracle pins the annotations.
+//
+// A delta run's rows tally what it evaluated, which no from-scratch run
+// reproduces. So the same fixture, absorbed in two stacked batches and
+// once onto a base capped short of convergence, is held to rows recorded
+// (testdata/delta_trace.json) at the last commit where delta runs had a
+// loop of their own, one that evaluated every dirty router on every
+// pass: evaluating a router on the pass that first reaches it, and adding
+// its memoised tally on the passes that skip it, must come to the same.
 func TestSkippingKeepsTheConvergenceTrace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("quadratic in the iteration count; the race build covers resume in checkpoint_test.go")
@@ -158,4 +169,43 @@ func TestSkippingKeepsTheConvergenceTrace(t *testing.T) {
 			t.Errorf("k=%d: resumed trace differs from the uninterrupted run's\n got %v\nwant %v", k, got, wantTrace)
 		}
 	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "delta_trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded map[string][]obs.Row
+	if err := json.Unmarshal(data, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	traces := ds.Traces
+	cutA, cutB := len(traces)*7/10, len(traces)*17/20
+	// absorb runs the delta over b's latest append from st and returns the
+	// checkpoint it leaves, held to a from-scratch run over traces[:n].
+	absorb := func(name string, b *core.Builder, g *core.Graph, st *ckpt.State, n, workers int) *ckpt.State {
+		dir := t.TempDir()
+		if _, err := core.RunDeltaContext(ctx, g, b.LastAppend(), st, ds.Rels, core.Options{
+			Workers: workers, Checkpoint: &ckpt.Config{Dir: dir},
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := ckpt.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := core.SameTrajectory(got, checkpointedRun(t, ds, buildGraph(ds, traces[:n]), 0)); d != "" {
+			t.Errorf("%s: against the from-scratch run: %s", name, d)
+		}
+		if !reflect.DeepEqual(got.Trace, recorded[name]) {
+			t.Errorf("%s: trace rows differ from the recorded ones\n got %v\nwant %v", name, got.Trace, recorded[name])
+		}
+		return got
+	}
+	bld, grown, st := absorbed(t, ds, traces[:cutA], traces[cutA:cutB], 0)
+	st = absorb("absorb-1", bld, grown, st, cutB, 1)
+	bld.AddTraces(traces[cutB:])
+	bld.Finish(ds.Rels)
+	absorb("absorb-2", bld, grown, st, len(traces), 4)
+	bld, grown, st = absorbed(t, ds, traces[:cutB], traces[cutB:], 3)
+	absorb("capped-base", bld, grown, st, len(traces), 4)
 }

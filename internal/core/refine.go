@@ -331,6 +331,12 @@ func (c *refineCounters) flush(t *iterTally) {
 // nearly free, and a run's time no longer swings with how many of them
 // a dataset happens to need.
 //
+// A delta run (RunDeltaContext) is this loop with a replay source: an
+// entity the appended batch cannot have reached yet is not evaluated at
+// all — it takes the value the base run recorded for it at the same
+// iteration, or is left alone — and the skip rule above applies to the
+// rest, from the first pass after they were reached.
+//
 // Because every read is against a barrier-separated earlier step and
 // every write is owned by exactly one shard, the outcome is independent
 // of worker count and shard boundaries: Run(w=1) and Run(w=N) produce
@@ -365,6 +371,19 @@ func Run(g *Graph, rels RelationshipOracle, opts Options) *Result {
 // after the snapshot and is byte-identical, at every worker count, to a
 // run that was never interrupted.
 func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options) (*Result, error) {
+	return refine(ctx, g, rels, opts, nil)
+}
+
+// refine is the one refinement loop, behind RunContext (src nil) and
+// RunDeltaContext. In a pass, one of three things happens to an entity:
+// it is evaluated — it is dirty, and this is the first pass since it
+// became so or a stamp says one of its reads moved; a clean entity takes
+// the flip src replays for it; or it is left alone, a dirty router
+// adding its memoised tallies. Whatever commits a change, the statements
+// that record it are the same. A nil src makes everything dirty and
+// replays nothing, inside its own methods: nothing here asks which entry
+// point called.
+func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options, src *replay) (*Result, error) {
 	opts.setDefaults()
 	rec := opts.Recorder
 
@@ -387,6 +406,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 	annotateLastHops(g, rels, opts, pc)
 	lh.Note("lasthop_irs", int64(g.Stats.LastHopIRs))
 	lh.End()
+	src.seed(g, rec)
 
 	ph := rec.Phase("refine")
 	rec.Gauge("refine.workers").Set(int64(opts.Workers))
@@ -473,12 +493,16 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 	// snapshots shrink to the changed routers. A resumed run restores
 	// Annotation only, so it, like the first iteration, needs the full
 	// copy — which the initial true covers for both. The same flag makes
-	// that first iteration evaluate every router and interface: nothing
-	// has been evaluated yet in this process, so nothing can be skipped.
+	// that first iteration evaluate every dirty router and interface:
+	// nothing has been evaluated yet in this process, so nothing can be
+	// skipped. One that src turns dirty later is in the same position on
+	// its first dirty pass (since == iter): no stamp need say its reads
+	// moved, and it has no memoised tally to stand in for an evaluation.
 	fullSnapshot := true
 	var mu sync.Mutex //lint:mutex merges per-shard telemetry tallies into the iteration total; never guards annotation state
 	for iter := startIter; iter <= opts.MaxIterations; iter++ {
 		var it iterTally
+		src.advance(g, iter)
 		// Step 1: snapshot. A cancellation observed here leaves every
 		// annotation at the previous iteration's committed state.
 		if fullSnapshot {
@@ -514,7 +538,8 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 		}
 		// Step 2: routers. The pass either runs in full or not at all
 		// (batch-boundary cancellation); a refusal leaves the committed
-		// state untouched.
+		// state untouched. A replayed flip lands where an evaluation of
+		// that router would have: in index order, before the shard moves on.
 		if !shard.ForShardsTimedCtx(ctx, len(g.Routers), opts.Workers, func(s, lo, hi int) {
 			var local iterTally
 			sc := routerScratch[s]
@@ -523,26 +548,35 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 			if histR != nil {
 				hr = histR[s][:0]
 			}
+			flips := src.routerFlips(lo)
 			for idx := lo; idx < hi; idx++ {
-				r := g.Routers[idx]
-				if r.LastHop {
-					continue
+				a, replayed := flips.take(idx)
+				since := src.routerSince(idx)
+				if !replayed && since == 0 {
+					continue // clean, and the base run did not move it either
 				}
-				if !fullSnapshot && !r.inputsChanged(int32(iter-1)) {
+				r := g.Routers[idx]
+				var pr *prov.Record
+				switch {
+				case replayed:
+					r.Annotation = a
+				case r.LastHop:
+					continue
+				case fullSnapshot || since == int32(iter) || r.inputsChanged(int32(iter-1)):
+					if pc != nil {
+						pr = &pc.routers[idx]
+					}
+					var rt iterTally
+					r.Annotation = annotateRouter(r, rels, opts, &rt, sc, pr)
+					local.add(&rt)
+					if memo != nil {
+						memo[idx] = rt
+					}
+				default:
 					if memo != nil {
 						local.add(&memo[idx])
 					}
 					continue
-				}
-				var pr *prov.Record
-				if pc != nil {
-					pr = &pc.routers[idx]
-				}
-				var rt iterTally
-				r.Annotation = annotateRouter(r, rels, opts, &rt, sc, pr)
-				local.add(&rt)
-				if memo != nil {
-					memo[idx] = rt
 				}
 				if r.Annotation != r.prevAnnotation {
 					local.changedRouters++
@@ -580,17 +614,27 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 			if histI != nil {
 				hi2 = histI[s][:0]
 			}
+			flips := src.ifaceFlips(lo)
 			for idx := lo; idx < hi; idx++ {
-				i := g.sortedIfaces[idx]
-				if !fullSnapshot && !i.votersChanged() {
+				a, replayed := flips.take(idx)
+				since := src.ifaceSince(idx)
+				if !replayed && since == 0 {
 					continue
 				}
-				var pir *prov.IfaceRule
-				if pc != nil {
-					pir = &pc.ifaces[idx]
-				}
+				i := g.sortedIfaces[idx]
 				prev := i.Annotation
-				annotateInterface(i, rels, sc, pir)
+				switch {
+				case replayed:
+					i.Annotation = a
+				case fullSnapshot || since == int32(iter) || i.votersChanged():
+					var pir *prov.IfaceRule
+					if pc != nil {
+						pir = &pc.ifaces[idx]
+					}
+					annotateInterface(i, rels, sc, pir)
+				default:
+					continue
+				}
 				if i.Annotation != prev {
 					flipped++
 					i.changedIter = int32(iter)
@@ -657,6 +701,7 @@ func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Opt
 			break
 		}
 	}
+	src.gauges(rec)
 	rec.Gauge("refine.iterations").Set(int64(res.Iterations))
 	rec.Gauge("refine.cycle_length").Set(int64(res.CycleLength))
 	rec.Gauge("refine.converged").Set(b2i(res.Converged))
