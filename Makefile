@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-static lint-baseline loc build test race bench bench-micro bench-smoke smoke fuzz-smoke crash-smoke explain-smoke serve-smoke ingest-smoke profile profile-micro
+.PHONY: ci vet lint lint-static lint-baseline loc build test race loop-smoke bench bench-micro bench-smoke smoke fuzz-smoke crash-smoke explain-smoke serve-smoke ingest-smoke profile profile-micro
 
-ci: vet lint lint-static build test race
+ci: vet lint lint-static build test race loop-smoke
 
 vet:
 	$(GO) vet ./...
@@ -60,6 +60,20 @@ test:
 # refinement engine makes every package a potential concurrent caller.
 race:
 	$(GO) test -race ./...
+
+# The product loop once, for real: the smallest workload of bench/
+# (single-vp, ≈ 850 traces) untraced for two seconds — the built
+# bdrmapit, bdrmapit-ingest and bdrmapitd as child processes over
+# generated files, with every check the benchmark makes on every run
+# (1 ≡ N workers, delta ≡ scratch, absorb ≡ recover, zero failed or
+# inconsistent lookups). It gates correctness, not speed: the result
+# line must say "correct":true and "failed":0. Writes only under the
+# gitignored .bench_build/.
+loop-smoke:
+	@out=$$(sh bench/run.sh --workload single-vp --seed 1 --seconds 2 | tail -n 1); \
+	echo "$$out"; \
+	case "$$out" in *'"correct":true'*) ;; *) echo "loop-smoke: result line does not say \"correct\":true"; exit 1;; esac; \
+	case "$$out" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "loop-smoke: result line does not say \"failed\":0"; exit 1;; esac
 
 # Benchmark ladder: run the full pipeline over one rung (RUNG=S|M|L|XL)
 # and write BENCH_$(RUNG).json at the repo root. S and M are CI-sized;

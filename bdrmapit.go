@@ -34,18 +34,16 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 
 	"repro/internal/asn"
 	"repro/internal/asrel"
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/ip2as"
 	"repro/internal/itdk"
 	"repro/internal/obs"
 	"repro/internal/prov"
-	"repro/internal/traceroute"
 )
 
 // Sources names the input files of a run. Traceroute files may be
@@ -259,10 +257,18 @@ func (r *Result) ASLinks() [][2]uint32 {
 // the run was interrupted a trailing "# PARTIAL" comment line marks the
 // output as a non-converged partial result.
 func (r *Result) Annotations(w io.Writer) error {
+	// Lines are appended into one reused buffer: this is rendered by
+	// every absorb of an ingest session, and fmt was most of its cost.
+	var line []byte
 	for _, rt := range r.res.Graph.Routers {
 		for _, i := range rt.Interfaces {
-			if _, err := fmt.Fprintf(w, "%s %d %d\n",
-				i.Addr, uint32(rt.Annotation), uint32(i.Annotation)); err != nil {
+			line = i.Addr.AppendTo(line[:0])
+			line = append(line, ' ')
+			line = strconv.AppendUint(line, uint64(rt.Annotation), 10)
+			line = append(line, ' ')
+			line = strconv.AppendUint(line, uint64(i.Annotation), 10)
+			line = append(line, '\n')
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 		}
@@ -276,27 +282,46 @@ func (r *Result) Annotations(w io.Writer) error {
 	return nil
 }
 
+// Links writes every inferred interdomain link as a "near-AS far-AS
+// far-address confidence" line, in InterdomainLinks order.
+func (r *Result) Links(w io.Writer) error {
+	var line []byte
+	for _, l := range r.res.InterdomainLinks() {
+		line = strconv.AppendUint(line[:0], uint64(l.NearAS), 10)
+		line = append(line, ' ')
+		line = strconv.AppendUint(line, uint64(l.FarAS), 10)
+		line = append(line, ' ')
+		line = l.FarAddr.AppendTo(line)
+		line = append(line, ' ')
+		line = append(line, l.Label.String()...)
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WriteITDK materializes the result in CAIDA ITDK form — the release
 // format bdrmapIT's annotations ship in — writing itdk.nodes,
 // itdk.nodes.as, and itdk.links into dir (created if needed). Each file
 // is published atomically (temp file + fsync + rename), so a killed run
-// leaves either no file or a complete one, never a torn prefix.
+// leaves either no file or a complete one, never a torn prefix; the
+// three are written side by side.
 func (r *Result) WriteITDK(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("bdrmapit: %w", err)
 	}
 	kit := itdk.FromResult(r.res)
-	outputs := []struct {
-		name string
-		fill func(io.Writer) error
-	}{
-		{"itdk.nodes", func(w io.Writer) error { return kit.WriteNodes(w) }},
-		{"itdk.nodes.as", func(w io.Writer) error { return kit.WriteNodesAS(w) }},
-		{"itdk.links", func(w io.Writer) error { return kit.WriteLinks(w) }},
+	names := []string{"itdk.nodes", "itdk.nodes.as", "itdk.links"}
+	fills := []func(io.Writer) error{kit.WriteNodes, kit.WriteNodesAS, kit.WriteLinks}
+	writes := make([]func() error, len(names))
+	for i := range names {
+		writes[i] = func() error { return ckpt.AtomicWrite(filepath.Join(dir, names[i]), fills[i]) }
 	}
-	for _, out := range outputs {
-		if err := ckpt.AtomicWrite(filepath.Join(dir, out.name), out.fill); err != nil {
-			return fmt.Errorf("bdrmapit: writing %s: %w", out.name, err)
+	for i, err := range ckpt.Concurrently(writes...) {
+		if err != nil {
+			return fmt.Errorf("bdrmapit: writing %s: %w", names[i], err)
 		}
 	}
 	return nil
@@ -334,16 +359,22 @@ func Run(src Sources, opts Options) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation and the run's
-// failure policy applied. The context is observed at file boundaries
-// during loading, at trace batches during graph construction, and at
-// batch boundaries inside the refinement loop, so any worker count
-// yields byte-identical output. Cancellation before the refinement
-// loop starts returns (nil, ctx.Err()-wrapping error); once refinement
-// is underway it returns the last committed iteration's annotations as
-// a partial Result with Interrupted=true and no error — the partial
-// annotations are the deliverable. With CheckpointDir set, durability
-// failures (unwritable snapshots, refused resumes) are returned as
-// errors; see Options.CheckpointDir and Options.Resume.
+// failure policy applied. The traceroute files are decoded on a
+// goroutine of their own and reach the graph builder chunk by chunk
+// while the other inputs load beside them (DESIGN §19), so the corpus is
+// never held in memory as a whole — except one file at a time while
+// MaxBadInputFiles still has room, since a file that turns out bad must
+// not have contributed. The context is observed at every chunk handed
+// over during loading and graph construction (and between the files of
+// the other input classes), and at batch boundaries inside the
+// refinement loop, so any worker count yields byte-identical output.
+// Cancellation before the refinement loop starts returns (nil,
+// ctx.Err()-wrapping error); once refinement is underway it returns the
+// last committed iteration's annotations as a partial Result with
+// Interrupted=true and no error — the partial annotations are the
+// deliverable. With CheckpointDir set, durability failures (unwritable
+// snapshots, refused resumes) are returned as errors; see
+// Options.CheckpointDir and Options.Resume.
 func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error) {
 	if len(src.TraceroutePaths) == 0 {
 		return nil, fmt.Errorf("bdrmapit: no traceroute inputs")
@@ -357,62 +388,36 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 	if warnw == nil {
 		warnw = os.Stderr
 	}
-	l := &loader{ctx: ctx, opts: &opts, rec: rec, warnw: warnw}
-
-	loadPhase := rec.Phase("load-inputs")
-	traces, err := l.loadTraces(src.TraceroutePaths)
+	l := &loader{ctx: ctx, opts: &opts, rec: rec, warnw: warnw, who: "bdrmapit", corpus: "traceroute"}
+	h, err := l.open(src, nil, opts.CheckpointDir != "")
 	if err != nil {
 		return nil, err
 	}
-	routes, err := l.loadRoutes(src.BGPRIBPaths, src.Prefix2ASPaths)
-	if err != nil {
-		return nil, err
-	}
-	dels, err := l.loadRIR(src.RIRDelegationPaths)
-	if err != nil {
-		return nil, err
-	}
-	ixps, err := l.loadIXPs(src.IXPPrefixListPaths)
-	if err != nil {
-		return nil, err
-	}
-	rels, err := l.loadRels(src.ASRelationshipPaths, routes)
-	if err != nil {
-		return nil, err
-	}
-	aliases, err := l.loadAliases(src.AliasNodePaths)
-	if err != nil {
-		return nil, err
-	}
-	loadPhase.End()
-	rec.Logf("inputs loaded: %d traces, %d routes, %d rir prefixes, %d ixp prefixes",
-		len(traces), len(routes), dels.NumPrefixes(), ixps.Len())
-
-	// The error budget may have consumed every required file; an empty
-	// required class is an operational failure no fallback covers.
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("bdrmapit: no traces loaded from %d traceroute input(s)", len(src.TraceroutePaths))
-	}
-	if len(routes) == 0 && len(src.BGPRIBPaths) > 0 {
-		return nil, fmt.Errorf("bdrmapit: no routes loaded from %d RIB input(s)", len(src.BGPRIBPaths))
-	}
+	defer h.close()
 
 	copts := opts.internal()
+	resolver := h.in.resolver
+	b := core.NewBuilder(resolver, h.in.aliases)
+	b.Workers, b.Rec = copts.Workers, rec
+	g, err := b.BuildFrom(ctx, h.next, h.in.rels)
+	if err != nil {
+		if h.failed != nil {
+			return nil, h.failed
+		}
+		return nil, fmt.Errorf("bdrmapit: %w", err)
+	}
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("bdrmapit: creating checkpoint directory: %w", err)
 		}
-		dig := rec.Phase("digest-inputs")
 		copts.Checkpoint = &ckpt.Config{
 			Dir:         opts.CheckpointDir,
 			Every:       opts.CheckpointEvery,
 			Resume:      opts.Resume,
-			InputDigest: digestSources(src),
+			InputDigest: h.digest(),
 		}
-		dig.End()
 	}
-	resolver := &ip2as.Resolver{IXPs: ixps, Table: bgp.NewTable(routes), Delegations: dels}
-	res, err := core.InferContext(ctx, traces, resolver, aliases, rels, copts)
+	res, err := core.RunContext(ctx, g, h.in.rels, copts)
 	if err != nil {
 		return nil, fmt.Errorf("bdrmapit: %w", err)
 	}
@@ -425,30 +430,6 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 		Report:      res.Report,
 		ResumedFrom: res.ResumedFrom,
 	}, nil
-}
-
-func readTraces(path string) ([]*traceroute.Trace, traceroute.ReadStats, error) {
-	var stats traceroute.ReadStats
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, stats, fmt.Errorf("bdrmapit: %w", err)
-	}
-	defer f.Close()
-	var out []*traceroute.Trace
-	collect := func(t *traceroute.Trace) error {
-		out = append(out, t)
-		return nil
-	}
-	if strings.EqualFold(filepath.Ext(path), ".bin") {
-		err = traceroute.ReadBinary(f, collect)
-		stats.Traces = len(out)
-	} else {
-		stats, err = traceroute.ReadJSONLStats(f, collect)
-	}
-	if err != nil {
-		return nil, stats, fmt.Errorf("bdrmapit: traces %s: %w", path, err)
-	}
-	return out, stats, nil
 }
 
 func withFile[T any](path string, f func(io.Reader) (T, error)) (T, error) {

@@ -21,7 +21,8 @@
 // at http://ADDR/debug/ for profiling long runs.
 //
 // Resilience: SIGINT/SIGTERM (and -timeout) cancel the run gracefully —
-// input loading aborts at a file boundary, while a run that already
+// input loading and graph construction abort within one chunk of
+// traces, even mid-file, while a run that already
 // reached refinement stops at the next iteration boundary and still
 // writes its outputs, marked with a "# PARTIAL" footer. A second signal
 // force-exits immediately with status 130. -strict turns every degraded input
@@ -230,57 +231,59 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bdrmapit: resumed from checkpoint at iteration %d\n", res.ResumedFrom)
 	}
 
-	links := res.InterdomainLinks()
 	fmt.Printf("interfaces: %d  routers: %d\n", res.NumInterfaces(), res.NumRouters())
 	fmt.Printf("refinement: %d iterations (converged: %v)\n", res.Iterations, res.Converged)
 	fmt.Printf("interdomain links: %d  distinct AS adjacencies: %d\n",
-		len(links), len(res.ASLinks()))
+		len(res.InterdomainLinks()), len(res.ASLinks()))
 
+	// The outputs share nothing but the result they render, so they are
+	// published side by side; what is reported, and which failure ends
+	// the run, goes by the order they are listed in.
+	type output struct {
+		write func() error
+		done  string
+	}
+	var outputs []output
 	if *annOut != "" {
-		if err := ckpt.AtomicWrite(*annOut, res.Annotations); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("annotations written to", *annOut)
+		outputs = append(outputs, output{
+			func() error { return ckpt.AtomicWrite(*annOut, res.Annotations) },
+			"annotations written to " + *annOut})
 	}
 	if *lnkOut != "" {
-		err := ckpt.AtomicWrite(*lnkOut, func(w io.Writer) error {
-			for _, l := range links {
-				if _, err := fmt.Fprintf(w, "%d %d %s %s\n",
-					l.NearAS, l.FarAS, l.FarAddr, l.Confidence); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		outputs = append(outputs, output{
+			func() error { return ckpt.AtomicWrite(*lnkOut, res.Links) },
+			"links written to " + *lnkOut})
+	}
+	if *itdkOut != "" {
+		outputs = append(outputs, output{
+			func() error { return res.WriteITDK(*itdkOut) },
+			"ITDK files written to " + *itdkOut})
+	}
+	if *provOut != "" {
+		outputs = append(outputs, output{
+			func() error { return res.WriteProvenance(*provOut) },
+			"provenance written to " + *provOut})
+	}
+	if *srvOut != "" && !res.Interrupted {
+		outputs = append(outputs, output{
+			func() error { return res.WriteServeSnapshot(*srvOut) },
+			"serve snapshot written to " + *srvOut})
+	}
+	writes := make([]func() error, len(outputs))
+	for i, o := range outputs {
+		writes[i] = o.write
+	}
+	for i, err := range ckpt.Concurrently(writes...) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("links written to", *lnkOut)
+		fmt.Println(outputs[i].done)
 	}
-	if *itdkOut != "" {
-		if err := res.WriteITDK(*itdkOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("ITDK files written to", *itdkOut)
-	}
-	if *provOut != "" {
-		if err := res.WriteProvenance(*provOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("provenance written to", *provOut)
-	}
-	if *srvOut != "" {
-		if res.Interrupted {
-			// A daemon must never serve a partial map as authoritative;
-			// the other outputs carry their PARTIAL markers, this one is
-			// simply not produced.
-			fmt.Fprintln(os.Stderr, "bdrmapit: skipping -serve-snapshot: run was interrupted and a daemon cannot mark partial answers")
-		} else {
-			if err := res.WriteServeSnapshot(*srvOut); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("serve snapshot written to", *srvOut)
-		}
+	if *srvOut != "" && res.Interrupted {
+		// A daemon must never serve a partial map as authoritative;
+		// the other outputs carry their PARTIAL markers, this one is
+		// simply not produced.
+		fmt.Fprintln(os.Stderr, "bdrmapit: skipping -serve-snapshot: run was interrupted and a daemon cannot mark partial answers")
 	}
 
 	if !*quiet {

@@ -1,6 +1,7 @@
 package bdrmapit
 
 import (
+	"context"
 	"hash/fnv"
 	"io"
 	"os"
@@ -18,12 +19,18 @@ import (
 // Unreadable files fold in a distinct marker instead of failing: the
 // loader's error-budget policy decides whether the run survives a bad
 // file, and the digest must describe the same file set that policy saw.
-func digestSources(src Sources) uint64 {
+//
+// A cancelled ctx cuts the reading short; the value is then meaningless,
+// and so is the run that asked for it.
+func digestSources(ctx context.Context, src Sources) uint64 {
 	h := fnv.New64a()
 	class := func(tag string, paths []string) {
 		io.WriteString(h, tag)
 		h.Write([]byte{0})
 		for _, p := range paths {
+			if ctx.Err() != nil {
+				return
+			}
 			io.WriteString(h, filepath.Base(p))
 			h.Write([]byte{0})
 			f, err := os.Open(p)
@@ -31,7 +38,7 @@ func digestSources(src Sources) uint64 {
 				io.WriteString(h, "\x00unreadable\x00")
 				continue
 			}
-			if _, err := io.Copy(h, f); err != nil {
+			if _, err := io.Copy(h, ctxReader{ctx, f}); err != nil {
 				io.WriteString(h, "\x00unreadable\x00")
 			}
 			f.Close()
@@ -46,4 +53,17 @@ func digestSources(src Sources) uint64 {
 	class("rels", src.ASRelationshipPaths)
 	class("aliases", src.AliasNodePaths)
 	return h.Sum64()
+}
+
+// ctxReader reads from r until ctx is cancelled.
+type ctxReader struct {
+	ctx context.Context
+	r   io.Reader
+}
+
+func (c ctxReader) Read(p []byte) (int, error) {
+	if err := c.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return c.r.Read(p)
 }

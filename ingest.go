@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/alias"
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/delta"
@@ -99,8 +98,8 @@ type IngestResult struct {
 // run that committed it. The graph itself lives in the session's
 // Builder, which grows it batch by batch.
 type ingestState struct {
-	// traces is the merged corpus. Past bootstrap only the VerifyDelta
-	// oracle reads it, so a session without the oracle lets it go.
+	// traces is the merged corpus, kept only for the VerifyDelta oracle:
+	// a session without it never holds more than the chunks in flight.
 	traces  []*traceroute.Trace
 	state   *ckpt.State
 	lineage []ckpt.BatchInfo
@@ -196,10 +195,7 @@ type ingester struct {
 }
 
 func (ing *ingester) run(src Sources, batchPaths []string) error {
-	if err := ing.loadBase(src); err != nil {
-		return err
-	}
-	if err := ing.bootstrapOrRecover(); err != nil {
+	if err := ing.bootstrapOrRecover(src); err != nil {
 		return err
 	}
 	// Republish unconditionally: the publish step is atomic and
@@ -220,55 +216,6 @@ func (ing *ingester) run(src Sources, batchPaths []string) error {
 	return nil
 }
 
-// loadBase loads the non-batch inputs exactly as RunContext would: the
-// same loaders, the same error budgets, the same degradations.
-func (ing *ingester) loadBase(src Sources) error {
-	l := &loader{ctx: ing.ctx, opts: &ing.opts.Run, rec: ing.rec, warnw: ing.warnw}
-	loadPhase := ing.rec.Phase("load-inputs")
-	traces, err := l.loadTraces(src.TraceroutePaths)
-	if err != nil {
-		return err
-	}
-	routes, err := l.loadRoutes(src.BGPRIBPaths, src.Prefix2ASPaths)
-	if err != nil {
-		return err
-	}
-	dels, err := l.loadRIR(src.RIRDelegationPaths)
-	if err != nil {
-		return err
-	}
-	ixps, err := l.loadIXPs(src.IXPPrefixListPaths)
-	if err != nil {
-		return err
-	}
-	rels, err := l.loadRels(src.ASRelationshipPaths, routes)
-	if err != nil {
-		return err
-	}
-	aliases, err := l.loadAliases(src.AliasNodePaths)
-	if err != nil {
-		return err
-	}
-	loadPhase.End()
-	if len(traces) == 0 {
-		return fmt.Errorf("bdrmapit: ingest: no traces loaded from %d base input(s)", len(src.TraceroutePaths))
-	}
-	if len(routes) == 0 && len(src.BGPRIBPaths) > 0 {
-		return fmt.Errorf("bdrmapit: ingest: no routes loaded from %d RIB input(s)", len(src.BGPRIBPaths))
-	}
-
-	dig := ing.rec.Phase("digest-inputs")
-	ing.baseDig = digestSources(src)
-	dig.End()
-
-	ing.resolver = &ip2as.Resolver{IXPs: ixps, Table: bgp.NewTable(routes), Delegations: dels}
-	ing.rels = rels
-	ing.aliases = aliases
-	ing.copts = ing.opts.Run.internal()
-	ing.cur.traces = traces
-	return nil
-}
-
 // bootstrapOrRecover establishes the session's base state: a full run
 // over the base corpus when the store has no checkpoint yet, or a
 // reconstruction of the checkpointed merged corpus (base + absorbed
@@ -276,32 +223,84 @@ func (ing *ingester) loadBase(src Sources) error {
 // crash — during bootstrap or mid-delta — resumes to convergence here;
 // resuming an already-converged checkpoint restores it without running
 // any iteration, so this path is cheap in the steady state.
-func (ing *ingester) bootstrapOrRecover() error {
+//
+// The non-batch inputs load exactly as RunContext loads them: the same
+// head, the same error budgets, the same degradations. On a restart the
+// trace producer carries on from the base files into the absorbed copies
+// of the lineage batches, in lineage order, so reading and validating
+// them overlaps the build like the rest of the corpus.
+func (ing *ingester) bootstrapOrRecover(src Sources) error {
 	st, err := ckpt.Load(ing.store.Dir)
-	switch {
-	case errors.Is(err, ckpt.ErrNoCheckpoint):
-		ing.rec.Logf("ingest: no checkpoint under %s; bootstrapping from the base corpus", ing.store.Dir)
-		bopts := ing.copts
-		bopts.Checkpoint = ing.ckptConfig(nil, false)
-		g, err := ing.buildCorpus()
-		if err != nil {
-			return err
-		}
-		res, err := core.RunContext(ing.ctx, g, ing.rels, bopts)
-		if err != nil {
-			return fmt.Errorf("bdrmapit: ingest: bootstrap: %w", err)
-		}
-		if res.Interrupted {
-			return errInterrupted
-		}
-		return ing.adoptState(res, nil)
-	case err != nil:
+	recovering := err == nil
+	if err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
+	var lineage []ckpt.BatchInfo
+	var tail []traceSource
+	if recovering {
+		lineage = st.Lineage
+		for _, b := range lineage {
+			tail = append(tail, ing.absorbedCopy(b))
+		}
+	} else {
+		ing.rec.Logf("ingest: no checkpoint under %s; bootstrapping from the base corpus", ing.store.Dir)
+	}
 
-	// Restart: fold the absorbed lineage batches back into the corpus
-	// the checkpoint describes, in lineage order.
-	for _, b := range st.Lineage {
+	l := &loader{ctx: ing.ctx, opts: &ing.opts.Run, rec: ing.rec, warnw: ing.warnw, who: "bdrmapit: ingest", corpus: "base"}
+	h, err := l.open(src, tail, true)
+	if err != nil {
+		return err
+	}
+	defer h.close()
+	ing.resolver = h.in.resolver
+	ing.rels = h.in.rels
+	ing.aliases = h.in.aliases
+	ing.copts = ing.opts.Run.internal()
+
+	// The session's graph is built from scratch once, on the Builder
+	// every later absorb appends to.
+	ing.builder = core.NewBuilder(ing.resolver, ing.aliases)
+	ing.builder.Workers = ing.copts.Workers
+	ing.builder.Rec = ing.rec
+	next := h.next
+	if ing.opts.VerifyDelta {
+		next = func() ([]*traceroute.Trace, error) {
+			chunk, err := h.next()
+			ing.cur.traces = append(ing.cur.traces, chunk...)
+			return chunk, err
+		}
+	}
+	g, err := ing.builder.BuildFrom(ing.ctx, next, ing.rels)
+	if err != nil {
+		if h.failed != nil {
+			return h.failed
+		}
+		return fmt.Errorf("bdrmapit: ingest: %w", err)
+	}
+	ing.baseDig = h.digest()
+
+	ropts := ing.copts
+	ropts.Checkpoint = ing.ckptConfig(lineage, recovering)
+	res, err := core.RunContext(ing.ctx, g, ing.rels, ropts)
+	if err != nil {
+		if recovering {
+			return fmt.Errorf("bdrmapit: ingest: restoring checkpoint: %w", err)
+		}
+		return fmt.Errorf("bdrmapit: ingest: bootstrap: %w", err)
+	}
+	if res.Interrupted {
+		return errInterrupted
+	}
+	if recovering {
+		ing.rec.Logf("ingest: restored checkpoint at iteration %d with %d absorbed batch(es)", res.Iterations, len(lineage))
+	}
+	return ing.adoptState(res, lineage)
+}
+
+// absorbedCopy is the trace source of one lineage batch: its durable
+// copy under the store, read and validated as at intake.
+func (ing *ingester) absorbedCopy(b ckpt.BatchInfo) traceSource {
+	return func(emit func(*traceroute.Trace) error) error {
 		data, err := ing.readWithRetry(ing.store.AbsorbedPath(b.FP), b.FP)
 		if err != nil {
 			return fmt.Errorf("bdrmapit: ingest: absorbed copy for lineage batch %s (fp %016x) unreadable: %w", b.Name, b.FP, err)
@@ -310,40 +309,13 @@ func (ing *ingester) bootstrapOrRecover() error {
 		if err != nil {
 			return fmt.Errorf("bdrmapit: ingest: absorbed copy for lineage batch %s no longer validates: %w", b.Name, err)
 		}
-		ing.cur.traces = append(ing.cur.traces, traces...)
+		for _, t := range traces {
+			if err := emit(t); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	ropts := ing.copts
-	ropts.Checkpoint = ing.ckptConfig(st.Lineage, true)
-	g, err := ing.buildCorpus()
-	if err != nil {
-		return err
-	}
-	res, err := core.RunContext(ing.ctx, g, ing.rels, ropts)
-	if err != nil {
-		return fmt.Errorf("bdrmapit: ingest: restoring checkpoint: %w", err)
-	}
-	if res.Interrupted {
-		return errInterrupted
-	}
-	ing.rec.Logf("ingest: restored checkpoint at iteration %d with %d absorbed batch(es)", res.Iterations, len(st.Lineage))
-	return ing.adoptState(res, st.Lineage)
-}
-
-// buildCorpus builds the session's graph from scratch over the corpus
-// loaded so far — once per session — on the Builder every later absorb
-// appends to.
-func (ing *ingester) buildCorpus() (*core.Graph, error) {
-	ing.builder = core.NewBuilder(ing.resolver, ing.aliases)
-	ing.builder.Workers = ing.copts.Workers
-	ing.builder.Rec = ing.rec
-	g, err := ing.builder.BuildContext(ing.ctx, ing.cur.traces, ing.rels)
-	if err != nil {
-		return nil, fmt.Errorf("bdrmapit: ingest: %w", err)
-	}
-	if !ing.opts.VerifyDelta {
-		ing.cur.traces = nil
-	}
-	return g, nil
 }
 
 // adoptState installs a just-committed run as the session's rolling
@@ -593,13 +565,24 @@ func (ing *ingester) publish(res *core.Result) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p := ing.opts.AnnotationsPath; p != "" {
+	// The two files are independent publishes of the one rendering, so
+	// they go out side by side.
+	publishAnn := func() error {
+		p := ing.opts.AnnotationsPath
+		if p == "" {
+			return nil
+		}
 		write := func(w io.Writer) error { _, err := w.Write(ann); return err }
 		if err := ckpt.AtomicWrite(p, write); err != nil {
-			return 0, fmt.Errorf("bdrmapit: ingest: publishing annotations: %w", err)
+			return fmt.Errorf("bdrmapit: ingest: publishing annotations: %w", err)
 		}
+		return nil
 	}
-	if p := ing.opts.SnapshotPath; p != "" {
+	publishSnap := func() error {
+		p := ing.opts.SnapshotPath
+		if p == "" {
+			return nil
+		}
 		if ing.prefixes == nil {
 			ing.prefixes = sortedPrefixes(ing.resolver)
 		}
@@ -608,7 +591,13 @@ func (ing *ingester) publish(res *core.Result) (uint64, error) {
 			err = serve.WriteFile(p, snap)
 		}
 		if err != nil {
-			return 0, fmt.Errorf("bdrmapit: ingest: publishing snapshot: %w", err)
+			return fmt.Errorf("bdrmapit: ingest: publishing snapshot: %w", err)
+		}
+		return nil
+	}
+	for _, err := range ckpt.Concurrently(publishAnn, publishSnap) {
+		if err != nil {
+			return 0, err
 		}
 	}
 	if addr := ing.opts.ReloadAddr; addr != "" {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // AtomicWrite publishes fill's output at path with crash-safe
@@ -67,6 +68,26 @@ func AtomicWrite(path string, fill func(w io.Writer) error) error {
 		return fmt.Errorf("publishing %s: %w", path, err)
 	}
 	return syncDir(dir)
+}
+
+// Concurrently runs independent publishes side by side and returns their
+// errors in argument order. An AtomicWrite spends most of its time
+// waiting — two fsyncs and a rename — so a run's outputs, which share
+// nothing but the read-only result they render, cost about as much
+// together as the slowest does alone. Each keeps its own protocol: a
+// kill at any instant still leaves every file absent or complete.
+func Concurrently(writes ...func() error) []error {
+	errs := make([]error, len(writes))
+	var wg sync.WaitGroup
+	for i, write := range writes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = write()
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // syncDir fsyncs a directory so a just-completed rename survives power

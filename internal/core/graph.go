@@ -8,7 +8,6 @@ package core
 import (
 	"net/netip"
 	"slices"
-	"sort"
 
 	"repro/internal/alias"
 	"repro/internal/asn"
@@ -191,7 +190,7 @@ func (r *Router) SortedLinks() []*Link {
 	for _, l := range r.Links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To.Addr.Less(out[j].To.Addr) })
+	slices.SortFunc(out, func(a, b *Link) int { return a.To.Addr.Compare(b.To.Addr) })
 	return out
 }
 

@@ -514,7 +514,7 @@ func buildCounters(rec *obs.Recorder) string {
 }
 
 // checkAgainstOracle builds traces with the production Builder — in
-// traceBatch chunks through BuildGraphContext, or trace by trace through
+// TraceBatch chunks through BuildGraphContext, or trace by trace through
 // AddTrace when oneByOne is set — and with the oracle, and demands the
 // same graph and the same construction counters, then the same
 // refinement of that graph.
@@ -607,7 +607,7 @@ func TestBuilderMatchesOracleOnCampaigns(t *testing.T) {
 		// later chunk and is resolved by a later ResolveBatch.
 		half := len(traces) / 2
 		var padded []*traceroute.Trace
-		for len(padded) < traceBatch {
+		for len(padded) < TraceBatch {
 			padded = append(padded, traces[:half]...)
 		}
 		traces = append(padded, traces[half:]...)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"net/netip"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/alias"
 	"repro/internal/asn"
@@ -49,6 +52,10 @@ type Result struct {
 	// Options.Provenance is set; nil otherwise. It is byte-identical
 	// (via prov.Encode) across worker counts and resume points.
 	Provenance *prov.Artifact
+
+	// links is InterdomainLinks' answer, computed on first use.
+	linksOnce sync.Once
+	links     []InterdomainLink
 }
 
 // OperatorOf returns the AS inferred to operate the router owning addr,
@@ -87,37 +94,45 @@ type InterdomainLink struct {
 // InterdomainLinks enumerates every graph link whose endpoint routers
 // carry different (non-empty) AS annotations — the border links the
 // system exists to find. Results are ordered by (NearAS, FarAS,
-// FarAddr).
+// FarAddr). The walk runs once per Result, over the annotations as they
+// stand at the first call; the slice is shared by every caller and must
+// not be modified.
 func (res *Result) InterdomainLinks() []InterdomainLink {
-	var out []InterdomainLink
-	for _, r := range res.Graph.Routers {
-		if r.Annotation == asn.None {
-			continue
-		}
-		for _, l := range r.SortedLinks() {
-			far := l.To.Router.Annotation
-			if far == asn.None || far == r.Annotation {
+	res.linksOnce.Do(func() {
+		var out []InterdomainLink
+		for _, r := range res.Graph.Routers {
+			if r.Annotation == asn.None {
 				continue
 			}
-			out = append(out, InterdomainLink{
-				NearAS:     r.Annotation,
-				FarAS:      far,
-				NearRouter: r,
-				FarAddr:    l.To.Addr,
-				Label:      l.Label,
-			})
+			for _, l := range r.SortedLinks() {
+				far := l.To.Router.Annotation
+				if far == asn.None || far == r.Annotation {
+					continue
+				}
+				out = append(out, InterdomainLink{
+					NearAS:     r.Annotation,
+					FarAS:      far,
+					NearRouter: r,
+					FarAddr:    l.To.Addr,
+					Label:      l.Label,
+				})
+			}
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NearAS != out[j].NearAS {
-			return out[i].NearAS < out[j].NearAS
-		}
-		if out[i].FarAS != out[j].FarAS {
-			return out[i].FarAS < out[j].FarAS
-		}
-		return out[i].FarAddr.Less(out[j].FarAddr)
+		// Two routers of one operator can reach the same far interface,
+		// so keys repeat; the walk above fixes the order the sort sees,
+		// which keeps the order it leaves deterministic.
+		slices.SortFunc(out, func(a, b InterdomainLink) int {
+			if c := cmp.Compare(a.NearAS, b.NearAS); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.FarAS, b.FarAS); c != 0 {
+				return c
+			}
+			return a.FarAddr.Compare(b.FarAddr)
+		})
+		res.links = out
 	})
-	return out
+	return res.links
 }
 
 // ASLinks returns the distinct inferred AS-level adjacencies
@@ -163,12 +178,13 @@ func Infer(traces []*traceroute.Trace, resolver *ip2as.Resolver,
 	return res
 }
 
-// traceBatch is how many traces the graph build hands the Builder at a
+// TraceBatch is how many traces the graph build hands the Builder at a
 // time: the unit of address interning and concurrent resolution, whose
 // scratch it bounds, and the interval between context checks — frequent
 // enough that cancellation lands within milliseconds, coarse enough
-// that the check never shows up in a profile.
-const traceBatch = 4096
+// that the check never shows up in a profile. A caller that streams
+// traces to BuildFrom should cut them into chunks of this size.
+const TraceBatch = 4096
 
 // InferContext is Infer with cooperative cancellation. Cancellation
 // during graph construction returns (nil, ctx.Err()) — there are no
@@ -208,30 +224,44 @@ func BuildGraphContext(ctx context.Context, traces []*traceroute.Trace, resolver
 	return b.BuildContext(ctx, traces, rels)
 }
 
-// BuildContext is AddTraces then Finish under a "construct-graph" phase,
-// with ctx checked between chunks of traceBatch traces. Called again on
-// the same Builder it appends: the returned Graph is the one the first
-// call returned, grown in place. A cancelled call leaves the Builder
-// holding traces no Finish has accounted for; neither it nor its graph
-// may be used again.
-func (b *Builder) BuildContext(ctx context.Context, traces []*traceroute.Trace, rels RelationshipOracle) (*Graph, error) {
+// BuildFrom is AddTraces for every chunk next yields, in order, then
+// Finish, under a "construct-graph" phase, with ctx checked before each
+// call to next. An empty chunk ends the traces; an error from next ends
+// the build with that error. The graph does not depend on where the
+// chunks are cut, and a chunk is not referenced once the next one has
+// been asked for, so a caller that decodes as it goes never holds more
+// of the corpus than is in flight. Called again on the same Builder it
+// appends: the returned Graph is the one the first call returned, grown
+// in place. A failed or cancelled call leaves the Builder holding traces
+// no Finish has accounted for; neither it nor its graph may be used
+// again.
+func (b *Builder) BuildFrom(ctx context.Context, next func() ([]*traceroute.Trace, error), rels RelationshipOracle) (*Graph, error) {
 	phase := b.Rec.Phase("construct-graph")
 	defer phase.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for lo := 0; lo < len(traces); lo += traceBatch {
-		if lo > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		b.AddTraces(traces[lo:min(lo+traceBatch, len(traces))])
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		chunk, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if len(chunk) == 0 {
+			break
+		}
+		b.AddTraces(chunk)
 	}
 	g := b.Finish(rels)
 	phase.Note("appended_traces", int64(b.last.traces))
 	return g, nil
+}
+
+// BuildContext is BuildFrom over a slice already in memory, cut into
+// chunks of TraceBatch.
+func (b *Builder) BuildContext(ctx context.Context, traces []*traceroute.Trace, rels RelationshipOracle) (*Graph, error) {
+	return b.BuildFrom(ctx, func() ([]*traceroute.Trace, error) {
+		chunk := traces[:min(TraceBatch, len(traces))]
+		traces = traces[len(chunk):]
+		return chunk, nil
+	}, rels)
 }

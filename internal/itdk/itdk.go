@@ -106,18 +106,29 @@ func FromResult(res *core.Result) *Kit {
 	return k
 }
 
+// The writers build each line by appending into one reused buffer;
+// fmt was most of what writing a kit cost.
+
+// appendNodeID appends "N<id>".
+func appendNodeID(b []byte, id int) []byte {
+	return strconv.AppendInt(append(b, 'N'), int64(id), 10)
+}
+
 // WriteNodes writes the .nodes file.
 func (k *Kit) WriteNodes(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# ITDK nodes: node N<id>:  <addr> ...")
+	if _, err := bw.WriteString("# ITDK nodes: node N<id>:  <addr> ...\n"); err != nil {
+		return err
+	}
+	var line []byte
 	for _, n := range k.Nodes {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "node N%d: ", n.ID)
+		line = appendNodeID(append(line[:0], "node "...), n.ID)
+		line = append(line, ": "...)
 		for _, a := range n.Addrs {
-			sb.WriteByte(' ')
-			sb.WriteString(a.String())
+			line = a.AppendTo(append(line, ' '))
 		}
-		if _, err := fmt.Fprintln(bw, sb.String()); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -138,10 +149,16 @@ func (k *Kit) finish(bw *bufio.Writer) error {
 // WriteNodesAS writes the .nodes.as file.
 func (k *Kit) WriteNodesAS(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# ITDK node AS assignments: node.AS N<id> <asn> <method>")
+	if _, err := bw.WriteString("# ITDK node AS assignments: node.AS N<id> <asn> <method>\n"); err != nil {
+		return err
+	}
+	var line []byte
 	for _, a := range k.Assignments {
-		if _, err := fmt.Fprintf(bw, "node.AS N%d %d %s\n",
-			a.NodeID, uint32(a.AS), a.Method); err != nil {
+		line = appendNodeID(append(line[:0], "node.AS "...), a.NodeID)
+		line = strconv.AppendUint(append(line, ' '), uint64(a.AS), 10)
+		line = append(append(line, ' '), a.Method...)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -151,21 +168,29 @@ func (k *Kit) WriteNodesAS(w io.Writer) error {
 // WriteLinks writes the .links file.
 func (k *Kit) WriteLinks(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# ITDK links: link L<id>:  N<id>[:<addr>] N<id>[:<addr>]")
+	if _, err := bw.WriteString("# ITDK links: link L<id>:  N<id>[:<addr>] N<id>[:<addr>]\n"); err != nil {
+		return err
+	}
+	var line []byte
 	for _, l := range k.Links {
-		if _, err := fmt.Fprintf(bw, "link L%d:  %s %s\n",
-			l.ID, l.From.format(), l.To.format()); err != nil {
+		line = strconv.AppendInt(append(line[:0], "link L"...), int64(l.ID), 10)
+		line = l.From.appendTo(append(line, ":  "...))
+		line = l.To.appendTo(append(line, ' '))
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return k.finish(bw)
 }
 
-func (e Endpoint) format() string {
+// appendTo appends the endpoint as "N<id>" or "N<id>:<addr>".
+func (e Endpoint) appendTo(b []byte) []byte {
+	b = appendNodeID(b, e.NodeID)
 	if e.Addr.IsValid() {
-		return fmt.Sprintf("N%d:%s", e.NodeID, e.Addr)
+		b = e.Addr.AppendTo(append(b, ':'))
 	}
-	return fmt.Sprintf("N%d", e.NodeID)
+	return b
 }
 
 func parseNodeID(tok string) (int, error) {

@@ -14,9 +14,12 @@
 // handles should be fetched once (Counter, Histogram, …) and used many
 // times; a handle update is a single atomic operation.
 //
-// Phases are intended to be opened and closed from the goroutine that
-// orchestrates the pipeline; the metric handles themselves are safe for
-// any number of concurrent writers.
+// Phase nests by a stack and is for the goroutine that orchestrates the
+// pipeline. Work that runs beside it names its place in the tree instead
+// (Recorder.Root, Span.Child): those spans are never on the stack, so
+// goroutines opening and ending them concurrently cannot adopt or pop
+// each other's. The metric handles themselves are safe for any number of
+// concurrent writers.
 package obs
 
 import (
@@ -154,9 +157,9 @@ func (s *Series) Rows() []Row {
 	return out
 }
 
-// Span is one timed phase of the run. Spans nest: a Phase opened while
-// another is open becomes its child, and the completed tree is the run
-// report's skeleton.
+// Span is one timed phase of the run. Spans nest — a Phase opened while
+// another Phase is open becomes its child, a Child is its parent's — and
+// the completed tree is the run report's skeleton.
 type Span struct {
 	rec      *Recorder
 	name     string
@@ -180,8 +183,23 @@ func (s *Span) Note(key string, v int64) {
 	s.rec.mu.Unlock()
 }
 
-// End closes the span. Ending a span also pops any still-open
-// descendants, so a missing inner End cannot corrupt the tree.
+// Child opens a named span under s, whichever spans are open elsewhere.
+// Like a Root it stays off the Phase stack; it may be opened and ended
+// on any goroutine. Returns nil (a no-op span) on a nil Span.
+func (s *Span) Child(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{rec: s.rec, name: name, start: time.Now()}
+	s.rec.mu.Lock()
+	s.children = append(s.children, c)
+	s.rec.mu.Unlock()
+	return c
+}
+
+// End closes the span. Ending a Phase also pops any Phase opened after
+// it and still open, so a missing inner End cannot corrupt the tree; a
+// Root or Child was never on the stack, and ending one pops nothing.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -310,6 +328,22 @@ func (r *Recorder) Phase(name string) *Span {
 		r.roots = append(r.roots, s)
 	}
 	r.stack = append(r.stack, s)
+	r.mu.Unlock()
+	return s
+}
+
+// Root opens a named top-level span that is not on the Phase stack: it
+// does not nest under whatever Phase is open, and Phases opened while it
+// is open do not nest under it. It is how a stage that overlaps the
+// orchestrating goroutine's phases keeps its own line in the report; its
+// parts are opened with Span.Child. Returns nil on a nil Recorder.
+func (r *Recorder) Root(name string) *Span {
+	if r == nil {
+		return nil
+	}
+	s := &Span{rec: r, name: name, start: time.Now()}
+	r.mu.Lock()
+	r.roots = append(r.roots, s)
 	r.mu.Unlock()
 	return s
 }

@@ -113,6 +113,77 @@ func TestUnbalancedEnd(t *testing.T) {
 	}
 }
 
+// TestExplicitParents: spans opened with Root and Child keep the place
+// they were given while a second goroutine opens and ends Phases and
+// children of its own — nothing is adopted by, or popped from under,
+// the other side. Run under -race.
+func TestExplicitParents(t *testing.T) {
+	rec := New()
+	load := rec.Root("load")
+	left, right := load.Child("left"), load.Child("right")
+	const rounds = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			c := right.Child("r")
+			c.Note("i", int64(i))
+			c.End()
+		}
+		right.End()
+	}()
+	build := rec.Phase("build") // the orchestrator's stack, while load is open
+	for i := 0; i < rounds; i++ {
+		inner := rec.Phase("step")
+		c := left.Child("l")
+		c.End()
+		inner.End()
+	}
+	left.End()
+	build.End()
+	<-done
+	load.End()
+	after := rec.Phase("after")
+	after.End()
+
+	rep := rec.Report()
+	var names []string
+	for _, p := range rep.Phases {
+		names = append(names, p.Name)
+	}
+	if got := strings.Join(names, " "); got != "load build after" {
+		t.Fatalf("roots = %q, want load build after", got)
+	}
+	ld, bd := rep.Phases[0], rep.Phases[1]
+	if len(ld.Children) != 2 || ld.Children[0].Name != "left" || ld.Children[1].Name != "right" {
+		t.Fatalf("load children = %+v, want left, right", ld.Children)
+	}
+	for i, want := range []string{"l", "r"} {
+		kids := ld.Children[i].Children
+		if len(kids) != rounds {
+			t.Fatalf("%s has %d children, want %d", ld.Children[i].Name, len(kids), rounds)
+		}
+		for _, k := range kids {
+			if k.Name != want {
+				t.Fatalf("%s adopted a %q span", ld.Children[i].Name, k.Name)
+			}
+		}
+	}
+	if len(bd.Children) != rounds {
+		t.Fatalf("build has %d children, want its %d steps", len(bd.Children), rounds)
+	}
+	for _, k := range bd.Children {
+		if k.Name != "step" || len(k.Children) != 0 {
+			t.Fatalf("build child %+v, want a bare step", k)
+		}
+	}
+
+	var nilSpan *Span
+	nilSpan.Child("x").End() // the nil span is the no-op span
+	var nilRec *Recorder
+	nilRec.Root("x").Child("y").End()
+}
+
 // TestReportJSONRoundTrip: a fully-populated report survives
 // encoding/json both ways.
 func TestReportJSONRoundTrip(t *testing.T) {

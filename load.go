@@ -12,12 +12,12 @@ import (
 	"repro/internal/asn"
 	"repro/internal/asrel"
 	"repro/internal/bgp"
+	"repro/internal/ip2as"
 	"repro/internal/ixp"
 	"repro/internal/mrt"
 	"repro/internal/obs"
 	"repro/internal/pfx2as"
 	"repro/internal/rir"
-	"repro/internal/traceroute"
 )
 
 // SourceError is the structured diagnostic for one input source file
@@ -53,23 +53,49 @@ const (
 )
 
 // loader threads one run's failure policy through every input class:
-// context checks at file boundaries, the required-source error budget,
-// and optional-source degradation to the paper-documented fallbacks.
+// context checks, the required-source error budget, and optional-source
+// degradation to the paper-documented fallbacks.
 type loader struct {
 	ctx   context.Context
 	opts  *Options
 	rec   *obs.Recorder
 	warnw io.Writer
+	// who prefixes the run's own load errors and corpus names its trace
+	// files in them ("bdrmapit", "traceroute").
+	who, corpus string
+	// span is the run's load-inputs phase; every class loads under it.
+	span *obs.Span
 
 	badRequired int
+	// pending, when set, makes this the loader of the classes that load
+	// beside the trace producer: a failure the policy might let the run
+	// survive is recorded here instead of acted on, and the load goes on
+	// as if it had been. Whether it was is for head.join to say, once the
+	// trace files — first in Sources order — have spent what they will of
+	// the budget.
+	pending *[]sourceFailure
 }
 
-// checkCtx observes cancellation at a file boundary: between input
-// files, never mid-parse, so a cancelled load never leaves a
-// half-consumed file unaccounted for.
+// sourceFailure is one failed input file waiting for loader.settle.
+type sourceFailure struct {
+	class, path string
+	err         error
+	// fallback is what an optional source degrades to; empty for a
+	// required source, which spends the error budget instead.
+	fallback string
+}
+
+// loadCancelled is the error of a load that observed ctx's cancellation.
+func loadCancelled(ctx context.Context) error {
+	return fmt.Errorf("bdrmapit: load cancelled: %w", ctx.Err())
+}
+
+// checkCtx observes cancellation. The per-class loaders call it between
+// files; the trace producer also sees cancellation at every chunk it
+// hands over, and has the file it is reading closed under it.
 func (l *loader) checkCtx() error {
-	if err := l.ctx.Err(); err != nil {
-		return fmt.Errorf("bdrmapit: load cancelled: %w", err)
+	if l.ctx.Err() != nil {
+		return loadCancelled(l.ctx)
 	}
 	return nil
 }
@@ -82,6 +108,10 @@ func (l *loader) failRequired(class, path string, err error) error {
 	srcErr := &SourceError{Class: class, Path: path, Err: err}
 	if l.opts.Strict || l.badRequired >= l.opts.MaxBadInputFiles {
 		return srcErr
+	}
+	if l.pending != nil {
+		*l.pending = append(*l.pending, sourceFailure{class: class, path: path, err: err})
+		return nil
 	}
 	l.badRequired++
 	l.rec.Counter("load.bad_input_files").Inc()
@@ -99,39 +129,57 @@ func (l *loader) degrade(class, path, fallback string, err error) error {
 	if l.opts.Strict {
 		return &SourceError{Class: class, Path: path, Err: err}
 	}
+	if l.pending != nil {
+		*l.pending = append(*l.pending, sourceFailure{class: class, path: path, err: err, fallback: fallback})
+		return nil
+	}
 	d := obs.Degradation{Class: class, Path: path, Fallback: fallback, Error: err.Error()}
 	l.rec.Degrade(d)
 	fmt.Fprintf(l.warnw, "bdrmapit: WARNING: %s\n", d)
 	return nil
 }
 
-func (l *loader) loadTraces(paths []string) ([]*traceroute.Trace, error) {
-	phase := l.rec.Phase("load-traces")
-	defer phase.End()
-	var traces []*traceroute.Trace
-	for _, p := range paths {
-		if err := l.checkCtx(); err != nil {
-			return nil, err
-		}
-		ts, stats, err := readTraces(p)
-		if err != nil {
-			if ferr := l.failRequired("traceroute", p, err); ferr != nil {
-				return nil, ferr
-			}
-			continue
-		}
-		traces = append(traces, ts...)
-		l.rec.Counter("load.traces").Add(int64(len(ts)))
-		l.rec.Counter("load.traces.skipped_records").Add(int64(stats.SkippedRecords))
-		l.rec.Counter("load.traces.dropped_hops").Add(int64(stats.DroppedHops))
-		l.rec.Logf("loaded %d traces from %s", len(ts), p)
+// settle acts on a failure that waited in pending.
+func (l *loader) settle(f sourceFailure) error {
+	if f.fallback == "" {
+		return l.failRequired(f.class, f.path, f.err)
 	}
-	phase.Note("traces", int64(len(traces)))
-	return traces, nil
+	return l.degrade(f.class, f.path, f.fallback, f.err)
+}
+
+// loadContext loads every class but the traces, one after another in
+// Sources field order.
+func (l *loader) loadContext(src Sources) (*contextInputs, error) {
+	routes, err := l.loadRoutes(src.BGPRIBPaths, src.Prefix2ASPaths)
+	if err != nil {
+		return nil, err
+	}
+	dels, err := l.loadRIR(src.RIRDelegationPaths)
+	if err != nil {
+		return nil, err
+	}
+	ixps, err := l.loadIXPs(src.IXPPrefixListPaths)
+	if err != nil {
+		return nil, err
+	}
+	rels, err := l.loadRels(src.ASRelationshipPaths, routes)
+	if err != nil {
+		return nil, err
+	}
+	aliases, err := l.loadAliases(src.AliasNodePaths)
+	if err != nil {
+		return nil, err
+	}
+	return &contextInputs{
+		resolver: &ip2as.Resolver{IXPs: ixps, Table: bgp.NewTable(routes), Delegations: dels},
+		routes:   len(routes),
+		rels:     rels,
+		aliases:  aliases,
+	}, nil
 }
 
 func (l *loader) loadRoutes(ribPaths, pfx2asPaths []string) ([]bgp.Route, error) {
-	phase := l.rec.Phase("load-rib")
+	phase := l.span.Child("load-rib")
 	defer phase.End()
 	var routes []bgp.Route
 	for _, p := range ribPaths {
@@ -193,7 +241,7 @@ func (l *loader) loadRoutes(ribPaths, pfx2asPaths []string) ([]bgp.Route, error)
 }
 
 func (l *loader) loadRIR(paths []string) (*rir.Delegations, error) {
-	phase := l.rec.Phase("load-rir")
+	phase := l.span.Child("load-rir")
 	defer phase.End()
 	dels := rir.New()
 	for _, p := range paths {
@@ -224,7 +272,7 @@ func (l *loader) loadRIR(paths []string) (*rir.Delegations, error) {
 }
 
 func (l *loader) loadIXPs(paths []string) (*ixp.Set, error) {
-	phase := l.rec.Phase("load-ixp")
+	phase := l.span.Child("load-ixp")
 	defer phase.End()
 	ixps := ixp.NewSet()
 	for _, p := range paths {
@@ -254,7 +302,7 @@ func (l *loader) loadIXPs(paths []string) (*ixp.Set, error) {
 }
 
 func (l *loader) loadRels(paths []string, routes []bgp.Route) (*asrel.Graph, error) {
-	phase := l.rec.Phase("load-relationships")
+	phase := l.span.Child("load-relationships")
 	defer phase.End()
 	inferFromRIB := func() *asrel.Graph {
 		asPaths := make([][]asn.ASN, 0, len(routes))
@@ -307,7 +355,7 @@ func (l *loader) loadRels(paths []string, routes []bgp.Route) (*asrel.Graph, err
 }
 
 func (l *loader) loadAliases(paths []string) (*alias.Sets, error) {
-	phase := l.rec.Phase("load-aliases")
+	phase := l.span.Child("load-aliases")
 	defer phase.End()
 	aliases := alias.NewSets()
 	aliasGroups := 0
