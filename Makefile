@@ -125,9 +125,10 @@ smoke:
 # fault classes the loaders must survive. The two graph-builder targets cap
 # minimization: their oracle ranges over maps, so block counts jitter from
 # run to run and the engine would otherwise spend the whole burst
-# re-running one "interesting" input. The provenance target caps it too:
-# uncapped, a cold 30 s burst stalled in minimization after 28 k
-# executions; capped, 15 s reach 300 k.
+# re-running one "interesting" input. The provenance and payload-reader
+# targets cap it too: uncapped, a cold 30 s provenance burst stalled in
+# minimization after 28 k executions (capped, 15 s reach 300 k), and a
+# 20 s reader burst after 88 k (capped, 15 s reach 200 k).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/alias -run '^$$' -fuzz '^FuzzReadNodes$$' -fuzztime $(FUZZTIME)
@@ -144,6 +145,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAppendDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prov -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 

@@ -3,9 +3,9 @@ package bdrmapit
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -682,21 +682,12 @@ func (ing *ingester) ckptConfig(lineage []ckpt.BatchInfo, resume bool) *ckpt.Con
 // ingestDigest extends the base-source digest with the absorbed
 // lineage, in order: same base + same batches ⇒ same digest.
 func ingestDigest(baseDig uint64, lineage []ckpt.BatchInfo) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	putU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	putU64(baseDig)
+	p := binary.LittleEndian.AppendUint64(nil, baseDig)
 	for _, b := range lineage {
-		putU64(b.FP)
-		io.WriteString(h, b.Name)
-		h.Write([]byte{0})
+		p = binary.LittleEndian.AppendUint64(p, b.FP)
+		p = append(append(p, b.Name...), 0)
 	}
-	return h.Sum64()
+	return ckpt.Fingerprint(p)
 }
 
 func lineageHas(lineage []ckpt.BatchInfo, fp uint64) bool {
@@ -716,9 +707,7 @@ func renderAnnotations(r *Result) ([]byte, uint64, error) {
 	if err := r.Annotations(&buf); err != nil {
 		return nil, 0, fmt.Errorf("bdrmapit: ingest: rendering annotations: %w", err)
 	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	return buf.Bytes(), h.Sum64(), nil
+	return buf.Bytes(), ckpt.Fingerprint(buf.Bytes()), nil
 }
 
 // annotationsDigest is renderAnnotations' digest for a bare core result.
@@ -727,8 +716,4 @@ func annotationsDigest(res *core.Result, resolver *ip2as.Resolver) (uint64, erro
 	return d, err
 }
 
-func fnvString(s string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, s)
-	return h.Sum64()
-}
+func fnvString(s string) uint64 { return ckpt.Fingerprint([]byte(s)) }

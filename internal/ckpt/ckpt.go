@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -265,11 +264,7 @@ func appendPayload(p []byte, st *State) []byte {
 	p = binary.LittleEndian.AppendUint64(p, st.InputDigest)
 	p = binary.LittleEndian.AppendUint64(p, st.GraphDigest)
 	p = binary.AppendUvarint(p, uint64(st.Iteration))
-	if st.Converged {
-		p = append(p, 1)
-	} else {
-		p = append(p, 0)
-	}
+	p = AppendBool(p, st.Converged)
 	p = binary.AppendUvarint(p, uint64(st.CycleLength))
 	p = binary.AppendUvarint(p, uint64(len(st.Hashes)))
 	for _, h := range st.Hashes {
@@ -294,16 +289,11 @@ func appendPayload(p []byte, st *State) []byte {
 		sort.Strings(keys)
 		p = binary.AppendUvarint(p, uint64(len(keys)))
 		for _, k := range keys {
-			p = binary.AppendUvarint(p, uint64(len(k)))
-			p = append(p, k...)
+			p = AppendString(p, k)
 			p = binary.AppendVarint(p, row[k])
 		}
 	}
-	if st.HasProv {
-		p = append(p, 1)
-	} else {
-		p = append(p, 0)
-	}
+	p = AppendBool(p, st.HasProv)
 	p = binary.AppendUvarint(p, uint64(len(st.Prov)))
 	p = append(p, st.Prov...)
 	// Everything beyond this point is the version-3 extension; a
@@ -316,8 +306,7 @@ func appendPayload(p []byte, st *State) []byte {
 	p = binary.AppendUvarint(p, uint64(len(st.Lineage)))
 	for _, b := range st.Lineage {
 		p = binary.LittleEndian.AppendUint64(p, b.FP)
-		p = binary.AppendUvarint(p, uint64(len(b.Name)))
-		p = append(p, b.Name...)
+		p = AppendString(p, b.Name)
 		p = binary.AppendUvarint(p, uint64(b.Traces))
 	}
 	return p
@@ -339,242 +328,100 @@ func appendChanges(p []byte, cs []AnnChange) []byte {
 }
 
 // Decode reads one checkpoint from r, validating magic, version, the
-// length prefix, the trailing CRC, and every payload bound. Structural
-// failures return a *FormatError; Decode never panics on corrupt input
-// and never allocates more than the input length implies.
+// length prefix, the trailing CRC, and every payload bound (Reader's
+// rules). Structural failures return a *FormatError; Decode never
+// panics on corrupt input and never allocates more than the input
+// length implies.
 func Decode(r io.Reader) (*State, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading checkpoint: %w", err)
 	}
-	payload, version, err := ReadFrameRange(data, magic, legacyVersion, Version, "bdrmapIT checkpoint")
+	st, err := decode(data)
 	if err != nil {
-		var fe *FrameError
-		if errors.As(err, &fe) {
-			return nil, &FormatError{Reason: fe.Reason}
-		}
-		return nil, err
-	}
-	d := &decoder{b: payload}
-	st := &State{
-		OptionsFP:   d.u64(),
-		InputDigest: d.u64(),
-		GraphDigest: d.u64(),
-		Iteration:   d.count("iteration"),
-	}
-	st.Converged = d.u8() != 0
-	st.CycleLength = d.count("cycle length")
-	n := d.count("hash history length")
-	d.checkLen(n, 9, "hash history")
-	for i := 0; i < n && d.err == nil; i++ {
-		st.Hashes = append(st.Hashes, IterHash{Hash: d.u64(), Iter: d.count("hash iteration")})
-	}
-	n = d.count("router count")
-	d.checkLen(n, 1, "router annotations")
-	for i := 0; i < n && d.err == nil; i++ {
-		st.Routers = append(st.Routers, d.u32v("router annotation"))
-	}
-	n = d.count("interface count")
-	d.checkLen(n, 1, "interface annotations")
-	for i := 0; i < n && d.err == nil; i++ {
-		st.Ifaces = append(st.Ifaces, d.u32v("interface annotation"))
-	}
-	n = d.count("trace length")
-	d.checkLen(n, 1, "trace rows")
-	for i := 0; i < n && d.err == nil; i++ {
-		nk := d.count("trace row key count")
-		d.checkLen(nk, 2, "trace row keys")
-		row := make(obs.Row, nk)
-		for j := 0; j < nk && d.err == nil; j++ {
-			row[d.str()] = d.i64()
-		}
-		st.Trace = append(st.Trace, row)
-	}
-	st.HasProv = d.u8() != 0
-	n = d.count("provenance blob length")
-	st.Prov = d.bytes(n, "provenance blob")
-	st.FormatVersion = int(version)
-	if version >= Version {
-		n = d.count("history length")
-		d.checkLen(n, 2, "history iterations")
-		for i := 0; i < n && d.err == nil; i++ {
-			st.History = append(st.History, IterDelta{
-				Routers: d.changes("router history"),
-				Ifaces:  d.changes("interface history"),
-			})
-		}
-		n = d.count("lineage length")
-		d.checkLen(n, 10, "lineage batches")
-		for i := 0; i < n && d.err == nil; i++ {
-			st.Lineage = append(st.Lineage, BatchInfo{
-				FP:     d.u64(),
-				Name:   d.str(),
-				Traces: d.intv("lineage batch trace count"),
-			})
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, &FormatError{Reason: fmt.Sprintf("%d trailing payload bytes", len(d.b)-d.off)}
+		return nil, formatError(err)
 	}
 	return st, nil
 }
 
-// decoder is a bounds-checked cursor over the payload. The first
-// structural violation latches err; subsequent reads are no-ops, so
-// call sites stay linear instead of error-checking every field.
-type decoder struct {
-	b   []byte
-	off int
-	err error
+// formatError turns the wire's refusal (frame or payload) into this
+// package's typed one.
+func formatError(err error) error {
+	var fe *FrameError
+	if errors.As(err, &fe) {
+		return &FormatError{Reason: fe.Reason}
+	}
+	return err
 }
 
-func (d *decoder) fail(reason string) {
-	if d.err == nil {
-		d.err = &FormatError{Reason: reason}
+const kind = "bdrmapIT checkpoint"
+
+func decode(data []byte) (*State, error) {
+	payload, version, err := ReadFrameRange(data, magic, legacyVersion, Version, kind)
+	if err != nil {
+		return nil, err
 	}
+	d := NewReader(payload, kind)
+	st := &State{
+		OptionsFP:     d.U64(),
+		InputDigest:   d.U64(),
+		GraphDigest:   d.U64(),
+		Iteration:     d.Int("iteration"),
+		Converged:     d.Bool("converged"),
+		CycleLength:   d.Int("cycle length"),
+		FormatVersion: int(version),
+	}
+	for n := d.Count("hash history length", 9); n > 0 && d.OK(); n-- {
+		st.Hashes = append(st.Hashes, IterHash{Hash: d.U64(), Iter: d.Int("hash iteration")})
+	}
+	for n := d.Count("router count", 1); n > 0 && d.OK(); n-- {
+		st.Routers = append(st.Routers, d.U32("router annotation"))
+	}
+	for n := d.Count("interface count", 1); n > 0 && d.OK(); n-- {
+		st.Ifaces = append(st.Ifaces, d.U32("interface annotation"))
+	}
+	for n := d.Count("trace length", 1); n > 0 && d.OK(); n-- {
+		nk := d.Count("trace row key count", 2)
+		row := make(obs.Row, nk)
+		for ; nk > 0 && d.OK(); nk-- {
+			row[d.String("trace row key")] = d.Varint("trace row value")
+		}
+		st.Trace = append(st.Trace, row)
+	}
+	st.HasProv = d.Bool("provenance")
+	st.Prov = d.Blob("provenance blob")
+	if version >= Version {
+		for n := d.Count("history length", 2); n > 0 && d.OK(); n-- {
+			st.History = append(st.History, IterDelta{
+				Routers: readChanges(d, "router history"),
+				Ifaces:  readChanges(d, "interface history"),
+			})
+		}
+		for n := d.Count("lineage length", 10); n > 0 && d.OK(); n-- {
+			st.Lineage = append(st.Lineage, BatchInfo{
+				FP:     d.U64(),
+				Name:   d.String("lineage batch name"),
+				Traces: d.Int("lineage batch trace count"),
+			})
+		}
+	}
+	return st, d.Finish()
 }
 
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("payload truncated reading byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail("payload truncated reading u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("malformed varint in " + what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("malformed signed varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a non-negative size that must fit an int.
-func (d *decoder) count(what string) int {
-	v := d.uvarint(what)
-	if v > uint64(len(d.b)) {
-		d.fail(fmt.Sprintf("implausible %s %d for a %d-byte payload", what, v, len(d.b)))
-		return 0
-	}
-	return int(v)
-}
-
-// intv reads a non-negative integer that must fit an int. Unlike count
-// it carries no payload-size plausibility bound: the value is data (a
-// trace tally), not an element count driving an allocation.
-func (d *decoder) intv(what string) int {
-	v := d.uvarint(what)
-	if v > math.MaxInt {
-		d.fail(what + " overflows int")
-		return 0
-	}
-	return int(v)
-}
-
-// u32v reads a uvarint that must fit a uint32 (an AS number).
-func (d *decoder) u32v(what string) uint32 {
-	v := d.uvarint(what)
-	if v > 1<<32-1 {
-		d.fail(what + " overflows uint32")
-		return 0
-	}
-	return uint32(v)
-}
-
-// changes reads one ordered change set (gap-encoded indices).
-func (d *decoder) changes(what string) []AnnChange {
-	n := d.count(what + " length")
-	d.checkLen(n, 2, what)
-	if d.err != nil || n == 0 {
+// readChanges reads one ordered change set (gap-encoded indices).
+func readChanges(d *Reader, what string) []AnnChange {
+	n := d.Count(what+" length", 2)
+	if n == 0 {
 		return nil
 	}
 	cs := make([]AnnChange, 0, n)
+	gap, ann := what+" index gap", what+" annotation"
 	prev := uint32(0)
-	for i := 0; i < n && d.err == nil; i++ {
-		idx := prev + d.u32v(what+" index gap")
-		cs = append(cs, AnnChange{Idx: idx, Ann: d.u32v(what + " annotation")})
-		prev = idx
+	for ; n > 0 && d.OK(); n-- {
+		prev += d.U32(gap)
+		cs = append(cs, AnnChange{Idx: prev, Ann: d.U32(ann)})
 	}
 	return cs
-}
-
-// checkLen rejects a declared element count whose minimum encoding
-// could not fit in the remaining payload, before anything allocates.
-func (d *decoder) checkLen(n, minBytesPer int, what string) {
-	if d.err != nil {
-		return
-	}
-	if n*minBytesPer > len(d.b)-d.off {
-		d.fail(fmt.Sprintf("declared %s %d exceeds remaining payload", what, n))
-	}
-}
-
-// bytes reads an n-byte blob (nil when n is zero).
-func (d *decoder) bytes(n int, what string) []byte {
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.off+n > len(d.b) {
-		d.fail("payload truncated reading " + what)
-		return nil
-	}
-	b := append([]byte(nil), d.b[d.off:d.off+n]...)
-	d.off += n
-	return b
-}
-
-func (d *decoder) str() string {
-	n := d.count("string length")
-	if d.err != nil {
-		return ""
-	}
-	if d.off+n > len(d.b) {
-		d.fail("payload truncated reading string")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
 }
 
 // Save atomically publishes st as dir/FileName: the snapshot is

@@ -137,6 +137,27 @@ func TestEncodeEmptyState(t *testing.T) {
 	stateEqual(t, got, &State{})
 }
 
+// TestDataValuesAreNotCounts: an iteration number, a cycle length and a
+// hash's first-sighting iteration are data — they may exceed the
+// payload's length in bytes, which bounds element counts only.
+func TestDataValuesAreNotCounts(t *testing.T) {
+	for name, want := range map[string]*State{
+		"iteration, empty tables": {Iteration: 1 << 20},
+		"cycle length and hash iteration": {
+			Iteration: 1 << 20, Converged: true, CycleLength: 1 << 19,
+			Hashes: []IterHash{{Hash: 1, Iter: 1 << 19}},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, err := Decode(bytes.NewReader(encode(t, want)))
+			if err != nil {
+				t.Fatalf("Decode refused what Encode wrote: %v", err)
+			}
+			stateEqual(t, got, want)
+		})
+	}
+}
+
 // TestDecodeRejectsTampering drives the decoder through every
 // structural corruption class; each must yield a *FormatError, never a
 // silently wrong State.
@@ -155,6 +176,14 @@ func TestDecodeRejectsTampering(t *testing.T) {
 		{"trailing-bytes", func(b []byte) []byte { return append(b, 0, 0, 0) }, "length mismatch"},
 		{"payload-bit-flip", func(b []byte) []byte { b[20] ^= 0x01; return b }, "checksum mismatch"},
 		{"crc-bit-flip", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b }, "checksum mismatch"},
+		// Beneath a valid envelope: bytes that say what Encode would say
+		// in a form Encode would not choose. The iteration uvarint (7) is
+		// payload byte 24, the converged flag byte 25.
+		{"overlong-varint", func(b []byte) []byte {
+			p := payloadOf(b)
+			return reframe(t, magic, Version, append(append(p[:24:24], 0x87, 0x00), p[25:]...))
+		}, "non-minimal varint"},
+		{"boolean-byte-2", func(b []byte) []byte { b[13+25] = 2; return fixCRC(b) }, "is not 0 or 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,7 +214,7 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	// 27, file offset 13+27 (8 magic + 1 version + 4 length).
 	data := encode(t, &State{Iteration: 1})
 	off := 13 + 27
-	data[off], data[off+1] = 0xff, 0xff // uvarint now decodes to thousands
+	data[off], data[off+1], data[off+2] = 0xff, 0xff, 0x01 // a minimal uvarint: 32767
 	data = fixCRC(data)
 	st, err := Decode(bytes.NewReader(data))
 	if err == nil {
@@ -198,6 +227,20 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	if !strings.Contains(fe.Reason, "implausible") && !strings.Contains(fe.Reason, "exceeds remaining") {
 		t.Errorf("reason %q is not a bounds rejection", fe.Reason)
 	}
+}
+
+// payloadOf strips the envelope (8 magic + 1 version + 4 length header,
+// 4 CRC trailer) from a valid checkpoint image.
+func payloadOf(data []byte) []byte { return data[13 : len(data)-4] }
+
+// reframe wraps payload in a valid envelope.
+func reframe(t *testing.T, magic string, version byte, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, magic, version, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // fixCRC recomputes the trailing CRC over a mutated checkpoint image so

@@ -10,8 +10,9 @@ import (
 
 // This file is the one implementation of the repo's artifact framing
 // discipline. Every serialized artifact — refinement checkpoints
-// ("BMITCKPT"), provenance artifacts ("BMITPROV"), serving snapshots
-// ("BMITSRVE") — shares the same envelope:
+// ("BMITCKPT"), intake-journal records ("BMITJRNL"), provenance
+// artifacts ("BMITPROV"), serving snapshots ("BMITSRVE") — shares the
+// same envelope:
 //
 //	magic[8] version[1] payloadLen[u32le] payload crc32[u32le]
 //
@@ -19,12 +20,15 @@ import (
 // envelope means a torn, truncated, bit-rotted, or wrong-format file is
 // detected by one audited code path, and a new artifact kind inherits
 // the full validation discipline by construction instead of
-// re-implementing it.
+// re-implementing it. The payload inside the envelope is read the same
+// way for all of them: reader.go.
 
-// FrameError reports a file that failed envelope validation: wrong
-// magic or version, a length prefix that disagrees with the file size,
-// or a failed CRC. Kind names the artifact being read so the message
-// tells the operator what the file was supposed to be.
+// FrameError reports a file that failed validation on the wire: in the
+// envelope a wrong magic or version, a length prefix that disagrees
+// with the file size, or a failed CRC; in the payload any violation a
+// Reader latches. Kind names the artifact being read so the message
+// tells the operator what the file was supposed to be. Each format's
+// Decode turns it into that package's own typed refusal.
 type FrameError struct {
 	// Kind is the human name of the artifact ("bdrmapIT checkpoint",
 	// "bdrmapIT serving snapshot", ...).
@@ -119,4 +123,15 @@ func ReadFrameFile(path, magic string, version byte, kind string) ([]byte, error
 		return nil, fmt.Errorf("reading %s %s: %w", kind, path, err)
 	}
 	return ReadFrame(data, magic, version, kind)
+}
+
+// Fingerprint is the repo's content fingerprint: FNV-64a over data. A
+// batch's identity in the journal and lineage, a serving snapshot's
+// generation identity and the annotations digest are all this value.
+func Fingerprint(data []byte) uint64 {
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for _, c := range data {
+		h = (h ^ uint64(c)) * 1099511628211 // FNV-64 prime
+	}
+	return h
 }

@@ -162,16 +162,12 @@ func DecodeJournal(data []byte) ([]JournalRecord, int, error) {
 		if end > uint64(len(rest)) {
 			return recs, off, &FormatError{Reason: fmt.Sprintf("journal record %d: declares %d payload bytes but only %d remain", len(recs), plen, len(rest)-headLen-4)}
 		}
-		payload, err := ReadFrame(rest[:end], journalMagic, journalVersion, "bdrmapIT intake journal record")
+		rec, err := decodeJournalRecord(rest[:end])
 		if err != nil {
 			var fe *FrameError
 			if errors.As(err, &fe) {
 				return recs, off, &FormatError{Reason: fmt.Sprintf("journal record %d: %s", len(recs), fe.Reason)}
 			}
-			return recs, off, err
-		}
-		rec, err := decodeJournalRecord(payload)
-		if err != nil {
 			return recs, off, err
 		}
 		recs = append(recs, rec)
@@ -180,42 +176,43 @@ func DecodeJournal(data []byte) ([]JournalRecord, int, error) {
 	return recs, off, nil
 }
 
-func decodeJournalRecord(payload []byte) (JournalRecord, error) {
-	d := &decoder{b: payload}
+const journalKind = "bdrmapIT intake journal record"
+
+func decodeJournalRecord(frame []byte) (JournalRecord, error) {
+	payload, err := ReadFrame(frame, journalMagic, journalVersion, journalKind)
+	if err != nil {
+		return JournalRecord{}, err
+	}
+	d := NewReader(payload, journalKind)
 	rec := JournalRecord{
-		Kind: JournalKind(d.u8()),
-		FP:   d.u64(),
-		Name: d.str(),
+		Kind: JournalKind(d.Byte()),
+		FP:   d.U64(),
+		Name: d.String("batch name"),
 	}
 	switch rec.Kind {
 	case JournalIntent:
-		rec.Traces = d.intv("journal intent trace count")
+		rec.Traces = d.Int("intent trace count")
 	case JournalApplied:
-		rec.AnnDigest = d.u64()
+		rec.AnnDigest = d.U64()
 	case JournalQuarantined:
-		rec.Reason = d.str()
+		rec.Reason = d.String("quarantine reason")
 	default:
-		d.fail(fmt.Sprintf("unknown journal record kind %d", byte(rec.Kind)))
+		d.Fail("unknown journal record kind %d", byte(rec.Kind))
 	}
-	if d.err == nil && d.off != len(d.b) {
-		d.fail(fmt.Sprintf("%d trailing bytes in journal record", len(d.b)-d.off))
-	}
-	return rec, d.err
+	return rec, d.Finish()
 }
 
 func appendJournalRecord(p []byte, rec JournalRecord) []byte {
 	p = append(p, byte(rec.Kind))
 	p = binary.LittleEndian.AppendUint64(p, rec.FP)
-	p = binary.AppendUvarint(p, uint64(len(rec.Name)))
-	p = append(p, rec.Name...)
+	p = AppendString(p, rec.Name)
 	switch rec.Kind {
 	case JournalIntent:
 		p = binary.AppendUvarint(p, uint64(rec.Traces))
 	case JournalApplied:
 		p = binary.LittleEndian.AppendUint64(p, rec.AnnDigest)
 	case JournalQuarantined:
-		p = binary.AppendUvarint(p, uint64(len(rec.Reason)))
-		p = append(p, rec.Reason...)
+		p = AppendString(p, rec.Reason)
 	}
 	return p
 }

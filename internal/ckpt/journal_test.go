@@ -158,6 +158,11 @@ func TestJournalRecordRejectsMalformed(t *testing.T) {
 		{"wrong-version", func(b []byte) []byte { b[8] = journalVersion + 1; return b }, "unsupported format version"},
 		{"truncated-header", func(b []byte) []byte { return b[:7] }, "truncated header"},
 		{"length-overrun", func(b []byte) []byte { return b[:len(b)-2] }, "remain"},
+		// The name-length uvarint is payload byte 9 (after kind and FP).
+		{"overlong-varint", func(b []byte) []byte {
+			p := payloadOf(b)
+			return reframe(t, journalMagic, journalVersion, append(append(p[:9:9], p[9]|0x80, 0x00), p[10:]...))
+		}, "non-minimal varint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -382,12 +387,7 @@ func legacyV2Image(t *testing.T, st *State) []byte {
 		t.Fatal("legacyV2Image needs a state without v3 sections")
 	}
 	payload := appendPayload(nil, st)
-	payload = payload[:len(payload)-2]
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, magic, legacyVersion, payload); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return reframe(t, magic, legacyVersion, payload[:len(payload)-2])
 }
 
 // TestLegacyV2Migration pins the upgrade path: a version-2 snapshot

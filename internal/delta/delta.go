@@ -27,7 +27,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,9 +50,7 @@ const (
 // journal records both the fingerprint and the name so the store can
 // tell idempotent re-delivery (same name) from replay (new name).
 func Fingerprint(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
+	return ckpt.Fingerprint(data)
 }
 
 // RefusalClass is the typed reason a batch was refused.

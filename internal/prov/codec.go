@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
-	"net/netip"
 	"os"
 
 	"repro/internal/asn"
@@ -67,11 +65,7 @@ func appendPayload(p []byte, a *Artifact) []byte {
 	for i := range a.Routers {
 		r := &a.Routers[i]
 		p = binary.AppendUvarint(p, uint64(r.Annotation))
-		if r.LastHop {
-			p = append(p, 1)
-		} else {
-			p = append(p, 0)
-		}
+		p = ckpt.AppendBool(p, r.LastHop)
 		p = appendRecord(p, &r.Record)
 	}
 	p = binary.AppendUvarint(p, uint64(len(a.Ifaces)))
@@ -100,76 +94,87 @@ func appendRecord(p []byte, r *Record) []byte {
 // Decode reads one artifact from r, validating magic, version, the
 // length prefix, the trailing CRC, and every payload bound. Structural
 // failures return a *FormatError; Decode never panics on corrupt input.
-// Only Encode's own byte choices are accepted — minimal varints, 0/1
-// booleans, no unknown flag bits — so an accepted artifact re-encodes
-// to the bytes it was read from.
+// Only Encode's own byte choices are accepted — ckpt.Reader's rules, and
+// no unknown flag bits — so an accepted artifact re-encodes to the bytes
+// it was read from.
 func Decode(r io.Reader) (*Artifact, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("prov: reading artifact: %w", err)
 	}
-	payload, err := ckpt.ReadFrame(data, magic, Version, "bdrmapIT provenance artifact")
+	a, err := decode(data)
 	if err != nil {
-		var fe *ckpt.FrameError
-		if errors.As(err, &fe) {
-			return nil, &FormatError{Reason: fe.Reason}
-		}
+		return nil, formatError(err)
+	}
+	return a, nil
+}
+
+// formatError turns the wire's refusal (frame or payload) into this
+// package's typed one.
+func formatError(err error) error {
+	var fe *ckpt.FrameError
+	if errors.As(err, &fe) {
+		return &FormatError{Reason: fe.Reason}
+	}
+	return err
+}
+
+const kind = "bdrmapIT provenance artifact"
+
+func decode(data []byte) (*Artifact, error) {
+	payload, err := ckpt.ReadFrame(data, magic, Version, kind)
+	if err != nil {
 		return nil, err
 	}
-	d := &decoder{b: payload}
-	a := &Artifact{Iterations: d.intv("iterations")}
-	flags := d.u8()
+	d := ckpt.NewReader(payload, kind)
+	a := &Artifact{Iterations: d.Int("iterations")}
+	flags := d.Byte()
 	if flags&^3 != 0 {
-		d.fail(fmt.Sprintf("unknown flag bits %#x", flags))
+		d.Fail("unknown flag bits %#x", flags)
 	}
 	a.Converged = flags&1 != 0
 	a.Interrupted = flags&2 != 0
-	a.CycleLength = d.intv("cycle length")
-	n := d.count("router count")
-	d.checkLen(n, 9, "router records")
-	if d.err == nil && n > 0 {
-		a.Routers = make([]RouterRec, 0, n)
+	a.CycleLength = d.Int("cycle length")
+	if n := d.Count("router count", 9); n > 0 {
+		a.Routers = make([]RouterRec, n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		var rr RouterRec
-		rr.Annotation = asn.ASN(d.u32v("router annotation"))
-		lastHop := d.u8()
-		if lastHop > 1 {
-			d.fail(fmt.Sprintf("router last-hop flag %d is not 0 or 1", lastHop))
+	for i := 0; i < len(a.Routers) && d.OK(); i++ {
+		rr := &a.Routers[i]
+		rr.Annotation = asn.ASN(d.U32("router annotation"))
+		rr.LastHop = d.Bool("router last-hop")
+		readRecord(d, &rr.Record)
+	}
+	if n := d.Count("interface count", 20); n > 0 {
+		a.Ifaces = make([]Iface, n)
+	}
+	for i := 0; i < len(a.Ifaces) && d.OK(); i++ {
+		f := &a.Ifaces[i]
+		f.Addr = d.Addr16()
+		f.Origin = asn.ASN(d.U32("interface origin"))
+		f.Annotation = asn.ASN(d.U32("interface annotation"))
+		f.Router = d.I32("interface router index")
+		f.Rule = IfaceRule(d.Byte())
+		if f.Rule >= NumIfaceRules {
+			d.Fail("unknown interface rule %d", f.Rule)
 		}
-		rr.LastHop = lastHop == 1
-		d.record(&rr.Record)
-		a.Routers = append(a.Routers, rr)
-	}
-	n = d.count("interface count")
-	d.checkLen(n, 20, "interface records")
-	if d.err == nil && n > 0 {
-		a.Ifaces = make([]Iface, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		var f Iface
-		f.Addr = d.addr()
-		f.Origin = asn.ASN(d.u32v("interface origin"))
-		f.Annotation = asn.ASN(d.u32v("interface annotation"))
-		f.Router = d.i32v("interface router index")
-		f.Rule = IfaceRule(d.u8())
-		if d.err == nil {
-			if f.Rule >= NumIfaceRules {
-				d.fail(fmt.Sprintf("unknown interface rule %d", f.Rule))
-			}
-			if int(f.Router) >= len(a.Routers) {
-				d.fail(fmt.Sprintf("interface router index %d out of range (%d routers)", f.Router, len(a.Routers)))
-			}
+		if int(f.Router) >= len(a.Routers) {
+			d.Fail("interface router index %d out of range (%d routers)", f.Router, len(a.Routers))
 		}
-		a.Ifaces = append(a.Ifaces, f)
 	}
-	if d.err != nil {
-		return nil, d.err
+	return a, d.Finish()
+}
+
+func readRecord(d *ckpt.Reader, r *Record) {
+	r.Rule = Rule(d.Byte())
+	r.Tie = Tie(d.Byte())
+	r.Winner = asn.ASN(d.U32("record winner"))
+	r.WinnerVotes = d.I32("record winner votes")
+	r.RunnerUp = asn.ASN(d.U32("record runner-up"))
+	r.RunnerUpVotes = d.I32("record runner-up votes")
+	r.Iter = d.I32("record iteration")
+	if r.Rule >= NumRules {
+		d.Fail("unknown rule %d", r.Rule)
 	}
-	if d.off != len(d.b) {
-		return nil, &FormatError{Reason: fmt.Sprintf("%d trailing payload bytes", len(d.b)-d.off)}
-	}
-	return a, nil
 }
 
 // EncodeState serializes the engine's in-flight provenance (per-router
@@ -193,28 +198,20 @@ func EncodeState(routers []Record, ifaces []IfaceRule) []byte {
 // lengths must match the blob's counts (the caller sized them from the
 // graph the checkpoint's digests already pinned).
 func DecodeState(b []byte, routers []Record, ifaces []IfaceRule) error {
-	d := &decoder{b: b}
-	n := d.count("provenance router count")
-	if d.err == nil && n != len(routers) {
-		return &FormatError{Reason: fmt.Sprintf("provenance router count %d does not match graph (%d)", n, len(routers))}
+	d := ckpt.NewReader(b, "provenance checkpoint state")
+	if n := d.Count("provenance router count", 7); n != len(routers) {
+		d.Fail("provenance router count %d does not match graph (%d)", n, len(routers))
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		d.record(&routers[i])
+	for i := 0; i < len(routers) && d.OK(); i++ {
+		readRecord(d, &routers[i])
 	}
-	n = d.count("provenance interface count")
-	if d.err == nil && n != len(ifaces) {
-		return &FormatError{Reason: fmt.Sprintf("provenance interface count %d does not match graph (%d)", n, len(ifaces))}
+	if n := d.Count("provenance interface count", 1); n != len(ifaces) {
+		d.Fail("provenance interface count %d does not match graph (%d)", n, len(ifaces))
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		ifaces[i] = IfaceRule(d.u8())
+	for i := 0; i < len(ifaces) && d.OK(); i++ {
+		ifaces[i] = IfaceRule(d.Byte())
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return &FormatError{Reason: fmt.Sprintf("%d trailing provenance bytes", len(d.b)-d.off)}
-	}
-	return nil
+	return formatError(d.Finish())
 }
 
 // WriteFile atomically publishes the artifact at path (write-temp +
@@ -242,130 +239,4 @@ func ReadFile(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("prov: %s: %w", path, err)
 	}
 	return a, nil
-}
-
-// decoder is a bounds-checked cursor over a payload; the first
-// structural violation latches err and subsequent reads are no-ops
-// (same discipline as ckpt's decoder).
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(reason string) {
-	if d.err == nil {
-		d.err = &FormatError{Reason: reason}
-	}
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("payload truncated reading byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("malformed varint in " + what)
-		return 0
-	}
-	if n > 1 && d.b[d.off+n-1] == 0 {
-		d.fail("non-minimal varint in " + what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a non-negative size that must be plausible for the
-// payload length.
-func (d *decoder) count(what string) int {
-	v := d.uvarint(what)
-	if v > uint64(len(d.b))+1 {
-		d.fail(fmt.Sprintf("implausible %s %d for a %d-byte payload", what, v, len(d.b)))
-		return 0
-	}
-	return int(v)
-}
-
-// intv reads a non-negative integer that must fit an int. Unlike count
-// it carries no payload-size bound: the value is data (an iteration
-// number), not an element count driving an allocation.
-func (d *decoder) intv(what string) int {
-	v := d.uvarint(what)
-	if v > math.MaxInt {
-		d.fail(what + " overflows int")
-		return 0
-	}
-	return int(v)
-}
-
-// u32v reads a uvarint that must fit a uint32 (an AS number).
-func (d *decoder) u32v(what string) uint32 {
-	v := d.uvarint(what)
-	if v > 1<<32-1 {
-		d.fail(what + " overflows uint32")
-		return 0
-	}
-	return uint32(v)
-}
-
-// i32v reads a uvarint that must fit a non-negative int32.
-func (d *decoder) i32v(what string) int32 {
-	v := d.uvarint(what)
-	if v > 1<<31-1 {
-		d.fail(what + " overflows int32")
-		return 0
-	}
-	return int32(v)
-}
-
-func (d *decoder) record(r *Record) {
-	r.Rule = Rule(d.u8())
-	r.Tie = Tie(d.u8())
-	r.Winner = asn.ASN(d.u32v("record winner"))
-	r.WinnerVotes = d.i32v("record winner votes")
-	r.RunnerUp = asn.ASN(d.u32v("record runner-up"))
-	r.RunnerUpVotes = d.i32v("record runner-up votes")
-	r.Iter = d.i32v("record iteration")
-	if d.err == nil && r.Rule >= NumRules {
-		d.fail(fmt.Sprintf("unknown rule %d", r.Rule))
-	}
-}
-
-func (d *decoder) addr() netip.Addr {
-	if d.err != nil {
-		return netip.Addr{}
-	}
-	if d.off+16 > len(d.b) {
-		d.fail("payload truncated reading address")
-		return netip.Addr{}
-	}
-	var b [16]byte
-	copy(b[:], d.b[d.off:])
-	d.off += 16
-	return netip.AddrFrom16(b).Unmap()
-}
-
-// checkLen rejects a declared element count whose minimum encoding
-// could not fit in the remaining payload, before anything allocates.
-func (d *decoder) checkLen(n, minBytesPer int, what string) {
-	if d.err != nil {
-		return
-	}
-	if n*minBytesPer > len(d.b)-d.off {
-		d.fail(fmt.Sprintf("declared %s %d exceeds remaining payload", what, n))
-	}
 }

@@ -2,6 +2,7 @@ package prov
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"net/netip"
 	"os"
@@ -71,6 +72,53 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatal("re-encoded artifact differs from original bytes")
 			}
 		})
+	}
+}
+
+// The byte layouts the build before the shared ckpt.Reader wrote, written
+// out: goldenArtifact is sampleArtifact() as an artifact file,
+// goldenState its records and rules as a checkpoint's provenance blob.
+// What that build left on disk must load, and the encoders must still
+// write exactly these bytes.
+const (
+	goldenArtifact = "424d495450524f5601610000000701010364000d0a6405c8010302ac02010200ac020000000000000b00000000000003" +
+		"00000000000000000000ffff010000016464000300000000000000000000ffff02000001c801c8010102000000000000" +
+		"00000000ffff0909090100000201eb937f8c"
+	goldenState = "030d0a6405c80103020200ac02000000000b00000000000003030201"
+)
+
+func TestGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenArtifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(t, sampleArtifact()); !bytes.Equal(got, want) {
+		t.Errorf("Encode no longer writes the recorded bytes:\n got %x\nwant %x", got, want)
+	}
+	a, err := Decode(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("Decode refuses the recorded artifact: %v", err)
+	}
+	if !reflect.DeepEqual(a, sampleArtifact()) {
+		t.Errorf("recorded artifact decodes to\n %+v\nwant %+v", a, sampleArtifact())
+	}
+
+	blob, err := hex.DecodeString(goldenState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]Record, len(a.Routers))
+	rules := make([]IfaceRule, 3)
+	if err := DecodeState(blob, recs, rules); err != nil {
+		t.Fatalf("DecodeState refuses the recorded blob: %v", err)
+	}
+	for i := range recs {
+		if recs[i] != a.Routers[i].Record {
+			t.Errorf("blob record %d = %+v, want %+v", i, recs[i], a.Routers[i].Record)
+		}
+	}
+	if got := EncodeState(recs, rules); !bytes.Equal(got, blob) {
+		t.Errorf("EncodeState no longer writes the recorded bytes:\n got %x\nwant %x", got, blob)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/netip"
 	"os"
@@ -61,17 +60,14 @@ func Encode(w io.Writer, s *Snapshot) error {
 		return errors.New("serve: nil snapshot")
 	}
 	body := appendPayload(nil, s)
-	h := fnv.New64a()
-	h.Write(body)
-	s.fingerprint = h.Sum64()
+	s.fingerprint = ckpt.Fingerprint(body)
 	payload := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(body)), s.fingerprint)
 	payload = append(payload, body...)
 	return ckpt.WriteFrame(w, magic, Version, payload)
 }
 
 func appendPayload(p []byte, s *Snapshot) []byte {
-	p = binary.AppendUvarint(p, uint64(len(s.Source)))
-	p = append(p, s.Source...)
+	p = ckpt.AppendString(p, s.Source)
 	p = binary.LittleEndian.AppendUint64(p, s.AnnDigest)
 	p = binary.AppendUvarint(p, uint64(len(s.Routers)))
 	for _, as := range s.Routers {
@@ -80,14 +76,14 @@ func appendPayload(p []byte, s *Snapshot) []byte {
 	p = binary.AppendUvarint(p, uint64(len(s.Ifaces)))
 	for i := range s.Ifaces {
 		f := &s.Ifaces[i]
-		p = appendAddr(p, f.Addr)
+		p = ckpt.AppendAddr(p, f.Addr)
 		p = binary.AppendUvarint(p, uint64(f.Router))
 		p = binary.AppendUvarint(p, uint64(f.ConnAS))
 	}
 	p = binary.AppendUvarint(p, uint64(len(s.Links)))
 	for i := range s.Links {
 		l := &s.Links[i]
-		p = appendAddr(p, l.FarAddr)
+		p = ckpt.AppendAddr(p, l.FarAddr)
 		p = binary.AppendUvarint(p, uint64(l.NearAS))
 		p = binary.AppendUvarint(p, uint64(l.FarAS))
 		var lb byte
@@ -99,25 +95,12 @@ func appendPayload(p []byte, s *Snapshot) []byte {
 	p = binary.AppendUvarint(p, uint64(len(s.Prefixes)))
 	for i := range s.Prefixes {
 		pr := &s.Prefixes[i]
-		p = appendAddr(p, pr.Prefix.Addr())
+		p = ckpt.AppendAddr(p, pr.Prefix.Addr())
 		p = append(p, byte(pr.Prefix.Bits()))
 		p = binary.AppendUvarint(p, uint64(pr.Origin))
 		p = append(p, byte(pr.Kind))
 	}
 	return p
-}
-
-// appendAddr encodes an address as a length byte (4 or 16) followed by
-// the raw bytes, preserving the IPv4/IPv6 distinction.
-func appendAddr(p []byte, a netip.Addr) []byte {
-	if a.Is4() {
-		b := a.As4()
-		p = append(p, 4)
-		return append(p, b[:]...)
-	}
-	b := a.As16()
-	p = append(p, 16)
-	return append(p, b[:]...)
 }
 
 // Decode reads one snapshot from data, validating the envelope, the
@@ -127,7 +110,7 @@ func appendAddr(p []byte, a netip.Addr) []byte {
 // *ValidationError; Decode never panics on corrupt input. The returned
 // snapshot is not yet indexed — Open does that.
 func Decode(data []byte) (*Snapshot, error) {
-	payload, err := ckpt.ReadFrame(data, magic, Version, kind)
+	s, err := decode(data)
 	if err != nil {
 		var fe *ckpt.FrameError
 		if errors.As(err, &fe) {
@@ -135,81 +118,66 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		return nil, err
 	}
-	if len(payload) < 8 {
-		return nil, &FormatError{Reason: fmt.Sprintf("payload too short for fingerprint (%d bytes)", len(payload))}
-	}
-	want := binary.LittleEndian.Uint64(payload)
-	body := payload[8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if got := h.Sum64(); got != want {
-		return nil, &MismatchError{Want: want, Got: got}
-	}
+	return s, nil
+}
 
-	d := &decoder{b: body}
-	s := &Snapshot{fingerprint: want}
-	s.Source = d.str("source")
-	s.AnnDigest = d.u64()
-	n := d.count("router count")
-	d.checkLen(n, 1, "router table")
-	if d.err == nil && n > 0 {
-		s.Routers = make([]uint32, 0, n)
+func decode(data []byte) (*Snapshot, error) {
+	payload, err := ckpt.ReadFrame(data, magic, Version, kind)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		s.Routers = append(s.Routers, d.u32v("router AS"))
+	d := ckpt.NewReader(payload, kind)
+	s := &Snapshot{fingerprint: d.U64()}
+	if !d.OK() {
+		return nil, d.Finish()
 	}
-	n = d.count("interface count")
-	d.checkLen(n, 7, "interface table")
-	if d.err == nil && n > 0 {
-		s.Ifaces = make([]Iface, 0, n)
+	if got := ckpt.Fingerprint(payload[8:]); got != s.fingerprint {
+		return nil, &MismatchError{Want: s.fingerprint, Got: got}
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		s.Ifaces = append(s.Ifaces, Iface{
-			Addr:   d.addr(),
-			Router: d.u32v("interface router index"),
-			ConnAS: d.u32v("interface connected AS"),
-		})
+	s.Source = d.String("source")
+	s.AnnDigest = d.U64()
+	if n := d.Count("router count", 1); n > 0 {
+		s.Routers = make([]uint32, n)
 	}
-	n = d.count("link count")
-	d.checkLen(n, 8, "link table")
-	if d.err == nil && n > 0 {
-		s.Links = make([]Link, 0, n)
+	for i := 0; i < len(s.Routers) && d.OK(); i++ {
+		s.Routers[i] = d.U32("router AS")
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		l := Link{
-			FarAddr: d.addr(),
-			NearAS:  d.u32v("link near AS"),
-			FarAS:   d.u32v("link far AS"),
+	if n := d.Count("interface count", 7); n > 0 {
+		s.Ifaces = make([]Iface, n)
+	}
+	for i := 0; i < len(s.Ifaces) && d.OK(); i++ {
+		s.Ifaces[i] = Iface{
+			Addr:   d.Addr(),
+			Router: d.U32("interface router index"),
+			ConnAS: d.U32("interface connected AS"),
 		}
-		l.Label = string(rune(d.u8()))
-		s.Links = append(s.Links, l)
 	}
-	n = d.count("prefix count")
-	d.checkLen(n, 8, "prefix table")
-	if d.err == nil && n > 0 {
-		s.Prefixes = make([]Prefix, 0, n)
+	if n := d.Count("link count", 8); n > 0 {
+		s.Links = make([]Link, n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		a := d.addr()
-		bits := int(d.u8())
-		pr := Prefix{
-			Origin: d.u32v("prefix origin AS"),
-			Kind:   PrefixKind(d.u8()),
+	for i := 0; i < len(s.Links) && d.OK(); i++ {
+		s.Links[i] = Link{
+			FarAddr: d.Addr(),
+			NearAS:  d.U32("link near AS"),
+			FarAS:   d.U32("link far AS"),
+			Label:   string(rune(d.Byte())),
 		}
-		if d.err == nil {
-			p := netip.PrefixFrom(a, bits)
-			if !p.IsValid() {
-				d.fail(fmt.Sprintf("invalid prefix %s/%d", a, bits))
-			}
-			pr.Prefix = p
+	}
+	if n := d.Count("prefix count", 8); n > 0 {
+		s.Prefixes = make([]Prefix, n)
+	}
+	for i := 0; i < len(s.Prefixes) && d.OK(); i++ {
+		a, bits := d.Addr(), int(d.Byte())
+		pr := &s.Prefixes[i]
+		pr.Origin = d.U32("prefix origin AS")
+		pr.Kind = PrefixKind(d.Byte())
+		pr.Prefix = netip.PrefixFrom(a, bits)
+		if !pr.Prefix.IsValid() {
+			d.Fail("invalid prefix %s/%d", a, bits)
 		}
-		s.Prefixes = append(s.Prefixes, pr)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, &FormatError{Reason: fmt.Sprintf("%d trailing payload bytes", len(d.b)-d.off)}
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -251,128 +219,4 @@ func Open(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
 	return s, nil
-}
-
-// decoder is a bounds-checked cursor over the payload; the first
-// structural violation latches err and subsequent reads are no-ops
-// (the same discipline as ckpt's and prov's decoders).
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(reason string) {
-	if d.err == nil {
-		d.err = &FormatError{Reason: reason}
-	}
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("payload truncated reading byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail("payload truncated reading u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("malformed varint in " + what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a non-negative size that must be plausible for the
-// payload length.
-func (d *decoder) count(what string) int {
-	v := d.uvarint(what)
-	if v > uint64(len(d.b)) {
-		d.fail(fmt.Sprintf("implausible %s %d for a %d-byte payload", what, v, len(d.b)))
-		return 0
-	}
-	return int(v)
-}
-
-// u32v reads a uvarint that must fit a uint32 (an AS number or table
-// index).
-func (d *decoder) u32v(what string) uint32 {
-	v := d.uvarint(what)
-	if v > 1<<32-1 {
-		d.fail(what + " overflows uint32")
-		return 0
-	}
-	return uint32(v)
-}
-
-// checkLen rejects a declared element count whose minimum encoding
-// could not fit in the remaining payload, before anything allocates.
-func (d *decoder) checkLen(n, minBytesPer int, what string) {
-	if d.err != nil {
-		return
-	}
-	if n*minBytesPer > len(d.b)-d.off {
-		d.fail(fmt.Sprintf("declared %s %d exceeds remaining payload", what, n))
-	}
-}
-
-func (d *decoder) str(what string) string {
-	n := d.count(what + " length")
-	if d.err != nil {
-		return ""
-	}
-	if d.off+n > len(d.b) {
-		d.fail("payload truncated reading " + what)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// addr reads a length-prefixed address (4 or 16 bytes).
-func (d *decoder) addr() netip.Addr {
-	n := d.u8()
-	if d.err != nil {
-		return netip.Addr{}
-	}
-	if n != 4 && n != 16 {
-		d.fail(fmt.Sprintf("address length %d (want 4 or 16)", n))
-		return netip.Addr{}
-	}
-	if d.off+int(n) > len(d.b) {
-		d.fail("payload truncated reading address")
-		return netip.Addr{}
-	}
-	a, ok := netip.AddrFromSlice(d.b[d.off : d.off+int(n)])
-	if !ok {
-		d.fail("malformed address bytes")
-		return netip.Addr{}
-	}
-	d.off += int(n)
-	return a
 }

@@ -126,6 +126,23 @@ func TestSnapshotRefusals(t *testing.T) {
 			},
 		},
 		{
+			// Envelope and fingerprint both valid, and the body says what
+			// Encode would say — in a form Encode would not choose: the
+			// source-length uvarint that opens the body, padded out.
+			"overlong varint under valid fingerprint",
+			func(t *testing.T) []byte {
+				body := payloadOf(valid)[8:]
+				body = append([]byte{body[0] | 0x80, 0x00}, body[1:]...)
+				return reframe(t, append(binary.LittleEndian.AppendUint64(nil, ckpt.Fingerprint(body)), body...))
+			},
+			func(t *testing.T, err error) {
+				wantFormat(t, err)
+				if want := "non-minimal varint"; !contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			},
+		},
+		{
 			// Envelope and fingerprint both valid, but the decoded tables
 			// violate a structural invariant: the payload is re-stamped
 			// over content whose interface table is unsorted.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -109,6 +110,41 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if o.Fingerprint() == got.Fingerprint() {
 		t.Error("different tables produced the same fingerprint")
+	}
+}
+
+// goldenSnapshot is makeSnapshot(1) in the byte layout the build before
+// the shared ckpt.Reader wrote: a snapshot that build published must
+// open, and Encode must still write exactly these bytes.
+const goldenSnapshot = "424d49545352564501010100003ad06ade8650eec8147465737420736e617073686f742073616c743d31351200000000" +
+	"00000365c9010011040a00000100ad02040a00000201ae02040a00000302af02040a00000400b002040a00000501b102" +
+	"040a00000602b202040a00000700b302040a00000801b402040a00000902b502040a00000a00b602040a00000b01b702" +
+	"040a00000c02b802040a00000d00b902040a00000e01ba02040a00000f02bb02040a00001000bc021020010db8000000" +
+	"00000000000000000101910303040a00000365c9014d040a00000365c9014e040a000007c901654504040a00000008ea" +
+	"3601040a00000008f4f70302040a01000010f6f7030204ce7eec001600038585c222"
+
+func TestGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, makeSnapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("Encode no longer writes the recorded bytes:\n got %x\nwant %x", buf.Bytes(), want)
+	}
+	got, err := Decode(want)
+	if err != nil {
+		t.Fatalf("Decode refuses the recorded snapshot: %v", err)
+	}
+	buf.Reset()
+	if err := Encode(&buf, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("the recorded snapshot re-encodes differently:\n got %x\nwant %x", buf.Bytes(), want)
 	}
 }
 
