@@ -1,11 +1,19 @@
-// Package asn defines the AS-number type and small AS-set helpers shared
-// by every layer of the system. Autonomous System numbers are 32-bit
+// Package asn defines the AS-number type and the AS-set types shared by
+// every layer of the system. Autonomous System numbers are 32-bit
 // (RFC 6793); 0 is reserved and used throughout this codebase as the
 // "no AS / unannounced" sentinel.
+//
+// There are two set types. Set is a hash set: right where a set is large
+// or long-lived scratch — customer cones, the topology generator, the
+// refinement vote's reused working sets. SmallSet is a sorted slice:
+// right where there is one set per entity and most hold one or two
+// members — the origin and destination AS sets the IR graph hangs on
+// every interface, link and router.
 package asn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -80,27 +88,6 @@ func (s Set) Sorted() []ASN {
 	return out
 }
 
-// Intersect returns the members present in both sets, sorted.
-func (s Set) Intersect(other Set) []ASN {
-	var out []ASN
-	for a := range s {
-		if other.Has(a) {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Clone returns a copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	for a := range s {
-		out[a] = struct{}{}
-	}
-	return out
-}
-
 // Equal reports whether both sets have identical membership.
 func (s Set) Equal(other Set) bool {
 	if len(s) != len(other) {
@@ -113,6 +100,52 @@ func (s Set) Equal(other Set) bool {
 	}
 	return true
 }
+
+// SmallSet is a set of AS numbers held as an ascending, duplicate-free
+// slice: one allocation (none while empty), members in order by
+// construction, and a range over it is a range over a slice — it yields
+// (index, member). The zero value is the empty set. Methods that change
+// membership take a pointer and work in place; a copy of the slice
+// header aliases the set, so copy the members (AddAll into an empty set)
+// to keep one.
+type SmallSet []ASN
+
+// Has reports membership.
+func (s SmallSet) Has(a ASN) bool {
+	_, ok := slices.BinarySearch(s, a)
+	return ok
+}
+
+// Len returns the number of members.
+func (s SmallSet) Len() int { return len(s) }
+
+// Add inserts a and reports whether it was absent.
+func (s *SmallSet) Add(a ASN) bool {
+	at, ok := slices.BinarySearch(*s, a)
+	if !ok {
+		*s = slices.Insert(*s, at, a)
+	}
+	return !ok
+}
+
+// Remove deletes a, if present.
+func (s *SmallSet) Remove(a ASN) {
+	if at, ok := slices.BinarySearch(*s, a); ok {
+		*s = slices.Delete(*s, at, at+1)
+	}
+}
+
+// AddAll inserts every member of other. It sorts the two runs together
+// rather than inserting one member at a time, so a union of sets costs
+// their total size (times a logarithm), not that times the result's.
+func (s *SmallSet) AddAll(other SmallSet) {
+	*s = append(*s, other...)
+	slices.Sort(*s)
+	*s = slices.Compact(*s)
+}
+
+// Equal reports whether both sets have identical membership.
+func (s SmallSet) Equal(other SmallSet) bool { return slices.Equal(s, other) }
 
 // Counter tallies votes per AS; it backs the voting heuristics in the
 // refinement loop (paper §6.1, §6.2).

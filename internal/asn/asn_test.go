@@ -1,6 +1,7 @@
 package asn
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -71,27 +72,14 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
-func TestSetIntersect(t *testing.T) {
-	a := NewSet(1, 2, 3)
-	b := NewSet(2, 3, 4)
-	got := a.Intersect(b)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("intersect = %v", got)
-	}
-	if n := a.Intersect(NewSet()); len(n) != 0 {
-		t.Errorf("intersect with empty = %v", n)
-	}
-}
-
-func TestSetCloneEqual(t *testing.T) {
-	a := NewSet(1, 2)
-	b := a.Clone()
+func TestSetEqual(t *testing.T) {
+	a, b := NewSet(1, 2), NewSet(2, 1)
 	if !a.Equal(b) {
-		t.Error("clone not equal")
+		t.Error("same members not equal")
 	}
 	b.Add(3)
-	if a.Equal(b) || a.Has(3) {
-		t.Error("clone not independent")
+	if a.Equal(b) || b.Equal(a) {
+		t.Error("a set equals its strict superset")
 	}
 	if NewSet(1).Equal(NewSet(2)) {
 		t.Error("distinct singletons equal")
@@ -154,5 +142,80 @@ func TestSortedMembership(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// smallSetOps is a random sequence of SmallSet operations; values are
+// drawn from a small range so that sequences hit present members,
+// removals of absent ones, and overlapping unions.
+type smallSetOps []struct {
+	Op   uint8
+	A    uint8
+	More []uint8
+}
+
+// TestSmallSetMatchesSetModel holds SmallSet to the hash Set over seeded
+// random Add/Remove/AddAll sequences: after every step the slice is
+// ascending and duplicate-free, holds exactly the model's members, and
+// Has, Len and Equal agree with the model's.
+func TestSmallSetMatchesSetModel(t *testing.T) {
+	f := func(ops smallSetOps) bool {
+		var s SmallSet
+		model := NewSet()
+		for _, op := range ops {
+			a := ASN(op.A % 32)
+			switch op.Op % 3 {
+			case 0:
+				if s.Add(a) == model.Has(a) {
+					return false // Add reports whether a was absent
+				}
+				model.Add(a)
+			case 1:
+				s.Remove(a)
+				delete(model, a)
+			case 2:
+				other := NewSet()
+				for _, m := range op.More {
+					other.Add(ASN(m % 32))
+				}
+				s.AddAll(other.Sorted())
+				model.AddAll(other)
+			}
+			for i := 1; i < len(s); i++ {
+				if s[i-1] >= s[i] {
+					return false
+				}
+			}
+			want := SmallSet(model.Sorted())
+			if s.Len() != model.Len() || !s.Equal(want) || !want.Equal(s) {
+				return false
+			}
+			for v := ASN(0); v < 33; v++ {
+				if s.Has(v) != model.Has(v) {
+					return false
+				}
+			}
+			if grown := append(want, 99); s.Equal(grown) || grown.Equal(s) {
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(25))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSmallSetSeenMemberAllocatesNothing: the graph builder asks Has, or
+// Adds a member already present, once per hop; neither may allocate.
+func TestSmallSetSeenMemberAllocatesNothing(t *testing.T) {
+	s := SmallSet{1, 3, 5, 7}
+	if n := testing.AllocsPerRun(100, func() {
+		if !s.Has(5) || s.Has(4) || s.Add(7) || s.Add(1) {
+			t.Fatal("wrong answer")
+		}
+	}); n != 0 {
+		t.Errorf("Has and Add of a present member: %.0f allocations, want 0", n)
 	}
 }

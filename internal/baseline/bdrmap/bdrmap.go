@@ -198,7 +198,7 @@ func annotateBorder(r *core.Router, rels core.RelationshipOracle, vp asn.ASN) as
 	// probed through this router identify the owner (bdrmap's reactive
 	// probing of every routed prefix makes the destination set dense).
 	if len(r.Links) == 0 && r.DestASes.Len() > 0 {
-		dests := r.DestASes.Sorted()
+		dests := r.DestASes
 		if len(dests) == 1 {
 			return dests[0]
 		}

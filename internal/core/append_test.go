@@ -305,8 +305,8 @@ var appendCases = []struct {
 			{{"6.0.0.9", "1.0.0.50", "6.0.0.1"}},
 		},
 		check: func(t *testing.T, g *Graph, apps []*Append) {
-			if got := iface(t, g, "1.0.0.50").DestASes; !got.Equal(asn.NewSet(100, 500, 600)) {
-				t.Errorf("destination ASes %v, want the set as observed: [100 500 600]", got.Sorted())
+			if got := iface(t, g, "1.0.0.50").DestASes; !got.Equal(asn.SmallSet{100, 500, 600}) {
+				t.Errorf("destination ASes %v, want the set as observed: [100 500 600]", got)
 			}
 		},
 	},
@@ -322,8 +322,8 @@ var appendCases = []struct {
 			{{"1.0.0.200", "1.0.0.50", "1.0.0.201"}},
 		},
 		check: func(t *testing.T, g *Graph, apps []*Append) {
-			if got := iface(t, g, "1.0.0.50").DestASes; !got.Equal(asn.NewSet(500)) {
-				t.Errorf("destination ASes %v, want the reallocating provider removed: [500]", got.Sorted())
+			if got := iface(t, g, "1.0.0.50").DestASes; !got.Equal(asn.SmallSet{500}) {
+				t.Errorf("destination ASes %v, want the reallocating provider removed: [500]", got)
 			}
 			if n := len(apps[1].routers) + len(apps[1].ifaces); n != 0 {
 				t.Errorf("re-observing the removed destination AS touched %d entities", n)
@@ -345,9 +345,9 @@ var appendCases = []struct {
 		check: func(t *testing.T, g *Graph, apps []*Append) {
 			for _, a := range []string{"1.0.0.50", "1.0.0.60"} {
 				r := iface(t, g, a).Router
-				if !r.DestASes.Equal(asn.NewSet(500)) || !slices.Contains(apps[0].routers, r.ID) {
+				if !r.DestASes.Equal(asn.SmallSet{500}) || !slices.Contains(apps[0].routers, r.ID) {
 					t.Errorf("router of %s: destination ASes %v, touched %v; want [500] and touched",
-						a, r.DestASes.Sorted(), slices.Contains(apps[0].routers, r.ID))
+						a, r.DestASes, slices.Contains(apps[0].routers, r.ID))
 				}
 			}
 		},

@@ -40,8 +40,8 @@ func BenchmarkBuildGraph(b *testing.B) {
 }
 
 // TestBuildGraphAllocBudget pins what a build allocates to the graph it
-// produces: a small multiple of (interfaces + links) — the objects, sets
-// and maps that are the graph — and nothing per trace. Building the
+// produces: a small multiple of (interfaces + links) — the objects, AS
+// sets and maps that are the graph — and nothing per trace. Building the
 // corpus followed by a second copy of itself adds traces and hops but no
 // interface and no link, so it must cost no more than chunk scratch.
 func TestBuildGraphAllocBudget(t *testing.T) {
@@ -64,10 +64,11 @@ func TestBuildGraphAllocBudget(t *testing.T) {
 	twice := testing.AllocsPerRun(3, func() { buildBenchSink = build(doubled) })
 	t.Logf("%d traces, %d interfaces + links: %.0f allocations (%.2f per interface or link); corpus twice over: %.0f",
 		len(ds.Traces), size, once, once/float64(size), twice)
-	// Measured 12 each: the Interface/Router/Link objects, their AS sets
-	// and maps as they grow, and the caches Finish fills.
-	if limit := 16 * float64(size); once > limit {
-		t.Errorf("%.0f allocations for %d interfaces + links, budget %.0f (16 each)", once, size, limit)
+	// Measured 7.5 each (12 while every AS set was a hash map): the
+	// Interface/Router/Link objects, their Links/Prev maps and sorted AS
+	// sets as they grow, and the caches Finish fills.
+	if limit := 10 * float64(size); once > limit {
+		t.Errorf("%.0f allocations for %d interfaces + links, budget %.0f (10 each)", once, size, limit)
 	}
 	if extra := twice - once; extra > 64 {
 		t.Errorf("the same corpus twice over costs %.0f more allocations than once; adding seen traces must allocate only chunk scratch", extra)

@@ -67,7 +67,7 @@ type Interface struct {
 	// DestASes are the origin ASes of destinations of traceroutes in
 	// which this interface replied (paper §4.4). Once Finish returns,
 	// reallocated-prefix cleanup has been applied to it.
-	DestASes asn.Set
+	DestASes asn.SmallSet
 
 	// InLinks are the links pointing at this interface, used by the
 	// interface-annotation vote (§6.2).
@@ -109,27 +109,14 @@ type Link struct {
 	Prev map[netip.Addr]asn.ASN
 	// DestASes are the destination origin ASes of traceroutes that
 	// crossed this link, consulted by the third-party test (§6.1.1).
-	DestASes asn.Set
+	DestASes asn.SmallSet
 
-	// origins/originsSorted cache OriginSet and its sorted form. Prev
-	// changes only between one Finish and the next, so Finish computes
-	// them and the refinement hot loop stops re-deriving a set per link
-	// per iteration. Both are shared: readers must not mutate them.
-	origins       asn.Set
-	originsSorted []asn.ASN
-}
-
-// OriginSet returns L(IRi,j): the origin ASes of From's interfaces seen
-// immediately prior to To, sorted. Unannounced origins are omitted.
-func (l *Link) OriginSet() asn.Set {
-	s := asn.NewSet()
-	//lint:ignore maporder set insertion commutes; the set is only read via sorted/lookup accessors
-	for _, o := range l.Prev {
-		if o != asn.None {
-			s.Add(o)
-		}
-	}
-	return s
+	// origins is L(IRi,j): the origin ASes of From's interfaces seen
+	// immediately prior to To — Prev's values, unannounced origins
+	// omitted. Prev changes only between one Finish and the next, so
+	// Finish derives it and the refinement hot loop stops re-deriving a
+	// set per link per iteration. Readers must not mutate it.
+	origins asn.SmallSet
 }
 
 // Router is an inferred router (IR): a set of aliased interfaces, its
@@ -144,10 +131,10 @@ type Router struct {
 	Links map[netip.Addr]*Link
 
 	// OriginSet is the union of the IR's interface origin ASes (§4.3).
-	OriginSet asn.Set
+	OriginSet asn.SmallSet
 	// DestASes is the aggregated destination-AS set after reallocated-
 	// prefix cleanup (§4.4).
-	DestASes asn.Set
+	DestASes asn.SmallSet
 
 	// Annotation is the AS inferred to operate this router.
 	Annotation asn.ASN
@@ -453,13 +440,11 @@ func (b *Builder) routerFor(addr netip.Addr) *Router {
 
 func (b *Builder) newRouter() *Router {
 	r := &Router{
-		ID:        -1,
-		Links:     make(map[netip.Addr]*Link),
-		OriginSet: asn.NewSet(),
-		DestASes:  asn.NewSet(),
-		buildID:   uint32(len(b.routers)),
-		queued:    b.epoch,
-		touched:   b.epoch,
+		ID:      -1,
+		Links:   make(map[netip.Addr]*Link),
+		buildID: uint32(len(b.routers)),
+		queued:  b.epoch,
+		touched: b.epoch,
 	}
 	b.routers = append(b.routers, r)
 	b.queue = append(b.queue, r)
@@ -513,7 +498,6 @@ func (b *Builder) newIface(id uint32, addr netip.Addr) *Interface {
 		Addr:     addr,
 		Origin:   e.origin,
 		Kind:     e.kind,
-		DestASes: asn.NewSet(),
 		EchoOnly: true,
 		pos:      -1,
 		touched:  b.epoch,
@@ -539,11 +523,10 @@ func (b *Builder) newLink(key uint64, from *Router, to *Interface, label LinkLab
 	b.touchRouter(from)
 	b.touchIface(to)
 	l := &Link{
-		From:     from,
-		To:       to,
-		Label:    label,
-		Prev:     make(map[netip.Addr]asn.ASN, 1),
-		DestASes: asn.NewSet(),
+		From:  from,
+		To:    to,
+		Label: label,
+		Prev:  make(map[netip.Addr]asn.ASN, 1),
 	}
 	b.links[key] = l
 	from.Links[to.Addr] = l
@@ -667,8 +650,7 @@ func (b *Builder) addInterned(t *traceroute.Trace, ids []uint32) {
 				b.touchIface(ci)
 			}
 		}
-		if dstAS != asn.None && !l.DestASes.Has(dstAS) {
-			l.DestASes.Add(dstAS)
+		if dstAS != asn.None && l.DestASes.Add(dstAS) {
 			b.touchRouter(ai.Router)
 		}
 	}
@@ -808,12 +790,12 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 	perShard := make([]GraphStats, len(shard.Bounds(len(queue), b.Workers)))
 	shard.ForShards(len(queue), b.Workers, func(s, lo, hi int) {
 		st := &perShard[s]
-		agg := asn.NewSet()
+		var agg asn.SmallSet
 		for _, r := range queue[lo:hi] {
 			if r.ID < 0 {
 				slices.SortFunc(r.Interfaces, byAddr)
 			}
-			if finishRouter(r, rels, r.touched == epoch, agg) {
+			if finishRouter(r, rels, &agg) {
 				r.touched = epoch
 			}
 			st.count(r, 1)
@@ -907,31 +889,31 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 // and the refinement hot-loop caches — links and their Prev maps do not
 // change again before the next Finish, so the per-iteration vote can
 // read precomputed origin sets and link selections instead of
-// re-deriving them for every router every iteration. For a router not
-// yet known to be touched the aggregate is built in agg, the caller's
-// scratch, and the result says whether it differs from the one r had.
-func finishRouter(r *Router, rels RelationshipOracle, touched bool, agg asn.Set) (destChanged bool) {
-	dests := r.DestASes
-	if !touched {
-		dests = agg
-	}
-	clear(dests)
+// re-deriving them for every router every iteration. The aggregate is
+// built in agg, the caller's scratch, and copied — r must not alias the
+// scratch — if it differs from the one r had, which is the result.
+func finishRouter(r *Router, rels RelationshipOracle, agg *asn.SmallSet) (destChanged bool) {
+	*agg = (*agg)[:0]
 	for _, i := range r.Interfaces {
 		if i.DestASes.Len() == 2 && rels != nil {
 			cleanReallocatedDest(i, rels)
 		}
-		dests.AddAll(i.DestASes)
+		agg.AddAll(i.DestASes)
 		i.Annotation = i.Origin
 	}
-	if destChanged = !touched && !agg.Equal(r.DestASes); destChanged {
-		clear(r.DestASes)
-		r.DestASes.AddAll(agg)
+	if destChanged = !agg.Equal(r.DestASes); destChanged {
+		r.DestASes = append(r.DestASes[:0], *agg...)
 	}
 	r.LastHop = len(r.Links) == 0
 	//lint:ignore maporder each link's cache fill is independent of every other's
 	for _, l := range r.Links {
-		l.origins = l.OriginSet()
-		l.originsSorted = l.origins.Sorted()
+		l.origins = l.origins[:0]
+		//lint:ignore maporder insertion into a sorted set commutes
+		for _, o := range l.Prev {
+			if o != asn.None {
+				l.origins.Add(o)
+			}
+		}
 	}
 	if !r.LastHop {
 		r.voteLinks = selectLinks(r)
@@ -1022,8 +1004,7 @@ type RelationshipOracle interface {
 // larger cone is inferred to be the reallocating provider and removed
 // (and remembered in droppedDest, should a third destination AS turn up).
 func cleanReallocatedDest(i *Interface, rels RelationshipOracle) {
-	ds := i.DestASes.Sorted()
-	a, b := ds[0], ds[1]
+	a, b := i.DestASes[0], i.DestASes[1]
 	var other asn.ASN
 	switch i.Origin {
 	case a:
@@ -1045,6 +1026,6 @@ func cleanReallocatedDest(i *Interface, rels RelationshipOracle) {
 	if rels.ConeSize(other) > rels.ConeSize(i.Origin) {
 		drop = other
 	}
-	delete(i.DestASes, drop)
+	i.DestASes.Remove(drop)
 	i.droppedDest = drop
 }

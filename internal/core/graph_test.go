@@ -90,12 +90,12 @@ func TestLinkOriginSetsFig5(t *testing.T) {
 		t.Fatalf("IR1 has %d interfaces, want 3 (aliases)", len(r.Interfaces))
 	}
 	l1 := r.Links[netip.MustParseAddr("2.0.0.1")]
-	if s := l1.OriginSet(); !s.Equal(asn.NewSet(100)) {
-		t.Errorf("L(IR1,b1) = %v, want {100}", s.Sorted())
+	if s := l1.origins; !s.Equal(asn.SmallSet{100}) {
+		t.Errorf("L(IR1,b1) = %v, want {100}", s)
 	}
 	l2 := r.Links[netip.MustParseAddr("2.0.0.2")]
-	if s := l2.OriginSet(); !s.Equal(asn.NewSet(100, 300)) {
-		t.Errorf("L(IR1,b2) = %v, want {100, 300}", s.Sorted())
+	if s := l2.origins; !s.Equal(asn.SmallSet{100, 300}) {
+		t.Errorf("L(IR1,b2) = %v, want {100, 300}", s)
 	}
 }
 
@@ -202,10 +202,10 @@ func TestReallocatedDestCleanup(t *testing.T) {
 	g := e.graph()
 	i := iface(t, g, "1.0.0.50")
 	if i.DestASes.Has(100) {
-		t.Errorf("reallocating provider not removed: %v", i.DestASes.Sorted())
+		t.Errorf("reallocating provider not removed: %v", i.DestASes)
 	}
 	if !i.DestASes.Has(500) {
-		t.Errorf("customer lost: %v", i.DestASes.Sorted())
+		t.Errorf("customer lost: %v", i.DestASes)
 	}
 }
 
@@ -219,7 +219,7 @@ func TestReallocCleanupRequiresNoRelationship(t *testing.T) {
 	g := e.graph()
 	i := iface(t, g, "1.0.0.50")
 	if !i.DestASes.Has(100) || !i.DestASes.Has(500) {
-		t.Errorf("visible relationship should keep both dests: %v", i.DestASes.Sorted())
+		t.Errorf("visible relationship should keep both dests: %v", i.DestASes)
 	}
 }
 

@@ -81,7 +81,7 @@ func annotateLastHops(g *Graph, rels RelationshipOracle, opts Options, pc *provC
 // Echo Replies (or the destination heuristic is ablated), so only the
 // origin-AS set is available.
 func annotateEmptyDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *prov.Record) asn.ASN {
-	origins := r.OriginSet.Sorted()
+	origins := r.OriginSet
 	switch len(origins) {
 	case 0:
 		t.emptyNoOrigin.Inc()
@@ -175,7 +175,12 @@ func annotateWithDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *p
 	// Line 3: overlap between origin and destination sets. A single
 	// overlapping AS wins outright; multiple → smallest customer cone
 	// (the AS using a reallocated prefix from the larger one).
-	overlap := O.Intersect(D)
+	var overlap []asn.ASN
+	for _, o := range O {
+		if D.Has(o) {
+			overlap = append(overlap, o)
+		}
+	}
 	if len(overlap) == 1 {
 		t.alg1Overlap.Inc()
 		setRule(pr, prov.RuleLHOverlap)
@@ -191,9 +196,8 @@ func annotateWithDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *p
 	// pick the one whose customer cone covers the most destinations
 	// (the inferred transit provider for the others).
 	var drel []asn.ASN
-	//lint:ignore maporder drel's element order varies but the selection below is a (coverage, cone size, ASN) total-order reduction
-	for d := range D {
-		for o := range O {
+	for _, d := range D {
+		for _, o := range O {
 			if rels.HasRelationship(d, o) {
 				drel = append(drel, d)
 				break
@@ -207,7 +211,7 @@ func annotateWithDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *p
 		for _, d := range drel {
 			cover := 0
 			cone := rels.CustomerCone(d)
-			for x := range D {
+			for _, x := range D {
 				if cone.Has(x) {
 					cover++
 				}
@@ -224,13 +228,13 @@ func annotateWithDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *p
 
 	// Lines 7–10: no relationship between any destination and origin.
 	// a = the destination AS with the smallest customer cone.
-	a := rels.SmallestCone(D.Sorted())
+	a := rels.SmallestCone(D)
 	// Look for a bridge AS: a provider of a that is also a customer of
 	// some origin AS. Exactly one such AS → use it.
 	bridge := asn.NewSet()
 	//lint:ignore maporder set insertion commutes; bridge is only used via Len and Sorted
 	for p := range rels.Providers(a) {
-		for o := range O {
+		for _, o := range O {
 			if rels.IsProvider(o, p) {
 				bridge.Add(p)
 				break

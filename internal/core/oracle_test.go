@@ -7,6 +7,12 @@ package core
 // distinct-address set, routerSet — is still here, so agreement between
 // the two is agreement between two independent derivations of §4.
 //
+// So are the AS sets as hash maps, which the graph held before they
+// became sorted slices (asn.SmallSet): the oracle accumulates, cleans and
+// aggregates in asn.Set side tables keyed by the entity, and Finish
+// renders each into its graph field only once it is final — where
+// diffGraphs compares.
+//
 // The oracle keys by the raw netip.Addr; it does not unmap. Inputs to
 // the differential tests therefore carry no v4-mapped addresses; the
 // mapped ≡ plain property has its own test.
@@ -56,6 +62,10 @@ type oracleBuilder struct {
 	traces   int
 	resolved map[netip.Addr]ip2as.Result // PreResolve lookup cache
 
+	ifaceDests                 map[*Interface]asn.Set
+	linkDests                  map[*Link]asn.Set
+	routerOrigins, routerDests map[*Router]asn.Set
+
 	// cleanHops scratch, reused by every AddTrace: its result never
 	// outlives the call.
 	hops []traceroute.Hop
@@ -73,6 +83,11 @@ func newOracleBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *oracleBuil
 		routers:  make(map[int]*Router),
 		byIface:  make(map[netip.Addr]*Router),
 		seen:     make(map[netip.Addr]bool),
+
+		ifaceDests:    make(map[*Interface]asn.Set),
+		linkDests:     make(map[*Link]asn.Set),
+		routerOrigins: make(map[*Router]asn.Set),
+		routerDests:   make(map[*Router]asn.Set),
 	}
 }
 
@@ -97,11 +112,11 @@ func (b *oracleBuilder) routerFor(addr netip.Addr) *Router {
 
 func (b *oracleBuilder) newRouter() *Router {
 	r := &Router{
-		ID:        b.nextID,
-		Links:     make(map[netip.Addr]*Link),
-		OriginSet: asn.NewSet(),
-		DestASes:  asn.NewSet(),
+		ID:    b.nextID,
+		Links: make(map[netip.Addr]*Link),
 	}
+	b.routerOrigins[r] = asn.NewSet()
+	b.routerDests[r] = asn.NewSet()
 	b.nextID++
 	return r
 }
@@ -149,13 +164,13 @@ func (b *oracleBuilder) iface(addr netip.Addr) *Interface {
 			Addr:     addr,
 			Origin:   res.Origin,
 			Kind:     res.Kind,
-			DestASes: asn.NewSet(),
 			EchoOnly: true,
 		}
+		b.ifaceDests[i] = asn.NewSet()
 		i.Router = b.routerFor(addr)
 		i.Router.Interfaces = append(i.Router.Interfaces, i)
 		if i.Origin != asn.None && i.Kind != ip2as.IXP {
-			i.Router.OriginSet.Add(i.Origin)
+			b.routerOrigins[i.Router].Add(i.Origin)
 		}
 		b.ifaces[addr] = i
 	}
@@ -184,7 +199,7 @@ func (b *oracleBuilder) AddTrace(t *traceroute.Trace) {
 		// except the last hop of a trace ending in an Echo Reply.
 		last := idx == len(hops)-1
 		if dstAS != asn.None && !(last && h.Reply == traceroute.EchoReply) {
-			i.DestASes.Add(dstAS)
+			b.ifaceDests[i].Add(dstAS)
 		}
 	}
 
@@ -203,12 +218,12 @@ func (b *oracleBuilder) AddTrace(t *traceroute.Trace) {
 		l, ok := ai.Router.Links[c.Addr]
 		if !ok {
 			l = &Link{
-				From:     ai.Router,
-				To:       ci,
-				Label:    label,
-				Prev:     make(map[netip.Addr]asn.ASN, 1),
-				DestASes: asn.NewSet(),
+				From:  ai.Router,
+				To:    ci,
+				Label: label,
+				Prev:  make(map[netip.Addr]asn.ASN, 1),
 			}
+			b.linkDests[l] = asn.NewSet()
 			ai.Router.Links[c.Addr] = l
 			ci.InLinks = append(ci.InLinks, l)
 		} else if label > l.Label {
@@ -216,7 +231,7 @@ func (b *oracleBuilder) AddTrace(t *traceroute.Trace) {
 		}
 		l.Prev[a.Addr] = ai.Origin
 		if dstAS != asn.None {
-			l.DestASes.Add(dstAS)
+			b.linkDests[l].Add(dstAS)
 		}
 	}
 }
@@ -305,17 +320,21 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 		st := &perShard[s]
 		for _, r := range g.Routers[lo:hi] {
 			// §4.4: per-interface reallocated-prefix cleanup, then aggregate.
+			rdests := b.routerDests[r]
 			for _, i := range r.Interfaces {
-				dests := i.DestASes
+				dests := b.ifaceDests[i]
 				if dests.Len() == 2 && rels != nil {
-					cleanReallocatedDest(i, rels)
+					oracleCleanReallocatedDest(i, dests, rels)
 				}
-				r.DestASes.AddAll(dests)
+				rdests.AddAll(dests)
+				i.DestASes = dests.Sorted()
 			}
+			r.DestASes = rdests.Sorted()
+			r.OriginSet = b.routerOrigins[r].Sorted()
 			if len(r.Links) == 0 {
 				r.LastHop = true
 				st.LastHopIRs++
-				if r.DestASes.Len() == 0 {
+				if rdests.Len() == 0 {
 					st.LastHopEmptyDst++
 				}
 			} else {
@@ -346,8 +365,8 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 			// precomputed origin sets and link selections instead of
 			// re-deriving them for every router every iteration.
 			for _, l := range r.Links {
-				l.origins = l.OriginSet()
-				l.originsSorted = l.origins.Sorted()
+				l.DestASes = b.linkDests[l].Sorted()
+				l.origins = oracleLinkOrigins(l).Sorted()
 			}
 			if len(r.Links) > 0 {
 				r.voteLinks = selectLinks(r)
@@ -372,6 +391,52 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 		ph.Note("routers", int64(len(g.Routers)))
 	}
 	return g
+}
+
+// oracleLinkOrigins returns L(IRi,j): the origin ASes of From's
+// interfaces seen immediately prior to To. Unannounced origins are
+// omitted.
+func oracleLinkOrigins(l *Link) asn.Set {
+	s := asn.NewSet()
+	for _, o := range l.Prev {
+		if o != asn.None {
+			s.Add(o)
+		}
+	}
+	return s
+}
+
+// oracleCleanReallocatedDest applies the §4.4 reallocated-prefix test to
+// one interface with exactly two destination ASes, dests: when one AS
+// matches the interface origin, the other has a customer cone of at most
+// five ASes, and the two share no BGP-observable relationship, the AS
+// with the larger cone is inferred to be the reallocating provider and
+// removed.
+func oracleCleanReallocatedDest(i *Interface, dests asn.Set, rels RelationshipOracle) {
+	ds := dests.Sorted()
+	a, b := ds[0], ds[1]
+	var other asn.ASN
+	switch i.Origin {
+	case a:
+		other = b
+	case b:
+		other = a
+	default:
+		return
+	}
+	if rels.ConeSize(other) > 5 {
+		return
+	}
+	if rels.HasRelationship(i.Origin, other) {
+		return
+	}
+	// Remove the reallocating provider: the destination AS with the
+	// larger cone.
+	drop := i.Origin
+	if rels.ConeSize(other) > rels.ConeSize(i.Origin) {
+		drop = other
+	}
+	delete(dests, drop)
 }
 
 // oracleDistinctAddrs collects every distinct hop and destination address of
@@ -462,8 +527,8 @@ func diffGraphs(got, want *Graph, ordered, traces bool) string {
 			if linkName(gl) != linkName(wl) {
 				return fmt.Sprintf("router %d vote link %d: %s, want %s", id, k, linkName(gl), linkName(wl))
 			}
-			if !gl.origins.Equal(wl.origins) || fmt.Sprint(gl.originsSorted) != fmt.Sprint(wl.originsSorted) {
-				return fmt.Sprintf("link %s: cached origins %v, want %v", linkName(wl), gl.originsSorted, wl.originsSorted)
+			if !gl.origins.Equal(wl.origins) {
+				return fmt.Sprintf("link %s: cached origins %v, want %v", linkName(wl), gl.origins, wl.origins)
 			}
 		}
 	}
@@ -884,12 +949,12 @@ func FuzzAppendDifferential(f *testing.F) {
 // The differential oracle for delta seeding: the structural digests and
 // the two-graph diff exactly as the delta engine ran them before the
 // Builder learned to say what an append touched (DESIGN §16) — every
-// router and interface of both graphs fingerprinted, sorting link,
-// previous-hop and AS sets as it goes, and compared by representative
-// address. Production seeds from Builder marks set where structure
-// mutates; this derives the same answer from the finished graphs alone,
-// so agreement between the two is agreement between two independent
-// accounts of what a batch changed.
+// router and interface of both graphs fingerprinted, sorting links and
+// previous hops as it goes (the AS sets are sorted slices now), and
+// compared by representative address. Production seeds from Builder
+// marks set where structure mutates; this derives the same answer from
+// the finished graphs alone, so agreement between the two is agreement
+// between two independent accounts of what a batch changed.
 
 const fnvOffset = 14695981039346656037
 const fnvPrime = 1099511628211
@@ -910,10 +975,9 @@ func hashAddr(h *uint64, a netip.Addr) {
 	}
 }
 
-func hashSet(h *uint64, s asn.Set) {
-	sorted := s.Sorted()
-	hashU64(h, uint64(len(sorted)))
-	for _, a := range sorted {
+func hashSet(h *uint64, s asn.SmallSet) {
+	hashU64(h, uint64(len(s)))
+	for _, a := range s {
 		hashU64(h, uint64(a))
 	}
 }
@@ -1154,7 +1218,7 @@ func oracleAnnotateRouter(r *Router, rels RelationshipOracle, opts Options) asn.
 			s = asn.NewSet()
 			m[a] = s
 		}
-		s.AddAll(l.OriginSet())
+		s.AddAll(oracleLinkOrigins(l))
 		linkVote[l] = a
 	}
 
@@ -1184,7 +1248,7 @@ func oracleAnnotateRouter(r *Router, rels RelationshipOracle, opts Options) asn.
 
 	// Alg. 2 lines 11–12: restrict the election to origin ASes plus
 	// subsequent ASes with a relationship to an origin on their links.
-	restricted := r.OriginSet.Clone()
+	restricted := asn.NewSet(r.OriginSet...)
 	grew := false
 	for v := range votes {
 		if r.OriginSet.Has(v) {
@@ -1252,7 +1316,7 @@ func oracleBreakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Opt
 		for _, v := range tied {
 			cone := rels.CustomerCone(v)
 			all := true
-			for d := range r.DestASes {
+			for _, d := range r.DestASes {
 				if !cone.Has(d) {
 					all = false
 					break
@@ -1274,7 +1338,7 @@ func oracleBreakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Opt
 			for _, v := range tied {
 				cone := rels.CustomerCone(v)
 				cover := 0
-				for d := range r.DestASes {
+				for _, d := range r.DestASes {
 					if cone.Has(d) {
 						cover++
 					}
@@ -1299,7 +1363,7 @@ func oracleBreakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Opt
 // unannounced addresses, and third-party addresses.
 func oracleLinkHeuristics(l *Link, rels RelationshipOracle, opts Options) asn.ASN {
 	j := l.To
-	origins := l.OriginSet()
+	origins := oracleLinkOrigins(l)
 
 	// Line 1: subsequent origin already among the link's origins.
 	if j.Origin != asn.None && origins.Has(j.Origin) {
@@ -1309,7 +1373,7 @@ func oracleLinkHeuristics(l *Link, rels RelationshipOracle, opts Options) asn.AS
 	// the link origin AS with the largest customer cone (valley-free
 	// reasoning, §6.1.1).
 	if j.Kind == ip2as.IXP {
-		return rels.LargestCone(l.OriginSet().Sorted())
+		return rels.LargestCone(oracleLinkOrigins(l).Sorted())
 	}
 	// The neighbour IR's annotation comes from the previous iteration's
 	// snapshot.
@@ -1375,7 +1439,7 @@ func oracleFixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.
 		return
 	}
 	isCustomer := false
-	for o := range r.OriginSet {
+	for _, o := range r.OriginSet {
 		if rels.IsProvider(o, annot) {
 			isCustomer = true
 			break
@@ -1400,7 +1464,7 @@ func oracleFixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.
 			s = asn.NewSet()
 			m[annot] = s
 		}
-		s.AddAll(l.OriginSet())
+		s.AddAll(oracleLinkOrigins(l))
 	}
 }
 
@@ -1422,7 +1486,7 @@ func oracleExceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Count
 	if subs.Len() == 1 {
 		asj := subs.Sorted()[0]
 		if !r.OriginSet.Has(asj) {
-			for o := range r.OriginSet {
+			for _, o := range r.OriginSet {
 				if rels.IsProvider(o, asj) {
 					return asj, true
 				}
@@ -1436,7 +1500,7 @@ func oracleExceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Count
 	halfOK := func(a asn.ASN) bool { return votes[a]*2 >= maxVotes }
 
 	if r.OriginSet.Len() == 1 && subs.Len() > 1 {
-		origin := r.OriginSet.Sorted()[0]
+		origin := r.OriginSet[0]
 		all := true
 		for s := range subs {
 			if s != origin && !rels.IsPeer(origin, s) && !rels.IsProvider(s, origin) {
@@ -1451,7 +1515,7 @@ func oracleExceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Count
 	if r.OriginSet.Len() > 1 && subs.Len() == 1 {
 		s := subs.Sorted()[0]
 		all := true
-		for o := range r.OriginSet {
+		for _, o := range r.OriginSet {
 			if o != s && !rels.IsPeer(s, o) && !rels.IsProvider(s, o) {
 				all = false
 				break
@@ -1472,7 +1536,7 @@ func oracleHiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels Relations
 	if r.OriginSet.Has(selected) {
 		return selected
 	}
-	for o := range r.OriginSet {
+	for _, o := range r.OriginSet {
 		if rels.HasRelationship(o, selected) {
 			return selected
 		}
@@ -1490,7 +1554,7 @@ func oracleHiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels Relations
 		// Fall back to the IR origin set when the links carried no
 		// origins (e.g. all unannounced).
 		for p := range rels.Providers(selected) {
-			for o := range r.OriginSet {
+			for _, o := range r.OriginSet {
 				if rels.IsProvider(o, p) {
 					bridges.Add(p)
 					break

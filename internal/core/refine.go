@@ -812,7 +812,9 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 			s = sc.newSet()
 			m[a] = s
 		}
-		s.AddAll(l.origins)
+		for _, o := range l.origins {
+			s.Add(o)
+		}
 		linkVote[l] = a
 	}
 
@@ -854,7 +856,9 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	// subsequent ASes with a relationship to an origin on their links.
 	clear(sc.restricted)
 	restricted := sc.restricted
-	restricted.AddAll(r.OriginSet)
+	for _, o := range r.OriginSet {
+		restricted.Add(o)
+	}
 	grew := false
 	//lint:ignore maporder set insertion and a boolean flag; neither depends on which vote AS is visited first
 	for v := range votes {
@@ -953,7 +957,7 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 		for _, v := range tied {
 			cone := rels.CustomerCone(v)
 			all := true
-			for d := range r.DestASes {
+			for _, d := range r.DestASes {
 				if !cone.Has(d) {
 					all = false
 					break
@@ -979,7 +983,7 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 			for _, v := range tied {
 				cone := rels.CustomerCone(v)
 				cover := 0
-				for d := range r.DestASes {
+				for _, d := range r.DestASes {
 					if cone.Has(d) {
 						cover++
 					}
@@ -1023,7 +1027,7 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 	// reasoning, §6.1.1).
 	if j.Kind == ip2as.IXP {
 		t.heurIXP++
-		return rels.LargestCone(l.originsSorted)
+		return rels.LargestCone(origins)
 	}
 	// The neighbour IR's annotation comes from the previous iteration's
 	// snapshot: within an iteration every router reads the same
@@ -1042,7 +1046,7 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 	// of probes crossing this link.
 	if !opts.DisableThirdParty && asj != asn.None && j.Origin != asj {
 		bypass := false
-		for o := range origins {
+		for _, o := range origins {
 			if rels.HasRelationship(o, asj) {
 				bypass = true
 				break
@@ -1093,7 +1097,7 @@ func fixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
 		return
 	}
 	isCustomer := false
-	for o := range r.OriginSet {
+	for _, o := range r.OriginSet {
 		if rels.IsProvider(o, annot) {
 			isCustomer = true
 			break
@@ -1119,7 +1123,9 @@ func fixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
 			s = sc.newSet()
 			m[annot] = s
 		}
-		s.AddAll(l.origins)
+		for _, o := range l.origins {
+			s.Add(o)
+		}
 	}
 }
 
@@ -1142,7 +1148,7 @@ func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 	if subs.Len() == 1 {
 		asj := subs.Sorted()[0]
 		if !r.OriginSet.Has(asj) {
-			for o := range r.OriginSet {
+			for _, o := range r.OriginSet {
 				if rels.IsProvider(o, asj) {
 					return asj, true
 				}
@@ -1162,7 +1168,7 @@ func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 	halfOK := func(a asn.ASN) bool { return votes[a]*2 >= maxVotes }
 
 	if r.OriginSet.Len() == 1 && subs.Len() > 1 {
-		origin := r.OriginSet.Sorted()[0]
+		origin := r.OriginSet[0]
 		all := true
 		for s := range subs {
 			if s != origin && !rels.IsPeer(origin, s) && !rels.IsProvider(s, origin) {
@@ -1177,7 +1183,7 @@ func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 	if r.OriginSet.Len() > 1 && subs.Len() == 1 {
 		s := subs.Sorted()[0]
 		all := true
-		for o := range r.OriginSet {
+		for _, o := range r.OriginSet {
 			if o != s && !rels.IsPeer(s, o) && !rels.IsProvider(s, o) {
 				all = false
 				break
@@ -1198,7 +1204,7 @@ func hiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels RelationshipOra
 	if r.OriginSet.Has(selected) {
 		return selected
 	}
-	for o := range r.OriginSet {
+	for _, o := range r.OriginSet {
 		if rels.HasRelationship(o, selected) {
 			return selected
 		}
@@ -1218,7 +1224,7 @@ func hiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels RelationshipOra
 		// origins (e.g. all unannounced).
 		//lint:ignore maporder set insertion commutes; bridges is only read via Len and Sorted
 		for p := range rels.Providers(selected) {
-			for o := range r.OriginSet {
+			for _, o := range r.OriginSet {
 				if rels.IsProvider(o, p) {
 					bridges.Add(p)
 					break

@@ -58,10 +58,13 @@ var SwapCheckHook func(*Snapshot) error
 // generation pairs a published snapshot with its monotonically
 // increasing swap generation. The pair travels as one pointer so a
 // request observes a consistent (snapshot, generation) — never a new
-// snapshot with an old generation number or vice versa.
+// snapshot with an old generation number or vice versa. fp is the
+// snapshot's fingerprint as every response carries it, rendered once per
+// swap rather than once per request.
 type generation struct {
 	snap *Snapshot
 	gen  uint64
+	fp   string
 }
 
 // Server serves annotation lookups from an atomically swappable
@@ -140,21 +143,26 @@ func (s *Server) Load() error {
 // published snapshot keeps serving untouched and the error reports
 // why. On success it returns the new generation.
 func (s *Server) Reload() (uint64, error) {
-	return s.swapFromPath()
+	pub, err := s.swapFromPath()
+	if err != nil {
+		return 0, err
+	}
+	return pub.gen, nil
 }
 
-func (s *Server) swapFromPath() (uint64, error) {
+func (s *Server) swapFromPath() (*generation, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	snap, err := Open(s.cfg.SnapshotPath)
 	if err != nil {
 		s.swapRefused.Inc()
 		s.rec.Warnf("serve: refusing snapshot swap: %v", err)
-		return 0, err
+		return nil, err
 	}
 	old := s.cur.Load()
 	gen := s.genSeq.Add(1)
-	s.cur.Store(&generation{snap: snap, gen: gen})
+	pub := &generation{snap: snap, gen: gen, fp: fmt.Sprintf("%#x", snap.Fingerprint())}
+	s.cur.Store(pub)
 	// Post-swap self-check through the published pointer: the snapshot
 	// must answer correctly from where requests will actually read it.
 	if err := s.postSwapCheck(snap); err != nil {
@@ -165,13 +173,13 @@ func (s *Server) swapFromPath() (uint64, error) {
 			oldGen = old.gen
 		}
 		s.rec.Warnf("serve: post-swap self-check failed, rolled back to generation %d: %v", oldGen, err)
-		return 0, fmt.Errorf("serve: post-swap self-check failed (rolled back to generation %d): %w", oldGen, err)
+		return nil, fmt.Errorf("serve: post-swap self-check failed (rolled back to generation %d): %w", oldGen, err)
 	}
 	s.genGauge.Set(int64(gen))
 	s.swaps.Inc()
-	s.rec.Logf("serve: published snapshot generation %d (fingerprint %#x, %d interfaces, %d routers)",
-		gen, snap.Fingerprint(), len(snap.Ifaces), len(snap.Routers))
-	return gen, nil
+	s.rec.Logf("serve: published snapshot generation %d (fingerprint %s, %d interfaces, %d routers)",
+		gen, pub.fp, len(snap.Ifaces), len(snap.Routers))
+	return pub, nil
 }
 
 func (s *Server) postSwapCheck(snap *Snapshot) error {
@@ -365,7 +373,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request, level Admi
 	resp := lookupResponse{
 		IP:          addr.String(),
 		Generation:  pub.gen,
-		Fingerprint: fmt.Sprintf("%#x", pub.snap.Fingerprint()),
+		Fingerprint: pub.fp,
 	}
 	if level == Degrade {
 		// Middle rung of the degradation ladder: answer the cheap
@@ -417,7 +425,7 @@ func (s *Server) handleIP2AS(w http.ResponseWriter, r *http.Request, _ AdmitLeve
 	resp := ip2asResponse{
 		IP:          addr.String(),
 		Generation:  pub.gen,
-		Fingerprint: fmt.Sprintf("%#x", pub.snap.Fingerprint()),
+		Fingerprint: pub.fp,
 	}
 	if p, ok := pub.snap.LookupPrefix(addr); ok {
 		resp.Found = true
@@ -457,7 +465,7 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request, level AdmitL
 	resp := linkResponse{
 		IP:          addr.String(),
 		Generation:  pub.gen,
-		Fingerprint: fmt.Sprintf("%#x", pub.snap.Fingerprint()),
+		Fingerprint: pub.fp,
 	}
 	if level == Degrade {
 		resp.Degraded = true
@@ -481,33 +489,32 @@ func (s *Server) handleHealthy(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
+	pub := s.cur.Load()
 	switch {
 	case s.draining.Load():
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case s.cur.Load() == nil:
+	case pub == nil:
 		http.Error(w, "no snapshot published", http.StatusServiceUnavailable)
 	default:
-		gen, fp := s.Generation()
 		writeJSON(w, map[string]any{
 			"ready":       true,
-			"generation":  gen,
-			"fingerprint": fmt.Sprintf("%#x", fp),
+			"generation":  pub.gen,
+			"fingerprint": pub.fp,
 		})
 	}
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
-	gen, err := s.Reload()
+	pub, err := s.swapFromPath()
 	if err != nil {
 		// 409: the request conflicted with the artifact's state; the
 		// old snapshot keeps serving, which the body says explicitly.
 		http.Error(w, fmt.Sprintf("reload refused, previous snapshot still serving: %v", err), http.StatusConflict)
 		return
 	}
-	_, fp := s.Generation()
 	writeJSON(w, map[string]any{
-		"generation":  gen,
-		"fingerprint": fmt.Sprintf("%#x", fp),
+		"generation":  pub.gen,
+		"fingerprint": pub.fp,
 	})
 }
 

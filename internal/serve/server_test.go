@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -164,6 +165,58 @@ func TestReloadEndpointAndProbes(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/lookup?ip=10.0.0.1", nil); code != http.StatusOK {
 		t.Errorf("lookup while draining: %d, want 200 (drain serves in-flight work)", code)
+	}
+}
+
+// TestFingerprintIdenticalOnEveryRoute: the five routes that name the
+// serving snapshot all carry the one string its generation was published
+// with, before a reload changes the content and after.
+func TestFingerprintIdenticalOnEveryRoute(t *testing.T) {
+	path, _ := writeSnapshot(t, t.TempDir(), 1)
+	srv := New(Config{SnapshotPath: path})
+	if err := srv.Load(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	type identity struct {
+		Generation  uint64 `json:"generation"`
+		Fingerprint string `json:"fingerprint"`
+	}
+	// sweep reloads whatever is at path through the endpoint, then asks
+	// the four read routes, and returns the identity they all agreed on.
+	sweep := func() identity {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/-/reload", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want identity
+		err = json.NewDecoder(resp.Body).Decode(&want)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("reload: status %d, %v", resp.StatusCode, err)
+		}
+		gen, fp := srv.Generation()
+		if want.Generation != gen || want.Fingerprint != fmt.Sprintf("%#x", fp) {
+			t.Fatalf("/-/reload answered %+v, server holds generation %d fingerprint %#x", want, gen, fp)
+		}
+		for _, route := range []string{"/v1/lookup?ip=10.0.0.1", "/v1/ip2as?ip=10.0.0.1", "/v1/link?ip=10.0.0.1", "/-/ready"} {
+			var got identity
+			if code := getJSON(t, ts.URL+route, &got); code != http.StatusOK || got != want {
+				t.Errorf("%s: status %d, identity %+v, want %+v", route, code, got, want)
+			}
+		}
+		return want
+	}
+	before := sweep()
+	if err := os.WriteFile(path, encodeSnapshot(t, 2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	after := sweep()
+	if after.Generation != before.Generation+1 || after.Fingerprint == before.Fingerprint {
+		t.Errorf("reload of new content: %+v after %+v", after, before)
 	}
 }
 
