@@ -1153,7 +1153,7 @@ func oracleDeltaSeed(merged, base *Graph) *oracleSeed {
 func oracleRefine(g *Graph, rels RelationshipOracle, opts Options) *Result {
 	opts.setDefaults()
 	opts.Workers = 1
-	annotateLastHops(g, rels, opts, nil)
+	oracleAnnotateLastHops(g, rels, opts)
 	res := &Result{Graph: g}
 	seen := make(map[string]int) // annotation state → iteration it first appeared
 	for iter := 1; iter <= opts.MaxIterations; iter++ {
@@ -1618,4 +1618,162 @@ func oracleAnnotateInterface(i *Interface, rels RelationshipOracle) {
 			i.Annotation = i.Origin
 		}
 	}
+}
+
+// oracleAnnotateLastHops implements phase 2 (§5) as production ran it
+// while its working sets were hash maps: every IR without outgoing links
+// is annotated from its origin-AS set and destination-AS set, serially.
+func oracleAnnotateLastHops(g *Graph, rels RelationshipOracle, opts Options) {
+	for _, r := range g.Routers {
+		if !r.LastHop {
+			continue
+		}
+		if r.DestASes.Len() == 0 || opts.DisableLastHopDest {
+			r.Annotation = oracleAnnotateEmptyDest(r, rels)
+		} else {
+			r.Annotation = oracleAnnotateWithDest(r, rels)
+		}
+	}
+}
+
+// oracleAnnotateEmptyDest handles §5.1: the IR's interfaces were only
+// seen in Echo Replies (or the destination heuristic is ablated), so
+// only the origin-AS set is available.
+func oracleAnnotateEmptyDest(r *Router, rels RelationshipOracle) asn.ASN {
+	origins := r.OriginSet
+	switch len(origins) {
+	case 0:
+		return asn.None
+	case 1:
+		return origins[0]
+	}
+	// ASes in the set with a relationship to all other ASes in the set;
+	// tie → smallest customer cone (the inferred customer).
+	var related []asn.ASN
+	for _, a := range origins {
+		all := true
+		for _, b := range origins {
+			if a != b && !rels.HasRelationship(a, b) {
+				all = false
+				break
+			}
+		}
+		if all {
+			related = append(related, a)
+		}
+	}
+	if len(related) > 0 {
+		return rels.SmallestCone(related)
+	}
+	// An AS outside the set with a relationship to every member.
+	var outside []asn.ASN
+	cand := oracleNeighborSet(rels, origins[0])
+	for a := range cand {
+		if r.OriginSet.Has(a) {
+			continue
+		}
+		all := true
+		for _, b := range origins {
+			if !rels.HasRelationship(a, b) {
+				all = false
+				break
+			}
+		}
+		if all {
+			outside = append(outside, a)
+		}
+	}
+	if len(outside) > 0 {
+		return rels.SmallestCone(outside)
+	}
+	// Most interface AS mappings; tie → smallest customer cone.
+	votes := make(asn.Counter)
+	for _, i := range r.Interfaces {
+		if i.Origin != asn.None {
+			votes.Inc(i.Origin, 1)
+		}
+	}
+	top, _ := votes.Max()
+	return rels.SmallestCone(top)
+}
+
+func oracleNeighborSet(rels RelationshipOracle, a asn.ASN) asn.Set {
+	s := asn.NewSet()
+	s.AddAll(rels.Providers(a))
+	s.AddAll(rels.Customers(a))
+	s.AddAll(rels.Peers(a))
+	return s
+}
+
+// oracleAnnotateWithDest implements Algorithm 1 (§5.2).
+func oracleAnnotateWithDest(r *Router, rels RelationshipOracle) asn.ASN {
+	D := r.DestASes
+	O := r.OriginSet
+
+	// Line 3: overlap between origin and destination sets. A single
+	// overlapping AS wins outright; multiple → smallest customer cone
+	// (the AS using a reallocated prefix from the larger one).
+	var overlap []asn.ASN
+	for _, o := range O {
+		if D.Has(o) {
+			overlap = append(overlap, o)
+		}
+	}
+	if len(overlap) == 1 {
+		return overlap[0]
+	}
+	if len(overlap) > 1 {
+		return rels.SmallestCone(overlap)
+	}
+
+	// Lines 4–6: destination ASes with a relationship to any origin AS;
+	// pick the one whose customer cone covers the most destinations
+	// (the inferred transit provider for the others).
+	var drel []asn.ASN
+	for _, d := range D {
+		for _, o := range O {
+			if rels.HasRelationship(d, o) {
+				drel = append(drel, d)
+				break
+			}
+		}
+	}
+	if len(drel) > 0 {
+		best, bestCover, bestCone := asn.None, -1, -1
+		for _, d := range drel {
+			cover := 0
+			cone := rels.CustomerCone(d)
+			for _, x := range D {
+				if cone.Has(x) {
+					cover++
+				}
+			}
+			sz := rels.ConeSize(d)
+			if cover > bestCover ||
+				(cover == bestCover && sz > bestCone) ||
+				(cover == bestCover && sz == bestCone && d < best) {
+				best, bestCover, bestCone = d, cover, sz
+			}
+		}
+		return best
+	}
+
+	// Lines 7–10: no relationship between any destination and origin.
+	// a = the destination AS with the smallest customer cone.
+	a := rels.SmallestCone(D)
+	// Look for a bridge AS: a provider of a that is also a customer of
+	// some origin AS. Exactly one such AS → use it.
+	bridge := asn.NewSet()
+	for p := range rels.Providers(a) {
+		for _, o := range O {
+			if rels.IsProvider(o, p) {
+				bridge.Add(p)
+				break
+			}
+		}
+	}
+	if bridge.Len() == 1 {
+		return bridge.Sorted()[0]
+	}
+	return a
 }
