@@ -4,11 +4,12 @@
 // "no AS / unannounced" sentinel.
 //
 // There are two set types. Set is a hash set: right where a set is large
-// or long-lived scratch — customer cones, the topology generator, the
-// refinement vote's reused working sets. SmallSet is a sorted slice:
-// right where there is one set per entity and most hold one or two
-// members — the origin and destination AS sets the IR graph hangs on
-// every interface, link and router.
+// — customer cones and neighbour sets (asrel), the topology generator
+// (topo) and the sets core's RelationshipOracle hands back, which is the
+// only place internal/core meets one. SmallSet is a sorted slice: right
+// where there is one set per entity and most hold one or two members —
+// the origin and destination AS sets the IR graph hangs on every
+// interface, link and router, and the refinement vote's working sets.
 package asn
 
 import (

@@ -112,23 +112,25 @@ func annotateEmptyDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *
 		setRule(pr, prov.RuleLHRelated)
 		return rels.SmallestCone(related)
 	}
-	// An AS outside the set with a relationship to every member.
-	var outside []asn.ASN
-	cand := neighborSet(rels, origins[0])
-	//lint:ignore maporder outside's element order varies but SmallestCone below reduces it by the (cone size, ASN) total order
-	for a := range cand {
-		if r.OriginSet.Has(a) {
-			continue
-		}
-		all := true
-		for _, b := range origins {
-			if !rels.HasRelationship(a, b) {
-				all = false
-				break
+	// An AS outside the set with a relationship to every member: it is
+	// among the first member's neighbours, under one relationship or more.
+	var outside asn.SmallSet
+	for _, nbrs := range [...]asn.Set{rels.Providers(origins[0]), rels.Customers(origins[0]), rels.Peers(origins[0])} {
+		//lint:ignore maporder inserts into a sorted set; SmallestCone below reads it in ascending order whatever order the oracle's set was visited in
+		for a := range nbrs {
+			if origins.Has(a) {
+				continue
 			}
-		}
-		if all {
-			outside = append(outside, a)
+			all := true
+			for _, b := range origins {
+				if !rels.HasRelationship(a, b) {
+					all = false
+					break
+				}
+			}
+			if all {
+				outside.Add(a)
+			}
 		}
 	}
 	if len(outside) > 0 {
@@ -139,13 +141,13 @@ func annotateEmptyDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *
 	// Most interface AS mappings; tie → smallest customer cone.
 	t.emptyVote.Inc()
 	setRule(pr, prov.RuleLHVote)
-	votes := make(asn.Counter)
+	var votes tally
 	for _, i := range r.Interfaces {
 		if i.Origin != asn.None {
-			votes.Inc(i.Origin, 1)
+			votes.add(i.Origin, 1)
 		}
 	}
-	top, _ := votes.Max()
+	top, _ := votes.max(nil)
 	a := rels.SmallestCone(top)
 	fillTally(pr, votes, a)
 	return a
@@ -157,14 +159,6 @@ func setRule(pr *prov.Record, rule prov.Rule) {
 	if pr != nil {
 		pr.Rule = rule
 	}
-}
-
-func neighborSet(rels RelationshipOracle, a asn.ASN) asn.Set {
-	s := asn.NewSet()
-	s.AddAll(rels.Providers(a))
-	s.AddAll(rels.Customers(a))
-	s.AddAll(rels.Peers(a))
-	return s
 }
 
 // annotateWithDest implements Algorithm 1 (§5.2).
@@ -231,20 +225,10 @@ func annotateWithDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *p
 	a := rels.SmallestCone(D)
 	// Look for a bridge AS: a provider of a that is also a customer of
 	// some origin AS. Exactly one such AS → use it.
-	bridge := asn.NewSet()
-	//lint:ignore maporder set insertion commutes; bridge is only used via Len and Sorted
-	for p := range rels.Providers(a) {
-		for _, o := range O {
-			if rels.IsProvider(o, p) {
-				bridge.Add(p)
-				break
-			}
-		}
-	}
-	if bridge.Len() == 1 {
+	if n, bridge := bridges(rels, a, O); n == 1 {
 		t.alg1Bridge.Inc()
 		setRule(pr, prov.RuleLHBridge)
-		return bridge.Sorted()[0]
+		return bridge
 	}
 	t.alg1Smallest.Inc()
 	setRule(pr, prov.RuleLHSmallest)

@@ -78,29 +78,22 @@ func (pc *provCollector) artifact(g *Graph, res *Result) *prov.Artifact {
 }
 
 // fillTally completes a record's election shape from the final vote
-// tally: the winner's count and the strongest other candidate (count,
-// then smallest ASN — a total order, so the reduction is visit-order
-// independent).
+// tally: the winner's count and the strongest other candidate — the most
+// votes, then the smallest ASN, which an ascending walk meets first.
 //
 //lint:hotpath
-func fillTally(pr *prov.Record, votes asn.Counter, winner asn.ASN) {
+func fillTally(pr *prov.Record, votes tally, winner asn.ASN) {
 	if pr == nil {
 		return
 	}
 	pr.Winner = winner
-	pr.WinnerVotes = int32(votes[winner])
-	ru, ruN := asn.None, 0
-	//lint:ignore maporder (max count, smallest ASN) is a total-order reduction; every visit order yields the same runner-up
-	for v, n := range votes {
-		if v == winner || n <= 0 {
-			continue
-		}
-		if n > ruN || (n == ruN && v < ru) {
-			ru, ruN = v, n
+	pr.WinnerVotes = votes.count(winner)
+	pr.RunnerUp, pr.RunnerUpVotes = asn.None, 0
+	for _, v := range votes {
+		if v.as != winner && v.n > pr.RunnerUpVotes {
+			pr.RunnerUp, pr.RunnerUpVotes = v.as, v.n
 		}
 	}
-	pr.RunnerUp = ru
-	pr.RunnerUpVotes = int32(ruN)
 }
 
 // recordProvAggregates surfaces the artifact's aggregate shape through

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"hash/fnv"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,103 +91,83 @@ func (o *Options) setDefaults() {
 	o.Workers = shard.Resolve(o.Workers)
 }
 
-// voteScratch is one worker shard's reusable annotation storage. The
-// voting helpers allocate several maps, sets, and slices per router (and
-// a counter per interface) per iteration; profiling the M ladder rung
-// put that churn at the top of the refinement profile. Shard boundaries
-// are pure functions of (n, workers) — shard.Bounds — so shard s sees
-// the same routers every iteration and can reuse one scratch across all
-// of them: maps are cleared in place, sets come from a freelist that
-// recycles between routers (never within one — every set handed out
-// stays live until the router's annotation completes), and result
-// slices reuse their backing arrays. Scratch never crosses shards, so
-// no synchronization is needed.
+// vote is one tally entry: an AS and the votes it holds.
+type vote struct {
+	as asn.ASN
+	n  int32
+}
+
+// tally counts votes per AS as an ascending, duplicate-free slice. Every
+// entry holds at least one vote — one that drops to none is removed — so
+// an empty tally means nothing voted, and a walk meets the ASes in order.
+type tally []vote
+
+func (t tally) find(a asn.ASN) (int, bool) {
+	return slices.BinarySearchFunc(t, a, func(v vote, a asn.ASN) int { return cmp.Compare(v.as, a) })
+}
+
+// add gives a n more votes; n may be negative.
+//
+//lint:hotpath
+func (t *tally) add(a asn.ASN, n int32) {
+	at, ok := t.find(a)
+	if !ok {
+		*t = slices.Insert(*t, at, vote{as: a})
+	}
+	if (*t)[at].n += n; (*t)[at].n <= 0 {
+		*t = slices.Delete(*t, at, at+1)
+	}
+}
+
+// count returns a's votes, 0 when it holds none.
+func (t tally) count(a asn.ASN) int32 {
+	if at, ok := t.find(a); ok {
+		return t[at].n
+	}
+	return 0
+}
+
+// max returns the ASes holding the most votes, ascending in dst[:0], and
+// that count; (dst[:0], 0) for an empty tally.
+//
+//lint:hotpath
+func (t tally) max(dst []asn.ASN) ([]asn.ASN, int32) {
+	dst = dst[:0]
+	var best int32
+	for _, v := range t {
+		switch {
+		case v.n > best:
+			best = v.n
+			dst = append(dst[:0], v.as)
+		case v.n == best:
+			dst = append(dst, v.as)
+		}
+	}
+	return dst, best
+}
+
+// voteScratch is one worker shard's reusable annotation storage: the
+// vote's working state as slices whose backing arrays outlive the router
+// or interface they were filled for, so a warmed shard allocates nothing.
+// Shard boundaries are pure functions of (n, workers) — shard.Bounds — so
+// shard s sees the same entities every iteration, and scratch never
+// crosses shards: no synchronization is needed.
 type voteScratch struct {
-	votes    asn.Counter         // annotateRouter's vote tally
-	m        map[asn.ASN]asn.Set // vote AS → backing link origins
-	linkVote map[*Link]asn.ASN   // link → vote it cast
+	votes tally // the router's (Alg. 2) or interface's (§6.2) vote tally
 
-	sets []asn.Set // freelist backing m's values and helper sets
-	used int       // sets[:used] handed out for the current router
+	// Parallel to the router's voteLinks; asn.None where a link cast no
+	// vote. cast is what Alg. 3 said, linkVote what the link votes for
+	// once §6.1.2 has moved it. A link's origins back both: moving a vote
+	// does not take the origins away from the AS it was first cast for.
+	cast, linkVote []asn.ASN
 
-	restricted asn.Set     // the §6.1.4 restricted-election set
-	top        []asn.ASN   // tied-max vote storage (maxInto)
-	tied       []asn.ASN   // electFrom's tied-candidate storage
-	cands      []*Link     // fixReallocatedVotes candidate storage
-	ifVotes    asn.Counter // annotateInterface's vote tally
-	related    []asn.ASN   // annotateInterface's related-candidate storage
-}
-
-func newVoteScratch() *voteScratch {
-	return &voteScratch{
-		votes:      make(asn.Counter),
-		m:          make(map[asn.ASN]asn.Set),
-		linkVote:   make(map[*Link]asn.ASN),
-		restricted: asn.NewSet(),
-		ifVotes:    make(asn.Counter),
-	}
-}
-
-// reset readies the scratch for the next router: clears the voting maps
-// and returns every freelist set to the pool. The sets themselves are
-// cleared lazily on handout.
-//
-//lint:hotpath
-func (sc *voteScratch) reset() {
-	clear(sc.votes)
-	clear(sc.m)
-	clear(sc.linkVote)
-	sc.used = 0
-}
-
-// newSet hands out an empty set, recycling the freelist before growing.
-//
-//lint:hotpath
-func (sc *voteScratch) newSet() asn.Set {
-	if sc.used < len(sc.sets) {
-		s := sc.sets[sc.used]
-		sc.used++
-		clear(s)
-		return s
-	}
-	s := asn.NewSet()
-	sc.sets = append(sc.sets, s)
-	sc.used = len(sc.sets)
-	return s
-}
-
-// maxInto is asn.Counter.Max with caller-owned result storage: the
-// tied-max ASes land in dst[:0] (ascending) with the max count, which
-// keeps the per-router/per-interface election allocation-free.
-//
-//lint:hotpath
-func maxInto(votes asn.Counter, dst []asn.ASN) ([]asn.ASN, int) {
-	best := 0
-	//lint:ignore maporder pure max reduction; every visit order yields the same maximum
-	for _, n := range votes {
-		if n > best {
-			best = n
-		}
-	}
-	out := dst[:0]
-	if best == 0 {
-		return out, 0
-	}
-	//lint:ignore maporder collected in arbitrary order, then sorted ascending below
-	for v, n := range votes {
-		if n == best {
-			out = append(out, v)
-		}
-	}
-	// Insertion sort: ties are almost always 1–2 entries, and
-	// sort.Slice's comparator closure escapes (one allocation per
-	// election — measurable across millions of routers per iteration).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out, best
+	subs       asn.SmallSet // §6.1.3: the distinct link votes
+	restricted asn.SmallSet // §6.1.4: the ASes the restricted election admits
+	backing    []asn.ASN    // §6.1.5: link origins backing the elected AS
+	cands      []int        // §6.1.2: indices of the candidate links
+	top, tied  []asn.ASN    // tied-max storage: tally.max, electFrom
+	full, best []asn.ASN    // breakTie's destination-coverage candidates
+	related    []asn.ASN    // annotateInterface's related candidates
 }
 
 // cycleDetector tracks annotation-state hashes across iterations and
@@ -213,8 +195,7 @@ func (c *cycleDetector) record(h uint64, iter int) (int, bool) {
 // iterTally accumulates one refinement iteration's statistics. Each
 // worker shard fills a private tally with plain (unsynchronized)
 // increments and merges it into the iteration total once at shard end,
-// so the hot loop pays a handful of integer bumps per router — nothing
-// observable next to the voting maps it allocates anyway.
+// so the hot loop pays a handful of integer bumps per router.
 type iterTally struct {
 	changedRouters, changedIfaces, votesCast int64
 
@@ -464,11 +445,11 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	// indexes exactly the routers it owns.
 	routerScratch := make([]*voteScratch, len(shard.Bounds(len(g.Routers), opts.Workers)))
 	for i := range routerScratch {
-		routerScratch[i] = newVoteScratch()
+		routerScratch[i] = new(voteScratch)
 	}
 	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(g.sortedIfaces), opts.Workers)))
 	for i := range ifaceScratch {
-		ifaceScratch[i] = newVoteScratch()
+		ifaceScratch[i] = new(voteScratch)
 	}
 	changed := make([][]int, len(routerScratch)) // per router-shard: indices changed last iteration
 	// memo[idx] holds the heuristic tallies of router idx's most recent
@@ -790,48 +771,40 @@ func (i *Interface) votersChanged() bool {
 // scratch sc. A non-nil pr receives the decision's provenance
 // (rule, tally, tie path); it is written to, never read, so it cannot
 // influence the annotation.
+//
+//lint:hotpath
 func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTally, sc *voteScratch, pr *prov.Record) asn.ASN {
 	if pr != nil {
 		// Reset everything but the last-change iteration, which persists
 		// across iterations (the caller maintains it).
 		*pr = prov.Record{Iter: pr.Iter}
 	}
-	sc.reset()
-	votes, m, linkVote := sc.votes, sc.m, sc.linkVote
-
-	links := r.voteLinks
-	for _, l := range links {
+	sc.votes, sc.cast = sc.votes[:0], sc.cast[:0]
+	for _, l := range r.voteLinks {
 		a := linkHeuristics(l, rels, opts, t)
-		if a == asn.None {
-			continue
+		sc.cast = append(sc.cast, a)
+		if a != asn.None {
+			t.votesCast++
+			sc.votes.add(a, 1)
 		}
-		t.votesCast++
-		votes.Inc(a, 1)
-		s, ok := m[a]
-		if !ok {
-			s = sc.newSet()
-			m[a] = s
-		}
-		for _, o := range l.origins {
-			s.Add(o)
-		}
-		linkVote[l] = a
 	}
+	sc.linkVote = append(sc.linkVote[:0], sc.cast...)
 
 	if !opts.DisableRealloc {
-		fixReallocatedVotes(r, links, linkVote, votes, m, rels, t, sc)
+		fixReallocatedVotes(r, rels, t, sc)
 	}
 
 	// Alg. 2 line 9: each IR interface votes with its origin AS.
 	for _, i := range r.Interfaces {
 		if i.Origin != asn.None {
 			t.votesCast++
-			votes.Inc(i.Origin, 1)
+			sc.votes.add(i.Origin, 1)
 		}
 	}
+	votes := sc.votes
 
 	if !opts.DisableExceptions {
-		if a, ok := exceptionCases(r, linkVote, votes, rels, sc); ok {
+		if a, ok := exceptionCases(r, rels, sc); ok {
 			t.heurException++
 			if pr != nil {
 				pr.Rule = prov.RuleException
@@ -854,27 +827,16 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 
 	// Alg. 2 lines 11–12: restrict the election to origin ASes plus
 	// subsequent ASes with a relationship to an origin on their links.
-	clear(sc.restricted)
-	restricted := sc.restricted
-	for _, o := range r.OriginSet {
-		restricted.Add(o)
-	}
+	sc.restricted = append(sc.restricted[:0], r.OriginSet...)
 	grew := false
-	//lint:ignore maporder set insertion and a boolean flag; neither depends on which vote AS is visited first
-	for v := range votes {
-		if r.OriginSet.Has(v) {
-			continue
-		}
-		for o := range m[v] {
-			if rels.HasRelationship(o, v) {
-				restricted.Add(v)
-				grew = true
-				break
-			}
+	for i, l := range r.voteLinks {
+		grew = sc.admit(sc.linkVote[i], l, rels) || grew
+		if sc.cast[i] != sc.linkVote[i] {
+			grew = sc.admit(sc.cast[i], l, rels) || grew
 		}
 	}
 	if grew {
-		if w := electFrom(r, votes, restricted, rels, opts, t, sc, pr); w != asn.None {
+		if w := electFrom(r, rels, opts, t, sc, pr); w != asn.None {
 			if pr != nil {
 				pr.Rule = prov.RuleRestrictedElection
 				fillTally(pr, votes, w)
@@ -884,9 +846,8 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	}
 
 	// Alg. 2 lines 13–14: unrestricted election, then hidden-AS check.
-	top, _ := maxInto(votes, sc.top)
-	sc.top = top
-	a := breakTie(r, top, rels, opts, t, pr)
+	sc.top, _ = votes.max(sc.top)
+	a := breakTie(r, sc.top, rels, opts, t, sc, pr)
 	if pr != nil {
 		pr.Rule = prov.RuleElection
 		fillTally(pr, votes, a)
@@ -894,7 +855,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	if opts.DisableHiddenAS || a == asn.None {
 		return a
 	}
-	h := hiddenAS(r, a, m[a], rels, sc)
+	h := hiddenAS(r, a, rels, sc)
 	if h != a {
 		t.heurHiddenAS++
 		if pr != nil {
@@ -902,45 +863,62 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 			// bridge as the winner and the displaced AS as runner-up.
 			pr.Rule = prov.RuleHiddenAS
 			pr.Winner = h
-			pr.WinnerVotes = int32(votes[h])
+			pr.WinnerVotes = votes.count(h)
 			pr.RunnerUp = a
-			pr.RunnerUpVotes = int32(votes[a])
+			pr.RunnerUpVotes = votes.count(a)
 		}
 	}
 	return h
 }
 
-// electFrom picks the AS with the most votes among the allowed set.
-// asn.None when no allowed AS has votes.
+// admit adds v, a vote l cast or holds, to the restricted election when
+// it still has votes and a relationship with one of l's origins, and
+// reports whether it did. The IR's own origins are in the set from the
+// start, so Has also answers "is v one of them".
 //
 //lint:hotpath
-func electFrom(r *Router, votes asn.Counter, allowed asn.Set, rels RelationshipOracle, opts Options, t *iterTally, sc *voteScratch, pr *prov.Record) asn.ASN {
-	best := 0
-	//lint:ignore maporder pure max reduction; every visit order yields the same maximum
-	for v, n := range votes {
-		if allowed.Has(v) && n > best {
-			best = n
+func (sc *voteScratch) admit(v asn.ASN, l *Link, rels RelationshipOracle) bool {
+	if v == asn.None || sc.restricted.Has(v) || sc.votes.count(v) == 0 {
+		return false
+	}
+	for _, o := range l.origins {
+		if rels.HasRelationship(o, v) {
+			return sc.restricted.Add(v)
 		}
 	}
-	if best == 0 {
-		return asn.None
-	}
-	tied := sc.tied[:0]
-	//lint:ignore maporder tied's element order varies but its contents do not, and breakTie reduces it by total orders only
-	for v, n := range votes {
-		if allowed.Has(v) && n == best {
-			tied = append(tied, v)
+	return false
+}
+
+// electFrom picks the AS with the most votes among sc.restricted.
+// asn.None when none of them has votes.
+//
+//lint:hotpath
+func electFrom(r *Router, rels RelationshipOracle, opts Options, t *iterTally, sc *voteScratch, pr *prov.Record) asn.ASN {
+	tied, best := sc.tied[:0], int32(0)
+	for _, v := range sc.votes {
+		switch {
+		case !sc.restricted.Has(v.as):
+		case v.n > best:
+			best = v.n
+			tied = append(tied[:0], v.as)
+		case v.n == best:
+			tied = append(tied, v.as)
 		}
 	}
 	sc.tied = tied
-	return breakTie(r, tied, rels, opts, t, pr)
+	if best == 0 {
+		return asn.None
+	}
+	return breakTie(r, tied, rels, opts, t, sc, pr)
 }
 
 // breakTie resolves a vote tie: first (unless ablated) toward the AS
 // whose customer cone covers the most of the IR's destination ASes,
 // then toward the smallest customer cone (§6.1.4: "the most likely
 // customer AS"). A non-nil pr accumulates the tie-break stages walked.
-func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, t *iterTally, pr *prov.Record) asn.ASN {
+//
+//lint:hotpath
+func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, t *iterTally, sc *voteScratch, pr *prov.Record) asn.ASN {
 	if len(tied) <= 1 {
 		if pr != nil {
 			pr.Tie |= prov.TieSingle
@@ -953,7 +931,7 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 		// destinations concentrate inside the true operator's cone,
 		// while on transit routers (global destination sets) no
 		// candidate qualifies and the rule stays silent.
-		var full []asn.ASN
+		full := sc.full[:0]
 		for _, v := range tied {
 			cone := rels.CustomerCone(v)
 			all := true
@@ -967,6 +945,7 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 				full = append(full, v)
 			}
 		}
+		sc.full = full
 		if len(full) > 0 {
 			t.heurDestTie++
 			if pr != nil {
@@ -979,7 +958,7 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 			// destination escapes its visible cone. Large destination
 			// sets stay with the paper's smallest-cone rule — there,
 			// coverage only measures cone size.
-			best, bestCover := []asn.ASN(nil), 0
+			best, bestCover := sc.best[:0], 0
 			for _, v := range tied {
 				cone := rels.CustomerCone(v)
 				cover := 0
@@ -990,11 +969,12 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 				}
 				switch {
 				case cover > bestCover:
-					best, bestCover = []asn.ASN{v}, cover
+					best, bestCover = append(best[:0], v), cover
 				case cover == bestCover && cover > 0:
 					best = append(best, v)
 				}
 			}
+			sc.best = best
 			if len(best) == 1 {
 				t.heurDestTie++
 				if pr != nil {
@@ -1067,25 +1047,26 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 // customer of an IR origin AS, the addresses are inferred to be a
 // reallocated prefix and their votes move from the provider to the
 // customer.
-func fixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
-	votes asn.Counter, m map[asn.ASN]asn.Set, rels RelationshipOracle, t *iterTally, sc *voteScratch) {
-
+//
+//lint:hotpath
+func fixReallocatedVotes(r *Router, rels RelationshipOracle, t *iterTally, sc *voteScratch) {
 	cands := sc.cands[:0]
-	defer func() { sc.cands = cands }()
-	for _, l := range links {
+	for i, l := range r.voteLinks {
 		if l.To.Origin != asn.None && r.OriginSet.Has(l.To.Origin) {
-			cands = append(cands, l)
+			cands = append(cands, i)
 		}
 	}
+	sc.cands = cands
 	if len(cands) < 2 {
 		return // require multiple links (§6.1.2)
 	}
 	var annot asn.ASN
 	var prefix netip.Prefix
-	for i, l := range cands {
-		a := l.To.Router.prevAnnotation // previous iteration's snapshot
-		p := netutil.Slash24(l.To.Addr)
-		if i == 0 {
+	for n, i := range cands {
+		to := r.voteLinks[i].To
+		a := to.Router.prevAnnotation // previous iteration's snapshot
+		p := netutil.Slash24(to.Addr)
+		if n == 0 {
 			annot, prefix = a, p
 			continue
 		}
@@ -1106,47 +1087,36 @@ func fixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
 	if !isCustomer {
 		return
 	}
-	for _, l := range cands {
-		old, ok := linkVote[l]
-		if !ok || old == annot {
+	for _, i := range cands {
+		old := sc.linkVote[i]
+		if old == asn.None || old == annot {
 			continue
 		}
-		votes.Inc(old, -1)
-		if votes[old] <= 0 {
-			delete(votes, old)
-		}
-		votes.Inc(annot, 1)
+		sc.votes.add(old, -1)
+		sc.votes.add(annot, 1)
 		t.heurRealloc++
-		linkVote[l] = annot
-		s, ok := m[annot]
-		if !ok {
-			s = sc.newSet()
-			m[annot] = s
-		}
-		for _, o := range l.origins {
-			s.Add(o)
-		}
+		sc.linkVote[i] = annot
 	}
 }
 
 // exceptionCases implements §6.1.3: the multihomed-customer exception
 // and the multiple-peers/providers exception. ok reports whether an
 // exception fired.
-func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
-	rels RelationshipOracle, sc *voteScratch) (asn.ASN, bool) {
-
-	subs := sc.newSet()
-	//lint:ignore maporder set insertion commutes; subs is only read via Len, Has, and Sorted
-	for _, v := range linkVote {
+//
+//lint:hotpath
+func exceptionCases(r *Router, rels RelationshipOracle, sc *voteScratch) (asn.ASN, bool) {
+	sc.subs = sc.subs[:0]
+	for _, v := range sc.linkVote {
 		if v != asn.None {
-			subs.Add(v)
+			sc.subs.Add(v)
 		}
 	}
+	subs := sc.subs
 
 	// Multihomed to a provider: a single subsequent AS that is a
 	// customer of an IR origin AS operates the router (Fig. 11).
-	if subs.Len() == 1 {
-		asj := subs.Sorted()[0]
+	if len(subs) == 1 {
+		asj := subs[0]
 		if !r.OriginSet.Has(asj) {
 			for _, o := range r.OriginSet {
 				if rels.IsProvider(o, asj) {
@@ -1158,30 +1128,26 @@ func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 
 	// Multiple peers/providers: the common denominator operates the IR,
 	// provided it retains at least half the top vote count.
-	var maxVotes int
-	//lint:ignore maporder pure max reduction; every visit order yields the same maximum
-	for _, n := range votes {
-		if n > maxVotes {
-			maxVotes = n
-		}
+	var maxVotes int32
+	for _, v := range sc.votes {
+		maxVotes = max(maxVotes, v.n)
 	}
-	halfOK := func(a asn.ASN) bool { return votes[a]*2 >= maxVotes }
 
-	if r.OriginSet.Len() == 1 && subs.Len() > 1 {
+	if r.OriginSet.Len() == 1 && len(subs) > 1 {
 		origin := r.OriginSet[0]
 		all := true
-		for s := range subs {
+		for _, s := range subs {
 			if s != origin && !rels.IsPeer(origin, s) && !rels.IsProvider(s, origin) {
 				all = false
 				break
 			}
 		}
-		if all && halfOK(origin) {
+		if all && sc.votes.count(origin)*2 >= maxVotes {
 			return origin, true
 		}
 	}
-	if r.OriginSet.Len() > 1 && subs.Len() == 1 {
-		s := subs.Sorted()[0]
+	if r.OriginSet.Len() > 1 && len(subs) == 1 {
+		s := subs[0]
 		all := true
 		for _, o := range r.OriginSet {
 			if o != s && !rels.IsPeer(s, o) && !rels.IsProvider(s, o) {
@@ -1189,7 +1155,7 @@ func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 				break
 			}
 		}
-		if all && !r.OriginSet.Has(s) && halfOK(s) {
+		if all && !r.OriginSet.Has(s) && sc.votes.count(s)*2 >= maxVotes {
 			return s, true
 		}
 	}
@@ -1200,7 +1166,9 @@ func exceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
 // with any IR origin AS, look for a single AS bridging the link origins
 // and the selection — a customer of a link origin that is a provider of
 // the selection (Fig. 12) — and use it instead.
-func hiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels RelationshipOracle, sc *voteScratch) asn.ASN {
+//
+//lint:hotpath
+func hiddenAS(r *Router, selected asn.ASN, rels RelationshipOracle, sc *voteScratch) asn.ASN {
 	if r.OriginSet.Has(selected) {
 		return selected
 	}
@@ -1209,33 +1177,42 @@ func hiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels RelationshipOra
 			return selected
 		}
 	}
-	bridges := sc.newSet()
-	//lint:ignore maporder set insertion commutes; bridges is only read via Len and Sorted
-	for p := range rels.Providers(selected) {
-		for o := range backing {
+	backing := sc.backing[:0]
+	for i, l := range r.voteLinks {
+		if sc.linkVote[i] == selected || sc.cast[i] == selected {
+			backing = append(backing, l.origins...)
+		}
+	}
+	sc.backing = backing
+	n, bridge := bridges(rels, selected, backing)
+	if n == 0 {
+		// Fall back to the IR origin set when the links carried no
+		// origins (e.g. all unannounced).
+		n, bridge = bridges(rels, selected, r.OriginSet)
+	}
+	if n == 1 {
+		return bridge
+	}
+	return selected
+}
+
+// bridges counts the providers of a that are customers of an AS in over,
+// and returns the smallest: the bridge, when it is the only one.
+//
+//lint:hotpath
+func bridges(rels RelationshipOracle, a asn.ASN, over []asn.ASN) (n int, bridge asn.ASN) {
+	//lint:ignore maporder a count and a minimum over the oracle's provider set; every visit order yields the same pair
+	for p := range rels.Providers(a) {
+		for _, o := range over {
 			if rels.IsProvider(o, p) {
-				bridges.Add(p)
+				if n++; n == 1 || p < bridge {
+					bridge = p
+				}
 				break
 			}
 		}
 	}
-	if bridges.Len() == 0 {
-		// Fall back to the IR origin set when the links carried no
-		// origins (e.g. all unannounced).
-		//lint:ignore maporder set insertion commutes; bridges is only read via Len and Sorted
-		for p := range rels.Providers(selected) {
-			for _, o := range r.OriginSet {
-				if rels.IsProvider(o, p) {
-					bridges.Add(p)
-					break
-				}
-			}
-		}
-	}
-	if bridges.Len() == 1 {
-		return bridges.Sorted()[0]
-	}
-	return selected
+	return n, bridge
 }
 
 // annotateInterface implements §6.2: align each interface's annotation
@@ -1269,17 +1246,16 @@ func annotateInterface(i *Interface, rels RelationshipOracle, sc *voteScratch, p
 			best = l.Label
 		}
 	}
-	clear(sc.ifVotes)
-	votes := sc.ifVotes
+	sc.votes = sc.votes[:0]
 	for _, l := range i.InLinks {
 		if l.Label != best {
 			continue
 		}
 		if a := l.From.Annotation; a != asn.None {
-			votes.Inc(a, len(l.Prev))
+			sc.votes.add(a, int32(len(l.Prev)))
 		}
 	}
-	top, _ := maxInto(votes, sc.top)
+	top, _ := sc.votes.max(sc.top)
 	sc.top = top
 	switch len(top) {
 	case 0:

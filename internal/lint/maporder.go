@@ -9,9 +9,9 @@ import (
 // Maporder guards the determinism invariant at the heart of the §6.3
 // stopping condition: annotation and emission code must not let Go's
 // randomized map iteration order leak into results. It flags every
-// `range` over a map (including named map types like asn.Set and
-// asn.Counter) inside the refinement core, the sharding substrate, the
-// telemetry layer, and the public API package, unless the loop matches
+// `range` over a map (including named map types like asn.Set) inside
+// the refinement core, the sharding substrate, the telemetry layer, and
+// the public API package, unless the loop matches
 // one of the provably order-independent idioms below or the site carries
 // a //lint:ignore maporder annotation explaining why order cannot leak.
 //
