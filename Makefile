@@ -129,8 +129,9 @@ smoke:
 # fault classes the loaders must survive. The two graph-builder targets cap
 # minimization: their oracle ranges over maps, so block counts jitter from
 # run to run and the engine would otherwise spend the whole burst
-# re-running one "interesting" input. The provenance and payload-reader
-# targets cap it too: uncapped, a cold 30 s provenance burst stalled in
+# re-running one "interesting" input. The provenance, payload-reader and
+# refinement-log targets cap it too (uncapped, a 6 s log burst spent its
+# second half in minimization): uncapped, a cold 30 s provenance burst stalled in
 # minimization after 28 k executions (capped, 15 s reach 300 k), and a
 # 20 s reader burst after 88 k (capped, 15 s reach 200 k).
 FUZZTIME ?= 10s
@@ -149,6 +150,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAppendDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzIterLog$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prov -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
@@ -186,9 +188,9 @@ explain-smoke:
 serve-smoke:
 	$(GO) test ./cmd/bdrmapitd -run '^TestServeSmoke$$|^TestOverloadSheds$$' -count=1 -v
 
-# Crash-injection matrix: SIGKILL the real CLI at seeded checkpoint and
-# output-rename points, resume from the snapshot at a different worker
-# count, and require byte-identical annotations with no torn output
+# Crash-injection matrix: SIGKILL the real CLI at seeded checkpoint
+# (iteration-0 snapshot, log appends) and output-rename points, resume
+# from the snapshot and log at a different worker count, and require byte-identical annotations with no torn output
 # file. This is the executable proof behind the -checkpoint-dir/-resume
 # durability claims.
 crash-smoke:

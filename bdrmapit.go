@@ -119,18 +119,19 @@ type Options struct {
 	// WarnWriter receives the loud degradation and skipped-file
 	// warnings. nil means os.Stderr; use io.Discard to silence.
 	WarnWriter io.Writer
-	// CheckpointDir, when set, makes the refinement loop durable:
-	// committed iterations are snapshotted into this directory (created
-	// if needed) with atomic-rename semantics, so a run killed at any
+	// CheckpointDir, when set, makes the refinement loop durable: the
+	// run's first and final states are snapshotted into this directory
+	// (created if needed) with atomic-rename semantics and every iteration
+	// between is appended to a log beside them, so a run killed at any
 	// instant can restart with Resume and finish byte-identically to an
 	// uninterrupted run. Snapshots record a fingerprint of the heuristic
 	// options and a digest of every input file; worker count and the
 	// iteration cap are deliberately not part of the fingerprint (both
 	// may change across a resume without changing the result).
 	CheckpointDir string
-	// CheckpointEvery snapshots every N committed iterations (<= 1,
-	// the default, snapshots every iteration). The final iteration is
-	// always snapshotted. Ignored without CheckpointDir.
+	// CheckpointEvery makes committed iterations durable N per fsync
+	// (<= 1, the default: each one), so a kill loses at most N-1. The
+	// final iteration is always snapshotted. Ignored without CheckpointDir.
 	CheckpointEvery int
 	// Resume restores the newest snapshot in CheckpointDir before
 	// refinement and continues after it. A missing snapshot fails with
@@ -199,10 +200,12 @@ type Result struct {
 	// convergence trace. It marshals to JSON and renders with
 	// obs.WriteSummary.
 	Report *obs.Report
-	// ResumedFrom is the checkpointed iteration this run restored before
-	// continuing (Options.Resume); 0 for a run started from scratch. A
-	// resumed run's annotations, Iterations, and Report trace are
-	// byte-identical to an uninterrupted run's.
+	// Resumed reports that this run restored a checkpoint before
+	// continuing (Options.Resume), ResumedFrom the iteration it restored:
+	// 0 for a run started from scratch, or killed before its first
+	// iteration was durable. A resumed run's annotations, Iterations, and
+	// Report trace are byte-identical to an uninterrupted run's.
+	Resumed     bool
 	ResumedFrom int
 }
 
@@ -428,6 +431,7 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 		Converged:   res.Converged,
 		Interrupted: res.Interrupted,
 		Report:      res.Report,
+		Resumed:     res.Resumed,
 		ResumedFrom: res.ResumedFrom,
 	}, nil
 }

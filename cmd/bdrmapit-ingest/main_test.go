@@ -71,8 +71,11 @@ type ingestFixture struct {
 	batchFP []uint64 // content fingerprints of batches
 	// oracles[k] is the annotation bytes of a from-scratch run over
 	// base + the first k batches — every state the published
-	// annotations file may legitimately hold.
-	oracles [][]byte
+	// annotations file may legitimately hold — and oracleIters[k] how
+	// many refinement iterations that run took, which is how many the
+	// delta run absorbing batch k takes.
+	oracles     [][]byte
+	oracleIters []int
 }
 
 func newIngestFixture(t *testing.T) *ingestFixture {
@@ -125,14 +128,16 @@ func newIngestFixture(t *testing.T) *ingestFixture {
 		t.Fatal(err)
 	}
 	for k := 0; k <= len(fx.batches); k++ {
-		fx.oracles = append(fx.oracles, fx.oracleAnnotations(t, k))
+		ann, iters := fx.oracleAnnotations(t, k)
+		fx.oracles = append(fx.oracles, ann)
+		fx.oracleIters = append(fx.oracleIters, iters)
 	}
 	return fx
 }
 
 // oracleAnnotations runs the public API from scratch over base + the
 // first k batches.
-func (fx *ingestFixture) oracleAnnotations(t *testing.T, k int) []byte {
+func (fx *ingestFixture) oracleAnnotations(t *testing.T, k int) ([]byte, int) {
 	t.Helper()
 	res, err := bdrmapit.Run(bdrmapit.Sources{
 		TraceroutePaths:     append([]string{fx.base}, fx.batches[:k]...),
@@ -149,7 +154,7 @@ func (fx *ingestFixture) oracleAnnotations(t *testing.T, k int) []byte {
 	if err := res.Annotations(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), res.Iterations
 }
 
 // srcArgs is the CLI argument block naming the base corpus.
@@ -192,6 +197,29 @@ func (fx *ingestFixture) assertPublishedState(t *testing.T, ann string) {
 	t.Errorf("annotations file after crash matches no legitimate publish state (%d bytes)", len(got))
 }
 
+// dirFiles reads every regular file under root, keyed by its path
+// relative to root. In-flight temporaries (dot-prefixed) are left out:
+// a kill mid-publish leaves one behind and nothing ever reads it.
+func dirFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), ".") {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // countQuarantined counts the .reason verdict files in the state
 // directory's quarantine.
 func countQuarantined(t *testing.T, state string) int {
@@ -218,8 +246,9 @@ func countQuarantined(t *testing.T, state string) int {
 // and output publishes, delta-refinement checkpoints — then rerun the
 // same command with the equivalence oracle armed and require the final
 // annotations byte-identical to a from-scratch run over the merged
-// corpus, with exactly one quarantined batch and no torn file visible
-// at any point.
+// corpus, the serving snapshot and every file of the state directory
+// byte-identical to those of a session nobody killed, with exactly one
+// quarantined batch and no torn file visible at any point.
 func TestIngestCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash matrix is not a -short test")
@@ -245,8 +274,31 @@ func TestIngestCrashMatrix(t *testing.T) {
 		{"delta-snapshot-rename", "pre-rename:refine.ckpt", true},
 		{"journal-applied", "journal:applied", true},
 		{"journal-quarantined", "journal:quarantined", true},
+		// The iteration-0 snapshot of a run is published (under the new
+		// lineage, for a delta run) and the log still holds the run
+		// before's records; no iteration of this run is durable.
+		{"bootstrap-start-snapshot", "checkpoint:0", false},
+		{"delta-start-snapshot", "checkpoint:0", true},
+		// Batch 1's final snapshot is published — the checkpoint says
+		// absorbed — and neither its artifacts nor its applied record are.
+		{"delta-final-snapshot", fmt.Sprintf("checkpoint:%d", fx.oracleIters[1]), true},
 	}
 	final := fx.oracles[len(fx.oracles)-1]
+
+	// The session nobody killed: what every recovered state directory and
+	// published file must equal, byte for byte.
+	refDir := t.TempDir()
+	refState := filepath.Join(refDir, "state")
+	refSnap := filepath.Join(refDir, "snapshot.bin")
+	if ref := runIngest(t, "", append(fx.srcArgs(refState, filepath.Join(refDir, "annotations.txt"), refSnap),
+		"-batch", fx.batchArg())...); ref.err != nil {
+		t.Fatalf("uninterrupted session failed: %v\nstderr: %s", ref.err, ref.stderr.String())
+	}
+	wantState := dirFiles(t, refState)
+	wantSnap, err := os.ReadFile(refSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range cases {
 		tc := tc
@@ -287,8 +339,19 @@ func TestIngestCrashMatrix(t *testing.T) {
 			if n := countQuarantined(t, state); n != 1 {
 				t.Errorf("quarantine holds %d batches after recovery, want exactly 1 (the poison batch)", n)
 			}
-			if _, err := os.Stat(snap); err != nil {
-				t.Errorf("recovery published no serving snapshot: %v", err)
+			if gotSnap, err := os.ReadFile(snap); err != nil || !bytes.Equal(gotSnap, wantSnap) {
+				t.Errorf("recovered serving snapshot differs from the uninterrupted session's (%v)", err)
+			}
+			gotState := dirFiles(t, state)
+			for name, want := range wantState {
+				if got, ok := gotState[name]; !ok || !bytes.Equal(got, want) {
+					t.Errorf("state file %s after recovery differs from the uninterrupted session's (present: %v)", name, ok)
+				}
+			}
+			for name := range gotState {
+				if _, ok := wantState[name]; !ok {
+					t.Errorf("state directory holds %s after recovery; the uninterrupted session's does not", name)
+				}
 			}
 		})
 	}

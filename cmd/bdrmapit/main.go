@@ -29,11 +29,12 @@
 // source into a hard error; -max-bad-inputs N tolerates up to N
 // unreadable required files (traceroutes, RIBs) before aborting.
 //
-// Durability: -checkpoint-dir makes refinement crash-safe — each
-// committed iteration (every Nth with -checkpoint-every N) is
-// snapshotted with atomic-rename semantics, and -resume restarts a
-// killed run from the newest snapshot, producing output byte-identical
-// to an uninterrupted run at any worker count. Resume refuses
+// Durability: -checkpoint-dir makes refinement crash-safe — the run's
+// first and final states are snapshotted with atomic-rename semantics,
+// each iteration between (N per fsync with -checkpoint-every N) is
+// appended to a log beside them, and -resume restarts a killed run from
+// the newest durable iteration, producing output byte-identical to an
+// uninterrupted run at any worker count. Resume refuses
 // checkpoints taken under different heuristic options or input files.
 // Every output file (annotations, links, ITDK, JSON report) is also
 // published atomically, so a kill at any instant never leaves a torn
@@ -108,7 +109,7 @@ func main() {
 		strict   = flag.Bool("strict", false, "treat any degraded input source as a hard error")
 		maxBad   = flag.Int("max-bad-inputs", 0, "tolerate up to N unreadable required input files before aborting")
 		ckptDir  = flag.String("checkpoint-dir", "", "snapshot committed refinement iterations into this directory for crash-safe resume")
-		ckptEvry = flag.Int("checkpoint-every", 0, "snapshot every N committed iterations (default 1: every iteration; the final iteration is always snapshotted)")
+		ckptEvry = flag.Int("checkpoint-every", 0, "make committed iterations durable N at a time, one log append and fsync per N (default 1: every iteration; the final iteration is always snapshotted)")
 		resume   = flag.Bool("resume", false, "restore the newest snapshot in -checkpoint-dir and continue the run from there")
 		provOut  = flag.String("provenance", "", "collect per-router decision provenance and write the artifact to this file (query with cmd/explain)")
 		srvOut   = flag.String("serve-snapshot", "", "write a serving snapshot to this file for bdrmapitd to load or hot-swap")
@@ -227,7 +228,7 @@ func main() {
 		fmt.Fprintln(os.Stderr,
 			"bdrmapit: run interrupted; writing partial annotations from the last committed iteration")
 	}
-	if res.ResumedFrom > 0 {
+	if res.Resumed {
 		fmt.Fprintf(os.Stderr, "bdrmapit: resumed from checkpoint at iteration %d\n", res.ResumedFrom)
 	}
 

@@ -152,8 +152,9 @@ func TestCrashResume(t *testing.T) {
 		workerSet = append(workerSet, n)
 	}
 	crashPoints := []string{
-		"checkpoint:1",               // mid-refinement, first snapshot committed
-		"checkpoint:2",               // mid-refinement, later snapshot
+		"checkpoint:0",               // iteration-0 snapshot published, log not yet emptied, no iteration durable
+		"checkpoint:1",               // mid-refinement, first iteration's log record durable
+		"checkpoint:2",               // mid-refinement, later record
 		"pre-rename:annotations.txt", // inference done, output publish in flight
 		"pre-rename:itdk.nodes",      // ITDK publish in flight
 		"pre-rename:run.prov",        // provenance artifact publish in flight
@@ -301,9 +302,9 @@ func TestSecondSignalForcesExit(t *testing.T) {
 }
 
 // TestCrashResumeBeforeFirstSnapshot covers the one crash window where
-// nothing can be restored: SIGKILL during the very first snapshot's
-// rename leaves no refine.ckpt, so -resume must refuse with a clear
-// message and a fresh (non-resume) run must still succeed.
+// nothing can be restored: SIGKILL during the rename of the run's
+// iteration-0 snapshot leaves no refine.ckpt, so -resume must refuse
+// with a clear message and a fresh (non-resume) run must still succeed.
 func TestCrashResumeBeforeFirstSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash matrix is not a -short test")

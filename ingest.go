@@ -93,15 +93,14 @@ type IngestResult struct {
 	Report *obs.Report
 }
 
-// ingestState is the session's rolling inference state: the converged
-// checkpoint that the next batch's delta run uses as its base, and the
-// run that committed it. The graph itself lives in the session's
+// ingestState is the session's rolling inference state: the run that
+// committed the converged checkpoint (res.Checkpoint) the next batch's
+// delta run uses as its base. The graph itself lives in the session's
 // Builder, which grows it batch by batch.
 type ingestState struct {
 	// traces is the merged corpus, kept only for the VerifyDelta oracle:
 	// a session without it never holds more than the chunks in flight.
 	traces  []*traceroute.Trace
-	state   *ckpt.State
 	lineage []ckpt.BatchInfo
 	res     *core.Result
 }
@@ -292,7 +291,8 @@ func (ing *ingester) bootstrapOrRecover(src Sources) error {
 		return errInterrupted
 	}
 	if recovering {
-		ing.rec.Logf("ingest: restored checkpoint at iteration %d with %d absorbed batch(es)", res.Iterations, len(lineage))
+		ing.rec.Logf("ingest: restored checkpoint at iteration %d (%d of them from %s) with %d absorbed batch(es)",
+			res.ResumedFrom, st.FromLog, ckpt.LogName, len(lineage))
 	}
 	return ing.adoptState(res, lineage)
 }
@@ -319,17 +319,12 @@ func (ing *ingester) absorbedCopy(b ckpt.BatchInfo) traceSource {
 }
 
 // adoptState installs a just-committed run as the session's rolling
-// base: reload the checkpoint it saved (the next delta's base state
-// must carry that run's history) and remember the lineage.
+// base: the state it checkpointed (the next delta's base state must
+// carry that run's history) and the lineage.
 func (ing *ingester) adoptState(res *core.Result, lineage []ckpt.BatchInfo) error {
-	st, err := ckpt.Load(ing.store.Dir)
-	if err != nil {
-		return fmt.Errorf("bdrmapit: ingest: reloading committed checkpoint: %w", err)
-	}
-	if err := st.RequireHistory(); err != nil {
+	if err := res.Checkpoint.RequireHistory(); err != nil {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
-	ing.cur.state = st
 	ing.cur.lineage = lineage
 	ing.cur.res = res
 	return nil
@@ -473,7 +468,7 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	if err != nil {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
-	res, err := core.RunDeltaContext(ing.ctx, g, ing.builder.LastAppend(), ing.cur.state, ing.rels, dopts)
+	res, err := core.RunDeltaContext(ing.ctx, g, ing.builder.LastAppend(), ing.cur.res.Checkpoint, ing.rels, dopts)
 	if err != nil {
 		return fmt.Errorf("bdrmapit: ingest: absorbing %s: %w", name, err)
 	}

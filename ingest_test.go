@@ -2,13 +2,16 @@ package bdrmapit
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/delta"
+	"repro/internal/faultio"
 	"repro/simnet"
 )
 
@@ -219,6 +222,117 @@ func TestIngestSession(t *testing.T) {
 	}
 	if !bytes.Equal(got3, want) {
 		t.Fatal("replay sessions changed the published annotations")
+	}
+}
+
+// stateFiles reads every regular file under a state directory, keyed by
+// its path relative to it.
+func stateFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestIngestTornLogAppend is the kill the CLI crash matrix cannot seed:
+// inside an append to refine.log, with half a frame on disk. The write
+// of one iteration record of one absorb is cut short (the session ends
+// on the error, as it would on the kill); the restarted session must cut
+// the torn tail before it appends behind it, redo the batch, and end in
+// a state directory and published files byte-identical to those of a
+// session nobody interrupted — for the first record of an absorb (no
+// iteration of it durable yet) and for a later one.
+func TestIngestTornLogAppend(t *testing.T) {
+	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
+	dir := t.TempDir()
+	base, batches, _ := splitCorpus(t, p.Traceroutes, dir)
+	src := topoSources(p)
+	src.TraceroutePaths = []string{base}
+	session := func(name string) (IngestOptions, func() (*IngestResult, error)) {
+		opts := IngestOptions{
+			StateDir:        filepath.Join(dir, name, "state"),
+			AnnotationsPath: filepath.Join(dir, name, "annotations.txt"),
+			SnapshotPath:    filepath.Join(dir, name, "snapshot.bin"),
+			Run:             Options{Workers: 2, WarnWriter: io.Discard},
+		}
+		return opts, func() (*IngestResult, error) { return Ingest(src, batches, opts) }
+	}
+	refOpts, ref := session("ref")
+	if _, err := ref(); err != nil {
+		t.Fatal(err)
+	}
+	want := stateFiles(t, refOpts.StateDir)
+
+	// The bootstrap is a session of its own, so the first append the
+	// wrapper sees is the first absorb's first.
+	for _, nth := range []int{1, 2} {
+		t.Run("append="+string(rune('0'+nth)), func(t *testing.T) {
+			name := "torn-" + string(rune('0'+nth))
+			opts, run := session(name)
+			if _, err := Ingest(src, nil, opts); err != nil {
+				t.Fatalf("bootstrap: %v", err)
+			}
+			appends := 0
+			ckpt.TestWriteWrap = func(w io.Writer) io.Writer {
+				if f, ok := w.(*os.File); ok && filepath.Base(f.Name()) == ckpt.LogName {
+					if appends++; appends == nth {
+						return faultio.ShortWriter(w, 20)
+					}
+				}
+				return w
+			}
+			_, err := run()
+			ckpt.TestWriteWrap = nil
+			if !errors.Is(err, faultio.ErrNoSpace) {
+				t.Fatalf("session with a short log write = %v, want ErrNoSpace", err)
+			}
+			// What the kill left: the absorb's base and the records before
+			// the torn one.
+			st, err := ckpt.Load(opts.StateDir)
+			if err != nil {
+				t.Fatalf("the state directory with a torn log does not load: %v", err)
+			}
+			if st.Iteration != nth-1 || st.FromLog != nth-1 || len(st.Lineage) != 1 {
+				t.Fatalf("interrupted state: iteration %d, %d from the log, %d batches in the lineage; want %d, %d, 1",
+					st.Iteration, st.FromLog, len(st.Lineage), nth-1, nth-1)
+			}
+			res, err := run()
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			if res.Absorbed != len(batches) {
+				t.Errorf("restart absorbed %d of %d batches", res.Absorbed, len(batches))
+			}
+			got := stateFiles(t, opts.StateDir)
+			for f, w := range want {
+				if g, ok := got[f]; !ok || !bytes.Equal(g, w) {
+					t.Errorf("state file %s differs from the uninterrupted session's (present: %v)", f, ok)
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("state directory holds %d files, the uninterrupted session's %d", len(got), len(want))
+			}
+			for _, f := range []string{"annotations.txt", "snapshot.bin"} {
+				g, err := os.ReadFile(filepath.Join(dir, name, f))
+				w, werr := os.ReadFile(filepath.Join(dir, "ref", f))
+				if err != nil || werr != nil || !bytes.Equal(g, w) {
+					t.Errorf("published %s differs from the uninterrupted session's (%v, %v)", f, err, werr)
+				}
+			}
+		})
 	}
 }
 

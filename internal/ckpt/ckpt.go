@@ -1,16 +1,17 @@
 // Package ckpt makes long bdrmapIT runs crash-safe: it serializes the
 // refinement loop's committed per-iteration state into a versioned,
 // length-prefixed, CRC-guarded binary snapshot, written with
-// write-to-temp + fsync + atomic-rename semantics so the checkpoint on
-// disk is always a complete, internally consistent iteration — never a
-// torn file — no matter when the process dies.
+// write-to-temp + fsync + atomic-rename semantics, plus an append-only
+// log of the iterations since, so the checkpoint on disk is always a
+// complete, consistent iteration no matter when the process dies.
 //
 // The engine commits one consistent annotation state per refinement
 // iteration (paper §6.3 detects convergence by hashing exactly that
 // state), which makes iteration boundaries natural durability points: a
 // snapshot holds the router and interface annotations, the iteration
 // counter, the cycle-detector history, and the convergence trace, plus
-// fingerprints of the options and inputs that produced them. Restoring
+// fingerprints of the options and inputs that produced them; a log
+// record holds what one iteration changed in those. Restoring
 // a snapshot into a freshly rebuilt graph and continuing the loop is
 // byte-identical to never having crashed, at every worker count — the
 // durability complement of the engine's cancellation-equivalence
@@ -37,10 +38,10 @@ import (
 	"repro/internal/obs"
 )
 
-// FileName is the checkpoint file written inside the checkpoint
-// directory. A run keeps exactly one: each committed iteration
-// atomically replaces the previous snapshot, so the newest durable
-// state is always at this name.
+// FileName is the snapshot file written inside the checkpoint
+// directory. A run publishes it twice, its iteration-0 state and its
+// final one; the iterations between are records in LogName, and the
+// newest durable state is the two folded together (Load).
 const FileName = "refine.ckpt"
 
 // Version is the current checkpoint format version. Version 2 added the
@@ -68,7 +69,8 @@ var ErrNoCheckpoint = errors.New("ckpt: no checkpoint found")
 
 // TestHook, when non-nil, is invoked at named durability points:
 // "pre-rename:<base>" just before AtomicWrite publishes a file, and
-// "checkpoint:<iteration>" just after a snapshot becomes durable. The
+// "checkpoint:<iteration>" just after an iteration becomes durable,
+// as a snapshot or as a log record. The
 // crash-injection harness uses it to SIGKILL the process at exact,
 // reproducible instants; production runs never set it.
 var TestHook func(point string)
@@ -76,11 +78,12 @@ var TestHook func(point string)
 // Config enables checkpointing for a run.
 type Config struct {
 	// Dir is the checkpoint directory. Snapshots are written to
-	// Dir/FileName; the directory must exist and be writable.
+	// Dir/FileName and iteration records to Dir/LogName; the directory
+	// must exist and be writable.
 	Dir string
-	// Every writes a snapshot each N committed iterations (<= 1 means
-	// every iteration). The final iteration — convergence or the
-	// iteration cap — is always snapshotted regardless of stride.
+	// Every makes committed iterations durable N per append and fsync
+	// (<= 1 means each one), so a crash loses at most N-1. The final
+	// iteration — convergence or the cap — is always snapshotted.
 	Every int
 	// Resume restores the snapshot in Dir before refinement starts and
 	// continues from the iteration after it. Resuming with no snapshot
@@ -191,6 +194,10 @@ type State struct {
 	// batches, in application order, whose traces are part of this
 	// snapshot's input set beyond the base corpus.
 	Lineage []BatchInfo
+
+	// FromLog is how many of Iteration's iterations Load folded in from
+	// the refinement log; like FormatVersion, not serialized.
+	FromLog int
 }
 
 // HistoryError reports a snapshot that is valid for plain resume but
@@ -281,17 +288,7 @@ func appendPayload(p []byte, st *State) []byte {
 	}
 	p = binary.AppendUvarint(p, uint64(len(st.Trace)))
 	for _, row := range st.Trace {
-		keys := make([]string, 0, len(row))
-		//lint:ignore maporder keys are collected then sorted before serialization
-		for k := range row {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		p = binary.AppendUvarint(p, uint64(len(keys)))
-		for _, k := range keys {
-			p = AppendString(p, k)
-			p = binary.AppendVarint(p, row[k])
-		}
+		p = appendRow(p, row)
 	}
 	p = AppendBool(p, st.HasProv)
 	p = binary.AppendUvarint(p, uint64(len(st.Prov)))
@@ -308,6 +305,22 @@ func appendPayload(p []byte, st *State) []byte {
 		p = binary.LittleEndian.AppendUint64(p, b.FP)
 		p = AppendString(p, b.Name)
 		p = binary.AppendUvarint(p, uint64(b.Traces))
+	}
+	return p
+}
+
+// appendRow serializes one convergence-trace row with sorted keys.
+func appendRow(p []byte, row obs.Row) []byte {
+	keys := make([]string, 0, len(row))
+	//lint:ignore maporder keys are collected then sorted before serialization
+	for k := range row {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	p = binary.AppendUvarint(p, uint64(len(keys)))
+	for _, k := range keys {
+		p = AppendString(p, k)
+		p = binary.AppendVarint(p, row[k])
 	}
 	return p
 }
@@ -381,12 +394,7 @@ func decode(data []byte) (*State, error) {
 		st.Ifaces = append(st.Ifaces, d.U32("interface annotation"))
 	}
 	for n := d.Count("trace length", 1); n > 0 && d.OK(); n-- {
-		nk := d.Count("trace row key count", 2)
-		row := make(obs.Row, nk)
-		for ; nk > 0 && d.OK(); nk-- {
-			row[d.String("trace row key")] = d.Varint("trace row value")
-		}
-		st.Trace = append(st.Trace, row)
+		st.Trace = append(st.Trace, readRow(d))
 	}
 	st.HasProv = d.Bool("provenance")
 	st.Prov = d.Blob("provenance blob")
@@ -408,6 +416,16 @@ func decode(data []byte) (*State, error) {
 	return st, d.Finish()
 }
 
+// readRow reads one convergence-trace row.
+func readRow(d *Reader) obs.Row {
+	nk := d.Count("trace row key count", 2)
+	row := make(obs.Row, nk)
+	for ; nk > 0 && d.OK(); nk-- {
+		row[d.String("trace row key")] = d.Varint("trace row value")
+	}
+	return row
+}
+
 // readChanges reads one ordered change set (gap-encoded indices).
 func readChanges(d *Reader, what string) []AnnChange {
 	n := d.Count(what+" length", 2)
@@ -427,28 +445,36 @@ func readChanges(d *Reader, what string) []AnnChange {
 // Save atomically publishes st as dir/FileName: the snapshot is
 // encoded, written to a temp file, fsynced, and renamed over any
 // previous snapshot, so a crash at any instant leaves either the old
-// complete checkpoint or the new one — never a torn file. Timings and
-// sizes are recorded on rec (nil-safe) as ckpt.write_ns, ckpt.writes,
-// and ckpt.bytes.
+// complete checkpoint or the new one — never a torn file. Its time goes
+// to rec (nil-safe) as ckpt.write_ns, and ckpt.writes counts it.
 func Save(dir string, st *State, rec *obs.Recorder) error {
 	start := time.Now()
 	path := filepath.Join(dir, FileName)
 	if err := AtomicWrite(path, func(w io.Writer) error { return Encode(w, st) }); err != nil {
 		return fmt.Errorf("ckpt: writing snapshot for iteration %d: %w", st.Iteration, err)
 	}
-	if rec.Enabled() {
-		rec.Histogram("ckpt.write_ns").Observe(time.Since(start).Nanoseconds())
-		rec.Counter("ckpt.writes").Inc()
-	}
-	if TestHook != nil {
-		TestHook("checkpoint:" + strconv.Itoa(st.Iteration))
-	}
+	st.FormatVersion = Version // what the file now holds
+	durable(rec, start, "ckpt.writes", st.Iteration)
 	return nil
 }
 
-// Load reads the snapshot in dir. A missing file reports
-// ErrNoCheckpoint (wrapped); a structurally invalid one reports a
-// *FormatError.
+// durable accounts one durable checkpoint write, a snapshot or a log
+// append, that began at start and covers everything through iteration
+// iter, then fires that iteration's TestHook point.
+func durable(rec *obs.Recorder, start time.Time, counter string, iter int) {
+	if rec.Enabled() {
+		rec.Histogram("ckpt.write_ns").Observe(time.Since(start).Nanoseconds())
+		rec.Counter(counter).Inc()
+	}
+	if TestHook != nil {
+		TestHook("checkpoint:" + strconv.Itoa(iter))
+	}
+}
+
+// Load reads the newest durable state in dir: the snapshot with the
+// refinement log folded onto it (State.FromLog iterations of it). A
+// missing snapshot reports ErrNoCheckpoint (wrapped), whatever the log
+// holds; a structurally invalid one reports a *FormatError.
 func Load(dir string) (*State, error) {
 	path := filepath.Join(dir, FileName)
 	f, err := os.Open(path)
@@ -463,5 +489,5 @@ func Load(dir string) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
 	}
-	return st, nil
+	return st, foldLog(dir, st)
 }

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -67,6 +68,17 @@ func WriteFrame(w io.Writer, magic string, version byte, payload []byte) error {
 	binary.LittleEndian.PutUint32(tail[:], crc)
 	_, err := w.Write(tail[:])
 	return err
+}
+
+// frameBytes is WriteFrame into memory, for the records of the append
+// logs. The frame writer only errors on a bad magic length or a failing
+// io.Writer; neither can happen writing a constant magic to a buffer.
+func frameBytes(magic string, version byte, payload []byte) []byte {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, magic, version, payload); err != nil {
+		panic("ckpt: framing a log record: " + err.Error())
+	}
+	return buf.Bytes()
 }
 
 // ReadFrame validates data's envelope against the expected magic and

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/hex"
+	"reflect"
 	"testing"
 )
 
@@ -11,7 +12,9 @@ import (
 // must still write exactly them. goldenV2 is sampleState() as a
 // version-2 checkpoint (no history, no lineage); goldenV3 is
 // goldenState() in the current version; goldenJournal is
-// sampleJournalRecords() as four appended records.
+// sampleJournalRecords() as four appended records. goldenIterLog is
+// sampleIterRecords() as three appended records, written out when the
+// refinement log was introduced.
 const (
 	goldenV2 = "424d4954434b5054029d0000000df0fecaefbeaddeefcdab89674523011032547698badcfe070102030b000000000000" +
 		"0001160000000000000002210000000000000005040064ffffffff0fe8fb0303c80100ac02020309697465726174696f" +
@@ -28,6 +31,11 @@ const (
 		"4c01180000000122220000000000000d62617463682d622e6a736f6e6c0705a0c440424d49544a524e4c013800000003" +
 		"22220000000000000d62617463682d622e6a736f6e6c206465636f64653a2039206f662037207265636f726473206d61" +
 		"6c666f726d6564b79837bb"
+	goldenIterLog = "424d4954495445520137000000bd8235fdbce359a908000008100000000000000101c801000209697465726174696f6e" +
+		"100f726f75746572735f6368616e67656402010814cd25bd424d495449544552013d000000bd8235fdbce359a9090000" +
+		"091000000000000001030702000102ffffffff0f0209697465726174696f6e120f726f75746572735f6368616e676564" +
+		"020083f10e58424d4954495445520136000000bd8235fdbce359a90a01020a1000000000000001006400020969746572" +
+		"6174696f6e140f726f75746572735f6368616e67656402010a15c1ba43"
 )
 
 // goldenState is sampleState() with every version-3 section filled in.
@@ -100,4 +108,18 @@ func TestGoldenJournal(t *testing.T) {
 		t.Fatalf("DecodeJournal on the recorded journal: consumed %d of %d, err %v", consumed, len(want), err)
 	}
 	journalRecordsEqual(t, recs, sampleJournalRecords())
+}
+
+func TestGoldenIterLog(t *testing.T) {
+	want := unhex(t, goldenIterLog)
+	if got := logImage(sampleIterRecords()...); !bytes.Equal(got, want) {
+		t.Errorf("EncodeIterRecord no longer writes the recorded bytes:\n got %x\nwant %x", got, want)
+	}
+	recs, consumed, err := scanLog(want, "iteration record", decodeIterRecord)
+	if err != nil || consumed != len(want) {
+		t.Fatalf("the recorded log: consumed %d of %d, err %v", consumed, len(want), err)
+	}
+	if !reflect.DeepEqual(recs, sampleIterRecords()) {
+		t.Errorf("the recorded log decodes to\n%+v\nwant\n%+v", recs, sampleIterRecords())
+	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"repro/internal/asn"
 	"repro/internal/ckpt"
@@ -69,36 +69,38 @@ func graphDigest(g *Graph) uint64 {
 
 // ckptRunner owns a run's checkpoint lifecycle: the fingerprints
 // computed once up front, the compatibility checks on resume, and the
-// per-iteration state capture.
+// durable record of each committed iteration — the base snapshot twice
+// per run, the refinement log between.
 type ckptRunner struct {
 	cfg   *ckpt.Config
 	optFP uint64
 	gDig  uint64
 	rec   *obs.Recorder
 	prov  bool
-	// hist accumulates each committed iteration's change set — the
-	// refinement trajectory delta ingest later replays. Restored from the
-	// snapshot on resume so the recorded history always starts at
-	// iteration 1; a resume from a pre-history (v2) snapshot leaves the
-	// early iterations missing, which RequireHistory detects downstream.
-	hist []ckpt.IterDelta
+	// st is the run's committed state. Each iteration's record is folded
+	// into it with the Fold that ckpt.Load applies to the log, so the
+	// final snapshot encodes exactly what a resume from base + log
+	// restores, and nothing re-reads the graph to write it. Its History
+	// is the trajectory delta ingest replays; a resume from a pre-history
+	// (v2) snapshot leaves it short, which RequireHistory detects.
+	st *ckpt.State
+	// pending holds the committed iterations log does not hold yet.
+	log     *ckpt.IterLog
+	pending []ckpt.IterRecord
 }
 
 func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph) *ckptRunner {
 	return &ckptRunner{cfg: cfg, optFP: opts.fingerprint(), gDig: g.digest, rec: opts.Recorder, prov: opts.Provenance}
 }
 
-// due reports whether iteration iter's committed state should be made
-// durable: on the configured stride, and always on the final iteration
-// (convergence or the cap), so the newest checkpoint is never more than
-// Every-1 iterations stale and a finished run's snapshot marks it
-// finished.
-func (c *ckptRunner) due(iter int, repeated bool, maxIter int) bool {
-	return c.cfg.Every <= 1 || iter%c.cfg.Every == 0 || repeated || iter == maxIter
+func (c *ckptRunner) close() {
+	if c.log != nil {
+		_ = c.log.Close()
+	}
 }
 
-// load reads the snapshot and verifies it belongs to this run: same
-// heuristic options, same input files, same graph shape. Any
+// load reads the newest durable state and verifies it belongs to this
+// run: same heuristic options, same input files, same graph shape. Any
 // disagreement is a typed *MismatchError — resuming anyway could only
 // produce an annotation state no uninterrupted run would reach.
 func (c *ckptRunner) load(g *Graph) (*ckpt.State, error) {
@@ -131,14 +133,15 @@ func (c *ckptRunner) load(g *Graph) (*ckpt.State, error) {
 	return st, nil
 }
 
-// restore applies a verified snapshot: annotations back onto the graph,
+// restore applies a verified state: annotations back onto the graph,
 // the cycle detector's first-sighting history, the loop metadata, and
 // (when provenance is collected) the per-router records and
-// per-interface rules as of the snapshot. The graph was just rebuilt
+// per-interface rules as of the state. The graph was just rebuilt
 // deterministically from the same inputs, so after this the process
-// state matches the checkpointed instant exactly. A malformed
-// provenance blob is a *ckpt.FormatError: the framing CRC passed, so
-// only a writer bug or targeted corruption can reach it.
+// state matches the checkpointed instant exactly, and st is the run's
+// committed state from here on. A malformed provenance blob is a
+// *ckpt.FormatError: the framing CRC passed, so only a writer bug or
+// targeted corruption can reach it.
 func (c *ckptRunner) restore(g *Graph, st *ckpt.State, cycles *cycleDetector, res *Result, pc *provCollector) error {
 	if pc != nil && st.HasProv {
 		if err := prov.DecodeState(st.Prov, pc.routers, pc.ifaces); err != nil {
@@ -157,57 +160,96 @@ func (c *ckptRunner) restore(g *Graph, st *ckpt.State, cycles *cycleDetector, re
 	res.Iterations = st.Iteration
 	res.Converged = st.Converged
 	res.CycleLength = st.CycleLength
-	c.hist = st.History
-	return nil
+	st.Lineage = c.cfg.Lineage
+	c.st = st
+	if st.Converged {
+		return nil // nothing is left to run, so nothing will be written
+	}
+	if st.HasProv && !c.prov {
+		// From here on nobody keeps the provenance records current, so the
+		// state stops claiming to hold them. That changes its run id:
+		// records this run appends would not fold onto the old base.
+		st.HasProv, st.Prov = false, nil
+		return c.rebase()
+	}
+	// Load folded the records that count; a tail torn by the kill is cut
+	// before anything lands behind it.
+	var err error
+	c.log, err = ckpt.OpenIterLog(c.cfg.Dir, false)
+	return err
 }
 
-// appendHistory commits one iteration's change set: the per-shard lists
-// are concatenated in shard order, which is ascending index order
-// because shards partition the index space contiguously.
-func (c *ckptRunner) appendHistory(histR, histI [][]ckpt.AnnChange) {
-	var it ckpt.IterDelta
-	for _, cs := range histR {
-		it.Routers = append(it.Routers, cs...)
+// rebase publishes the committed state as the base and drops the log it
+// supersedes. A kill between the two is harmless: Fold leaves out
+// records of another run or behind the base, and is right to apply those
+// of this run's twin (same options, inputs and graph: same iterations).
+func (c *ckptRunner) rebase() error {
+	err := ckpt.Save(c.cfg.Dir, c.st, c.rec)
+	if err == nil {
+		c.log, err = ckpt.OpenIterLog(c.cfg.Dir, true)
 	}
-	for _, cs := range histI {
-		it.Ifaces = append(it.Ifaces, cs...)
-	}
-	c.hist = append(c.hist, it)
+	return err
 }
 
-// save captures the just-committed iteration and publishes it
-// atomically. traceRows is aliased, not copied: the snapshot is encoded
-// before save returns, so later appends cannot leak in.
-func (c *ckptRunner) save(g *Graph, res *Result, cycles *cycleDetector, traceRows []obs.Row, pc *provCollector) error {
-	st := &ckpt.State{
+// start makes a run started from scratch durable before its first
+// iteration: the iteration-0 state — what last-hop annotation left on
+// the graph, under this run's digests and lineage — becomes the base.
+func (c *ckptRunner) start(g *Graph, pc *provCollector) error {
+	c.st = &ckpt.State{
 		OptionsFP:   c.optFP,
 		InputDigest: c.cfg.InputDigest,
 		GraphDigest: c.gDig,
-		Iteration:   res.Iterations,
-		Converged:   res.Converged,
-		CycleLength: res.CycleLength,
 		Routers:     make([]uint32, len(g.Routers)),
 		Ifaces:      make([]uint32, len(g.sortedIfaces)),
-		Trace:       traceRows,
+		HasProv:     pc != nil,
+		Lineage:     c.cfg.Lineage,
 	}
 	for i, r := range g.Routers {
-		st.Routers[i] = uint32(r.Annotation)
+		c.st.Routers[i] = uint32(r.Annotation)
 	}
 	for pos, i := range g.sortedIfaces {
-		st.Ifaces[pos] = uint32(i.Annotation)
+		c.st.Ifaces[pos] = uint32(i.Annotation)
 	}
-	st.Hashes = make([]ckpt.IterHash, 0, len(cycles.seen))
-	for h, iter := range cycles.seen {
-		st.Hashes = append(st.Hashes, ckpt.IterHash{Hash: h, Iter: iter})
-	}
-	sort.Slice(st.Hashes, func(i, j int) bool { return st.Hashes[i].Iter < st.Hashes[j].Iter })
 	if pc != nil {
-		st.HasProv = true
-		st.Prov = prov.EncodeState(pc.routers, pc.ifaces)
+		c.st.Prov = prov.EncodeState(pc.routers, pc.ifaces)
 	}
-	st.History = c.hist
-	st.Lineage = c.cfg.Lineage
-	return ckpt.Save(c.cfg.Dir, st, c.rec)
+	return c.rebase()
+}
+
+// commit records the iteration res.Iterations just committed — its
+// change set (the per-shard lists in shard order: ascending index
+// order), state hash and trace row — and makes it durable when due: the
+// last iteration (convergence or the cap) as a snapshot, so a finished
+// run's base says so and needs no log; any other on the stride, as one
+// append of every iteration not durable yet (at most Every-1 are lost).
+func (c *ckptRunner) commit(res *Result, hash uint64, row obs.Row, histR, histI [][]ckpt.AnnChange, pc *provCollector, last bool) error {
+	it := ckpt.IterRecord{
+		RunID: c.st.RunID(), Iteration: res.Iterations,
+		Converged: res.Converged, CycleLength: res.CycleLength,
+		Hash: hash, Row: row,
+	}
+	for _, cs := range histR {
+		it.Delta.Routers = append(it.Delta.Routers, cs...)
+	}
+	for _, cs := range histI {
+		it.Delta.Ifaces = append(it.Delta.Ifaces, cs...)
+	}
+	if pc != nil {
+		it.Prov = prov.EncodeState(pc.routers, pc.ifaces)
+	}
+	if ok, err := c.st.Fold(&it); err != nil || !ok {
+		return fmt.Errorf("core: iteration %d does not follow the committed state at iteration %d (%v)", it.Iteration, c.st.Iteration, err)
+	}
+	if last {
+		return ckpt.Save(c.cfg.Dir, c.st, c.rec)
+	}
+	c.pending = append(c.pending, it)
+	if c.cfg.Every > 1 && it.Iteration%c.cfg.Every != 0 {
+		return nil
+	}
+	err := c.log.Append(c.pending, c.rec)
+	c.pending = c.pending[:0]
+	return err
 }
 
 // tallyFromRow inverts iterTally.row, so a restored convergence trace

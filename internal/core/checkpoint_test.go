@@ -162,8 +162,9 @@ func TestResumeConvergedCheckpointShortCircuits(t *testing.T) {
 	}
 }
 
-// TestCheckpointEveryStride: with Every=2 only even iterations (plus
-// the final one) hit the disk, and the newest snapshot is loadable.
+// TestCheckpointEveryStride: with Every=2 only the starting state, even
+// iterations and the final one hit the disk, and the newest state is
+// loadable.
 func TestCheckpointEveryStride(t *testing.T) {
 	dir := t.TempDir()
 	var points []string
@@ -186,7 +187,7 @@ func TestCheckpointEveryStride(t *testing.T) {
 	}
 	for _, p := range points {
 		iter := strings.TrimPrefix(p, "checkpoint:")
-		if iter != "2" && iter != "4" && p != "checkpoint:"+itoa(res.Iterations) {
+		if iter != "0" && iter != "2" && iter != "4" && p != "checkpoint:"+itoa(res.Iterations) {
 			t.Errorf("unexpected checkpoint point %s with Every=2 (converged at %d)", p, res.Iterations)
 		}
 	}

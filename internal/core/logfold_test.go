@@ -1,0 +1,48 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/topo"
+)
+
+// TestLogFoldEqualsSnapshotLongTail is TestLogFoldEqualsSnapshot on the
+// fixture TestSkippingKeepsTheConvergenceTrace uses: 4x core chains from
+// six vantage points, eighteen iterations ending in a cycle of length 2,
+// most of them moving a handful of routers — the run the refinement log
+// is for, and long enough that every stride folds several groups — as a
+// full run and as a delta run absorbing its last three tenths.
+func TestLogFoldEqualsSnapshotLongTail(t *testing.T) {
+	cfg := topo.DefaultConfig(7)
+	cfg.EnableIPv6 = false
+	cfg.HostsPerAS = 1
+	cfg.CoreScale = 4
+	ds, err := eval.BuildDataset(cfg, 6, false)
+	if err != nil {
+		t.Fatalf("BuildDataset: %v", err)
+	}
+	g := buildGraph(ds, ds.Traces)
+	full := core.Run(g, ds.Rels, core.Options{Workers: 1})
+	if full.Iterations < 12 || full.CycleLength < 2 {
+		t.Fatalf("the fixture stops after %d iterations with cycle length %d; it is here for its long oscillating tail", full.Iterations, full.CycleLength)
+	}
+	cut := len(ds.Traces) * 7 / 10
+	bld, grown, base := absorbed(t, ds, ds.Traces[:cut], ds.Traces[cut:], 0)
+	for _, every := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("full/every=%d", every), func(t *testing.T) {
+			g.ResetAnnotations()
+			core.CheckLogFold(t, g, ds.Rels, every, 0, false, func(o core.Options) (*core.Result, error) {
+				return core.RunContext(context.Background(), g, ds.Rels, o)
+			})
+		})
+		t.Run(fmt.Sprintf("delta/every=%d", every), func(t *testing.T) {
+			core.CheckLogFold(t, grown, ds.Rels, every, 0, true, func(o core.Options) (*core.Result, error) {
+				return core.RunDeltaContext(context.Background(), grown, bld.LastAppend(), base, ds.Rels, o)
+			})
+		})
+	}
+}

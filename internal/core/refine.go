@@ -404,12 +404,12 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	var ckr *ckptRunner
 	if opts.Checkpoint != nil {
 		ckr = newCkptRunner(opts.Checkpoint, &opts, g)
+		defer ckr.close()
 	}
 	// Checkpointed runs always collect per-iteration tallies, Recorder
-	// or not: the convergence trace travels inside each snapshot so a
+	// or not: the convergence trace travels inside the checkpoint so a
 	// resumed run's report stitches seamlessly onto the original's.
 	collect := rec.Enabled() || ckr != nil
-	var traceRows []obs.Row    // committed trace rows, restored and extended across resumes
 	var changedPerIter []int64 // oscillation diagnostics (one entry per iteration)
 	startIter := 1
 	if ckr != nil && ckr.cfg.Resume {
@@ -422,10 +422,13 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 			ph.End()
 			return nil, err
 		}
+		// ResumedFrom is 0 when the run was killed before its first
+		// iteration was durable, so Resumed says what it alone cannot.
+		res.Resumed = true
 		res.ResumedFrom = st.Iteration
 		rec.SetResumedFrom(st.Iteration)
+		rec.Logf("refine: resumed from checkpoint at iteration %d (%d of them from %s)", st.Iteration, st.FromLog, ckpt.LogName)
 		startIter = st.Iteration + 1
-		traceRows = st.Trace
 		for _, row := range st.Trace {
 			trace.Append(row)
 			counters.flush(tallyFromRow(row))
@@ -436,6 +439,11 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 			// (§6.3); re-running any iteration would walk past the
 			// detected cycle, so skip the loop entirely.
 			startIter = opts.MaxIterations + 1
+		}
+	} else if ckr != nil {
+		if err := ckr.start(g, pc); err != nil {
+			ph.End()
+			return nil, err
 		}
 	}
 	// Per-shard reusable scratch and the changed-set snapshot. Shard
@@ -650,27 +658,25 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		}
 		res.Iterations = iter
 		fullSnapshot = false
-		if ckr != nil {
-			ckr.appendHistory(histR, histI)
-		}
+		var row obs.Row
 		if collect {
-			row := it.row(iter)
-			traceRows = append(traceRows, row)
+			row = it.row(iter)
 			changedPerIter = append(changedPerIter, it.changedRouters)
 			trace.Append(row)
 			counters.flush(&it)
 		}
 		repeated := false
-		if n, rep := cycles.record(g.stateHash(), iter); rep {
+		hash := g.stateHash()
+		if n, rep := cycles.record(hash, iter); rep {
 			res.Converged = true
 			res.CycleLength = n
 			repeated = true
 		}
-		// Snapshot after cycle detection so a converged iteration's
-		// checkpoint records the convergence, but before hookIterEnd so
+		// Checkpoint after cycle detection so a converged iteration's
+		// record carries the convergence, but before hookIterEnd so
 		// crash points injected through the hook see a durable state.
-		if ckr != nil && ckr.due(iter, repeated, opts.MaxIterations) {
-			if err := ckr.save(g, res, cycles, traceRows, pc); err != nil {
+		if ckr != nil {
+			if err := ckr.commit(res, hash, row, histR, histI, pc, repeated || iter == opts.MaxIterations); err != nil {
 				ph.End()
 				return nil, err
 			}
@@ -707,6 +713,9 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		if rec.Enabled() {
 			recordProvAggregates(rec, res.Provenance)
 		}
+	}
+	if ckr != nil {
+		res.Checkpoint = ckr.st
 	}
 	res.Report = rec.Report()
 	// Set the flags on the snapshot directly too, so a run without a

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/alias"
 	"repro/internal/asn"
+	"repro/internal/ckpt"
 	"repro/internal/ip2as"
 	"repro/internal/obs"
 	"repro/internal/prov"
@@ -36,11 +37,16 @@ type Result struct {
 	// MaxIterations=Iterations at any worker count — and must not be
 	// mistaken for a converged map.
 	Interrupted bool
-	// ResumedFrom is the checkpointed iteration this run restored before
-	// continuing (Options.Checkpoint.Resume); 0 for a run started from
-	// scratch. A resumed run's annotations, Iterations, and convergence
-	// trace are byte-identical to an uninterrupted run's.
+	// Resumed reports that this run restored a checkpoint before
+	// continuing (Options.Checkpoint.Resume), ResumedFrom the iteration it
+	// restored: 0 for a run started from scratch, or killed before its
+	// first iteration was durable. A resumed run's annotations, Iterations,
+	// and convergence trace are byte-identical to an uninterrupted run's.
+	Resumed     bool
 	ResumedFrom int
+	// Checkpoint is the run's committed state (what ckpt.Load returns once
+	// the run has finished) when Options.Checkpoint is set; nil otherwise.
+	Checkpoint *ckpt.State
 	// Report is the telemetry snapshot taken when the run finished:
 	// phase timings, pipeline counters, and the per-iteration
 	// convergence trace. Always non-nil; empty (wall clock and peak RSS
