@@ -218,10 +218,9 @@ func (ing *ingester) run(src Sources, batchPaths []string) error {
 // bootstrapOrRecover establishes the session's base state: a full run
 // over the base corpus when the store has no checkpoint yet, or a
 // reconstruction of the checkpointed merged corpus (base + absorbed
-// lineage batches) after a restart. A checkpoint left unconverged by a
-// crash — during bootstrap or mid-delta — resumes to convergence here;
-// resuming an already-converged checkpoint restores it without running
-// any iteration, so this path is cheap in the steady state.
+// lineage batches) after a restart, which resumes the state it loaded: to
+// convergence if a crash left it unconverged, and writing nothing if it
+// converged, so this path is cheap in the steady state.
 //
 // The non-batch inputs load exactly as RunContext loads them: the same
 // head, the same error budgets, the same degradations. On a restart the
@@ -279,22 +278,20 @@ func (ing *ingester) bootstrapOrRecover(src Sources) error {
 	ing.baseDig = h.digest()
 
 	ropts := ing.copts
-	ropts.Checkpoint = ing.ckptConfig(lineage, recovering)
-	res, err := core.RunContext(ing.ctx, g, ing.rels, ropts)
-	if err != nil {
-		if recovering {
+	ropts.Checkpoint = ing.ckptConfig(lineage)
+	var res *core.Result
+	if recovering {
+		if res, err = core.ResumeContext(ing.ctx, g, st, ing.rels, ropts); err != nil {
 			return fmt.Errorf("bdrmapit: ingest: restoring checkpoint: %w", err)
 		}
+	} else if res, err = core.RunContext(ing.ctx, g, ing.rels, ropts); err != nil {
 		return fmt.Errorf("bdrmapit: ingest: bootstrap: %w", err)
 	}
 	if res.Interrupted {
 		return errInterrupted
 	}
-	if recovering {
-		ing.rec.Logf("ingest: restored checkpoint at iteration %d (%d of them from %s) with %d absorbed batch(es)",
-			res.ResumedFrom, st.FromLog, ckpt.LogName, len(lineage))
-	}
-	return ing.adoptState(res, lineage)
+	ing.cur.lineage, ing.cur.res = lineage, res
+	return nil
 }
 
 // absorbedCopy is the trace source of one lineage batch: its durable
@@ -316,18 +313,6 @@ func (ing *ingester) absorbedCopy(b ckpt.BatchInfo) traceSource {
 		}
 		return nil
 	}
-}
-
-// adoptState installs a just-committed run as the session's rolling
-// base: the state it checkpointed (the next delta's base state must
-// carry that run's history) and the lineage.
-func (ing *ingester) adoptState(res *core.Result, lineage []ckpt.BatchInfo) error {
-	if err := res.Checkpoint.RequireHistory(); err != nil {
-		return fmt.Errorf("bdrmapit: ingest: %w", err)
-	}
-	ing.cur.lineage = lineage
-	ing.cur.res = res
-	return nil
 }
 
 // resolvePending finishes what a crash started: journal intents with
@@ -463,7 +448,7 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 		ckpt.BatchInfo{FP: fp, Name: name, Traces: len(batchTraces)})
 
 	dopts := ing.copts
-	dopts.Checkpoint = ing.ckptConfig(newLineage, false)
+	dopts.Checkpoint = ing.ckptConfig(newLineage)
 	g, err := ing.builder.BuildContext(ing.ctx, batchTraces, ing.rels)
 	if err != nil {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
@@ -487,9 +472,7 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	if err != nil {
 		return err
 	}
-	if err := ing.adoptState(res, newLineage); err != nil {
-		return err
-	}
+	ing.cur.lineage, ing.cur.res = newLineage, res
 	if err := ing.store.MarkApplied(fp, name, annDigest); err != nil {
 		return err
 	}
@@ -664,11 +647,10 @@ func (ing *ingester) readWithRetry(path string, seed uint64) ([]byte, error) {
 // ckptConfig builds the checkpoint config for a given lineage: the
 // input digest covers the base sources plus every absorbed batch, so a
 // checkpoint can never be resumed against a different corpus.
-func (ing *ingester) ckptConfig(lineage []ckpt.BatchInfo, resume bool) *ckpt.Config {
+func (ing *ingester) ckptConfig(lineage []ckpt.BatchInfo) *ckpt.Config {
 	return &ckpt.Config{
 		Dir:         ing.store.Dir,
 		Every:       ing.opts.Run.CheckpointEvery,
-		Resume:      resume,
 		InputDigest: ingestDigest(ing.baseDig, lineage),
 		Lineage:     lineage,
 	}

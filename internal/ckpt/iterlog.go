@@ -142,17 +142,13 @@ func EncodeIterRecord(rec *IterRecord) []byte {
 // IterLog is a checkpoint directory's refinement log, open for appending.
 type IterLog struct{ log *appendLog }
 
-// OpenIterLog opens (creating if absent) dir's refinement log. With
-// reset the old log is removed first: the caller has just published a
-// base that supersedes its records (and were the removal lost to a
-// crash, Fold would leave them out all the same). Otherwise a torn tail
-// is repaired and the records stay: Load has folded the ones that count.
-func OpenIterLog(dir string, reset bool) (*IterLog, error) {
+// OpenIterLog starts dir's refinement log afresh behind the base the
+// caller just published: the old file is removed (were the removal lost
+// to a crash, Fold would leave its records out) and an empty one opened.
+func OpenIterLog(dir string) (*IterLog, error) {
 	path := filepath.Join(dir, LogName)
-	if reset {
-		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("ckpt: removing superseded %s: %w", path, err)
-		}
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("ckpt: removing superseded %s: %w", path, err)
 	}
 	l, _, err := openLog(path, "iteration record", decodeIterRecord)
 	if err != nil {

@@ -193,7 +193,7 @@ func TestDeltaCappedBaseFallback(t *testing.T) {
 }
 
 // TestDeltaRefusals pins the typed error paths: legacy snapshots,
-// provenance, resume, option mismatches, a base state taken over some
+// provenance, option mismatches, a base state taken over some
 // other graph and an append record that is not the graph's latest are
 // refused before any annotation work happens.
 func TestDeltaRefusals(t *testing.T) {
@@ -215,11 +215,6 @@ func TestDeltaRefusals(t *testing.T) {
 	var de *core.DeltaBaseError
 	if _, err := core.RunDeltaContext(ctx, g, app, st, ds.Rels, core.Options{Provenance: true}); !errors.As(err, &de) {
 		t.Errorf("provenance delta accepted: %v", err)
-	}
-	if _, err := core.RunDeltaContext(ctx, g, app, st, ds.Rels, core.Options{
-		Checkpoint: &ckpt.Config{Dir: t.TempDir(), Resume: true},
-	}); !errors.As(err, &de) {
-		t.Errorf("resuming delta accepted: %v", err)
 	}
 
 	var me *ckpt.MismatchError
