@@ -331,16 +331,17 @@ func (r *Result) WriteITDK(dir string) error {
 }
 
 // Provenance returns the run's decision-provenance artifact, or nil
-// when the run was not started with Options.Provenance.
+// when the run was not started with Options.Provenance or is a resume
+// interrupted before its checkpoint's iteration.
 func (r *Result) Provenance() *prov.Artifact { return r.res.Provenance }
 
 // WriteProvenance serializes the decision-provenance artifact to path
 // with the same atomic-publish semantics as checkpoints (temp file +
 // fsync + rename): a killed run leaves either no artifact or a complete
-// one. It fails when the run did not collect provenance.
+// one. It fails when the run holds no artifact (see Provenance).
 func (r *Result) WriteProvenance(path string) error {
 	if r.res.Provenance == nil {
-		return fmt.Errorf("bdrmapit: run did not collect provenance (set Options.Provenance)")
+		return fmt.Errorf("bdrmapit: run holds no provenance (set Options.Provenance; a resume interrupted before its checkpoint's iteration has none)")
 	}
 	if err := prov.WriteFile(path, r.res.Provenance); err != nil {
 		return fmt.Errorf("bdrmapit: writing provenance: %w", err)

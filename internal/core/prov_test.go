@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -259,6 +260,54 @@ func TestProvenanceResumeRefusesPlainCheckpoint(t *testing.T) {
 	}
 	if res.Provenance != nil {
 		t.Error("plain resume produced an artifact")
+	}
+}
+
+// TestProvenanceResumeBelowItsState: the iterations a resume replays
+// record no provenance, so a provenance resume stopping before its
+// state's iteration has no artifact to give. Capped there, it is refused
+// with a typed mismatch; cancelled there, it returns a fresh capped run's
+// annotations with neither an artifact nor a Checkpoint — never the
+// state's records beside an earlier iteration's annotations. Neither
+// writes to the checkpoint directory.
+func TestProvenanceResumeBelowItsState(t *testing.T) {
+	dir := t.TempDir()
+	full, err := checkpointedRun(t, 1, Options{Provenance: true, Checkpoint: &ckpt.Config{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	for k := 1; k < full.Iterations; k++ {
+		_, err := checkpointedRun(t, 2, Options{MaxIterations: k, Provenance: true, Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		var me *ckpt.MismatchError
+		if !errors.As(err, &me) || me.Field != "iteration" || me.Want != uint64(full.Iterations) || me.Got != uint64(k) {
+			t.Fatalf("k=%d: capped resume: err = %v, want MismatchError{Field: iteration, Want: %d, Got: %d}", k, err, full.Iterations, k)
+		}
+
+		e := goldenEnv(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := Options{Workers: 2, Provenance: true, Checkpoint: &ckpt.Config{Dir: dir, Resume: true}}
+		opts.hookIterEnd = func(iter int) {
+			if iter == k {
+				cancel()
+			}
+		}
+		res, err := RunContext(ctx, buildGraph(t, e, 2), e.rels, opts)
+		cancel()
+		if err != nil {
+			t.Fatalf("k=%d: cancelled resume: %v", k, err)
+		}
+		if !res.Interrupted || res.Iterations != k || res.Provenance != nil || res.Checkpoint != nil {
+			t.Errorf("k=%d: Interrupted=%v Iterations=%d Provenance=%v Checkpoint=%v, want true/%d/nil/nil",
+				k, res.Interrupted, res.Iterations, res.Provenance != nil, res.Checkpoint != nil, k)
+		}
+		capped := goldenEnv(t).run(Options{Workers: 1, MaxIterations: k})
+		if dumpAnnotations(res) != dumpAnnotations(capped) {
+			t.Errorf("k=%d: cancelled resume's annotations differ from a fresh run capped there", k)
+		}
+		if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("k=%d: the resume wrote to its checkpoint directory", k)
+		}
 	}
 }
 

@@ -45,7 +45,8 @@ type Result struct {
 	Resumed     bool
 	ResumedFrom int
 	// Checkpoint is the run's committed state (what ckpt.Load returns once
-	// the run has finished) when Options.Checkpoint is set; nil otherwise.
+	// the run has finished) when Options.Checkpoint is set; nil otherwise,
+	// and for a resume that stopped before the iteration it resumed.
 	Checkpoint *ckpt.State
 	// Report is the telemetry snapshot taken when the run finished:
 	// phase timings, pipeline counters, and the per-iteration
@@ -55,8 +56,9 @@ type Result struct {
 	// Provenance is the run's decision-provenance artifact — per-router
 	// winning heuristic, vote tally, tie-break path, and last-change
 	// iteration, plus per-interface §6.2 branches — collected when
-	// Options.Provenance is set; nil otherwise. It is byte-identical
-	// (via prov.Encode) across worker counts and resume points.
+	// Options.Provenance is set; nil otherwise, and for a resume cancelled
+	// before the iteration it resumed. It is byte-identical (via
+	// prov.Encode) across worker counts and resume points.
 	Provenance *prov.Artifact
 
 	// links is InterdomainLinks' answer, computed on first use.
