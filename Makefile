@@ -160,6 +160,9 @@ fuzz-smoke:
 # print the artifact summary, query the first annotated address through
 # explain, and diff the artifact against itself expecting zero drift —
 # the determinism contract exercised end-to-end through the real CLI.
+# Then the derived path: a plain checkpointed run capped at two
+# iterations, resumed with -provenance, must explain the same decisions
+# as the uninterrupted provenance run (zero drift).
 EXPLAIN_DIR ?= /tmp/bdrmapit-explain-smoke
 explain-smoke:
 	rm -rf $(EXPLAIN_DIR)
@@ -178,6 +181,20 @@ explain-smoke:
 		$$(head -1 $(EXPLAIN_DIR)/annotations.txt | cut -d' ' -f1)
 	$(GO) run ./cmd/explain -diff -fail-on-drift \
 		$(EXPLAIN_DIR)/run.prov $(EXPLAIN_DIR)/run.prov
+	mkdir -p $(EXPLAIN_DIR)/ckpt
+	$(GO) run ./cmd/bdrmapit \
+		-traces $(EXPLAIN_DIR)/traces.jsonl -rib $(EXPLAIN_DIR)/rib.txt \
+		-rir $(EXPLAIN_DIR)/delegated-extended.txt -ixp $(EXPLAIN_DIR)/ixp-prefixes.txt \
+		-rels $(EXPLAIN_DIR)/as-rel.txt -aliases $(EXPLAIN_DIR)/nodes.txt \
+		-max-iterations 2 -checkpoint-dir $(EXPLAIN_DIR)/ckpt -quiet-report
+	$(GO) run ./cmd/bdrmapit \
+		-traces $(EXPLAIN_DIR)/traces.jsonl -rib $(EXPLAIN_DIR)/rib.txt \
+		-rir $(EXPLAIN_DIR)/delegated-extended.txt -ixp $(EXPLAIN_DIR)/ixp-prefixes.txt \
+		-rels $(EXPLAIN_DIR)/as-rel.txt -aliases $(EXPLAIN_DIR)/nodes.txt \
+		-checkpoint-dir $(EXPLAIN_DIR)/ckpt -resume \
+		-provenance $(EXPLAIN_DIR)/run-resumed.prov -quiet-report
+	$(GO) run ./cmd/explain -diff -fail-on-drift \
+		$(EXPLAIN_DIR)/run.prov $(EXPLAIN_DIR)/run-resumed.prov
 
 # Serving-daemon smoke: infer two snapshots over simnet, boot the real
 # bdrmapitd binary, byte-equality-sweep every annotation line through

@@ -138,14 +138,15 @@ type Options struct {
 	// ckpt.ErrNoCheckpoint; one taken under different options or inputs
 	// fails with a *ckpt.MismatchError. Ignored without CheckpointDir.
 	Resume bool
-	// Provenance collects a per-router decision trace during the run:
-	// which §5/§6.1 heuristic decided each router, the final vote tally
-	// and runner-up, the tie-break path, and the iteration of the last
-	// change, plus each interface's §6.2 branch. Collection never
-	// changes annotations — the engine's determinism tests prove the
-	// output byte-identical with it on or off — and the artifact
-	// (Result.WriteProvenance) is byte-identical across worker counts
-	// and resume points. Query it with cmd/explain.
+	// Provenance explains the run's final annotations: which §5/§6.1
+	// heuristic decided each router, the final vote tally and runner-up,
+	// the tie-break path, and the iteration of the last change, plus
+	// each interface's §6.2 branch. The artifact is derived once
+	// refinement stops, from the committed state and the run's change
+	// sets, so annotations and checkpoints are byte-identical with it on
+	// or off, and the artifact (Result.WriteProvenance) is byte-identical
+	// across worker counts and resume points — any checkpoint resumes
+	// with it. Query it with cmd/explain.
 	Provenance bool
 }
 
@@ -331,8 +332,7 @@ func (r *Result) WriteITDK(dir string) error {
 }
 
 // Provenance returns the run's decision-provenance artifact, or nil
-// when the run was not started with Options.Provenance or is a resume
-// interrupted before its checkpoint's iteration.
+// when the run was not started with Options.Provenance.
 func (r *Result) Provenance() *prov.Artifact { return r.res.Provenance }
 
 // WriteProvenance serializes the decision-provenance artifact to path
@@ -341,7 +341,7 @@ func (r *Result) Provenance() *prov.Artifact { return r.res.Provenance }
 // one. It fails when the run holds no artifact (see Provenance).
 func (r *Result) WriteProvenance(path string) error {
 	if r.res.Provenance == nil {
-		return fmt.Errorf("bdrmapit: run holds no provenance (set Options.Provenance; a resume interrupted before its checkpoint's iteration has none)")
+		return fmt.Errorf("bdrmapit: run holds no provenance (set Options.Provenance)")
 	}
 	if err := prov.WriteFile(path, r.res.Provenance); err != nil {
 		return fmt.Errorf("bdrmapit: writing provenance: %w", err)

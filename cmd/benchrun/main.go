@@ -6,10 +6,9 @@
 // loop's per-iteration cost.
 //
 // Unless -skip-provenance is set, the run then replays phases 2–3 over
-// the same graph with decision-provenance collection on
-// (Options.Provenance), verifies the annotations are byte-identical,
-// and records the per-iteration cost of collection; the committed
-// M-rung artifact asserts that overhead stays within the 5% budget.
+// the same graph with decision provenance on (Options.Provenance),
+// verifies the annotations are byte-identical, and records the
+// per-iteration cost, the derivation pass included.
 //
 // Usage:
 //
@@ -163,11 +162,9 @@ func main() {
 	}
 
 	if !*skipProv {
-		// Replay phases 2–3 with decision-provenance collection on. The
-		// records are written to preallocated flat slices and never read
-		// by the heuristics, so the digest must not move; the timing
-		// difference is the collection overhead the ≤5% M-rung budget
-		// gates.
+		// Replay phases 2–3 with decision provenance on. It is derived
+		// after the loop and never read by the heuristics, so the digest
+		// must not move; the timing difference is the derivation's cost.
 		res.Graph.ResetAnnotations()
 		provRec := obs.New()
 		provRes := core.Run(res.Graph, rels, core.Options{
@@ -177,7 +174,7 @@ func main() {
 		})
 		provDigest := annotationDigest(provRes.Graph)
 		if provDigest != digest {
-			log.Fatalf("provenance-on divergence: digest %016x with collection, %016x without", provDigest, digest)
+			log.Fatalf("provenance-on divergence: digest %016x with provenance, %016x without", provDigest, digest)
 		}
 		if provRes.Iterations != res.Iterations {
 			log.Fatalf("provenance-on divergence: %d vs %d iterations", provRes.Iterations, res.Iterations)

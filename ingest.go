@@ -58,7 +58,7 @@ type IngestOptions struct {
 	// Run carries the inference options (workers, heuristic ablations,
 	// recorder, error budgets). CheckpointDir and Resume are ignored —
 	// the store owns checkpoint placement — and Provenance is refused:
-	// delta refinement does not reconstruct per-router decision traces.
+	// ingest publishes no provenance artifact.
 	Run Options
 }
 
@@ -134,7 +134,7 @@ func IngestContext(ctx context.Context, src Sources, batchPaths []string, opts I
 		return nil, fmt.Errorf("bdrmapit: ingest: StateDir is required")
 	}
 	if opts.Run.Provenance {
-		return nil, fmt.Errorf("bdrmapit: ingest: provenance collection is not supported with delta refinement")
+		return nil, fmt.Errorf("bdrmapit: ingest: provenance is not supported: ingest publishes no provenance artifact")
 	}
 	rec := opts.Run.Recorder
 	if rec == nil {

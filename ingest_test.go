@@ -337,8 +337,8 @@ func TestIngestTornLogAppend(t *testing.T) {
 }
 
 // TestIngestRefusals covers the session-level guard rails: a missing
-// state directory, a missing base corpus, and provenance collection
-// (meaningless under delta refinement) are refused up front.
+// state directory, a missing base corpus, and provenance (ingest
+// publishes no provenance artifact) are refused up front.
 func TestIngestRefusals(t *testing.T) {
 	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
 	src := topoSources(p)
@@ -354,6 +354,6 @@ func TestIngestRefusals(t *testing.T) {
 		StateDir: t.TempDir(),
 		Run:      Options{Provenance: true},
 	}); err == nil || !strings.Contains(err.Error(), "provenance") {
-		t.Errorf("provenance under delta: %v", err)
+		t.Errorf("provenance under ingest: %v", err)
 	}
 }

@@ -45,19 +45,18 @@ type Phase struct {
 }
 
 // Refine captures the refinement loop's convergence and per-iteration
-// cost, plus the provenance-collection comparison when the run measured
-// it.
+// cost, plus the provenance comparison when the run measured it.
 type Refine struct {
 	Iterations int   `json:"iterations"`
 	Converged  bool  `json:"converged"`
 	PerIterNS  int64 `json:"per_iter_ns"`
 	// ProvPerIterNS is the per-iteration cost of the same graph with
-	// Options.Provenance collection on; 0 when the run skipped the
+	// Options.Provenance on; 0 when the run skipped the
 	// comparison (-skip-provenance).
 	ProvPerIterNS int64 `json:"prov_per_iter_ns,omitempty"`
 	// ProvOverheadPct = 100 × (ProvPerIterNS/PerIterNS − 1): the
-	// per-iteration cost of decision-provenance collection. The M-rung
-	// acceptance budget is 5%.
+	// per-iteration cost of decision provenance. The M-rung acceptance
+	// budget is 5%.
 	ProvOverheadPct float64 `json:"prov_overhead_pct,omitempty"`
 }
 

@@ -45,7 +45,7 @@ import (
 const FileName = "refine.ckpt"
 
 // Version is the current checkpoint format version. Version 2 added the
-// optional provenance blob (HasProv/Prov); version 3 appended the
+// provenance blob (HasProv/Prov, now always empty); version 3 appended the
 // per-iteration refinement history and the batch lineage that resume and
 // delta ingest replay. Decode also accepts legacyVersion (2) files —
 // their payload is a strict prefix of version 3's — so the refusal to
@@ -169,12 +169,10 @@ type State struct {
 	// the rows of the iterations a resume replays.
 	Trace []obs.Row
 
-	// HasProv marks a snapshot taken with decision provenance enabled;
-	// Prov is the opaque per-router/per-interface provenance state
-	// (encoded by internal/prov, which ckpt does not import — the blob
-	// travels through unopened). A provenance-enabled resume from a
-	// snapshot without it is refused: the artifact could not be
-	// reconstructed byte-identically.
+	// HasProv and Prov are the provenance flag and blob older builds
+	// kept in the state: like Hashes, still written (false and empty)
+	// for byte-stable snapshots and decoded, but never read. The
+	// provenance artifact is derived from History, whatever the state.
 	HasProv bool
 	Prov    []byte
 
@@ -235,9 +233,7 @@ func (st *State) RequireHistory() error {
 // run could produce.
 type MismatchError struct {
 	// Field names what disagreed: "options", "inputs", "graph",
-	// "routers", or "interfaces"; "provenance" for a provenance run over
-	// a state without the records, "iteration" for one capped below the
-	// state's iteration (Want), whose records it cannot rebuild.
+	// "routers", or "interfaces".
 	Field string
 	// Want is the checkpoint's value, Got the current run's.
 	Want, Got uint64

@@ -29,7 +29,8 @@ const (
 // IterRecord is one committed iteration as the log holds it: what turns
 // the State of Iteration-1 into the State of Iteration. Converged and
 // CycleLength are the State's afterwards, Hash what the cycle detector
-// saw, Row the trace row, and Prov (provenance runs) the whole new blob.
+// saw and Row the trace row. Prov is a provenance blob older builds
+// wrote; it is still decoded and written, empty now, but never read.
 type IterRecord struct {
 	RunID       uint64
 	Iteration   int
@@ -42,9 +43,10 @@ type IterRecord struct {
 }
 
 // RunID identifies the run a state belongs to: one fingerprint of what
-// resume requires to match (options, inputs, graph shape) and of whether
-// provenance travels with the state. Refinement is a deterministic
-// function of those, so two runs with one id commit the same iterations.
+// resume requires to match (options, inputs, graph shape) and of
+// HasProv, so the records an older build logged beside a provenance
+// state still fold onto it. Refinement is a deterministic function of
+// those, so two runs with one id commit the same iterations.
 func (st *State) RunID() uint64 {
 	p := binary.LittleEndian.AppendUint64(nil, st.OptionsFP)
 	p = binary.LittleEndian.AppendUint64(p, st.InputDigest)
@@ -81,9 +83,6 @@ func (st *State) Fold(rec *IterRecord) (bool, error) {
 	}
 	st.Trace = append(st.Trace, rec.Row)
 	st.History = append(st.History, rec.Delta)
-	if st.HasProv {
-		st.Prov = rec.Prov
-	}
 	return true, nil
 }
 

@@ -10,9 +10,8 @@ import (
 
 // This file is the one payload codec behind the frame: every framed
 // artifact (checkpoint, journal record, provenance artifact, serving
-// snapshot) and the provenance blob a checkpoint carries is decoded
-// through Reader, under one rule set — the bytes an encoder here would
-// choose, and no others:
+// snapshot) is decoded through Reader, under one rule set — the bytes an
+// encoder here would choose, and no others:
 //
 //   - varints are minimal (no padding continuation bytes);
 //   - booleans are the byte 0 or 1;

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/obs"
-	"repro/internal/prov"
 )
 
 // fingerprint hashes the options that change what an iteration computes:
@@ -69,9 +68,8 @@ func graphDigest(g *Graph) uint64 {
 // ckptRunner owns the durable record of a run's committed iterations:
 // the base snapshot twice per run, the refinement log between.
 type ckptRunner struct {
-	cfg  *ckpt.Config
-	rec  *obs.Recorder
-	prov bool
+	cfg *ckpt.Config
+	rec *obs.Recorder
 	// st is the run's committed state. Each iteration's record is folded
 	// into it with the Fold that ckpt.Load applies to the log, so the
 	// final snapshot encodes exactly what a resume from base + log
@@ -85,8 +83,8 @@ type ckptRunner struct {
 // newCkptRunner gives a run its committed state under its lineage:
 // resumed, or the iteration-0 state last-hop annotation left on g, which
 // is the base at once. It returns the runner even with an error.
-func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.State, pc *provCollector) (*ckptRunner, error) {
-	c := &ckptRunner{cfg: cfg, rec: opts.Recorder, prov: pc != nil, st: resumed}
+func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.State) (*ckptRunner, error) {
+	c := &ckptRunner{cfg: cfg, rec: opts.Recorder, st: resumed}
 	if c.st == nil {
 		c.st = &ckpt.State{
 			OptionsFP:   opts.fingerprint(),
@@ -94,16 +92,12 @@ func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.Stat
 			GraphDigest: g.digest,
 			Routers:     make([]uint32, len(g.Routers)),
 			Ifaces:      make([]uint32, len(g.sortedIfaces)),
-			HasProv:     pc != nil,
 		}
 		for i, r := range g.Routers {
 			c.st.Routers[i] = uint32(r.Annotation)
 		}
 		for pos, i := range g.sortedIfaces {
 			c.st.Ifaces[pos] = uint32(i.Annotation)
-		}
-		if pc != nil {
-			c.st.Prov = prov.EncodeState(pc.routers, pc.ifaces)
 		}
 	}
 	c.st.Lineage = cfg.Lineage
@@ -123,11 +117,10 @@ func (c *ckptRunner) close() {
 // afresh behind it. A kill between the two is harmless: Fold leaves out
 // records of another run or behind the base, and is right to apply
 // those of this run's twin (same options, inputs and graph: same
-// iterations). Provenance nobody keeps current goes first (a new run id).
+// iterations). A provenance blob an older build kept in the state goes
+// first (a new run id): nothing keeps it current.
 func (c *ckptRunner) rebase() error {
-	if !c.prov {
-		c.st.HasProv, c.st.Prov = false, nil
-	}
+	c.st.HasProv, c.st.Prov = false, nil
 	err := ckpt.Save(c.cfg.Dir, c.st, c.rec)
 	if err == nil {
 		c.log, err = ckpt.OpenIterLog(c.cfg.Dir)
@@ -136,13 +129,12 @@ func (c *ckptRunner) rebase() error {
 }
 
 // commit records the iteration res.Iterations just committed — its
-// change set (the per-shard lists in shard order: ascending index
-// order), state hash and trace row — and makes it durable when due: the
+// change set, state hash and trace row — and makes it durable when due: the
 // last iteration (convergence or the cap) as a snapshot, so a finished
 // run's base says so and needs no log; any other on the stride, as one
 // append of every iteration not durable yet (at most Every-1 are lost).
 // A resumed state's iterations are durable; a run going on past them rebases.
-func (c *ckptRunner) commit(res *Result, hash uint64, row obs.Row, histR, histI [][]ckpt.AnnChange, pc *provCollector, last bool) error {
+func (c *ckptRunner) commit(res *Result, hash uint64, row obs.Row, delta ckpt.IterDelta, last bool) error {
 	if res.Iterations <= c.st.Iteration {
 		if res.Iterations < c.st.Iteration || last {
 			return nil
@@ -152,16 +144,7 @@ func (c *ckptRunner) commit(res *Result, hash uint64, row obs.Row, histR, histI 
 	it := ckpt.IterRecord{
 		RunID: c.st.RunID(), Iteration: res.Iterations,
 		Converged: res.Converged, CycleLength: res.CycleLength,
-		Hash: hash, Row: row,
-	}
-	for _, cs := range histR {
-		it.Delta.Routers = append(it.Delta.Routers, cs...)
-	}
-	for _, cs := range histI {
-		it.Delta.Ifaces = append(it.Delta.Ifaces, cs...)
-	}
-	if pc != nil {
-		it.Prov = prov.EncodeState(pc.routers, pc.ifaces)
+		Hash: hash, Row: row, Delta: delta,
 	}
 	if ok, err := c.st.Fold(&it); err != nil || !ok {
 		return fmt.Errorf("core: iteration %d does not follow the committed state at iteration %d (%v)", it.Iteration, c.st.Iteration, err)

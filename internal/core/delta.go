@@ -9,7 +9,6 @@ import (
 	"repro/internal/asn"
 	"repro/internal/ckpt"
 	"repro/internal/obs"
-	"repro/internal/prov"
 )
 
 // Delta refinement absorbs a new trace batch without re-evaluating the
@@ -81,7 +80,7 @@ type replay struct {
 // so the touched set is the seed. Identity crosses an append by object:
 // alias sets are an input, not an inference, so a router keeps its
 // interfaces, and one whose representative address changed was touched.
-func (p *replay) seed(g *Graph, rec *obs.Recorder, pc *provCollector, res *Result) (*ckpt.State, error) {
+func (p *replay) seed(g *Graph, rec *obs.Recorder, res *Result) (*ckpt.State, error) {
 	if p == nil {
 		return nil, nil
 	}
@@ -91,7 +90,7 @@ func (p *replay) seed(g *Graph, rec *obs.Recorder, pc *provCollector, res *Resul
 		res.Resumed, res.ResumedFrom = true, st.Iteration
 		rec.SetResumedFrom(st.Iteration)
 		rec.Logf("refine: resumed from checkpoint at iteration %d (%d of them from %s)", st.Iteration, st.FromLog, ckpt.LogName)
-		return st, p.reached(g, 0, pc)
+		return st, p.reached(g, 0)
 	}
 	sd := rec.Phase("delta-seed")
 	p.rpos, p.ipos = p.app.routerPos, p.app.ifacePos
@@ -114,7 +113,7 @@ func (p *replay) seed(g *Graph, rec *obs.Recorder, pc *provCollector, res *Resul
 	sd.End()
 	rec.Gauge("delta.struct_dirty_routers").Set(int64(len(p.app.routers)))
 	rec.Gauge("delta.struct_dirty_ifaces").Set(int64(len(p.app.ifaces)))
-	return nil, p.reached(g, 0, pc)
+	return nil, p.reached(g, 0)
 }
 
 // at carries base index i onto the graph through pos (none: a resume).
@@ -222,10 +221,8 @@ func (p *replay) row(iter int) obs.Row {
 
 // reached is told iteration iter committed (0: last-hop annotation). At
 // the base's horizon every clean entity must hold its stored value; a
-// History replaying to anything else is a *ckpt.FormatError naming it,
-// as is a malformed provenance blob, which a resume's collector takes
-// there: the replayed iterations write no records.
-func (p *replay) reached(g *Graph, iter int, pc *provCollector) error {
+// History replaying to anything else is a *ckpt.FormatError naming it.
+func (p *replay) reached(g *Graph, iter int) error {
 	if p == nil || iter != p.base.Iteration {
 		return nil
 	}
@@ -237,11 +234,6 @@ func (p *replay) reached(g *Graph, iter int, pc *provCollector) error {
 	for b, ann := range p.base.Ifaces {
 		if idx := at(p.ipos, uint32(b)); p.isince[idx] == 0 && uint32(g.sortedIfaces[idx].Annotation) != ann {
 			return &ckpt.FormatError{Reason: fmt.Sprintf("history replays interface %d to %d by iteration %d, but the state holds %d", b, g.sortedIfaces[idx].Annotation, iter, ann)}
-		}
-	}
-	if pc != nil {
-		if err := prov.DecodeState(p.base.Prov, pc.routers, pc.ifaces); err != nil {
-			return &ckpt.FormatError{Reason: "provenance blob: " + err.Error()}
 		}
 	}
 	return nil
@@ -347,13 +339,10 @@ func (e *DeltaBaseError) Error() string { return "core: delta refinement: " + e.
 // app is the Builder's record of the Finish that appended the batch
 // (Builder.LastAppend), and baseState a state of a run over the graph as
 // it was before that Finish, checked as ResumeContext checks its state
-// but against the digest the graph carried then and not the inputs.
-// Provenance collection is refused: replayed iterations carry no vote
-// trace to record.
+// but against the digest the graph carried then and not the inputs. With
+// opts.Provenance the artifact is a from-scratch run's over the merged
+// corpus too.
 func RunDeltaContext(ctx context.Context, merged *Graph, app *Append, baseState *ckpt.State, rels RelationshipOracle, opts Options) (*Result, error) {
-	if opts.Provenance {
-		return nil, &DeltaBaseError{Reason: "provenance collection is not supported (replayed iterations carry no vote trace); run the full pipeline with provenance instead"}
-	}
 	if app == nil || app.graph != merged || app.finish != merged.finishes {
 		return nil, &DeltaBaseError{Reason: "the append record does not describe the graph's most recent Finish"}
 	}
@@ -364,11 +353,10 @@ func RunDeltaContext(ctx context.Context, merged *Graph, app *Append, baseState 
 // the newest durable one) over g, that run's graph rebuilt from the same
 // inputs: RunDeltaContext with nothing appended, so the result is the
 // uninterrupted run's at every worker count, or a fresh capped run's when
-// MaxIterations comes first. An st without its whole History is a
-// *ckpt.HistoryError; one of other options, graph, inputs (with
-// opts.Checkpoint set) or provenance, or a provenance resume capped below
-// st.Iteration (replayed iterations record none), a *ckpt.MismatchError.
-// With opts.Checkpoint set, st becomes the run's committed state.
+// MaxIterations comes first — provenance included. An st without its
+// whole History is a *ckpt.HistoryError; one of other options, graph or
+// inputs (with opts.Checkpoint set), a *ckpt.MismatchError. With
+// opts.Checkpoint set, st becomes the run's committed state.
 func ResumeContext(ctx context.Context, g *Graph, st *ckpt.State, rels RelationshipOracle, opts Options) (*Result, error) {
 	return (&replay{base: st}).run(ctx, g, rels, opts)
 }
@@ -377,8 +365,7 @@ func ResumeContext(ctx context.Context, g *Graph, st *ckpt.State, rels Relations
 // passes the one check both entry points share: a complete History inside
 // the state, and nothing that leads where no uninterrupted run goes —
 // other options, graph (for a delta run, the one before its append) or,
-// for a resume, inputs, or no provenance for a provenance run, or one
-// that stops before the state's iteration.
+// for a resume, inputs.
 func (p *replay) run(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options) (*Result, error) {
 	opts.setDefaults()
 	st := p.base
@@ -407,10 +394,6 @@ func (p *replay) run(ctx context.Context, g *Graph, rels RelationshipOracle, opt
 		return nil, &ckpt.MismatchError{Field: "routers", Want: uint64(len(st.Routers)), Got: uint64(routers)}
 	case ifaces != len(st.Ifaces):
 		return nil, &ckpt.MismatchError{Field: "interfaces", Want: uint64(len(st.Ifaces)), Got: uint64(ifaces)}
-	case opts.Provenance && !st.HasProv:
-		return nil, &ckpt.MismatchError{Field: "provenance", Want: 0, Got: 1}
-	case opts.Provenance && opts.MaxIterations < st.Iteration:
-		return nil, &ckpt.MismatchError{Field: "iteration", Want: uint64(st.Iteration), Got: uint64(opts.MaxIterations)}
 	}
 	g.ResetAnnotations()
 	return refine(ctx, g, rels, opts, p)

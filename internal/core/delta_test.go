@@ -10,6 +10,7 @@ package core_test
 // delta checkpoints stack on top of delta checkpoints.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/prov"
 	"repro/internal/traceroute"
 )
 
@@ -77,17 +79,20 @@ func TestDeltaEquivalence(t *testing.T) {
 		t.Fatalf("base run did not converge in %d iterations; pick a different split", st.Iteration)
 	}
 
-	oracle := outcomeOf(core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1}))
+	scratch := core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1, Provenance: true})
+	oracle := outcomeOf(scratch)
 	if oracle.annotations == "" {
 		t.Fatal("oracle run produced no annotations")
 	}
+	wantProv := encodeArtifact(t, scratch.Provenance)
 
 	// One appended graph serves every worker count: a delta run starts by
 	// discarding whatever annotations the graph holds.
 	for _, workers := range []int{1, 4, 8} {
 		ckDir := t.TempDir()
 		res, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st, ds.Rels, core.Options{
-			Workers: workers,
+			Workers:    workers,
+			Provenance: true,
 			Checkpoint: &ckpt.Config{
 				Dir:         ckDir,
 				InputDigest: 0x5678,
@@ -101,6 +106,9 @@ func TestDeltaEquivalence(t *testing.T) {
 			t.Errorf("workers=%d: delta diverges from from-scratch merged run: iterations %d vs %d, converged %v vs %v, cycle %d vs %d, annotations equal: %v",
 				workers, got.iterations, oracle.iterations, got.converged, oracle.converged,
 				got.cycleLen, oracle.cycleLen, got.annotations == oracle.annotations)
+		}
+		if !bytes.Equal(encodeArtifact(t, res.Provenance), wantProv) {
+			t.Errorf("workers=%d: delta run's provenance artifact differs from the from-scratch merged run's", workers)
 		}
 		// The delta checkpoint must itself be a complete delta base:
 		// full history, the lineage stamped, and annotations matching
@@ -152,16 +160,34 @@ func TestDeltaEquivalenceStacked(t *testing.T) {
 	// Second absorption stacks on the delta checkpoint.
 	b.AddTraces(traces[cutB:])
 	b.Finish(ds.Rels)
-	res2, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st1, ds.Rels, core.Options{Workers: 4})
-	if err != nil {
+	scratch := core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1, Provenance: true})
+	oracle, wantProv := outcomeOf(scratch), encodeArtifact(t, scratch.Provenance)
+	for _, workers := range []int{1, 4, 8} {
+		res2, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st1, ds.Rels, core.Options{Workers: workers, Provenance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outcomeOf(res2); got != oracle {
+			t.Errorf("workers=%d: stacked delta diverges from from-scratch run: iterations %d vs %d, converged %v vs %v, annotations equal: %v",
+				workers, got.iterations, oracle.iterations, got.converged, oracle.converged, got.annotations == oracle.annotations)
+		}
+		if !bytes.Equal(encodeArtifact(t, res2.Provenance), wantProv) {
+			t.Errorf("workers=%d: stacked delta's provenance artifact differs from the from-scratch run's", workers)
+		}
+	}
+}
+
+// encodeArtifact is a run's provenance artifact as its file holds it.
+func encodeArtifact(t *testing.T, a *prov.Artifact) []byte {
+	t.Helper()
+	if a == nil {
+		t.Fatal("run produced no provenance artifact")
+	}
+	var buf bytes.Buffer
+	if err := prov.Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-
-	oracle := outcomeOf(core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1}))
-	if got := outcomeOf(res2); got != oracle {
-		t.Errorf("stacked delta diverges from from-scratch run: iterations %d vs %d, converged %v vs %v, annotations equal: %v",
-			got.iterations, oracle.iterations, got.converged, oracle.converged, got.annotations == oracle.annotations)
-	}
+	return buf.Bytes()
 }
 
 // TestDeltaCappedBaseFallback: a base checkpoint that hit its iteration
@@ -193,7 +219,7 @@ func TestDeltaCappedBaseFallback(t *testing.T) {
 }
 
 // TestDeltaRefusals pins the typed error paths: legacy snapshots,
-// provenance, option mismatches, a base state taken over some
+// option mismatches, a base state taken over some
 // other graph and an append record that is not the graph's latest are
 // refused before any annotation work happens.
 func TestDeltaRefusals(t *testing.T) {
@@ -212,11 +238,6 @@ func TestDeltaRefusals(t *testing.T) {
 		t.Errorf("legacy base state accepted: %v", err)
 	}
 
-	var de *core.DeltaBaseError
-	if _, err := core.RunDeltaContext(ctx, g, app, st, ds.Rels, core.Options{Provenance: true}); !errors.As(err, &de) {
-		t.Errorf("provenance delta accepted: %v", err)
-	}
-
 	var me *ckpt.MismatchError
 	if _, err := core.RunDeltaContext(ctx, g, app, st, ds.Rels, core.Options{DisableThirdParty: true}); !errors.As(err, &me) || me.Field != "options" {
 		t.Errorf("option-mismatched delta accepted: %v", err)
@@ -230,6 +251,7 @@ func TestDeltaRefusals(t *testing.T) {
 
 	// An append record goes stale with the next Finish, even one that
 	// adds nothing; so does having none.
+	var de *core.DeltaBaseError
 	b.Finish(ds.Rels)
 	for _, stale := range []*core.Append{app, nil} {
 		if _, err := core.RunDeltaContext(ctx, g, stale, st, ds.Rels, core.Options{}); !errors.As(err, &de) {

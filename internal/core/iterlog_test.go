@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -358,57 +359,139 @@ func TestResumeFromStartSnapshot(t *testing.T) {
 	}
 }
 
-// TestResumeWithoutProvenanceRebases: resuming a provenance run without
-// provenance stops the state claiming records nobody keeps current,
-// which changes its run id. The resumed run therefore publishes what it
-// restored as a new base before it logs anything, so its records fold —
-// a second kill does not fall back to the first one's state.
+// TestResumeWithoutProvenanceRebases: a directory an older build left
+// for a provenance run — a base claiming a provenance blob, and log
+// records under that base's run id, each with a blob of its own — still
+// loads with its log folded, and still resumes, with provenance or
+// without, to the uninterrupted run's annotations and artifact. The
+// resumed run publishes what it loaded as a new base without the blob
+// before it logs anything, which changes the run id, so its own records
+// fold: a second kill does not fall back to the first one's state.
 func TestResumeWithoutProvenanceRebases(t *testing.T) {
-	ctx := context.Background()
-	want := dumpAnnotations(goldenEnv(t).run(Options{Workers: 1}))
-
-	dir := t.TempDir()
-	kills := []string{t.TempDir(), t.TempDir()}
-	snapshotAt := func(point, to string) {
-		ckpt.TestHook = func(p string) {
-			if p == point {
-				copyDir(t, dir, to)
-			}
-		}
-	}
-	defer func() { ckpt.TestHook = nil }()
-	run := func(dir string, resume, provenance bool) *Result {
-		t.Helper()
-		e := goldenEnv(t)
-		res, err := RunContext(ctx, buildGraph(t, e, 2), e.rels, Options{
-			Workers: 2, Provenance: provenance, Checkpoint: &ckpt.Config{Dir: dir, Resume: resume},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	snapshotAt("checkpoint:1", kills[0])
-	if full := run(dir, false, true); full.Iterations < 4 {
+	full := goldenEnv(t).run(Options{Workers: 1, Provenance: true})
+	want, wantProv := dumpAnnotations(full), encodeArtifact(t, full.Provenance)
+	if full.Iterations < 4 {
 		t.Fatalf("the fixture converges in %d iterations; the test kills it twice before the last", full.Iterations)
 	}
-	st, err := ckpt.Load(kills[0])
-	if err != nil || st.Iteration != 1 || !st.HasProv {
-		t.Fatalf("first kill: iteration %d, provenance %v, err %v", st.Iteration, st.HasProv, err)
-	}
+	defer func() { ckpt.TestHook = nil }()
 
-	dir = kills[0]
-	snapshotAt("checkpoint:2", kills[1])
-	if got := dumpAnnotations(run(dir, true, false)); got != want {
-		t.Error("resume without provenance ends in different annotations")
+	// The older build's directory after two iterations: this build's
+	// iteration-0 base and first two iterations, with blobs written in.
+	dir, start := t.TempDir(), t.TempDir()
+	ckpt.TestHook = func(p string) {
+		if p == "checkpoint:0" {
+			copyDir(t, dir, start)
+		}
 	}
-	st, err = ckpt.Load(kills[1])
-	if err != nil || st.Iteration != 2 || st.FromLog != 1 || st.HasProv {
-		t.Fatalf("second kill: iteration %d (%d from the log), provenance %v, err %v; want 2 (1), false",
-			st.Iteration, st.FromLog, st.HasProv, err)
+	if _, err := checkpointedRun(t, 2, Options{MaxIterations: 2, Checkpoint: &ckpt.Config{Dir: dir}}); err != nil {
+		t.Fatal(err)
 	}
 	ckpt.TestHook = nil
-	if got := dumpAnnotations(run(kills[1], true, false)); got != want {
-		t.Error("resume after the second kill ends in different annotations")
+	at2, err := ckpt.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ckpt.Load(start)
+	if err != nil || st.Iteration != 0 {
+		t.Fatalf("iteration-0 base: %v", err)
+	}
+	st.HasProv, st.Prov = true, []byte{0xb1, 0x0b}
+	old := t.TempDir()
+	if err := ckpt.Save(old, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	for k := 1; k <= 2; k++ {
+		log = append(log, ckpt.EncodeIterRecord(&ckpt.IterRecord{
+			RunID: st.RunID(), Iteration: k, Hash: at2.Hashes[k-1].Hash,
+			Delta: at2.History[k-1], Row: at2.Trace[k-1], Prov: []byte{byte(k)},
+		})...)
+	}
+	if err := os.WriteFile(filepath.Join(old, ckpt.LogName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ckpt.Load(old)
+	if err != nil || loaded.Iteration != 2 || loaded.FromLog != 2 || !loaded.HasProv ||
+		!reflect.DeepEqual(loaded.Routers, at2.Routers) || !reflect.DeepEqual(loaded.Ifaces, at2.Ifaces) {
+		t.Fatalf("the older build's directory loads to iteration %d (%d from the log), provenance %v, err %v; want 2 (2), true, the run's state",
+			loaded.Iteration, loaded.FromLog, loaded.HasProv, err)
+	}
+
+	for _, provenance := range []bool{false, true} {
+		dir := t.TempDir()
+		copyDir(t, old, dir)
+		rebased, logged := t.TempDir(), t.TempDir()
+		ckpt.TestHook = func(p string) {
+			switch p {
+			case "checkpoint:2":
+				copyDir(t, dir, rebased)
+			case "checkpoint:3":
+				copyDir(t, dir, logged)
+			}
+		}
+		res, err := checkpointedRun(t, 2, Options{Provenance: provenance, Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		ckpt.TestHook = nil
+		if err != nil {
+			t.Fatalf("provenance=%v: resume: %v", provenance, err)
+		}
+		if dumpAnnotations(res) != want {
+			t.Errorf("provenance=%v: resume ends in different annotations", provenance)
+		}
+		if provenance && !bytes.Equal(encodeArtifact(t, res.Provenance), wantProv) {
+			t.Error("provenance resume: artifact differs from the uninterrupted run's")
+		}
+		for _, kill := range []struct {
+			dir           string
+			iter, fromLog int
+		}{{rebased, 2, 0}, {logged, 3, 1}, {dir, full.Iterations, 0}} {
+			st, err := ckpt.Load(kill.dir)
+			if err != nil || st.Iteration != kill.iter || st.FromLog != kill.fromLog || st.HasProv || st.Prov != nil {
+				t.Fatalf("provenance=%v: killed at iteration %d, the directory holds iteration %d (%d from the log), provenance (%v, %x), err %v; want %d (%d), none",
+					provenance, kill.iter, st.Iteration, st.FromLog, st.HasProv, st.Prov, err, kill.iter, kill.fromLog)
+			}
+		}
+		res, err = checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: logged, Resume: true}})
+		if err != nil || dumpAnnotations(res) != want {
+			t.Errorf("provenance=%v: resume after the second kill ends in different annotations (%v)", provenance, err)
+		}
+	}
+}
+
+// TestCheckpointsIgnoreProvenance: after every iteration the checkpoint
+// directory of a provenance run is byte for byte that of the same run
+// without provenance — full, capped and delta.
+func TestCheckpointsIgnoreProvenance(t *testing.T) {
+	ctx := context.Background()
+	e, traces := campaign(t, 2018, 20)
+	b := NewBuilder(e.resolver, e.aliases)
+	b.AddTraces(traces[:len(traces)/2])
+	grown := b.Finish(e.rels)
+	_, base := checkpointed(t, 1, func(o Options) (*Result, error) { return RunContext(ctx, grown, e.rels, o) })
+	b.AddTraces(traces[len(traces)/2:])
+	b.Finish(e.rels)
+	golden := goldenEnv(t)
+	full := func(o Options) (*Result, error) { return RunContext(ctx, buildGraph(t, golden, 2), golden.rels, o) }
+	for _, tc := range []struct {
+		name    string
+		maxIter int
+		start   func(Options) (*Result, error)
+	}{
+		{"full", 0, full},
+		{"capped", 2, full},
+		{"delta", 0, func(o Options) (*Result, error) { return RunDeltaContext(ctx, grown, b.LastAppend(), base, e.rels, o) }},
+	} {
+		var images [2][]map[string][]byte
+		for i, provenance := range []bool{false, true} {
+			dir := t.TempDir()
+			opts := Options{Workers: 2, MaxIterations: tc.maxIter, Provenance: provenance, Checkpoint: &ckpt.Config{Dir: dir, InputDigest: 7}}
+			opts.hookIterEnd = func(int) { images[i] = append(images[i], dirImage(t, dir)) }
+			res, err := tc.start(opts)
+			if err != nil || (res.Provenance != nil) != provenance {
+				t.Fatalf("%s: provenance=%v: artifact %v, err %v", tc.name, provenance, res != nil && res.Provenance != nil, err)
+			}
+		}
+		if len(images[0]) < 2 || !reflect.DeepEqual(images[0], images[1]) {
+			t.Errorf("%s: over %d iterations, the directory of the provenance run is not the plain run's", tc.name, len(images[0]))
+		}
 	}
 }

@@ -46,35 +46,27 @@ func newLasthopTally(rec *obs.Recorder) *lasthopTally {
 // set. These annotations are frozen — the refinement loop never revises
 // them (§3.3). Each last-hop annotation reads only the router's own
 // static sets and the oracle, so the pass shards across workers with no
-// snapshot needed and a worker-count-independent outcome. A non-nil pc
-// receives each last-hop router's provenance record (which §5 branch
-// decided it); last-hop records keep Iter=0 — they never change after
-// this pass.
-func annotateLastHops(g *Graph, rels RelationshipOracle, opts Options, pc *provCollector) {
+// snapshot needed and a worker-count-independent outcome.
+func annotateLastHops(g *Graph, rels RelationshipOracle, opts Options) {
 	t := newLasthopTally(opts.Recorder)
 	shard.For(len(g.Routers), opts.Workers, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			r := g.Routers[idx]
-			if !r.LastHop {
-				continue
-			}
-			var pr *prov.Record
-			if pc != nil {
-				pr = &pc.routers[idx]
-				*pr = prov.Record{}
-			}
-			if r.DestASes.Len() == 0 || opts.DisableLastHopDest {
-				t.emptyDest.Inc()
-				r.Annotation = annotateEmptyDest(r, rels, t, pr)
-			} else {
-				t.withDest.Inc()
-				r.Annotation = annotateWithDest(r, rels, t, pr)
-			}
-			if pr != nil {
-				pr.Winner = r.Annotation
+		for _, r := range g.Routers[lo:hi] {
+			if r.LastHop {
+				r.Annotation = annotateLastHop(r, rels, opts, t, nil)
 			}
 		}
 	})
+}
+
+// annotateLastHop is last-hop router r's §5 annotation. A non-nil pr
+// receives the branch that decided it.
+func annotateLastHop(r *Router, rels RelationshipOracle, opts Options, t *lasthopTally, pr *prov.Record) asn.ASN {
+	if r.DestASes.Len() == 0 || opts.DisableLastHopDest {
+		t.emptyDest.Inc()
+		return annotateEmptyDest(r, rels, t, pr)
+	}
+	t.withDest.Inc()
+	return annotateWithDest(r, rels, t, pr)
 }
 
 // annotateEmptyDest handles §5.1: the IR's interfaces were only seen in
@@ -154,7 +146,7 @@ func annotateEmptyDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *
 }
 
 // setRule records the winning §5 branch on a last-hop record (nil-safe:
-// the collector is optional).
+// only the provenance pass asks for one).
 func setRule(pr *prov.Record, rule prov.Rule) {
 	if pr != nil {
 		pr.Rule = rule

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -30,8 +31,20 @@ func TestLogFoldEqualsSnapshotLongTail(t *testing.T) {
 	if full.Iterations < 12 || full.CycleLength < 2 {
 		t.Fatalf("the fixture stops after %d iterations with cycle length %d; it is here for its long oscillating tail", full.Iterations, full.CycleLength)
 	}
+	g.ResetAnnotations()
+	wantProv := encodeArtifact(t, core.Run(g, ds.Rels, core.Options{Workers: 1, Provenance: true}).Provenance)
 	cut := len(ds.Traces) * 7 / 10
 	bld, grown, base := absorbed(t, ds, ds.Traces[:cut], ds.Traces[cut:], 0)
+	// The delta run explains its annotations as the from-scratch run does.
+	for _, workers := range []int{1, 4, 8} {
+		res, err := core.RunDeltaContext(context.Background(), grown, bld.LastAppend(), base, ds.Rels, core.Options{Workers: workers, Provenance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeArtifact(t, res.Provenance), wantProv) {
+			t.Errorf("workers=%d: delta run's provenance artifact differs from the from-scratch run's", workers)
+		}
+	}
 	for _, every := range []int{1, 2, 5} {
 		t.Run(fmt.Sprintf("full/every=%d", every), func(t *testing.T) {
 			g.ResetAnnotations()

@@ -1,79 +1,102 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/asn"
+	"repro/internal/ckpt"
 	"repro/internal/obs"
 	"repro/internal/prov"
+	"repro/internal/shard"
 )
 
-// provCollector is the engine's in-flight decision provenance: one flat
-// record per router (indexed by router ID) and one rule byte per
-// interface (indexed by the graph's sorted-address order). Shards write
-// disjoint index ranges — the same ranges they annotate — so collection
-// needs no synchronization and, like the annotations themselves, is
-// byte-identical at every worker count. prevRouters double-buffers the
-// router records across one iteration so the step-3 cancellation
-// rollback can restore provenance alongside the annotations it rolls
-// back.
-type provCollector struct {
-	routers     []prov.Record
-	ifaces      []prov.IfaceRule
-	prevRouters []prov.Record
-}
-
-func newProvCollector(g *Graph) *provCollector {
-	return &provCollector{
-		routers:     make([]prov.Record, len(g.Routers)),
-		ifaces:      make([]prov.IfaceRule, len(g.sortedIfaces)),
-		prevRouters: make([]prov.Record, len(g.Routers)),
-	}
-}
-
-// snapshot commits the current router records as the rollback target
-// for the iteration about to run (one flat copy; trivial next to the
-// annotation passes it brackets).
+// explain derives the run's decision provenance from what it committed:
+// history holds the change set of each of the res.Iterations iterations,
+// and g the state of the last, N. Each pass is a pure function of the
+// state before it, so evaluating every router once against state N-1 and
+// every interface once against the routers of state N, asking each for
+// its record, explains state N: an entity the loop skipped would have
+// evaluated to what it did last, and a clean one a delta run replayed to
+// what a full run evaluated. The artifact is thus one function of the
+// trajectory, however it was reached or cut short, and the loop never
+// sees provenance.
 //
-//lint:hotpath
-func (pc *provCollector) snapshot() {
-	copy(pc.prevRouters, pc.routers)
-}
-
-// rollback restores the records snapshot took, mirroring the
-// annotation rollback after a step-3 cancellation.
-//
-//lint:hotpath
-func (pc *provCollector) rollback() {
-	copy(pc.routers, pc.prevRouters)
-}
-
-// artifact freezes the collected provenance into the serializable form:
-// final annotations joined with their records, interfaces in sorted
-// order pointing at their router's index.
-func (pc *provCollector) artifact(g *Graph, res *Result) *prov.Artifact {
+// history is folded onto the iteration-0 state — last hops annotated,
+// other routers none, interfaces at their origin — up to state N-1, which
+// also gives each router's last-change iteration. §5 is evaluated again
+// over the last hops, which is all a run with no committed iteration has
+// to explain. Every winner must be the committed annotation: a mismatch
+// is a broken engine and panics.
+func explain(g *Graph, rels RelationshipOracle, opts Options, history []ckpt.IterDelta, res *Result) *prov.Artifact {
+	n := res.Iterations
 	a := &prov.Artifact{
-		Iterations:  res.Iterations,
+		Iterations:  n,
 		Converged:   res.Converged,
 		Interrupted: res.Interrupted,
 		CycleLength: res.CycleLength,
 		Routers:     make([]prov.RouterRec, len(g.Routers)),
 		Ifaces:      make([]prov.Iface, len(g.sortedIfaces)),
 	}
-	for i, r := range g.Routers {
-		a.Routers[i] = prov.RouterRec{
-			Annotation: r.Annotation,
-			LastHop:    r.LastHop,
-			Record:     pc.routers[i],
+	for idx, r := range g.Routers {
+		a.Routers[idx].Annotation, a.Routers[idx].LastHop = r.Annotation, r.LastHop
+		r.prevAnnotation = asn.None
+		if r.LastHop {
+			r.prevAnnotation = r.Annotation
 		}
 	}
-	for i, ifc := range g.sortedIfaces {
-		a.Ifaces[i] = prov.Iface{
-			Addr:       ifc.Addr,
-			Origin:     ifc.Origin,
-			Annotation: ifc.Annotation,
-			Router:     int32(ifc.Router.ID),
-			Rule:       pc.ifaces[i],
+	for pos, i := range g.sortedIfaces {
+		a.Ifaces[pos] = prov.Iface{Addr: i.Addr, Origin: i.Origin, Annotation: i.Annotation, Router: int32(i.Router.ID)}
+		i.Annotation = i.Origin
+	}
+	for k, d := range history {
+		for _, c := range d.Routers {
+			a.Routers[c.Idx].Iter = int32(k + 1)
 		}
 	}
+	for _, d := range history[:max(n-1, 0)] {
+		for _, c := range d.Routers {
+			g.Routers[c.Idx].prevAnnotation = asn.ASN(c.Ann)
+		}
+		for _, c := range d.Ifaces {
+			g.sortedIfaces[c.Idx].Annotation = asn.ASN(c.Ann)
+		}
+	}
+
+	lt := newLasthopTally(nil)
+	shard.For(len(g.Routers), opts.Workers, func(lo, hi int) {
+		var t iterTally
+		sc := new(voteScratch)
+		for idx := lo; idx < hi; idx++ {
+			r, pr := g.Routers[idx], &a.Routers[idx].Record
+			var w asn.ASN
+			switch {
+			case r.LastHop:
+				w = annotateLastHop(r, rels, opts, lt, pr)
+				pr.Winner = w
+			case n == 0:
+				continue
+			default:
+				w = annotateRouter(r, rels, opts, &t, sc, pr)
+			}
+			if w != r.Annotation {
+				panic(fmt.Sprintf("core: router %d evaluates to %v against the state before iteration %d, which committed %v", idx, w, n, r.Annotation))
+			}
+		}
+	})
+	shard.For(len(g.sortedIfaces), opts.Workers, func(lo, hi int) {
+		sc := new(voteScratch)
+		for pos := lo; pos < hi; pos++ {
+			i, f := g.sortedIfaces[pos], &a.Ifaces[pos]
+			i.Annotation = f.Annotation
+			if n == 0 {
+				continue
+			}
+			annotateInterface(i, rels, sc, &f.Rule)
+			if i.Annotation != f.Annotation {
+				panic(fmt.Sprintf("core: interface %s evaluates to %v in iteration %d, which committed %v", i.Addr, i.Annotation, n, f.Annotation))
+			}
+		}
+	})
 	return a
 }
 

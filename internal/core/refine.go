@@ -62,17 +62,15 @@ type Options struct {
 	// cancel a context at exactly iteration k and prove interruption
 	// determinism; nothing outside the package can set it.
 	hookIterEnd func(iter int)
-	// Provenance records per-router decision provenance (the winning
-	// heuristic, final vote tally and runner-up, tie-break path, and
-	// iteration of last change) and per-interface §6.2 branch outcomes
-	// into Result.Provenance. Collection writes fixed-size records into
-	// preallocated per-index slots from the same shards that compute
-	// the annotations, so it is allocation-free on the hot path and the
-	// annotations are byte-identical with the switch on or off, at any
-	// worker count. Not part of the checkpoint fingerprint: a
-	// provenance-enabled run may resume a plain checkpoint's dataset,
-	// but a provenance-enabled resume of a snapshot written without
-	// provenance is refused (the artifact could not be reconstructed).
+	// Provenance fills Result.Provenance: per router the winning
+	// heuristic, final vote tally and runner-up, tie-break path and
+	// iteration of last change, per interface the §6.2 branch. The
+	// artifact is derived once the loop has stopped, from the committed
+	// state and the run's change sets, which the run keeps in memory for
+	// it; the loop itself, its annotations and its checkpoints are the
+	// same with the switch on or off. So any run may have one — a resume
+	// of any checkpoint, a delta run — and it is byte-identical to a
+	// fresh run's at every worker count.
 	Provenance bool
 	// DisableDestTieBreak ablates an extension to the §6.1.4 tie-break:
 	// before falling back to the smallest customer cone, a vote tie is
@@ -382,17 +380,12 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		return res, nil
 	}
 
-	var pc *provCollector
-	if opts.Provenance {
-		pc = newProvCollector(g)
-	}
-
 	lh := rec.Phase("lasthop")
-	annotateLastHops(g, rels, opts, pc)
+	annotateLastHops(g, rels, opts)
 	lh.Note("lasthop_irs", int64(g.Stats.LastHopIRs))
 	lh.End()
 	res := &Result{Graph: g}
-	resumed, err := src.seed(g, rec, pc, res)
+	resumed, err := src.seed(g, rec, res)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +403,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	cycles := newCycleDetector()
 	var ckr *ckptRunner
 	if opts.Checkpoint != nil {
-		ckr, err = newCkptRunner(opts.Checkpoint, &opts, g, resumed, pc)
+		ckr, err = newCkptRunner(opts.Checkpoint, &opts, g, resumed)
 		defer ckr.close()
 		if err != nil {
 			ph.End()
@@ -445,10 +438,12 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		memo = make([]iterTally, len(g.Routers))
 	}
 	// Checkpointed runs also record each iteration's change set (the
-	// refinement history delta ingest replays). Collection is per-shard —
-	// shard s writes only histR[s]/histI[s].
+	// refinement history a resume and delta ingest replay), and provenance
+	// runs keep them all in history, which explain derives the artifact
+	// from. Collection is per-shard — shard s writes only histR[s]/histI[s].
 	var histR, histI [][]ckpt.AnnChange
-	if ckr != nil {
+	var history []ckpt.IterDelta
+	if ckr != nil || opts.Provenance {
 		histR = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.Routers), opts.Workers)))
 		histI = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.sortedIfaces), opts.Workers)))
 	}
@@ -494,11 +489,6 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 				break
 			}
 		}
-		if pc != nil {
-			// Commit the rollback target for this iteration's router
-			// records, mirroring the annotation snapshot step 1 just took.
-			pc.snapshot()
-		}
 		// Step 2: routers. The pass either runs in full or not at all
 		// (batch-boundary cancellation); a refusal leaves the committed
 		// state untouched. A replayed flip lands where an evaluation of
@@ -519,18 +509,14 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 					continue // clean, and the base run did not move it either
 				}
 				r := g.Routers[idx]
-				var pr *prov.Record
 				switch {
 				case replayed:
 					r.Annotation = a
 				case r.LastHop:
 					continue
 				case fullSnapshot || since == int32(iter) || r.inputsChanged(int32(iter-1)):
-					if pc != nil {
-						pr = &pc.routers[idx]
-					}
 					var rt iterTally
-					r.Annotation = annotateRouter(r, rels, opts, &rt, sc, pr)
+					r.Annotation = annotateRouter(r, rels, opts, &rt, sc, nil)
 					local.add(&rt)
 					if memo != nil {
 						memo[idx] = rt
@@ -543,9 +529,6 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 				}
 				if r.Annotation != r.prevAnnotation {
 					local.changedRouters++
-					if pr != nil {
-						pr.Iter = int32(iter)
-					}
 					chg = append(chg, idx)
 					if histR != nil {
 						hr = append(hr, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(r.Annotation)})
@@ -590,11 +573,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 				case replayed:
 					i.Annotation = a
 				case fullSnapshot || since == int32(iter) || i.votersChanged():
-					var pir *prov.IfaceRule
-					if pc != nil {
-						pir = &pc.ifaces[idx]
-					}
-					annotateInterface(i, rels, sc, pir)
+					annotateInterface(i, rels, sc, nil)
 				default:
 					continue
 				}
@@ -621,18 +600,12 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 					r.Annotation = r.prevAnnotation
 				}
 			})
-			if pc != nil {
-				// The records written by the completed router pass describe
-				// the annotations just rolled back; restore them too so the
-				// artifact always explains the committed state.
-				pc.rollback()
-			}
 			res.Interrupted = true
 			break
 		}
 		res.Iterations = iter
 		fullSnapshot = false
-		if err := src.reached(g, iter, pc); err != nil {
+		if err := src.reached(g, iter); err != nil {
 			ph.End()
 			return nil, err
 		}
@@ -646,6 +619,14 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 			trace.Append(row)
 			counters.flush(row)
 		}
+		// The change set, shard after shard: ascending index order.
+		var delta ckpt.IterDelta
+		if histR != nil {
+			delta = ckpt.IterDelta{Routers: slices.Concat(histR...), Ifaces: slices.Concat(histI...)}
+		}
+		if opts.Provenance {
+			history = append(history, delta)
+		}
 		repeated := false
 		hash := g.stateHash()
 		if n, rep := cycles.record(hash, iter); rep {
@@ -657,7 +638,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		// record carries the convergence, but before hookIterEnd so
 		// crash points injected through the hook see a durable state.
 		if ckr != nil {
-			if err := ckr.commit(res, hash, row, histR, histI, pc, repeated || iter == opts.MaxIterations); err != nil {
+			if err := ckr.commit(res, hash, row, delta, repeated || iter == opts.MaxIterations); err != nil {
 				ph.End()
 				return nil, err
 			}
@@ -674,6 +655,12 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	rec.Gauge("refine.cycle_length").Set(int64(res.CycleLength))
 	rec.Gauge("refine.converged").Set(b2i(res.Converged))
 	ph.Note("iterations", int64(res.Iterations))
+	if opts.Provenance {
+		res.Provenance = explain(g, rels, opts, history, res)
+		if rec.Enabled() {
+			recordProvAggregates(rec, res.Provenance)
+		}
+	}
 	ph.End()
 	if res.CycleLength > 1 && rec.Enabled() {
 		// §6.3 stops on any repeated state, but a cycle longer than a
@@ -689,16 +676,8 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		rec.Warnf("run cancelled after iteration %d of at most %d; annotations are the last committed iteration's partial result",
 			res.Iterations, opts.MaxIterations)
 	}
-	// A resume stopped before its state's iteration holds neither that
-	// state nor the provenance records the replay decodes there.
-	behind := res.Iterations < res.ResumedFrom
-	if pc != nil && !behind {
-		res.Provenance = pc.artifact(g, res)
-		if rec.Enabled() {
-			recordProvAggregates(rec, res.Provenance)
-		}
-	}
-	if ckr != nil && !behind {
+	// A resume stopped before its state's iteration does not hold that state.
+	if ckr != nil && res.Iterations >= res.ResumedFrom {
 		res.Checkpoint = ckr.st
 	}
 	res.Report = rec.Report()
@@ -761,17 +740,12 @@ func (i *Interface) votersChanged() bool {
 // Algorithm 3 heuristics, reallocated-prefix correction, interface
 // votes, exception checks, the relationship-restricted election, and
 // the hidden-AS check. All working storage comes from the shard's
-// scratch sc. A non-nil pr receives the decision's provenance
-// (rule, tally, tie path); it is written to, never read, so it cannot
-// influence the annotation.
+// scratch sc. A non-nil pr, zero but for its Iter, receives the
+// decision's provenance (rule, tally, tie path); it is written to, never
+// read, so it cannot influence the annotation.
 //
 //lint:hotpath
 func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTally, sc *voteScratch, pr *prov.Record) asn.ASN {
-	if pr != nil {
-		// Reset everything but the last-change iteration, which persists
-		// across iterations (the caller maintains it).
-		*pr = prov.Record{Iter: pr.Iter}
-	}
 	sc.votes, sc.cast = sc.votes[:0], sc.cast[:0]
 	for _, l := range r.voteLinks {
 		a := linkHeuristics(l, rels, opts, t)

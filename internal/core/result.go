@@ -55,10 +55,10 @@ type Result struct {
 	Report *obs.Report
 	// Provenance is the run's decision-provenance artifact — per-router
 	// winning heuristic, vote tally, tie-break path, and last-change
-	// iteration, plus per-interface §6.2 branches — collected when
-	// Options.Provenance is set; nil otherwise, and for a resume cancelled
-	// before the iteration it resumed. It is byte-identical (via
-	// prov.Encode) across worker counts and resume points.
+	// iteration, plus per-interface §6.2 branches — derived once the loop
+	// stops when Options.Provenance is set; nil otherwise. It is
+	// byte-identical (via prov.Encode) across worker counts and resume
+	// points, and a delta run's is the from-scratch run's.
 	Provenance *prov.Artifact
 
 	// links is InterdomainLinks' answer, computed on first use.

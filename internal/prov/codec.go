@@ -177,43 +177,6 @@ func readRecord(d *ckpt.Reader, r *Record) {
 	}
 }
 
-// EncodeState serializes the engine's in-flight provenance (per-router
-// records, per-interface rules) into an opaque blob for embedding in a
-// refinement checkpoint, so a resumed run reproduces the artifact an
-// uninterrupted run would have written. Like Encode it is a pure
-// function of its inputs.
-func EncodeState(routers []Record, ifaces []IfaceRule) []byte {
-	p := binary.AppendUvarint(nil, uint64(len(routers)))
-	for i := range routers {
-		p = appendRecord(p, &routers[i])
-	}
-	p = binary.AppendUvarint(p, uint64(len(ifaces)))
-	for _, r := range ifaces {
-		p = append(p, byte(r))
-	}
-	return p
-}
-
-// DecodeState inverts EncodeState into caller-provided slices, whose
-// lengths must match the blob's counts (the caller sized them from the
-// graph the checkpoint's digests already pinned).
-func DecodeState(b []byte, routers []Record, ifaces []IfaceRule) error {
-	d := ckpt.NewReader(b, "provenance checkpoint state")
-	if n := d.Count("provenance router count", 7); n != len(routers) {
-		d.Fail("provenance router count %d does not match graph (%d)", n, len(routers))
-	}
-	for i := 0; i < len(routers) && d.OK(); i++ {
-		readRecord(d, &routers[i])
-	}
-	if n := d.Count("provenance interface count", 1); n != len(ifaces) {
-		d.Fail("provenance interface count %d does not match graph (%d)", n, len(ifaces))
-	}
-	for i := 0; i < len(ifaces) && d.OK(); i++ {
-		ifaces[i] = IfaceRule(d.Byte())
-	}
-	return formatError(d.Finish())
-}
-
 // WriteFile atomically publishes the artifact at path (write-temp +
 // fsync + rename, via ckpt.AtomicWrite), so readers never observe a
 // torn artifact.

@@ -2,11 +2,11 @@
 // every router, which heuristic (paper §5.1, Algorithm 1, §6.1) decided
 // its operator-AS annotation, the final vote tally and runner-up, the
 // tie-break path taken, and the iteration it last changed; for every
-// interface, which §6.2 alignment branch set its annotation. The engine
-// fills one flat Record per router and one IfaceRule per interface —
-// fixed-size structs indexed by the graph's deterministic orders, so
-// collection stays allocation-free on the hot path and byte-identical
-// at every worker count — and serializes them into a versioned,
+// interface, which §6.2 alignment branch set its annotation. Once
+// refinement stops, the engine derives one flat Record per router and
+// one IfaceRule per interface — fixed-size structs indexed by the
+// graph's deterministic orders, byte-identical at every worker count —
+// and serializes them into a versioned,
 // CRC-guarded artifact (same length-prefix/atomic-write discipline as
 // internal/ckpt) that cmd/explain queries and diffs offline.
 //

@@ -75,17 +75,13 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// The byte layouts the build before the shared ckpt.Reader wrote, written
-// out: goldenArtifact is sampleArtifact() as an artifact file,
-// goldenState its records and rules as a checkpoint's provenance blob.
-// What that build left on disk must load, and the encoders must still
-// write exactly these bytes.
-const (
-	goldenArtifact = "424d495450524f5601610000000701010364000d0a6405c8010302ac02010200ac020000000000000b00000000000003" +
-		"00000000000000000000ffff010000016464000300000000000000000000ffff02000001c801c8010102000000000000" +
-		"00000000ffff0909090100000201eb937f8c"
-	goldenState = "030d0a6405c80103020200ac02000000000b00000000000003030201"
-)
+// The byte layout the build before the shared ckpt.Reader wrote, written
+// out: goldenArtifact is sampleArtifact() as an artifact file. What that
+// build left on disk must load, and Encode must still write exactly these
+// bytes.
+const goldenArtifact = "424d495450524f5601610000000701010364000d0a6405c8010302ac02010200ac020000000000000b00000000000003" +
+	"00000000000000000000ffff010000016464000300000000000000000000ffff02000001c801c8010102000000000000" +
+	"00000000ffff0909090100000201eb937f8c"
 
 func TestGoldenBytes(t *testing.T) {
 	want, err := hex.DecodeString(goldenArtifact)
@@ -101,24 +97,6 @@ func TestGoldenBytes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, sampleArtifact()) {
 		t.Errorf("recorded artifact decodes to\n %+v\nwant %+v", a, sampleArtifact())
-	}
-
-	blob, err := hex.DecodeString(goldenState)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]Record, len(a.Routers))
-	rules := make([]IfaceRule, 3)
-	if err := DecodeState(blob, recs, rules); err != nil {
-		t.Fatalf("DecodeState refuses the recorded blob: %v", err)
-	}
-	for i := range recs {
-		if recs[i] != a.Routers[i].Record {
-			t.Errorf("blob record %d = %+v, want %+v", i, recs[i], a.Routers[i].Record)
-		}
-	}
-	if got := EncodeState(recs, rules); !bytes.Equal(got, blob) {
-		t.Errorf("EncodeState no longer writes the recorded bytes:\n got %x\nwant %x", got, blob)
 	}
 }
 
@@ -197,43 +175,6 @@ func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
 				t.Fatalf("want *FormatError mentioning %q, got %v", tc.wantSub, err)
 			}
 		})
-	}
-}
-
-func TestStateBlobRoundTrip(t *testing.T) {
-	a := sampleArtifact()
-	recs := make([]Record, len(a.Routers))
-	for i := range a.Routers {
-		recs[i] = a.Routers[i].Record
-	}
-	rules := []IfaceRule{IfaceVote, IfaceOffPath, IfaceStatic}
-	blob := EncodeState(recs, rules)
-
-	gotRecs := make([]Record, len(recs))
-	gotRules := make([]IfaceRule, len(rules))
-	if err := DecodeState(blob, gotRecs, gotRules); err != nil {
-		t.Fatalf("DecodeState: %v", err)
-	}
-	for i := range recs {
-		if gotRecs[i] != recs[i] {
-			t.Errorf("record %d: got %+v want %+v", i, gotRecs[i], recs[i])
-		}
-	}
-	for i := range rules {
-		if gotRules[i] != rules[i] {
-			t.Errorf("rule %d: got %v want %v", i, gotRules[i], rules[i])
-		}
-	}
-
-	// Count mismatches are refused, not silently truncated.
-	if err := DecodeState(blob, make([]Record, 1), gotRules); err == nil {
-		t.Error("router count mismatch not rejected")
-	}
-	if err := DecodeState(blob, gotRecs, make([]IfaceRule, 1)); err == nil {
-		t.Error("interface count mismatch not rejected")
-	}
-	if err := DecodeState(blob[:len(blob)-1], gotRecs, gotRules); err == nil {
-		t.Error("truncated blob not rejected")
 	}
 }
 
