@@ -92,7 +92,7 @@ bench:
 # trace loaders over a simulated campaign (MB/s per serialization), and
 # graph construction alone (traces/s and hops/s at 1 and N workers).
 bench-micro:
-	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder' -benchmem .
+	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph' -benchmem ./internal/core
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/topo"
 )
 
@@ -311,3 +312,26 @@ func BenchmarkInferenceWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServeSnapshot measures building the serving snapshot from a
+// finished run — the tables an ingest session rebuilds at every publish,
+// given the annotations digest and the sorted prefix table it already
+// holds. allocs/op must not grow with the graph
+// (TestServeSnapshotAllocsFlat).
+func BenchmarkServeSnapshot(b *testing.B) {
+	ds := benchDataset(b)
+	res := core.Run(buildBenchGraph(ds, 1), ds.Rels, core.Options{Workers: 1})
+	r := &Result{res: res, resolver: ds.Resolver, Iterations: res.Iterations, Converged: res.Converged}
+	prefixes := sortedPrefixes(ds.Resolver)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if snapBenchSink, err = r.serveSnapshot(0, prefixes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// snapBenchSink keeps the compiler from discarding a snapshot build.
+var snapBenchSink *serve.Snapshot

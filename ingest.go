@@ -682,7 +682,7 @@ func lineageHas(lineage []ckpt.BatchInfo, fp uint64) bool {
 func renderAnnotations(r *Result) ([]byte, uint64, error) {
 	var buf bytes.Buffer
 	if err := r.Annotations(&buf); err != nil {
-		return nil, 0, fmt.Errorf("bdrmapit: ingest: rendering annotations: %w", err)
+		return nil, 0, fmt.Errorf("bdrmapit: rendering annotations: %w", err)
 	}
 	return buf.Bytes(), ckpt.Fingerprint(buf.Bytes()), nil
 }

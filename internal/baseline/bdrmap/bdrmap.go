@@ -150,7 +150,7 @@ func annotateBorder(r *core.Router, rels core.RelationshipOracle, vp asn.ASN) as
 		// relationship. (A router that also exposes VP address space is
 		// the VP's own port and is handled below.)
 		fwd := make(asn.Counter)
-		for _, l := range r.SortedLinks() {
+		for _, l := range r.Links {
 			if o := l.To.Origin; o != asn.None && o != vp {
 				fwd.Inc(o, 1)
 			}
@@ -185,7 +185,7 @@ func annotateBorder(r *core.Router, rels core.RelationshipOracle, vp asn.ASN) as
 	// clear majority is required — the VP's own egress borders also fan
 	// out to neighbours.
 	fwd := make(asn.Counter)
-	for _, l := range r.SortedLinks() {
+	for _, l := range r.Links {
 		if o := l.To.Origin; o != asn.None && o != vp {
 			fwd.Inc(o, 1)
 		}

@@ -450,7 +450,7 @@ var appendCases = []struct {
 		},
 		check: func(t *testing.T, g *Graph, apps []*Append) {
 			from, to := iface(t, g, "1.0.0.1"), iface(t, g, "3.0.0.1")
-			if l := from.Router.Links[to.Addr]; l == nil || l.Label != LabelNexthop || g.Stats.LinksNexthop != 1 {
+			if l := linkTo(from.Router, to.Addr); l == nil || l.Label != LabelNexthop || g.Stats.LinksNexthop != 1 {
 				t.Errorf("link %+v, stats %+v; want the one link at N", l, g.Stats)
 			}
 			for k, app := range apps[:2] {

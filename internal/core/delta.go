@@ -138,7 +138,6 @@ func (p *replay) expandRouters(g *Graph, newRD []int, iter int32) {
 				p.frontier = append(p.frontier, idx)
 			}
 		}
-		//lint:ignore maporder sets membership stamps and appends to an unordered work-list; the resulting dirty sets are iteration-order independent
 		for _, l := range r.Links {
 			if idx := int(l.To.pos); p.isince[idx] == 0 {
 				p.isince[idx] = iter

@@ -102,11 +102,11 @@ type Link struct {
 	// written most recently. It occupies padding after Label and means
 	// nothing outside the Builder that wrote it.
 	lastPrev uint32
-	// Prev maps each of From's interface addresses seen immediately
-	// prior to To in a traceroute to that interface's origin AS; its
-	// value set is the link origin-AS set L(IRi,j) (§4.3), and its key
-	// count drives the interface-annotation vote weight (§6.2).
-	Prev map[netip.Addr]asn.ASN
+	// Prev holds each of From's interfaces seen immediately prior to To
+	// in a traceroute, ascending by address, with its origin AS; its
+	// origins are the link origin-AS set L(IRi,j) (§4.3), and its length
+	// is the interface-annotation vote weight (§6.2).
+	Prev []PrevHop
 	// DestASes are the destination origin ASes of traceroutes that
 	// crossed this link, consulted by the third-party test (§6.1.1).
 	DestASes asn.SmallSet
@@ -119,6 +119,13 @@ type Link struct {
 	origins asn.SmallSet
 }
 
+// PrevHop is one previous-hop interface of a link: its address and
+// origin AS.
+type PrevHop struct {
+	Addr   netip.Addr
+	Origin asn.ASN
+}
+
 // Router is an inferred router (IR): a set of aliased interfaces, its
 // outgoing links, and its static metadata plus dynamic AS annotation.
 type Router struct {
@@ -127,8 +134,9 @@ type Router struct {
 	// append inserts routers ahead of this one (-1 until then).
 	ID         int
 	Interfaces []*Interface
-	// Links maps subsequent interface address → link.
-	Links map[netip.Addr]*Link
+	// Links are the router's outgoing links, ascending by subsequent
+	// interface address.
+	Links []*Link
 
 	// OriginSet is the union of the IR's interface origin ASes (§4.3).
 	OriginSet asn.SmallSet
@@ -170,30 +178,18 @@ type Router struct {
 	queued, touched uint32
 }
 
-// SortedLinks returns the router's links ordered by subsequent interface
-// address, for deterministic iteration.
-func (r *Router) SortedLinks() []*Link {
-	out := make([]*Link, 0, len(r.Links))
-	for _, l := range r.Links {
-		out = append(out, l)
-	}
-	slices.SortFunc(out, func(a, b *Link) int { return a.To.Addr.Compare(b.To.Addr) })
-	return out
-}
-
 // selectLinks returns the IR's links of the highest available confidence
 // class: Nexthop links when any exist, otherwise Echo, otherwise
 // Multihop (§4.2, §6.1.1).
 func selectLinks(r *Router) []*Link {
-	links := r.SortedLinks()
 	best := LabelMultihop
-	for _, l := range links {
+	for _, l := range r.Links {
 		if l.Label > best {
 			best = l.Label
 		}
 	}
-	out := links[:0:0]
-	for _, l := range links {
+	var out []*Link
+	for _, l := range r.Links {
 		if l.Label == best {
 			out = append(out, l)
 		}
@@ -221,6 +217,10 @@ type Graph struct {
 	// Stats accumulates dataset statistics reported in the paper.
 	Stats GraphStats
 }
+
+// SortedInterfaces returns the graph's interfaces ascending by address.
+// The slice is the graph's own and must not be modified.
+func (g *Graph) SortedInterfaces() []*Interface { return g.sortedIfaces }
 
 // GraphStats tallies the dataset statistics the paper reports (§4.2,
 // §5).
@@ -441,7 +441,6 @@ func (b *Builder) routerFor(addr netip.Addr) *Router {
 func (b *Builder) newRouter() *Router {
 	r := &Router{
 		ID:      -1,
-		Links:   make(map[netip.Addr]*Link),
 		buildID: uint32(len(b.routers)),
 		queued:  b.epoch,
 		touched: b.epoch,
@@ -526,10 +525,9 @@ func (b *Builder) newLink(key uint64, from *Router, to *Interface, label LinkLab
 		From:  from,
 		To:    to,
 		Label: label,
-		Prev:  make(map[netip.Addr]asn.ASN, 1),
 	}
 	b.links[key] = l
-	from.Links[to.Addr] = l
+	from.Links = append(from.Links, l)
 	to.InLinks = append(to.InLinks, l)
 	return l
 }
@@ -639,13 +637,12 @@ func (b *Builder) addInterned(t *traceroute.Trace, ids []uint32) {
 			l.Label = label
 		}
 		// A link is usually entered from the same previous hop trace
-		// after trace; re-storing that key is the one address-keyed map
-		// write the per-hop path would otherwise still make.
+		// after trace; the memo spares that case the search.
 		if l.lastPrev != a.id {
-			n := len(l.Prev)
-			l.Prev[ai.Addr] = ai.Origin
 			l.lastPrev = a.id
-			if len(l.Prev) != n {
+			k, found := slices.BinarySearchFunc(l.Prev, ai.Addr, func(p PrevHop, a netip.Addr) int { return p.Addr.Compare(a) })
+			if !found {
+				l.Prev = slices.Insert(l.Prev, k, PrevHop{ai.Addr, ai.Origin})
 				b.touchRouter(ai.Router)
 				b.touchIface(ci)
 			}
@@ -773,7 +770,6 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 			for _, i := range r.Interfaces {
 				b.touchIface(i)
 			}
-			//lint:ignore maporder stamps interfaces and appends them to the touched list, which is consumed as a set
 			for _, l := range r.Links {
 				b.touchIface(l.To)
 			}
@@ -886,12 +882,13 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 // structure the Builder accumulated for it, from scratch: the §4.4
 // cleanup of its interfaces' destination sets and their aggregate, the
 // last-hop flag, the initial interface annotations (the origin AS, §6),
-// and the refinement hot-loop caches — links and their Prev maps do not
-// change again before the next Finish, so the per-iteration vote can
-// read precomputed origin sets and link selections instead of
-// re-deriving them for every router every iteration. The aggregate is
-// built in agg, the caller's scratch, and copied — r must not alias the
-// scratch — if it differs from the one r had, which is the result.
+// the link order, and the refinement hot-loop caches — links and their
+// previous hops do not change again before the next Finish, so the
+// per-iteration vote can read precomputed origin sets and link
+// selections instead of re-deriving them for every router every
+// iteration. The aggregate is built in agg, the caller's scratch, and
+// copied — r must not alias the scratch — if it differs from the one r
+// had, which is the result.
 func finishRouter(r *Router, rels RelationshipOracle, agg *asn.SmallSet) (destChanged bool) {
 	*agg = (*agg)[:0]
 	for _, i := range r.Interfaces {
@@ -905,13 +902,12 @@ func finishRouter(r *Router, rels RelationshipOracle, agg *asn.SmallSet) (destCh
 		r.DestASes = append(r.DestASes[:0], *agg...)
 	}
 	r.LastHop = len(r.Links) == 0
-	//lint:ignore maporder each link's cache fill is independent of every other's
+	slices.SortFunc(r.Links, func(a, b *Link) int { return a.To.Addr.Compare(b.To.Addr) })
 	for _, l := range r.Links {
 		l.origins = l.origins[:0]
-		//lint:ignore maporder insertion into a sorted set commutes
-		for _, o := range l.Prev {
-			if o != asn.None {
-				l.origins.Add(o)
+		for _, p := range l.Prev {
+			if p.Origin != asn.None {
+				l.origins.Add(p.Origin)
 			}
 		}
 	}
@@ -932,7 +928,6 @@ func (s *GraphStats) count(r *Router, d int) {
 	}
 	s.IRsWithLinks += d
 	hasN, hasE := false, false
-	//lint:ignore maporder per-label counter bumps and boolean flags commute
 	for _, l := range r.Links {
 		switch l.Label {
 		case LabelNexthop:

@@ -65,6 +65,11 @@ type oracleBuilder struct {
 	ifaceDests                 map[*Interface]asn.Set
 	linkDests                  map[*Link]asn.Set
 	routerOrigins, routerDests map[*Router]asn.Set
+	// routerLinks maps each router's subsequent interface addresses to
+	// its links, and linkPrev each link's previous-hop addresses to their
+	// origin AS; Finish renders both into Router.Links and Link.Prev.
+	routerLinks map[*Router]map[netip.Addr]*Link
+	linkPrev    map[*Link]map[netip.Addr]asn.ASN
 
 	// cleanHops scratch, reused by every AddTrace: its result never
 	// outlives the call.
@@ -88,6 +93,8 @@ func newOracleBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *oracleBuil
 		linkDests:     make(map[*Link]asn.Set),
 		routerOrigins: make(map[*Router]asn.Set),
 		routerDests:   make(map[*Router]asn.Set),
+		routerLinks:   make(map[*Router]map[netip.Addr]*Link),
+		linkPrev:      make(map[*Link]map[netip.Addr]asn.ASN),
 	}
 }
 
@@ -111,10 +118,8 @@ func (b *oracleBuilder) routerFor(addr netip.Addr) *Router {
 }
 
 func (b *oracleBuilder) newRouter() *Router {
-	r := &Router{
-		ID:    b.nextID,
-		Links: make(map[netip.Addr]*Link),
-	}
+	r := &Router{ID: b.nextID}
+	b.routerLinks[r] = make(map[netip.Addr]*Link)
 	b.routerOrigins[r] = asn.NewSet()
 	b.routerDests[r] = asn.NewSet()
 	b.nextID++
@@ -215,21 +220,21 @@ func (b *oracleBuilder) AddTrace(t *traceroute.Trace) {
 		}
 		dist := int(c.ProbeTTL) - int(a.ProbeTTL)
 		label := classifyLink(ai, ci, c.Reply, dist)
-		l, ok := ai.Router.Links[c.Addr]
+		l, ok := b.routerLinks[ai.Router][c.Addr]
 		if !ok {
 			l = &Link{
 				From:  ai.Router,
 				To:    ci,
 				Label: label,
-				Prev:  make(map[netip.Addr]asn.ASN, 1),
 			}
 			b.linkDests[l] = asn.NewSet()
-			ai.Router.Links[c.Addr] = l
+			b.linkPrev[l] = make(map[netip.Addr]asn.ASN, 1)
+			b.routerLinks[ai.Router][c.Addr] = l
 			ci.InLinks = append(ci.InLinks, l)
 		} else if label > l.Label {
 			l.Label = label
 		}
-		l.Prev[a.Addr] = ai.Origin
+		b.linkPrev[l][a.Addr] = ai.Origin
 		if dstAS != asn.None {
 			b.linkDests[l].Add(dstAS)
 		}
@@ -331,6 +336,20 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 			}
 			r.DestASes = rdests.Sorted()
 			r.OriginSet = b.routerOrigins[r].Sorted()
+			// Links ascending by subsequent address, each with its
+			// previous hops ascending by address.
+			links := b.routerLinks[r]
+			r.Links = make([]*Link, 0, len(links))
+			for _, l := range links {
+				r.Links = append(r.Links, l)
+				prev := b.linkPrev[l]
+				l.Prev = make([]PrevHop, 0, len(prev))
+				for a, o := range prev {
+					l.Prev = append(l.Prev, PrevHop{Addr: a, Origin: o})
+				}
+				sort.Slice(l.Prev, func(i, j int) bool { return l.Prev[i].Addr.Less(l.Prev[j].Addr) })
+			}
+			sort.Slice(r.Links, func(i, j int) bool { return r.Links[i].To.Addr.Less(r.Links[j].To.Addr) })
 			if len(r.Links) == 0 {
 				r.LastHop = true
 				st.LastHopIRs++
@@ -360,9 +379,9 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 			for _, i := range r.Interfaces {
 				i.Annotation = i.Origin
 			}
-			// Refinement hot-loop caches. Links and their Prev maps are
-			// immutable from here on, so the per-iteration vote can read
-			// precomputed origin sets and link selections instead of
+			// Refinement hot-loop caches. Links and their previous hops
+			// are immutable from here on, so the per-iteration vote can
+			// read precomputed origin sets and link selections instead of
 			// re-deriving them for every router every iteration.
 			for _, l := range r.Links {
 				l.DestASes = b.linkDests[l].Sorted()
@@ -398,9 +417,9 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 // omitted.
 func oracleLinkOrigins(l *Link) asn.Set {
 	s := asn.NewSet()
-	for _, o := range l.Prev {
-		if o != asn.None {
-			s.Add(o)
+	for _, p := range l.Prev {
+		if p.Origin != asn.None {
+			s.Add(p.Origin)
 		}
 	}
 	return s
@@ -481,7 +500,8 @@ func linkName(l *Link) string {
 // diffGraphs returns the first structural difference between two
 // finished graphs, or "". Structure is everything phase 1 decides: the
 // router partition and order, every set-valued field (through the
-// structural digests, which hash members in sorted order), the link
+// structural digests, which hash members in sorted order, or in stored
+// order where the order is the graph's own), the link
 // caches Finish fills, and the statistics. With ordered set, the
 // first-seen order of InLinks must agree too; Stats.Traces is compared
 // only when traces is set.
@@ -849,7 +869,7 @@ func TestPoolCasesBuildWhatTheyName(t *testing.T) {
 		t.Errorf("all-special trace: %d interfaces over %d traces", len(g.Interfaces), g.Stats.Traces)
 	}
 	g := build("label upgrade M→E→N")
-	if l := g.Interfaces[poolAddrs[0]].Router.Links[poolAddrs[4]]; l == nil || l.Label != LabelNexthop {
+	if l := linkTo(g.Interfaces[poolAddrs[0]].Router, poolAddrs[4]); l == nil || l.Label != LabelNexthop {
 		t.Errorf("label upgrade: link %+v, want label N", l)
 	}
 	g = build("two aliased hops adjacent")
@@ -857,11 +877,11 @@ func TestPoolCasesBuildWhatTheyName(t *testing.T) {
 		t.Errorf("aliased hops: routers differ or %d links, want one shared router with the one link onward", len(r.Links))
 	}
 	g = build("previous hop alternates")
-	if l := g.Interfaces[poolAddrs[0]].Router.Links[poolAddrs[4]]; l == nil || len(l.Prev) != 1 {
+	if l := linkTo(g.Interfaces[poolAddrs[0]].Router, poolAddrs[4]); l == nil || len(l.Prev) != 1 {
 		t.Errorf("previous hop alternates: link from 1.0.0.1 %+v, want one previous hop", l)
 	}
 	g = build("previous hops through one aliased router")
-	if l := g.Interfaces[poolAddrs[2]].Router.Links[poolAddrs[4]]; l == nil || len(l.Prev) != 2 {
+	if l := linkTo(g.Interfaces[poolAddrs[2]].Router, poolAddrs[4]); l == nil || len(l.Prev) != 2 {
 		t.Errorf("aliased previous hops: link %+v, want two previous hops", l)
 	}
 	if g := build("IPv6 hops"); len(g.Interfaces) != 2 {
@@ -1016,8 +1036,9 @@ func ifaceStructDigest(i *Interface) uint64 {
 
 // routerStructDigest fingerprints every structural input of the router
 // vote: last-hop status, origin and destination AS sets, the member
-// interfaces, and every outgoing link with its label, previous-hop
-// origins, and destination ASes.
+// interfaces, and every outgoing link with its label, previous hops, and
+// destination ASes — links and previous hops in their stored order, so
+// two routers agree only if both hold them ascending or neither does.
 func routerStructDigest(r *Router) uint64 {
 	h := uint64(fnvOffset)
 	if r.LastHop {
@@ -1038,25 +1059,14 @@ func routerStructDigest(r *Router) uint64 {
 			hashU64(&h, 0)
 		}
 	}
-	addrs := make([]netip.Addr, 0, len(r.Links))
-	for a := range r.Links {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-	hashU64(&h, uint64(len(addrs)))
-	for _, a := range addrs {
-		l := r.Links[a]
-		hashAddr(&h, a)
+	hashU64(&h, uint64(len(r.Links)))
+	for _, l := range r.Links {
+		hashAddr(&h, l.To.Addr)
 		hashU64(&h, uint64(l.Label))
-		prevAddrs := make([]netip.Addr, 0, len(l.Prev))
-		for pa := range l.Prev {
-			prevAddrs = append(prevAddrs, pa)
-		}
-		sort.Slice(prevAddrs, func(i, j int) bool { return prevAddrs[i].Less(prevAddrs[j]) })
-		hashU64(&h, uint64(len(prevAddrs)))
-		for _, pa := range prevAddrs {
-			hashAddr(&h, pa)
-			hashU64(&h, uint64(l.Prev[pa]))
+		hashU64(&h, uint64(len(l.Prev)))
+		for _, p := range l.Prev {
+			hashAddr(&h, p.Addr)
+			hashU64(&h, uint64(p.Origin))
 		}
 		hashSet(&h, l.DestASes)
 	}

@@ -112,7 +112,7 @@ func (res *Result) InterdomainLinks() []InterdomainLink {
 			if r.Annotation == asn.None {
 				continue
 			}
-			for _, l := range r.SortedLinks() {
+			for _, l := range r.Links {
 				far := l.To.Router.Annotation
 				if far == asn.None || far == r.Annotation {
 					continue

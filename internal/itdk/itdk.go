@@ -77,10 +77,8 @@ const partialFooter = "# PARTIAL: run interrupted before convergence; annotation
 // link pinned to the observed far interface.
 func FromResult(res *core.Result) *Kit {
 	k := &Kit{Interrupted: res.Interrupted}
-	routerNode := make(map[*core.Router]int, len(res.Graph.Routers))
 	for _, r := range res.Graph.Routers {
 		id := r.ID + 1 // ITDK node ids are 1-based
-		routerNode[r] = id
 		n := Node{ID: id}
 		for _, i := range r.Interfaces {
 			n.Addrs = append(n.Addrs, i.Addr)
@@ -94,12 +92,12 @@ func FromResult(res *core.Result) *Kit {
 	}
 	linkID := 0
 	for _, r := range res.Graph.Routers {
-		for _, l := range r.SortedLinks() {
+		for _, l := range r.Links {
 			linkID++
 			k.Links = append(k.Links, Link{
 				ID:   linkID,
-				From: Endpoint{NodeID: routerNode[r]},
-				To:   Endpoint{NodeID: routerNode[l.To.Router], Addr: l.To.Addr},
+				From: Endpoint{NodeID: r.ID + 1},
+				To:   Endpoint{NodeID: l.To.Router.ID + 1, Addr: l.To.Addr},
 			})
 		}
 	}

@@ -52,7 +52,7 @@ func (e *MismatchError) Error() string {
 // Encode writes s to w: the shared artifact envelope (ckpt.WriteFrame)
 // around a payload whose first 8 bytes are the FNV-64a fingerprint of
 // everything after them. Encoding is a pure function of s's exported
-// tables (canonical order enforced via SortTables by builders), so two
+// tables (which builders emit in canonical order), so two
 // identical runs produce byte-identical snapshots and fingerprint
 // equality means table equality.
 func Encode(w io.Writer, s *Snapshot) error {

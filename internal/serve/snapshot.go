@@ -218,28 +218,6 @@ func (s *Snapshot) Index() {
 	s.trie = t
 }
 
-// SortTables puts the snapshot's tables into canonical order. Builders
-// call it before encoding; decoded snapshots are refused unless already
-// canonical, so encode∘decode is the identity.
-func (s *Snapshot) SortTables() {
-	sort.Slice(s.Ifaces, func(i, j int) bool {
-		return s.Ifaces[i].Addr.Compare(s.Ifaces[j].Addr) < 0
-	})
-	sort.Slice(s.Links, func(i, j int) bool {
-		return compareLinks(&s.Links[i], &s.Links[j]) < 0
-	})
-	sort.Slice(s.Prefixes, func(i, j int) bool {
-		a, b := &s.Prefixes[i], &s.Prefixes[j]
-		if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
-			return c < 0
-		}
-		if a.Prefix.Bits() != b.Prefix.Bits() {
-			return a.Prefix.Bits() < b.Prefix.Bits()
-		}
-		return a.Kind < b.Kind
-	})
-}
-
 // Fingerprint returns the snapshot's content fingerprint: the FNV-64a
 // hash of its canonical payload encoding, stamped into the artifact at
 // write time and re-derived on Open. 0 for a snapshot that has not

@@ -42,7 +42,6 @@ func makeSnapshot(salt uint32) *Snapshot {
 		{Prefix: netip.MustParsePrefix("10.1.0.0/16"), Origin: 64501 + salt, Kind: PrefixRIR},
 		{Prefix: netip.MustParsePrefix("206.126.236.0/22"), Kind: PrefixIXP},
 	}
-	s.SortTables()
 	return s
 }
 

@@ -1,9 +1,10 @@
 package bdrmapit
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
+	"slices"
 
 	"repro/internal/asn"
 	"repro/internal/ip2as"
@@ -19,11 +20,11 @@ import (
 func (r *Result) ServeSnapshot() (*serve.Snapshot, error) {
 	// The byte-equality contract with the offline annotations file: the
 	// digest of the exact rendering Annotations would write.
-	h := fnv.New64a()
-	if err := r.Annotations(h); err != nil {
-		return nil, fmt.Errorf("bdrmapit: digesting annotations: %w", err)
+	_, annDigest, err := renderAnnotations(r)
+	if err != nil {
+		return nil, err
 	}
-	return r.serveSnapshot(h.Sum64(), sortedPrefixes(r.resolver))
+	return r.serveSnapshot(annDigest, sortedPrefixes(r.resolver))
 }
 
 // serveSnapshot is ServeSnapshot given what does not depend on this
@@ -42,65 +43,67 @@ func (r *Result) serveSnapshot(annDigest uint64, prefixes []serve.Prefix) (*serv
 	}
 
 	// Routers and interfaces, with the router's position in the graph as
-	// the dense index Iface.Router refers to.
-	snap.Routers = make([]uint32, len(r.res.Graph.Routers))
-	snap.Ifaces = make([]serve.Iface, 0, len(r.res.Graph.Interfaces))
-	for idx, rt := range r.res.Graph.Routers {
+	// the dense index Iface.Router refers to. The graph holds its
+	// interfaces ascending by address, the snapshot's order.
+	g := r.res.Graph
+	snap.Routers = make([]uint32, len(g.Routers))
+	for idx, rt := range g.Routers {
 		snap.Routers[idx] = uint32(rt.Annotation)
-		for _, i := range rt.Interfaces {
-			snap.Ifaces = append(snap.Ifaces, serve.Iface{
-				Addr:   i.Addr,
-				Router: uint32(idx),
-				ConnAS: uint32(i.Annotation),
-			})
-		}
+	}
+	ifaces := g.SortedInterfaces()
+	snap.Ifaces = make([]serve.Iface, len(ifaces))
+	inLinks := 0
+	for k, i := range ifaces {
+		snap.Ifaces[k] = serve.Iface{Addr: i.Addr, Router: uint32(i.Router.ID), ConnAS: uint32(i.Annotation)}
+		inLinks += len(i.InLinks)
 	}
 
-	// Interdomain links, deduplicated to one record per (FarAddr,
-	// NearAS, FarAS) keeping the highest-confidence label: two near
-	// routers with the same operator can reach the same far interface,
-	// and a nondeterministic winner would break snapshot
-	// byte-identity.
-	type linkKey struct {
-		far           netip.Addr
-		nearAS, farAS uint32
-	}
-	best := make(map[linkKey]string)
-	var order []linkKey
-	for _, l := range r.res.InterdomainLinks() {
-		k := linkKey{far: l.FarAddr, nearAS: uint32(l.NearAS), farAS: uint32(l.FarAS)}
-		label := l.Label.String()
-		if prev, seen := best[k]; !seen {
-			best[k] = label
-			order = append(order, k)
-		} else if linkLabelRank(label) > linkLabelRank(prev) {
-			best[k] = label
+	// Interdomain links — a link whose two routers carry different,
+	// non-empty annotations — one record per (FarAddr, NearAS, FarAS)
+	// keeping the highest-confidence label: two near routers with the
+	// same operator can reach the same far interface. Walking far
+	// interfaces in address order, each one's near ASes ascending, is
+	// the snapshot's link order.
+	snap.Links = make([]serve.Link, 0, inLinks) // at most one record per in-link
+	for _, i := range ifaces {
+		far := i.Router.Annotation
+		if far == asn.None {
+			continue
 		}
-	}
-	snap.Links = make([]serve.Link, 0, len(order))
-	for _, k := range order {
-		snap.Links = append(snap.Links, serve.Link{
-			FarAddr: k.far,
-			NearAS:  k.nearAS,
-			FarAS:   k.farAS,
-			Label:   best[k],
-		})
+		start := len(snap.Links)
+		for _, l := range i.InLinks {
+			near := l.From.Annotation
+			if near == asn.None || near == far {
+				continue
+			}
+			label := l.Label.String()
+			k := slices.IndexFunc(snap.Links[start:], func(s serve.Link) bool { return s.NearAS == uint32(near) })
+			if k < 0 {
+				snap.Links = append(snap.Links, serve.Link{FarAddr: i.Addr, NearAS: uint32(near), FarAS: uint32(far), Label: label})
+			} else if s := &snap.Links[start+k]; linkLabelRank(label) > linkLabelRank(s.Label) {
+				s.Label = label
+			}
+		}
+		slices.SortFunc(snap.Links[start:], func(a, b serve.Link) int { return cmp.Compare(a.NearAS, b.NearAS) })
 	}
 
 	// The ip2as view, flattened so the daemon can answer the cheap
-	// query class (and degraded lookups) without any loader. It arrives
-	// sorted; SortTables orders the two tables built here.
-	snap.SortTables()
+	// query class (and degraded lookups) without any loader.
 	snap.Prefixes = prefixes
 	return snap, nil
 }
 
 // sortedPrefixes is the resolver's flattened prefix table in the
-// snapshot's canonical order.
+// snapshot's canonical order: by address, then length, then kind.
 func sortedPrefixes(r *ip2as.Resolver) []serve.Prefix {
-	s := serve.Snapshot{Prefixes: flattenIP2AS(r)}
-	s.SortTables()
-	return s.Prefixes
+	p := flattenIP2AS(r)
+	slices.SortFunc(p, func(a, b serve.Prefix) int {
+		if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
+			return c
+		}
+		return cmp.Or(cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits()), cmp.Compare(a.Kind, b.Kind))
+	})
+	return p
 }
 
 // linkLabelRank orders link confidence labels nexthop > echo >
