@@ -31,24 +31,17 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 
 	bdrmapit "repro"
-	"repro/internal/ckpt"
+	"repro/cmd/internal/cli"
 	"repro/internal/obs"
 )
-
-const forcedExitStatus = 130
 
 func split(s string) []string {
 	if s == "" {
@@ -95,46 +88,20 @@ func main() {
 		log.Fatal("-traces is required (the base corpus the intake state was built over)")
 	}
 
-	if err := ensureWritableDir(*state); err != nil {
+	if err := cli.EnsureWritableDir(*state); err != nil {
 		log.Fatal(err)
 	}
 	for _, out := range []string{*annOut, *srvOut, *repJSON} {
 		if out != "" && out != "-" {
-			if err := ensureWritableDir(filepath.Dir(out)); err != nil {
+			if err := cli.EnsureWritableDir(filepath.Dir(out)); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 
-	// Crash-injection seam for the durability tests: when the named
-	// point is reached, the process SIGKILLs itself — the hardest crash
-	// there is, no deferred cleanup, no signal handler.
-	if point := os.Getenv("BDRMAPIT_CRASH_AT"); point != "" {
-		ckpt.TestHook = func(p string) {
-			if p == point {
-				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-				select {} // unreachable; SIGKILL cannot be handled
-			}
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
+	cli.CrashAtEnv()
+	ctx, cancel := cli.SignalContext("bdrmapit-ingest", "session", *timeout)
 	defer cancel()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigc
-		fmt.Fprintf(os.Stderr, "bdrmapit-ingest: %v: cancelling session (signal again to force exit)\n", s)
-		cancel()
-		s = <-sigc
-		fmt.Fprintf(os.Stderr, "bdrmapit-ingest: %v: forced exit\n", s)
-		os.Exit(forcedExitStatus)
-	}()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	rec := obs.New()
 	if *verbose {
@@ -190,48 +157,11 @@ func main() {
 		obs.WriteSummary(os.Stderr, res.Report)
 	}
 	if *repJSON != "" {
-		data, err := json.MarshalIndent(res.Report, "", "  ")
-		if err != nil {
+		if err := cli.WriteReportJSON(*repJSON, res.Report); err != nil {
 			log.Fatal(err)
-		}
-		data = append(data, '\n')
-		if *repJSON == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			err := ckpt.AtomicWrite(*repJSON, func(w io.Writer) error {
-				_, err := w.Write(data)
-				return err
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
 		}
 	}
 	if res.Interrupted {
 		os.Exit(3)
 	}
-}
-
-// ensureWritableDir creates dir (and parents) if needed and proves it
-// is writable by creating and removing a probe file, so path problems
-// fail the session immediately instead of mid-absorption.
-func ensureWritableDir(dir string) error {
-	if dir == "" || dir == "." {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("output directory %s cannot be created: %w", dir, err)
-	}
-	probe, err := os.CreateTemp(dir, ".writable-*")
-	if err != nil {
-		return fmt.Errorf("output directory %s is not writable: %w", dir, err)
-	}
-	name := probe.Name()
-	if err := probe.Close(); err != nil {
-		_ = os.Remove(name)
-		return fmt.Errorf("output directory %s is not writable: %w", dir, err)
-	}
-	return os.Remove(name)
 }

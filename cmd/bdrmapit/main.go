@@ -55,29 +55,19 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	bdrmapit "repro"
+	"repro/cmd/internal/cli"
 	"repro/internal/ckpt"
 	"repro/internal/obs"
 )
-
-// forcedExitStatus is the exit code of a second-signal force exit:
-// 128+SIGINT, the conventional "killed by ^C" status, distinct from
-// both success and log.Fatal's 1 so a supervisor can tell a forced
-// kill from a graceful drain or an ordinary failure.
-const forcedExitStatus = 130
 
 func split(s string) []string {
 	if s == "" {
@@ -128,30 +118,20 @@ func main() {
 	// surface before any real work starts.
 	for _, dir := range []string{*ckptDir, *itdkOut} {
 		if dir != "" {
-			if err := ensureWritableDir(dir); err != nil {
+			if err := cli.EnsureWritableDir(dir); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 	for _, out := range []string{*annOut, *lnkOut, *repJSON, *provOut, *srvOut} {
 		if out != "" && out != "-" {
-			if err := ensureWritableDir(filepath.Dir(out)); err != nil {
+			if err := cli.EnsureWritableDir(filepath.Dir(out)); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 
-	// Crash-injection seam for the durability tests: when the named
-	// point is reached, the process SIGKILLs itself — the hardest crash
-	// there is, no deferred cleanup, no signal handler.
-	if point := os.Getenv("BDRMAPIT_CRASH_AT"); point != "" {
-		ckpt.TestHook = func(p string) {
-			if p == point {
-				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-				select {} // unreachable; SIGKILL cannot be handled
-			}
-		}
-	}
+	cli.CrashAtEnv()
 	// Stall seam for the signal tests: announce and hold at the named
 	// point so a test can deliver signals at a deterministic instant
 	// instead of racing a sub-second run. The hold is bounded so a
@@ -165,32 +145,10 @@ func main() {
 		}
 	}
 
-	// First SIGINT/SIGTERM cancels the run gracefully; a second one
-	// force-exits with a distinct status. An explicit handler rather
-	// than signal.NotifyContext + re-raise: restoring default delivery
-	// after the first signal leaves a window where a second signal
-	// arriving mid-rollback (or during the checkpoint drain) is
-	// swallowed, so whether ^C^C actually killed the process was a
-	// race. Here the second signal always takes the os.Exit path, and
-	// the exit status tells a supervisor the process was forced, not
-	// gracefully drained.
-	ctx, cancel := context.WithCancel(context.Background())
+	// First SIGINT/SIGTERM (or -timeout) cancels the run gracefully; a
+	// second signal force-exits with a distinct status.
+	ctx, cancel := cli.SignalContext("bdrmapit", "run", *timeout)
 	defer cancel()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigc
-		fmt.Fprintf(os.Stderr, "bdrmapit: %v: cancelling run (signal again to force exit)\n", s)
-		cancel()
-		s = <-sigc
-		fmt.Fprintf(os.Stderr, "bdrmapit: %v: forced exit\n", s)
-		os.Exit(forcedExitStatus)
-	}()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	rec := obs.New()
 	if *verbose {
@@ -291,46 +249,8 @@ func main() {
 		obs.WriteSummary(os.Stderr, res.Report)
 	}
 	if *repJSON != "" {
-		data, err := json.MarshalIndent(res.Report, "", "  ")
-		if err != nil {
+		if err := cli.WriteReportJSON(*repJSON, res.Report); err != nil {
 			log.Fatal(err)
 		}
-		data = append(data, '\n')
-		if *repJSON == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			err := ckpt.AtomicWrite(*repJSON, func(w io.Writer) error {
-				_, err := w.Write(data)
-				return err
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
 	}
-}
-
-// ensureWritableDir creates dir (and parents) if needed and proves it
-// is writable by creating and removing a probe file, so path problems
-// fail the run immediately with a clear message instead of as a bare
-// os.PathError after hours of inference.
-func ensureWritableDir(dir string) error {
-	if dir == "" || dir == "." {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("output directory %s cannot be created: %w", dir, err)
-	}
-	probe, err := os.CreateTemp(dir, ".writable-*")
-	if err != nil {
-		return fmt.Errorf("output directory %s is not writable: %w", dir, err)
-	}
-	name := probe.Name()
-	if err := probe.Close(); err != nil {
-		_ = os.Remove(name)
-		return fmt.Errorf("output directory %s is not writable: %w", dir, err)
-	}
-	return os.Remove(name)
 }

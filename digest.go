@@ -2,10 +2,11 @@ package bdrmapit
 
 import (
 	"context"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/ckpt"
 )
 
 // digestSources fingerprints a run's input files for checkpoint
@@ -23,7 +24,7 @@ import (
 // A cancelled ctx cuts the reading short; the value is then meaningless,
 // and so is the run that asked for it.
 func digestSources(ctx context.Context, src Sources) uint64 {
-	h := fnv.New64a()
+	h := ckpt.NewFingerprinter()
 	class := func(tag string, paths []string) {
 		io.WriteString(h, tag)
 		h.Write([]byte{0})

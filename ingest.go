@@ -17,6 +17,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/ip2as"
 	"repro/internal/obs"
+	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/traceroute"
 )
@@ -626,7 +627,7 @@ func (ing *ingester) recordOutcome(o BatchOutcome) {
 // counting each retry in ingest.retried.
 func (ing *ingester) readWithRetry(path string, seed uint64) ([]byte, error) {
 	var data []byte
-	r := &delta.Retrier{
+	r := &retry.Retrier{
 		Attempts: ing.opts.RetryAttempts,
 		Base:     ing.opts.RetryBase,
 		Max:      ing.opts.RetryMax,

@@ -21,6 +21,11 @@
 // different heuristic ablations, different input files, or a different
 // graph shape is refused with a typed *MismatchError rather than
 // silently producing a state no uninterrupted run could reach.
+//
+// Encode writes one layout, the current Version. Decode also reads a
+// version-3 snapshot, skipping the cycle hashes and provenance blob it
+// carries; the log records written beside one are not folded, so such a
+// directory resumes from its base. Anything else is refused.
 package ckpt
 
 import (
@@ -44,19 +49,13 @@ import (
 // newest durable state is the two folded together (Load).
 const FileName = "refine.ckpt"
 
-// Version is the current checkpoint format version. Version 2 added the
-// provenance blob (HasProv/Prov, now always empty); version 3 appended the
+// Version is the current checkpoint format version. Version 3 added the
 // per-iteration refinement history and the batch lineage that resume and
-// delta ingest replay. Decode also accepts legacyVersion (2) files —
-// their payload is a strict prefix of version 3's — so the refusal to
-// replay one stays typed; anything older or newer is refused rather
-// than silently reinterpreting bytes.
-const Version = 3
-
-// legacyVersion is the oldest checkpoint format Decode still reads.
-// Legacy snapshots carry no History/Lineage; State.FormatVersion lets
-// consumers that need those sections refuse actionably.
-const legacyVersion = 2
+// delta ingest replay; version 4 dropped the cycle-hash history and the
+// provenance flag and blob, which nothing read. Decode reads version 3
+// too; anything older or newer is refused rather than silently
+// reinterpreting bytes.
+const Version = 4
 
 // magic identifies a bdrmapIT checkpoint file (8 bytes).
 const magic = "BMITCKPT"
@@ -127,13 +126,6 @@ type BatchInfo struct {
 	Traces int
 }
 
-// IterHash is one cycle-detector history entry: the annotation-state
-// hash first seen at iteration Iter.
-type IterHash struct {
-	Hash uint64
-	Iter int
-}
-
 // State is one committed refinement iteration, plus everything needed
 // to refuse an incompatible resume. Annotation slices are indexed by
 // the graph's deterministic orders (router ID, sorted interface
@@ -156,9 +148,6 @@ type State struct {
 	Converged   bool
 	CycleLength int
 
-	// Hashes is the cycle detector's first-sighting history, ordered by
-	// iteration: still written, for byte-stable snapshots, but never read.
-	Hashes []IterHash
 	// Routers holds each router's committed annotation, indexed by
 	// router ID.
 	Routers []uint32
@@ -169,23 +158,9 @@ type State struct {
 	// the rows of the iterations a resume replays.
 	Trace []obs.Row
 
-	// HasProv and Prov are the provenance flag and blob older builds
-	// kept in the state: like Hashes, still written (false and empty)
-	// for byte-stable snapshots and decoded, but never read. The
-	// provenance artifact is derived from History, whatever the state.
-	HasProv bool
-	Prov    []byte
-
-	// FormatVersion is the on-disk format the snapshot was decoded from
-	// (legacyVersion or Version). Encode always writes the current
-	// version; the field exists so history consumers can tell a legacy
-	// snapshot from a current one and refuse with an actionable message.
-	FormatVersion int
 	// History holds each committed iteration's change set: History[k]
-	// is iteration k+1. Complete (len == Iteration) on snapshots whose
-	// entire run recorded history; shorter when the run resumed from a
-	// legacy snapshot. Resume and delta ingest replay it, so they require
-	// it complete — RequireHistory checks.
+	// is iteration k+1. Resume and delta ingest replay it, so they require
+	// it complete (len == Iteration) — RequireHistory checks.
 	History []IterDelta
 	// Lineage is Config.Lineage at snapshot time: the absorbed trace
 	// batches, in application order, whose traces are part of this
@@ -193,36 +168,30 @@ type State struct {
 	Lineage []BatchInfo
 
 	// FromLog is how many of Iteration's iterations Load folded in from
-	// the refinement log; like FormatVersion, not serialized.
+	// the refinement log; not serialized.
 	FromLog int
 }
 
 // HistoryError reports a snapshot that neither a resume nor delta ingest
-// can replay: it carries no refinement history, or an incomplete one.
-// The fix is always the same — rerun the full pipeline under this build
-// so a complete version-3 snapshot exists.
+// can replay: its refinement history does not cover every iteration. The
+// fix is to rerun the full pipeline so a complete snapshot exists.
 type HistoryError struct {
-	FormatVersion int
-	Iteration     int
-	HistoryLen    int
+	Iteration  int
+	HistoryLen int
 }
 
 func (e *HistoryError) Error() string {
-	if e.FormatVersion < Version {
-		return fmt.Sprintf("ckpt: checkpoint was written in format version %d, which records no refinement history; resume and delta ingest need a complete version-%d checkpoint — rerun the full pipeline with this build to produce one",
-			e.FormatVersion, Version)
-	}
-	return fmt.Sprintf("ckpt: checkpoint history covers %d of %d iterations (the run that wrote it resumed from a pre-history snapshot); resume and delta ingest need a complete history — rerun the full pipeline with this build to produce one",
+	return fmt.Sprintf("ckpt: checkpoint history covers %d of %d iterations; resume and delta ingest need a complete history — rerun the full pipeline with this build to produce one",
 		e.HistoryLen, e.Iteration)
 }
 
 // RequireHistory verifies the snapshot carries the complete refinement
 // trajectory delta ingest replays: one change set per committed
-// iteration. Legacy and partially-resumed snapshots return a typed
-// *HistoryError directing the operator to a full rerun.
+// iteration. Anything less returns a typed *HistoryError directing the
+// operator to a full rerun.
 func (st *State) RequireHistory() error {
-	if st.FormatVersion < Version || len(st.History) != st.Iteration {
-		return &HistoryError{FormatVersion: st.FormatVersion, Iteration: st.Iteration, HistoryLen: len(st.History)}
+	if len(st.History) != st.Iteration {
+		return &HistoryError{Iteration: st.Iteration, HistoryLen: len(st.History)}
 	}
 	return nil
 }
@@ -270,11 +239,6 @@ func appendPayload(p []byte, st *State) []byte {
 	p = binary.AppendUvarint(p, uint64(st.Iteration))
 	p = AppendBool(p, st.Converged)
 	p = binary.AppendUvarint(p, uint64(st.CycleLength))
-	p = binary.AppendUvarint(p, uint64(len(st.Hashes)))
-	for _, h := range st.Hashes {
-		p = binary.LittleEndian.AppendUint64(p, h.Hash)
-		p = binary.AppendUvarint(p, uint64(h.Iter))
-	}
 	p = binary.AppendUvarint(p, uint64(len(st.Routers)))
 	for _, a := range st.Routers {
 		p = binary.AppendUvarint(p, uint64(a))
@@ -287,11 +251,6 @@ func appendPayload(p []byte, st *State) []byte {
 	for _, row := range st.Trace {
 		p = appendRow(p, row)
 	}
-	p = AppendBool(p, st.HasProv)
-	p = binary.AppendUvarint(p, uint64(len(st.Prov)))
-	p = append(p, st.Prov...)
-	// Everything beyond this point is the version-3 extension; a
-	// legacyVersion payload ends exactly here.
 	p = binary.AppendUvarint(p, uint64(len(st.History)))
 	for _, it := range st.History {
 		p = appendChanges(p, it.Routers)
@@ -367,22 +326,25 @@ func formatError(err error) error {
 const kind = "bdrmapIT checkpoint"
 
 func decode(data []byte) (*State, error) {
-	payload, version, err := ReadFrameRange(data, magic, legacyVersion, Version, kind)
+	payload, version, err := ReadFrameRange(data, magic, Version-1, Version, kind)
 	if err != nil {
 		return nil, err
 	}
+	v3 := version < Version
 	d := NewReader(payload, kind)
 	st := &State{
-		OptionsFP:     d.U64(),
-		InputDigest:   d.U64(),
-		GraphDigest:   d.U64(),
-		Iteration:     d.Int("iteration"),
-		Converged:     d.Bool("converged"),
-		CycleLength:   d.Int("cycle length"),
-		FormatVersion: int(version),
+		OptionsFP:   d.U64(),
+		InputDigest: d.U64(),
+		GraphDigest: d.U64(),
+		Iteration:   d.Int("iteration"),
+		Converged:   d.Bool("converged"),
+		CycleLength: d.Int("cycle length"),
 	}
-	for n := d.Count("hash history length", 9); n > 0 && d.OK(); n-- {
-		st.Hashes = append(st.Hashes, IterHash{Hash: d.U64(), Iter: d.Int("hash iteration")})
+	if v3 { // the cycle hashes, each a word and its iteration
+		for n := d.Count("hash history length", 9); n > 0 && d.OK(); n-- {
+			d.U64()
+			d.Int("hash iteration")
+		}
 	}
 	for n := d.Count("router count", 1); n > 0 && d.OK(); n-- {
 		st.Routers = append(st.Routers, d.U32("router annotation"))
@@ -393,22 +355,22 @@ func decode(data []byte) (*State, error) {
 	for n := d.Count("trace length", 1); n > 0 && d.OK(); n-- {
 		st.Trace = append(st.Trace, readRow(d))
 	}
-	st.HasProv = d.Bool("provenance")
-	st.Prov = d.Blob("provenance blob")
-	if version >= Version {
-		for n := d.Count("history length", 2); n > 0 && d.OK(); n-- {
-			st.History = append(st.History, IterDelta{
-				Routers: readChanges(d, "router history"),
-				Ifaces:  readChanges(d, "interface history"),
-			})
-		}
-		for n := d.Count("lineage length", 10); n > 0 && d.OK(); n-- {
-			st.Lineage = append(st.Lineage, BatchInfo{
-				FP:     d.U64(),
-				Name:   d.String("lineage batch name"),
-				Traces: d.Int("lineage batch trace count"),
-			})
-		}
+	if v3 { // the provenance flag and blob
+		d.Bool("provenance")
+		d.Blob("provenance blob")
+	}
+	for n := d.Count("history length", 2); n > 0 && d.OK(); n-- {
+		st.History = append(st.History, IterDelta{
+			Routers: readChanges(d, "router history"),
+			Ifaces:  readChanges(d, "interface history"),
+		})
+	}
+	for n := d.Count("lineage length", 10); n > 0 && d.OK(); n-- {
+		st.Lineage = append(st.Lineage, BatchInfo{
+			FP:     d.U64(),
+			Name:   d.String("lineage batch name"),
+			Traces: d.Int("lineage batch trace count"),
+		})
 	}
 	return st, d.Finish()
 }
@@ -450,7 +412,6 @@ func Save(dir string, st *State, rec *obs.Recorder) error {
 	if err := AtomicWrite(path, func(w io.Writer) error { return Encode(w, st) }); err != nil {
 		return fmt.Errorf("ckpt: writing snapshot for iteration %d: %w", st.Iteration, err)
 	}
-	st.FormatVersion = Version // what the file now holds
 	durable(rec, start, "ckpt.writes", st.Iteration)
 	return nil
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // sampleState builds a representative snapshot exercising every field:
-// multi-iteration hash history, both annotation slices, and trace rows
-// with negative-capable int64 values.
+// both annotation slices, and trace rows with negative-capable int64
+// values.
 func sampleState() *State {
 	return &State{
 		OptionsFP:   0xdeadbeefcafef00d,
@@ -25,17 +25,12 @@ func sampleState() *State {
 		Iteration:   7,
 		Converged:   true,
 		CycleLength: 2,
-		Hashes: []IterHash{
-			{Hash: 11, Iter: 1}, {Hash: 22, Iter: 2}, {Hash: 33, Iter: 5},
-		},
-		Routers: []uint32{0, 100, 4294967295, 65000},
-		Ifaces:  []uint32{200, 0, 300},
+		Routers:     []uint32{0, 100, 4294967295, 65000},
+		Ifaces:      []uint32{200, 0, 300},
 		Trace: []obs.Row{
 			{"iteration": 1, "routers_changed": 42, "votes_cast": 900},
 			{"iteration": 2, "routers_changed": 0, "delta": -5},
 		},
-		HasProv: true,
-		Prov:    []byte{0x01, 0x02, 0x00, 0xff},
 	}
 }
 
@@ -54,14 +49,6 @@ func stateEqual(t *testing.T, got, want *State) {
 		got.GraphDigest != want.GraphDigest || got.Iteration != want.Iteration ||
 		got.Converged != want.Converged || got.CycleLength != want.CycleLength {
 		t.Fatalf("scalar fields differ:\n got %+v\nwant %+v", got, want)
-	}
-	if len(got.Hashes) != len(want.Hashes) {
-		t.Fatalf("Hashes len = %d, want %d", len(got.Hashes), len(want.Hashes))
-	}
-	for i := range want.Hashes {
-		if got.Hashes[i] != want.Hashes[i] {
-			t.Fatalf("Hashes[%d] = %+v, want %+v", i, got.Hashes[i], want.Hashes[i])
-		}
 	}
 	for name, pair := range map[string][2][]uint32{
 		"Routers": {got.Routers, want.Routers},
@@ -91,25 +78,22 @@ func stateEqual(t *testing.T, got, want *State) {
 			}
 		}
 	}
-	if got.HasProv != want.HasProv || !bytes.Equal(got.Prov, want.Prov) {
-		t.Fatalf("provenance blob differs: got (%v, %x) want (%v, %x)",
-			got.HasProv, got.Prov, want.HasProv, want.Prov)
-	}
 }
 
-// TestProvBlobOptional pins the format's backward shape: a snapshot
-// written without provenance carries HasProv=false and an empty blob,
-// and round-trips unchanged.
+// TestProvBlobOptional: a version-3 snapshot decodes to the same state
+// whether it carries a provenance blob or none, and re-encodes as the
+// current version without one.
 func TestProvBlobOptional(t *testing.T) {
-	st := sampleState()
-	st.HasProv = false
-	st.Prov = nil
-	got, err := Decode(bytes.NewReader(encode(t, st)))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.HasProv || got.Prov != nil {
-		t.Fatalf("provenance leaked into a prov-less snapshot: (%v, %x)", got.HasProv, got.Prov)
+	want := encode(t, sampleState())
+	for _, x := range []v3Extras{{}, {hasProv: true, prov: []byte{0x01, 0x02, 0x00, 0xff}}} {
+		got, err := Decode(bytes.NewReader(v3Image(sampleState(), x)))
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		stateEqual(t, got, sampleState())
+		if !bytes.Equal(encode(t, got), want) {
+			t.Errorf("a version-3 snapshot with provenance %v re-encodes differently", x.hasProv)
+		}
 	}
 }
 
@@ -138,22 +122,27 @@ func TestEncodeEmptyState(t *testing.T) {
 }
 
 // TestDataValuesAreNotCounts: an iteration number, a cycle length and a
-// hash's first-sighting iteration are data — they may exceed the
-// payload's length in bytes, which bounds element counts only.
+// version-3 hash's first-sighting iteration are data — they may exceed
+// the payload's length in bytes, which bounds element counts only.
 func TestDataValuesAreNotCounts(t *testing.T) {
-	for name, want := range map[string]*State{
-		"iteration, empty tables": {Iteration: 1 << 20},
+	for name, tc := range map[string]struct {
+		want *State
+		x    v3Extras
+	}{
+		"iteration, empty tables": {want: &State{Iteration: 1 << 20}},
 		"cycle length and hash iteration": {
-			Iteration: 1 << 20, Converged: true, CycleLength: 1 << 19,
-			Hashes: []IterHash{{Hash: 1, Iter: 1 << 19}},
+			want: &State{Iteration: 1 << 20, Converged: true, CycleLength: 1 << 19},
+			x:    v3Extras{hashes: []v3Hash{{hash: 1, iter: 1 << 19}}},
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			got, err := Decode(bytes.NewReader(encode(t, want)))
-			if err != nil {
-				t.Fatalf("Decode refused what Encode wrote: %v", err)
+			for _, image := range [][]byte{encode(t, tc.want), v3Image(tc.want, tc.x)} {
+				got, err := Decode(bytes.NewReader(image))
+				if err != nil {
+					t.Fatalf("Decode refused version %d bytes: %v", image[8], err)
+				}
+				stateEqual(t, got, tc.want)
 			}
-			stateEqual(t, got, want)
 		})
 	}
 }

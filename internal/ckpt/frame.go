@@ -94,8 +94,8 @@ func ReadFrame(data []byte, magic string, version byte, kind string) ([]byte, er
 // revisions: it accepts any version in [minVersion, maxVersion] and
 // returns which one the file carries, so the caller can branch its
 // payload decoding. Single-version formats keep using ReadFrame; the
-// checkpoint reader uses the range form to load legacy (pre-history)
-// snapshots alongside current ones.
+// checkpoint reader uses the range form to load version-3 snapshots
+// alongside current ones.
 func ReadFrameRange(data []byte, magic string, minVersion, maxVersion byte, kind string) ([]byte, byte, error) {
 	fail := func(reason string) ([]byte, byte, error) {
 		return nil, 0, &FrameError{Kind: kind, Reason: reason}
@@ -141,7 +141,30 @@ func ReadFrameFile(path, magic string, version byte, kind string) ([]byte, error
 // batch's identity in the journal and lineage, a serving snapshot's
 // generation identity and the annotations digest are all this value.
 func Fingerprint(data []byte) uint64 {
-	h := uint64(14695981039346656037) // FNV-64 offset basis
+	return fnv64a(fnvOffset, data)
+}
+
+// Fingerprinter is Fingerprint over a stream: its Sum64 is the
+// Fingerprint of everything written to it so far. The input digest, the
+// options and graph digests and the refinement loop's state hash are
+// this value.
+type Fingerprinter struct{ h uint64 }
+
+// NewFingerprinter returns a Fingerprinter that has seen nothing.
+func NewFingerprinter() *Fingerprinter { return &Fingerprinter{h: fnvOffset} }
+
+// Write folds p in; it never fails.
+func (f *Fingerprinter) Write(p []byte) (int, error) {
+	f.h = fnv64a(f.h, p)
+	return len(p), nil
+}
+
+// Sum64 is the Fingerprint of what was written.
+func (f *Fingerprinter) Sum64() uint64 { return f.h }
+
+const fnvOffset = 14695981039346656037 // FNV-64 offset basis
+
+func fnv64a(h uint64, data []byte) uint64 {
 	for _, c := range data {
 		h = (h ^ uint64(c)) * 1099511628211 // FNV-64 prime
 	}

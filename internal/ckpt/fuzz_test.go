@@ -13,7 +13,8 @@ import (
 // seed corpus reuses the faultio fault matrix over a valid encoding —
 // truncations, garbage windows, short reads — plus a stale version
 // byte, so even a brief run revisits the corruption classes a crashed
-// or bit-rotted checkpoint file actually exhibits.
+// or bit-rotted checkpoint file actually exhibits, and a version-3 file,
+// so it reaches the branch that reads one.
 //
 // Invariants: Decode never panics and never hangs; when it accepts an
 // input, the resulting State re-encodes and decodes to an identical
@@ -27,7 +28,6 @@ func FuzzDecode(f *testing.F) {
 		Iteration:   4,
 		Converged:   true,
 		CycleLength: 1,
-		Hashes:      []IterHash{{Hash: 9, Iter: 1}, {Hash: 10, Iter: 4}},
 		Routers:     []uint32{100, 200, 300},
 		Ifaces:      []uint32{100, 200},
 		Trace: []obs.Row{
@@ -52,6 +52,7 @@ func FuzzDecode(f *testing.F) {
 	stale := append([]byte(nil), valid.Bytes()...)
 	stale[8] = Version + 1
 	f.Add(stale)
+	f.Add(unhex(f, goldenV3)) // the version-3 branch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(bytes.NewReader(data))

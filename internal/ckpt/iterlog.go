@@ -20,38 +20,35 @@ import (
 // base alone is always a valid, possibly older, state (DESIGN §11).
 const LogName = "refine.log"
 
+// iterVersion 2 dropped version 1's state hash and provenance blob. A
+// version-1 record is refused at the frame, so the log a build before it
+// wrote is not folded and its directory resumes from the base.
 const (
 	iterMagic   = "BMITITER"
-	iterVersion = 1
+	iterVersion = 2
 	iterKind    = "bdrmapIT refinement log record"
 )
 
 // IterRecord is one committed iteration as the log holds it: what turns
 // the State of Iteration-1 into the State of Iteration. Converged and
-// CycleLength are the State's afterwards, Hash what the cycle detector
-// saw and Row the trace row. Prov is a provenance blob older builds
-// wrote; it is still decoded and written, empty now, but never read.
+// CycleLength are the State's afterwards and Row the trace row.
 type IterRecord struct {
 	RunID       uint64
 	Iteration   int
 	Converged   bool
 	CycleLength int
-	Hash        uint64
 	Delta       IterDelta
 	Row         obs.Row
-	Prov        []byte
 }
 
 // RunID identifies the run a state belongs to: one fingerprint of what
-// resume requires to match (options, inputs, graph shape) and of
-// HasProv, so the records an older build logged beside a provenance
-// state still fold onto it. Refinement is a deterministic function of
-// those, so two runs with one id commit the same iterations.
+// resume requires to match (options, inputs, graph shape). Refinement is
+// a deterministic function of those, so two runs with one id commit the
+// same iterations.
 func (st *State) RunID() uint64 {
 	p := binary.LittleEndian.AppendUint64(nil, st.OptionsFP)
 	p = binary.LittleEndian.AppendUint64(p, st.InputDigest)
-	p = binary.LittleEndian.AppendUint64(p, st.GraphDigest)
-	return Fingerprint(AppendBool(p, st.HasProv))
+	return Fingerprint(binary.LittleEndian.AppendUint64(p, st.GraphDigest))
 }
 
 // Fold applies rec to st when it is the next iteration of st's run, and
@@ -77,10 +74,6 @@ func (st *State) Fold(rec *IterRecord) (bool, error) {
 	}
 	st.Iteration = rec.Iteration
 	st.Converged, st.CycleLength = rec.Converged, rec.CycleLength
-	if !rec.Converged {
-		// A repeated state is the one hash the detector had seen before.
-		st.Hashes = append(st.Hashes, IterHash{Hash: rec.Hash, Iter: rec.Iteration})
-	}
 	st.Trace = append(st.Trace, rec.Row)
 	st.History = append(st.History, rec.Delta)
 	return true, nil
@@ -116,10 +109,8 @@ func decodeIterRecord(frame []byte) (IterRecord, error) {
 		Iteration:   d.Int("iteration"),
 		Converged:   d.Bool("converged"),
 		CycleLength: d.Int("cycle length"),
-		Hash:        d.U64(),
 		Delta:       IterDelta{Routers: readChanges(d, "router changes"), Ifaces: readChanges(d, "interface changes")},
 		Row:         readRow(d),
-		Prov:        d.Blob("provenance blob"),
 	}
 	return rec, d.Finish()
 }
@@ -130,12 +121,9 @@ func EncodeIterRecord(rec *IterRecord) []byte {
 	p = binary.AppendUvarint(p, uint64(rec.Iteration))
 	p = AppendBool(p, rec.Converged)
 	p = binary.AppendUvarint(p, uint64(rec.CycleLength))
-	p = binary.LittleEndian.AppendUint64(p, rec.Hash)
 	p = appendChanges(p, rec.Delta.Routers)
 	p = appendChanges(p, rec.Delta.Ifaces)
-	p = appendRow(p, rec.Row)
-	p = binary.AppendUvarint(p, uint64(len(rec.Prov)))
-	return frameBytes(iterMagic, iterVersion, append(p, rec.Prov...))
+	return frameBytes(iterMagic, iterVersion, appendRow(p, rec.Row))
 }
 
 // IterLog is a checkpoint directory's refinement log, open for appending.

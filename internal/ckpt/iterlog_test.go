@@ -17,22 +17,19 @@ import (
 // flips to ann, under st's run id.
 func nextRecord(st *State, iter int, idx, ann uint32) IterRecord {
 	return IterRecord{
-		RunID: st.RunID(), Iteration: iter, Hash: 0x1000 + uint64(iter),
+		RunID: st.RunID(), Iteration: iter,
 		Delta: IterDelta{Routers: []AnnChange{{Idx: idx, Ann: ann}}},
 		Row:   obs.Row{"iteration": int64(iter), "routers_changed": 1},
-		Prov:  []byte{byte(iter)},
 	}
 }
 
 // sampleIterRecords are sampleState()'s iterations 8 to 10: a plain one,
-// one with both change sets and no provenance, and the one that
-// converges.
+// one with both change sets, and the one that converges.
 func sampleIterRecords() []IterRecord {
 	st := sampleState()
 	st.Converged, st.CycleLength = false, 0
 	r9 := nextRecord(st, 9, 3, 7)
 	r9.Delta.Ifaces = []AnnChange{{Idx: 0, Ann: 1}, {Idx: 2, Ann: 4294967295}}
-	r9.Prov = nil
 	r10 := nextRecord(st, 10, 0, 100)
 	r10.Converged, r10.CycleLength = true, 2
 	return []IterRecord{nextRecord(st, 8, 1, 200), r9, r10}
@@ -50,7 +47,7 @@ func logImage(recs ...IterRecord) []byte {
 // records it folds onto the snapshot and which it leaves out.
 func TestLoadFoldsTheLog(t *testing.T) {
 	base := func() *State {
-		st := goldenState() // iteration 3, HasProv
+		st := goldenState() // iteration 3
 		st.Converged, st.CycleLength = false, 0
 		return st
 	}
@@ -59,9 +56,6 @@ func TestLoadFoldsTheLog(t *testing.T) {
 	other := r4
 	other.RunID++
 	other.Delta = IterDelta{Routers: []AnnChange{{Idx: 0, Ann: 999}}}
-	plain := base()
-	plain.HasProv = false
-	noProv := nextRecord(plain, 4, 0, 999) // the same run without provenance: another id
 	behind := nextRecord(st, 3, 0, 999)
 	outside := nextRecord(st, 4, uint32(len(st.Routers)), 1)
 	torn := logImage(r4, r5)
@@ -79,7 +73,7 @@ func TestLoadFoldsTheLog(t *testing.T) {
 		{"missing log", nil, 3, 100, false},
 		{"empty log", []byte{}, 3, 100, false},
 		{"next iterations fold", logImage(r4, r5, r6), 6, 51, false},
-		{"another run's records are left out", logImage(other, noProv, r4, other, r5), 5, 51, false},
+		{"another run's records are left out", logImage(other, r4, other, r5), 5, 51, false},
 		{"records at or behind the base are left out", logImage(behind, r4), 4, 41, false},
 		{"a gap ends the fold", logImage(r4, r6), 4, 41, false},
 		{"nothing follows the base", logImage(r5, r6), 3, 100, false},
@@ -117,12 +111,8 @@ func TestLoadFoldsTheLog(t *testing.T) {
 			if got.Routers[0] == 999 {
 				t.Error("a record of another run was applied")
 			}
-			if len(got.History) != tc.wantIter || len(got.Trace) != len(base().Trace)+n || len(got.Hashes) != len(base().Hashes)+n {
-				t.Errorf("history %d, trace %d, hashes %d after %d folded records", len(got.History), len(got.Trace), len(got.Hashes), n)
-			}
-			if n > 0 && (got.Hashes[len(got.Hashes)-1] != IterHash{Hash: 0x1000 + uint64(tc.wantIter), Iter: tc.wantIter} ||
-				!bytes.Equal(got.Prov, base().Prov)) {
-				t.Errorf("newest hash %+v, provenance %x (a record's blob is not folded)", got.Hashes[len(got.Hashes)-1], got.Prov)
+			if len(got.History) != tc.wantIter || len(got.Trace) != len(base().Trace)+n {
+				t.Errorf("history %d, trace %d after %d folded records", len(got.History), len(got.Trace), n)
 			}
 			// Folding by hand is what Load did.
 			want := base()
@@ -148,26 +138,25 @@ func TestLoadFoldsTheLog(t *testing.T) {
 	})
 }
 
-// TestFoldConvergedRecord: the record that repeats a state adds no hash
-// (the detector had seen it) and carries the verdict.
+// TestFoldConvergedRecord: the record that repeats a state carries the
+// verdict.
 func TestFoldConvergedRecord(t *testing.T) {
 	st := goldenState()
 	st.Converged, st.CycleLength = false, 0
 	rec := nextRecord(st, 4, 0, 5)
 	rec.Converged, rec.CycleLength = true, 2
-	hashes := len(st.Hashes)
 	if ok, err := st.Fold(&rec); !ok || err != nil {
 		t.Fatalf("Fold = %v, %v", ok, err)
 	}
-	if !st.Converged || st.CycleLength != 2 || len(st.Hashes) != hashes {
-		t.Errorf("converged %v, cycle %d, %d hashes (had %d)", st.Converged, st.CycleLength, len(st.Hashes), hashes)
+	if !st.Converged || st.CycleLength != 2 || st.Iteration != 4 {
+		t.Errorf("converged %v, cycle %d, iteration %d", st.Converged, st.CycleLength, st.Iteration)
 	}
 }
 
 // TestGoldenDirectoryLoads: a state directory as the build before the
 // log wrote it — refine.ckpt alone, the recorded version-3 bytes — is
 // the state it always was, and a log deleted from under a snapshot
-// leaves the snapshot.
+// leaves the snapshot. Saved again, it is the version-4 bytes.
 func TestGoldenDirectoryLoads(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, FileName), unhex(t, goldenV3), 0o644); err != nil {
@@ -178,7 +167,7 @@ func TestGoldenDirectoryLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	stateEqual(t, st, goldenState())
-	if st.FromLog != 0 || !bytes.Equal(encode(t, st), unhex(t, goldenV3)) {
+	if st.FromLog != 0 || !bytes.Equal(encode(t, st), unhex(t, goldenV4)) {
 		t.Errorf("golden directory loaded with %d log records or re-encodes differently", st.FromLog)
 	}
 }

@@ -312,9 +312,9 @@ func TestJournalAppendFiresHook(t *testing.T) {
 	}
 }
 
-// TestV3HistoryLineageRoundTrip pins the version-3 extension: history
-// change sets (including empty iterations and large index gaps) and the
-// batch lineage survive an encode/decode cycle byte-exactly.
+// TestV3HistoryLineageRoundTrip pins the sections version 3 added:
+// history change sets (including empty iterations and large index gaps)
+// and the batch lineage survive an encode/decode cycle byte-exactly.
 func TestV3HistoryLineageRoundTrip(t *testing.T) {
 	want := sampleState()
 	want.Iteration = 3
@@ -338,9 +338,6 @@ func TestV3HistoryLineageRoundTrip(t *testing.T) {
 		t.Fatalf("Decode: %v", err)
 	}
 	stateEqual(t, got, want)
-	if got.FormatVersion != Version {
-		t.Errorf("FormatVersion = %d, want %d", got.FormatVersion, Version)
-	}
 	if len(got.History) != len(want.History) {
 		t.Fatalf("History len = %d, want %d", len(got.History), len(want.History))
 	}
@@ -376,63 +373,25 @@ func TestV3HistoryLineageRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyV2Image frames st's pre-history payload as a version-2 file —
-// exactly what a build before the delta-lineage extension wrote. The v2
-// payload is a strict prefix of v3's: everything up to (not including)
-// the history and lineage sections, which for an empty History/Lineage
-// are the final two zero-uvarint bytes.
-func legacyV2Image(t *testing.T, st *State) []byte {
-	t.Helper()
-	if len(st.History) != 0 || len(st.Lineage) != 0 {
-		t.Fatal("legacyV2Image needs a state without v3 sections")
-	}
-	payload := appendPayload(nil, st)
-	return reframe(t, magic, legacyVersion, payload[:len(payload)-2])
-}
-
-// TestLegacyV2Migration pins the upgrade path: a version-2 snapshot
-// decodes fully (plain resume keeps working), reports its format
-// version, and RequireHistory refuses it with the typed, actionable
-// error delta ingest shows the operator.
+// TestLegacyV2Migration pins the end of the version-2 path: a version-2
+// snapshot, which carries no history to replay, is refused at the frame
+// with a *FormatError naming its version — the recorded file, and a
+// current payload framed as version 2 alike.
 func TestLegacyV2Migration(t *testing.T) {
-	want := sampleState()
-	got, err := Decode(bytes.NewReader(legacyV2Image(t, want)))
-	if err != nil {
-		t.Fatalf("Decode of v2 snapshot: %v", err)
-	}
-	stateEqual(t, got, want)
-	if got.FormatVersion != legacyVersion {
-		t.Errorf("FormatVersion = %d, want %d", got.FormatVersion, legacyVersion)
-	}
-	if got.History != nil || got.Lineage != nil {
-		t.Errorf("v2 snapshot sprouted v3 sections: %+v %+v", got.History, got.Lineage)
-	}
-
-	err = got.RequireHistory()
-	var he *HistoryError
-	if !errors.As(err, &he) {
-		t.Fatalf("RequireHistory on v2 snapshot = %v, want *HistoryError", err)
-	}
-	for _, wantSub := range []string{"format version 2", "rerun the full pipeline"} {
-		if !strings.Contains(he.Error(), wantSub) {
-			t.Errorf("HistoryError %q missing %q", he.Error(), wantSub)
+	for name, image := range map[string][]byte{
+		"recorded": unhex(t, goldenV2),
+		"reframed": reframe(t, magic, 2, payloadOf(encode(t, sampleState()))),
+	} {
+		st, err := Decode(bytes.NewReader(image))
+		var fe *FormatError
+		if !errors.As(err, &fe) || !strings.Contains(fe.Reason, "unsupported format version 2") {
+			t.Errorf("%s: Decode of a version-2 snapshot = %+v, %v; want a *FormatError naming version 2", name, st, err)
 		}
 	}
-
-	// A v2 snapshot with trailing bytes where v3 sections would start is
-	// corrupt, not forward-compatible: the v2 reader rejected trailing
-	// bytes and so must we.
-	img := legacyV2Image(t, want)
-	img = append(img[:len(img)-4], 0, 0)
-	img = fixCRC(append(img, 0, 0, 0, 0))
-	if _, err := Decode(bytes.NewReader(img)); err == nil {
-		t.Error("v2 snapshot with trailing payload bytes was accepted")
-	}
 }
 
-// TestIncompleteHistoryRefused: a v3 snapshot whose history is shorter
-// than its iteration count (a run resumed from a v2 snapshot) is valid
-// for resume but refused as a delta base.
+// TestIncompleteHistoryRefused: a snapshot whose history is shorter
+// than its iteration count decodes, but RequireHistory refuses it.
 func TestIncompleteHistoryRefused(t *testing.T) {
 	st := sampleState()
 	st.Iteration = 7

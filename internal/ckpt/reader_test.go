@@ -148,14 +148,25 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// TestFingerprint pins the content fingerprint to FNV-64a (hash/fnv's
-// values): journals, lineages and serving snapshots on disk hold them.
+// TestFingerprint pins the content fingerprint, one-shot and streamed, to
+// FNV-64a (hash/fnv's values): journals, lineages, serving snapshots and
+// checkpoints on disk hold them.
 func TestFingerprint(t *testing.T) {
 	for _, in := range []string{"", "a", "foobar", "batch-2026-08-01.jsonl", string(make([]byte, 300))} {
 		h := fnv.New64a()
 		h.Write([]byte(in))
 		if got, want := Fingerprint([]byte(in)), h.Sum64(); got != want {
 			t.Errorf("Fingerprint(%q) = %#x, hash/fnv says %#x", in, got, want)
+		}
+		// Fed in chunks of every size, the stream is the one-shot value.
+		for chunk := 1; chunk <= len(in)+1; chunk++ {
+			f := NewFingerprinter()
+			for rest := []byte(in); len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
+				f.Write(rest[:min(chunk, len(rest))])
+			}
+			if got, want := f.Sum64(), h.Sum64(); got != want {
+				t.Fatalf("Fingerprinter over %q in chunks of %d = %#x, hash/fnv says %#x", in, chunk, got, want)
+			}
 		}
 	}
 	if got, want := Fingerprint([]byte("foobar")), uint64(0x85944171f73967e8); got != want {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -70,8 +69,6 @@ func sameTrajectory(got, want *ckpt.State) string {
 			got.Iteration, got.Converged, got.CycleLength, want.Iteration, want.Converged, want.CycleLength)
 	case !slices.Equal(got.Routers, want.Routers) || !slices.Equal(got.Ifaces, want.Ifaces):
 		return "final annotations differ"
-	case !reflect.DeepEqual(got.Hashes, want.Hashes):
-		return "per-iteration state hashes differ"
 	}
 	for k := range want.History {
 		if !slices.Equal(got.History[k].Routers, want.History[k].Routers) || !slices.Equal(got.History[k].Ifaces, want.History[k].Ifaces) {

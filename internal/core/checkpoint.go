@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/ckpt"
 	"repro/internal/obs"
@@ -17,7 +16,7 @@ import (
 // input: resuming a capped run under a larger cap is exactly how an
 // interrupted run gets extended to convergence.
 func (o *Options) fingerprint() uint64 {
-	h := fnv.New64a()
+	h := ckpt.NewFingerprinter()
 	for _, b := range []bool{
 		o.DisableLastHopDest,
 		o.DisableThirdParty,
@@ -26,11 +25,7 @@ func (o *Options) fingerprint() uint64 {
 		o.DisableHiddenAS,
 		o.DisableDestTieBreak,
 	} {
-		if b {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
+		h.Write(ckpt.AppendBool(nil, b))
 	}
 	return h.Sum64()
 }
@@ -43,7 +38,7 @@ func (o *Options) fingerprint() uint64 {
 // the observed address set changes the digest and is refused on resume.
 // Finish computes it once and keeps it on the graph (Graph.digest).
 func graphDigest(g *Graph) uint64 {
-	h := fnv.New64a()
+	h := ckpt.NewFingerprinter()
 	var buf [8]byte
 	u64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -117,10 +112,8 @@ func (c *ckptRunner) close() {
 // afresh behind it. A kill between the two is harmless: Fold leaves out
 // records of another run or behind the base, and is right to apply
 // those of this run's twin (same options, inputs and graph: same
-// iterations). A provenance blob an older build kept in the state goes
-// first (a new run id): nothing keeps it current.
+// iterations).
 func (c *ckptRunner) rebase() error {
-	c.st.HasProv, c.st.Prov = false, nil
 	err := ckpt.Save(c.cfg.Dir, c.st, c.rec)
 	if err == nil {
 		c.log, err = ckpt.OpenIterLog(c.cfg.Dir)
@@ -129,12 +122,12 @@ func (c *ckptRunner) rebase() error {
 }
 
 // commit records the iteration res.Iterations just committed — its
-// change set, state hash and trace row — and makes it durable when due: the
+// change set and trace row — and makes it durable when due: the
 // last iteration (convergence or the cap) as a snapshot, so a finished
 // run's base says so and needs no log; any other on the stride, as one
 // append of every iteration not durable yet (at most Every-1 are lost).
 // A resumed state's iterations are durable; a run going on past them rebases.
-func (c *ckptRunner) commit(res *Result, hash uint64, row obs.Row, delta ckpt.IterDelta, last bool) error {
+func (c *ckptRunner) commit(res *Result, row obs.Row, delta ckpt.IterDelta, last bool) error {
 	if res.Iterations <= c.st.Iteration {
 		if res.Iterations < c.st.Iteration || last {
 			return nil
@@ -144,7 +137,7 @@ func (c *ckptRunner) commit(res *Result, hash uint64, row obs.Row, delta ckpt.It
 	it := ckpt.IterRecord{
 		RunID: c.st.RunID(), Iteration: res.Iterations,
 		Converged: res.Converged, CycleLength: res.CycleLength,
-		Hash: hash, Row: row, Delta: delta,
+		Row: row, Delta: delta,
 	}
 	if ok, err := c.st.Fold(&it); err != nil || !ok {
 		return fmt.Errorf("core: iteration %d does not follow the committed state at iteration %d (%v)", it.Iteration, c.st.Iteration, err)

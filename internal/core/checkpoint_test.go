@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -262,9 +263,8 @@ func TestResumeRefusals(t *testing.T) {
 			t.Fatalf("err = %v, want *MismatchError{Field: graph}", err)
 		}
 	})
-	// A resume replays History, so a state without all of it — one a run
-	// resumed from a version-2 snapshot wrote, or a version-2 snapshot as
-	// Decode reads it — has nothing to resume with.
+	// A resume replays History, so a state without all of it has nothing
+	// to resume with.
 	t.Run("incomplete-history", func(t *testing.T) {
 		dir := seed(t)
 		st, err := ckpt.Load(dir)
@@ -297,17 +297,25 @@ func TestResumeRefusals(t *testing.T) {
 			t.Fatalf("err = %v, want *ckpt.FormatError", err)
 		}
 	})
+	// A version-2 snapshot carries no history; it is refused at the frame.
 	t.Run("version-2", func(t *testing.T) {
-		st, err := ckpt.Load(seed(t))
+		dir := seed(t)
+		path := filepath.Join(dir, ckpt.FileName)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.FormatVersion, st.History = 2, nil
-		e := goldenEnv(t)
-		_, err = ResumeContext(context.Background(), buildGraph(t, e, 1), st, e.rels, Options{Workers: 1})
-		var he *ckpt.HistoryError
-		if !errors.As(err, &he) || !strings.Contains(err.Error(), "format version 2") {
-			t.Fatalf("err = %v, want the *ckpt.HistoryError of a version-2 snapshot", err)
+		var v2 bytes.Buffer
+		if err := ckpt.WriteFrame(&v2, string(data[:8]), 2, data[13:len(data)-4]); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		var fe *ckpt.FormatError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("err = %v, want the *ckpt.FormatError of a version-2 snapshot", err)
 		}
 	})
 	t.Run("worker-count-is-not-a-mismatch", func(t *testing.T) {

@@ -218,8 +218,8 @@ func TestDeltaCappedBaseFallback(t *testing.T) {
 	}
 }
 
-// TestDeltaRefusals pins the typed error paths: legacy snapshots,
-// option mismatches, a base state taken over some
+// TestDeltaRefusals pins the typed error paths: a base state without
+// its whole history, option mismatches, a base state taken over some
 // other graph and an append record that is not the graph's latest are
 // refused before any annotation work happens.
 func TestDeltaRefusals(t *testing.T) {
@@ -231,7 +231,6 @@ func TestDeltaRefusals(t *testing.T) {
 	ctx := context.Background()
 
 	legacy := *st
-	legacy.FormatVersion = 2
 	legacy.History = nil
 	var he *ckpt.HistoryError
 	if _, err := core.RunDeltaContext(ctx, g, app, &legacy, ds.Rels, core.Options{}); !errors.As(err, &he) {

@@ -64,7 +64,6 @@ func (o *snapshotOracle) capture(t *testing.T, iter int, row obs.Row) {
 			o.st.Converged, o.st.CycleLength = true, iter-first
 		} else {
 			o.seen[h] = iter
-			o.st.Hashes = append(o.st.Hashes, ckpt.IterHash{Hash: h, Iter: iter})
 		}
 	}
 	o.st.Iteration, o.st.Routers, o.st.Ifaces = iter, routers, ifaces
@@ -359,14 +358,13 @@ func TestResumeFromStartSnapshot(t *testing.T) {
 	}
 }
 
-// TestResumeWithoutProvenanceRebases: a directory an older build left
-// for a provenance run — a base claiming a provenance blob, and log
-// records under that base's run id, each with a blob of its own — still
-// loads with its log folded, and still resumes, with provenance or
-// without, to the uninterrupted run's annotations and artifact. The
-// resumed run publishes what it loaded as a new base without the blob
-// before it logs anything, which changes the run id, so its own records
-// fold: a second kill does not fall back to the first one's state.
+// TestResumeWithoutProvenanceRebases: a directory a run left after two
+// iterations — its iteration-0 base and two log records under that
+// base's run id — loads with its log folded, and resumes, with
+// provenance or without, to the uninterrupted run's annotations and
+// artifact. The resumed run publishes what it loaded as a new base
+// before it logs anything, so its own records fold: a second kill does
+// not fall back to the first one's state.
 func TestResumeWithoutProvenanceRebases(t *testing.T) {
 	full := goldenEnv(t).run(Options{Workers: 1, Provenance: true})
 	want, wantProv := dumpAnnotations(full), encodeArtifact(t, full.Provenance)
@@ -375,8 +373,8 @@ func TestResumeWithoutProvenanceRebases(t *testing.T) {
 	}
 	defer func() { ckpt.TestHook = nil }()
 
-	// The older build's directory after two iterations: this build's
-	// iteration-0 base and first two iterations, with blobs written in.
+	// The directory after two iterations: the iteration-0 base and the
+	// first two iterations as log records.
 	dir, start := t.TempDir(), t.TempDir()
 	ckpt.TestHook = func(p string) {
 		if p == "checkpoint:0" {
@@ -395,7 +393,6 @@ func TestResumeWithoutProvenanceRebases(t *testing.T) {
 	if err != nil || st.Iteration != 0 {
 		t.Fatalf("iteration-0 base: %v", err)
 	}
-	st.HasProv, st.Prov = true, []byte{0xb1, 0x0b}
 	old := t.TempDir()
 	if err := ckpt.Save(old, st, nil); err != nil {
 		t.Fatal(err)
@@ -403,18 +400,18 @@ func TestResumeWithoutProvenanceRebases(t *testing.T) {
 	var log []byte
 	for k := 1; k <= 2; k++ {
 		log = append(log, ckpt.EncodeIterRecord(&ckpt.IterRecord{
-			RunID: st.RunID(), Iteration: k, Hash: at2.Hashes[k-1].Hash,
-			Delta: at2.History[k-1], Row: at2.Trace[k-1], Prov: []byte{byte(k)},
+			RunID: st.RunID(), Iteration: k,
+			Delta: at2.History[k-1], Row: at2.Trace[k-1],
 		})...)
 	}
 	if err := os.WriteFile(filepath.Join(old, ckpt.LogName), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ckpt.Load(old)
-	if err != nil || loaded.Iteration != 2 || loaded.FromLog != 2 || !loaded.HasProv ||
+	if err != nil || loaded.Iteration != 2 || loaded.FromLog != 2 ||
 		!reflect.DeepEqual(loaded.Routers, at2.Routers) || !reflect.DeepEqual(loaded.Ifaces, at2.Ifaces) {
-		t.Fatalf("the older build's directory loads to iteration %d (%d from the log), provenance %v, err %v; want 2 (2), true, the run's state",
-			loaded.Iteration, loaded.FromLog, loaded.HasProv, err)
+		t.Fatalf("the two-iteration directory loads to iteration %d (%d from the log), err %v; want 2 (2), the run's state",
+			loaded.Iteration, loaded.FromLog, err)
 	}
 
 	for _, provenance := range []bool{false, true} {
@@ -445,9 +442,9 @@ func TestResumeWithoutProvenanceRebases(t *testing.T) {
 			iter, fromLog int
 		}{{rebased, 2, 0}, {logged, 3, 1}, {dir, full.Iterations, 0}} {
 			st, err := ckpt.Load(kill.dir)
-			if err != nil || st.Iteration != kill.iter || st.FromLog != kill.fromLog || st.HasProv || st.Prov != nil {
-				t.Fatalf("provenance=%v: killed at iteration %d, the directory holds iteration %d (%d from the log), provenance (%v, %x), err %v; want %d (%d), none",
-					provenance, kill.iter, st.Iteration, st.FromLog, st.HasProv, st.Prov, err, kill.iter, kill.fromLog)
+			if err != nil || st.Iteration != kill.iter || st.FromLog != kill.fromLog {
+				t.Fatalf("provenance=%v: killed at iteration %d, the directory holds iteration %d (%d from the log), err %v; want %d (%d)",
+					provenance, kill.iter, st.Iteration, st.FromLog, err, kill.iter, kill.fromLog)
 			}
 		}
 		res, err = checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: logged, Resume: true}})

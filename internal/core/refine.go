@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"hash/fnv"
 	"net/netip"
 	"slices"
 	"sync"
@@ -66,8 +65,8 @@ type Options struct {
 	// heuristic, final vote tally and runner-up, tie-break path and
 	// iteration of last change, per interface the §6.2 branch. The
 	// artifact is derived once the loop has stopped, from the committed
-	// state and the run's change sets, which the run keeps in memory for
-	// it; the loop itself, its annotations and its checkpoints are the
+	// state and the run's change sets, which every run keeps in memory;
+	// the loop itself, its annotations and its checkpoints are the
 	// same with the switch on or off. So any run may have one — a resume
 	// of any checkpoint, a delta run — and it is byte-identical to a
 	// fresh run's at every worker count.
@@ -191,7 +190,7 @@ func (c cycleDetector) record(h uint64, iter int) (int, bool) {
 // increments and merges it into the iteration total once at shard end,
 // so the hot loop pays a handful of integer bumps per router.
 type iterTally struct {
-	changedRouters, changedIfaces, votesCast int64
+	votesCast int64
 
 	// Per-heuristic decision counts (§6.1.1–§6.1.3 and extensions):
 	// how often each Algorithm 3 branch, vote correction, or election
@@ -208,8 +207,6 @@ type iterTally struct {
 
 //lint:hotpath
 func (t *iterTally) add(o *iterTally) {
-	t.changedRouters += o.changedRouters
-	t.changedIfaces += o.changedIfaces
 	t.votesCast += o.votesCast
 	t.heurOriginMatch += o.heurOriginMatch
 	t.heurIXP += o.heurIXP
@@ -221,12 +218,13 @@ func (t *iterTally) add(o *iterTally) {
 	t.heurDestTie += o.heurDestTie
 }
 
-// row renders the tally as one convergence-trace sample.
-func (t *iterTally) row(iter int) obs.Row {
+// row renders the tally and the iteration's change set d as one
+// convergence-trace sample.
+func (t *iterTally) row(iter int, d ckpt.IterDelta) obs.Row {
 	return obs.Row{
 		"iteration":          int64(iter),
-		"routers_changed":    t.changedRouters,
-		"interfaces_changed": t.changedIfaces,
+		"routers_changed":    int64(len(d.Routers)),
+		"interfaces_changed": int64(len(d.Ifaces)),
 		"votes_cast":         t.votesCast,
 		"heur_origin_match":  t.heurOriginMatch,
 		"heur_ixp":           t.heurIXP,
@@ -414,12 +412,11 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	// or not: the convergence trace travels inside the checkpoint so a
 	// resumed run's report is the original's.
 	collect := rec.Enabled() || ckr != nil
-	var changedPerIter []int64 // oscillation diagnostics (one entry per iteration)
-	// Per-shard reusable scratch and the changed-set snapshot. Shard
-	// boundaries come from shard.Bounds — a pure function of the element
-	// and worker counts — so shard s covers the same routers every
-	// iteration: its scratch never crosses shards and its changed list
-	// indexes exactly the routers it owns.
+	// Per-shard reusable scratch and change sets. Shard boundaries come
+	// from shard.Bounds — a pure function of the element and worker
+	// counts — so shard s covers the same entities every iteration: its
+	// scratch never crosses shards and its change set indexes exactly the
+	// entities it owns.
 	routerScratch := make([]*voteScratch, len(shard.Bounds(len(g.Routers), opts.Workers)))
 	for i := range routerScratch {
 		routerScratch[i] = new(voteScratch)
@@ -428,7 +425,14 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	for i := range ifaceScratch {
 		ifaceScratch[i] = new(voteScratch)
 	}
-	changed := make([][]int, len(routerScratch)) // per router-shard: indices changed last iteration
+	// changedR[s] and changedI[s] are what shard s committed in the last
+	// pass, in index order. The snapshot step reads the routers'; shard
+	// after shard they are the iteration's change set, which history
+	// keeps: the trace row counts it, the checkpoint logs it, and explain
+	// derives the provenance artifact from it.
+	changedR := make([][]ckpt.AnnChange, len(routerScratch))
+	changedI := make([][]ckpt.AnnChange, len(ifaceScratch))
+	var history []ckpt.IterDelta
 	// memo[idx] holds the heuristic tallies of router idx's most recent
 	// evaluation, so a skipped router still contributes the counts a
 	// re-evaluation would have produced and the convergence trace does
@@ -436,16 +440,6 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	var memo []iterTally
 	if collect {
 		memo = make([]iterTally, len(g.Routers))
-	}
-	// Checkpointed runs also record each iteration's change set (the
-	// refinement history a resume and delta ingest replay), and provenance
-	// runs keep them all in history, which explain derives the artifact
-	// from. Collection is per-shard — shard s writes only histR[s]/histI[s].
-	var histR, histI [][]ckpt.AnnChange
-	var history []ckpt.IterDelta
-	if ckr != nil || opts.Provenance {
-		histR = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.Routers), opts.Workers)))
-		histI = make([][]ckpt.AnnChange, len(shard.Bounds(len(g.sortedIfaces), opts.Workers)))
 	}
 	// fullSnapshot forces step 1 to copy every router's annotation. Once
 	// an iteration commits in full, every router outside its changed set
@@ -473,13 +467,13 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 				break
 			}
 		} else {
-			// The per-shard changed lists are disjoint (every router
+			// The per-shard change sets are disjoint (every router
 			// belongs to exactly one shard), so applying them shards
-			// cleanly over the lists themselves.
-			if !shard.ForCtx(ctx, len(changed), opts.Workers, func(lo, hi int) {
-				for _, idxs := range changed[lo:hi] {
-					for _, idx := range idxs {
-						r := g.Routers[idx]
+			// cleanly over the sets themselves.
+			if !shard.ForCtx(ctx, len(changedR), opts.Workers, func(lo, hi int) {
+				for _, cs := range changedR[lo:hi] {
+					for _, c := range cs {
+						r := g.Routers[c.Idx]
 						r.prevAnnotation = r.Annotation
 						r.changedIter = int32(iter - 1)
 					}
@@ -496,11 +490,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		if !shard.ForShardsTimedCtx(ctx, len(g.Routers), opts.Workers, func(s, lo, hi int) {
 			var local iterTally
 			sc := routerScratch[s]
-			chg := changed[s][:0]
-			var hr []ckpt.AnnChange
-			if histR != nil {
-				hr = histR[s][:0]
-			}
+			chg := changedR[s][:0]
 			flips := src.routerFlips(lo)
 			for idx := lo; idx < hi; idx++ {
 				a, replayed := flips.take(idx)
@@ -528,17 +518,10 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 					continue
 				}
 				if r.Annotation != r.prevAnnotation {
-					local.changedRouters++
-					chg = append(chg, idx)
-					if histR != nil {
-						hr = append(hr, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(r.Annotation)})
-					}
+					chg = append(chg, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(r.Annotation)})
 				}
 			}
-			changed[s] = chg
-			if histR != nil {
-				histR[s] = hr
-			}
+			changedR[s] = chg
 			if collect {
 				mu.Lock()
 				it.add(&local)
@@ -554,12 +537,8 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		// result is exactly the last fully committed iteration — never a
 		// mixed state with new routers and old interfaces.
 		if !shard.ForShardsTimedCtx(ctx, len(g.sortedIfaces), opts.Workers, func(s, lo, hi int) {
-			var flipped int64
 			sc := ifaceScratch[s]
-			var hi2 []ckpt.AnnChange
-			if histI != nil {
-				hi2 = histI[s][:0]
-			}
+			chg := changedI[s][:0]
 			flips := src.ifaceFlips(lo)
 			for idx := lo; idx < hi; idx++ {
 				a, replayed := flips.take(idx)
@@ -578,21 +557,11 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 					continue
 				}
 				if i.Annotation != prev {
-					flipped++
 					i.changedIter = int32(iter)
-					if histI != nil {
-						hi2 = append(hi2, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(i.Annotation)})
-					}
+					chg = append(chg, ckpt.AnnChange{Idx: uint32(idx), Ann: uint32(i.Annotation)})
 				}
 			}
-			if histI != nil {
-				histI[s] = hi2
-			}
-			if collect {
-				mu.Lock()
-				it.changedIfaces += flipped
-				mu.Unlock()
-			}
+			changedI[s] = chg
 		}, ifaceTiming) {
 			//lint:ignore ctxflow the rollback must run precisely because ctx is already cancelled: it restores the snapshot so the partial result is the last committed iteration
 			shard.For(len(g.Routers), opts.Workers, func(lo, hi int) {
@@ -609,36 +578,27 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 			ph.End()
 			return nil, err
 		}
+		// The change set, shard after shard: ascending index order.
+		delta := ckpt.IterDelta{Routers: slices.Concat(changedR...), Ifaces: slices.Concat(changedI...)}
+		history = append(history, delta)
 		var row obs.Row
 		if collect {
 			// An iteration src replayed whole is the base's, tallies and all.
 			if row = src.row(iter); row == nil {
-				row = it.row(iter)
+				row = it.row(iter, delta)
 			}
-			changedPerIter = append(changedPerIter, row["routers_changed"])
 			trace.Append(row)
 			counters.flush(row)
 		}
-		// The change set, shard after shard: ascending index order.
-		var delta ckpt.IterDelta
-		if histR != nil {
-			delta = ckpt.IterDelta{Routers: slices.Concat(histR...), Ifaces: slices.Concat(histI...)}
-		}
-		if opts.Provenance {
-			history = append(history, delta)
-		}
-		repeated := false
-		hash := g.stateHash()
-		if n, rep := cycles.record(hash, iter); rep {
-			res.Converged = true
-			res.CycleLength = n
-			repeated = true
+		n, repeated := cycles.record(g.stateHash(), iter)
+		if repeated {
+			res.Converged, res.CycleLength = true, n
 		}
 		// Checkpoint after cycle detection so a converged iteration's
 		// record carries the convergence, but before hookIterEnd so
 		// crash points injected through the hook see a durable state.
 		if ckr != nil {
-			if err := ckr.commit(res, hash, row, delta, repeated || iter == opts.MaxIterations); err != nil {
+			if err := ckr.commit(res, row, delta, repeated || iter == opts.MaxIterations); err != nil {
 				ph.End()
 				return nil, err
 			}
@@ -668,8 +628,12 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		// states; surface which iterations kept flipping and how many
 		// routers each flipped (satellite diagnosability requirement).
 		first := res.Iterations - res.CycleLength + 1
+		flips := make([]int, 0, res.CycleLength)
+		for _, d := range history[first-1:] {
+			flips = append(flips, len(d.Routers))
+		}
 		rec.Warnf("refinement oscillates: state repeats with cycle length %d (iterations %d-%d); changed routers per iteration in the cycle: %v",
-			res.CycleLength, first, res.Iterations, changedPerIter[len(changedPerIter)-res.CycleLength:])
+			res.CycleLength, first, res.Iterations, flips)
 	}
 	if res.Interrupted {
 		rec.MarkInterrupted()
@@ -1260,7 +1224,7 @@ func annotateInterface(i *Interface, rels RelationshipOracle, sc *voteScratch, p
 // stateHash hashes the complete annotation state for repeated-state
 // detection (§6.3).
 func (g *Graph) stateHash() uint64 {
-	h := fnv.New64a()
+	h := ckpt.NewFingerprinter()
 	var buf [4]byte
 	write := func(a asn.ASN) {
 		buf[0] = byte(a >> 24)

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/retry"
 )
 
 // ReloadClient triggers a daemon's POST /-/reload and absorbs the two
@@ -21,16 +23,17 @@ import (
 // (daemon restarting, listener not up yet) retry the same way; any
 // other HTTP status is a real refusal and fails immediately.
 //
-// The jitter stream is deterministic per Seed (xorshift64*), so tests
-// drive the schedule through the Sleep seam and two ingesters seeded
-// differently do not thunder in lockstep.
+// The attempts run through retry.Retrier, whose jitter stream is
+// deterministic per Seed (xorshift64*), so tests drive the schedule
+// through the Sleep seam and two ingesters seeded differently do not
+// thunder in lockstep.
 type ReloadClient struct {
 	// Addr is the daemon address: "host:port" or a full http:// URL.
 	Addr string
 	// HTTP is the client to use; nil means a default client with a
 	// 10s per-request timeout.
 	HTTP *http.Client
-	// Attempts bounds the tries (default 5).
+	// Attempts bounds the tries (default 4).
 	Attempts int
 	// Base is the first backoff (default 100ms), doubling up to Max
 	// (default 5s); each delay is jittered into [d/2, d].
@@ -58,55 +61,26 @@ func (c *ReloadClient) Reload(ctx context.Context) (uint64, error) {
 	if httpc == nil {
 		httpc = &http.Client{Timeout: 10 * time.Second}
 	}
-	attempts := c.Attempts
-	if attempts <= 0 {
-		attempts = 5
+	r := retry.Retrier{Attempts: c.Attempts, Base: c.Base, Max: c.Max, Seed: c.Seed, Sleep: c.Sleep, Done: ctx.Err}
+	if c.OnRetry != nil {
+		r.OnRetry = func(attempt int, err error, backoff time.Duration) { c.OnRetry(attempt, err.Error(), backoff) }
 	}
-	base := c.Base
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	maxd := c.Max
-	if maxd <= 0 {
-		maxd = 5 * time.Second
-	}
-	sleep := c.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	x := c.Seed
-	if x == 0 {
-		x = 0x9e3779b97f4a7c15
-	}
-
-	var lastErr error
-	for a := 1; a <= attempts; a++ {
-		gen, retryable, err := c.post(ctx, httpc, url)
-		if err == nil {
-			return gen, nil
+	var gen uint64
+	err := r.Do(func() error {
+		g, retryable, err := c.post(ctx, httpc, url)
+		if err != nil && !retryable {
+			return retry.Permanent(err)
 		}
-		lastErr = err
-		if !retryable || a == attempts {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		d := base << (a - 1)
-		if d <= 0 || d > maxd {
-			d = maxd
-		}
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		j := x * 0x2545f4914f6cdd1d
-		d = d/2 + time.Duration(j%uint64(d/2+1))
-		if c.OnRetry != nil {
-			c.OnRetry(a, err.Error(), d)
-		}
-		sleep(d)
+		gen = g
+		return err
+	})
+	switch {
+	case err == nil:
+		return gen, nil
+	case err == ctx.Err(): // cancelled between attempts
+		return 0, err
 	}
-	return 0, fmt.Errorf("serve: reload %s: %w", c.Addr, lastErr)
+	return 0, fmt.Errorf("serve: reload %s: %w", c.Addr, err)
 }
 
 // post performs one reload attempt. retryable reports whether the
