@@ -129,10 +129,6 @@ type Options struct {
 	// iteration cap are deliberately not part of the fingerprint (both
 	// may change across a resume without changing the result).
 	CheckpointDir string
-	// CheckpointEvery makes committed iterations durable N per fsync
-	// (<= 1, the default: each one), so a kill loses at most N-1. The
-	// final iteration is always snapshotted. Ignored without CheckpointDir.
-	CheckpointEvery int
 	// Resume restores the newest snapshot in CheckpointDir before
 	// refinement and continues after it. A missing snapshot fails with
 	// ckpt.ErrNoCheckpoint; one taken under different options or inputs
@@ -416,7 +412,6 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 		}
 		copts.Checkpoint = &ckpt.Config{
 			Dir:         opts.CheckpointDir,
-			Every:       opts.CheckpointEvery,
 			Resume:      opts.Resume,
 			InputDigest: h.digest(),
 		}

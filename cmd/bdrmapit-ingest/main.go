@@ -75,10 +75,6 @@ func main() {
 		strict   = flag.Bool("strict", false, "treat any degraded base input source as a hard error")
 		maxBadIn = flag.Int("max-bad-inputs", 0, "tolerate up to N unreadable required base input files before aborting")
 		maxBadRe = flag.Int("max-bad-records", 0, "per-batch malformed-line budget before the batch is quarantined")
-		ckptEvry = flag.Int("checkpoint-every", 0, "make committed refinement iterations durable N at a time, one log append and fsync per N (default 1)")
-		retries  = flag.Int("retry-attempts", 0, "bounded retry attempts for batch reads and daemon reloads (default 4)")
-		retryMin = flag.Duration("retry-base", 0, "first retry backoff, doubling per attempt with jitter (default 100ms)")
-		retryMax = flag.Duration("retry-max", 0, "retry backoff cap (default 5s)")
 	)
 	flag.Parse()
 	if *state == "" {
@@ -121,16 +117,12 @@ func main() {
 		ReloadAddr:      *reload,
 		VerifyDelta:     *verify,
 		MaxBadRecords:   *maxBadRe,
-		RetryAttempts:   *retries,
-		RetryBase:       *retryMin,
-		RetryMax:        *retryMax,
 		Run: bdrmapit.Options{
 			MaxIterations:    *maxIter,
 			Workers:          *workers,
 			Recorder:         rec,
 			Strict:           *strict,
 			MaxBadInputFiles: *maxBadIn,
-			CheckpointEvery:  *ckptEvry,
 		},
 	})
 	if err != nil {

@@ -31,11 +31,11 @@
 //
 // Durability: -checkpoint-dir makes refinement crash-safe — the run's
 // first and final states are snapshotted with atomic-rename semantics,
-// each iteration between (N per fsync with -checkpoint-every N) is
-// appended to a log beside them, and -resume restarts a killed run from
-// the newest durable iteration, producing output byte-identical to an
-// uninterrupted run at any worker count. Resume refuses
-// checkpoints taken under different heuristic options or input files.
+// each iteration between is appended to a log beside them, and -resume
+// restarts a killed run from the newest durable iteration, producing
+// output byte-identical to an uninterrupted run at any worker count.
+// Resume refuses checkpoints taken under different heuristic options or
+// input files.
 // Every output file (annotations, links, ITDK, JSON report) is also
 // published atomically, so a kill at any instant never leaves a torn
 // file.
@@ -80,29 +80,28 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bdrmapit: ")
 	var (
-		traces   = flag.String("traces", "", "traceroute file(s), comma separated (required)")
-		rib      = flag.String("rib", "", "BGP RIB file(s), comma separated")
-		rirF     = flag.String("rir", "", "RIR extended delegation file(s)")
-		ixpF     = flag.String("ixp", "", "IXP prefix list file(s)")
-		rels     = flag.String("rels", "", "AS relationship file(s) (serial-1); inferred from the RIB when absent")
-		aliases  = flag.String("aliases", "", "ITDK alias nodes file(s)")
-		annOut   = flag.String("annotations", "", "write per-interface annotations to this file")
-		lnkOut   = flag.String("links", "", "write inferred interdomain links to this file")
-		itdkOut  = flag.String("itdk", "", "write ITDK-format output (nodes, nodes.as, links) into this directory")
-		maxIter  = flag.Int("max-iterations", 0, "refinement iteration cap (default 50)")
-		workers  = flag.Int("workers", 0, "concurrent annotation workers (default GOMAXPROCS; results are identical for any count)")
-		verbose  = flag.Bool("v", false, "stream progress logs to stderr while the run executes")
-		metrics  = flag.String("metrics-addr", "", "serve live metrics and pprof at this address (e.g. localhost:6060)")
-		repJSON  = flag.String("report-json", "", "write the run report as JSON to this file (- for stdout)")
-		quiet    = flag.Bool("quiet-report", false, "suppress the stderr run-report summary")
-		timeout  = flag.Duration("timeout", 0, "cancel the run after this long, flushing partial annotations (0 = no limit)")
-		strict   = flag.Bool("strict", false, "treat any degraded input source as a hard error")
-		maxBad   = flag.Int("max-bad-inputs", 0, "tolerate up to N unreadable required input files before aborting")
-		ckptDir  = flag.String("checkpoint-dir", "", "snapshot committed refinement iterations into this directory for crash-safe resume")
-		ckptEvry = flag.Int("checkpoint-every", 0, "make committed iterations durable N at a time, one log append and fsync per N (default 1: every iteration; the final iteration is always snapshotted)")
-		resume   = flag.Bool("resume", false, "restore the newest snapshot in -checkpoint-dir and continue the run from there")
-		provOut  = flag.String("provenance", "", "collect per-router decision provenance and write the artifact to this file (query with cmd/explain)")
-		srvOut   = flag.String("serve-snapshot", "", "write a serving snapshot to this file for bdrmapitd to load or hot-swap")
+		traces  = flag.String("traces", "", "traceroute file(s), comma separated (required)")
+		rib     = flag.String("rib", "", "BGP RIB file(s), comma separated")
+		rirF    = flag.String("rir", "", "RIR extended delegation file(s)")
+		ixpF    = flag.String("ixp", "", "IXP prefix list file(s)")
+		rels    = flag.String("rels", "", "AS relationship file(s) (serial-1); inferred from the RIB when absent")
+		aliases = flag.String("aliases", "", "ITDK alias nodes file(s)")
+		annOut  = flag.String("annotations", "", "write per-interface annotations to this file")
+		lnkOut  = flag.String("links", "", "write inferred interdomain links to this file")
+		itdkOut = flag.String("itdk", "", "write ITDK-format output (nodes, nodes.as, links) into this directory")
+		maxIter = flag.Int("max-iterations", 0, "refinement iteration cap (default 50)")
+		workers = flag.Int("workers", 0, "concurrent annotation workers (default GOMAXPROCS; results are identical for any count)")
+		verbose = flag.Bool("v", false, "stream progress logs to stderr while the run executes")
+		metrics = flag.String("metrics-addr", "", "serve live metrics and pprof at this address (e.g. localhost:6060)")
+		repJSON = flag.String("report-json", "", "write the run report as JSON to this file (- for stdout)")
+		quiet   = flag.Bool("quiet-report", false, "suppress the stderr run-report summary")
+		timeout = flag.Duration("timeout", 0, "cancel the run after this long, flushing partial annotations (0 = no limit)")
+		strict  = flag.Bool("strict", false, "treat any degraded input source as a hard error")
+		maxBad  = flag.Int("max-bad-inputs", 0, "tolerate up to N unreadable required input files before aborting")
+		ckptDir = flag.String("checkpoint-dir", "", "snapshot committed refinement iterations into this directory for crash-safe resume")
+		resume  = flag.Bool("resume", false, "restore the newest snapshot in -checkpoint-dir and continue the run from there")
+		provOut = flag.String("provenance", "", "collect per-router decision provenance and write the artifact to this file (query with cmd/explain)")
+		srvOut  = flag.String("serve-snapshot", "", "write a serving snapshot to this file for bdrmapitd to load or hot-swap")
 	)
 	flag.Parse()
 	if *traces == "" {
@@ -175,7 +174,6 @@ func main() {
 		Strict:           *strict,
 		MaxBadInputFiles: *maxBad,
 		CheckpointDir:    *ckptDir,
-		CheckpointEvery:  *ckptEvry,
 		Resume:           *resume,
 		Provenance:       *provOut != "",
 	})

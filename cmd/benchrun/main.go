@@ -22,11 +22,9 @@ import (
 	"hash/fnv"
 	"io"
 	"log"
-	"net/netip"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 
 	"repro/internal/alias"
 	"repro/internal/asrel"
@@ -219,16 +217,10 @@ func main() {
 // deterministic (sorted-address) order: the provenance replay's
 // equivalence self-check.
 func annotationDigest(g *core.Graph) uint64 {
-	addrs := make([]netip.Addr, 0, len(g.Interfaces))
-	for a := range g.Interfaces {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
 	h := fnv.New64a()
 	var buf [24]byte
-	for _, a := range addrs {
-		i := g.Interfaces[a]
-		b := a.As16()
+	for _, i := range g.Interfaces {
+		b := i.Addr.As16()
 		copy(buf[:16], b[:])
 		r := uint32(i.Router.Annotation)
 		buf[16], buf[17], buf[18], buf[19] = byte(r>>24), byte(r>>16), byte(r>>8), byte(r)

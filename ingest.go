@@ -50,12 +50,6 @@ type IngestOptions struct {
 	// MaxBadRecords is the per-batch malformed-line budget; a batch
 	// exceeding it is quarantined (delta.RefusalBudget).
 	MaxBadRecords int
-	// RetryAttempts / RetryBase / RetryMax tune the bounded
-	// jittered-backoff retries around batch reads and daemon reloads
-	// (defaults: 4 attempts, 100ms base, 5s cap).
-	RetryAttempts int
-	RetryBase     time.Duration
-	RetryMax      time.Duration
 	// Run carries the inference options (workers, heuristic ablations,
 	// recorder, error budgets). CheckpointDir and Resume are ignored —
 	// the store owns checkpoint placement — and Provenance is refused:
@@ -581,9 +575,7 @@ func (ing *ingester) publish(res *core.Result) (uint64, error) {
 	}
 	if addr := ing.opts.ReloadAddr; addr != "" {
 		client := &serve.ReloadClient{
-			Addr: addr, Attempts: ing.opts.RetryAttempts,
-			Base: ing.opts.RetryBase, Max: ing.opts.RetryMax,
-			Seed: annDigest,
+			Addr: addr, Seed: annDigest,
 			OnRetry: func(attempt int, cause string, backoff time.Duration) {
 				ing.rec.Counter("ingest.retried").Inc()
 				ing.rec.Logf("ingest: reload attempt %d refused (%s); retrying in %v", attempt, cause, backoff)
@@ -601,8 +593,13 @@ func (ing *ingester) publish(res *core.Result) (uint64, error) {
 }
 
 // quarantine parks a refused batch and accounts it, never failing the
-// session for a poison batch: the next batch proceeds.
+// session for a poison batch: the next batch proceeds. A read the
+// session's cancellation cut short is no verdict: it parks nothing and
+// stops the session as interrupted.
 func (ing *ingester) quarantine(ref *delta.Refusal, data []byte) error {
+	if errors.Is(ref.Err, errInterrupted) {
+		return errInterrupted
+	}
 	if err := ing.store.Quarantine(ref, data); err != nil {
 		return err
 	}
@@ -624,14 +621,14 @@ func (ing *ingester) recordOutcome(o BatchOutcome) {
 }
 
 // readWithRetry reads a file through the bounded-retry envelope,
-// counting each retry in ingest.retried.
+// counting each retry in ingest.retried. Cancellation ends the retries
+// unslept, and a read that failed in a cancelled session returns
+// errInterrupted: its failure says nothing about the file.
 func (ing *ingester) readWithRetry(path string, seed uint64) ([]byte, error) {
 	var data []byte
 	r := &retry.Retrier{
-		Attempts: ing.opts.RetryAttempts,
-		Base:     ing.opts.RetryBase,
-		Max:      ing.opts.RetryMax,
-		Seed:     seed,
+		Seed: seed,
+		Done: ing.ctx.Err,
 		OnRetry: func(attempt int, err error, backoff time.Duration) {
 			ing.rec.Counter("ingest.retried").Inc()
 			ing.rec.Logf("ingest: read %s attempt %d failed (%v); retrying in %v", path, attempt, err, backoff)
@@ -642,6 +639,9 @@ func (ing *ingester) readWithRetry(path string, seed uint64) ([]byte, error) {
 		data, rerr = os.ReadFile(path)
 		return rerr
 	})
+	if err != nil && ing.ctx.Err() != nil {
+		return nil, errInterrupted
+	}
 	return data, err
 }
 
@@ -651,7 +651,6 @@ func (ing *ingester) readWithRetry(path string, seed uint64) ([]byte, error) {
 func (ing *ingester) ckptConfig(lineage []ckpt.BatchInfo) *ckpt.Config {
 	return &ckpt.Config{
 		Dir:         ing.store.Dir,
-		Every:       ing.opts.Run.CheckpointEvery,
 		InputDigest: ingestDigest(ing.baseDig, lineage),
 		Lineage:     lineage,
 	}

@@ -2,6 +2,7 @@ package bdrmapit
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/delta"
 	"repro/internal/faultio"
+	"repro/internal/obs"
 	"repro/simnet"
 )
 
@@ -355,5 +357,51 @@ func TestIngestRefusals(t *testing.T) {
 		Run:      Options{Provenance: true},
 	}); err == nil || !strings.Contains(err.Error(), "provenance") {
 		t.Errorf("provenance under ingest: %v", err)
+	}
+}
+
+// TestCancelledReadIsNotQuarantined: a batch read that fails in a
+// cancelled session neither retries nor quarantines — the session stops
+// as interrupted, whether the read was an arriving batch's or the
+// durable copy a pending intent redoes from, and the intent stays
+// pending for the next session.
+func TestCancelledReadIsNotQuarantined(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		pending int // intents left for the next session
+		read    func(ing *ingester, missing string) error
+	}{
+		{"arriving batch", 0, func(ing *ingester, missing string) error { return ing.offerBatch(missing) }},
+		{"pending intent", 1, func(ing *ingester, _ string) error {
+			if err := ing.store.Intent(7, "b1.jsonl", 1); err != nil {
+				t.Fatal(err)
+			}
+			return ing.resolvePending(0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := delta.Open(filepath.Join(dir, "state"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			rec := obs.New()
+			ing := &ingester{ctx: ctx, opts: &IngestOptions{}, rec: rec, warnw: io.Discard, store: store, out: &IngestResult{}}
+			if err := tc.read(ing, filepath.Join(dir, "missing.jsonl")); !errors.Is(err, errInterrupted) {
+				t.Errorf("read in a cancelled session: %v, want errInterrupted", err)
+			}
+			if q := store.Quarantined(); len(q) != 0 || ing.out.Quarantined != 0 {
+				t.Errorf("quarantined %v (%d outcomes) on a cancelled read", q, ing.out.Quarantined)
+			}
+			if n := rec.Counter("ingest.retried").Value(); n != 0 {
+				t.Errorf("ingest.retried = %d after cancellation, want 0", n)
+			}
+			if p := store.Pending(); len(p) != tc.pending {
+				t.Errorf("pending intents %v, want %d", p, tc.pending)
+			}
+		})
 	}
 }

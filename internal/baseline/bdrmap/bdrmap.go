@@ -41,8 +41,8 @@ type Result struct {
 // Routers beyond bdrmap's problem domain (past the first boundary)
 // return asn.None.
 func (r *Result) OperatorOf(addr netip.Addr) asn.ASN {
-	i, ok := r.graph.Interfaces[addr]
-	if !ok {
+	i := r.graph.Interface(addr)
+	if i == nil {
 		return asn.None
 	}
 	return i.Router.Annotation
@@ -90,7 +90,7 @@ func Infer(traces []*traceroute.Trace, resolver *ip2as.Resolver,
 			continue // path never showed VP address space
 		}
 		for i := 0; i < lastVP; i++ {
-			if iface, ok := g.Interfaces[hops[i].Addr]; ok {
+			if iface := g.Interface(hops[i].Addr); iface != nil {
 				internal[iface.Router] = true
 			}
 		}
@@ -98,7 +98,7 @@ func Infer(traces []*traceroute.Trace, resolver *ip2as.Resolver,
 		// neighbour ingress) and the router immediately after it.
 		for _, idx := range []int{lastVP, lastVP + 1} {
 			if idx < len(hops) {
-				if iface, ok := g.Interfaces[hops[idx].Addr]; ok {
+				if iface := g.Interface(hops[idx].Addr); iface != nil {
 					borderCandidates[iface.Router] = true
 				}
 			}

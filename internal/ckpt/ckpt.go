@@ -80,10 +80,6 @@ type Config struct {
 	// Dir/FileName and iteration records to Dir/LogName; the directory
 	// must exist and be writable.
 	Dir string
-	// Every makes committed iterations durable N per append and fsync
-	// (<= 1 means each one), so a crash loses at most N-1. The final
-	// iteration — convergence or the cap — is always snapshotted.
-	Every int
 	// Resume carries on the newest durable state in Dir, replaying its
 	// iterations onto the rebuilt graph. Resuming with no snapshot
 	// present fails with ErrNoCheckpoint; resuming against different

@@ -123,8 +123,8 @@ func checkAppendSession(t *testing.T, e *testEnv, parts [][]*traceroute.Trace, w
 		if g.digest != graphDigest(g) || g.digest != want.digest {
 			t.Fatalf("%s: graph digest %016x, recomputed %016x, from-scratch %016x", step, g.digest, graphDigest(g), want.digest)
 		}
-		for pos, i := range g.sortedIfaces {
-			if int(i.pos) != pos || g.sortedAddrs[pos] != i.Addr || g.Interfaces[i.Addr] != i {
+		for pos, i := range g.Interfaces {
+			if int(i.pos) != pos || g.Interface(i.Addr) != i {
 				t.Fatalf("%s: sorted interface %d (%v) is out of place", step, pos, i.Addr)
 			}
 		}
@@ -135,7 +135,7 @@ func checkAppendSession(t *testing.T, e *testEnv, parts [][]*traceroute.Trace, w
 		if !slices.Equal(app.routerPos, seed.baseToMergedR) || !slices.Equal(app.ifacePos, seed.baseToMergedI) {
 			t.Fatalf("%s: position maps differ from the oracle's", step)
 		}
-		touchedR, touchedI := make([]bool, len(g.Routers)), make([]bool, len(g.sortedIfaces))
+		touchedR, touchedI := make([]bool, len(g.Routers)), make([]bool, len(g.Interfaces))
 		for _, id := range app.routers {
 			touchedR[id] = true
 		}
@@ -154,7 +154,7 @@ func checkAppendSession(t *testing.T, e *testEnv, parts [][]*traceroute.Trace, w
 			if dirty {
 				over.dirtyI++
 				if !touchedI[pos] {
-					t.Errorf("%s: interface %v changed structurally and was not touched", step, g.sortedAddrs[pos])
+					t.Errorf("%s: interface %v changed structurally and was not touched", step, g.Interfaces[pos].Addr)
 				}
 			}
 		}
@@ -172,7 +172,7 @@ func checkAppendSession(t *testing.T, e *testEnv, parts [][]*traceroute.Trace, w
 		}
 		for _, pos := range app.ifaces {
 			if !seed.idirty[pos] {
-				t.Errorf("%s: interface %v was touched and its structure did not change", step, g.sortedAddrs[pos])
+				t.Errorf("%s: interface %v was touched and its structure did not change", step, g.Interfaces[pos].Addr)
 			}
 		}
 

@@ -45,9 +45,9 @@ func graphDigest(g *Graph) uint64 {
 		h.Write(buf[:])
 	}
 	u64(uint64(len(g.Routers)))
-	u64(uint64(len(g.sortedIfaces)))
-	for _, addr := range g.sortedAddrs {
-		b := addr.As16()
+	u64(uint64(len(g.Interfaces)))
+	for _, i := range g.Interfaces {
+		b := i.Addr.As16()
 		h.Write(b[:])
 	}
 	for _, r := range g.Routers {
@@ -69,10 +69,8 @@ type ckptRunner struct {
 	// into it with the Fold that ckpt.Load applies to the log, so the
 	// final snapshot encodes exactly what a resume from base + log
 	// replays, and nothing re-reads the graph to write it.
-	st *ckpt.State
-	// pending holds the committed iterations log does not hold yet.
-	log     *ckpt.IterLog
-	pending []ckpt.IterRecord
+	st  *ckpt.State
+	log *ckpt.IterLog
 }
 
 // newCkptRunner gives a run its committed state under its lineage:
@@ -86,12 +84,12 @@ func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.Stat
 			InputDigest: cfg.InputDigest,
 			GraphDigest: g.digest,
 			Routers:     make([]uint32, len(g.Routers)),
-			Ifaces:      make([]uint32, len(g.sortedIfaces)),
+			Ifaces:      make([]uint32, len(g.Interfaces)),
 		}
 		for i, r := range g.Routers {
 			c.st.Routers[i] = uint32(r.Annotation)
 		}
-		for pos, i := range g.sortedIfaces {
+		for pos, i := range g.Interfaces {
 			c.st.Ifaces[pos] = uint32(i.Annotation)
 		}
 	}
@@ -122,11 +120,10 @@ func (c *ckptRunner) rebase() error {
 }
 
 // commit records the iteration res.Iterations just committed — its
-// change set and trace row — and makes it durable when due: the
-// last iteration (convergence or the cap) as a snapshot, so a finished
-// run's base says so and needs no log; any other on the stride, as one
-// append of every iteration not durable yet (at most Every-1 are lost).
-// A resumed state's iterations are durable; a run going on past them rebases.
+// change set and trace row — and makes it durable: the last iteration
+// (convergence or the cap) as a snapshot, so a finished run's base says
+// so and needs no log; any other as one log append. A resumed state's
+// iterations are durable; a run going on past them rebases.
 func (c *ckptRunner) commit(res *Result, row obs.Row, delta ckpt.IterDelta, last bool) error {
 	if res.Iterations <= c.st.Iteration {
 		if res.Iterations < c.st.Iteration || last {
@@ -145,11 +142,5 @@ func (c *ckptRunner) commit(res *Result, row obs.Row, delta ckpt.IterDelta, last
 	if last {
 		return ckpt.Save(c.cfg.Dir, c.st, c.rec)
 	}
-	c.pending = append(c.pending, it)
-	if c.cfg.Every > 1 && it.Iteration%c.cfg.Every != 0 {
-		return nil
-	}
-	err := c.log.Append(c.pending, c.rec)
-	c.pending = c.pending[:0]
-	return err
+	return c.log.Append([]ckpt.IterRecord{it}, c.rec)
 }

@@ -148,54 +148,6 @@ func dirImage(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
-// TestCheckpointEveryStride: with Every=2 only the starting state, even
-// iterations and the final one hit the disk, and the newest state is
-// loadable.
-func TestCheckpointEveryStride(t *testing.T) {
-	dir := t.TempDir()
-	var points []string
-	ckpt.TestHook = func(p string) {
-		if strings.HasPrefix(p, "checkpoint:") {
-			points = append(points, p)
-		}
-	}
-	defer func() { ckpt.TestHook = nil }()
-	res, err := checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Every: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := ckpt.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iteration != res.Iterations || !st.Converged {
-		t.Errorf("final snapshot iter=%d converged=%v, want %d/true", st.Iteration, st.Converged, res.Iterations)
-	}
-	for _, p := range points {
-		iter := strings.TrimPrefix(p, "checkpoint:")
-		if iter != "0" && iter != "2" && iter != "4" && p != "checkpoint:"+itoa(res.Iterations) {
-			t.Errorf("unexpected checkpoint point %s with Every=2 (converged at %d)", p, res.Iterations)
-		}
-	}
-	if len(points) == 0 {
-		t.Error("no checkpoints written")
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
 // TestResumeRefusals covers every refusal class: no checkpoint,
 // corrupted checkpoint, and each fingerprint mismatch.
 func TestResumeRefusals(t *testing.T) {

@@ -85,7 +85,7 @@ func (p *replay) seed(g *Graph, rec *obs.Recorder, res *Result) (*ckpt.State, er
 		return nil, nil
 	}
 	p.rsince = make([]int32, len(g.Routers))
-	p.isince = make([]int32, len(g.sortedIfaces))
+	p.isince = make([]int32, len(g.Interfaces))
 	if st := p.base; p.app == nil {
 		res.Resumed, res.ResumedFrom = true, st.Iteration
 		rec.SetResumedFrom(st.Iteration)
@@ -187,7 +187,7 @@ func (p *replay) advance(g *Graph, iter int) {
 	p.frontier = nil
 	var newRD []int
 	for _, jIdx := range frontier {
-		for _, l := range g.sortedIfaces[jIdx].InLinks {
+		for _, l := range g.Interfaces[jIdx].InLinks {
 			if id := l.From.ID; p.rsince[id] == 0 {
 				p.rsince[id] = int32(iter)
 				newRD = append(newRD, id)
@@ -231,8 +231,8 @@ func (p *replay) reached(g *Graph, iter int) error {
 		}
 	}
 	for b, ann := range p.base.Ifaces {
-		if idx := at(p.ipos, uint32(b)); p.isince[idx] == 0 && uint32(g.sortedIfaces[idx].Annotation) != ann {
-			return &ckpt.FormatError{Reason: fmt.Sprintf("history replays interface %d to %d by iteration %d, but the state holds %d", b, g.sortedIfaces[idx].Annotation, iter, ann)}
+		if idx := at(p.ipos, uint32(b)); p.isince[idx] == 0 && uint32(g.Interfaces[idx].Annotation) != ann {
+			return &ckpt.FormatError{Reason: fmt.Sprintf("history replays interface %d to %d by iteration %d, but the state holds %d", b, g.Interfaces[idx].Annotation, iter, ann)}
 		}
 	}
 	return nil
@@ -376,7 +376,7 @@ func (p *replay) run(ctx context.Context, g *Graph, rels RelationshipOracle, opt
 			return nil, &ckpt.FormatError{Reason: fmt.Sprintf("history of iteration %d indexes past the state", k+1)}
 		}
 	}
-	digest, routers, ifaces, inputs := g.digest, len(g.Routers), len(g.sortedIfaces), st.InputDigest
+	digest, routers, ifaces, inputs := g.digest, len(g.Routers), len(g.Interfaces), st.InputDigest
 	if p.app != nil {
 		digest, routers, ifaces = p.app.baseDigest, len(p.app.routerPos), len(p.app.ifacePos)
 	} else if opts.Checkpoint != nil {

@@ -46,9 +46,8 @@ func dumpAnnotations(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# iterations=%d converged=%v cycle=%d\n",
 		res.Iterations, res.Converged, res.CycleLength)
-	for _, addr := range res.Graph.sortedAddrs {
-		i := res.Graph.Interfaces[addr]
-		fmt.Fprintf(&b, "%s %d %d\n", addr, uint32(i.Router.Annotation), uint32(i.Annotation))
+	for _, i := range res.Graph.Interfaces {
+		fmt.Fprintf(&b, "%s %d %d\n", i.Addr, uint32(i.Router.Annotation), uint32(i.Annotation))
 	}
 	return b.String()
 }

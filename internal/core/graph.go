@@ -83,8 +83,8 @@ type Interface struct {
 	// destination AS voids it — so the Builder keeps what was removed and
 	// the set as observed stays recoverable: DestASes ∪ {droppedDest}.
 	droppedDest asn.ASN
-	// pos is the interface's position in Graph.sortedIfaces (-1 until a
-	// Finish has placed it).
+	// pos is the interface's index in Graph.Interfaces (-1 until a Finish
+	// has placed it).
 	pos int32
 	// touched is Builder scratch: the append epoch whose traces last
 	// changed this interface's structure.
@@ -199,15 +199,13 @@ func selectLinks(r *Router) []*Link {
 
 // Graph is the annotated IR graph (phase 1 output).
 type Graph struct {
-	Interfaces map[netip.Addr]*Interface
+	// Interfaces holds every interface ascending by address, the one
+	// deterministic interface order: state hashing, iteration and every
+	// position-indexed array (checkpoints, provenance, the delta engine's
+	// dirty sets) use it, and Interface searches it. Interfaces[k].pos is
+	// k. The slice is the graph's own and must not be modified.
+	Interfaces []*Interface
 	Routers    []*Router
-
-	// sortedIfaces fixes a deterministic interface order — ascending
-	// address — for state hashing, iteration and every position-indexed
-	// array (checkpoints, provenance, the delta engine's dirty sets);
-	// sortedAddrs is the same order as addresses.
-	sortedIfaces []*Interface
-	sortedAddrs  []netip.Addr
 
 	// digest is graphDigest(g) as of the last Finish, and finishes how
 	// many there have been.
@@ -218,9 +216,16 @@ type Graph struct {
 	Stats GraphStats
 }
 
-// SortedInterfaces returns the graph's interfaces ascending by address.
-// The slice is the graph's own and must not be modified.
-func (g *Graph) SortedInterfaces() []*Interface { return g.sortedIfaces }
+// Interface returns the interface with address addr, or nil when the
+// graph holds none. Addresses are held unmapped, so the v4-mapped form of
+// an IPv4 interface's address is a miss.
+func (g *Graph) Interface(addr netip.Addr) *Interface {
+	k, ok := slices.BinarySearchFunc(g.Interfaces, addr, func(i *Interface, a netip.Addr) int { return i.Addr.Compare(a) })
+	if !ok {
+		return nil
+	}
+	return g.Interfaces[k]
+}
 
 // GraphStats tallies the dataset statistics the paper reports (§4.2,
 // §5).
@@ -739,14 +744,13 @@ func mergeSorted[T any](old, add []T, cmp func(a, b T) int) []T {
 func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 	ph := b.Rec.Phase("finish-graph")
 	defer ph.End()
-	g := b.graph
-	if g == nil {
-		g = &Graph{Interfaces: make(map[netip.Addr]*Interface, len(b.touchedI))}
-		b.graph = g
+	if b.graph == nil {
+		b.graph = &Graph{}
 	}
+	g := b.graph
 	g.finishes++
 	app := &Append{graph: g, finish: g.finishes, traces: b.traces - g.Stats.Traces, baseDigest: g.digest}
-	before, beforeIfaces, beforeRouters := g.Stats, len(g.sortedIfaces), len(g.Routers)
+	before, beforeIfaces, beforeRouters := g.Stats, len(g.Interfaces), len(g.Routers)
 
 	// A router the graph already holds that gained an interface smaller
 	// than all it had has a new representative: that is its identity and
@@ -826,17 +830,14 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 	for _, i := range b.touchedI {
 		if i.pos < 0 {
 			added = append(added, i)
-			g.Interfaces[i.Addr] = i
 		}
 	}
 	slices.SortFunc(added, byAddr)
-	oldIfaces := g.sortedIfaces
-	g.sortedIfaces = mergeSorted(oldIfaces, added, byAddr)
+	oldIfaces := g.Interfaces
+	g.Interfaces = mergeSorted(oldIfaces, added, byAddr)
 	if len(added) > 0 {
-		g.sortedAddrs = make([]netip.Addr, len(g.sortedIfaces))
-		for pos, i := range g.sortedIfaces {
+		for pos, i := range g.Interfaces {
 			i.pos = int32(pos)
-			g.sortedAddrs[pos] = i.Addr
 		}
 	}
 	app.ifacePos = make([]int, len(oldIfaces))
@@ -861,7 +862,7 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 
 	if rec := b.Rec; rec.Enabled() {
 		rec.Counter("graph.traces").Add(int64(g.Stats.Traces - before.Traces))
-		rec.Counter("graph.interfaces").Add(int64(len(g.sortedIfaces) - beforeIfaces))
+		rec.Counter("graph.interfaces").Add(int64(len(g.Interfaces) - beforeIfaces))
 		rec.Counter("graph.routers").Add(int64(len(g.Routers) - beforeRouters))
 		rec.Counter("graph.links.nexthop").Add(int64(g.Stats.LinksNexthop - before.LinksNexthop))
 		rec.Counter("graph.links.echo").Add(int64(g.Stats.LinksEcho - before.LinksEcho))
@@ -870,7 +871,7 @@ func (b *Builder) Finish(rels RelationshipOracle) *Graph {
 		rec.Counter("graph.irs_echo_only").Add(int64(g.Stats.IRsEchoOnlyLink - before.IRsEchoOnlyLink))
 		rec.Counter("graph.lasthop_irs").Add(int64(g.Stats.LastHopIRs - before.LastHopIRs))
 		rec.Counter("graph.lasthop_empty_dst").Add(int64(g.Stats.LastHopEmptyDst - before.LastHopEmptyDst))
-		ph.Note("interfaces", int64(len(g.sortedIfaces)))
+		ph.Note("interfaces", int64(len(g.Interfaces)))
 		ph.Note("routers", int64(len(g.Routers)))
 		ph.Note("touched_routers", int64(len(app.routers)))
 		ph.Note("touched_ifaces", int64(len(app.ifaces)))

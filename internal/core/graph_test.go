@@ -161,11 +161,14 @@ func TestCleanHopsSpecialAndLoops(t *testing.T) {
 	// Private hop in the middle acts as unresponsive; loop truncates.
 	e.trace("9.9.9.9", "1.0.0.1", "10.0.0.1", "2.0.0.1", "1.0.0.1", "2.0.0.9")
 	g := e.graph()
-	if _, ok := g.Interfaces[netip.MustParseAddr("10.0.0.1")]; ok {
+	if g.Interface(netip.MustParseAddr("10.0.0.1")) != nil {
 		t.Error("private address became an interface")
 	}
-	if _, ok := g.Interfaces[netip.MustParseAddr("2.0.0.9")]; ok {
+	if g.Interface(netip.MustParseAddr("2.0.0.9")) != nil {
 		t.Error("post-loop hop retained")
+	}
+	if g.Interface(netip.MustParseAddr("::ffff:1.0.0.1")) != nil {
+		t.Error("the v4-mapped form of an IPv4 interface's address found it")
 	}
 	// Gap over the private hop still links 1.0.0.1 → 2.0.0.1.
 	r := iface(t, g, "1.0.0.1").Router

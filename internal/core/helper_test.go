@@ -112,8 +112,8 @@ func wantOperator(t *testing.T, res *Result, addr string, want uint32) {
 // iface fetches an interface from a built graph.
 func iface(t *testing.T, g *Graph, addr string) *Interface {
 	t.Helper()
-	i, ok := g.Interfaces[netip.MustParseAddr(addr)]
-	if !ok {
+	i := g.Interface(netip.MustParseAddr(addr))
+	if i == nil {
 		t.Fatalf("interface %s not in graph", addr)
 	}
 	return i

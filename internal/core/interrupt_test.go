@@ -166,7 +166,7 @@ func TestCancelBeforeRunReturnsUnannotatedPartial(t *testing.T) {
 		if res.Report == nil || !res.Report.Interrupted {
 			t.Errorf("%s: Report must be populated and marked interrupted", in.name)
 		}
-		for _, i := range res.Graph.sortedIfaces {
+		for _, i := range res.Graph.Interfaces {
 			if i.Router.Annotation != asn.None || i.Annotation != i.Origin {
 				t.Fatalf("%s: %v is annotated AS%d on a router annotated AS%d at iteration 0; want its origin AS%d and none",
 					in.name, i.Addr, i.Annotation, i.Router.Annotation, i.Origin)

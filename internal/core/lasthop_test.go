@@ -178,7 +178,7 @@ func TestLastHopFrozen(t *testing.T) {
 	e.announce("2.0.0.0/24", 200)
 	e.trace("2.0.0.99", "1.0.0.1", "2.0.0.1")
 	res := e.run(Options{})
-	i := res.Graph.Interfaces[addr("2.0.0.1")]
+	i := res.Graph.Interface(addr("2.0.0.1"))
 	if !i.Router.LastHop {
 		t.Fatal("expected last-hop router")
 	}

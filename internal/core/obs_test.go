@@ -130,10 +130,10 @@ func TestRunWithoutRecorder(t *testing.T) {
 		t.Errorf("iterations differ with recorder: %d vs %d",
 			plain.Iterations, instrumented.Iterations)
 	}
-	for a, i := range plain.Graph.Interfaces {
-		j := instrumented.Graph.Interfaces[a]
+	for _, i := range plain.Graph.Interfaces {
+		j := instrumented.Graph.Interface(i.Addr)
 		if j == nil || i.Router.Annotation != j.Router.Annotation {
-			t.Fatalf("annotation of %s differs with recorder attached", a)
+			t.Fatalf("annotation of %s differs with recorder attached", i.Addr)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func TestInterfaceAnnotationIXPSkipped(t *testing.T) {
 	e.announce("2.0.0.0/24", 200)
 	e.trace("2.0.0.99", "1.0.0.1", "11.0.0.5", "2.0.0.1", "2.0.0.99/e")
 	res := e.run(Options{})
-	i := res.Graph.Interfaces[addr("11.0.0.5")]
+	i := res.Graph.Interface(addr("11.0.0.5"))
 	if i.Annotation != 0 {
 		t.Errorf("IXP interface annotated %v", i.Annotation)
 	}

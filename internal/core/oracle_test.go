@@ -283,7 +283,7 @@ func (b *oracleBuilder) cleanHops(hops []traceroute.Hop) []traceroute.Hop {
 func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 	ph := b.Rec.Phase("finish-graph")
 	defer ph.End()
-	g := &Graph{Interfaces: b.ifaces}
+	g := &Graph{}
 	g.Stats.Traces = b.traces
 
 	// Deterministic router order: by smallest interface address.
@@ -309,12 +309,12 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 		r.ID = id
 	}
 
-	g.sortedAddrs = make([]netip.Addr, 0, len(b.ifaces))
-	for a := range b.ifaces {
-		g.sortedAddrs = append(g.sortedAddrs, a)
+	g.Interfaces = make([]*Interface, 0, len(b.ifaces))
+	for _, i := range b.ifaces {
+		g.Interfaces = append(g.Interfaces, i)
 	}
-	sort.Slice(g.sortedAddrs, func(i, j int) bool {
-		return g.sortedAddrs[i].Less(g.sortedAddrs[j])
+	sort.Slice(g.Interfaces, func(i, j int) bool {
+		return g.Interfaces[i].Addr.Less(g.Interfaces[j].Addr)
 	})
 
 	// Per-router finishing touches only that router's state, so the pass
@@ -513,9 +513,8 @@ func diffGraphs(got, want *Graph, ordered, traces bool) string {
 	if gs != ws {
 		return fmt.Sprintf("stats %+v, want %+v", gs, ws)
 	}
-	if len(got.Interfaces) != len(want.Interfaces) || len(got.sortedAddrs) != len(want.sortedAddrs) {
-		return fmt.Sprintf("%d interfaces (%d sorted), want %d (%d)",
-			len(got.Interfaces), len(got.sortedAddrs), len(want.Interfaces), len(want.sortedAddrs))
+	if len(got.Interfaces) != len(want.Interfaces) {
+		return fmt.Sprintf("%d interfaces, want %d", len(got.Interfaces), len(want.Interfaces))
 	}
 	if len(got.Routers) != len(want.Routers) {
 		return fmt.Sprintf("%d routers, want %d", len(got.Routers), len(want.Routers))
@@ -552,13 +551,10 @@ func diffGraphs(got, want *Graph, ordered, traces bool) string {
 			}
 		}
 	}
-	for idx, a := range want.sortedAddrs {
-		if got.sortedAddrs[idx] != a {
-			return fmt.Sprintf("sorted address %d: %v, want %v", idx, got.sortedAddrs[idx], a)
-		}
-		gi, wi := got.Interfaces[a], want.Interfaces[a]
-		if gi == nil {
-			return fmt.Sprintf("interface %v missing", a)
+	for idx, wi := range want.Interfaces {
+		gi, a := got.Interfaces[idx], wi.Addr
+		if gi.Addr != a {
+			return fmt.Sprintf("sorted address %d: %v, want %v", idx, gi.Addr, a)
 		}
 		if g, w := ifaceStructDigest(gi), ifaceStructDigest(wi); g != w {
 			return fmt.Sprintf("interface %v: structural digest %016x, want %016x", a, g, w)
@@ -869,19 +865,19 @@ func TestPoolCasesBuildWhatTheyName(t *testing.T) {
 		t.Errorf("all-special trace: %d interfaces over %d traces", len(g.Interfaces), g.Stats.Traces)
 	}
 	g := build("label upgrade M→E→N")
-	if l := linkTo(g.Interfaces[poolAddrs[0]].Router, poolAddrs[4]); l == nil || l.Label != LabelNexthop {
+	if l := linkTo(g.Interface(poolAddrs[0]).Router, poolAddrs[4]); l == nil || l.Label != LabelNexthop {
 		t.Errorf("label upgrade: link %+v, want label N", l)
 	}
 	g = build("two aliased hops adjacent")
-	if r := g.Interfaces[poolAddrs[2]].Router; r != g.Interfaces[poolAddrs[3]].Router || len(r.Links) != 1 {
+	if r := g.Interface(poolAddrs[2]).Router; r != g.Interface(poolAddrs[3]).Router || len(r.Links) != 1 {
 		t.Errorf("aliased hops: routers differ or %d links, want one shared router with the one link onward", len(r.Links))
 	}
 	g = build("previous hop alternates")
-	if l := linkTo(g.Interfaces[poolAddrs[0]].Router, poolAddrs[4]); l == nil || len(l.Prev) != 1 {
+	if l := linkTo(g.Interface(poolAddrs[0]).Router, poolAddrs[4]); l == nil || len(l.Prev) != 1 {
 		t.Errorf("previous hop alternates: link from 1.0.0.1 %+v, want one previous hop", l)
 	}
 	g = build("previous hops through one aliased router")
-	if l := linkTo(g.Interfaces[poolAddrs[2]].Router, poolAddrs[4]); l == nil || len(l.Prev) != 2 {
+	if l := linkTo(g.Interface(poolAddrs[2]).Router, poolAddrs[4]); l == nil || len(l.Prev) != 2 {
 		t.Errorf("aliased previous hops: link %+v, want two previous hops", l)
 	}
 	if g := build("IPv6 hops"); len(g.Interfaces) != 2 {
@@ -1074,15 +1070,15 @@ func routerStructDigest(r *Router) uint64 {
 }
 
 // oracleStructDigests returns the graph's structural digests: routers by
-// router ID, interfaces by sortedAddrs position.
+// router ID, interfaces by position in Graph.Interfaces.
 func oracleStructDigests(g *Graph) (routers, ifaces []uint64) {
 	routers = make([]uint64, len(g.Routers))
 	for id, r := range g.Routers {
 		routers[id] = routerStructDigest(r)
 	}
-	ifaces = make([]uint64, len(g.sortedAddrs))
-	for idx, a := range g.sortedAddrs {
-		ifaces[idx] = ifaceStructDigest(g.Interfaces[a])
+	ifaces = make([]uint64, len(g.Interfaces))
+	for idx, i := range g.Interfaces {
+		ifaces[idx] = ifaceStructDigest(i)
 	}
 	return routers, ifaces
 }
@@ -1104,28 +1100,32 @@ type oracleSeed struct {
 func oracleDeltaSeed(merged, base *Graph) *oracleSeed {
 	s := &oracleSeed{
 		rdirty:        make([]bool, len(merged.Routers)),
-		idirty:        make([]bool, len(merged.sortedAddrs)),
+		idirty:        make([]bool, len(merged.Interfaces)),
 		baseToMergedR: make([]int, len(base.Routers)),
-		baseToMergedI: make([]int, len(base.sortedAddrs)),
+		baseToMergedI: make([]int, len(base.Interfaces)),
 	}
-	mergedIdx := make(map[netip.Addr]int, len(merged.sortedAddrs))
-	for idx, a := range merged.sortedAddrs {
-		mergedIdx[a] = idx
+	mergedIdx := make(map[netip.Addr]int, len(merged.Interfaces))
+	for idx, i := range merged.Interfaces {
+		mergedIdx[i.Addr] = idx
+	}
+	baseIfaces := make(map[netip.Addr]*Interface, len(base.Interfaces))
+	for _, i := range base.Interfaces {
+		baseIfaces[i.Addr] = i
 	}
 	baseRDig, baseIDig := oracleStructDigests(base)
 	mergedRDig, mergedIDig := oracleStructDigests(merged)
 
 	for bi, br := range base.Routers {
-		s.baseToMergedR[bi] = merged.Interfaces[br.Interfaces[0].Addr].Router.ID
+		s.baseToMergedR[bi] = merged.Interfaces[mergedIdx[br.Interfaces[0].Addr]].Router.ID
 	}
 	// mergedToBaseI inverts baseToMergedI; -1 marks an interface the
 	// base graph does not have.
-	mergedToBaseI := make([]int, len(merged.sortedAddrs))
+	mergedToBaseI := make([]int, len(merged.Interfaces))
 	for idx := range mergedToBaseI {
 		mergedToBaseI[idx] = -1
 	}
-	for bi, a := range base.sortedAddrs {
-		idx := mergedIdx[a]
+	for bi, i := range base.Interfaces {
+		idx := mergedIdx[i.Addr]
 		s.baseToMergedI[bi] = idx
 		mergedToBaseI[idx] = bi
 	}
@@ -1133,7 +1133,7 @@ func oracleDeltaSeed(merged, base *Graph) *oracleSeed {
 	for id, r := range merged.Routers {
 		// The base counterpart is the base router with the same
 		// representative address, if there is one.
-		bi, ok := base.Interfaces[r.Interfaces[0].Addr]
+		bi, ok := baseIfaces[r.Interfaces[0].Addr]
 		if !ok || bi.Router.Interfaces[0] != bi || baseRDig[bi.Router.ID] != mergedRDig[id] {
 			s.rdirty[id] = true
 		}
@@ -1175,8 +1175,8 @@ func oracleRefine(g *Graph, rels RelationshipOracle, opts Options) *Result {
 				r.Annotation = oracleAnnotateRouter(r, rels, opts)
 			}
 		}
-		for _, a := range g.sortedAddrs {
-			oracleAnnotateInterface(g.Interfaces[a], rels)
+		for _, i := range g.Interfaces {
+			oracleAnnotateInterface(i, rels)
 		}
 		res.Iterations = iter
 		state := oracleState(g)
@@ -1197,12 +1197,12 @@ var OracleRefine = oracleRefine
 
 // oracleState renders the complete annotation state.
 func oracleState(g *Graph) string {
-	b := make([]byte, 0, 4*(len(g.Routers)+len(g.sortedAddrs)))
+	b := make([]byte, 0, 4*(len(g.Routers)+len(g.Interfaces)))
 	for _, r := range g.Routers {
 		b = binary.BigEndian.AppendUint32(b, uint32(r.Annotation))
 	}
-	for _, a := range g.sortedAddrs {
-		b = binary.BigEndian.AppendUint32(b, uint32(g.Interfaces[a].Annotation))
+	for _, i := range g.Interfaces {
+		b = binary.BigEndian.AppendUint32(b, uint32(i.Annotation))
 	}
 	return string(b)
 }

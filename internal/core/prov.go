@@ -35,7 +35,7 @@ func explain(g *Graph, rels RelationshipOracle, opts Options, history []ckpt.Ite
 		Interrupted: res.Interrupted,
 		CycleLength: res.CycleLength,
 		Routers:     make([]prov.RouterRec, len(g.Routers)),
-		Ifaces:      make([]prov.Iface, len(g.sortedIfaces)),
+		Ifaces:      make([]prov.Iface, len(g.Interfaces)),
 	}
 	for idx, r := range g.Routers {
 		a.Routers[idx].Annotation, a.Routers[idx].LastHop = r.Annotation, r.LastHop
@@ -44,7 +44,7 @@ func explain(g *Graph, rels RelationshipOracle, opts Options, history []ckpt.Ite
 			r.prevAnnotation = r.Annotation
 		}
 	}
-	for pos, i := range g.sortedIfaces {
+	for pos, i := range g.Interfaces {
 		a.Ifaces[pos] = prov.Iface{Addr: i.Addr, Origin: i.Origin, Annotation: i.Annotation, Router: int32(i.Router.ID)}
 		i.Annotation = i.Origin
 	}
@@ -58,7 +58,7 @@ func explain(g *Graph, rels RelationshipOracle, opts Options, history []ckpt.Ite
 			g.Routers[c.Idx].prevAnnotation = asn.ASN(c.Ann)
 		}
 		for _, c := range d.Ifaces {
-			g.sortedIfaces[c.Idx].Annotation = asn.ASN(c.Ann)
+			g.Interfaces[c.Idx].Annotation = asn.ASN(c.Ann)
 		}
 	}
 
@@ -83,10 +83,10 @@ func explain(g *Graph, rels RelationshipOracle, opts Options, history []ckpt.Ite
 			}
 		}
 	})
-	shard.For(len(g.sortedIfaces), opts.Workers, func(lo, hi int) {
+	shard.For(len(g.Interfaces), opts.Workers, func(lo, hi int) {
 		sc := new(voteScratch)
 		for pos := lo; pos < hi; pos++ {
-			i, f := g.sortedIfaces[pos], &a.Ifaces[pos]
+			i, f := g.Interfaces[pos], &a.Ifaces[pos]
 			i.Annotation = f.Annotation
 			if n == 0 {
 				continue

@@ -123,7 +123,7 @@ func TestProvenanceArtifactSanity(t *testing.T) {
 		t.Errorf("scenario lost coverage: %d last-hop, %d refined routers", lastHopRules, refineRules)
 	}
 	for i, f := range a.Ifaces {
-		gi := g.Interfaces[f.Addr]
+		gi := g.Interface(f.Addr)
 		if gi == nil {
 			t.Fatalf("artifact iface %d (%s) not in graph", i, f.Addr)
 		}

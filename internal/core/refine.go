@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/netip"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,9 +50,9 @@ type Options struct {
 	// the engine's annotations are identical either way.
 	Recorder *obs.Recorder
 	// Checkpoint, when non-nil, makes the refinement loop durable: each
-	// committed iteration (on the configured stride) is recorded in
-	// Checkpoint.Dir, and with Checkpoint.Resume RunContext carries on
-	// the newest durable state there (ResumeContext). Checkpointed runs
+	// committed iteration is recorded in Checkpoint.Dir, and with
+	// Checkpoint.Resume RunContext carries on the newest durable state
+	// there (ResumeContext). Checkpointed runs
 	// must use RunContext/InferContext — durability failures are real
 	// errors the caller must see.
 	Checkpoint *ckpt.Config
@@ -185,99 +186,84 @@ func (c cycleDetector) record(h uint64, iter int) (int, bool) {
 	return 0, false
 }
 
-// iterTally accumulates one refinement iteration's statistics. Each
-// worker shard fills a private tally with plain (unsynchronized)
-// increments and merges it into the iteration total once at shard end,
-// so the hot loop pays a handful of integer bumps per router.
-type iterTally struct {
-	votesCast int64
+// The counts of one refinement iteration, in trace-row order: the
+// change set's two sizes, then the votes cast and the per-heuristic
+// decision counts (§6.1.1–§6.1.3 and extensions): how often each
+// Algorithm 3 branch, vote correction, or election special case decided
+// a vote or a router this iteration.
+const (
+	routersChanged  = iota // routers whose annotation changed
+	ifacesChanged          // interfaces whose annotation changed
+	votesCast              // link and interface votes cast in router elections
+	heurOriginMatch        // Alg. 3 line 1: subsequent origin among link origins
+	heurIXP                // Alg. 3 line 2: IXP address → largest-cone origin
+	heurUnannounced        // Alg. 3 lines 4–5: unannounced-chain propagation
+	heurThirdParty         // Alg. 3 lines 6–8: third-party address detected
+	heurRealloc            // §6.1.2: votes moved to a reallocation customer
+	heurException          // §6.1.3: a voting exception decided the router
+	heurHiddenAS           // §6.1.5: hidden bridge AS replaced the election
+	heurDestTie            // destination-coverage tie-break decided a tie
+	nTallies
+)
 
-	// Per-heuristic decision counts (§6.1.1–§6.1.3 and extensions):
-	// how often each Algorithm 3 branch, vote correction, or election
-	// special case decided a vote or a router this iteration.
-	heurOriginMatch int64 // Alg. 3 line 1: subsequent origin among link origins
-	heurIXP         int64 // Alg. 3 line 2: IXP address → largest-cone origin
-	heurUnannounced int64 // Alg. 3 lines 4–5: unannounced-chain propagation
-	heurThirdParty  int64 // Alg. 3 lines 6–8: third-party address detected
-	heurRealloc     int64 // §6.1.2: votes moved to a reallocation customer
-	heurException   int64 // §6.1.3: a voting exception decided the router
-	heurHiddenAS    int64 // §6.1.5: hidden bridge AS replaced the election
-	heurDestTie     int64 // destination-coverage tie-break decided a tie
+// tallyRow names each count in the convergence trace. Its cumulative
+// counter is "refine." + the name, with "heur_" read as "heur.".
+var tallyRow = [nTallies]string{
+	"routers_changed", "interfaces_changed", "votes_cast",
+	"heur_origin_match", "heur_ixp", "heur_unannounced", "heur_third_party",
+	"heur_reallocated", "heur_exception", "heur_hidden_as", "heur_dest_tiebreak",
 }
+
+// iterTally accumulates one refinement iteration's counts. Each worker
+// shard fills a private tally with plain (unsynchronized) increments and
+// merges it into the iteration total once at shard end, so the hot loop
+// pays a handful of integer bumps per router. The change set's sizes are
+// not tallied: row takes them from the change set itself.
+type iterTally [nTallies]int64
 
 //lint:hotpath
 func (t *iterTally) add(o *iterTally) {
-	t.votesCast += o.votesCast
-	t.heurOriginMatch += o.heurOriginMatch
-	t.heurIXP += o.heurIXP
-	t.heurUnannounced += o.heurUnannounced
-	t.heurThirdParty += o.heurThirdParty
-	t.heurRealloc += o.heurRealloc
-	t.heurException += o.heurException
-	t.heurHiddenAS += o.heurHiddenAS
-	t.heurDestTie += o.heurDestTie
+	for k := range t {
+		t[k] += o[k]
+	}
 }
 
 // row renders the tally and the iteration's change set d as one
 // convergence-trace sample.
 func (t *iterTally) row(iter int, d ckpt.IterDelta) obs.Row {
-	return obs.Row{
-		"iteration":          int64(iter),
-		"routers_changed":    int64(len(d.Routers)),
-		"interfaces_changed": int64(len(d.Ifaces)),
-		"votes_cast":         t.votesCast,
-		"heur_origin_match":  t.heurOriginMatch,
-		"heur_ixp":           t.heurIXP,
-		"heur_unannounced":   t.heurUnannounced,
-		"heur_third_party":   t.heurThirdParty,
-		"heur_reallocated":   t.heurRealloc,
-		"heur_exception":     t.heurException,
-		"heur_hidden_as":     t.heurHiddenAS,
-		"heur_dest_tiebreak": t.heurDestTie,
+	c := *t
+	c[routersChanged], c[ifacesChanged] = int64(len(d.Routers)), int64(len(d.Ifaces))
+	row := obs.Row{"iteration": int64(iter)}
+	for k, name := range tallyRow {
+		row[name] = c[k]
 	}
+	return row
 }
 
 // refineCounters are the cumulative counter handles the refinement loop
 // flushes each iteration, fetched once so the loop never touches the
 // recorder's registry.
 type refineCounters struct {
-	routers, ifaces, votes                             *obs.Counter
-	originMatch, ixp, unannounced, thirdParty, realloc *obs.Counter
-	exception, hiddenAS, destTie                       *obs.Counter
-	routerShardNS, ifaceShardNS                        *obs.Histogram
+	tallies                     [nTallies]*obs.Counter
+	routerShardNS, ifaceShardNS *obs.Histogram
 }
 
 func newRefineCounters(rec *obs.Recorder) refineCounters {
-	return refineCounters{
-		routers:       rec.Counter("refine.routers_changed"),
-		ifaces:        rec.Counter("refine.interfaces_changed"),
-		votes:         rec.Counter("refine.votes_cast"),
-		originMatch:   rec.Counter("refine.heur.origin_match"),
-		ixp:           rec.Counter("refine.heur.ixp"),
-		unannounced:   rec.Counter("refine.heur.unannounced"),
-		thirdParty:    rec.Counter("refine.heur.third_party"),
-		realloc:       rec.Counter("refine.heur.reallocated"),
-		exception:     rec.Counter("refine.heur.exception"),
-		hiddenAS:      rec.Counter("refine.heur.hidden_as"),
-		destTie:       rec.Counter("refine.heur.dest_tiebreak"),
+	c := refineCounters{
 		routerShardNS: rec.Histogram("refine.router_shard_ns"),
 		ifaceShardNS:  rec.Histogram("refine.iface_shard_ns"),
 	}
+	for k, name := range tallyRow {
+		c.tallies[k] = rec.Counter("refine." + strings.Replace(name, "heur_", "heur.", 1))
+	}
+	return c
 }
 
 // flush adds one iteration's trace row to the cumulative counters.
 func (c *refineCounters) flush(row obs.Row) {
-	c.routers.Add(row["routers_changed"])
-	c.ifaces.Add(row["interfaces_changed"])
-	c.votes.Add(row["votes_cast"])
-	c.originMatch.Add(row["heur_origin_match"])
-	c.ixp.Add(row["heur_ixp"])
-	c.unannounced.Add(row["heur_unannounced"])
-	c.thirdParty.Add(row["heur_third_party"])
-	c.realloc.Add(row["heur_reallocated"])
-	c.exception.Add(row["heur_exception"])
-	c.hiddenAS.Add(row["heur_hidden_as"])
-	c.destTie.Add(row["heur_dest_tiebreak"])
+	for k, name := range tallyRow {
+		c.tallies[k].Add(row[name])
+	}
 }
 
 // Run executes phases 2 and 3 over a constructed graph: last-hop
@@ -421,7 +407,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	for i := range routerScratch {
 		routerScratch[i] = new(voteScratch)
 	}
-	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(g.sortedIfaces), opts.Workers)))
+	ifaceScratch := make([]*voteScratch, len(shard.Bounds(len(g.Interfaces), opts.Workers)))
 	for i := range ifaceScratch {
 		ifaceScratch[i] = new(voteScratch)
 	}
@@ -536,7 +522,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		// annotations; roll those back to the snapshot so the partial
 		// result is exactly the last fully committed iteration — never a
 		// mixed state with new routers and old interfaces.
-		if !shard.ForShardsTimedCtx(ctx, len(g.sortedIfaces), opts.Workers, func(s, lo, hi int) {
+		if !shard.ForShardsTimedCtx(ctx, len(g.Interfaces), opts.Workers, func(s, lo, hi int) {
 			sc := ifaceScratch[s]
 			chg := changedI[s][:0]
 			flips := src.ifaceFlips(lo)
@@ -546,7 +532,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 				if !replayed && since == 0 {
 					continue
 				}
-				i := g.sortedIfaces[idx]
+				i := g.Interfaces[idx]
 				prev := i.Annotation
 				switch {
 				case replayed:
@@ -715,7 +701,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 		a := linkHeuristics(l, rels, opts, t)
 		sc.cast = append(sc.cast, a)
 		if a != asn.None {
-			t.votesCast++
+			t[votesCast]++
 			sc.votes.add(a, 1)
 		}
 	}
@@ -728,7 +714,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	// Alg. 2 line 9: each IR interface votes with its origin AS.
 	for _, i := range r.Interfaces {
 		if i.Origin != asn.None {
-			t.votesCast++
+			t[votesCast]++
 			sc.votes.add(i.Origin, 1)
 		}
 	}
@@ -736,7 +722,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 
 	if !opts.DisableExceptions {
 		if a, ok := exceptionCases(r, rels, sc); ok {
-			t.heurException++
+			t[heurException]++
 			if pr != nil {
 				pr.Rule = prov.RuleException
 				fillTally(pr, votes, a)
@@ -788,7 +774,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	}
 	h := hiddenAS(r, a, rels, sc)
 	if h != a {
-		t.heurHiddenAS++
+		t[heurHiddenAS]++
 		if pr != nil {
 			// The hidden AS displaced the election winner: record the
 			// bridge as the winner and the displaced AS as runner-up.
@@ -878,7 +864,7 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 		}
 		sc.full = full
 		if len(full) > 0 {
-			t.heurDestTie++
+			t[heurDestTie]++
 			if pr != nil {
 				pr.Tie |= prov.TieDestFull
 			}
@@ -907,7 +893,7 @@ func breakTie(r *Router, tied []asn.ASN, rels RelationshipOracle, opts Options, 
 			}
 			sc.best = best
 			if len(best) == 1 {
-				t.heurDestTie++
+				t[heurDestTie]++
 				if pr != nil {
 					pr.Tie |= prov.TieDestBest
 				}
@@ -930,14 +916,14 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 
 	// Line 1: subsequent origin already among the link's origins.
 	if j.Origin != asn.None && origins.Has(j.Origin) {
-		t.heurOriginMatch++
+		t[heurOriginMatch]++
 		return j.Origin
 	}
 	// Line 2: IXP public peering address → the likely transit provider:
 	// the link origin AS with the largest customer cone (valley-free
 	// reasoning, §6.1.1).
 	if j.Kind == ip2as.IXP {
-		t.heurIXP++
+		t[heurIXP]++
 		return rels.LargestCone(origins)
 	}
 	// The neighbour IR's annotation comes from the previous iteration's
@@ -947,7 +933,7 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 	// Lines 4–5: unannounced subsequent address → vote for its IR's
 	// annotation, which propagates across unannounced chains (Fig. 8).
 	if j.Origin == asn.None {
-		t.heurUnannounced++
+		t[heurUnannounced]++
 		return asj
 	}
 	// Lines 6–8: third-party test. The reply may have come from an
@@ -964,7 +950,7 @@ func linkHeuristics(l *Link, rels RelationshipOracle, opts Options, t *iterTally
 			}
 		}
 		if bypass && !l.DestASes.Has(j.Origin) {
-			t.heurThirdParty++
+			t[heurThirdParty]++
 			return asj
 		}
 	}
@@ -1025,7 +1011,7 @@ func fixReallocatedVotes(r *Router, rels RelationshipOracle, t *iterTally, sc *v
 		}
 		sc.votes.add(old, -1)
 		sc.votes.add(annot, 1)
-		t.heurRealloc++
+		t[heurRealloc]++
 		sc.linkVote[i] = annot
 	}
 }
@@ -1236,7 +1222,7 @@ func (g *Graph) stateHash() uint64 {
 	for _, r := range g.Routers {
 		write(r.Annotation)
 	}
-	for _, i := range g.sortedIfaces {
+	for _, i := range g.Interfaces {
 		write(i.Annotation)
 	}
 	return h.Sum64()

@@ -7,8 +7,6 @@ package core_test
 
 import (
 	"fmt"
-	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -43,15 +41,9 @@ func parallelDataset(t testing.TB) *eval.Dataset {
 // router partition — into one canonical string, so equality between two
 // runs means byte-identical inferences.
 func annotationBytes(res *core.Result) string {
-	addrs := make([]netip.Addr, 0, len(res.Graph.Interfaces))
-	for a := range res.Graph.Interfaces {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
 	var b strings.Builder
-	for _, a := range addrs {
-		i := res.Graph.Interfaces[a]
-		fmt.Fprintf(&b, "%s r%d %d %d\n", a, i.Router.ID, uint32(i.Router.Annotation), uint32(i.Annotation))
+	for _, i := range res.Graph.Interfaces {
+		fmt.Fprintf(&b, "%s r%d %d %d\n", i.Addr, i.Router.ID, uint32(i.Router.Annotation), uint32(i.Annotation))
 	}
 	return b.String()
 }

@@ -183,7 +183,7 @@ func TestInterfaceAnnotationFig13a(t *testing.T) {
 	e.rels.AddP2C(100, 200)
 	e.trace("2.0.0.99", "1.0.0.1", "1.0.0.9", "2.0.0.1", "2.0.0.99/e")
 	res := e.run(Options{})
-	i := res.Graph.Interfaces[addr("1.0.0.9")]
+	i := res.Graph.Interface(addr("1.0.0.9"))
 	if i.Router.Annotation != 200 {
 		t.Fatalf("router = %v, want 200", i.Router.Annotation)
 	}

@@ -69,8 +69,8 @@ type Result struct {
 // OperatorOf returns the AS inferred to operate the router owning addr,
 // or asn.None when addr was not observed or not annotated.
 func (res *Result) OperatorOf(addr netip.Addr) asn.ASN {
-	i, ok := res.Graph.Interfaces[addr]
-	if !ok {
+	i := res.Graph.Interface(addr)
+	if i == nil {
 		return asn.None
 	}
 	return i.Router.Annotation
@@ -79,8 +79,8 @@ func (res *Result) OperatorOf(addr netip.Addr) asn.ASN {
 // ConnectedAS returns the AS inferred to be on the far side of addr's
 // link (the interface annotation).
 func (res *Result) ConnectedAS(addr netip.Addr) asn.ASN {
-	i, ok := res.Graph.Interfaces[addr]
-	if !ok {
+	i := res.Graph.Interface(addr)
+	if i == nil {
 		return asn.None
 	}
 	return i.Annotation

@@ -50,10 +50,9 @@ func (r *Result) serveSnapshot(annDigest uint64, prefixes []serve.Prefix) (*serv
 	for idx, rt := range g.Routers {
 		snap.Routers[idx] = uint32(rt.Annotation)
 	}
-	ifaces := g.SortedInterfaces()
-	snap.Ifaces = make([]serve.Iface, len(ifaces))
+	snap.Ifaces = make([]serve.Iface, len(g.Interfaces))
 	inLinks := 0
-	for k, i := range ifaces {
+	for k, i := range g.Interfaces {
 		snap.Ifaces[k] = serve.Iface{Addr: i.Addr, Router: uint32(i.Router.ID), ConnAS: uint32(i.Annotation)}
 		inLinks += len(i.InLinks)
 	}
@@ -65,7 +64,7 @@ func (r *Result) serveSnapshot(annDigest uint64, prefixes []serve.Prefix) (*serv
 	// interfaces in address order, each one's near ASes ascending, is
 	// the snapshot's link order.
 	snap.Links = make([]serve.Link, 0, inLinks) // at most one record per in-link
-	for _, i := range ifaces {
+	for _, i := range g.Interfaces {
 		far := i.Router.Annotation
 		if far == asn.None {
 			continue

@@ -245,7 +245,7 @@ func TestServeSnapshotLinkTies(t *testing.T) {
 	res := core.Run(g, w.rels, core.Options{Workers: 1})
 	annotate := map[string]asn.ASN{"1.0.0.1": 100, "1.0.0.2": 100, "3.0.0.1": 50, "2.0.0.1": 200, "5.0.0.1": asn.None, "6.0.0.1": asn.None}
 	for a, as := range annotate {
-		g.Interfaces[netip.MustParseAddr(a)].Router.Annotation = as
+		g.Interface(netip.MustParseAddr(a)).Router.Annotation = as
 	}
 	r := w.result(res)
 	checkSnapshotMatchesOracle(t, "ties", r)
