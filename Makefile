@@ -148,6 +148,7 @@ fuzz-smoke:
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzJSONLDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAddTraceDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAppendDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzIterLog$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
@@ -216,13 +217,15 @@ crash-smoke:
 # Continuous-ingest smoke, in two halves. First the crash matrix: the
 # real bdrmapit-ingest binary is SIGKILLed at seeded points spanning
 # every intake stage (journal appends, absorbed-copy and output
-# renames, bootstrap and delta checkpoints), then rerun with the
-# delta≡full equivalence oracle armed. Second, a shell-driven session:
-# split a simnet corpus into a base and three batches, feed them plus
-# one poison batch through the real CLI, and require the published
-# annotations byte-identical to a from-scratch run over the merged
-# corpus with exactly one quarantined batch (reportcheck's
-# -allow-quarantined states the allowance precisely).
+# renames, bootstrap and delta checkpoints, the Builder image), then
+# rerun, with the delta≡full equivalence oracle armed or from the image
+# alone. Second, a shell-driven session: split a simnet corpus into a
+# base and three batches, feed them plus one poison batch through the
+# real CLI, and require the published annotations byte-identical to a
+# from-scratch run over the merged corpus with exactly one quarantined
+# batch (reportcheck's -allow-quarantined states the allowance
+# precisely); then a batchless restart without the oracle must load the
+# Builder image and republish the same bytes.
 INGEST_DIR ?= /tmp/bdrmapit-ingest-smoke
 ingest-smoke:
 	$(GO) test ./cmd/bdrmapit-ingest -run '^TestIngestCrashMatrix$$|^TestIngestCLISession$$' -count=1 -v
@@ -252,6 +255,15 @@ ingest-smoke:
 	$(GO) run ./cmd/reportcheck -report $(INGEST_DIR)/report.json \
 		-allow-quarantined 1 -counters ingest.absorbed
 	test $$(ls $(INGEST_DIR)/state/quarantine/*.reason | wc -l) -eq 1
+	rm $(INGEST_DIR)/annotations.txt
+	$(GO) run ./cmd/bdrmapit-ingest -state $(INGEST_DIR)/state \
+		-traces $(INGEST_DIR)/base.jsonl -rib $(INGEST_DIR)/rib.txt \
+		-rir $(INGEST_DIR)/delegated-extended.txt -ixp $(INGEST_DIR)/ixp-prefixes.txt \
+		-rels $(INGEST_DIR)/as-rel.txt -aliases $(INGEST_DIR)/nodes.txt \
+		-annotations $(INGEST_DIR)/annotations.txt \
+		-quiet-report -report-json $(INGEST_DIR)/recover.json
+	$(GO) run ./cmd/reportcheck -report $(INGEST_DIR)/recover.json -counters ingest.image_loaded
+	cmp $(INGEST_DIR)/annotations.txt $(INGEST_DIR)/oracle.txt
 
 # CPU/heap profiles of a full ladder-rung pipeline run (RUNG as above;
 # M is the rung the refinement optimizations were tuned on), for pprof

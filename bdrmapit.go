@@ -389,7 +389,7 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 		warnw = os.Stderr
 	}
 	l := &loader{ctx: ctx, opts: &opts, rec: rec, warnw: warnw, who: "bdrmapit", corpus: "traceroute"}
-	h, err := l.open(src, nil, opts.CheckpointDir != "")
+	h, err := l.open(src, true, nil, opts.CheckpointDir != "")
 	if err != nil {
 		return nil, err
 	}

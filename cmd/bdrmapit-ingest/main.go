@@ -13,11 +13,18 @@
 //
 // -state names the durable intake directory: the refinement
 // checkpoint, the write-ahead intake journal, durable copies of
-// absorbed batches, and the quarantine directory. The first run
-// bootstraps it with a full inference over the base corpus; every
-// later run (and every crash recovery) picks up exactly where the
-// journal says the last one stopped. Re-offering already-absorbed
-// batches is free: they are skipped by content fingerprint.
+// absorbed batches, the quarantine directory, and the Builder image
+// (builder.img). The first run bootstraps it with a full inference over
+// the base corpus; every later run (and every crash recovery) picks up
+// exactly where the journal says the last one stopped. Re-offering
+// already-absorbed batches is free: they are skipped by content
+// fingerprint.
+//
+// A restart does not re-read the corpus: a finished session saves its
+// graph as builder.img, and the next starts from it and streams only the
+// batches absorbed since. The base files are still digested (a changed
+// base is refused); a damaged or mismatched image is a warning and a
+// rebuild from the corpus.
 //
 // Robustness: every batch transition is journaled before it takes
 // effect, so a SIGKILL at any byte boundary neither loses nor
@@ -54,7 +61,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bdrmapit-ingest: ")
 	var (
-		state    = flag.String("state", "", "durable intake state directory: checkpoint, journal, absorbed copies, quarantine (required)")
+		state    = flag.String("state", "", "durable intake state directory: checkpoint, journal, absorbed copies, quarantine, builder image (required)")
 		traces   = flag.String("traces", "", "base corpus traceroute file(s), comma separated (required; must stay identical across sessions)")
 		rib      = flag.String("rib", "", "BGP RIB file(s), comma separated")
 		rirF     = flag.String("rir", "", "RIR extended delegation file(s)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	bdrmapit "repro"
 	"repro/internal/delta"
+	"repro/internal/obs"
 	"repro/simnet"
 )
 
@@ -243,12 +245,13 @@ func countQuarantined(t *testing.T, state string) int {
 // TestIngestCrashMatrix is the end-to-end durability matrix: SIGKILL
 // the real CLI at seeded points spanning every stage of the intake
 // state machine — bootstrap refinement, journal appends, absorbed-copy
-// and output publishes, delta-refinement checkpoints — then rerun the
-// same command with the equivalence oracle armed and require the final
-// annotations byte-identical to a from-scratch run over the merged
-// corpus, the serving snapshot and every file of the state directory
-// byte-identical to those of a session nobody killed, with exactly one
-// quarantined batch and no torn file visible at any point.
+// and output publishes, delta-refinement checkpoints, the Builder image
+// — then rerun the same command, with the equivalence oracle armed
+// unless the case says otherwise, and require the final annotations
+// byte-identical to a from-scratch run over the merged corpus, the
+// serving snapshot and every file of the state directory byte-identical
+// to those of a session nobody killed, with exactly one quarantined
+// batch and no torn file visible at any point.
 func TestIngestCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash matrix is not a -short test")
@@ -263,25 +266,33 @@ func TestIngestCrashMatrix(t *testing.T) {
 		// the crash, so the seeded point fires during batch absorption
 		// rather than during the bootstrap inference.
 		bootstrapFirst bool
+		// plain recovers without -verify-delta, so the restart rebuilds
+		// its graph from the Builder image alone where there is one.
+		plain bool
 	}{
-		{"bootstrap-checkpoint", "checkpoint:1", false},
-		{"bootstrap-snapshot-rename", "pre-rename:refine.ckpt", false},
-		{"bootstrap-publish", "pre-rename:snapshot.bin", false},
-		{"republish-redo", "pre-rename:annotations.txt", true},
-		{"absorbed-copy", "pre-rename:" + absorbedB1, true},
-		{"journal-intent", "journal:intent", true},
-		{"delta-checkpoint", "checkpoint:1", true},
-		{"delta-snapshot-rename", "pre-rename:refine.ckpt", true},
-		{"journal-applied", "journal:applied", true},
-		{"journal-quarantined", "journal:quarantined", true},
+		{"bootstrap-checkpoint", "checkpoint:1", false, false},
+		{"bootstrap-snapshot-rename", "pre-rename:refine.ckpt", false, false},
+		{"bootstrap-publish", "pre-rename:snapshot.bin", false, false},
+		{"republish-redo", "pre-rename:annotations.txt", true, false},
+		{"absorbed-copy", "pre-rename:" + absorbedB1, true, false},
+		{"journal-intent", "journal:intent", true, false},
+		{"delta-checkpoint", "checkpoint:1", true, false},
+		{"delta-snapshot-rename", "pre-rename:refine.ckpt", true, false},
+		{"journal-applied", "journal:applied", true, false},
+		{"journal-quarantined", "journal:quarantined", true, false},
 		// The iteration-0 snapshot of a run is published (under the new
 		// lineage, for a delta run) and the log still holds the run
 		// before's records; no iteration of this run is durable.
-		{"bootstrap-start-snapshot", "checkpoint:0", false},
-		{"delta-start-snapshot", "checkpoint:0", true},
+		{"bootstrap-start-snapshot", "checkpoint:0", false, false},
+		{"delta-start-snapshot", "checkpoint:0", true, false},
 		// Batch 1's final snapshot is published — the checkpoint says
 		// absorbed — and neither its artifacts nor its applied record are.
-		{"delta-final-snapshot", fmt.Sprintf("checkpoint:%d", fx.oracleIters[1]), true},
+		{"delta-final-snapshot", fmt.Sprintf("checkpoint:%d", fx.oracleIters[1]), true, false},
+		// The session has absorbed everything and is replacing the image:
+		// the bootstrapping session's first, and a later session's, whose
+		// restart loads the bootstrap's image and streams the lineage.
+		{"bootstrap-image", "pre-rename:builder.img", false, true},
+		{"session-image", "pre-rename:builder.img", true, true},
 	}
 	final := fx.oracles[len(fx.oracles)-1]
 
@@ -323,11 +334,23 @@ func TestIngestCrashMatrix(t *testing.T) {
 			}
 			fx.assertPublishedState(t, ann)
 
-			recovered := runIngest(t, "", append(src,
-				"-batch", fx.batchArg(), "-verify-delta")...)
+			args := append(src, "-batch", fx.batchArg(), "-report-json", filepath.Join(outDir, "report.json"))
+			if !tc.plain {
+				args = append(args, "-verify-delta")
+			}
+			recovered := runIngest(t, "", args...)
 			if recovered.err != nil {
 				t.Fatalf("recovery after %q failed: %v\nstderr: %s",
 					tc.point, recovered.err, recovered.stderr.String())
+			}
+			// A restart with an image on disk — the clean bootstrap's — starts
+			// from it.
+			want := int64(0)
+			if tc.bootstrapFirst {
+				want = 1
+			}
+			if loaded := reportCounter(t, filepath.Join(outDir, "report.json"), "ingest.image_loaded"); loaded != want {
+				t.Errorf("recovery loaded the builder image %d time(s), want %d", loaded, want)
 			}
 			got, err := os.ReadFile(ann)
 			if err != nil {
@@ -355,6 +378,20 @@ func TestIngestCrashMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reportCounter reads one counter of a -report-json report.
+func reportCounter(t *testing.T, path, name string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep.Counters[name]
 }
 
 // TestIngestCLISession covers the CLI surface itself on a crash-free

@@ -63,6 +63,7 @@ type contextInputs struct {
 type head struct {
 	l      *loader
 	src    Sources
+	base   bool // whether the base trace files are streamed
 	cancel context.CancelFunc
 
 	ch chan feedItem
@@ -85,15 +86,16 @@ type head struct {
 }
 
 // open starts the head of a run and returns once the context files are
-// loaded. tail continues the corpus past src.TraceroutePaths; digest
-// says whether the run needs digestSources. The caller must close the
-// head on every path.
-func (l *loader) open(src Sources, tail []traceSource, digest bool) (*head, error) {
+// loaded. The corpus it streams is src.TraceroutePaths — unless base is
+// false: the caller holds their graph already — then tail; digest says
+// whether the run needs digestSources, which reads the base trace files
+// either way. The caller must close the head on every path.
+func (l *loader) open(src Sources, base bool, tail []traceSource, digest bool) (*head, error) {
 	ctx, cancel := context.WithCancel(l.ctx)
 	l.ctx = ctx // what the loader starts from here on stops with the head
 	l.span = l.rec.Root("load-inputs")
 	h := &head{
-		l: l, src: src, cancel: cancel,
+		l: l, src: src, base: base, cancel: cancel,
 		ch:      make(chan feedItem, feedDepth),
 		ctxDone: make(chan struct{}),
 		digDone: make(chan struct{}),
@@ -122,12 +124,19 @@ func (l *loader) open(src Sources, tail []traceSource, digest bool) (*head, erro
 	}
 
 	<-h.ctxDone
-	if err := h.ctxErr; err != nil {
+	err := h.ctxErr
+	switch {
+	case err != nil && base:
 		// A trace file that ends the run comes first in Sources order, so
 		// whether one does is found out before this error is returned.
 		if perr := h.drainBase(); perr != nil {
 			err = perr
 		}
+	case err == nil && !base:
+		// With no base file to wait for, the inputs are loaded now.
+		err = h.join()
+	}
+	if err != nil {
 		h.close()
 		return nil, err
 	}
@@ -186,7 +195,7 @@ func (h *head) join() error {
 		h.baseTraces, h.in.routes, h.in.resolver.Delegations.NumPrefixes(), h.in.resolver.IXPs.Len())
 	// The error budget may have consumed every required file; an empty
 	// required class is an operational failure no fallback covers.
-	if h.baseTraces == 0 {
+	if h.base && h.baseTraces == 0 {
 		return fmt.Errorf("%s: no traces loaded from %d %s input(s)", l.who, len(h.src.TraceroutePaths), l.corpus)
 	}
 	if h.in.routes == 0 && len(h.src.BGPRIBPaths) > 0 {
@@ -201,23 +210,27 @@ func (h *head) digest() uint64 {
 	return h.dig
 }
 
-// produce is the producer goroutine: every base file, the baseDone
-// mark, every tail source, cut into chunks of core.TraceBatch that run
-// on across file boundaries, as if the corpus were one slice. A base
-// file that ends the run stops the loaders beside the producer too —
-// nothing they find can come before it.
+// produce is the producer goroutine: every base file and the baseDone
+// mark when it streams them, every tail source, cut into chunks of
+// core.TraceBatch that run on across file boundaries, as if the corpus
+// were one slice. A base file that ends the run stops the loaders beside
+// the producer too — nothing they find can come before it.
 func (h *head) produce(tail []traceSource, span *obs.Span) error {
 	l := h.l
 	out := &chunker{ctx: l.ctx, ch: h.ch}
-	var err error
-	if h.baseTraces, err = l.feedBase(h.src.TraceroutePaths, out); err != nil {
-		h.cancel()
-		return err
+	if h.base {
+		var err error
+		if h.baseTraces, err = l.feedBase(h.src.TraceroutePaths, out); err != nil {
+			h.cancel()
+			return err
+		}
 	}
 	span.Note("traces", int64(h.baseTraces))
 	span.End()
-	if err := out.send(feedItem{baseDone: true}); err != nil {
-		return err
+	if h.base {
+		if err := out.send(feedItem{baseDone: true}); err != nil {
+			return err
+		}
 	}
 	for _, src := range tail {
 		if err := l.checkCtx(); err != nil {

@@ -211,7 +211,7 @@ func TestFeedHoldsAFewChunks(t *testing.T) {
 	}
 	opts := quiet(Options{})
 	l := &loader{ctx: context.Background(), opts: &opts, warnw: io.Discard}
-	h, err := l.open(Sources{}, []traceSource{source}, false)
+	h, err := l.open(Sources{}, true, []traceSource{source}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,15 @@ func TestPhaseTree(t *testing.T) {
 	if got, want := tree(ing.Report.Phases), loads+" digest-inputs "+build+" lasthop refine "+batch; got != want {
 		t.Errorf("bootstrap + absorb session phases:\n got %s\nwant %s", got, want)
 	}
+	// A restart replays the Builder image the session before saved, so
+	// its graph's resolution is the replay's and its Finish the only
+	// construction step.
 	ing, err = Ingest(src, batches[2:], iopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tree(ing.Report.Phases), loads+" digest-inputs "+build+" lasthop refine "+batch; got != want {
+	replayed := "replay-image[resolve] construct-graph[finish-graph]"
+	if got, want := tree(ing.Report.Phases), loads+" digest-inputs "+replayed+" lasthop refine "+batch; got != want {
 		t.Errorf("recover + absorb session phases:\n got %s\nwant %s", got, want)
 	}
 }
@@ -445,7 +449,8 @@ func TestOutputsSideBySide(t *testing.T) {
 // absorbed copies — long enough that chunks straddle the boundary
 // between the base files and the lineage, and between lineage batches —
 // republishes exactly what the absorbing session published, which is
-// what a from-scratch run over all seven files publishes.
+// what a from-scratch run over all seven files publishes. Each restart
+// starts from the Builder image the session before it saved.
 func TestIngestRecoversSixBatches(t *testing.T) {
 	p := writeTopology(t, simnet.Options{Seed: 7, NumVPs: 6})
 	dir := t.TempDir()
@@ -487,15 +492,19 @@ func TestIngestRecoversSixBatches(t *testing.T) {
 		return ann, snap
 	}
 	// Two sessions absorb the six. The second starts by recovering base +
-	// five copies, and has the equivalence oracle hold that restored
-	// corpus, plus the sixth batch, to a from-scratch build.
-	for _, offer := range [][]string{files[:5], files[5:]} {
+	// five copies from the first's image, and has the equivalence oracle
+	// hold that graph to the streamed rebuild and the merged corpus, plus
+	// the sixth batch, to a from-scratch build.
+	for k, offer := range [][]string{files[:5], files[5:]} {
 		out, err := Ingest(src, offer, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if out.Absorbed != len(offer) {
 			t.Fatalf("absorbed %d batches, want %d", out.Absorbed, len(offer))
+		}
+		if loaded := out.Report.Counters["ingest.image_loaded"]; loaded != int64(k) {
+			t.Fatalf("session %d loaded the builder image %d time(s), want %d", k+1, loaded, k)
 		}
 		opts.VerifyDelta = true
 	}
@@ -505,8 +514,15 @@ func TestIngestRecoversSixBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Ingest(src, nil, opts); err != nil {
+	// The restart streams no trace: the image covers all six batches.
+	opts.VerifyDelta = false
+	out, err := Ingest(src, nil, opts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if c := out.Report.Counters; c["ingest.image_loaded"] != 1 || c["load.traces"] != 0 || c["graph.traces"] != int64(len(all)) {
+		t.Errorf("restart: image loaded %d time(s), %d traces streamed, graph of %d traces; want 1, 0, %d",
+			c["ingest.image_loaded"], c["load.traces"], c["graph.traces"], len(all))
 	}
 	recoveredAnn, recoveredSnap := published()
 	if !bytes.Equal(recoveredAnn, absorbedAnn) || !bytes.Equal(recoveredSnap, absorbedSnap) {

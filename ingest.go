@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/alias"
@@ -23,13 +25,14 @@ import (
 )
 
 // IngestOptions configures a continuous-ingest session: where the
-// durable intake state lives, what gets published after each absorbed
-// batch, and how hard to fight transient failures before quarantining.
+// durable intake state lives and what gets published after each absorbed
+// batch.
 type IngestOptions struct {
 	// StateDir is the intake store root: the refinement checkpoint,
 	// the write-ahead intake journal, durable copies of absorbed
-	// batches, and the quarantine directory all live under it. It is
-	// the single directory an operator backs up or inspects.
+	// batches, the quarantine directory and the Builder image all live
+	// under it. It is the single directory an operator backs up or
+	// inspects.
 	StateDir string
 	// AnnotationsPath, when set, is republished atomically after the
 	// bootstrap run and after every absorbed batch.
@@ -178,9 +181,13 @@ type ingester struct {
 	aliases  *alias.Sets
 	copts    core.Options
 	baseDig  uint64
-	// builder holds the session's one graph: built from the checkpointed
-	// corpus at start-up, appended to by every absorb.
+	// builder holds the session's one graph: rebuilt at start-up from the
+	// Builder image and the corpus the image does not cover, appended to
+	// by every absorb.
 	builder *core.Builder
+	// imaged is how many lineage batches the image on disk covers (-1:
+	// there is no usable one).
+	imaged int
 	// prefixes is the resolver's prefix table in serving-snapshot order.
 	// The resolver is constant for the session, so it is flattened and
 	// sorted once.
@@ -207,8 +214,12 @@ func (ing *ingester) run(src Sources, batchPaths []string) error {
 			return err
 		}
 	}
+	ing.saveImage()
 	return nil
 }
+
+// imageName is the Builder image's file under the StateDir.
+const imageName = "builder.img"
 
 // bootstrapOrRecover establishes the session's base state: a full run
 // over the base corpus when the store has no checkpoint yet, or a
@@ -217,30 +228,43 @@ func (ing *ingester) run(src Sources, batchPaths []string) error {
 // convergence if a crash left it unconverged, and writing nothing if it
 // converged, so this path is cheap in the steady state.
 //
-// The non-batch inputs load exactly as RunContext loads them: the same
-// head, the same error budgets, the same degradations. On a restart the
-// trace producer carries on from the base files into the absorbed copies
-// of the lineage batches, in lineage order, so reading and validating
-// them overlaps the build like the rest of the corpus.
+// The session's Builder starts from the last session's image when there
+// is a usable one (loadImage) and empty otherwise, and is fed what the
+// image does not cover: the base trace files and every lineage batch, or
+// only the lineage batches absorbed after the image was written. The
+// non-batch inputs load exactly as RunContext loads them: the same head,
+// the same error budgets, the same degradations. The input digest reads
+// every base file either way, and ResumeContext refuses a checkpoint of
+// other inputs, image or not. The trace producer carries on from the base
+// files into the absorbed copies of the lineage batches, in lineage
+// order, so reading and validating them overlaps the build like the rest
+// of the corpus.
 func (ing *ingester) bootstrapOrRecover(src Sources) error {
 	st, err := ckpt.Load(ing.store.Dir)
-	recovering := err == nil
 	if err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
 	var lineage []ckpt.BatchInfo
-	var tail []traceSource
-	if recovering {
+	if st != nil {
 		lineage = st.Lineage
-		for _, b := range lineage {
-			tail = append(tail, ing.absorbedCopy(b))
-		}
 	} else {
 		ing.rec.Logf("ingest: no checkpoint under %s; bootstrapping from the base corpus", ing.store.Dir)
 	}
+	img := ing.loadImage(st)
+	// The equivalence oracle keeps the merged corpus, so it streams all of
+	// it, and the streamed rebuild is the image's oracle too.
+	var start *core.Image
+	covered := 0
+	if img != nil && !ing.opts.VerifyDelta {
+		start, covered = img, len(img.Lineage)
+	}
+	var tail []traceSource
+	for _, b := range lineage[covered:] {
+		tail = append(tail, ing.absorbedCopy(b))
+	}
 
 	l := &loader{ctx: ing.ctx, opts: &ing.opts.Run, rec: ing.rec, warnw: ing.warnw, who: "bdrmapit: ingest", corpus: "base"}
-	h, err := l.open(src, tail, true)
+	h, err := l.open(src, start == nil, tail, true)
 	if err != nil {
 		return err
 	}
@@ -250,11 +274,9 @@ func (ing *ingester) bootstrapOrRecover(src Sources) error {
 	ing.aliases = h.in.aliases
 	ing.copts = ing.opts.Run.internal()
 
-	// The session's graph is built from scratch once, on the Builder
-	// every later absorb appends to.
-	ing.builder = core.NewBuilder(ing.resolver, ing.aliases)
-	ing.builder.Workers = ing.copts.Workers
-	ing.builder.Rec = ing.rec
+	// The session's graph is built once, on the Builder every later absorb
+	// appends to.
+	b := ing.newBuilder(start)
 	next := h.next
 	if ing.opts.VerifyDelta {
 		next = func() ([]*traceroute.Trace, error) {
@@ -263,19 +285,25 @@ func (ing *ingester) bootstrapOrRecover(src Sources) error {
 			return chunk, err
 		}
 	}
-	g, err := ing.builder.BuildFrom(ing.ctx, next, ing.rels)
+	g, err := b.BuildFrom(ing.ctx, next, ing.rels)
 	if err != nil {
 		if h.failed != nil {
 			return h.failed
 		}
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
+	if img != nil && start == nil {
+		if b, g, err = ing.verifyImage(img, lineage, g); err != nil {
+			return err
+		}
+	}
+	ing.builder = b
 	ing.baseDig = h.digest()
 
 	ropts := ing.copts
 	ropts.Checkpoint = ing.ckptConfig(lineage)
 	var res *core.Result
-	if recovering {
+	if st != nil {
 		if res, err = core.ResumeContext(ing.ctx, g, st, ing.rels, ropts); err != nil {
 			return fmt.Errorf("bdrmapit: ingest: restoring checkpoint: %w", err)
 		}
@@ -287,6 +315,96 @@ func (ing *ingester) bootstrapOrRecover(src Sources) error {
 	}
 	ing.cur.lineage, ing.cur.res = lineage, res
 	return nil
+}
+
+// newBuilder returns the session's Builder: img replayed, or an empty one
+// for a nil img.
+func (ing *ingester) newBuilder(img *core.Image) *core.Builder {
+	if img != nil {
+		return img.Replay(ing.resolver, ing.aliases, ing.copts.Workers, ing.rec)
+	}
+	b := core.NewBuilder(ing.resolver, ing.aliases)
+	b.Workers = ing.copts.Workers
+	b.Rec = ing.rec
+	return b
+}
+
+// loadImage returns the Builder image under the store if it can stand in
+// for the corpus it was built from: intact, and bound to st, the
+// checkpoint the session resumes — saved under the same options, from
+// the same base inputs, over a prefix of st's lineage. A missing image is
+// nil; an unusable one is nil with a warning, and the session's end
+// rewrites it.
+func (ing *ingester) loadImage(st *ckpt.State) *core.Image {
+	ing.imaged = -1
+	data, err := os.ReadFile(filepath.Join(ing.store.Dir, imageName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	var img *core.Image
+	if err == nil {
+		img, err = core.DecodeImage(data)
+	}
+	switch {
+	case err != nil:
+	case st == nil:
+		err = errors.New("there is no checkpoint to resume")
+	case img.OptionsFP != st.OptionsFP:
+		err = fmt.Errorf("saved under options %016x, the checkpoint under %016x", img.OptionsFP, st.OptionsFP)
+	case len(img.Lineage) > len(st.Lineage) || !slices.Equal(img.Lineage, st.Lineage[:len(img.Lineage)]):
+		err = fmt.Errorf("its %d lineage batches are not where the checkpoint's %d begin", len(img.Lineage), len(st.Lineage))
+	case ingestDigest(img.BaseDigest, st.Lineage) != st.InputDigest:
+		err = fmt.Errorf("saved over base inputs %016x, which the checkpoint's are not", img.BaseDigest)
+	}
+	if err != nil {
+		ing.rec.Counter("ingest.image_fallback").Inc()
+		ing.rec.Warnf("ingest: builder image unusable, streaming the corpus: %v", err)
+		fmt.Fprintf(ing.warnw, "bdrmapit: WARNING: ingest: builder image unusable, streaming the corpus: %v\n", err)
+		return nil
+	}
+	ing.rec.Counter("ingest.image_loaded").Inc()
+	ing.rec.Logf("ingest: builder image holds %d traces: the base corpus and %d of %d lineage batches", img.Traces, len(img.Lineage), len(st.Lineage))
+	ing.imaged = len(img.Lineage)
+	return img
+}
+
+// verifyImage is the equivalence oracle's check of the image before the
+// first absorb: img replayed, with the lineage batches it does not cover
+// appended from the merged corpus, must be the graph streamed builds
+// from all of it. The image's Builder is the session's from then on.
+func (ing *ingester) verifyImage(img *core.Image, lineage []ckpt.BatchInfo, streamed *core.Graph) (*core.Builder, *core.Graph, error) {
+	n := 0
+	for _, b := range lineage[len(img.Lineage):] {
+		n += b.Traces
+	}
+	b := ing.newBuilder(img)
+	g, err := b.BuildContext(ing.ctx, ing.cur.traces[len(ing.cur.traces)-min(n, len(ing.cur.traces)):], ing.rels)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bdrmapit: ingest: %w", err)
+	}
+	if g.Digest() != streamed.Digest() {
+		return nil, nil, fmt.Errorf("bdrmapit: ingest: builder image: graph digest %016x, the streamed rebuild's %016x", g.Digest(), streamed.Digest())
+	}
+	ing.rec.Logf("ingest: verify-delta: the builder image's graph is the streamed rebuild's")
+	return b, g, nil
+}
+
+// saveImage rewrites the Builder image at the end of a session unless it
+// covers the committed lineage already: one write a session at most. The
+// image only saves the next session work, so a failed write is a warning.
+func (ing *ingester) saveImage() {
+	if ing.imaged == len(ing.cur.lineage) {
+		return
+	}
+	bind := core.ImageBinding{OptionsFP: ing.cur.res.Checkpoint.OptionsFP, BaseDigest: ing.baseDig, Lineage: ing.cur.lineage}
+	if err := ckpt.AtomicWrite(filepath.Join(ing.store.Dir, imageName), func(w io.Writer) error {
+		return ing.builder.WriteImage(w, bind)
+	}); err != nil {
+		ing.rec.Warnf("ingest: builder image not saved (the next session streams the corpus): %v", err)
+		fmt.Fprintf(ing.warnw, "bdrmapit: WARNING: ingest: builder image not saved (the next session streams the corpus): %v\n", err)
+		return
+	}
+	ing.imaged = len(ing.cur.lineage)
 }
 
 // absorbedCopy is the trace source of one lineage batch: its durable

@@ -338,6 +338,158 @@ func TestIngestTornLogAppend(t *testing.T) {
 	}
 }
 
+// TestIngestImageFallback: a Builder image that cannot stand in for the
+// corpus — torn, bit-flipped, of another format version, or saved over
+// another lineage — costs a restart one warning and an
+// ingest.image_fallback count, and nothing else: the restart streams the
+// corpus, publishes what a restart with a good image publishes, and
+// leaves a state directory byte-identical to it, the image rewritten.
+func TestIngestImageFallback(t *testing.T) {
+	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
+	dir := t.TempDir()
+	base, batches, _ := splitCorpus(t, p.Traceroutes, dir)
+	src := topoSources(p)
+	src.TraceroutePaths = []string{base}
+	session := func(t *testing.T, name string, offer []string) (IngestOptions, *IngestResult) {
+		t.Helper()
+		opts := IngestOptions{
+			StateDir:        filepath.Join(dir, name, "state"),
+			AnnotationsPath: filepath.Join(dir, name, "annotations.txt"),
+			SnapshotPath:    filepath.Join(dir, name, "snapshot.bin"),
+			Run:             Options{Workers: 2, WarnWriter: io.Discard},
+		}
+		res, err := Ingest(src, offer, opts)
+		if err != nil {
+			t.Fatalf("session %s: %v", name, err)
+		}
+		return opts, res
+	}
+	refOpts, _ := session(t, "ref", batches[:2])
+	imgPath := filepath.Join(refOpts.StateDir, imageName)
+	good, err := os.ReadFile(imgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A restart with the good image loads it and rewrites nothing.
+	if _, res := session(t, "ref", nil); res.Report.Counters["ingest.image_loaded"] != 1 || len(res.Report.Warnings) != 0 {
+		t.Fatalf("restart with a good image: loaded %d, warnings %q", res.Report.Counters["ingest.image_loaded"], res.Report.Warnings)
+	}
+	want := stateFiles(t, refOpts.StateDir)
+	// The same batches absorbed in the other order: an image over a
+	// lineage that is not the checkpoint's.
+	foreignOpts, _ := session(t, "foreign", []string{batches[1], batches[0]})
+	foreign, err := os.ReadFile(filepath.Join(foreignOpts.StateDir, imageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		image []byte
+	}{
+		{"torn", good[:len(good)/2]},
+		{"bit-flipped", flipBit(good, len(good)/2)},
+		{"wrong version", append(append([]byte{}, good[:8]...), append([]byte{2}, good[9:]...)...)},
+		{"foreign lineage", foreign},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name := strings.ReplaceAll(tc.name, " ", "-")
+			state := filepath.Join(dir, name, "state")
+			for rel, data := range want {
+				if err := os.MkdirAll(filepath.Dir(filepath.Join(state, rel)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(state, rel), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(state, imageName), tc.image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, res := session(t, name, nil)
+			rep := res.Report
+			if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "builder image") {
+				t.Errorf("warnings %q, want the one about the builder image", rep.Warnings)
+			}
+			if rep.Counters["ingest.image_fallback"] != 1 || rep.Counters["ingest.image_loaded"] != 0 || rep.Counters["load.traces"] == 0 {
+				t.Errorf("counters: image_fallback %d, image_loaded %d, load.traces %d; want 1, 0 and the base corpus streamed",
+					rep.Counters["ingest.image_fallback"], rep.Counters["ingest.image_loaded"], rep.Counters["load.traces"])
+			}
+			got := stateFiles(t, state)
+			for f, w := range want {
+				if g, ok := got[f]; !ok || !bytes.Equal(g, w) {
+					t.Errorf("state file %s differs from the restart with a good image (present: %v)", f, ok)
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("state directory holds %d files, want %d", len(got), len(want))
+			}
+			for _, f := range []string{"annotations.txt", "snapshot.bin"} {
+				g, err := os.ReadFile(filepath.Join(dir, name, f))
+				w, werr := os.ReadFile(filepath.Join(dir, "ref", f))
+				if err != nil || werr != nil || !bytes.Equal(g, w) {
+					t.Errorf("published %s differs from the restart with a good image (%v, %v)", f, err, werr)
+				}
+			}
+		})
+	}
+}
+
+func flipBit(data []byte, off int) []byte {
+	out := bytes.Clone(data)
+	out[off] ^= 1
+	return out
+}
+
+// TestIngestRefusesChangedBase: a session over a base corpus other than
+// the one its state directory was built over is refused with a
+// *ckpt.MismatchError before it absorbs or publishes anything — with the
+// Builder image in place, which holds the old corpus's graph, and
+// without it.
+func TestIngestRefusesChangedBase(t *testing.T) {
+	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
+	dir := t.TempDir()
+	base, batches, _ := splitCorpus(t, p.Traceroutes, dir)
+	src := topoSources(p)
+	src.TraceroutePaths = []string{base}
+	opts := IngestOptions{
+		StateDir:        filepath.Join(dir, "state"),
+		AnnotationsPath: filepath.Join(dir, "annotations.txt"),
+		Run:             Options{Workers: 2, WarnWriter: io.Discard},
+	}
+	if _, err := Ingest(src, batches[:1], opts); err != nil {
+		t.Fatal(err)
+	}
+	published, err := os.ReadFile(opts.AnnotationsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One more copy of the first trace: a base corpus that still parses.
+	first := data[:bytes.IndexByte(data, '\n')+1]
+	if err := os.WriteFile(base, append(data, first...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, withImage := range []bool{true, false} {
+		if !withImage {
+			if err := os.Remove(filepath.Join(opts.StateDir, imageName)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Ingest(src, batches[1:], opts)
+		var mm *ckpt.MismatchError
+		if !errors.As(err, &mm) || mm.Field != "inputs" {
+			t.Errorf("image present %v: changed base corpus gave %v, want an inputs *ckpt.MismatchError", withImage, err)
+		}
+		if got, err := os.ReadFile(opts.AnnotationsPath); err != nil || !bytes.Equal(got, published) {
+			t.Errorf("image present %v: the refused session changed the published annotations (%v)", withImage, err)
+		}
+	}
+}
+
 // TestIngestRefusals covers the session-level guard rails: a missing
 // state directory, a missing base corpus, and provenance (ingest
 // publishes no provenance artifact) are refused up front.

@@ -227,6 +227,10 @@ func (g *Graph) Interface(addr netip.Addr) *Interface {
 	return g.Interfaces[k]
 }
 
+// Digest is the graph's shape fingerprint as of its last Finish: the
+// GraphDigest a checkpoint of a run over it records.
+func (g *Graph) Digest() uint64 { return g.digest }
+
 // GraphStats tallies the dataset statistics the paper reports (§4.2,
 // §5).
 type GraphStats struct {

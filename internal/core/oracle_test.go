@@ -18,11 +18,13 @@ package core
 // mapped ≡ plain property has its own test.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -907,7 +909,12 @@ const (
 // checkAppendedPoolTraces builds traces on one production Builder in two
 // parts — AddTraces, Finish, AddTraces, Finish — and holds the grown
 // graph to the oracle's build of the whole list, with aliases and
-// without. head picks the split point and the flags above.
+// without. It also saves the Builder's image at the split and replays
+// it, at one worker and at four, finishes, and appends the second part:
+// the replayed Builder must be the one that never saved — the same
+// graph and digest, the same append record, the same image — and its
+// graph must annotate the same. head picks the split point and the
+// flags above.
 func checkAppendedPoolTraces(t *testing.T, e *testEnv, head byte, traces []*traceroute.Trace) {
 	t.Helper()
 	split := int(head&63) % (len(traces) + 1)
@@ -921,8 +928,18 @@ func checkAppendedPoolTraces(t *testing.T, e *testEnv, head byte, traces []*trac
 		b := NewBuilder(env.resolver, env.aliases)
 		b.AddTraces(traces[:split])
 		g := b.Finish(env.rels)
+		var replayed []*Builder
+		saved := imageOf(t, b)
+		for _, workers := range []int{1, 4} {
+			rb := replayImage(t, env, saved, workers)
+			rb.Finish(env.rels)
+			replayed = append(replayed, rb)
+		}
 		if head&appendWrap != 0 {
 			b.gen = math.MaxUint32 - uint32(len(second)/2)
+			for _, rb := range replayed {
+				rb.gen = b.gen
+			}
 		}
 		b.AddTraces(second)
 		if b.Finish(env.rels) != g {
@@ -933,6 +950,34 @@ func checkAppendedPoolTraces(t *testing.T, e *testEnv, head byte, traces []*trac
 		}
 		if g.digest != graphDigest(g) {
 			t.Fatalf("split at %d of %d: stale graph digest", split, len(traces))
+		}
+
+		app, img := b.LastAppend(), imageOf(t, b)
+		var rgs []*Graph
+		for k, rb := range replayed {
+			rb.AddTraces(second)
+			rg := rb.Finish(env.rels)
+			rapp := rb.LastAppend()
+			switch {
+			case rg.digest != g.digest:
+				t.Fatalf("split at %d, replay %d: graph digest %016x, the unsaved Builder's %016x", split, k, rg.digest, g.digest)
+			case !slices.Equal(rapp.routers, app.routers) || !slices.Equal(rapp.ifaces, app.ifaces) ||
+				!slices.Equal(rapp.routerPos, app.routerPos) || !slices.Equal(rapp.ifacePos, app.ifacePos) || rapp.traces != app.traces:
+				t.Fatalf("split at %d, replay %d: the append after the replay touched routers %v, interfaces %v; the unsaved Builder's %v, %v",
+					split, k, rapp.routers, rapp.ifaces, app.routers, app.ifaces)
+			case !bytes.Equal(imageOf(t, rb), img):
+				t.Fatalf("split at %d, replay %d: the image differs from the unsaved Builder's", split, k)
+			}
+			if d := diffGraphs(rg, g, true, true); d != "" {
+				t.Fatalf("split at %d, replay %d: %s", split, k, d)
+			}
+			rgs = append(rgs, rg)
+		}
+		wantAnn := dumpAnnotations(Run(g, env.rels, Options{Workers: 1}))
+		for k, rg := range rgs {
+			if got := dumpAnnotations(Run(rg, env.rels, Options{Workers: 1 + 3*k})); got != wantAnn {
+				t.Fatalf("split at %d, replay %d: annotations differ from the unsaved Builder's graph's:\n got %.80q\nwant %.80q", split, k, got, wantAnn)
+			}
 		}
 	}
 }
