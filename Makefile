@@ -217,9 +217,10 @@ crash-smoke:
 # Continuous-ingest smoke, in two halves. First the crash matrix: the
 # real bdrmapit-ingest binary is SIGKILLed at seeded points spanning
 # every intake stage (journal appends, absorbed-copy and output
-# renames, bootstrap and delta checkpoints, the Builder image), then
-# rerun, with the delta≡full equivalence oracle armed or from the image
-# alone. Second, a shell-driven session: split a simnet corpus into a
+# renames, bootstrap checkpoints and the delta run's one snapshot, the
+# Builder image), then rerun, with the delta≡full equivalence oracle
+# armed or from the image alone, and a state directory an older build
+# left mid-delta is recovered. Second, a shell-driven session: split a simnet corpus into a
 # base and three batches, feed them plus one poison batch through the
 # real CLI, and require the published annotations byte-identical to a
 # from-scratch run over the merged corpus with exactly one quarantined
@@ -228,7 +229,7 @@ crash-smoke:
 # Builder image and republish the same bytes.
 INGEST_DIR ?= /tmp/bdrmapit-ingest-smoke
 ingest-smoke:
-	$(GO) test ./cmd/bdrmapit-ingest -run '^TestIngestCrashMatrix$$|^TestIngestCLISession$$' -count=1 -v
+	$(GO) test ./cmd/bdrmapit-ingest -run '^TestIngestCrashMatrix$$|^TestIngestRecoversRetiredDeltaBase$$|^TestIngestCLISession$$' -count=1 -v
 	rm -rf $(INGEST_DIR)
 	$(GO) run ./cmd/topogen -out $(INGEST_DIR) -small -seed 7 -vps 10
 	total=$$(wc -l < $(INGEST_DIR)/traces.jsonl); \

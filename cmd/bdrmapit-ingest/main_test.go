@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	bdrmapit "repro"
+	"repro/internal/ckpt"
 	"repro/internal/delta"
 	"repro/internal/obs"
 	"repro/simnet"
@@ -245,7 +246,7 @@ func countQuarantined(t *testing.T, state string) int {
 // TestIngestCrashMatrix is the end-to-end durability matrix: SIGKILL
 // the real CLI at seeded points spanning every stage of the intake
 // state machine — bootstrap refinement, journal appends, absorbed-copy
-// and output publishes, delta-refinement checkpoints, the Builder image
+// and output publishes, a delta run's one checkpoint, the Builder image
 // — then rerun the same command, with the equivalence oracle armed
 // unless the case says otherwise, and require the final annotations
 // byte-identical to a from-scratch run over the merged corpus, the
@@ -276,17 +277,17 @@ func TestIngestCrashMatrix(t *testing.T) {
 		{"republish-redo", "pre-rename:annotations.txt", true, false},
 		{"absorbed-copy", "pre-rename:" + absorbedB1, true, false},
 		{"journal-intent", "journal:intent", true, false},
-		{"delta-checkpoint", "checkpoint:1", true, false},
-		{"delta-snapshot-rename", "pre-rename:refine.ckpt", true, false},
 		{"journal-applied", "journal:applied", true, false},
 		{"journal-quarantined", "journal:quarantined", true, false},
-		// The iteration-0 snapshot of a run is published (under the new
-		// lineage, for a delta run) and the log still holds the run
-		// before's records; no iteration of this run is durable.
+		// The iteration-0 snapshot of the bootstrap is published and no
+		// iteration of it is durable.
 		{"bootstrap-start-snapshot", "checkpoint:0", false, false},
-		{"delta-start-snapshot", "checkpoint:0", true, false},
-		// Batch 1's final snapshot is published — the checkpoint says
-		// absorbed — and neither its artifacts nor its applied record are.
+		// A delta run makes one write, batch 1's final snapshot, which
+		// commits the batch. Killed before its rename, the restart redoes
+		// the batch; after it — the checkpoint says absorbed — neither the
+		// artifacts nor the applied record are, and the restart completes
+		// them.
+		{"delta-snapshot-rename", "pre-rename:refine.ckpt", true, false},
 		{"delta-final-snapshot", fmt.Sprintf("checkpoint:%d", fx.oracleIters[1]), true, false},
 		// The session has absorbed everything and is replacing the image:
 		// the bootstrapping session's first, and a later session's, whose
@@ -294,31 +295,12 @@ func TestIngestCrashMatrix(t *testing.T) {
 		{"bootstrap-image", "pre-rename:builder.img", false, true},
 		{"session-image", "pre-rename:builder.img", true, true},
 	}
-	final := fx.oracles[len(fx.oracles)-1]
-
-	// The session nobody killed: what every recovered state directory and
-	// published file must equal, byte for byte.
-	refDir := t.TempDir()
-	refState := filepath.Join(refDir, "state")
-	refSnap := filepath.Join(refDir, "snapshot.bin")
-	if ref := runIngest(t, "", append(fx.srcArgs(refState, filepath.Join(refDir, "annotations.txt"), refSnap),
-		"-batch", fx.batchArg())...); ref.err != nil {
-		t.Fatalf("uninterrupted session failed: %v\nstderr: %s", ref.err, ref.stderr.String())
-	}
-	wantState := dirFiles(t, refState)
-	wantSnap, err := os.ReadFile(refSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	ref := fx.uninterrupted(t)
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			outDir := t.TempDir()
-			state := filepath.Join(outDir, "state")
-			ann := filepath.Join(outDir, "annotations.txt")
-			snap := filepath.Join(outDir, "snapshot.bin")
-			src := fx.srcArgs(state, ann, snap)
+			_, ann, _, src := fx.session(outDir)
 
 			if tc.bootstrapFirst {
 				boot := runIngest(t, "", src...)
@@ -352,36 +334,145 @@ func TestIngestCrashMatrix(t *testing.T) {
 			if loaded := reportCounter(t, filepath.Join(outDir, "report.json"), "ingest.image_loaded"); loaded != want {
 				t.Errorf("recovery loaded the builder image %d time(s), want %d", loaded, want)
 			}
-			got, err := os.ReadFile(ann)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, final) {
-				t.Errorf("recovered annotations differ from from-scratch merged run after crash at %q", tc.point)
-			}
-			if n := countQuarantined(t, state); n != 1 {
-				t.Errorf("quarantine holds %d batches after recovery, want exactly 1 (the poison batch)", n)
-			}
-			if gotSnap, err := os.ReadFile(snap); err != nil || !bytes.Equal(gotSnap, wantSnap) {
-				t.Errorf("recovered serving snapshot differs from the uninterrupted session's (%v)", err)
-			}
-			gotState := dirFiles(t, state)
-			for name, want := range wantState {
-				if got, ok := gotState[name]; !ok || !bytes.Equal(got, want) {
-					t.Errorf("state file %s after recovery differs from the uninterrupted session's (present: %v)", name, ok)
+			// Either side of the delta run's one commit: before it the
+			// restart redoes batch 1, after it only completes its journal;
+			// each delta run writes one snapshot.
+			if want, ok := map[string]int64{"delta-snapshot-rename": 3, "delta-final-snapshot": 2}[tc.name]; ok {
+				if got := reportCounter(t, filepath.Join(outDir, "report.json"), "ckpt.writes"); got != want {
+					t.Errorf("recovery wrote %d snapshots, want %d", got, want)
 				}
 			}
-			for name := range gotState {
-				if _, ok := wantState[name]; !ok {
-					t.Errorf("state directory holds %s after recovery; the uninterrupted session's does not", name)
-				}
-			}
+			fx.assertRecovered(t, outDir, ref)
 		})
 	}
 }
 
+// session names the state directory and published files of a session
+// under dir, and the CLI arguments that give them.
+func (fx *ingestFixture) session(dir string) (state, ann, snap string, src []string) {
+	state = filepath.Join(dir, "state")
+	ann = filepath.Join(dir, "annotations.txt")
+	snap = filepath.Join(dir, "snapshot.bin")
+	return state, ann, snap, fx.srcArgs(state, ann, snap)
+}
+
+// uninterrupted runs the session nobody killed — a bootstrap that
+// absorbs batchArg — and returns its directory, which every recovered
+// state directory and published file must equal byte for byte.
+func (fx *ingestFixture) uninterrupted(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	_, _, _, src := fx.session(dir)
+	if ref := runIngest(t, "", append(src, "-batch", fx.batchArg())...); ref.err != nil {
+		t.Fatalf("uninterrupted session failed: %v\nstderr: %s", ref.err, ref.stderr.String())
+	}
+	return dir
+}
+
+// assertRecovered holds the session under dir to the uninterrupted one
+// under ref: annotations equal to a from-scratch run over the merged
+// corpus, one quarantined batch, and the serving snapshot and every
+// state file byte-identical.
+func (fx *ingestFixture) assertRecovered(t *testing.T, dir, ref string) {
+	t.Helper()
+	state, ann, snap, _ := fx.session(dir)
+	refState, _, refSnap, _ := fx.session(ref)
+	got, err := os.ReadFile(ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fx.oracles[len(fx.oracles)-1]) {
+		t.Error("recovered annotations differ from from-scratch merged run")
+	}
+	if n := countQuarantined(t, state); n != 1 {
+		t.Errorf("quarantine holds %d batches after recovery, want exactly 1 (the poison batch)", n)
+	}
+	wantSnap, err := os.ReadFile(refSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotSnap, err := os.ReadFile(snap); err != nil || !bytes.Equal(gotSnap, wantSnap) {
+		t.Errorf("recovered serving snapshot differs from the uninterrupted session's (%v)", err)
+	}
+	gotState, wantState := dirFiles(t, state), dirFiles(t, refState)
+	for name, want := range wantState {
+		if got, ok := gotState[name]; !ok || !bytes.Equal(got, want) {
+			t.Errorf("state file %s after recovery differs from the uninterrupted session's (present: %v)", name, ok)
+		}
+	}
+	for name := range gotState {
+		if _, ok := wantState[name]; !ok {
+			t.Errorf("state directory holds %s after recovery; the uninterrupted session's does not", name)
+		}
+	}
+}
+
+// TestIngestRecoversRetiredDeltaBase: a delta run once published an
+// iteration-0 base under the new lineage and logged each iteration
+// behind it. testdata/delta-checkpoint-1 is what that CLI left when
+// killed at "checkpoint:1" of batch 1's absorb after a clean bootstrap
+// of this fixture's files — refine.ckpt that base, refine.log its first
+// iteration — except the absorbed copy of batch 1, which is batch 1's
+// bytes and is copied in here. Recovery resumes that unconverged base
+// (the batch is in its lineage) and must end, under -verify-delta,
+// byte-identical to a session nobody killed. The directory was written
+// at commit 6691a38 (`git archive 6691a38 | tar -x -C <dir>`): in <dir>,
+// a bootstrap session, then a -batch session under
+// BDRMAPIT_CRASH_AT=checkpoint:1, both with this file's srcArgs and
+// batchArg, keeping -state and the published files.
+func TestIngestRecoversRetiredDeltaBase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess e2e is not a -short test")
+	}
+	fx := newIngestFixture(t)
+	outDir := t.TempDir()
+	state, _, _, src := fx.session(outDir)
+	files := dirFiles(t, filepath.Join("testdata", "delta-checkpoint-1"))
+	b1, err := os.ReadFile(fx.batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	files[filepath.Join("state", "absorbed", fmt.Sprintf("%016x.jsonl", fx.batchFP[0]))] = b1
+	for name, data := range files {
+		path := filepath.Join(outDir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := ckpt.Load(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Iteration != 1 || st.FromLog != 1 || st.Converged || len(st.Lineage) != 1 || st.Lineage[0].FP != fx.batchFP[0] {
+		t.Fatalf("the fixture holds iteration %d (%d from the log, converged %v) of %d batches; want batch 1's unconverged first iteration from the log",
+			st.Iteration, st.FromLog, st.Converged, len(st.Lineage))
+	}
+	ref := fx.uninterrupted(t)
+	report := filepath.Join(outDir, "report.json")
+	recovered := runIngest(t, "", append(src, "-batch", fx.batchArg(), "-verify-delta", "-report-json", report)...)
+	if recovered.err != nil {
+		t.Fatalf("recovery failed: %v\nstderr: %s", recovered.err, recovered.stderr.String())
+	}
+	if line := fmt.Sprintf("batch batch-1.jsonl (fp %016x): resume-apply", fx.batchFP[0]); !strings.Contains(recovered.stdout.String(), line) {
+		t.Errorf("recovery does not report %q:\n%s", line, recovered.stdout.String())
+	}
+	if from := readReport(t, report).ResumedFrom; from != 1 {
+		t.Errorf("recovery's report says it resumed from iteration %d, want 1", from)
+	}
+	fx.assertRecovered(t, outDir, ref)
+}
+
 // reportCounter reads one counter of a -report-json report.
 func reportCounter(t *testing.T, path, name string) int64 {
+	t.Helper()
+	return readReport(t, path).Counters[name]
+}
+
+// readReport reads a -report-json report.
+func readReport(t *testing.T, path string) *obs.Report {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -391,7 +482,7 @@ func reportCounter(t *testing.T, path, name string) int64 {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	return rep.Counters[name]
+	return &rep
 }
 
 // TestIngestCLISession covers the CLI surface itself on a crash-free

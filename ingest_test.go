@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -249,20 +250,58 @@ func stateFiles(t *testing.T, root string) map[string][]byte {
 	return files
 }
 
-// TestIngestTornLogAppend is the kill the CLI crash matrix cannot seed:
-// inside an append to refine.log, with half a frame on disk. The write
-// of one iteration record of one absorb is cut short (the session ends
-// on the error, as it would on the kill); the restarted session must cut
-// the torn tail before it appends behind it, redo the batch, and end in
-// a state directory and published files byte-identical to those of a
-// session nobody interrupted — for the first record of an absorb (no
-// iteration of it durable yet) and for a later one.
-func TestIngestTornLogAppend(t *testing.T) {
+// TestAbsorbWritesOnce: an absorb makes one durable checkpoint write,
+// its final snapshot, and appends nothing. A session that absorbs three
+// batches into a bootstrapped state directory reports three snapshots
+// and no log record, and leaves no refine.log behind.
+func TestAbsorbWritesOnce(t *testing.T) {
 	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
 	dir := t.TempDir()
 	base, batches, _ := splitCorpus(t, p.Traceroutes, dir)
 	src := topoSources(p)
 	src.TraceroutePaths = []string{base}
+	opts := IngestOptions{
+		StateDir:        filepath.Join(dir, "state"),
+		AnnotationsPath: filepath.Join(dir, "annotations.txt"),
+		Run:             Options{Workers: 2, WarnWriter: io.Discard},
+	}
+	if _, err := Ingest(src, nil, opts); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	res, err := Ingest(src, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Absorbed != len(batches) {
+		t.Fatalf("absorbed %d of %d batches", res.Absorbed, len(batches))
+	}
+	rep := res.Report
+	if a, w, n := rep.Counters["ckpt.appends"], rep.Counters["ckpt.writes"], rep.Histograms["ckpt.write_ns"].Count; a != 0 || w != 3 || n != 3 {
+		t.Errorf("absorbing 3 batches made %d log appends and %d snapshot writes (%d timed); want 0, 3, 3", a, w, n)
+	}
+	if _, err := os.Stat(filepath.Join(opts.StateDir, ckpt.LogName)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the state directory holds %s after the absorbs (%v)", ckpt.LogName, err)
+	}
+}
+
+// TestIngestTornLogAppend is the kill the CLI crash matrix cannot seed:
+// inside an append to refine.log, with half a frame on disk. Only the
+// bootstrap appends (an absorb writes one snapshot), so the write of one
+// of its iteration records is cut short (the session ends on the error,
+// as it would on the kill); the restarted session must cut the torn
+// tail before it appends behind it, resume the bootstrap, absorb the
+// batches, and end in a state directory and published files
+// byte-identical to those of a session nobody interrupted — for the
+// first record (no iteration durable yet) and for a later one.
+func TestIngestTornLogAppend(t *testing.T) {
+	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
+	dir := t.TempDir()
+	base, batches, _ := splitCorpus(t, p.Traceroutes, dir)
+	// Over base alone the bootstrap converges after one append; over two
+	// batches more it makes two.
+	src := topoSources(p)
+	src.TraceroutePaths = []string{base, batches[0], batches[1]}
+	batches = batches[2:]
 	session := func(name string) (IngestOptions, func() (*IngestResult, error)) {
 		opts := IngestOptions{
 			StateDir:        filepath.Join(dir, name, "state"),
@@ -278,15 +317,10 @@ func TestIngestTornLogAppend(t *testing.T) {
 	}
 	want := stateFiles(t, refOpts.StateDir)
 
-	// The bootstrap is a session of its own, so the first append the
-	// wrapper sees is the first absorb's first.
 	for _, nth := range []int{1, 2} {
 		t.Run("append="+string(rune('0'+nth)), func(t *testing.T) {
 			name := "torn-" + string(rune('0'+nth))
 			opts, run := session(name)
-			if _, err := Ingest(src, nil, opts); err != nil {
-				t.Fatalf("bootstrap: %v", err)
-			}
 			appends := 0
 			ckpt.TestWriteWrap = func(w io.Writer) io.Writer {
 				if f, ok := w.(*os.File); ok && filepath.Base(f.Name()) == ckpt.LogName {
@@ -301,14 +335,14 @@ func TestIngestTornLogAppend(t *testing.T) {
 			if !errors.Is(err, faultio.ErrNoSpace) {
 				t.Fatalf("session with a short log write = %v, want ErrNoSpace", err)
 			}
-			// What the kill left: the absorb's base and the records before
-			// the torn one.
+			// What the kill left: the bootstrap's base and the records
+			// before the torn one.
 			st, err := ckpt.Load(opts.StateDir)
 			if err != nil {
 				t.Fatalf("the state directory with a torn log does not load: %v", err)
 			}
-			if st.Iteration != nth-1 || st.FromLog != nth-1 || len(st.Lineage) != 1 {
-				t.Fatalf("interrupted state: iteration %d, %d from the log, %d batches in the lineage; want %d, %d, 1",
+			if st.Iteration != nth-1 || st.FromLog != nth-1 || len(st.Lineage) != 0 {
+				t.Fatalf("interrupted state: iteration %d, %d from the log, %d batches in the lineage; want %d, %d, 0",
 					st.Iteration, st.FromLog, len(st.Lineage), nth-1, nth-1)
 			}
 			res, err := run()

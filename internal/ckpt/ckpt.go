@@ -44,9 +44,10 @@ import (
 )
 
 // FileName is the snapshot file written inside the checkpoint
-// directory. A run publishes it twice, its iteration-0 state and its
-// final one; the iterations between are records in LogName, and the
-// newest durable state is the two folded together (Load).
+// directory. A full run publishes it twice, its iteration-0 state and
+// its final one; the iterations between are records in LogName, and the
+// newest durable state is the two folded together (Load). A delta run
+// publishes only its final state.
 const FileName = "refine.ckpt"
 
 // Version is the current checkpoint format version. Version 3 added the

@@ -13,7 +13,7 @@ import (
 )
 
 // LogName is the refinement log beside FileName in a checkpoint
-// directory: FileName is a base — a whole State, written at a run's
+// directory: FileName is a base — a whole State, written at a full run's
 // iteration 0 and at its end — and the log holds one record per
 // iteration committed between, so making an iteration durable costs its
 // change set and one fsync. Load folds the records onto the base; the
@@ -130,14 +130,12 @@ func EncodeIterRecord(rec *IterRecord) []byte {
 type IterLog struct{ log *appendLog }
 
 // OpenIterLog starts dir's refinement log afresh behind the base the
-// caller just published: the old file is removed (were the removal lost
-// to a crash, Fold would leave its records out) and an empty one opened.
+// caller just published: the old file is removed and an empty one opened.
 func OpenIterLog(dir string) (*IterLog, error) {
-	path := filepath.Join(dir, LogName)
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("ckpt: removing superseded %s: %w", path, err)
+	if err := RemoveLog(dir); err != nil {
+		return nil, err
 	}
-	l, _, err := openLog(path, "iteration record", decodeIterRecord)
+	l, _, err := openLog(filepath.Join(dir, LogName), "iteration record", decodeIterRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -160,6 +158,18 @@ func (l *IterLog) Append(recs []IterRecord, rec *obs.Recorder) error {
 	}
 	rec.Gauge("ckpt.log_bytes").Set(l.log.size)
 	durable(rec, start, "ckpt.appends", last)
+	return nil
+}
+
+// RemoveLog removes dir's refinement log, which the base the caller has
+// just published, or publishes next, supersedes. Were the removal lost
+// to a crash, Fold would leave the old records out; a Save after it
+// makes it durable with the same directory fsync.
+func RemoveLog(dir string) error {
+	path := filepath.Join(dir, LogName)
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("ckpt: removing superseded %s: %w", path, err)
+	}
 	return nil
 }
 

@@ -60,8 +60,11 @@ func graphDigest(g *Graph) uint64 {
 	return h.Sum64()
 }
 
-// ckptRunner owns the durable record of a run's committed iterations:
-// the base snapshot twice per run, the refinement log between.
+// ckptRunner owns the durable record of a run's committed iterations.
+// A full run or a resume writes the base snapshot twice, the refinement
+// log between. A delta run writes its final state once and nothing
+// before: the batch and the base it absorbs into are durable already,
+// so a kill before that snapshot is recovered by redoing the batch.
 type ckptRunner struct {
 	cfg *ckpt.Config
 	rec *obs.Recorder
@@ -71,13 +74,16 @@ type ckptRunner struct {
 	// replays, and nothing re-reads the graph to write it.
 	st  *ckpt.State
 	log *ckpt.IterLog
+	// once marks a delta run: its final snapshot is its one write.
+	once bool
 }
 
 // newCkptRunner gives a run its committed state under its lineage:
 // resumed, or the iteration-0 state last-hop annotation left on g, which
-// is the base at once. It returns the runner even with an error.
-func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.State) (*ckptRunner, error) {
-	c := &ckptRunner{cfg: cfg, rec: opts.Recorder, st: resumed}
+// is the base at once unless once is set. It returns the runner even
+// with an error.
+func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.State, once bool) (*ckptRunner, error) {
+	c := &ckptRunner{cfg: cfg, rec: opts.Recorder, st: resumed, once: once}
 	if c.st == nil {
 		c.st = &ckpt.State{
 			OptionsFP:   opts.fingerprint(),
@@ -94,7 +100,7 @@ func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.Stat
 		}
 	}
 	c.st.Lineage = cfg.Lineage
-	if c.st.Iteration > 0 {
+	if c.st.Iteration > 0 || once {
 		return c, nil
 	}
 	return c, c.rebase()
@@ -122,7 +128,8 @@ func (c *ckptRunner) rebase() error {
 // commit records the iteration res.Iterations just committed — its
 // change set and trace row — and makes it durable: the last iteration
 // (convergence or the cap) as a snapshot, so a finished run's base says
-// so and needs no log; any other as one log append. A resumed state's
+// so and needs no log; any other as one log append, or not at all in a
+// delta run, whose snapshot replaces the log. A resumed state's
 // iterations are durable; a run going on past them rebases.
 func (c *ckptRunner) commit(res *Result, row obs.Row, delta ckpt.IterDelta, last bool) error {
 	if res.Iterations <= c.st.Iteration {
@@ -139,8 +146,15 @@ func (c *ckptRunner) commit(res *Result, row obs.Row, delta ckpt.IterDelta, last
 	if ok, err := c.st.Fold(&it); err != nil || !ok {
 		return fmt.Errorf("core: iteration %d does not follow the committed state at iteration %d (%v)", it.Iteration, c.st.Iteration, err)
 	}
-	if last {
-		return ckpt.Save(c.cfg.Dir, c.st, c.rec)
+	switch {
+	case !last && c.once:
+		return nil
+	case !last:
+		return c.log.Append([]ckpt.IterRecord{it}, c.rec)
+	case c.once:
+		if err := ckpt.RemoveLog(c.cfg.Dir); err != nil {
+			return err
+		}
 	}
-	return c.log.Append([]ckpt.IterRecord{it}, c.rec)
+	return ckpt.Save(c.cfg.Dir, c.st, c.rec)
 }

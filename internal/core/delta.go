@@ -116,6 +116,9 @@ func (p *replay) seed(g *Graph, rec *obs.Recorder, res *Result) (*ckpt.State, er
 	return nil, p.reached(g, 0)
 }
 
+// appended reports a delta run: one with a batch appended, not a resume.
+func (p *replay) appended() bool { return p != nil && p.app != nil }
+
 // at carries base index i onto the graph through pos (none: a resume).
 func at(pos []int, i uint32) int {
 	if pos == nil {
@@ -282,7 +285,7 @@ func (p *replay) ifaceFlips(lo int) flips {
 
 // gauges reports how far a delta run's dirty set spread.
 func (p *replay) gauges(rec *obs.Recorder) {
-	if p == nil || p.app == nil {
+	if !p.appended() {
 		return
 	}
 	count := func(since []int32) (n int64) {

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -104,18 +106,20 @@ func sansTrace(t *testing.T, image []byte, delta bool) []byte {
 }
 
 // CheckLogFold runs start — a full or a delta run over g, under the
-// options it is handed — with the snapshot oracle beside it, and holds
-// the checkpoint directory to the oracle after every iteration: what
-// ckpt.Load returns, re-encoded, is byte for byte the snapshot the old
-// writer would have published for that iteration. So a resume from base + log cannot be told from a resume from
-// that snapshot. The finished directory is then held to it three more
-// ways: refine.ckpt is the oracle's final image and is what
-// Result.Checkpoint encodes to; it loads the same with the log deleted;
-// and a directory holding only the oracle's image of iteration k — what
-// the old writer left behind — resumes to the same annotations and the
-// same final refine.ckpt (trace rows aside when start is a delta run:
-// sansTrace). It is exported for the fixtures only the external test
-// package can build.
+// options it is handed — with the snapshot oracle beside it. For a full
+// run it holds the checkpoint directory to the oracle after every
+// iteration: what ckpt.Load returns, re-encoded, is byte for byte the
+// snapshot the old writer would have published for that iteration. So a
+// resume from base + log cannot be told from a resume from that
+// snapshot. A delta run writes no log and one snapshot, and that
+// snapshot is a full run's over g, trace rows aside (sansTrace). The
+// finished directory is then held to the oracle three more ways:
+// refine.ckpt is the oracle's final image and is what Result.Checkpoint
+// encodes to; it loads the same with the log deleted; and a directory
+// holding only the oracle's image of iteration k — what the old writer
+// left behind — resumes to the same annotations and the same final
+// refine.ckpt (trace rows aside when start is a delta run). It is
+// exported for the fixtures only the external test package can build.
 func CheckLogFold(t *testing.T, g *Graph, rels RelationshipOracle, maxIter int, delta bool, start func(Options) (*Result, error)) {
 	t.Helper()
 	dir := t.TempDir()
@@ -126,6 +130,13 @@ func CheckLogFold(t *testing.T, g *Graph, rels RelationshipOracle, maxIter int, 
 	}}
 	opts.setDefaults()
 	o := newSnapshotOracle(g, &opts)
+	if delta {
+		// A delta run publishes no iteration-0 base; its first step
+		// leaves that state on g, as this does.
+		g.ResetAnnotations()
+		annotateLastHops(g, rels, opts)
+		o.capture(t, 0, nil)
+	}
 	ckpt.TestHook = func(p string) {
 		if p == "checkpoint:0" {
 			o.capture(t, 0, nil)
@@ -134,6 +145,12 @@ func CheckLogFold(t *testing.T, g *Graph, rels RelationshipOracle, maxIter int, 
 	defer func() { ckpt.TestHook = nil }()
 	opts.hookIterEnd = func(iter int) {
 		o.capture(t, iter, rec.Series("refine.iterations").Rows()[iter-1])
+		if delta {
+			if _, err := os.Stat(filepath.Join(dir, ckpt.LogName)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("after iteration %d a delta run's directory holds %s (%v)", iter, ckpt.LogName, err)
+			}
+			return
+		}
 		st, err := ckpt.Load(dir)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", iter, err)
@@ -159,13 +176,27 @@ func CheckLogFold(t *testing.T, g *Graph, rels RelationshipOracle, maxIter int, 
 	if !bytes.Equal(onDisk, final) || !bytes.Equal(encodeState(t, res.Checkpoint), final) {
 		t.Fatalf("the finished refine.ckpt or Result.Checkpoint is not the snapshot of iteration %d", res.Iterations)
 	}
-	if err := os.Remove(filepath.Join(dir, ckpt.LogName)); err != nil {
+	ckpt.TestHook = nil
+	if delta {
+		if w, a := rec.Counter("ckpt.writes").Value(), rec.Counter("ckpt.appends").Value(); w != 1 || a != 0 {
+			t.Fatalf("a delta run wrote %d snapshots and %d log records, want 1 and 0", w, a)
+		}
+		cfg := *opts.Checkpoint
+		cfg.Dir = t.TempDir()
+		g.ResetAnnotations()
+		if _, err := RunContext(context.Background(), g, rels, Options{Workers: 1, MaxIterations: maxIter, Checkpoint: &cfg}); err != nil {
+			t.Fatal(err)
+		}
+		full, err := os.ReadFile(filepath.Join(cfg.Dir, ckpt.FileName))
+		if err != nil || !bytes.Equal(sansTrace(t, onDisk, true), sansTrace(t, full, true)) {
+			t.Fatalf("the delta run's refine.ckpt is not a full run's over the merged graph (%v)", err)
+		}
+	} else if err := os.Remove(filepath.Join(dir, ckpt.LogName)); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := ckpt.Load(dir); err != nil || !bytes.Equal(encodeState(t, st), final) {
 		t.Fatalf("with the log deleted the directory loads differently (%v)", err)
 	}
-	ckpt.TestHook = nil
 	for k := 0; k < res.Iterations; k++ {
 		old := t.TempDir()
 		if err := os.WriteFile(filepath.Join(old, ckpt.FileName), o.images[k], 0o644); err != nil {
@@ -191,11 +222,12 @@ func CheckLogFold(t *testing.T, g *Graph, rels RelationshipOracle, maxIter int, 
 }
 
 // TestLogFoldEqualsSnapshot: base + log is the old per-iteration
-// snapshot, for every iteration, on a simulated campaign, a run of it
-// capped short of convergence, and a delta run that absorbs its second
-// half. The campaign converges in two iterations; the long oscillating
-// fixture needs internal/eval (logfold_test.go). The subtests are named
-// every=1 for the layout they check: one log record every iteration.
+// snapshot, for every iteration, on a simulated campaign and a run of it
+// capped short of convergence; a delta run that absorbs its second half
+// writes one snapshot, a full run's. The campaign converges in two
+// iterations; the long oscillating fixture needs internal/eval
+// (logfold_test.go). The full-run subtests are named every=1 for the
+// layout they check: one log record every iteration.
 func TestLogFoldEqualsSnapshot(t *testing.T) {
 	e, traces := campaign(t, 2018, 20)
 	ctx := context.Background()
@@ -207,7 +239,7 @@ func TestLogFoldEqualsSnapshot(t *testing.T) {
 		g := buildChunk(e, traces)
 		CheckLogFold(t, g, e.rels, 1, false, func(o Options) (*Result, error) { return RunContext(ctx, g, e.rels, o) })
 	})
-	t.Run("delta/every=1", func(t *testing.T) {
+	t.Run("delta/one-snapshot", func(t *testing.T) {
 		b := NewBuilder(e.resolver, e.aliases)
 		b.AddTraces(traces[:len(traces)/2])
 		g := b.Finish(e.rels)
@@ -280,14 +312,27 @@ func TestResumeFromStartSnapshot(t *testing.T) {
 					b.AddTraces(traces[half:])
 					b.Finish(e.rels)
 				}
+				at0 := dir
 				ckpt.TestHook = func(p string) {
 					if p == "checkpoint:0" {
-						copyDir(t, dir, killed)
+						copyDir(t, at0, killed)
 					}
 				}
 				defer func() { ckpt.TestHook = nil }()
 				var full *Result
 				if kind == "delta" {
+					// A delta run writes no iteration-0 base. Builds before
+					// that wrote the one a full run over the merged corpus
+					// writes, beside the run before's log: that directory is
+					// the kill recovered here.
+					at0 = t.TempDir()
+					copyDir(t, dir, at0)
+					ocfg := *cfg
+					ocfg.Dir = at0
+					if _, err := RunContext(ctx, buildChunk(e, traces), e.rels, Options{Workers: workers, Checkpoint: &ocfg}); err != nil {
+						t.Fatal(err)
+					}
+					ckpt.TestHook = nil
 					full, err = RunDeltaContext(ctx, g, b.LastAppend(), prev.Checkpoint, e.rels, Options{Workers: workers, Checkpoint: cfg})
 				} else {
 					g.ResetAnnotations()

@@ -50,7 +50,7 @@ func TestLogFoldEqualsSnapshotLongTail(t *testing.T) {
 			return core.RunContext(context.Background(), g, ds.Rels, o)
 		})
 	})
-	t.Run("delta/every=1", func(t *testing.T) {
+	t.Run("delta/one-snapshot", func(t *testing.T) {
 		core.CheckLogFold(t, grown, ds.Rels, 0, true, func(o core.Options) (*core.Result, error) {
 			return core.RunDeltaContext(context.Background(), grown, bld.LastAppend(), base, ds.Rels, o)
 		})

@@ -387,7 +387,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	cycles := newCycleDetector()
 	var ckr *ckptRunner
 	if opts.Checkpoint != nil {
-		ckr, err = newCkptRunner(opts.Checkpoint, &opts, g, resumed)
+		ckr, err = newCkptRunner(opts.Checkpoint, &opts, g, resumed, src.appended())
 		defer ckr.close()
 		if err != nil {
 			ph.End()

@@ -298,6 +298,9 @@ func TestIngestSnapshotsMatchParentBuilder(t *testing.T) {
 
 // TestServeSnapshotAllocsFlat: building a snapshot from a finished run
 // allocates a fixed number of times, whatever the size of the graph.
+// Under the race runtime both snapshots are still built but the counts
+// are not compared: it allocates on its own account (as the standard
+// library's AllocsPerRun tests assume).
 func TestServeSnapshotAllocsFlat(t *testing.T) {
 	var allocs, ifaces []float64
 	for _, vps := range []int{3, 12} {
@@ -317,7 +320,7 @@ func TestServeSnapshotAllocsFlat(t *testing.T) {
 	if ifaces[0] == ifaces[1] {
 		t.Fatalf("both graphs have %v interfaces; the test needs two sizes", ifaces[0])
 	}
-	if allocs[0] != allocs[1] {
+	if allocs[0] != allocs[1] && !raceEnabled {
 		t.Errorf("building a snapshot allocates %v times over %v interfaces and %v over %v, want one count",
 			allocs[0], ifaces[0], allocs[1], ifaces[1])
 	}
