@@ -389,7 +389,7 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 		warnw = os.Stderr
 	}
 	l := &loader{ctx: ctx, opts: &opts, rec: rec, warnw: warnw, who: "bdrmapit", corpus: "traceroute"}
-	h, err := l.open(src, true, nil, opts.CheckpointDir != "")
+	h, _, g, err := l.build(src, nil, nil, opts.CheckpointDir != "")
 	if err != nil {
 		return nil, err
 	}
@@ -397,26 +397,24 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 
 	copts := opts.internal()
 	resolver := h.in.resolver
-	b := core.NewBuilder(resolver, h.in.aliases)
-	b.Workers, b.Rec = copts.Workers, rec
-	g, err := b.BuildFrom(ctx, h.next, h.in.rels)
-	if err != nil {
-		if h.failed != nil {
-			return nil, h.failed
-		}
-		return nil, fmt.Errorf("bdrmapit: %w", err)
-	}
+	var st *ckpt.State
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("bdrmapit: creating checkpoint directory: %w", err)
 		}
-		copts.Checkpoint = &ckpt.Config{
-			Dir:         opts.CheckpointDir,
-			Resume:      opts.Resume,
-			InputDigest: h.digest(),
+		copts.Checkpoint = &ckpt.Config{Dir: opts.CheckpointDir, InputDigest: h.digest()}
+		if opts.Resume {
+			if st, err = ckpt.Load(opts.CheckpointDir); err != nil {
+				return nil, fmt.Errorf("bdrmapit: %w", err)
+			}
 		}
 	}
-	res, err := core.RunContext(ctx, g, h.in.rels, copts)
+	var res *core.Result
+	if st != nil {
+		res, err = core.ResumeContext(ctx, g, st, h.in.rels, copts)
+	} else {
+		res, err = core.RunContext(ctx, g, h.in.rels, copts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("bdrmapit: %w", err)
 	}

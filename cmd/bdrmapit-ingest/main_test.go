@@ -247,8 +247,9 @@ func countQuarantined(t *testing.T, state string) int {
 // the real CLI at seeded points spanning every stage of the intake
 // state machine — bootstrap refinement, journal appends, absorbed-copy
 // and output publishes, a delta run's one checkpoint, the Builder image
-// — then rerun the same command, with the equivalence oracle armed
-// unless the case says otherwise, and require the final annotations
+// — then rerun the same command with the equivalence oracle armed, which
+// loads the Builder image where there is one like any restart, and
+// require the final annotations
 // byte-identical to a from-scratch run over the merged corpus, the
 // serving snapshot and every file of the state directory byte-identical
 // to those of a session nobody killed, with exactly one quarantined
@@ -267,33 +268,30 @@ func TestIngestCrashMatrix(t *testing.T) {
 		// the crash, so the seeded point fires during batch absorption
 		// rather than during the bootstrap inference.
 		bootstrapFirst bool
-		// plain recovers without -verify-delta, so the restart rebuilds
-		// its graph from the Builder image alone where there is one.
-		plain bool
 	}{
-		{"bootstrap-checkpoint", "checkpoint:1", false, false},
-		{"bootstrap-snapshot-rename", "pre-rename:refine.ckpt", false, false},
-		{"bootstrap-publish", "pre-rename:snapshot.bin", false, false},
-		{"republish-redo", "pre-rename:annotations.txt", true, false},
-		{"absorbed-copy", "pre-rename:" + absorbedB1, true, false},
-		{"journal-intent", "journal:intent", true, false},
-		{"journal-applied", "journal:applied", true, false},
-		{"journal-quarantined", "journal:quarantined", true, false},
+		{"bootstrap-checkpoint", "checkpoint:1", false},
+		{"bootstrap-snapshot-rename", "pre-rename:refine.ckpt", false},
+		{"bootstrap-publish", "pre-rename:snapshot.bin", false},
+		{"republish-redo", "pre-rename:annotations.txt", true},
+		{"absorbed-copy", "pre-rename:" + absorbedB1, true},
+		{"journal-intent", "journal:intent", true},
+		{"journal-applied", "journal:applied", true},
+		{"journal-quarantined", "journal:quarantined", true},
 		// The iteration-0 snapshot of the bootstrap is published and no
 		// iteration of it is durable.
-		{"bootstrap-start-snapshot", "checkpoint:0", false, false},
+		{"bootstrap-start-snapshot", "checkpoint:0", false},
 		// A delta run makes one write, batch 1's final snapshot, which
 		// commits the batch. Killed before its rename, the restart redoes
 		// the batch; after it — the checkpoint says absorbed — neither the
 		// artifacts nor the applied record are, and the restart completes
 		// them.
-		{"delta-snapshot-rename", "pre-rename:refine.ckpt", true, false},
-		{"delta-final-snapshot", fmt.Sprintf("checkpoint:%d", fx.oracleIters[1]), true, false},
+		{"delta-snapshot-rename", "pre-rename:refine.ckpt", true},
+		{"delta-final-snapshot", fmt.Sprintf("checkpoint:%d", fx.oracleIters[1]), true},
 		// The session has absorbed everything and is replacing the image:
 		// the bootstrapping session's first, and a later session's, whose
 		// restart loads the bootstrap's image and streams the lineage.
-		{"bootstrap-image", "pre-rename:builder.img", false, true},
-		{"session-image", "pre-rename:builder.img", true, true},
+		{"bootstrap-image", "pre-rename:builder.img", false},
+		{"session-image", "pre-rename:builder.img", true},
 	}
 	ref := fx.uninterrupted(t)
 	for _, tc := range cases {
@@ -316,23 +314,23 @@ func TestIngestCrashMatrix(t *testing.T) {
 			}
 			fx.assertPublishedState(t, ann)
 
-			args := append(src, "-batch", fx.batchArg(), "-report-json", filepath.Join(outDir, "report.json"))
-			if !tc.plain {
-				args = append(args, "-verify-delta")
-			}
-			recovered := runIngest(t, "", args...)
+			recovered := runIngest(t, "", append(src, "-batch", fx.batchArg(), "-verify-delta", "-report-json", filepath.Join(outDir, "report.json"))...)
 			if recovered.err != nil {
 				t.Fatalf("recovery after %q failed: %v\nstderr: %s",
 					tc.point, recovered.err, recovered.stderr.String())
 			}
 			// A restart with an image on disk — the clean bootstrap's — starts
-			// from it.
+			// from it, oracle or not, and streams no base trace file.
+			rep := readReport(t, filepath.Join(outDir, "report.json"))
 			want := int64(0)
 			if tc.bootstrapFirst {
 				want = 1
 			}
-			if loaded := reportCounter(t, filepath.Join(outDir, "report.json"), "ingest.image_loaded"); loaded != want {
+			if loaded := rep.Counters["ingest.image_loaded"]; loaded != want {
 				t.Errorf("recovery loaded the builder image %d time(s), want %d", loaded, want)
+			}
+			if streamed := rep.Counters["load.traces"]; (want == 1) != (streamed == 0) {
+				t.Errorf("recovery streamed %d base traces with %d image load(s)", streamed, want)
 			}
 			// Either side of the delta run's one commit: before it the
 			// restart redoes batch 1, after it only completes its journal;

@@ -78,11 +78,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if strings.EqualFold(filepath.Ext(path), ".bin") {
-			err = traceroute.ReadBinary(f, visit)
-		} else {
-			err = traceroute.ReadJSONL(f, visit)
-		}
+		_, err = traceroute.Read(path, f, visit)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

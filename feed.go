@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/alias"
 	"repro/internal/asrel"
@@ -141,6 +139,38 @@ func (l *loader) open(src Sources, base bool, tail []traceSource, digest bool) (
 		return nil, err
 	}
 	return h, nil
+}
+
+// build goes from files to a graph, the one way every run does: the head
+// over src and tail (open), a Builder — img replayed, or a new one when
+// img is nil, and then the base trace files are streamed too — and
+// BuildFrom. The Builder takes the run's Workers and the loader's
+// recorder. The caller closes the returned head; on an error there is
+// none to close.
+func (l *loader) build(src Sources, img *core.Image, tail []traceSource, digest bool) (*head, *core.Builder, *core.Graph, error) {
+	// The build observes the caller's context: the head's own is cancelled
+	// by a base file that ends the run, whose error next must return.
+	ctx := l.ctx
+	h, err := l.open(src, img == nil, tail, digest)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var b *core.Builder
+	if img != nil {
+		b = img.Replay(h.in.resolver, h.in.aliases, l.opts.Workers, l.rec)
+	} else {
+		b = core.NewBuilder(h.in.resolver, h.in.aliases)
+		b.Workers, b.Rec = l.opts.Workers, l.rec
+	}
+	g, err := b.BuildFrom(ctx, h.next, h.in.rels)
+	if err != nil {
+		h.close()
+		if h.failed != nil {
+			return nil, nil, nil, h.failed
+		}
+		return nil, nil, nil, fmt.Errorf("%s: %w", l.who, err)
+	}
+	return h, b, g, nil
 }
 
 // close stops whatever the head still has running and waits for it: no
@@ -339,15 +369,7 @@ func readTraceFile(ctx context.Context, path string, emit func(*traceroute.Trace
 	defer f.Close()
 	// A read blocked on a pipe or a stalled mount ends when the run does.
 	defer context.AfterFunc(ctx, func() { f.Close() })()
-	if strings.EqualFold(filepath.Ext(path), ".bin") {
-		err = traceroute.ReadBinary(f, func(t *traceroute.Trace) error {
-			stats.Traces++
-			return emit(t)
-		})
-	} else {
-		stats, err = traceroute.ReadJSONLStats(f, emit)
-	}
-	if err != nil {
+	if stats, err = traceroute.Read(path, f, emit); err != nil {
 		return stats, fmt.Errorf("bdrmapit: traces %s: %w", path, err)
 	}
 	return stats, nil

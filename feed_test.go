@@ -35,12 +35,7 @@ func readSlice(t *testing.T, path string) []*traceroute.Trace {
 	defer f.Close()
 	var out []*traceroute.Trace
 	collect := func(tr *traceroute.Trace) error { out = append(out, tr); return nil }
-	if filepath.Ext(path) == ".bin" {
-		err = traceroute.ReadBinary(f, collect)
-	} else {
-		err = traceroute.ReadJSONL(f, collect)
-	}
-	if err != nil {
+	if _, err := traceroute.Read(path, f, collect); err != nil {
 		t.Fatal(err)
 	}
 	return out

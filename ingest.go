@@ -13,7 +13,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/alias"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/delta"
@@ -46,9 +45,12 @@ type IngestOptions struct {
 	// not a failed batch: the published files are already durable.
 	ReloadAddr string
 	// VerifyDelta turns on the equivalence oracle: after each absorbed
-	// batch, re-run inference from scratch on the merged corpus at
-	// workers 1, 4, and 8 and require byte-identical annotations. A
-	// divergence is a hard error before the batch is marked applied.
+	// batch, and once after start-up when the session recovered a
+	// checkpoint, re-read the merged corpus — the base files and the
+	// absorbed copies of the lineage — and re-run inference from scratch
+	// at workers 1, 4, and 8, requiring the session's graph digest and
+	// byte-identical annotations. A divergence is a hard error before the
+	// batch is marked applied.
 	VerifyDelta bool
 	// MaxBadRecords is the per-batch malformed-line budget; a batch
 	// exceeding it is quarantined (delta.RefusalBudget).
@@ -96,9 +98,6 @@ type IngestResult struct {
 // delta run uses as its base. The graph itself lives in the session's
 // Builder, which grows it batch by batch.
 type ingestState struct {
-	// traces is the merged corpus, kept only for the VerifyDelta oracle:
-	// a session without it never holds more than the chunks in flight.
-	traces  []*traceroute.Trace
 	lineage []ckpt.BatchInfo
 	res     *core.Result
 }
@@ -152,9 +151,9 @@ func IngestContext(ctx context.Context, src Sources, batchPaths []string, opts I
 
 	ing := &ingester{
 		ctx: ctx, opts: &opts, rec: rec, warnw: warnw,
-		store: store, out: &IngestResult{},
+		src: src, store: store, out: &IngestResult{},
 	}
-	err = ing.run(src, batchPaths)
+	err = ing.run(batchPaths)
 	ing.out.Report = rec.Report()
 	if errors.Is(err, errInterrupted) {
 		ing.out.Interrupted = true
@@ -173,12 +172,13 @@ type ingester struct {
 	opts  *IngestOptions
 	rec   *obs.Recorder
 	warnw io.Writer
+	// src is the base corpus and the non-trace inputs.
+	src   Sources
 	store *delta.Store
 	out   *IngestResult
 
 	resolver *ip2as.Resolver
 	rels     core.RelationshipOracle
-	aliases  *alias.Sets
 	copts    core.Options
 	baseDig  uint64
 	// builder holds the session's one graph: rebuilt at start-up from the
@@ -195,8 +195,8 @@ type ingester struct {
 	cur      ingestState
 }
 
-func (ing *ingester) run(src Sources, batchPaths []string) error {
-	if err := ing.bootstrapOrRecover(src); err != nil {
+func (ing *ingester) run(batchPaths []string) error {
+	if err := ing.bootstrapOrRecover(); err != nil {
 		return err
 	}
 	// Republish unconditionally: the publish step is atomic and
@@ -232,14 +232,16 @@ const imageName = "builder.img"
 // is a usable one (loadImage) and empty otherwise, and is fed what the
 // image does not cover: the base trace files and every lineage batch, or
 // only the lineage batches absorbed after the image was written. The
-// non-batch inputs load exactly as RunContext loads them: the same head,
-// the same error budgets, the same degradations. The input digest reads
-// every base file either way, and ResumeContext refuses a checkpoint of
-// other inputs, image or not. The trace producer carries on from the base
-// files into the absorbed copies of the lineage batches, in lineage
-// order, so reading and validating them overlaps the build like the rest
-// of the corpus.
-func (ing *ingester) bootstrapOrRecover(src Sources) error {
+// inputs load exactly as RunContext loads them, through the same
+// loader.build: the same head, the same error budgets, the same
+// degradations. The input digest reads every base file either way, and
+// ResumeContext refuses a checkpoint of other inputs, image or not. The
+// trace producer carries on from the base files into the absorbed copies
+// of the lineage batches, in lineage order, so reading and validating
+// them overlaps the build like the rest of the corpus. With VerifyDelta
+// set, a recovered state is held to the from-scratch run before anything
+// is absorbed onto it.
+func (ing *ingester) bootstrapOrRecover() error {
 	st, err := ckpt.Load(ing.store.Dir)
 	if err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
@@ -251,52 +253,22 @@ func (ing *ingester) bootstrapOrRecover(src Sources) error {
 		ing.rec.Logf("ingest: no checkpoint under %s; bootstrapping from the base corpus", ing.store.Dir)
 	}
 	img := ing.loadImage(st)
-	// The equivalence oracle keeps the merged corpus, so it streams all of
-	// it, and the streamed rebuild is the image's oracle too.
-	var start *core.Image
 	covered := 0
-	if img != nil && !ing.opts.VerifyDelta {
-		start, covered = img, len(img.Lineage)
-	}
-	var tail []traceSource
-	for _, b := range lineage[covered:] {
-		tail = append(tail, ing.absorbedCopy(b))
+	if img != nil {
+		covered = len(img.Lineage)
 	}
 
-	l := &loader{ctx: ing.ctx, opts: &ing.opts.Run, rec: ing.rec, warnw: ing.warnw, who: "bdrmapit: ingest", corpus: "base"}
-	h, err := l.open(src, start == nil, tail, true)
+	// The session's graph is built once, on the Builder every later absorb
+	// appends to.
+	l := ing.loader(&ing.opts.Run, ing.rec, ing.warnw)
+	h, b, g, err := l.build(ing.src, img, ing.absorbedCopies(lineage[covered:]), true)
 	if err != nil {
 		return err
 	}
 	defer h.close()
 	ing.resolver = h.in.resolver
 	ing.rels = h.in.rels
-	ing.aliases = h.in.aliases
 	ing.copts = ing.opts.Run.internal()
-
-	// The session's graph is built once, on the Builder every later absorb
-	// appends to.
-	b := ing.newBuilder(start)
-	next := h.next
-	if ing.opts.VerifyDelta {
-		next = func() ([]*traceroute.Trace, error) {
-			chunk, err := h.next()
-			ing.cur.traces = append(ing.cur.traces, chunk...)
-			return chunk, err
-		}
-	}
-	g, err := b.BuildFrom(ing.ctx, next, ing.rels)
-	if err != nil {
-		if h.failed != nil {
-			return h.failed
-		}
-		return fmt.Errorf("bdrmapit: ingest: %w", err)
-	}
-	if img != nil && start == nil {
-		if b, g, err = ing.verifyImage(img, lineage, g); err != nil {
-			return err
-		}
-	}
 	ing.builder = b
 	ing.baseDig = h.digest()
 
@@ -313,20 +285,19 @@ func (ing *ingester) bootstrapOrRecover(src Sources) error {
 	if res.Interrupted {
 		return errInterrupted
 	}
+	if st != nil && ing.opts.VerifyDelta {
+		if err := ing.verifyDelta(lineage, res); err != nil {
+			return fmt.Errorf("bdrmapit: ingest: recovered state: %w", err)
+		}
+	}
 	ing.cur.lineage, ing.cur.res = lineage, res
 	return nil
 }
 
-// newBuilder returns the session's Builder: img replayed, or an empty one
-// for a nil img.
-func (ing *ingester) newBuilder(img *core.Image) *core.Builder {
-	if img != nil {
-		return img.Replay(ing.resolver, ing.aliases, ing.copts.Workers, ing.rec)
-	}
-	b := core.NewBuilder(ing.resolver, ing.aliases)
-	b.Workers = ing.copts.Workers
-	b.Rec = ing.rec
-	return b
+// loader returns a loader of the session's inputs under opts, recording
+// into rec and warning on warnw.
+func (ing *ingester) loader(opts *Options, rec *obs.Recorder, warnw io.Writer) *loader {
+	return &loader{ctx: ing.ctx, opts: opts, rec: rec, warnw: warnw, who: "bdrmapit: ingest", corpus: "base"}
 }
 
 // loadImage returns the Builder image under the store if it can stand in
@@ -368,27 +339,6 @@ func (ing *ingester) loadImage(st *ckpt.State) *core.Image {
 	return img
 }
 
-// verifyImage is the equivalence oracle's check of the image before the
-// first absorb: img replayed, with the lineage batches it does not cover
-// appended from the merged corpus, must be the graph streamed builds
-// from all of it. The image's Builder is the session's from then on.
-func (ing *ingester) verifyImage(img *core.Image, lineage []ckpt.BatchInfo, streamed *core.Graph) (*core.Builder, *core.Graph, error) {
-	n := 0
-	for _, b := range lineage[len(img.Lineage):] {
-		n += b.Traces
-	}
-	b := ing.newBuilder(img)
-	g, err := b.BuildContext(ing.ctx, ing.cur.traces[len(ing.cur.traces)-min(n, len(ing.cur.traces)):], ing.rels)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bdrmapit: ingest: %w", err)
-	}
-	if g.Digest() != streamed.Digest() {
-		return nil, nil, fmt.Errorf("bdrmapit: ingest: builder image: graph digest %016x, the streamed rebuild's %016x", g.Digest(), streamed.Digest())
-	}
-	ing.rec.Logf("ingest: verify-delta: the builder image's graph is the streamed rebuild's")
-	return b, g, nil
-}
-
 // saveImage rewrites the Builder image at the end of a session unless it
 // covers the committed lineage already: one write a session at most. The
 // image only saves the next session work, so a failed write is a warning.
@@ -426,6 +376,15 @@ func (ing *ingester) absorbedCopy(b ckpt.BatchInfo) traceSource {
 		}
 		return nil
 	}
+}
+
+// absorbedCopies is the trace sources of lineage, in order.
+func (ing *ingester) absorbedCopies(lineage []ckpt.BatchInfo) []traceSource {
+	var srcs []traceSource
+	for _, b := range lineage {
+		srcs = append(srcs, ing.absorbedCopy(b))
+	}
+	return srcs
 }
 
 // resolvePending finishes what a crash started: journal intents with
@@ -576,8 +535,7 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	phase.Note("iterations", int64(res.Iterations))
 
 	if ing.opts.VerifyDelta {
-		ing.cur.traces = append(ing.cur.traces, batchTraces...)
-		if err := ing.verifyDelta(ing.cur.traces, res); err != nil {
+		if err := ing.verifyDelta(newLineage, res); err != nil {
 			return fmt.Errorf("bdrmapit: ingest: batch %s: %w", name, err)
 		}
 	}
@@ -601,38 +559,49 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	return nil
 }
 
-// verifyDelta is the equivalence oracle: a from-scratch run over the
-// merged corpus at workers 1, 4, and 8 must render byte-identical
-// annotations to the delta result. It is expensive by design — the
-// point is proof, not speed — and any divergence fails the batch
-// before it can be marked applied.
-func (ing *ingester) verifyDelta(merged []*traceroute.Trace, deltaRes *core.Result) error {
-	want, err := annotationsDigest(deltaRes, ing.resolver)
+// verifyDelta is the equivalence oracle: res, the session's state over
+// the base corpus and lineage, must be what a run from scratch makes of
+// them at workers 1, 4, and 8 — the same graph digest and byte-identical
+// annotations. Each of the three reads the corpus again, the base files
+// and then the absorbed copy of every lineage batch, the way recovery
+// does, onto a Builder of its own; it records nothing and warns nowhere,
+// so the session's report is its own work. It is expensive by design —
+// the point is proof, not speed — and any divergence fails the session
+// before the state is built on.
+func (ing *ingester) verifyDelta(lineage []ckpt.BatchInfo, res *core.Result) error {
+	_, want, err := renderAnnotations(&Result{res: res, Interrupted: res.Interrupted, Iterations: res.Iterations})
 	if err != nil {
 		return err
 	}
 	for _, workers := range []int{1, 4, 8} {
-		vopts := ing.copts
-		vopts.Workers = workers
-		vopts.Checkpoint = nil
-		g, err := core.BuildGraphContext(ing.ctx, merged, ing.resolver, ing.aliases, ing.rels, vopts)
+		run := ing.opts.Run
+		run.Workers, run.Recorder = workers, nil
+		h, _, g, err := ing.loader(&run, nil, io.Discard).build(ing.src, nil, ing.absorbedCopies(lineage), false)
 		if err != nil {
+			if ing.ctx.Err() != nil {
+				return errInterrupted
+			}
 			return err
 		}
-		vres, err := core.RunContext(ing.ctx, g, ing.rels, vopts)
+		h.close()
+		if g.Digest() != res.Graph.Digest() {
+			return fmt.Errorf("delta≡full equivalence violated at workers=%d: graph digest %016x, from-scratch %016x",
+				workers, res.Graph.Digest(), g.Digest())
+		}
+		vres, err := core.RunContext(ing.ctx, g, h.in.rels, run.internal())
 		if err != nil {
 			return err
 		}
 		if vres.Interrupted {
 			return errInterrupted
 		}
-		got, err := annotationsDigest(vres, ing.resolver)
+		_, got, err := renderAnnotations(&Result{res: vres, Iterations: vres.Iterations})
 		if err != nil {
 			return err
 		}
 		if got != want {
 			return fmt.Errorf("delta≡full equivalence violated at workers=%d: delta annotations digest %016x, from-scratch %016x (iterations %d vs %d)",
-				workers, want, got, deltaRes.Iterations, vres.Iterations)
+				workers, want, got, res.Iterations, vres.Iterations)
 		}
 	}
 	ing.rec.Logf("ingest: verify-delta: byte-identical to from-scratch merged run at workers 1, 4, 8")
@@ -803,12 +772,6 @@ func renderAnnotations(r *Result) ([]byte, uint64, error) {
 		return nil, 0, fmt.Errorf("bdrmapit: rendering annotations: %w", err)
 	}
 	return buf.Bytes(), ckpt.Fingerprint(buf.Bytes()), nil
-}
-
-// annotationsDigest is renderAnnotations' digest for a bare core result.
-func annotationsDigest(res *core.Result, resolver *ip2as.Resolver) (uint64, error) {
-	_, d, err := renderAnnotations(&Result{res: res, resolver: resolver, Interrupted: res.Interrupted, Iterations: res.Iterations})
-	return d, err
 }
 
 func fnvString(s string) uint64 { return ckpt.Fingerprint([]byte(s)) }

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -225,6 +226,62 @@ func TestIngestSession(t *testing.T) {
 	}
 	if !bytes.Equal(got3, want) {
 		t.Fatal("replay sessions changed the published annotations")
+	}
+}
+
+// TestVerifyDeltaLeavesTheReportAlone: the equivalence oracle's
+// from-scratch builds and runs record nothing into the session's
+// recorder, so a session with VerifyDelta reports the same graph.*,
+// resolve.*, load.* and refine.* counters and the same phase tree as one
+// without it — for a session absorbing three batches and for the restart
+// after it, whose recovered state the oracle also checks.
+func TestVerifyDeltaLeavesTheReportAlone(t *testing.T) {
+	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
+	dir := t.TempDir()
+	base, batches, _ := splitCorpus(t, p.Traceroutes, dir)
+	src := topoSources(p)
+	src.TraceroutePaths = []string{base}
+	var reports [2][2]*obs.Report // [verify][session]
+	for v, verify := range []bool{false, true} {
+		opts := IngestOptions{
+			StateDir:    filepath.Join(dir, "state-"+strconv.FormatBool(verify)),
+			VerifyDelta: verify,
+			Run:         quiet(Options{Workers: 2}),
+		}
+		for s, offer := range [][]string{batches, nil} {
+			res, err := Ingest(src, offer, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports[v][s] = res.Report
+		}
+	}
+	counted := func(k string) bool {
+		for _, prefix := range []string{"graph.", "resolve.", "load.", "refine."} {
+			if strings.HasPrefix(k, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	for s, name := range []string{"three-batch session", "restart"} {
+		plain, verified := reports[0][s], reports[1][s]
+		if got, want := tree(verified.Phases), tree(plain.Phases); got != want {
+			t.Errorf("%s: phases with VerifyDelta\n got %s\nwant %s", name, got, want)
+		}
+		for k, n := range verified.Counters {
+			if counted(k) && n != plain.Counters[k] {
+				t.Errorf("%s: counter %s reads %d with VerifyDelta, %d without", name, k, n, plain.Counters[k])
+			}
+		}
+		for k, n := range plain.Counters {
+			if _, ok := verified.Counters[k]; counted(k) && !ok {
+				t.Errorf("%s: counter %s is absent with VerifyDelta, %d without", name, k, n)
+			}
+		}
+		if plain.Counters["graph.traces"] == 0 {
+			t.Errorf("%s: graph.traces not counted", name)
+		}
 	}
 }
 

@@ -81,11 +81,6 @@ type Config struct {
 	// Dir/FileName and iteration records to Dir/LogName; the directory
 	// must exist and be writable.
 	Dir string
-	// Resume carries on the newest durable state in Dir, replaying its
-	// iterations onto the rebuilt graph. Resuming with no snapshot
-	// present fails with ErrNoCheckpoint; resuming against different
-	// options, inputs, or graph shape fails with a *MismatchError.
-	Resume bool
 	// InputDigest fingerprints the run's input files (the caller
 	// computes it; the root package hashes every source file's
 	// contents). Stored in each snapshot and checked on resume, so a

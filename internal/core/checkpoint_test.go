@@ -23,6 +23,26 @@ func checkpointedRun(t *testing.T, workers int, opts Options) (*Result, error) {
 	return RunContext(context.Background(), g, e.rels, opts)
 }
 
+// checkpointedResume is checkpointedRun carrying on the state in
+// opts.Checkpoint.Dir.
+func checkpointedResume(t *testing.T, workers int, opts Options) (*Result, error) {
+	t.Helper()
+	e := goldenEnv(t)
+	g := buildGraph(t, e, workers)
+	opts.Workers = workers
+	return resumeRun(context.Background(), g, e.rels, opts)
+}
+
+// resumeRun is how a caller resumes: ckpt.Load of opts.Checkpoint.Dir,
+// then ResumeContext.
+func resumeRun(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options) (*Result, error) {
+	st, err := ckpt.Load(opts.Checkpoint.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return ResumeContext(ctx, g, st, rels, opts)
+}
+
 // TestResumeAtEveryIterationMatchesFullRun is the core durability
 // guarantee: kill the loop after any committed iteration k, resume from
 // the snapshot — at the same or a different worker count — and the
@@ -52,8 +72,8 @@ func TestResumeAtEveryIterationMatchesFullRun(t *testing.T) {
 			if capped.Iterations != k {
 				t.Fatalf("workers=%d k=%d: capped run stopped at %d", workers, k, capped.Iterations)
 			}
-			res, err := checkpointedRun(t, resumeWorkers, Options{
-				Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+			res, err := checkpointedResume(t, resumeWorkers, Options{
+				Checkpoint: &ckpt.Config{Dir: dir},
 			})
 			if err != nil {
 				t.Fatalf("workers=%d k=%d: resume: %v", workers, k, err)
@@ -89,7 +109,7 @@ func TestResumeConvergedCheckpointShortCircuits(t *testing.T) {
 	}
 	want := dumpAnnotations(full)
 
-	res, err := checkpointedRun(t, 4, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+	res, err := checkpointedResume(t, 4, Options{Checkpoint: &ckpt.Config{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +135,7 @@ func TestResumeBelowItsStateStopsAtTheCap(t *testing.T) {
 	}
 	before := dirImage(t, dir)
 	for k := 1; k < full.Iterations; k++ {
-		res, err := checkpointedRun(t, 1+k%4, Options{MaxIterations: k, Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		res, err := checkpointedResume(t, 1+k%4, Options{MaxIterations: k, Checkpoint: &ckpt.Config{Dir: dir}})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -164,7 +184,7 @@ func TestResumeRefusals(t *testing.T) {
 	}
 
 	t.Run("no-checkpoint", func(t *testing.T) {
-		_, err := checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: t.TempDir(), Resume: true}})
+		_, err := checkpointedResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: t.TempDir()}})
 		if !errors.Is(err, ckpt.ErrNoCheckpoint) {
 			t.Fatalf("err = %v, want ErrNoCheckpoint", err)
 		}
@@ -174,7 +194,7 @@ func TestResumeRefusals(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, ckpt.FileName), []byte("scrambled"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		_, err := checkpointedResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir}})
 		var fe *ckpt.FormatError
 		if !errors.As(err, &fe) {
 			t.Fatalf("err = %v, want *ckpt.FormatError", err)
@@ -182,9 +202,9 @@ func TestResumeRefusals(t *testing.T) {
 	})
 	t.Run("options-mismatch", func(t *testing.T) {
 		dir := seed(t)
-		_, err := checkpointedRun(t, 1, Options{
+		_, err := checkpointedResume(t, 1, Options{
 			DisableThirdParty: true,
-			Checkpoint:        &ckpt.Config{Dir: dir, Resume: true},
+			Checkpoint:        &ckpt.Config{Dir: dir},
 		})
 		var me *ckpt.MismatchError
 		if !errors.As(err, &me) || me.Field != "options" {
@@ -193,8 +213,8 @@ func TestResumeRefusals(t *testing.T) {
 	})
 	t.Run("input-mismatch", func(t *testing.T) {
 		dir := seed(t)
-		_, err := checkpointedRun(t, 1, Options{
-			Checkpoint: &ckpt.Config{Dir: dir, Resume: true, InputDigest: 0xbad},
+		_, err := checkpointedResume(t, 1, Options{
+			Checkpoint: &ckpt.Config{Dir: dir, InputDigest: 0xbad},
 		})
 		var me *ckpt.MismatchError
 		if !errors.As(err, &me) || me.Field != "inputs" {
@@ -206,9 +226,9 @@ func TestResumeRefusals(t *testing.T) {
 		e := goldenEnv(t)
 		e.trace("2.0.0.93", "1.0.0.1", "1.0.0.9", "2.0.0.3", "2.0.0.93/e")
 		g := buildGraph(t, e, 1)
-		_, err := RunContext(context.Background(), g, e.rels, Options{
+		_, err := resumeRun(context.Background(), g, e.rels, Options{
 			Workers:    1,
-			Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+			Checkpoint: &ckpt.Config{Dir: dir},
 		})
 		var me *ckpt.MismatchError
 		if !errors.As(err, &me) || me.Field != "graph" {
@@ -227,7 +247,7 @@ func TestResumeRefusals(t *testing.T) {
 		if err := ckpt.Save(dir, st, nil); err != nil {
 			t.Fatal(err)
 		}
-		_, err = checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		_, err = checkpointedResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir}})
 		var he *ckpt.HistoryError
 		if !errors.As(err, &he) {
 			t.Fatalf("err = %v, want *ckpt.HistoryError", err)
@@ -243,7 +263,7 @@ func TestResumeRefusals(t *testing.T) {
 		if err := ckpt.Save(dir, st, nil); err != nil {
 			t.Fatal(err)
 		}
-		_, err = checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		_, err = checkpointedResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir}})
 		var fe *ckpt.FormatError
 		if !errors.As(err, &fe) {
 			t.Fatalf("err = %v, want *ckpt.FormatError", err)
@@ -264,7 +284,7 @@ func TestResumeRefusals(t *testing.T) {
 		if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		_, err = checkpointedResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir}})
 		var fe *ckpt.FormatError
 		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "version 2") {
 			t.Fatalf("err = %v, want the *ckpt.FormatError of a version-2 snapshot", err)
@@ -272,7 +292,7 @@ func TestResumeRefusals(t *testing.T) {
 	})
 	t.Run("worker-count-is-not-a-mismatch", func(t *testing.T) {
 		dir := seed(t)
-		if _, err := checkpointedRun(t, 4, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}}); err != nil {
+		if _, err := checkpointedResume(t, 4, Options{Checkpoint: &ckpt.Config{Dir: dir}}); err != nil {
 			t.Fatalf("resume at a different worker count refused: %v", err)
 		}
 	})
@@ -339,7 +359,7 @@ func TestCancelledCheckpointedRunKeepsLastSnapshot(t *testing.T) {
 	if st.Iteration != 2 {
 		t.Fatalf("snapshot iteration = %d, want 2 (last committed)", st.Iteration)
 	}
-	resumed, err := checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+	resumed, err := checkpointedResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,8 +156,8 @@ func TestSkippingKeepsTheConvergenceTrace(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("k=%d: capped run: %v", k, err)
 		}
-		res, err := core.RunContext(ctx, g, ds.Rels, core.Options{
-			Workers: 1 + k%4, Recorder: obs.New(), Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+		res, err := resumeRun(ctx, g, ds.Rels, core.Options{
+			Workers: 1 + k%4, Recorder: obs.New(), Checkpoint: &ckpt.Config{Dir: dir},
 		})
 		if err != nil {
 			t.Fatalf("k=%d: resume: %v", k, err)

@@ -203,9 +203,9 @@ func CheckLogFold(t *testing.T, g *Graph, rels RelationshipOracle, maxIter int, 
 			t.Fatal(err)
 		}
 		cfg := *opts.Checkpoint
-		cfg.Dir, cfg.Resume = old, true
+		cfg.Dir = old
 		g.ResetAnnotations()
-		resumed, err := RunContext(context.Background(), g, rels, Options{Workers: 1 + k%4, MaxIterations: maxIter, Checkpoint: &cfg})
+		resumed, err := resumeRun(context.Background(), g, rels, Options{Workers: 1 + k%4, MaxIterations: maxIter, Checkpoint: &cfg})
 		if err != nil {
 			t.Fatalf("resume from the old writer's snapshot of iteration %d: %v", k, err)
 		}
@@ -362,11 +362,11 @@ func TestResumeFromStartSnapshot(t *testing.T) {
 						from = full.Iterations - 1
 					}
 					rcfg := *cfg
-					rcfg.Dir, rcfg.Resume = at, true
+					rcfg.Dir = at
 					rec := obs.New()
 					var log bytes.Buffer
 					rec.SetLogOutput(&log)
-					resumed, err := RunContext(ctx, buildChunk(e, traces), e.rels, Options{Workers: 5 - workers, Recorder: rec, Checkpoint: &rcfg})
+					resumed, err := resumeRun(ctx, buildChunk(e, traces), e.rels, Options{Workers: 5 - workers, Recorder: rec, Checkpoint: &rcfg})
 					if err != nil {
 						t.Fatalf("truncated=%v: resume: %v", truncated, err)
 					}
@@ -461,7 +461,7 @@ func TestResumeWithoutProvenanceRebases(t *testing.T) {
 				copyDir(t, dir, logged)
 			}
 		}
-		res, err := checkpointedRun(t, 2, Options{Provenance: provenance, Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		res, err := checkpointedResume(t, 2, Options{Provenance: provenance, Checkpoint: &ckpt.Config{Dir: dir}})
 		ckpt.TestHook = nil
 		if err != nil {
 			t.Fatalf("provenance=%v: resume: %v", provenance, err)
@@ -482,7 +482,7 @@ func TestResumeWithoutProvenanceRebases(t *testing.T) {
 					provenance, kill.iter, st.Iteration, st.FromLog, err, kill.iter, kill.fromLog)
 			}
 		}
-		res, err = checkpointedRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: logged, Resume: true}})
+		res, err = checkpointedResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: logged}})
 		if err != nil || dumpAnnotations(res) != want {
 			t.Errorf("provenance=%v: resume after the second kill ends in different annotations (%v)", provenance, err)
 		}

@@ -190,9 +190,9 @@ func TestProvenanceResumeMatrix(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("workers=%d k=%d: capped run: %v", workers, k, err)
 			}
-			res, err := checkpointedRun(t, resumeWorkers, Options{
+			res, err := checkpointedResume(t, resumeWorkers, Options{
 				Provenance: true,
-				Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+				Checkpoint: &ckpt.Config{Dir: dir},
 			})
 			if err != nil {
 				t.Fatalf("workers=%d k=%d: resume: %v", workers, k, err)
@@ -221,9 +221,9 @@ func TestProvenanceResumeConverged(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := checkpointedRun(t, 1, Options{
+	res, err := checkpointedResume(t, 1, Options{
 		Provenance: true,
-		Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+		Checkpoint: &ckpt.Config{Dir: dir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +249,9 @@ func TestProvenanceResumeOfPlainCheckpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := checkpointedRun(t, 1, Options{
+	res, err := checkpointedResume(t, 1, Options{
 		Provenance: true,
-		Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+		Checkpoint: &ckpt.Config{Dir: dir},
 	})
 	if err != nil {
 		t.Fatalf("provenance resume of a plain checkpoint: %v", err)
@@ -268,8 +268,8 @@ func TestProvenanceResumeOfPlainCheckpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = checkpointedRun(t, 1, Options{
-		Checkpoint: &ckpt.Config{Dir: dir2, Resume: true},
+	res, err = checkpointedResume(t, 1, Options{
+		Checkpoint: &ckpt.Config{Dir: dir2},
 	})
 	if err != nil {
 		t.Fatalf("plain resume of provenance checkpoint: %v", err)
@@ -291,7 +291,7 @@ func TestProvenanceResumeBelowItsState(t *testing.T) {
 	}
 	before := dirImage(t, dir)
 	for k := 1; k < full.Iterations; k++ {
-		res, err := checkpointedRun(t, 2, Options{MaxIterations: k, Provenance: true, Checkpoint: &ckpt.Config{Dir: dir, Resume: true}})
+		res, err := checkpointedResume(t, 2, Options{MaxIterations: k, Provenance: true, Checkpoint: &ckpt.Config{Dir: dir}})
 		if err != nil {
 			t.Fatalf("k=%d: capped resume: %v", k, err)
 		}
@@ -305,7 +305,7 @@ func TestProvenanceResumeBelowItsState(t *testing.T) {
 
 		e := goldenEnv(t)
 		ctx, cancel := context.WithCancel(context.Background())
-		res, err = RunContext(ctx, buildGraph(t, e, 2), e.rels, CancelledAt(Options{Workers: 2, Provenance: true, Checkpoint: &ckpt.Config{Dir: dir, Resume: true}}, k, cancel))
+		res, err = resumeRun(ctx, buildGraph(t, e, 2), e.rels, CancelledAt(Options{Workers: 2, Provenance: true, Checkpoint: &ckpt.Config{Dir: dir}}, k, cancel))
 		cancel()
 		if err != nil {
 			t.Fatalf("k=%d: cancelled resume: %v", k, err)

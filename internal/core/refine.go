@@ -50,9 +50,8 @@ type Options struct {
 	// the engine's annotations are identical either way.
 	Recorder *obs.Recorder
 	// Checkpoint, when non-nil, makes the refinement loop durable: each
-	// committed iteration is recorded in Checkpoint.Dir, and with
-	// Checkpoint.Resume RunContext carries on the newest durable state
-	// there (ResumeContext). Checkpointed runs
+	// committed iteration is recorded in Checkpoint.Dir, and ResumeContext
+	// carries on a state ckpt.Load read from there. Checkpointed runs
 	// must use RunContext/InferContext — durability failures are real
 	// errors the caller must see.
 	Checkpoint *ckpt.Config
@@ -325,19 +324,9 @@ func Run(g *Graph, rels RelationshipOracle, opts Options) *Result {
 // because the partial annotations are the deliverable.
 //
 // A non-nil error occurs only with Options.Checkpoint set: a snapshot
-// that could not be written, or a resume refused because the stored
-// checkpoint is missing (ckpt.ErrNoCheckpoint), structurally invalid
-// (*ckpt.FormatError), or belongs to a different run
-// (*ckpt.MismatchError). With Checkpoint.Resume set, RunContext is
+// that could not be written. A run that carries on a checkpoint is
 // ckpt.Load plus ResumeContext.
 func RunContext(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options) (*Result, error) {
-	if cfg := opts.Checkpoint; cfg != nil && cfg.Resume {
-		st, err := ckpt.Load(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		return ResumeContext(ctx, g, st, rels, opts)
-	}
 	return refine(ctx, g, rels, opts, nil)
 }
 

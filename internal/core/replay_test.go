@@ -49,6 +49,16 @@ func oscillation(rep *obs.Report) string {
 	return ""
 }
 
+// resumeRun is how a caller resumes: ckpt.Load of opts.Checkpoint.Dir,
+// then core.ResumeContext.
+func resumeRun(ctx context.Context, g *core.Graph, rels core.RelationshipOracle, opts core.Options) (*core.Result, error) {
+	st, err := ckpt.Load(opts.Checkpoint.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return core.ResumeContext(ctx, g, st, rels, opts)
+}
+
 // TestResumeStitchesConvergenceTrace: a resumed run's report cannot be
 // told from an uninterrupted one's. Resumed after every iteration k of
 // the long oscillating fixture, at workers 1 and 4, its trace is the
@@ -83,8 +93,8 @@ func TestResumeStitchesConvergenceTrace(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("workers=%d k=%d: capped run: %v", workers, k, err)
 			}
-			res, err := core.RunContext(ctx, g, ds.Rels, core.Options{
-				Workers: workers, Recorder: obs.New(), Checkpoint: &ckpt.Config{Dir: dir, Resume: true},
+			res, err := resumeRun(ctx, g, ds.Rels, core.Options{
+				Workers: workers, Recorder: obs.New(), Checkpoint: &ckpt.Config{Dir: dir},
 			})
 			if err != nil {
 				t.Fatalf("workers=%d k=%d: resume: %v", workers, k, err)
@@ -195,8 +205,8 @@ func TestReplayRefusesHistoryThatMissesTheState(t *testing.T) {
 	if err := ckpt.Save(dir, bad, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunContext(context.Background(), buildGraph(ds, ds.Traces), ds.Rels, core.Options{
-		Workers: 2, Checkpoint: &ckpt.Config{Dir: dir, InputDigest: bad.InputDigest, Resume: true},
+	res, err := resumeRun(context.Background(), buildGraph(ds, ds.Traces), ds.Rels, core.Options{
+		Workers: 2, Checkpoint: &ckpt.Config{Dir: dir, InputDigest: bad.InputDigest},
 	})
 	refused("resume", res, err)
 	if _, err := os.Stat(filepath.Join(dir, ckpt.LogName)); !errors.Is(err, os.ErrNotExist) {

@@ -38,7 +38,7 @@ type Result struct {
 	// mistaken for a converged map.
 	Interrupted bool
 	// Resumed reports that this run restored a checkpoint before
-	// continuing (Options.Checkpoint.Resume), ResumedFrom the iteration it
+	// continuing (ResumeContext), ResumedFrom the iteration it
 	// restored: 0 for a run started from scratch, or killed before its
 	// first iteration was durable. A resumed run's annotations, Iterations,
 	// and convergence trace are byte-identical to an uninterrupted run's.

@@ -41,6 +41,13 @@ func xversionRun(t *testing.T, workers int, opts Options) (*Result, error) {
 	return RunContext(context.Background(), g, rels, opts)
 }
 
+func xversionResume(t *testing.T, workers int, opts Options) (*Result, error) {
+	t.Helper()
+	g, rels := xversionGraph(t, workers)
+	opts.Workers = workers
+	return resumeRun(context.Background(), g, rels, opts)
+}
+
 func writeXVersionDirs(t *testing.T, root string) {
 	for _, name := range []string{"converged", "cancelled"} {
 		dir := filepath.Join(root, name)
@@ -96,7 +103,7 @@ func TestCrossVersionCheckpoints(t *testing.T) {
 				t.Fatalf("workers=%d %s: loads at iteration %d (%d from the log), err %v; want %d (%d)",
 					workers, tc.name, st.Iteration, st.FromLog, err, tc.iter, tc.fromLog)
 			}
-			res, err := xversionRun(t, workers, Options{Provenance: true, Checkpoint: &ckpt.Config{Dir: dir, Resume: true, InputDigest: xversionDigest}})
+			res, err := xversionResume(t, workers, Options{Provenance: true, Checkpoint: &ckpt.Config{Dir: dir, InputDigest: xversionDigest}})
 			if err != nil {
 				t.Fatalf("workers=%d %s: resume: %v", workers, tc.name, err)
 			}
@@ -139,7 +146,7 @@ func TestCrossVersionCheckpoints(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ckpt.FileName), v2.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = xversionRun(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, Resume: true, InputDigest: xversionDigest}})
+	_, err = xversionResume(t, 1, Options{Checkpoint: &ckpt.Config{Dir: dir, InputDigest: xversionDigest}})
 	var fe *ckpt.FormatError
 	if !errors.As(err, &fe) {
 		t.Fatalf("resume from a version-2 snapshot = %v, want a *ckpt.FormatError", err)

@@ -44,7 +44,7 @@ func BenchmarkReadJSONL(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchTraces = benchTraces[:0]
-		if err := traceroute.ReadJSONL(bytes.NewReader(corpus), func(t *traceroute.Trace) error {
+		if _, err := traceroute.ReadJSONLStats(bytes.NewReader(corpus), func(t *traceroute.Trace) error {
 			benchTraces = append(benchTraces, t)
 			return nil
 		}); err != nil {

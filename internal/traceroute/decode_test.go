@@ -293,7 +293,7 @@ func TestJSONLAllocBudget(t *testing.T) {
 	traces := make([]*Trace, 0, n)
 	perRun := testing.AllocsPerRun(5, func() {
 		traces = traces[:0]
-		if err := ReadJSONL(bytes.NewReader(corpus), func(tr *Trace) error {
+		if _, err := ReadJSONLStats(bytes.NewReader(corpus), func(tr *Trace) error {
 			traces = append(traces, tr)
 			return nil
 		}); err != nil {

@@ -14,7 +14,7 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add(`{"type":"trace","dst":"203.0.113.9","hops":[{"addr":"198.51.100.1","probe_ttl":1,"icmp_type":12}]}`)
 	f.Add(`{"dst":"2001:db8::1","stop_reason":"GAPLIMIT","hops":[]}`)
 	f.Fuzz(func(t *testing.T, in string) {
-		_ = ReadJSONL(strings.NewReader(in), func(tr *Trace) error {
+		_, _ = ReadJSONLStats(strings.NewReader(in), func(tr *Trace) error {
 			if !tr.Dst.IsValid() {
 				t.Fatal("accepted trace with invalid dst")
 			}

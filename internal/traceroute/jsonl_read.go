@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"path/filepath"
+	"strings"
 )
 
 // ReadStats tallies what a JSONL scan consumed versus skipped, feeding
@@ -19,8 +21,29 @@ type ReadStats struct {
 	DroppedHops int
 }
 
-// ReadJSONL streams traces from JSON-lines input, invoking fn for each.
-// fn returning an error aborts the scan with that error.
+// IsBinary reports whether path names a trace file in the binary form: a
+// .bin extension, in any case. Every other trace file is JSON lines.
+func IsBinary(path string) bool { return strings.EqualFold(filepath.Ext(path), ".bin") }
+
+// Read streams the traces of r, the contents of the file at path, to fn
+// in the form IsBinary(path) says. The binary form skips no record and
+// drops no hop, so its ReadStats counts traces only. fn returning an
+// error aborts the read with that error.
+func Read(path string, r io.Reader, fn func(*Trace) error) (ReadStats, error) {
+	if !IsBinary(path) {
+		return ReadJSONLStats(r, fn)
+	}
+	var stats ReadStats
+	err := ReadBinary(r, func(t *Trace) error {
+		stats.Traces++
+		return fn(t)
+	})
+	return stats, err
+}
+
+// ReadJSONLStats streams traces from JSON-lines input, invoking fn for
+// each, and returns the skip/drop tallies alongside the scan result. fn
+// returning an error aborts the scan with that error.
 //
 // The reader accepts scamper (sc_warts2json) streams as a superset of
 // its own output: records whose "type" is not "trace" are skipped, a
@@ -28,13 +51,6 @@ type ReadStats struct {
 // ICMP reply types outside {Time Exceeded, Echo Reply, Destination
 // Unreachable} are dropped (bdrmapIT's heuristics only consume those
 // three).
-func ReadJSONL(r io.Reader, fn func(*Trace) error) error {
-	_, err := ScanJSONL(r, fn, nil)
-	return err
-}
-
-// ReadJSONLStats is ReadJSONL returning skip/drop tallies alongside the
-// scan result.
 func ReadJSONLStats(r io.Reader, fn func(*Trace) error) (ReadStats, error) {
 	return ScanJSONL(r, fn, nil)
 }

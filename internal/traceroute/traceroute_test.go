@@ -93,7 +93,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*Trace
-	if err := ReadJSONL(&buf, func(tr *Trace) error { got = append(got, tr); return nil }); err != nil {
+	if _, err := ReadJSONLStats(&buf, func(tr *Trace) error { got = append(got, tr); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || !reflect.DeepEqual(got[0], orig) {
@@ -109,7 +109,7 @@ func TestJSONLErrors(t *testing.T) {
 		`{not json}`,
 	}
 	for _, c := range cases {
-		err := ReadJSONL(strings.NewReader(c), func(*Trace) error { return nil })
+		_, err := ReadJSONLStats(strings.NewReader(c), func(*Trace) error { return nil })
 		if err == nil {
 			t.Errorf("expected error for %s", c)
 		}
@@ -131,7 +131,7 @@ func TestJSONLScamperCompatibility(t *testing.T) {
 		`{"type":"cycle-stop","id":1}`,
 	}, "\n")
 	var got []*Trace
-	if err := ReadJSONL(strings.NewReader(in), func(tr *Trace) error {
+	if _, err := ReadJSONLStats(strings.NewReader(in), func(tr *Trace) error {
 		got = append(got, tr)
 		return nil
 	}); err != nil {
@@ -282,15 +282,18 @@ func TestCodecsRoundTripRandom(t *testing.T) {
 			}
 		}
 	}
-	var jGot, bGot []*Trace
-	if err := ReadJSONL(&jbuf, func(tr *Trace) error { jGot = append(jGot, tr); return nil }); err != nil {
-		t.Fatal(err)
+	// Read picks the decoder from the path, the extension in any case.
+	for path, buf := range map[string]*bytes.Buffer{"traces.jsonl": &jbuf, "traces.BIN": &bbuf} {
+		var got []*Trace
+		stats, err := Read(path, buf, func(tr *Trace) error { got = append(got, tr); return nil })
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if stats.Traces != len(traces) {
+			t.Errorf("%s: ReadStats counts %d traces, want %d", path, stats.Traces, len(traces))
+		}
+		check(path, got)
 	}
-	if err := ReadBinary(&bbuf, func(tr *Trace) error { bGot = append(bGot, tr); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	check("jsonl", jGot)
-	check("binary", bGot)
 }
 
 func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/asn"
+	"repro/internal/core"
 	"repro/internal/ip2as"
 	"repro/internal/serve"
 )
@@ -51,11 +52,20 @@ func (r *Result) serveSnapshot(annDigest uint64, prefixes []serve.Prefix) (*serv
 		snap.Routers[idx] = uint32(rt.Annotation)
 	}
 	snap.Ifaces = make([]serve.Iface, len(g.Interfaces))
-	inLinks := 0
+	inLinks, maxIn := 0, 0
 	for k, i := range g.Interfaces {
 		snap.Ifaces[k] = serve.Iface{Addr: i.Addr, Router: uint32(i.Router.ID), ConnAS: uint32(i.Annotation)}
 		inLinks += len(i.InLinks)
+		maxIn = max(maxIn, len(i.InLinks))
 	}
+
+	// near holds one far interface's records until they are appended:
+	// each near AS with its best label, in core.LinkLabel's order.
+	type nearLabel struct {
+		as    asn.ASN
+		label core.LinkLabel
+	}
+	near := make([]nearLabel, 0, maxIn)
 
 	// Interdomain links — a link whose two routers carry different,
 	// non-empty annotations — one record per (FarAddr, NearAS, FarAS)
@@ -69,21 +79,22 @@ func (r *Result) serveSnapshot(annDigest uint64, prefixes []serve.Prefix) (*serv
 		if far == asn.None {
 			continue
 		}
-		start := len(snap.Links)
+		near = near[:0]
 		for _, l := range i.InLinks {
-			near := l.From.Annotation
-			if near == asn.None || near == far {
+			as := l.From.Annotation
+			if as == asn.None || as == far {
 				continue
 			}
-			label := l.Label.String()
-			k := slices.IndexFunc(snap.Links[start:], func(s serve.Link) bool { return s.NearAS == uint32(near) })
-			if k < 0 {
-				snap.Links = append(snap.Links, serve.Link{FarAddr: i.Addr, NearAS: uint32(near), FarAS: uint32(far), Label: label})
-			} else if s := &snap.Links[start+k]; linkLabelRank(label) > linkLabelRank(s.Label) {
-				s.Label = label
+			if k := slices.IndexFunc(near, func(n nearLabel) bool { return n.as == as }); k < 0 {
+				near = append(near, nearLabel{as, l.Label})
+			} else {
+				near[k].label = max(near[k].label, l.Label)
 			}
 		}
-		slices.SortFunc(snap.Links[start:], func(a, b serve.Link) int { return cmp.Compare(a.NearAS, b.NearAS) })
+		slices.SortFunc(near, func(a, b nearLabel) int { return cmp.Compare(a.as, b.as) })
+		for _, n := range near {
+			snap.Links = append(snap.Links, serve.Link{FarAddr: i.Addr, NearAS: uint32(n.as), FarAS: uint32(far), Label: n.label.String()})
+		}
 	}
 
 	// The ip2as view, flattened so the daemon can answer the cheap
@@ -103,21 +114,6 @@ func sortedPrefixes(r *ip2as.Resolver) []serve.Prefix {
 		return cmp.Or(cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits()), cmp.Compare(a.Kind, b.Kind))
 	})
 	return p
-}
-
-// linkLabelRank orders link confidence labels nexthop > echo >
-// multihop, matching internal/serve's selection order.
-func linkLabelRank(label string) int {
-	switch label {
-	case "N":
-		return 3
-	case "E":
-		return 2
-	case "M":
-		return 1
-	default:
-		return 0
-	}
 }
 
 // flattenIP2AS walks the resolver's three prefix sources into snapshot

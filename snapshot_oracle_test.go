@@ -326,3 +326,19 @@ func TestServeSnapshotAllocsFlat(t *testing.T) {
 	}
 	t.Logf("%v and %v allocations at %v and %v interfaces", allocs[0], allocs[1], ifaces[0], ifaces[1])
 }
+
+// linkLabelRank orders link confidence labels nexthop > echo >
+// multihop: the oracle's own copy of the order, so it shares no code with
+// the builder it checks.
+func linkLabelRank(label string) int {
+	switch label {
+	case "N":
+		return 3
+	case "E":
+		return 2
+	case "M":
+		return 1
+	default:
+		return 0
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/ckpt"
 	"repro/internal/traceroute"
@@ -25,7 +23,7 @@ func FilterTracesByVP(inPath, outPath string, keep func(vp string) bool) (kept i
 	err = ckpt.AtomicWrite(outPath, func(out io.Writer) error {
 		var write func(*traceroute.Trace) error
 		var flush func() error
-		if strings.EqualFold(filepath.Ext(outPath), ".bin") {
+		if traceroute.IsBinary(outPath) {
 			w := traceroute.NewBinaryWriter(out)
 			write, flush = w.Write, w.Flush
 		} else {
@@ -39,13 +37,7 @@ func FilterTracesByVP(inPath, outPath string, keep func(vp string) bool) (kept i
 			}
 			return nil
 		}
-		var rerr error
-		if strings.EqualFold(filepath.Ext(inPath), ".bin") {
-			rerr = traceroute.ReadBinary(in, visit)
-		} else {
-			rerr = traceroute.ReadJSONL(in, visit)
-		}
-		if rerr != nil {
+		if _, rerr := traceroute.Read(inPath, in, visit); rerr != nil {
 			return rerr
 		}
 		return flush()
