@@ -89,12 +89,14 @@ bench:
 	$(GO) run ./cmd/benchrun -rung $(RUNG) -workers $(BENCH_WORKERS) -out BENCH_$(RUNG).json
 
 # The pre-existing micro-benchmarks over the small topology, the two
-# trace loaders over a simulated campaign (MB/s per serialization), and
-# graph construction alone (traces/s and hops/s at 1 and N workers).
+# trace loaders over a simulated campaign (MB/s per serialization),
+# graph construction alone (traces/s and hops/s at 1 and N workers),
+# and the simulator's own cost at rung S (generation, campaign).
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkRunCampaign' -benchmem ./internal/topo
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt
 # schema by reportcheck, compared metric-by-metric against the committed

@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/asrel"
@@ -204,6 +205,27 @@ type Result struct {
 	// Report trace are byte-identical to an uninterrupted run's.
 	Resumed     bool
 	ResumedFrom int
+
+	// rendered is what Annotations writes and annDigest its FNV-64a,
+	// rendered once, at the first call that needs either.
+	renderOnce sync.Once
+	rendered   []byte
+	annDigest  uint64
+}
+
+// newResult wraps a core run for the serializers; resolver is the
+// run's ip2as view.
+func newResult(res *core.Result, resolver *ip2as.Resolver) *Result {
+	return &Result{
+		res:         res,
+		resolver:    resolver,
+		Iterations:  res.Iterations,
+		Converged:   res.Converged,
+		Interrupted: res.Interrupted,
+		Report:      res.Report,
+		Resumed:     res.Resumed,
+		ResumedFrom: res.ResumedFrom,
+	}
 }
 
 // RouterOperator returns the AS inferred to operate the router that
@@ -257,29 +279,37 @@ func (r *Result) ASLinks() [][2]uint32 {
 // the run was interrupted a trailing "# PARTIAL" comment line marks the
 // output as a non-converged partial result.
 func (r *Result) Annotations(w io.Writer) error {
-	// Lines are appended into one reused buffer: this is rendered by
-	// every absorb of an ingest session, and fmt was most of its cost.
-	var line []byte
-	for _, rt := range r.res.Graph.Routers {
-		for _, i := range rt.Interfaces {
-			line = i.Addr.AppendTo(line[:0])
-			line = append(line, ' ')
-			line = strconv.AppendUint(line, uint64(rt.Annotation), 10)
-			line = append(line, ' ')
-			line = strconv.AppendUint(line, uint64(i.Annotation), 10)
-			line = append(line, '\n')
-			if _, err := w.Write(line); err != nil {
-				return err
+	ann, _ := r.rendering()
+	_, err := w.Write(ann)
+	return err
+}
+
+// rendering returns the exact bytes Annotations writes and their
+// FNV-64a — the digest ServeSnapshot records, tying the journal's
+// applied records to the published artifacts. It renders once per
+// Result, from the annotations (and Interrupted and Iterations) as they
+// stand at the first call; the slice is shared and must not be
+// modified.
+func (r *Result) rendering() ([]byte, uint64) {
+	r.renderOnce.Do(func() {
+		var b []byte
+		for _, rt := range r.res.Graph.Routers {
+			for _, i := range rt.Interfaces {
+				b = i.Addr.AppendTo(b)
+				b = append(b, ' ')
+				b = strconv.AppendUint(b, uint64(rt.Annotation), 10)
+				b = append(b, ' ')
+				b = strconv.AppendUint(b, uint64(i.Annotation), 10)
+				b = append(b, '\n')
 			}
 		}
-	}
-	if r.Interrupted {
-		if _, err := fmt.Fprintf(w, "# PARTIAL: run interrupted after %d refinement iteration(s); annotations are the last committed iteration, not a converged map\n",
-			r.Iterations); err != nil {
-			return err
+		if r.Interrupted {
+			b = fmt.Appendf(b, "# PARTIAL: run interrupted after %d refinement iteration(s); annotations are the last committed iteration, not a converged map\n",
+				r.Iterations)
 		}
-	}
-	return nil
+		r.rendered, r.annDigest = b, ckpt.Fingerprint(b)
+	})
+	return r.rendered, r.annDigest
 }
 
 // Links writes every inferred interdomain link as a "near-AS far-AS
@@ -418,16 +448,7 @@ func RunContext(ctx context.Context, src Sources, opts Options) (*Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("bdrmapit: %w", err)
 	}
-	return &Result{
-		res:         res,
-		resolver:    resolver,
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		Interrupted: res.Interrupted,
-		Report:      res.Report,
-		Resumed:     res.Resumed,
-		ResumedFrom: res.ResumedFrom,
-	}, nil
+	return newResult(res, resolver), nil
 }
 
 func withFile[T any](path string, f func(io.Reader) (T, error)) (T, error) {

@@ -315,7 +315,7 @@ func BenchmarkInferenceWorkers(b *testing.B) {
 
 // BenchmarkServeSnapshot measures building the serving snapshot from a
 // finished run — the tables an ingest session rebuilds at every publish,
-// given the annotations digest and the sorted prefix table it already
+// given the annotations rendering and the sorted prefix table it already
 // holds. allocs/op must not grow with the graph
 // (TestServeSnapshotAllocsFlat).
 func BenchmarkServeSnapshot(b *testing.B) {
@@ -323,11 +323,12 @@ func BenchmarkServeSnapshot(b *testing.B) {
 	res := core.Run(buildBenchGraph(ds, 1), ds.Rels, core.Options{Workers: 1})
 	r := &Result{res: res, resolver: ds.Resolver, Iterations: res.Iterations, Converged: res.Converged}
 	prefixes := sortedPrefixes(ds.Resolver)
+	r.rendering()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if snapBenchSink, err = r.serveSnapshot(0, prefixes); err != nil {
+		if snapBenchSink, err = r.serveSnapshot(prefixes); err != nil {
 			b.Fatal(err)
 		}
 	}

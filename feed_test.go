@@ -304,11 +304,13 @@ func TestPhaseTree(t *testing.T) {
 
 // TestRenderersMatchFmt holds the hand-appended line renderers to the
 // fmt verbs they replaced, over the test dataset's run (IPv4 and IPv6
-// interfaces) converged and interrupted.
+// interfaces) converged and interrupted. Each case wraps the run in a
+// Result of its own: a Result renders its annotations once.
 func TestRenderersMatchFmt(t *testing.T) {
-	res := runFull(t, quiet(Options{}))
+	run := runFull(t, quiet(Options{}))
 	for _, interrupted := range []bool{false, true} {
-		res.Interrupted, res.res.Interrupted = interrupted, interrupted
+		run.res.Interrupted = interrupted
+		res := newResult(run.res, run.resolver)
 
 		var want bytes.Buffer
 		for _, rt := range res.res.Graph.Routers {

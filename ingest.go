@@ -1,7 +1,6 @@
 package bdrmapit
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -94,12 +93,13 @@ type IngestResult struct {
 }
 
 // ingestState is the session's rolling inference state: the run that
-// committed the converged checkpoint (res.Checkpoint) the next batch's
-// delta run uses as its base. The graph itself lives in the session's
-// Builder, which grows it batch by batch.
+// committed the converged checkpoint (res.res.Checkpoint) the next
+// batch's delta run uses as its base, with the annotation rendering it
+// published. The graph itself lives in the session's Builder, which
+// grows it batch by batch.
 type ingestState struct {
 	lineage []ckpt.BatchInfo
-	res     *core.Result
+	res     *Result
 }
 
 // errInterrupted is the internal signal that a batch apply observed
@@ -285,12 +285,13 @@ func (ing *ingester) bootstrapOrRecover() error {
 	if res.Interrupted {
 		return errInterrupted
 	}
+	r := newResult(res, ing.resolver)
 	if st != nil && ing.opts.VerifyDelta {
-		if err := ing.verifyDelta(lineage, res); err != nil {
+		if err := ing.verifyDelta(lineage, r); err != nil {
 			return fmt.Errorf("bdrmapit: ingest: recovered state: %w", err)
 		}
 	}
-	ing.cur.lineage, ing.cur.res = lineage, res
+	ing.cur.lineage, ing.cur.res = lineage, r
 	return nil
 }
 
@@ -346,7 +347,7 @@ func (ing *ingester) saveImage() {
 	if ing.imaged == len(ing.cur.lineage) {
 		return
 	}
-	bind := core.ImageBinding{OptionsFP: ing.cur.res.Checkpoint.OptionsFP, BaseDigest: ing.baseDig, Lineage: ing.cur.lineage}
+	bind := core.ImageBinding{OptionsFP: ing.cur.res.res.Checkpoint.OptionsFP, BaseDigest: ing.baseDig, Lineage: ing.cur.lineage}
 	if err := ckpt.AtomicWrite(filepath.Join(ing.store.Dir, imageName), func(w io.Writer) error {
 		return ing.builder.WriteImage(w, bind)
 	}); err != nil {
@@ -525,7 +526,7 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	if err != nil {
 		return fmt.Errorf("bdrmapit: ingest: %w", err)
 	}
-	res, err := core.RunDeltaContext(ing.ctx, g, ing.builder.LastAppend(), ing.cur.res.Checkpoint, ing.rels, dopts)
+	res, err := core.RunDeltaContext(ing.ctx, g, ing.builder.LastAppend(), ing.cur.res.res.Checkpoint, ing.rels, dopts)
 	if err != nil {
 		return fmt.Errorf("bdrmapit: ingest: absorbing %s: %w", name, err)
 	}
@@ -534,16 +535,17 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 	}
 	phase.Note("iterations", int64(res.Iterations))
 
+	r := newResult(res, ing.resolver)
 	if ing.opts.VerifyDelta {
-		if err := ing.verifyDelta(newLineage, res); err != nil {
+		if err := ing.verifyDelta(newLineage, r); err != nil {
 			return fmt.Errorf("bdrmapit: ingest: batch %s: %w", name, err)
 		}
 	}
-	annDigest, err := ing.publish(res)
+	annDigest, err := ing.publish(r)
 	if err != nil {
 		return err
 	}
-	ing.cur.lineage, ing.cur.res = newLineage, res
+	ing.cur.lineage, ing.cur.res = newLineage, r
 	if err := ing.store.MarkApplied(fp, name, annDigest); err != nil {
 		return err
 	}
@@ -568,11 +570,9 @@ func (ing *ingester) applyBatch(name string, fp uint64, batchTraces []*tracerout
 // so the session's report is its own work. It is expensive by design —
 // the point is proof, not speed — and any divergence fails the session
 // before the state is built on.
-func (ing *ingester) verifyDelta(lineage []ckpt.BatchInfo, res *core.Result) error {
-	_, want, err := renderAnnotations(&Result{res: res, Interrupted: res.Interrupted, Iterations: res.Iterations})
-	if err != nil {
-		return err
-	}
+func (ing *ingester) verifyDelta(lineage []ckpt.BatchInfo, r *Result) error {
+	_, want := r.rendering()
+	res := r.res
 	for _, workers := range []int{1, 4, 8} {
 		run := ing.opts.Run
 		run.Workers, run.Recorder = workers, nil
@@ -595,10 +595,7 @@ func (ing *ingester) verifyDelta(lineage []ckpt.BatchInfo, res *core.Result) err
 		if vres.Interrupted {
 			return errInterrupted
 		}
-		_, got, err := renderAnnotations(&Result{res: vres, Iterations: vres.Iterations})
-		if err != nil {
-			return err
-		}
+		_, got := newResult(vres, nil).rendering()
 		if got != want {
 			return fmt.Errorf("delta≡full equivalence violated at workers=%d: delta annotations digest %016x, from-scratch %016x (iterations %d vs %d)",
 				workers, want, got, res.Iterations, vres.Iterations)
@@ -613,18 +610,10 @@ func (ing *ingester) verifyDelta(lineage []ckpt.BatchInfo, res *core.Result) err
 // published atomically; the reload retries 409/503 with jittered
 // backoff and degrades to a loud warning when the daemon stays
 // unreachable (its files are already on disk).
-func (ing *ingester) publish(res *core.Result) (uint64, error) {
-	r := &Result{
-		res: res, resolver: ing.resolver,
-		Iterations: res.Iterations, Converged: res.Converged,
-		Interrupted: res.Interrupted, Report: res.Report,
-	}
+func (ing *ingester) publish(r *Result) (uint64, error) {
 	// One rendering feeds the journal's digest, the file and the
 	// snapshot's digest.
-	ann, annDigest, err := renderAnnotations(r)
-	if err != nil {
-		return 0, err
-	}
+	ann, annDigest := r.rendering()
 	// The two files are independent publishes of the one rendering, so
 	// they go out side by side.
 	publishAnn := func() error {
@@ -646,7 +635,7 @@ func (ing *ingester) publish(res *core.Result) (uint64, error) {
 		if ing.prefixes == nil {
 			ing.prefixes = sortedPrefixes(ing.resolver)
 		}
-		snap, err := r.serveSnapshot(annDigest, ing.prefixes)
+		snap, err := r.serveSnapshot(ing.prefixes)
 		if err == nil {
 			err = serve.WriteFile(p, snap)
 		}
@@ -761,17 +750,6 @@ func lineageHas(lineage []ckpt.BatchInfo, fp uint64) bool {
 		}
 	}
 	return false
-}
-
-// renderAnnotations returns the exact bytes Annotations writes and their
-// FNV-64a — the digest ServeSnapshot records, tying the journal's
-// applied records to the published artifacts.
-func renderAnnotations(r *Result) ([]byte, uint64, error) {
-	var buf bytes.Buffer
-	if err := r.Annotations(&buf); err != nil {
-		return nil, 0, fmt.Errorf("bdrmapit: rendering annotations: %w", err)
-	}
-	return buf.Bytes(), ckpt.Fingerprint(buf.Bytes()), nil
 }
 
 func fnvString(s string) uint64 { return ckpt.Fingerprint([]byte(s)) }

@@ -416,23 +416,20 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	if collect {
 		memo = make([]iterTally, len(g.Routers))
 	}
-	// fullSnapshot forces step 1 to copy every router's annotation. Once
-	// an iteration commits in full, every router outside its changed set
-	// already satisfies prevAnnotation == Annotation, so subsequent
-	// snapshots shrink to the changed routers. The same flag makes the
-	// first iteration evaluate every dirty router and interface:
-	// nothing has been evaluated yet in this process, so nothing can be
-	// skipped. One that src turns dirty later is in the same position on
-	// its first dirty pass (since == iter): no stamp need say its reads
+	// Step 1 of the first iteration copies every router's annotation.
+	// Once an iteration commits in full, every router outside its
+	// changed set already satisfies prevAnnotation == Annotation, so
+	// later snapshots shrink to the changed routers. A router or
+	// interface is evaluated on its first dirty pass (since == iter, so
+	// every dirty one on iteration 1): no stamp need say its reads
 	// moved, and it has no memoised tally to stand in for an evaluation.
-	fullSnapshot := true
 	var mu sync.Mutex //lint:mutex merges per-shard telemetry tallies into the iteration total; never guards annotation state
 	for iter := 1; iter <= opts.MaxIterations; iter++ {
 		var it iterTally
 		src.advance(g, iter)
 		// Step 1: snapshot. A cancellation observed here leaves every
 		// annotation at the previous iteration's committed state.
-		if fullSnapshot {
+		if iter == 1 {
 			if !shard.ForCtx(ctx, len(g.Routers), opts.Workers, func(lo, hi int) {
 				for _, r := range g.Routers[lo:hi] {
 					r.prevAnnotation = r.Annotation
@@ -479,7 +476,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 					r.Annotation = a
 				case r.LastHop:
 					continue
-				case fullSnapshot || since == int32(iter) || r.inputsChanged(int32(iter-1)):
+				case since == int32(iter) || r.inputsChanged(int32(iter-1)):
 					var rt iterTally
 					r.Annotation = annotateRouter(r, rels, opts, &rt, sc, nil)
 					local.add(&rt)
@@ -526,7 +523,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 				switch {
 				case replayed:
 					i.Annotation = a
-				case fullSnapshot || since == int32(iter) || i.votersChanged():
+				case since == int32(iter) || i.votersChanged():
 					annotateInterface(i, rels, sc, nil)
 				default:
 					continue
@@ -548,7 +545,6 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 			break
 		}
 		res.Iterations = iter
-		fullSnapshot = false
 		if err := src.reached(g, iter); err != nil {
 			ph.End()
 			return nil, err

@@ -47,7 +47,9 @@ func RungIndex(name string) int {
 // shape. IPv6 is disabled on every rung (the dual-stack view never
 // perturbs IPv4 results and roughly doubles generation cost), and the
 // routing-tree cache is bounded so campaign memory does not scale with
-// the AS population.
+// the AS population; both campaign walks (RunCampaign, StreamCampaign)
+// probe destination by destination, so the bound costs neither of them
+// a recomputed tree per VP.
 func LadderRung(name string, seed int64) (Rung, error) {
 	base := DefaultConfig(seed)
 	base.EnableIPv6 = false

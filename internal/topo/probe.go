@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"math/rand"
 	"net/netip"
 
 	"repro/internal/traceroute"
@@ -68,8 +67,7 @@ func (in *Internet) Engine(vp VP) *Engine {
 // Traceroute probes dst from the engine's vantage point with the same
 // deterministic per-(vp, dst) randomness the campaign runner uses.
 func (e *Engine) Traceroute(dst netip.Addr) *traceroute.Trace {
-	seed := e.in.Cfg.Seed ^ int64(e.vp.AS.ASN)<<32 ^ int64(addrSeed(dst))
-	return e.in.Traceroute(e.vp, dst, rand.New(rand.NewSource(seed)))
+	return e.in.probe(e.vp, dst)
 }
 
 // ProbeIPID implements alias.IPIDProber.

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"container/heap"
 	"sort"
 	"sync"
 
@@ -32,34 +31,50 @@ type routingState struct {
 	trees map[asn.ASN]*routeTree
 	order []asn.ASN // insertion order of live entries, oldest first
 	max   int       // 0 = unbounded
+
+	// providers, customers and peers hold each AS's BGP-visible
+	// neighbours as ASList positions, indexed by position. No stage
+	// depends on their order: every tie breaks to the lowest position.
+	providers, customers, peers [][]int32
 }
 
 // routeTree is the outcome of simulating BGP route propagation toward
 // one destination AS under Gao–Rexford export rules with the standard
 // preference order (customer > peer > provider, then shortest path,
-// then lowest next-hop ASN).
+// then lowest next-hop ASN). next[x] is the ASList position of the
+// next hop AS x forwards to, or -1 when x has no route (and at the
+// destination itself).
 type routeTree struct {
-	dst asn.ASN
-	// class: 0 unreachable, 1 customer route, 2 peer route, 3 provider
-	// route; dist is the AS-path length of the best route; next is the
-	// chosen next-hop AS.
-	class map[asn.ASN]uint8
-	dist  map[asn.ASN]int
-	next  map[asn.ASN]asn.ASN
+	next []int32
 }
 
-const (
-	clsNone     uint8 = 0
-	clsCustomer uint8 = 1
-	clsPeer     uint8 = 2
-	clsProvider uint8 = 3
-)
-
 func (in *Internet) initRouting() {
-	in.routing = &routingState{
-		trees: make(map[asn.ASN]*routeTree),
-		max:   in.Cfg.RouteCacheTrees,
+	r := &routingState{
+		trees:     make(map[asn.ASN]*routeTree),
+		max:       in.Cfg.RouteCacheTrees,
+		providers: make([][]int32, len(in.ASList)),
+		customers: make([][]int32, len(in.ASList)),
+		peers:     make([][]int32, len(in.ASList)),
 	}
+	for i, a := range in.ASList {
+		a.pos = int32(i)
+	}
+	visible := func(a *AS, nbrs []*AS) []int32 {
+		var out []int32
+		for _, n := range nbrs {
+			if e := in.edges[pairKey(a.ASN, n.ASN)]; e != nil && e.BGPInvisible {
+				continue
+			}
+			out = append(out, n.pos)
+		}
+		return out
+	}
+	for i, a := range in.ASList {
+		r.providers[i] = visible(a, a.Providers)
+		r.customers[i] = visible(a, a.Customers)
+		r.peers[i] = visible(a, a.Peers)
+	}
+	in.routing = r
 }
 
 // treeCacheSize reports how many routing trees are currently cached —
@@ -68,24 +83,6 @@ func (in *Internet) treeCacheSize() int {
 	in.routing.mu.RLock()
 	defer in.routing.mu.RUnlock()
 	return len(in.routing.trees)
-}
-
-// visibleNeighbors enumerates d's neighbours over BGP-visible edges,
-// split by relationship from d's point of view.
-func (in *Internet) visibleNeighbors(a *AS) (providers, customers, peers []*AS) {
-	appendVisible := func(dst []*AS, nbrs []*AS) []*AS {
-		for _, n := range nbrs {
-			if e := in.edges[pairKey(a.ASN, n.ASN)]; e != nil && e.BGPInvisible {
-				continue
-			}
-			dst = append(dst, n)
-		}
-		return dst
-	}
-	providers = appendVisible(nil, a.Providers)
-	customers = appendVisible(nil, a.Customers)
-	peers = appendVisible(nil, a.Peers)
-	return
 }
 
 // tree returns (computing and caching) the routing tree toward dst.
@@ -119,171 +116,112 @@ func (in *Internet) tree(dst asn.ASN) *routeTree {
 
 // computeTree simulates valley-free route propagation toward dst:
 //
-//  1. customer routes climb provider links (BFS from dst upward);
+//  1. customer routes climb provider links (breadth-first from dst);
 //  2. peer routes are one peering hop from a customer route;
-//  3. provider routes descend customer links (Dijkstra seeded by the
-//     best customer/peer route at each provider).
+//  3. provider routes descend customer links, seeded by the best
+//     customer or peer route at each provider.
+//
+// Distances and next hops are position-indexed, -1 meaning no route.
 func (in *Internet) computeTree(dst asn.ASN) *routeTree {
-	t := &routeTree{
-		dst:   dst,
-		class: make(map[asn.ASN]uint8),
-		dist:  make(map[asn.ASN]int),
-		next:  make(map[asn.ASN]asn.ASN),
+	r := in.routing
+	n := len(in.ASList)
+	dist, next := unrouted(n), unrouted(n)
+	d, ok := in.ASes[dst]
+	if !ok {
+		return &routeTree{next: next}
 	}
-	d := in.ASes[dst]
-	if d == nil {
-		return t
+	dist[d.pos] = 0
+	spread(dist, next, r.providers)
+	// Peer routes read customer routes only, so they are all chosen
+	// before any is merged in; a customer route outranks a peer route.
+	alt, altNext := unrouted(n), unrouted(n)
+	for x := range n {
+		alt[x], altNext[x] = nearest(r.peers[x], dist)
 	}
-	// Stage 1: customer routes (propagate from dst up provider edges).
-	type qent struct {
-		as   asn.ASN
-		dist int
-	}
-	custDist := map[asn.ASN]int{dst: 0}
-	custNext := map[asn.ASN]asn.ASN{}
-	queue := []qent{{dst, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if custDist[cur.as] != cur.dist {
-			continue
-		}
-		a := in.ASes[cur.as]
-		providers, _, _ := in.visibleNeighbors(a)
-		// Deterministic: lower-ASN neighbours processed first.
-		sort.Slice(providers, func(i, j int) bool { return providers[i].ASN < providers[j].ASN })
-		for _, p := range providers {
-			nd := cur.dist + 1
-			old, seen := custDist[p.ASN]
-			if !seen || nd < old || (nd == old && cur.as < custNext[p.ASN]) {
-				custDist[p.ASN] = nd
-				custNext[p.ASN] = cur.as
-				if !seen || nd < old {
-					queue = append(queue, qent{p.ASN, nd})
-				}
-			}
+	for x := range n {
+		if dist[x] < 0 {
+			dist[x], next[x] = alt[x], altNext[x]
 		}
 	}
-	// Stage 2: peer routes.
-	peerDist := map[asn.ASN]int{}
-	peerNext := map[asn.ASN]asn.ASN{}
-	for _, a := range in.ASList {
-		_, _, peers := in.visibleNeighbors(a)
-		best, bestNext := -1, asn.None
-		for _, p := range peers {
-			if cd, ok := custDist[p.ASN]; ok {
-				nd := cd + 1
-				if best == -1 || nd < best || (nd == best && p.ASN < bestNext) {
-					best, bestNext = nd, p.ASN
-				}
-			}
-		}
-		if best >= 0 {
-			peerDist[a.ASN] = best
-			peerNext[a.ASN] = bestNext
+	// Provider routes rank last: they fill in only where neither a
+	// customer nor a peer route exists.
+	for x := range n {
+		alt[x], altNext[x] = nearest(r.providers[x], dist)
+	}
+	spread(alt, altNext, r.customers)
+	for x := range n {
+		if dist[x] < 0 {
+			next[x] = altNext[x]
 		}
 	}
-	// Stage 3: provider routes (Dijkstra over provider→customer edges,
-	// seeded with each AS's best customer/peer route).
-	seed := func(x asn.ASN) (int, bool) {
-		if cd, ok := custDist[x]; ok {
-			return cd, true
-		}
-		if pd, ok := peerDist[x]; ok {
-			return pd, true
-		}
-		return 0, false
-	}
-	provDist := map[asn.ASN]int{}
-	provNext := map[asn.ASN]asn.ASN{}
-	pq := &asnHeap{}
-	heap.Init(pq)
-	for _, a := range in.ASList {
-		providers, _, _ := in.visibleNeighbors(a)
-		best, bestNext := -1, asn.None
-		for _, p := range providers {
-			if sd, ok := seed(p.ASN); ok {
-				nd := sd + 1
-				if best == -1 || nd < best || (nd == best && p.ASN < bestNext) {
-					best, bestNext = nd, p.ASN
-				}
-			}
-		}
-		if best >= 0 {
-			provDist[a.ASN] = best
-			provNext[a.ASN] = bestNext
-			heap.Push(pq, asnDist{a.ASN, best})
-		}
-	}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(asnDist)
-		if provDist[cur.as] != cur.dist {
-			continue
-		}
-		a := in.ASes[cur.as]
-		// A provider route propagates down to this AS's customers.
-		_, customers, _ := in.visibleNeighbors(a)
-		for _, c := range customers {
-			// The customer prefers its own customer/peer routes; the
-			// provider route only matters when absent or shorter by
-			// class precedence (class is already lower, so only compete
-			// among provider routes).
-			nd := cur.dist + 1
-			old, seen := provDist[c.ASN]
-			if !seen || nd < old || (nd == old && cur.as < provNext[c.ASN]) {
-				provDist[c.ASN] = nd
-				provNext[c.ASN] = cur.as
-				if !seen || nd < old {
-					heap.Push(pq, asnDist{c.ASN, nd})
-				}
-			}
-		}
-	}
-	// Collapse: best route per AS by class precedence.
-	for _, a := range in.ASList {
-		x := a.ASN
-		if x == dst {
-			t.class[x] = clsCustomer
-			t.dist[x] = 0
-			continue
-		}
-		if cd, ok := custDist[x]; ok {
-			t.class[x], t.dist[x], t.next[x] = clsCustomer, cd, custNext[x]
-			continue
-		}
-		if pd, ok := peerDist[x]; ok {
-			t.class[x], t.dist[x], t.next[x] = clsPeer, pd, peerNext[x]
-			continue
-		}
-		if vd, ok := provDist[x]; ok {
-			t.class[x], t.dist[x], t.next[x] = clsProvider, vd, provNext[x]
-		}
-	}
-	return t
+	return &routeTree{next: next}
 }
 
-type asnDist struct {
-	as   asn.ASN
-	dist int
-}
-
-type asnHeap []asnDist
-
-func (h asnHeap) Len() int { return len(h) }
-func (h asnHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+func unrouted(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
 	}
-	return h[i].as < h[j].as
+	return s
 }
-func (h asnHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *asnHeap) Push(x any)   { *h = append(*h, x.(asnDist)) }
-func (h *asnHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// nearest picks, among nbrs that have a route in dist, the one whose
+// route plus one hop is shortest (lowest position on ties). It returns
+// -1, -1 when none has a route.
+func nearest(nbrs, dist []int32) (best, via int32) {
+	best, via = -1, -1
+	for _, p := range nbrs {
+		if dist[p] < 0 {
+			continue
+		}
+		if nd := dist[p] + 1; best < 0 || nd < best || (nd == best && p < via) {
+			best, via = nd, p
+		}
+	}
+	return best, via
+}
+
+// spread extends the routes in dist along adj one hop at a time,
+// shortest first: an AS keeps its shortest route and, among equally
+// short ones, the lowest-positioned next hop.
+func spread(dist, next []int32, adj [][]int32) {
+	var level [][]int32 // level[k]: ASes reached at distance k
+	add := func(x, k int32) {
+		for int(k) >= len(level) {
+			level = append(level, nil)
+		}
+		level[k] = append(level[k], x)
+	}
+	for x, k := range dist {
+		if k >= 0 {
+			add(int32(x), k)
+		}
+	}
+	for k := int32(0); int(k) < len(level); k++ {
+		for _, x := range level[k] {
+			if dist[x] != k {
+				continue // reached more cheaply since it was queued
+			}
+			for _, y := range adj[x] {
+				switch {
+				case dist[y] < 0 || k+1 < dist[y]:
+					dist[y], next[y] = k+1, x
+					add(y, k+1)
+				case k+1 == dist[y] && x < next[y]:
+					next[y] = x
+				}
+			}
+		}
+	}
+}
+
+// hop returns the AS x forwards to toward the tree's destination.
+func (in *Internet) hop(t *routeTree, x asn.ASN) (asn.ASN, bool) {
+	a, ok := in.ASes[x]
+	if !ok || t.next[a.pos] < 0 {
+		return asn.None, false
+	}
+	return in.ASList[t.next[a.pos]].ASN, true
 }
 
 // nextHop returns the AS cur forwards to when the packet is destined to
@@ -308,12 +246,7 @@ func (in *Internet) nextHop(cur, owner asn.ASN) (asn.ASN, bool) {
 			return owner, true
 		}
 	}
-	t := in.tree(target)
-	nh, ok := t.next[cur]
-	if !ok {
-		return asn.None, false
-	}
-	return nh, true
+	return in.hop(in.tree(target), cur)
 }
 
 // ASPathTo returns the AS-level forwarding path from src to the
@@ -345,16 +278,13 @@ func (in *Internet) BGPPathTo(collector, origin asn.ASN) ([]asn.ASN, bool) {
 		return []asn.ASN{origin}, true
 	}
 	t := in.tree(origin)
-	if t.class[collector] == clsNone {
-		return nil, false
-	}
 	path := []asn.ASN{collector}
 	cur := collector
 	for cur != origin {
 		if len(path) > 32 {
 			return nil, false
 		}
-		nh, ok := t.next[cur]
+		nh, ok := in.hop(t, cur)
 		if !ok {
 			return nil, false
 		}

@@ -131,12 +131,10 @@ type Config struct {
 	CoreScale int
 
 	// RouteCacheTrees bounds the per-destination routing-tree cache (0 =
-	// unbounded, the historical behaviour). Each cached tree holds three
-	// maps spanning every AS, so an unbounded cache costs O(ASes²)
-	// memory once a campaign probes every network. Destination-major
-	// consumers — RIB export and StreamCampaign — touch destinations in
-	// runs and stay fast under a small bound; RunCampaign iterates
-	// VP-major and should keep the cache unbounded.
+	// unbounded). Each cached tree is one int32 per AS, so an unbounded
+	// cache costs O(ASes²) memory once a campaign probes every network.
+	// Every consumer — RIB export, RunCampaign and StreamCampaign —
+	// walks destinations in runs and stays fast under a small bound.
 	RouteCacheTrees int
 
 	// EnableIPv6 installs the dual-stack view: every interface, prefix,
@@ -210,6 +208,10 @@ type AS struct {
 	Hosts []netip.Addr
 
 	Providers, Customers, Peers []*AS
+	// pos is the AS's index in Internet.ASList, the coordinate routing
+	// trees are stored in. ASList is ascending by ASN, so comparing
+	// positions compares ASNs.
+	pos int32
 
 	// Behavioural flags (see Config).
 	Firewalled    bool

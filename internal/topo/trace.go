@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/traceroute"
@@ -298,64 +296,6 @@ func (in *Internet) dstRouter(dst netip.Addr, owner *AS) *Router {
 		return i.Router
 	}
 	return owner.Host
-}
-
-// RunCampaign probes every target from every VP, returning the combined
-// trace archive. Each (vp, target) pair uses an independent seeded rng,
-// so campaigns are reproducible and VP subsets are consistent with the
-// full run (needed for the §7.3 VP-count sweep). VPs are simulated
-// concurrently; the output order (by VP, then target) is deterministic.
-func (in *Internet) RunCampaign(vps []VP, targets []netip.Addr) []*traceroute.Trace {
-	perVP := make([][]*traceroute.Trace, len(vps))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(vps) {
-		workers = len(vps)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				perVP[i] = in.runVP(vps[i], targets)
-			}
-		}()
-	}
-	for i := range vps {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	var total int
-	for _, ts := range perVP {
-		total += len(ts)
-	}
-	traces := make([]*traceroute.Trace, 0, total)
-	for _, ts := range perVP {
-		traces = append(traces, ts...)
-	}
-	return traces
-}
-
-// runVP probes every target from one vantage point.
-func (in *Internet) runVP(vp VP, targets []netip.Addr) []*traceroute.Trace {
-	out := make([]*traceroute.Trace, 0, len(targets))
-	for _, dst := range targets {
-		if dst == vp.Src {
-			continue
-		}
-		seed := in.Cfg.Seed ^ int64(vp.AS.ASN)<<32 ^ int64(addrSeed(dst))
-		rng := rand.New(rand.NewSource(seed))
-		if t := in.Traceroute(vp, dst, rng); t != nil && len(t.Hops) > 0 {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func addrSeed(a netip.Addr) uint32 {

@@ -19,24 +19,19 @@ import (
 // byte-identical runs produce byte-identical snapshots (no
 // timestamps, no map-order leakage).
 func (r *Result) ServeSnapshot() (*serve.Snapshot, error) {
-	// The byte-equality contract with the offline annotations file: the
-	// digest of the exact rendering Annotations would write.
-	_, annDigest, err := renderAnnotations(r)
-	if err != nil {
-		return nil, err
-	}
-	return r.serveSnapshot(annDigest, sortedPrefixes(r.resolver))
+	return r.serveSnapshot(sortedPrefixes(r.resolver))
 }
 
-// serveSnapshot is ServeSnapshot given what does not depend on this
-// run's graph walk: the digest of the rendered annotations, and the
-// resolver's prefix table already in snapshot order (sortedPrefixes),
-// which the snapshot shares and does not modify.
-func (r *Result) serveSnapshot(annDigest uint64, prefixes []serve.Prefix) (*serve.Snapshot, error) {
+// serveSnapshot is ServeSnapshot given the resolver's prefix table
+// already in snapshot order (sortedPrefixes), which the snapshot shares
+// and does not modify.
+func (r *Result) serveSnapshot(prefixes []serve.Prefix) (*serve.Snapshot, error) {
 	if r.Interrupted {
 		return nil, fmt.Errorf("bdrmapit: refusing to build a serving snapshot from an interrupted run (annotations are a non-converged partial result)")
 	}
-
+	// The byte-equality contract with the offline annotations file: the
+	// digest of the exact rendering Annotations writes.
+	_, annDigest := r.rendering()
 	snap := &serve.Snapshot{
 		Source: fmt.Sprintf("bdrmapit run: %d routers, %d interfaces, %d refinement iteration(s), converged=%v",
 			r.NumRouters(), r.NumInterfaces(), r.Iterations, r.Converged),

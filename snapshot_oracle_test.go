@@ -311,7 +311,7 @@ func TestServeSnapshotAllocsFlat(t *testing.T) {
 		r := w.result(core.Run(g, w.rels, core.Options{Workers: 1}))
 		prefixes := sortedPrefixes(r.resolver)
 		allocs = append(allocs, testing.AllocsPerRun(10, func() {
-			if _, err := r.serveSnapshot(0, prefixes); err != nil {
+			if _, err := r.serveSnapshot(prefixes); err != nil {
 				t.Fatal(err)
 			}
 		}))
