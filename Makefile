@@ -91,12 +91,14 @@ bench:
 # The pre-existing micro-benchmarks over the small topology, the two
 # trace loaders over a simulated campaign (MB/s per serialization),
 # graph construction alone (traces/s and hops/s at 1 and N workers),
-# and the simulator's own cost at rung S (generation, campaign).
+# the simulator's own cost at rung S (generation, campaign), and its
+# alias resolution over a small campaign (MIDAR, kapar).
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkRunCampaign' -benchmem ./internal/topo
+	$(GO) test -run '^$$' -bench 'BenchmarkMIDAR|BenchmarkKapar' -benchmem ./internal/alias
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt
 # schema by reportcheck, compared metric-by-metric against the committed

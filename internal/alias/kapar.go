@@ -47,9 +47,12 @@ func Kapar(traces []*traceroute.Trace, isIXP func(netip.Addr) bool) *Sets {
 			// consecutive responsive pair — including pairs bridging
 			// unresponsive hops, where the assumption fails and produces
 			// the false merges that make kapar's groups imprecise.
-			for _, mate := range subnetMates(b.Addr) {
+			// A pair already on one router needs no merge, so it is
+			// not checked for a conflict either.
+			mates, n := subnetMates(b.Addr)
+			for _, mate := range mates[:n] {
 				if mate != a.Addr && observed[mate] && !isIXP(mate) &&
-					!mateConflict(sets, a.Addr, mate) {
+					!sets.SameRouter(a.Addr, mate) && !mateConflict(sets, a.Addr, mate) {
 					sets.Add(a.Addr, mate)
 				}
 			}
@@ -61,20 +64,17 @@ func Kapar(traces []*traceroute.Trace, isIXP func(netip.Addr) bool) *Sets {
 // mateConflict applies APAR's accumulation constraint: a merge is
 // rejected when it would place both ends of one point-to-point subnet
 // on the same router (a router never talks to itself over a /30).
+// Being subnet mates is symmetric, so it walks the smaller group's
+// mates and asks whether each is in the larger group.
 func mateConflict(sets *Sets, x, y netip.Addr) bool {
-	gx := sets.Members(x)
-	gy := sets.Members(y)
-	// Check the smaller group's mates against the larger group.
+	gx, gy := sets.Members(x), sets.Members(y)
 	if len(gy) < len(gx) {
-		gx, gy = gy, gx
-	}
-	in := make(map[netip.Addr]bool, len(gy))
-	for _, m := range gy {
-		in[m] = true
+		gx, y = gy, x
 	}
 	for _, m := range gx {
-		for _, mate := range subnetMates(m) {
-			if in[mate] {
+		mates, n := subnetMates(m)
+		for _, mate := range mates[:n] {
+			if mate == y || sets.SameRouter(mate, y) {
 				return true
 			}
 		}
@@ -82,21 +82,23 @@ func mateConflict(sets *Sets, x, y netip.Addr) bool {
 	return false
 }
 
-// subnetMates returns the candidate point-to-point partners of addr:
-// the /31 partner and the /30 partner (when addr is a usable /30 host).
-func subnetMates(addr netip.Addr) []netip.Addr {
+// subnetMates returns the candidate point-to-point partners of addr,
+// the first n of mates: the /31 partner and the /30 partner (when addr
+// is a usable /30 host).
+func subnetMates(addr netip.Addr) (mates [2]netip.Addr, n int) {
 	addr = addr.Unmap()
 	if !addr.Is4() {
-		return nil
+		return mates, 0
 	}
 	v := netutil.AddrToUint32(addr)
-	mates := make([]netip.Addr, 0, 2)
-	mates = append(mates, netutil.Uint32ToAddr(v^1)) // /31 partner
+	mates[0] = netutil.Uint32ToAddr(v ^ 1) // /31 partner
 	switch v & 3 {
 	case 1:
-		mates = append(mates, netutil.Uint32ToAddr(v+1)) // .1 ↔ .2 in /30
+		mates[1] = netutil.Uint32ToAddr(v + 1) // .1 ↔ .2 in /30
+		return mates, 2
 	case 2:
-		mates = append(mates, netutil.Uint32ToAddr(v-1))
+		mates[1] = netutil.Uint32ToAddr(v - 1)
+		return mates, 2
 	}
-	return mates
+	return mates, 1
 }

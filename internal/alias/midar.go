@@ -100,6 +100,9 @@ func compatibleVelocity(a, b, tol float64) bool {
 // bucket and merges pairs passing the monotonic-bounds test.
 func midarEliminate(p IPIDProber, bucket []midarCand, opts MIDAROptions, sets *Sets) {
 	n := len(bucket)
+	for i := range bucket {
+		bucket[i].times, bucket[i].ids = make([]int, 0, opts.Rounds), make([]uint16, 0, opts.Rounds)
+	}
 	for r := 0; r < opts.Rounds; r++ {
 		for i := range bucket {
 			t := (r*n + i) * 2 // strictly increasing probe times, interleaved
@@ -167,39 +170,39 @@ func corroborate(p IPIDProber, a, b *midarCand, pairIdx int) bool {
 // monotonicBoundsTest merges the two candidates' (time, id) samples in
 // time order and checks the merged IP-ID sequence increases
 // monotonically modulo 2^16, with the total advance consistent with the
-// candidates' shared velocity (MIDAR's MBT).
+// candidates' shared velocity (MIDAR's MBT). Each candidate's samples
+// are in time order and no time is sampled twice in one bucket, so the
+// merge is a two-pointer walk that stops at the first failing step.
 func monotonicBoundsTest(a, b *midarCand) bool {
 	if len(a.ids) < 3 || len(b.ids) < 3 {
 		return false
 	}
-	type sample struct {
-		t  int
-		id uint16
-	}
-	merged := make([]sample, 0, len(a.ids)+len(b.ids))
-	for k := range a.ids {
-		merged = append(merged, sample{a.times[k], a.ids[k]})
-	}
-	for k := range b.ids {
-		merged = append(merged, sample{b.times[k], b.ids[k]})
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].t < merged[j].t })
 	// Maximum plausible advance between consecutive samples: velocity
 	// estimate with generous headroom; a shared counter can also be
 	// bumped by background traffic.
-	vel := a.vel
-	if b.vel > vel {
-		vel = b.vel
-	}
+	vel := max(a.vel, b.vel)
 	var total uint32
-	for i := 1; i < len(merged); i++ {
-		dt := merged[i].t - merged[i-1].t
-		adv := uint16(merged[i].id - merged[i-1].id) // mod 2^16
-		limit := (vel+2)*float64(dt)*4 + 16
-		if float64(adv) > limit {
-			return false
+	var prevT int
+	var prevID uint16
+	for i, j := 0, 0; i < len(a.ids) || j < len(b.ids); {
+		var t int
+		var id uint16
+		if j == len(b.ids) || (i < len(a.ids) && a.times[i] < b.times[j]) {
+			t, id = a.times[i], a.ids[i]
+			i++
+		} else {
+			t, id = b.times[j], b.ids[j]
+			j++
 		}
-		total += uint32(adv)
+		if i+j > 1 {
+			adv := uint16(id - prevID) // mod 2^16
+			limit := (vel+2)*float64(t-prevT)*4 + 16
+			if float64(adv) > limit {
+				return false
+			}
+			total += uint32(adv)
+		}
+		prevT, prevID = t, id
 	}
 	// Reject sequences that wrapped more than once overall (would mask
 	// non-monotonicity).

@@ -6,7 +6,7 @@ package eval
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/alias"
 	"repro/internal/asn"
@@ -89,19 +89,24 @@ func (ds *Dataset) resolveAliases() {
 // ObservedAddrs returns the sorted set of non-special addresses that
 // replied in the trace archive.
 func ObservedAddrs(traces []*traceroute.Trace) []netip.Addr {
-	seen := make(map[netip.Addr]bool)
+	// keep holds each distinct address's verdict, so IsSpecial runs once
+	// per address rather than once per hop (an archive repeats an
+	// address hundreds of times).
+	keep := make(map[netip.Addr]bool)
 	for _, t := range traces {
 		for _, h := range t.Hops {
-			if !netutil.IsSpecial(h.Addr) {
-				seen[h.Addr] = true
+			if _, ok := keep[h.Addr]; !ok {
+				keep[h.Addr] = !netutil.IsSpecial(h.Addr)
 			}
 		}
 	}
-	out := make([]netip.Addr, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
+	out := make([]netip.Addr, 0, len(keep))
+	for a, k := range keep {
+		if k {
+			out = append(out, a)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, netip.Addr.Compare)
 	return out
 }
 

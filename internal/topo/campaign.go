@@ -9,12 +9,16 @@ import (
 )
 
 // probe simulates the traceroute from vp to dst. Each (vp, dst) pair
-// draws from its own seeded rng, so a pair traces the same whichever
-// campaign or engine probes it, and in whatever order.
-func (in *Internet) probe(vp VP, dst netip.Addr) *traceroute.Trace {
-	seed := in.Cfg.Seed ^ int64(vp.AS.ASN)<<32 ^ int64(addrSeed(dst))
-	return in.Traceroute(vp, dst, rand.New(rand.NewSource(seed)))
+// draws from its own seeding of rng, so a pair traces the same whichever
+// campaign or engine probes it, and in whatever order; rng is only
+// scratch a caller reuses across pairs.
+func (in *Internet) probe(vp VP, dst netip.Addr, rng *rand.Rand) *traceroute.Trace {
+	rng.Seed(in.Cfg.Seed ^ int64(vp.AS.ASN)<<32 ^ int64(addrSeed(dst)))
+	return in.Traceroute(vp, dst, rng)
 }
+
+// newProbeRNG returns a generator for probe to reseed pair by pair.
+func newProbeRNG() *rand.Rand { return rand.New(rand.NewSource(0)) }
 
 // probeTarget is one step of the campaign walk: it probes dst from
 // every VP into row, in VP order, leaving nil where a VP yields no
@@ -22,13 +26,13 @@ func (in *Internet) probe(vp VP, dst netip.Addr) *traceroute.Trace {
 // replied). Every VP's path toward dst reads one routing tree, and
 // consecutive targets in one AS share it, so a bounded tree cache is
 // hit in runs.
-func (in *Internet) probeTarget(vps []VP, dst netip.Addr, row []*traceroute.Trace) {
+func (in *Internet) probeTarget(vps []VP, dst netip.Addr, row []*traceroute.Trace, rng *rand.Rand) {
 	for i, vp := range vps {
 		row[i] = nil
 		if dst == vp.Src {
 			continue
 		}
-		if t := in.probe(vp, dst); t != nil && len(t.Hops) > 0 {
+		if t := in.probe(vp, dst, rng); t != nil && len(t.Hops) > 0 {
 			row[i] = t
 		}
 	}
@@ -45,8 +49,9 @@ func (in *Internet) RunCampaign(vps []VP, targets []netip.Addr) []*traceroute.Tr
 	nv := len(vps)
 	grid := make([]*traceroute.Trace, len(targets)*nv) // row j: target j from every VP
 	shard.For(len(targets), 0, func(lo, hi int) {
+		rng := newProbeRNG()
 		for j := lo; j < hi; j++ {
-			in.probeTarget(vps, targets[j], grid[j*nv:(j+1)*nv])
+			in.probeTarget(vps, targets[j], grid[j*nv:(j+1)*nv], rng)
 		}
 	})
 	traces := make([]*traceroute.Trace, 0, len(grid))
@@ -85,8 +90,9 @@ func (in *Internet) StreamCampaign(vps []VP, targets []netip.Addr, chunk int,
 	}
 	buf := make([]*traceroute.Trace, 0, chunk)
 	row := make([]*traceroute.Trace, len(vps))
+	rng := newProbeRNG()
 	for _, dst := range targets {
-		in.probeTarget(vps, dst, row)
+		in.probeTarget(vps, dst, row, rng)
 		for _, t := range row {
 			if t == nil {
 				continue

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math/rand"
 	"net/netip"
 
 	"repro/internal/traceroute"
@@ -52,22 +53,23 @@ func (p *Prober) ProbeUDP(addr netip.Addr) (netip.Addr, bool) {
 
 // Engine binds a vantage point to the Internet as a reactive-collection
 // probing substrate (traceroutes plus alias probing), the interface the
-// collect package consumes.
+// collect package consumes. An Engine is not safe for concurrent use.
 type Engine struct {
 	in     *Internet
 	vp     VP
 	prober *Prober
+	rng    *rand.Rand
 }
 
 // Engine returns the probing engine for one vantage point.
 func (in *Internet) Engine(vp VP) *Engine {
-	return &Engine{in: in, vp: vp, prober: in.Prober()}
+	return &Engine{in: in, vp: vp, prober: in.Prober(), rng: newProbeRNG()}
 }
 
 // Traceroute probes dst from the engine's vantage point with the same
 // deterministic per-(vp, dst) randomness the campaign runner uses.
 func (e *Engine) Traceroute(dst netip.Addr) *traceroute.Trace {
-	return e.in.probe(e.vp, dst)
+	return e.in.probe(e.vp, dst, e.rng)
 }
 
 // ProbeIPID implements alias.IPIDProber.

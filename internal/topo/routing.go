@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -75,6 +77,20 @@ func (in *Internet) initRouting() {
 		r.peers[i] = visible(a, a.Peers)
 	}
 	in.routing = r
+	linkIntra(in.Routers)
+}
+
+// linkIntra builds each router's intra list from its nbrIfaces.
+func linkIntra(routers []*Router) {
+	for _, r := range routers {
+		r.intra = r.intra[:0]
+		for n := range r.nbrIfaces {
+			if n.Owner == r.Owner {
+				r.intra = append(r.intra, hopPoint{r: n, ingress: n.nbrIfaces[r]})
+			}
+		}
+		slices.SortFunc(r.intra, func(a, b hopPoint) int { return cmp.Compare(a.r.ID, b.r.ID) })
+	}
 }
 
 // treeCacheSize reports how many routing trees are currently cached —

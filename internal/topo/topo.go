@@ -231,6 +231,7 @@ type AS struct {
 	borderList []*Router
 	borderLoad []int
 
+	nrouters int32 // routers created in the AS so far
 	// allocation cursors within Space
 	nextLinkNet uint32
 	nextLoop    uint32
@@ -260,6 +261,12 @@ type Router struct {
 	// the connecting link (the adjacency used for intra-AS pathfinding
 	// and ingress-interface selection).
 	nbrIfaces map[*Router]*Iface
+	// intra is the same-AS part of nbrIfaces as the intra-AS walk reads
+	// it, built by initRouting: each neighbour in ascending ID with the
+	// neighbour's interface facing this router, where a probe arrives.
+	intra []hopPoint
+	// local is the router's index among its AS's routers.
+	local int32
 }
 
 // connect records that my interface i faces router other.
@@ -390,8 +397,9 @@ func (in *Internet) AddrOwnerAS(addr netip.Addr) *AS {
 }
 
 func (in *Internet) newRouter(owner *AS) *Router {
-	r := &Router{ID: in.nextID, Owner: owner}
+	r := &Router{ID: in.nextID, Owner: owner, local: owner.nrouters}
 	in.nextID++
+	owner.nrouters++
 	in.Routers = append(in.Routers, r)
 	in.configureRouterBehaviour(r)
 	return r

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"repro/internal/asn"
@@ -110,9 +111,7 @@ func (in *Internet) routerPath(aspath []asn.ASN, dst netip.Addr) []hopPoint {
 		}
 		egress := x.Borders[y.ASN]
 		// Intra-AS hops from cur to the egress border.
-		for _, hp := range intraPath(cur, egress) {
-			out = append(out, hp)
-		}
+		out = appendIntraPath(out, cur, egress)
 		// Cross the interdomain link: the next hop is y's border router,
 		// replying from its interface on the link.
 		var yIface *Iface
@@ -137,59 +136,48 @@ func (in *Internet) routerPath(aspath []asn.ASN, dst netip.Addr) []hopPoint {
 		}
 		dstRouter = owner.Host
 	}
-	for _, hp := range intraPath(cur, dstRouter) {
-		out = append(out, hp)
-	}
-	return out
+	return appendIntraPath(out, cur, dstRouter)
 }
 
-// intraPath returns the hops strictly after from, ending at to, walking
-// the AS-internal adjacency (BFS; the graphs are tiny).
-func intraPath(from, to *Router) []hopPoint {
+// appendIntraPath appends to out the hops strictly after from, ending
+// at to: a breadth-first walk of the AS-internal adjacency, neighbours
+// in ascending router ID. Nothing is appended when to is unreachable.
+func appendIntraPath(out []hopPoint, from, to *Router) []hopPoint {
 	if from == to {
-		return nil
+		return out
 	}
-	type crumb struct {
-		r   *Router
-		via *Iface // the interface on r used to arrive
+	// queue holds each reached router, the interface it was reached on
+	// and its parent's queue index; seen is indexed by a router's place
+	// in its AS. Both stay on the stack for ASes of up to 64 routers.
+	type step struct {
+		hopPoint
+		parent int
 	}
-	prev := map[*Router]crumb{from: {}}
-	queue := []*Router{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == to {
-			break
-		}
-		// Deterministic neighbour order.
-		nbrs := make([]*Router, 0, len(cur.nbrIfaces))
-		for n := range cur.nbrIfaces {
-			if n.Owner == from.Owner {
-				nbrs = append(nbrs, n)
-			}
-		}
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].ID < nbrs[j].ID })
-		for _, n := range nbrs {
-			if _, seen := prev[n]; seen {
+	var seenBuf [64]bool
+	var queueBuf [64]step
+	seen := seenBuf[:]
+	if n := int(from.Owner.nrouters); n > len(seen) {
+		seen = make([]bool, n)
+	}
+	seen[from.local] = true
+	queue := append(queueBuf[:0], step{hopPoint{r: from}, -1})
+	for head := 0; head < len(queue); head++ {
+		for _, h := range queue[head].r.intra {
+			if seen[h.r.local] {
 				continue
 			}
-			// The arriving interface on n is n's interface facing cur.
-			prev[n] = crumb{r: cur, via: n.nbrIfaces[cur]}
-			queue = append(queue, n)
+			seen[h.r.local] = true
+			queue = append(queue, step{h, head})
+			if h.r != to {
+				continue
+			}
+			start := len(out)
+			for q := len(queue) - 1; q > 0; q = queue[q].parent {
+				out = append(out, queue[q].hopPoint)
+			}
+			slices.Reverse(out[start:])
+			return out
 		}
-	}
-	if _, ok := prev[to]; !ok {
-		return nil
-	}
-	var rev []hopPoint
-	for cur := to; cur != from; {
-		c := prev[cur]
-		rev = append(rev, hopPoint{r: cur, ingress: c.via})
-		cur = c.r
-	}
-	out := make([]hopPoint, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
 	}
 	return out
 }
