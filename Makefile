@@ -91,13 +91,14 @@ bench:
 # The pre-existing micro-benchmarks over the small topology, the two
 # trace loaders over a simulated campaign (MB/s per serialization),
 # graph construction alone (traces/s and hops/s at 1 and N workers),
-# the simulator's own cost at rung S (generation, campaign), and its
-# alias resolution over a small campaign (MIDAR, kapar).
+# the simulator's own cost at rung S (generation, campaign) and per
+# probe (a re-seed and a pair's draws, lazy source against math/rand's),
+# and its alias resolution over a small campaign (MIDAR, kapar).
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph' -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkRunCampaign' -benchmem ./internal/topo
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkRunCampaign|BenchmarkProbeSeed' -benchmem ./internal/topo
 	$(GO) test -run '^$$' -bench 'BenchmarkMIDAR|BenchmarkKapar' -benchmem ./internal/alias
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt

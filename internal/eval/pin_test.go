@@ -21,6 +21,21 @@ func nodesDigest(t *testing.T, s *alias.Sets) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+func tracesDigest(t *testing.T, ts []*traceroute.Trace) string {
+	t.Helper()
+	h := sha256.New()
+	w := traceroute.NewJSONLWriter(h)
+	for _, tr := range ts {
+		if err := w.Write(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestAliasPartitionsPinned pins what the simulator hands every
 // experiment: the SHA-256 of the midar+iffinder and kapar partitions,
 // as WriteNodes prints them, for three seeds of the small
@@ -45,6 +60,31 @@ func TestAliasPartitionsPinned(t *testing.T) {
 		}
 		if got := nodesDigest(t, ds.KaparAliases); got != p.kapar {
 			t.Errorf("seed %d: kapar partition digest %s, pinned %s", p.seed, got, p.kapar)
+		}
+	}
+}
+
+// TestTracesPinned pins the campaign itself: the SHA-256 of the JSONL
+// encoding of every trace, RTTs included, for three seeds of the small
+// configuration. The alias partitions above never see an RTT, so a
+// change to the probes' generator that kept the hop sequences but
+// moved a later draw would pass them and fail here.
+func TestTracesPinned(t *testing.T) {
+	pins := []struct {
+		seed   int64
+		traces string
+	}{
+		{2018, "d1b4e244727c85c2f4f424c21210613405304993054d0b84357925ea9c9921be"},
+		{1, "51e0f42f8c4793e3310fe2d2711085abe2da03428bde6525472c47a61bebbf26"},
+		{7, "29e938366ac5c6f8c69afe1859fe49690fd0dc17738298c221341312b644ec3f"},
+	}
+	for _, p := range pins {
+		ds, err := BuildDataset(topo.SmallConfig(p.seed), 20, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tracesDigest(t, ds.Traces); got != p.traces {
+			t.Errorf("seed %d: traces digest %s, pinned %s", p.seed, got, p.traces)
 		}
 	}
 }

@@ -17,8 +17,13 @@ func (in *Internet) probe(vp VP, dst netip.Addr, rng *rand.Rand) *traceroute.Tra
 	return in.Traceroute(vp, dst, rng)
 }
 
-// newProbeRNG returns a generator for probe to reseed pair by pair.
-func newProbeRNG() *rand.Rand { return rand.New(rand.NewSource(0)) }
+// newProbeRNG returns a generator for probe to reseed pair by pair; its
+// lazySource makes a seeding cost the draws that follow it.
+func newProbeRNG() *rand.Rand {
+	s := new(lazySource)
+	s.Seed(0)
+	return rand.New(s)
+}
 
 // probeTarget is one step of the campaign walk: it probes dst from
 // every VP into row, in VP order, leaving nil where a VP yields no

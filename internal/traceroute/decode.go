@@ -361,12 +361,50 @@ func (d *decoder) float32Value(v *float32) error {
 	if err != nil {
 		return err
 	}
+	if f, ok := exactFloat32(tok); ok {
+		*v = f
+		return nil
+	}
 	f, err := strconv.ParseFloat(string(tok), 32)
 	if err != nil {
 		return errRange
 	}
 	*v = float32(f)
 	return nil
+}
+
+// float32Pow10 are the powers of ten float32 holds exactly.
+var float32Pow10 = [...]float32{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+// exactFloat32 parses a validated number token of the form
+// digits[.digits] whose digits, read as one integer m, stay below 2^24
+// with at most 10 of them after the point: float32 holds m and 1e{k}
+// exactly, so one IEEE division is the correctly rounded value, the
+// exact path strconv.ParseFloat itself takes. ok is false for any
+// other token.
+//
+//lint:hotpath
+func exactFloat32(tok []byte) (f float32, ok bool) {
+	m, k, frac := uint32(0), 0, false
+	for _, c := range tok {
+		switch {
+		case '0' <= c && c <= '9':
+			if m = m*10 + uint32(c-'0'); m >= 1<<24 {
+				return 0, false
+			}
+			if frac {
+				k++
+			}
+		case c == '.':
+			frac = true
+		default: // a sign or an exponent
+			return 0, false
+		}
+	}
+	if k >= len(float32Pow10) {
+		return 0, false
+	}
+	return float32(m) / float32Pow10[k], true
 }
 
 // nextKey moves to the next member of the object the cursor is in and
@@ -440,7 +478,7 @@ func (d *decoder) peek() byte {
 func (d *decoder) next() byte {
 	for d.pos < len(d.line) {
 		c := d.line[d.pos]
-		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+		if c > ' ' || c != ' ' && c != '\t' && c != '\r' && c != '\n' {
 			return c
 		}
 		d.pos++
@@ -566,7 +604,11 @@ func (d *decoder) scanString() (raw []byte, plain bool, err error) {
 	line, start := d.line, d.pos+1
 	plain = true
 	for i := start; i < len(line); i++ {
-		switch c := line[i]; {
+		c := line[i]
+		if plainByte[c] {
+			continue
+		}
+		switch {
 		case c == '"':
 			d.pos = i + 1
 			return line[start:i], plain, nil
@@ -591,6 +633,15 @@ func (d *decoder) scanString() (raw []byte, plain bool, err error) {
 	d.pos = len(line)
 	return nil, false, errSyntax
 }
+
+// plainByte marks the bytes a string body holds as they stand:
+// printable ASCII other than the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // simpleEscapes are the bytes that may follow a backslash, \u aside.
 var simpleEscapes = []byte(`"\/bfnrt`)

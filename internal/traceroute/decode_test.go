@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/netip"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -107,6 +109,15 @@ var differentialSeeds = []string{
 	hopRecord(`"rtt":1e400`),
 	hopRecord(`"rtt":-1e-400`),
 	hopRecord(`"rtt":-0`),
+	// The exact path's edges: a mantissa just under and at 2^24, 10 and
+	// 11 fraction digits, values that need rounding.
+	hopRecord(`"rtt":16777215`),
+	hopRecord(`"rtt":16777216`),
+	hopRecord(`"rtt":1.6777215`),
+	hopRecord(`"rtt":0.0000000001`),
+	hopRecord(`"rtt":0.00000000001`),
+	hopRecord(`"rtt":0.3`),
+	hopRecord(`"rtt":1.0000001`),
 	hopRecord(`"rtt":0.1234567890123456789012345678901234567890`),
 	// Addresses: what netip.ParseAddr takes, nothing else.
 	`{"dst":"::ffff:1.2.3.4","src":"2001:db8::1","hops":[{"addr":"fe80::1%eth0","icmp_type":11}]}`,
@@ -305,5 +316,44 @@ func TestJSONLAllocBudget(t *testing.T) {
 	}
 	if perTrace := perRun / n; perTrace > 3 {
 		t.Errorf("%.2f allocations per trace, budget is 3", perTrace)
+	}
+}
+
+// TestExactFloat32MatchesStrconv holds the exact path to
+// strconv.ParseFloat bit for bit on random tokens around its limits
+// (mantissas near 2^24, up to 12 fraction digits, leading zeros), and
+// requires it to decline exactly the tokens outside them.
+func TestExactFloat32MatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 200000; n++ {
+		m := rng.Int63n(1 << 25)
+		if n%2 == 0 {
+			m = 1<<24 - 64 + rng.Int63n(128)
+		}
+		digits := strconv.FormatInt(m, 10)
+		k := rng.Intn(13)
+		if pad := k + 1 - len(digits); pad > 0 {
+			digits = strings.Repeat("0", pad) + digits
+		}
+		tok := digits
+		if k > 0 {
+			tok = digits[:len(digits)-k] + "." + digits[len(digits)-k:]
+		}
+		got, ok := exactFloat32([]byte(tok))
+		if want := m < 1<<24 && k <= 10; ok != want {
+			t.Fatalf("%s: exact path taken %v, want %v", tok, ok, want)
+		}
+		want, err := strconv.ParseFloat(tok, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && math.Float32bits(got) != math.Float32bits(float32(want)) {
+			t.Fatalf("%s: exact path %v, strconv %v", tok, got, float32(want))
+		}
+	}
+	for _, tok := range []string{"-1.5", "1e3", "1.5E-2"} {
+		if _, ok := exactFloat32([]byte(tok)); ok {
+			t.Errorf("%s: exact path taken for a sign or an exponent", tok)
+		}
 	}
 }
