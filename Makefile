@@ -93,13 +93,15 @@ bench:
 # graph construction alone (traces/s and hops/s at 1 and N workers),
 # the simulator's own cost at rung S (generation, campaign) and per
 # probe (a re-seed and a pair's draws, lazy source against math/rand's),
-# and its alias resolution over a small campaign (MIDAR, kapar).
+# its alias resolution over a small campaign (MIDAR, kapar), and one
+# daemon request per query class through the handler, without a socket.
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkRunCampaign|BenchmarkProbeSeed' -benchmem ./internal/topo
 	$(GO) test -run '^$$' -bench 'BenchmarkMIDAR|BenchmarkKapar' -benchmem ./internal/alias
+	$(GO) test -run '^$$' -bench 'BenchmarkHandler' -benchmem ./internal/serve
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt
 # schema by reportcheck, compared metric-by-metric against the committed

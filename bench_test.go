@@ -261,7 +261,7 @@ func BenchmarkRefineWorkers(b *testing.B) {
 				b.StopTimer()
 				g := buildBenchGraph(ds, w)
 				b.StartTimer()
-				res := core.Run(g, ds.Rels, core.Options{Workers: w})
+				res := mustRun(b, g, ds.Rels, core.Options{Workers: w})
 				if !res.Converged {
 					b.Fatal("refinement did not converge")
 				}
@@ -287,7 +287,7 @@ func BenchmarkRefineRecorder(b *testing.B) {
 					opts.Recorder = obs.New()
 				}
 				b.StartTimer()
-				res := core.Run(g, ds.Rels, opts)
+				res := mustRun(b, g, ds.Rels, opts)
 				if !res.Converged {
 					b.Fatal("refinement did not converge")
 				}
@@ -320,7 +320,7 @@ func BenchmarkInferenceWorkers(b *testing.B) {
 // (TestServeSnapshotAllocsFlat).
 func BenchmarkServeSnapshot(b *testing.B) {
 	ds := benchDataset(b)
-	res := core.Run(buildBenchGraph(ds, 1), ds.Rels, core.Options{Workers: 1})
+	res := mustRun(b, buildBenchGraph(ds, 1), ds.Rels, core.Options{Workers: 1})
 	r := &Result{res: res, resolver: ds.Resolver, Iterations: res.Iterations, Converged: res.Converged}
 	prefixes := sortedPrefixes(ds.Resolver)
 	r.rendering()

@@ -6,8 +6,8 @@
 // Usage:
 //
 //	bdrmapitd -snapshot FILE [-addr :8080] [-metrics-addr ADDR]
-//	          [-max-inflight N] [-soft-inflight N] [-request-timeout D]
-//	          [-drain-timeout D] [-v]
+//	          [-max-inflight N] [-request-timeout D] [-drain-timeout D]
+//	          [-handler-delay D] [-v]
 //
 // Endpoints:
 //
@@ -25,9 +25,9 @@
 // reported — and a snapshot that fails its post-swap self-check is
 // rolled back.
 //
-// Overload: at -soft-inflight concurrent requests the expensive query
-// classes degrade to prefix-table-only answers (marked "degraded");
-// at -max-inflight new requests are shed with 503 + Retry-After.
+// Overload: a request admitted under -max-inflight concurrent requests
+// is answered in full; past it new requests are shed with 503 +
+// "Retry-After: 1".
 //
 // Shutdown: SIGTERM/SIGINT flips /-/ready to 503, drains in-flight
 // requests up to -drain-timeout, then exits 0. A second signal
@@ -64,9 +64,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address for the serving API")
 		metrics  = flag.String("metrics-addr", "", "serve live metrics and pprof at this address (e.g. localhost:6060)")
 		maxInfl  = flag.Int("max-inflight", 256, "shed requests with 503 beyond this many in flight (negative disables)")
-		softInfl = flag.Int("soft-inflight", 0, "degrade expensive queries to prefix-only answers beyond this many in flight (default max-inflight/2)")
 		reqTO    = flag.Duration("request-timeout", 5*time.Second, "per-request deadline")
-		retryAft = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		delay    = flag.Duration("handler-delay", 0, "inject artificial per-request latency (load testing only; makes admission pressure reproducible)")
 		verbose  = flag.Bool("v", false, "stream serving logs to stderr")
@@ -92,8 +90,6 @@ func main() {
 		SnapshotPath:   *snapshot,
 		RequestTimeout: *reqTO,
 		MaxInflight:    *maxInfl,
-		SoftInflight:   *softInfl,
-		RetryAfter:     *retryAft,
 		Recorder:       rec,
 		HandlerDelay:   *delay,
 	})

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"hash/fnv"
 	"io"
@@ -116,10 +117,14 @@ func main() {
 	resolver := in.Resolver()
 	rels := asrel.Infer(in.ASPaths())
 
-	res := core.Infer(traces, resolver, sets, rels, core.Options{
+	ctx := context.Background()
+	res, err := core.InferContext(ctx, traces, resolver, sets, rels, core.Options{
 		Workers:  *workers,
 		Recorder: rec,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	digest := annotationDigest(res.Graph)
 	log.Printf("inference: %d IRs, %d interfaces, %d iterations (converged=%v), digest %016x",
 		len(res.Graph.Routers), len(res.Graph.Interfaces), res.Iterations, res.Converged, digest)
@@ -165,11 +170,14 @@ func main() {
 		// must not move; the timing difference is the derivation's cost.
 		res.Graph.ResetAnnotations()
 		provRec := obs.New()
-		provRes := core.Run(res.Graph, rels, core.Options{
+		provRes, err := core.RunContext(ctx, res.Graph, rels, core.Options{
 			Workers:    *workers,
 			Provenance: true,
 			Recorder:   provRec,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		provDigest := annotationDigest(provRes.Graph)
 		if provDigest != digest {
 			log.Fatalf("provenance-on divergence: digest %016x with provenance, %016x without", provDigest, digest)

@@ -308,26 +308,6 @@ func TestCheckpointUnwritableDirFailsTheRun(t *testing.T) {
 	}
 }
 
-// TestRunPanicsOnCheckpointError: the error-less Run entry point cannot
-// surface durability failures, so it must refuse loudly rather than
-// return a result whose checkpoints silently never happened.
-func TestRunPanicsOnCheckpointError(t *testing.T) {
-	e := goldenEnv(t)
-	g := buildGraph(t, e, 1)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Run with a failing checkpoint config did not panic")
-		}
-		if !strings.Contains(r.(string), "RunContext") {
-			t.Errorf("panic %q does not direct callers to RunContext", r)
-		}
-	}()
-	Run(g, e.rels, Options{Checkpoint: &ckpt.Config{
-		Dir: filepath.Join(t.TempDir(), "missing", "dir"),
-	}})
-}
-
 // TestCancelledCheckpointedRunKeepsLastSnapshot: cancellation mid-loop
 // leaves the newest committed snapshot on disk, and resuming it later
 // still reaches the full run's result.

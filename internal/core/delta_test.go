@@ -39,7 +39,7 @@ func checkpointedRun(t *testing.T, ds *eval.Dataset, g *core.Graph, maxIter int)
 	if maxIter > 0 {
 		opts.MaxIterations = maxIter
 	}
-	res := core.Run(g, ds.Rels, opts)
+	res := mustRun(t, g, ds.Rels, opts)
 	if res.Interrupted {
 		t.Fatal("base run interrupted")
 	}
@@ -79,7 +79,7 @@ func TestDeltaEquivalence(t *testing.T) {
 		t.Fatalf("base run did not converge in %d iterations; pick a different split", st.Iteration)
 	}
 
-	scratch := core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1, Provenance: true})
+	scratch := mustRun(t, buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1, Provenance: true})
 	oracle := outcomeOf(scratch)
 	if oracle.annotations == "" {
 		t.Fatal("oracle run produced no annotations")
@@ -160,7 +160,7 @@ func TestDeltaEquivalenceStacked(t *testing.T) {
 	// Second absorption stacks on the delta checkpoint.
 	b.AddTraces(traces[cutB:])
 	b.Finish(ds.Rels)
-	scratch := core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1, Provenance: true})
+	scratch := mustRun(t, buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1, Provenance: true})
 	oracle, wantProv := outcomeOf(scratch), encodeArtifact(t, scratch.Provenance)
 	for _, workers := range []int{1, 4, 8} {
 		res2, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st1, ds.Rels, core.Options{Workers: workers, Provenance: true})
@@ -207,7 +207,7 @@ func TestDeltaCappedBaseFallback(t *testing.T) {
 		t.Fatalf("one-iteration base run claims convergence")
 	}
 
-	oracle := outcomeOf(core.Run(buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1}))
+	oracle := outcomeOf(mustRun(t, buildGraph(ds, traces), ds.Rels, core.Options{Workers: 1}))
 	res, err := core.RunDeltaContext(context.Background(), g, b.LastAppend(), st, ds.Rels, core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

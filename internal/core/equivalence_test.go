@@ -33,6 +33,16 @@ type equivalenceOutcome struct {
 	cycleLen    int
 }
 
+// mustRun refines g to completion, failing t on an error.
+func mustRun(t testing.TB, g *core.Graph, rels core.RelationshipOracle, opts core.Options) *core.Result {
+	t.Helper()
+	res, err := core.RunContext(context.Background(), g, rels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func outcomeOf(res *core.Result) equivalenceOutcome {
 	return equivalenceOutcome{
 		annotations: annotationBytes(res),
@@ -62,7 +72,7 @@ func runEquivalence(t *testing.T, cfg topo.Config, numVPs int) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		g.ResetAnnotations()
-		got := outcomeOf(core.Run(g, ds.Rels, core.Options{Workers: workers}))
+		got := outcomeOf(mustRun(t, g, ds.Rels, core.Options{Workers: workers}))
 		if got != want {
 			t.Errorf("workers=%d diverges from the oracle: iterations %d vs %d, converged %v vs %v, cycle %d vs %d, annotations equal: %v",
 				workers, got.iterations, want.iterations,
@@ -139,7 +149,7 @@ func TestSkippingKeepsTheConvergenceTrace(t *testing.T) {
 
 	want := outcomeOf(core.OracleRefine(g, ds.Rels, core.Options{}))
 	g.ResetAnnotations()
-	full := core.Run(g, ds.Rels, core.Options{Workers: 1, Recorder: obs.New()})
+	full := mustRun(t, g, ds.Rels, core.Options{Workers: 1, Recorder: obs.New()})
 	if got := outcomeOf(full); got != want {
 		t.Fatalf("uninterrupted run diverges from the oracle (iterations %d vs %d)", got.iterations, want.iterations)
 	}

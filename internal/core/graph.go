@@ -952,9 +952,10 @@ func (s *GraphStats) count(r *Router, d int) {
 
 // ResetAnnotations returns the graph to its just-built annotation state:
 // no router annotations, interface annotations at their origin AS.
-// cmd/benchrun's provenance-overhead replay and the tests that hold Run
-// to oracleRefine (equivalence_test.go, checkRefineAgainstOracle) use it
-// to run phases 2–3 repeatedly over one graph without rebuilding phase 1.
+// cmd/benchrun's provenance-overhead replay and the tests that hold
+// RunContext to oracleRefine (equivalence_test.go,
+// checkRefineAgainstOracle) use it to run phases 2–3 repeatedly over one
+// graph without rebuilding phase 1.
 func (g *Graph) ResetAnnotations() {
 	for _, r := range g.Routers {
 		r.Annotation = asn.None

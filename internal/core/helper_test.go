@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 
@@ -88,7 +89,22 @@ func (e *testEnv) trace(dst string, hops ...string) {
 
 // run builds the graph and executes the inference.
 func (e *testEnv) run(opts Options) *Result {
-	return Infer(e.traces, e.resolver, e.aliases, e.rels, opts)
+	e.t.Helper()
+	res, err := InferContext(context.Background(), e.traces, e.resolver, e.aliases, e.rels, opts)
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	return res
+}
+
+// mustRun refines g to completion, failing t on an error.
+func mustRun(t testing.TB, g *Graph, rels RelationshipOracle, opts Options) *Result {
+	t.Helper()
+	res, err := RunContext(context.Background(), g, rels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // graph builds phase 1 only.

@@ -26,12 +26,12 @@ func TestLogFoldEqualsSnapshotLongTail(t *testing.T) {
 		t.Fatalf("BuildDataset: %v", err)
 	}
 	g := buildGraph(ds, ds.Traces)
-	full := core.Run(g, ds.Rels, core.Options{Workers: 1})
+	full := mustRun(t, g, ds.Rels, core.Options{Workers: 1})
 	if full.Iterations < 12 || full.CycleLength < 2 {
 		t.Fatalf("the fixture stops after %d iterations with cycle length %d; it is here for its long oscillating tail", full.Iterations, full.CycleLength)
 	}
 	g.ResetAnnotations()
-	wantProv := encodeArtifact(t, core.Run(g, ds.Rels, core.Options{Workers: 1, Provenance: true}).Provenance)
+	wantProv := encodeArtifact(t, mustRun(t, g, ds.Rels, core.Options{Workers: 1, Provenance: true}).Provenance)
 	cut := len(ds.Traces) * 7 / 10
 	bld, grown, base := absorbed(t, ds, ds.Traces[:cut], ds.Traces[cut:], 0)
 	// The delta run explains its annotations as the from-scratch run does.

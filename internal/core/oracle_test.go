@@ -642,7 +642,7 @@ func checkRefineAgainstOracle(t *testing.T, g *Graph, rels RelationshipOracle) {
 	wantState := oracleState(g)
 	for _, workers := range []int{1, 4} {
 		g.ResetAnnotations()
-		got := Run(g, rels, Options{Workers: workers})
+		got := mustRun(t, g, rels, Options{Workers: workers})
 		if got.Iterations != want.Iterations || got.Converged != want.Converged ||
 			got.CycleLength != want.CycleLength || oracleState(g) != wantState {
 			t.Fatalf("workers=%d refinement differs from the oracle's: iterations %d vs %d, converged %v vs %v, cycle %d vs %d, annotations equal: %v",
@@ -973,9 +973,9 @@ func checkAppendedPoolTraces(t *testing.T, e *testEnv, head byte, traces []*trac
 			}
 			rgs = append(rgs, rg)
 		}
-		wantAnn := dumpAnnotations(Run(g, env.rels, Options{Workers: 1}))
+		wantAnn := dumpAnnotations(mustRun(t, g, env.rels, Options{Workers: 1}))
 		for k, rg := range rgs {
-			if got := dumpAnnotations(Run(rg, env.rels, Options{Workers: 1 + 3*k})); got != wantAnn {
+			if got := dumpAnnotations(mustRun(t, rg, env.rels, Options{Workers: 1 + 3*k})); got != wantAnn {
 				t.Fatalf("split at %d, replay %d: annotations differ from the unsaved Builder's graph's:\n got %.80q\nwant %.80q", split, k, got, wantAnn)
 			}
 		}

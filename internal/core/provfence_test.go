@@ -74,14 +74,14 @@ func TestProvenanceMatchesRecorded(t *testing.T) {
 	got := map[string]string{"golden": digest("golden", core.GoldenProvenance(t))}
 	ds := longTail(t)
 	g := buildGraph(ds, ds.Traces)
-	full := core.Run(g, ds.Rels, core.Options{Workers: 1, Provenance: true})
+	full := mustRun(t, g, ds.Rels, core.Options{Workers: 1, Provenance: true})
 	if full.CycleLength != 2 {
 		t.Fatalf("the fixture stops with cycle length %d; it is here for its cycle of 2", full.CycleLength)
 	}
 	got["long-tail"] = digest("long-tail", full.Provenance)
 	for k := 1; k < full.Iterations; k++ {
 		g.ResetAnnotations()
-		capped := core.Run(g, ds.Rels, core.Options{Workers: 1, MaxIterations: k, Provenance: true})
+		capped := mustRun(t, g, ds.Rels, core.Options{Workers: 1, MaxIterations: k, Provenance: true})
 		got[fmt.Sprintf("capped/%d", k)] = digest("capped", capped.Provenance)
 
 		ctx, cancel := context.WithCancel(context.Background())

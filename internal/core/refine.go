@@ -51,9 +51,8 @@ type Options struct {
 	Recorder *obs.Recorder
 	// Checkpoint, when non-nil, makes the refinement loop durable: each
 	// committed iteration is recorded in Checkpoint.Dir, and ResumeContext
-	// carries on a state ckpt.Load read from there. Checkpointed runs
-	// must use RunContext/InferContext — durability failures are real
-	// errors the caller must see.
+	// carries on a state ckpt.Load read from there. Durability failures
+	// are real errors: RunContext and InferContext return them.
 	Checkpoint *ckpt.Config
 	// hookIterEnd, when non-nil, runs after each fully committed
 	// refinement iteration (snapshot, router, and interface passes all
@@ -265,7 +264,7 @@ func (c *refineCounters) flush(row obs.Row) {
 	}
 }
 
-// Run executes phases 2 and 3 over a constructed graph: last-hop
+// RunContext executes phases 2 and 3 over a constructed graph: last-hop
 // annotation (§5) followed by the graph-refinement loop (§6), stopping
 // at a repeated annotation state or the iteration cap.
 //
@@ -299,25 +298,13 @@ func (c *refineCounters) flush(row obs.Row) {
 //
 // Because every read is against a barrier-separated earlier step and
 // every write is owned by exactly one shard, the outcome is independent
-// of worker count and shard boundaries: Run(w=1) and Run(w=N) produce
-// byte-identical results.
-func Run(g *Graph, rels RelationshipOracle, opts Options) *Result {
-	//lint:ignore ctxflow Run is the documented no-cancellation entry point; Background here means "never cancelled", and cancellable runs go through RunContext
-	res, err := RunContext(context.Background(), g, rels, opts)
-	if err != nil {
-		// Only checkpoint I/O or an incompatible resume can fail; both
-		// require Options.Checkpoint, whose documentation directs those
-		// runs to RunContext.
-		panic("core.Run: " + err.Error() + " (checkpointed runs must use RunContext)")
-	}
-	return res
-}
-
-// RunContext is Run with cooperative cancellation and optional
-// durability. The context is checked only at batch boundaries — before
-// each sharded pass — so the annotation state a cancelled run leaves
-// behind is always the state of a fully committed iteration,
-// byte-identical at every worker count to a fresh run capped at that
+// of worker count and shard boundaries: a run at one worker and at N
+// produce byte-identical results.
+//
+// Cancellation is cooperative and durability optional. The context is
+// checked only at batch boundaries — before each sharded pass — so the
+// annotation state a cancelled run leaves behind is always the state of
+// a fully committed iteration, byte-identical at every worker count to a fresh run capped at that
 // iteration (MaxIterations=k). On cancellation the partial result
 // carries Interrupted=true, Iterations set to the last committed
 // iteration, and a fully populated Report; cancellation is not an error

@@ -65,8 +65,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	var runs []outcome
 	for _, w := range []int{1, 2, 4, 8} {
-		res := core.Infer(ds.Traces, ds.Resolver, ds.Aliases, ds.Rels,
-			core.Options{Workers: w})
+		res := ds.RunBdrmapIT(nil, core.Options{Workers: w})
 		runs = append(runs, outcome{
 			workers:     w,
 			annotations: annotationBytes(res),
@@ -106,8 +105,7 @@ func TestParallelDeterminismRepeated(t *testing.T) {
 	ds := parallelDataset(t)
 	var first string
 	for i := 0; i < 3; i++ {
-		res := core.Infer(ds.Traces, ds.Resolver, ds.Aliases, ds.Rels,
-			core.Options{Workers: 8})
+		res := ds.RunBdrmapIT(nil, core.Options{Workers: 8})
 		got := annotationBytes(res)
 		if i == 0 {
 			first = got
@@ -134,8 +132,7 @@ func TestParallelRaceStress(t *testing.T) {
 	for i := 0; i < concurrent; i++ {
 		go func(i int) {
 			defer wg.Done()
-			res := core.Infer(ds.Traces, ds.Resolver, ds.Aliases, ds.Rels,
-				core.Options{Workers: 8})
+			res := ds.RunBdrmapIT(nil, core.Options{Workers: 8})
 			results[i] = annotationBytes(res)
 		}(i)
 	}
@@ -159,8 +156,8 @@ func TestParallelAblationsDeterministic(t *testing.T) {
 	} {
 		serial, par := opts, opts
 		serial.Workers, par.Workers = 1, 4
-		a := annotationBytes(core.Infer(ds.Traces, ds.Resolver, ds.Aliases, ds.Rels, serial))
-		b := annotationBytes(core.Infer(ds.Traces, ds.Resolver, ds.Aliases, ds.Rels, par))
+		a := annotationBytes(ds.RunBdrmapIT(nil, serial))
+		b := annotationBytes(ds.RunBdrmapIT(nil, par))
 		if a != b {
 			t.Errorf("opts %+v: parallel annotations differ from serial", opts)
 		}

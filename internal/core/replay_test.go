@@ -69,7 +69,7 @@ func resumeRun(ctx context.Context, g *core.Graph, rels core.RelationshipOracle,
 func TestResumeStitchesConvergenceTrace(t *testing.T) {
 	ds := longTail(t)
 	g := buildGraph(ds, ds.Traces)
-	full := core.Run(g, ds.Rels, core.Options{Workers: 1, Recorder: obs.New()})
+	full := mustRun(t, g, ds.Rels, core.Options{Workers: 1, Recorder: obs.New()})
 	want := full.Report
 	if full.CycleLength < 2 || oscillation(want) == "" {
 		t.Fatalf("the fixture stops after %d iterations with cycle length %d; it is here for its oscillating tail", full.Iterations, full.CycleLength)

@@ -167,25 +167,6 @@ func (res *Result) ASLinks() [][2]asn.ASN {
 	return out
 }
 
-// Infer is the one-call entry point: build the graph from traces
-// (phase 1) and run phases 2–3. The IP→AS lookups for every distinct
-// observed address are performed concurrently across opts.Workers
-// before the (order-sensitive, sequential) graph build consumes them.
-func Infer(traces []*traceroute.Trace, resolver *ip2as.Resolver,
-	aliases *alias.Sets, rels RelationshipOracle, opts Options) *Result {
-
-	//lint:ignore ctxflow Infer is the documented no-cancellation entry point; Background here means "never cancelled", and cancellable runs go through InferContext
-	res, err := InferContext(context.Background(), traces, resolver, aliases, rels, opts)
-	if err != nil {
-		// context.Background is never cancelled, so only checkpoint I/O
-		// or an incompatible resume can fail — both need
-		// Options.Checkpoint, whose documentation directs those runs to
-		// InferContext.
-		panic("core.Infer: " + err.Error() + " (checkpointed runs must use InferContext)")
-	}
-	return res
-}
-
 // TraceBatch is how many traces the graph build hands the Builder at a
 // time: the unit of address interning and concurrent resolution, whose
 // scratch it bounds, and the interval between context checks — frequent
@@ -194,13 +175,17 @@ func Infer(traces []*traceroute.Trace, resolver *ip2as.Resolver,
 // traces to BuildFrom should cut them into chunks of this size.
 const TraceBatch = 4096
 
-// InferContext is Infer with cooperative cancellation. Cancellation
-// during graph construction returns (nil, ctx.Err()) — there are no
-// annotations yet, so there is nothing partial to salvage. Once the
-// graph is built, cancellation is handled by RunContext: the returned
-// Result carries the last committed iteration's annotations with
-// Interrupted=true, and the error is nil. With Options.Checkpoint set,
-// RunContext's durability errors (failed snapshot writes, refused
+// InferContext is the one-call entry point: build the graph from traces
+// (phase 1) and run phases 2–3. The IP→AS lookups for every distinct
+// observed address are performed concurrently across opts.Workers
+// before the (order-sensitive, sequential) graph build consumes them.
+//
+// Cancellation during graph construction returns (nil, ctx.Err()) —
+// there are no annotations yet, so there is nothing partial to salvage.
+// Once the graph is built, cancellation is handled by RunContext: the
+// returned Result carries the last committed iteration's annotations
+// with Interrupted=true, and the error is nil. With Options.Checkpoint
+// set, RunContext's durability errors (failed snapshot writes, refused
 // resumes) propagate here as non-nil errors with a nil Result.
 func InferContext(ctx context.Context, traces []*traceroute.Trace, resolver *ip2as.Resolver,
 	aliases *alias.Sets, rels RelationshipOracle, opts Options) (*Result, error) {

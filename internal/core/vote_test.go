@@ -69,7 +69,7 @@ func TestVoteAllocatesNothing(t *testing.T) {
 	e, traces := campaign(t, 2018, 20)
 	e.traces = traces
 	g := e.graph()
-	Run(g, e.rels, Options{Workers: 1})
+	mustRun(t, g, e.rels, Options{Workers: 1})
 	sc := new(voteScratch)
 	var it iterTally
 	pass := func() {
@@ -175,7 +175,7 @@ func TestLongTailVoteMatchesOracle(t *testing.T) {
 
 	g.ResetAnnotations()
 	rec := obs.New()
-	res := Run(g, e.rels, Options{Workers: 1, Recorder: rec})
+	res := mustRun(t, g, e.rels, Options{Workers: 1, Recorder: rec})
 	wantOperator(t, res, "6.0.0.9", 1001)
 	wantOperator(t, res, "1.0.0.9", 800)
 	wantOperator(t, res, "3.0.0.9", 3801)

@@ -113,7 +113,7 @@ func RunIPv6Parity(ds *Dataset) IPv6Parity {
 		v6aliases.Add(v6...)
 		return true
 	})
-	v6res := core.Infer(v6traces, ds.Resolver, v6aliases, ds.Rels, core.Options{Workers: ds.Workers})
+	v6res := ds.infer(v6traces, v6aliases, core.Options{})
 
 	links := ObservedLinks(ds.In, v6traces)
 	correct, total := 0, 0

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/baseline/mapit"
 	"repro/internal/core"
 	"repro/internal/topo"
+	"repro/internal/traceroute"
 )
 
 // gtOrder fixes the presentation order of the ground-truth networks.
@@ -44,10 +46,22 @@ func (ds *Dataset) RunBdrmapIT(aliases *alias.Sets, opts core.Options) *core.Res
 	if aliases == nil {
 		aliases = ds.Aliases
 	}
+	return ds.infer(ds.Traces, aliases, opts)
+}
+
+// infer runs bdrmapIT over traces with the dataset's resolver and
+// relationships, at the dataset's worker count unless opts names one.
+// An experiment neither cancels nor checkpoints, the only ways
+// InferContext fails, so an error here is a bug.
+func (ds *Dataset) infer(traces []*traceroute.Trace, aliases *alias.Sets, opts core.Options) *core.Result {
 	if opts.Workers == 0 {
 		opts.Workers = ds.Workers
 	}
-	return core.Infer(ds.Traces, ds.Resolver, aliases, ds.Rels, opts)
+	res, err := core.InferContext(context.Background(), traces, ds.Resolver, aliases, ds.Rels, opts)
+	if err != nil {
+		panic("eval: " + err.Error())
+	}
+	return res
 }
 
 // Fig15Row is one ground-truth network's single-VP regression result
@@ -74,7 +88,7 @@ func RunFig15(ds *Dataset) []Fig15Row {
 		p := ds.In.Prober()
 		aliases := alias.Merge(alias.MIDAR(p, addrs, alias.MIDAROptions{}), alias.Iffinder(p, addrs))
 
-		itRes := core.Infer(traces, ds.Resolver, aliases, ds.Rels, core.Options{Workers: ds.Workers})
+		itRes := ds.infer(traces, aliases, core.Options{})
 		bRes := bdrmap.Infer(traces, ds.Resolver, aliases, ds.Rels, bdrmap.Options{VPAS: gt.ASN})
 
 		links := ObservedLinks(ds.In, traces)
@@ -156,7 +170,7 @@ func RunVPSweep(ds *Dataset, sizes []int, setsPerSize int) []SweepRow {
 				vps = vps[:size]
 			}
 			traces := ds.TracesFromVPs(vps)
-			res := core.Infer(traces, ds.Resolver, ds.Aliases, ds.Rels, core.Options{Workers: ds.Workers})
+			res := ds.infer(traces, ds.Aliases, core.Options{})
 			links := ObservedLinks(ds.In, traces)
 			for _, gt := range ds.gtNetworks() {
 				pr := Score(links, res, gt.ASN, ScoreOptions{})

@@ -2,6 +2,7 @@ package itdk
 
 import (
 	"bytes"
+	"context"
 	"net/netip"
 	"strings"
 	"testing"
@@ -30,7 +31,10 @@ func testKit(t *testing.T) *Kit {
 			Reply: traceroute.TimeExceeded,
 		})
 	}
-	res := core.Infer([]*traceroute.Trace{tr}, resolver, alias.NewSets(), rels, core.Options{})
+	res, err := core.InferContext(context.Background(), []*traceroute.Trace{tr}, resolver, alias.NewSets(), rels, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return FromResult(res)
 }
 

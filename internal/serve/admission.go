@@ -6,78 +6,48 @@ import (
 	"repro/internal/obs"
 )
 
-// AdmitLevel is the admission controller's verdict for one request.
-type AdmitLevel int
-
-const (
-	// Admit serves the request at full service.
-	Admit AdmitLevel = iota
-	// Degrade serves the request, but expensive query classes should
-	// answer from the cheap ip2as prefix table only — the middle rung
-	// of the degradation ladder, taken when the in-flight population
-	// crosses the soft budget.
-	Degrade
-	// Shed rejects the request with 503 + Retry-After: the hard
-	// in-flight budget is exhausted and finishing the requests already
-	// admitted matters more than admitting this one.
-	Shed
-)
-
-// admission is a bounded in-flight budget with a soft degradation
-// threshold. It is deliberately memoryless — no queues, no token
-// refill schedule — because the failure mode it exists to prevent is
-// latency collapse under overload: a queue converts overload into
-// unbounded latency; a hard budget converts it into fast, honest 503s
-// that a client can back off from.
+// admission is a bounded in-flight budget. It is deliberately
+// memoryless — no queues, no token refill schedule — because the
+// failure mode it exists to prevent is latency collapse under overload:
+// a queue converts overload into unbounded latency; a hard budget
+// converts it into fast, honest 503s that a client can back off from.
 type admission struct {
-	// soft and max are the degradation and rejection thresholds on the
-	// in-flight request population.
-	soft, max int64
+	// max is the rejection threshold on the in-flight request
+	// population.
+	max int64
 
 	inflight atomic.Int64
 
 	// gauges/counters exporting the controller's behaviour.
 	inflightG *obs.Gauge
 	shed      *obs.Counter
-	degraded  *obs.Counter
 }
 
 // newAdmission sizes the controller. max <= 0 disables shedding
-// entirely (an explicit operator choice, not a default); soft <= 0
-// defaults to half of max.
-func newAdmission(soft, max int64, rec *obs.Recorder) *admission {
-	if soft <= 0 {
-		soft = max / 2
-	}
+// entirely (an explicit operator choice, not a default).
+func newAdmission(max int64, rec *obs.Recorder) *admission {
 	return &admission{
-		soft:      soft,
 		max:       max,
 		inflightG: rec.Gauge("serve.inflight"),
 		shed:      rec.Counter("serve.shed"),
-		degraded:  rec.Counter("serve.degraded"),
 	}
 }
 
-// acquire admits, degrades, or sheds one request. When the verdict is
-// Admit or Degrade the caller must invoke release exactly once when the
-// request finishes; on Shed release is nil.
-func (a *admission) acquire() (AdmitLevel, func()) {
+// acquire admits or sheds one request. An admitted caller gets a
+// release func it must invoke exactly once when the request finishes;
+// a shed one gets nil.
+func (a *admission) acquire() func() {
 	n := a.inflight.Add(1)
 	a.inflightG.Set(n)
 	if a.max > 0 && n > a.max {
-		// Over the hard budget: undo the reservation and shed. The
-		// admitted population stays bounded, so per-request memory and
-		// tail latency stay bounded with it.
+		// Over the budget: undo the reservation and shed. The admitted
+		// population stays bounded, so per-request memory and tail
+		// latency stay bounded with it.
 		a.inflight.Add(-1)
 		a.shed.Inc()
-		return Shed, nil
+		return nil
 	}
-	release := func() {
+	return func() {
 		a.inflightG.Set(a.inflight.Add(-1))
 	}
-	if a.max > 0 && n > a.soft {
-		a.degraded.Inc()
-		return Degrade, release
-	}
-	return Admit, release
 }

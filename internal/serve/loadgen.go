@@ -55,7 +55,7 @@ type BenchConfig struct {
 type BenchResult struct {
 	Requests     int64 // responses received (any status)
 	OK           int64 // 200s that verified against Expected
-	Degraded     int64 // 200s answered from the prefix table only
+	Degraded     int64 // always 0: the daemon answers in full or sheds
 	NotFound     int64 // 200s with found=false that were correct misses
 	Shed         int64 // 503s (admission shedding or pre-ready)
 	Failed       int64 // transport errors and unexpected statuses
@@ -75,8 +75,8 @@ func (r *BenchResult) String() string {
 		gens = append(gens, fmt.Sprintf("gen%d:%d", g, n))
 	}
 	sort.Strings(gens)
-	return fmt.Sprintf("requests=%d ok=%d degraded=%d notfound=%d shed=%d failed=%d inconsistent=%d p50=%s p99=%s generations=[%s]",
-		r.Requests, r.OK, r.Degraded, r.NotFound, r.Shed, r.Failed, r.Inconsistent,
+	return fmt.Sprintf("requests=%d ok=%d notfound=%d shed=%d failed=%d inconsistent=%d p50=%s p99=%s generations=[%s]",
+		r.Requests, r.OK, r.NotFound, r.Shed, r.Failed, r.Inconsistent,
 		time.Duration(r.P50), time.Duration(r.P99), strings.Join(gens, " "))
 }
 
@@ -155,7 +155,6 @@ func Bench(ctx context.Context, cfg BenchConfig) (*BenchResult, error) {
 			mu.Lock()
 			total.Requests += local.Requests
 			total.OK += local.OK
-			total.Degraded += local.Degraded
 			total.NotFound += local.NotFound
 			total.Shed += local.Shed
 			total.Failed += local.Failed
@@ -242,8 +241,9 @@ func verifyResponse(cfg BenchConfig, class string, addr netip.Addr, body []byte,
 		Router      uint32 `json:"router"`
 		RouterAS    uint32 `json:"router_as"`
 		ConnAS      uint32 `json:"connected_as"`
-		Degraded    bool   `json:"degraded"`
 		OriginAS    uint32 `json:"origin_as"`
+		Prefix      string `json:"prefix"`
+		Source      string `json:"source"`
 		Interdomain bool   `json:"interdomain"`
 		NearAS      uint32 `json:"near_as"`
 		FarAS       uint32 `json:"far_as"`
@@ -268,20 +268,8 @@ func verifyResponse(cfg BenchConfig, class string, addr netip.Addr, body []byte,
 	local.Generations[env.Generation]++
 
 	consistent := true
-	switch {
-	case env.Degraded:
-		// Degraded answers are promised to agree with the prefix
-		// table, nothing more.
-		if class != classLink {
-			p, ok := snap.LookupPrefix(addr)
-			if env.Found != ok || (ok && env.OriginAS != p.Origin) {
-				consistent = false
-			}
-		}
-		if consistent {
-			local.Degraded++
-		}
-	case class == classLookup:
+	switch class {
+	case classLookup:
 		res, ok := snap.Lookup(addr)
 		if env.Found != ok || (ok && (env.Router != res.Router || env.RouterAS != res.RouterAS || env.ConnAS != res.ConnAS)) {
 			consistent = false
@@ -290,16 +278,16 @@ func verifyResponse(cfg BenchConfig, class string, addr netip.Addr, body []byte,
 		} else {
 			local.NotFound++
 		}
-	case class == classIP2AS:
+	case classIP2AS:
 		p, ok := snap.LookupPrefix(addr)
-		if env.Found != ok || (ok && env.OriginAS != p.Origin) {
+		if env.Found != ok || (ok && (env.OriginAS != p.Origin || env.Prefix != p.Prefix.String() || env.Source != p.Kind.String())) {
 			consistent = false
 		} else if ok {
 			local.OK++
 		} else {
 			local.NotFound++
 		}
-	case class == classLink:
+	case classLink:
 		l, ok := snap.LookupLink(addr)
 		if env.Interdomain != ok || (ok && (env.NearAS != l.NearAS || env.FarAS != l.FarAS || env.Label != l.Label)) {
 			consistent = false
@@ -365,15 +353,11 @@ func SweepAnnotations(ctx context.Context, baseURL, annotationsPath string) (int
 		}
 		var env struct {
 			Found    bool   `json:"found"`
-			Degraded bool   `json:"degraded"`
 			RouterAS uint32 `json:"router_as"`
 			ConnAS   uint32 `json:"connected_as"`
 		}
 		if err := json.Unmarshal(body, &env); err != nil {
 			return n, fmt.Errorf("lookup %s: bad response body: %v", addr, err)
-		}
-		if env.Degraded {
-			return n, fmt.Errorf("lookup %s: degraded answer during sweep (run the sweep unloaded)", addr)
 		}
 		if !env.Found {
 			return n, fmt.Errorf("lookup %s: daemon has no answer but the annotations file does", addr)

@@ -26,19 +26,12 @@ type Config struct {
 	// request's context (default 5s). A request that outlives it is
 	// answered 503.
 	RequestTimeout time.Duration
-	// MaxInflight is the hard admission budget: requests beyond this
-	// many concurrently in flight are shed with 503 + Retry-After
+	// MaxInflight is the admission budget: requests beyond this many
+	// concurrently in flight are shed with 503 + "Retry-After: 1"
 	// (default 256; negative disables shedding).
 	MaxInflight int
-	// SoftInflight is the degradation threshold: above it, expensive
-	// query classes answer from the prefix table only (default
-	// MaxInflight/2).
-	SoftInflight int
-	// RetryAfter is the Retry-After hint attached to shed responses
-	// (default 1s, rounded up to whole seconds).
-	RetryAfter time.Duration
 	// Recorder receives serving metrics (QPS, per-class latency
-	// histograms, shed/degraded/panic counters, swap generation). Nil
+	// histograms, shed/panic counters, swap generation). Nil
 	// disables recording.
 	Recorder *obs.Recorder
 	// HandlerDelay injects artificial per-request latency after
@@ -104,14 +97,11 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 256
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	rec := cfg.Recorder
 	s := &Server{
 		cfg:          cfg,
 		rec:          rec,
-		adm:          newAdmission(int64(cfg.SoftInflight), int64(cfg.MaxInflight), rec),
+		adm:          newAdmission(int64(cfg.MaxInflight), rec),
 		requests:     rec.Counter("serve.requests"),
 		panics:       rec.Counter("serve.panics"),
 		notFound:     rec.Counter("serve.not_found"),
@@ -216,7 +206,7 @@ func (s *Server) StartDrain() {
 	}
 }
 
-// Query classes, used as metric keys and degradation units.
+// Query classes, used as metric keys.
 const (
 	classLookup = "lookup"
 	classIP2AS  = "ip2as"
@@ -253,13 +243,13 @@ func (s *Server) Handler() http.Handler {
 // first: panic recovery (a handler panic must not kill the admission
 // accounting either), admission control, the per-request deadline, and
 // latency metrics.
-func (s *Server) api(class string, h func(w http.ResponseWriter, r *http.Request, level AdmitLevel)) http.Handler {
+func (s *Server) api(class string, h http.HandlerFunc) http.Handler {
 	hist := s.latency[class]
 	return s.recovered(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
-		level, release := s.adm.acquire()
-		if level == Shed {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		release := s.adm.acquire()
+		if release == nil {
+			w.Header().Set("Retry-After", "1")
 			http.Error(w, "overloaded: in-flight budget exhausted, retry later", http.StatusServiceUnavailable)
 			return
 		}
@@ -276,7 +266,7 @@ func (s *Server) api(class string, h func(w http.ResponseWriter, r *http.Request
 		}
 
 		start := time.Now()
-		h(w, r, level)
+		h(w, r)
 		if hist != nil {
 			hist.Observe(time.Since(start).Nanoseconds())
 		}
@@ -345,23 +335,16 @@ func (s *Server) checkDeadline(w http.ResponseWriter, r *http.Request) bool {
 // identify the snapshot that produced the whole response, so a client
 // can prove no response mixes generations.
 type lookupResponse struct {
-	IP    string `json:"ip"`
-	Found bool   `json:"found"`
-	// Full-service fields.
-	Router   uint32 `json:"router,omitempty"`
-	RouterAS uint32 `json:"router_as,omitempty"`
-	ConnAS   uint32 `json:"connected_as,omitempty"`
-	// Degraded-service fields (ip2as-only answer under load).
-	Degraded bool   `json:"degraded,omitempty"`
-	OriginAS uint32 `json:"origin_as,omitempty"`
-	Prefix   string `json:"prefix,omitempty"`
-	Source   string `json:"source,omitempty"`
-
+	IP          string `json:"ip"`
+	Found       bool   `json:"found"`
+	Router      uint32 `json:"router,omitempty"`
+	RouterAS    uint32 `json:"router_as,omitempty"`
+	ConnAS      uint32 `json:"connected_as,omitempty"`
 	Generation  uint64 `json:"generation"`
 	Fingerprint string `json:"fingerprint"`
 }
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request, level AdmitLevel) {
+func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	pub := s.published(w)
 	if pub == nil {
 		return
@@ -375,21 +358,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request, level Admi
 		Generation:  pub.gen,
 		Fingerprint: pub.fp,
 	}
-	if level == Degrade {
-		// Middle rung of the degradation ladder: answer the cheap
-		// prefix-table class instead of rejecting outright.
-		resp.Degraded = true
-		if p, ok := pub.snap.LookupPrefix(addr); ok {
-			resp.Found = true
-			resp.OriginAS = p.Origin
-			resp.Prefix = p.Prefix.String()
-			resp.Source = p.Kind.String()
-		} else {
-			s.notFound.Inc()
-		}
-		writeJSON(w, &resp)
-		return
-	}
 	if res, ok := pub.snap.Lookup(addr); ok {
 		resp.Found = true
 		resp.Router = res.Router
@@ -401,8 +369,8 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request, level Admi
 	writeJSON(w, &resp)
 }
 
-// ip2asResponse is the /v1/ip2as answer — the cheapest query class,
-// also the shape degraded lookups take.
+// ip2asResponse is the /v1/ip2as answer: the run's ip2as view, a
+// query class of its own.
 type ip2asResponse struct {
 	IP          string `json:"ip"`
 	Found       bool   `json:"found"`
@@ -413,7 +381,7 @@ type ip2asResponse struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-func (s *Server) handleIP2AS(w http.ResponseWriter, r *http.Request, _ AdmitLevel) {
+func (s *Server) handleIP2AS(w http.ResponseWriter, r *http.Request) {
 	pub := s.published(w)
 	if pub == nil {
 		return
@@ -445,15 +413,11 @@ type linkResponse struct {
 	NearAS      uint32 `json:"near_as,omitempty"`
 	FarAS       uint32 `json:"far_as,omitempty"`
 	Label       string `json:"label,omitempty"`
-	// Degraded is set when the answer came from the prefix table only
-	// (the link index was skipped under load): Interdomain is then
-	// unknown, not false.
-	Degraded    bool   `json:"degraded,omitempty"`
 	Generation  uint64 `json:"generation"`
 	Fingerprint string `json:"fingerprint"`
 }
 
-func (s *Server) handleLink(w http.ResponseWriter, r *http.Request, level AdmitLevel) {
+func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	pub := s.published(w)
 	if pub == nil {
 		return
@@ -466,11 +430,6 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request, level AdmitL
 		IP:          addr.String(),
 		Generation:  pub.gen,
 		Fingerprint: pub.fp,
-	}
-	if level == Degrade {
-		resp.Degraded = true
-		writeJSON(w, &resp)
-		return
 	}
 	if l, ok := pub.snap.LookupLink(addr); ok {
 		resp.Interdomain = true

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"os"
 	"testing"
 	"time"
@@ -220,87 +221,78 @@ func TestFingerprintIdenticalOnEveryRoute(t *testing.T) {
 	}
 }
 
-func TestAdmissionDegradeAndShed(t *testing.T) {
-	dir := t.TempDir()
-	path, _ := writeSnapshot(t, dir, 1)
-	srv := New(Config{SnapshotPath: path, MaxInflight: 4, SoftInflight: 2})
+// TestAdmissionSheds: below the in-flight budget every class answers in
+// full; at the budget the next request is shed with 503 and
+// "Retry-After: 1", while the probes keep answering.
+func TestAdmissionSheds(t *testing.T) {
+	path, snap := writeSnapshot(t, t.TempDir(), 1)
+	srv := New(Config{SnapshotPath: path, MaxInflight: 4})
 	if err := srv.Load(); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Occupy the admission budget directly (white box): two held slots
-	// put the next request over the soft threshold, four put it over the
-	// hard one.
+	// Occupy the admission budget directly (white box).
 	var releases []func()
 	hold := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			level, release := srv.adm.acquire()
-			if level == Shed {
+			release := srv.adm.acquire()
+			if release == nil {
 				t.Fatalf("setup slot %d was shed", i)
 			}
 			releases = append(releases, release)
 		}
 	}
-	releaseAll := func() {
+	defer func() {
 		for _, r := range releases {
 			r()
 		}
-		releases = nil
-	}
-	defer releaseAll()
+	}()
 
-	hold(2)
-	var degraded struct {
+	hold(3) // budget - 1: the next request is the last one admitted
+	var lookup struct {
 		Found    bool   `json:"found"`
-		Degraded bool   `json:"degraded"`
-		OriginAS uint32 `json:"origin_as"`
+		RouterAS uint32 `json:"router_as"`
+		ConnAS   uint32 `json:"connected_as"`
 	}
-	if code := getJSON(t, ts.URL+"/v1/lookup?ip=10.0.0.1", &degraded); code != http.StatusOK {
-		t.Fatalf("lookup over soft threshold: status %d", code)
+	want, _ := snap.Lookup(netip.MustParseAddr("10.0.0.1"))
+	if code := getJSON(t, ts.URL+"/v1/lookup?ip=10.0.0.1", &lookup); code != http.StatusOK {
+		t.Fatalf("lookup one under the budget: status %d", code)
 	}
-	if !degraded.Degraded || !degraded.Found || degraded.OriginAS != 7018 {
-		t.Errorf("over the soft threshold got %+v, want a degraded prefix-table answer (origin 7018)", degraded)
+	if !lookup.Found || lookup.RouterAS != want.RouterAS || lookup.ConnAS != want.ConnAS {
+		t.Errorf("lookup one under the budget got %+v, want the full answer %+v", lookup, want)
 	}
-	// The cheap class stays full-service while degraded.
-	var ip2as struct {
-		Found    bool   `json:"found"`
-		OriginAS uint32 `json:"origin_as"`
+	var link struct {
+		Interdomain bool   `json:"interdomain"`
+		NearAS      uint32 `json:"near_as"`
+		FarAS       uint32 `json:"far_as"`
+		Label       string `json:"label"`
 	}
-	if code := getJSON(t, ts.URL+"/v1/ip2as?ip=10.0.0.1", &ip2as); code != http.StatusOK || !ip2as.Found {
-		t.Errorf("ip2as over soft threshold: status %d, %+v", code, ip2as)
+	wantLink, _ := snap.LookupLink(netip.MustParseAddr("10.0.0.3"))
+	if code := getJSON(t, ts.URL+"/v1/link?ip=10.0.0.3", &link); code != http.StatusOK {
+		t.Fatalf("link one under the budget: status %d", code)
+	}
+	if !link.Interdomain || link.NearAS != wantLink.NearAS || link.FarAS != wantLink.FarAS || link.Label != wantLink.Label {
+		t.Errorf("link one under the budget got %+v, want %+v", link, wantLink)
 	}
 
-	hold(2) // now 4 in flight: the next request exceeds the hard budget
+	hold(1) // at the budget: the next request is shed
 	resp, err := http.Get(ts.URL + "/v1/lookup?ip=10.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over the hard budget: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed response has no Retry-After header")
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("at the budget: status %d, Retry-After %q; want 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	// Probes bypass admission: they must answer while overloaded.
-	if code := getJSON(t, ts.URL+"/-/healthy", nil); code != http.StatusOK {
-		t.Errorf("healthy while overloaded: %d", code)
-	}
-
-	releaseAll()
-	var recovered struct {
-		Degraded bool `json:"degraded"`
-		Found    bool `json:"found"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/lookup?ip=10.0.0.1", &recovered); code != http.StatusOK {
-		t.Fatalf("lookup after recovery: status %d", code)
-	}
-	if recovered.Degraded || !recovered.Found {
-		t.Errorf("after releasing the budget got %+v, want a full-service answer", recovered)
+	for _, probe := range []string{"/-/healthy", "/-/ready"} {
+		if code := getJSON(t, ts.URL+probe, nil); code != http.StatusOK {
+			t.Errorf("%s while overloaded: %d", probe, code)
+		}
 	}
 }
 
@@ -313,7 +305,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/panic", srv.api("lookup", func(http.ResponseWriter, *http.Request, AdmitLevel) {
+	mux.Handle("/panic", srv.api("lookup", func(http.ResponseWriter, *http.Request) {
 		panic("poisoned request")
 	}))
 	mux.Handle("/", srv.Handler())
@@ -347,5 +339,34 @@ func TestRequestDeadline(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if code := getJSON(t, ts.URL+"/v1/lookup?ip=10.0.0.1", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("expired deadline: status %d, want 503", code)
+	}
+}
+
+// BenchmarkHandler is the per-request cost of each query class through
+// Server.Handler, without a socket: routing, admission, the snapshot
+// lookup and the JSON encoding, over the fixture's addresses in turn.
+func BenchmarkHandler(b *testing.B) {
+	path, snap := writeSnapshot(b, b.TempDir(), 1)
+	srv := New(Config{SnapshotPath: path})
+	if err := srv.Load(); err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, class := range []string{classLookup, classIP2AS, classLink} {
+		b.Run(class, func(b *testing.B) {
+			urls := make([]string, len(snap.Ifaces))
+			for i, iface := range snap.Ifaces {
+				urls[i] = "/v1/" + class + "?ip=" + iface.Addr.String()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, urls[i%len(urls)], nil))
+				if w.Code != http.StatusOK {
+					b.Fatalf("%s: status %d", urls[i%len(urls)], w.Code)
+				}
+			}
+		})
 	}
 }

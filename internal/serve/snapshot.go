@@ -1,9 +1,9 @@
 // Package serve is the annotation-serving layer: it loads a completed
 // bdrmapIT inference — per-interface router/operator annotations, the
-// inferred interdomain links, and a prefix→origin table for degraded
-// answers — into an immutable, validated Snapshot and serves
-// IP → router → operator-AS and is-this-link-interdomain? queries over
-// HTTP at high QPS.
+// inferred interdomain links, and the run's prefix→origin table — into
+// an immutable, validated Snapshot and serves IP → router → operator-AS,
+// IP → origin-AS and is-this-link-interdomain? queries over HTTP at
+// high QPS.
 //
 // The package is deliberately inference-free: like cmd/explain, it
 // reads a serialized artifact and never imports the engine or any
@@ -19,8 +19,8 @@
 //     one generation;
 //   - a failed post-swap self-check rolls the pointer back;
 //   - an admission controller sheds load (503 + Retry-After) at a
-//     bounded in-flight budget, degrading the expensive query class to
-//     prefix-table-only answers first;
+//     bounded in-flight budget, and answers every request it admits in
+//     full;
 //   - every handler runs under a per-request deadline and panic
 //     recovery, so one bad request costs one 500, not the process.
 package serve
@@ -80,9 +80,8 @@ type Link struct {
 	Label         string
 }
 
-// Prefix is one prefix→origin record of the run's ip2as view, used for
-// degraded (annotation-free) answers under overload and for the cheap
-// /v1/ip2as query class. Origin is 0 for IXP prefixes.
+// Prefix is one prefix→origin record of the run's ip2as view, the
+// answer of the /v1/ip2as query class. Origin is 0 for IXP prefixes.
 type Prefix struct {
 	Prefix netip.Prefix
 	Origin uint32
@@ -289,8 +288,8 @@ func labelRank(label string) int {
 	}
 }
 
-// LookupPrefix answers the degraded (ip2as-only) query class: the
-// longest matching prefix record for addr from the run's ip2as view.
+// LookupPrefix answers the ip2as query class: the longest matching
+// prefix record for addr from the run's ip2as view.
 // ok is false when no prefix covers addr. Requires Index.
 func (s *Snapshot) LookupPrefix(addr netip.Addr) (Prefix, bool) {
 	if s.trie == nil {

@@ -47,7 +47,7 @@ func makeSnapshot(salt uint32) *Snapshot {
 
 // writeSnapshot publishes a salted snapshot into dir and returns its
 // path and the opened (validated, indexed) form.
-func writeSnapshot(t *testing.T, dir string, salt uint32) (string, *Snapshot) {
+func writeSnapshot(t testing.TB, dir string, salt uint32) (string, *Snapshot) {
 	t.Helper()
 	path := filepath.Join(dir, "serve.snap")
 	if err := WriteFile(path, makeSnapshot(salt)); err != nil {

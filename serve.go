@@ -92,8 +92,8 @@ func (r *Result) serveSnapshot(prefixes []serve.Prefix) (*serve.Snapshot, error)
 		}
 	}
 
-	// The ip2as view, flattened so the daemon can answer the cheap
-	// query class (and degraded lookups) without any loader.
+	// The ip2as view, flattened so the daemon can answer the ip2as
+	// query class without any loader.
 	snap.Prefixes = prefixes
 	return snap, nil
 }

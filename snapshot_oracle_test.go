@@ -2,6 +2,7 @@ package bdrmapit
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -134,6 +135,16 @@ type snapWorld struct {
 	rels     *asrel.Graph
 }
 
+// mustRun refines g to completion, failing t on an error.
+func mustRun(t testing.TB, g *core.Graph, rels core.RelationshipOracle, opts core.Options) *core.Result {
+	t.Helper()
+	res, err := core.RunContext(context.Background(), g, rels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // result wraps a core result over w the way Run does.
 func (w snapWorld) result(res *core.Result) *Result {
 	return &Result{res: res, resolver: w.resolver, Iterations: res.Iterations, Converged: res.Converged}
@@ -150,7 +161,7 @@ func (w snapWorld) session(t *testing.T, what string, parts [][]*traceroute.Trac
 		b.AddTraces(part)
 		g := b.Finish(w.rels)
 		g.ResetAnnotations()
-		res := core.Run(g, w.rels, core.Options{Workers: workers})
+		res := mustRun(t, g, w.rels, core.Options{Workers: workers})
 		checkSnapshotMatchesOracle(t, fmt.Sprintf("%s, after part %d", what, k), w.result(res))
 	}
 }
@@ -242,7 +253,7 @@ func TestServeSnapshotLinkTies(t *testing.T) {
 		handTrace("2.0.0.99", "6.0.0.1", "2.0.0.1"),
 	})
 	g := b.Finish(w.rels)
-	res := core.Run(g, w.rels, core.Options{Workers: 1})
+	res := mustRun(t, g, w.rels, core.Options{Workers: 1})
 	annotate := map[string]asn.ASN{"1.0.0.1": 100, "1.0.0.2": 100, "3.0.0.1": 50, "2.0.0.1": 200, "5.0.0.1": asn.None, "6.0.0.1": asn.None}
 	for a, as := range annotate {
 		g.Interface(netip.MustParseAddr(a)).Router.Annotation = as
@@ -308,7 +319,7 @@ func TestServeSnapshotAllocsFlat(t *testing.T) {
 		b := core.NewBuilder(w.resolver, w.aliases)
 		b.AddTraces(traces)
 		g := b.Finish(w.rels)
-		r := w.result(core.Run(g, w.rels, core.Options{Workers: 1}))
+		r := w.result(mustRun(t, g, w.rels, core.Options{Workers: 1}))
 		prefixes := sortedPrefixes(r.resolver)
 		allocs = append(allocs, testing.AllocsPerRun(10, func() {
 			if _, err := r.serveSnapshot(prefixes); err != nil {
