@@ -93,15 +93,19 @@ bench:
 # graph construction alone (traces/s and hops/s at 1 and N workers),
 # the simulator's own cost at rung S (generation, campaign) and per
 # probe (a re-seed and a pair's draws, lazy source against math/rand's),
-# its alias resolution over a small campaign (MIDAR, kapar), and one
-# daemon request per query class through the handler, without a socket.
+# its alias resolution over a small campaign (MIDAR, kapar), one daemon
+# request per query class through the handler, without a socket, and
+# what a process reads before it refines: the MRT and text RIB readers,
+# the ITDK nodes reader and a Builder image's decode and replay.
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
-	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph|BenchmarkReplay' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkRunCampaign|BenchmarkProbeSeed' -benchmem ./internal/topo
-	$(GO) test -run '^$$' -bench 'BenchmarkMIDAR|BenchmarkKapar' -benchmem ./internal/alias
+	$(GO) test -run '^$$' -bench 'BenchmarkMIDAR|BenchmarkKapar|BenchmarkReadNodes' -benchmem ./internal/alias
 	$(GO) test -run '^$$' -bench 'BenchmarkHandler' -benchmem ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkMRTRead' -benchmem ./internal/mrt
+	$(GO) test -run '^$$' -bench 'BenchmarkReadRoutes' -benchmem ./internal/bgp
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt
 # schema by reportcheck, compared metric-by-metric against the committed

@@ -15,6 +15,9 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
+
+	"repro/internal/arena"
+	"repro/internal/netutil"
 )
 
 // Sets is a partition of interface addresses into alias groups
@@ -23,6 +26,7 @@ import (
 type Sets struct {
 	group   map[netip.Addr]int
 	members [][]netip.Addr
+	slab    arena.Slab[netip.Addr] // the chunks new groups are cut from
 }
 
 // NewSets returns an empty alias partition.
@@ -59,7 +63,7 @@ func (s *Sets) Add(addrs ...netip.Addr) {
 	}
 	if target == -1 {
 		target = len(s.members)
-		s.members = append(s.members, nil)
+		s.members = append(s.members, s.slab.Take(len(addrs))[:0])
 	}
 	for _, a := range addrs {
 		if _, ok := s.group[a]; !ok {
@@ -137,12 +141,14 @@ func sortAddrs(a []netip.Addr) {
 //
 //	node N1:  1.2.3.4 5.6.7.8
 //
-// Comment lines start with '#'.
+// Comment lines start with '#'. It streams: what it holds besides the
+// partition is one line and that line's addresses.
 func ReadNodes(r io.Reader) (*Sets, error) {
 	s := NewSets()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	lineno := 0
+	var addrs []netip.Addr // the current line's, reused
 	for sc.Scan() {
 		lineno++
 		line := strings.TrimSpace(sc.Text())
@@ -157,9 +163,8 @@ func ReadNodes(r io.Reader) (*Sets, error) {
 		if !ok {
 			return nil, fmt.Errorf("alias: line %d: missing ':' after node id", lineno)
 		}
-		fields := strings.Fields(addrPart)
-		addrs := make([]netip.Addr, 0, len(fields))
-		for _, f := range fields {
+		addrs = addrs[:0]
+		for f, more := netutil.CutField(addrPart); f != ""; f, more = netutil.CutField(more) {
 			a, err := netip.ParseAddr(f)
 			if err != nil {
 				return nil, fmt.Errorf("alias: line %d: %w", lineno, err)

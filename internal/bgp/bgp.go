@@ -10,11 +10,14 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/arena"
 	"repro/internal/asn"
 	"repro/internal/iptrie"
+	"repro/internal/netutil"
 )
 
 // Route is one RIB entry: a prefix and the AS path it was announced with.
@@ -74,23 +77,29 @@ func (r Route) ASPath() []asn.ASN {
 // ParsePath parses a space-separated AS path such as
 // "3356 174 {64512,64513}".
 func ParsePath(s string) ([]PathElem, error) {
-	fields := strings.Fields(s)
-	out := make([]PathElem, 0, len(fields))
-	for _, f := range fields {
-		if strings.HasPrefix(f, "{") {
+	return appendPath(nil, s)
+}
+
+// appendPath appends the elements of the AS path s to out, walking its
+// fields in place.
+func appendPath(out []PathElem, s string) ([]PathElem, error) {
+	for f, rest := netutil.CutField(s); f != ""; f, rest = netutil.CutField(rest) {
+		if f[0] == '{' {
 			inner := strings.Trim(f, "{}")
 			if inner == "" {
 				return nil, fmt.Errorf("bgp: empty AS_SET in path %q", s)
 			}
-			var set []asn.ASN
-			for _, m := range strings.Split(inner, ",") {
-				a, err := asn.Parse(strings.TrimSpace(m))
+			set := make([]asn.ASN, 0, strings.Count(inner, ",")+1)
+			for m, more := inner, true; more; {
+				var member string
+				member, m, more = strings.Cut(m, ",")
+				a, err := asn.Parse(member)
 				if err != nil {
 					return nil, fmt.Errorf("bgp: AS_SET member: %w", err)
 				}
 				set = append(set, a)
 			}
-			sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
+			slices.Sort(set)
 			out = append(out, PathElem{Set: set})
 			continue
 		}
@@ -119,12 +128,17 @@ func ReadRoutes(r io.Reader) ([]Route, error) {
 }
 
 // ReadRoutesStats is ReadRoutes returning skip tallies alongside the
-// parsed routes.
+// parsed routes. It streams, one line at a time, and cuts the paths from
+// shared chunks (arena.Slab).
 func ReadRoutesStats(r io.Reader) ([]Route, ReadStats, error) {
 	var stats ReadStats
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []Route
+	var (
+		out   []Route
+		path  []PathElem // the line's, copied out once whole
+		paths arena.Slab[PathElem]
+	)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -141,14 +155,20 @@ func ReadRoutesStats(r io.Reader) ([]Route, ReadStats, error) {
 		if err != nil {
 			return nil, stats, fmt.Errorf("bgp: line %d: %w", lineno, err)
 		}
-		path, err := ParsePath(pathStr)
-		if err != nil {
+		if path, err = appendPath(path[:0], pathStr); err != nil {
 			return nil, stats, fmt.Errorf("bgp: line %d: %w", lineno, err)
 		}
 		if len(path) == 0 {
 			return nil, stats, fmt.Errorf("bgp: line %d: empty AS path", lineno)
 		}
-		out = append(out, Route{Prefix: p.Masked(), Path: path})
+		rp := paths.Take(len(path))
+		copy(rp, path)
+		if len(out) == cap(out) {
+			// Double: append's own growth, 1.25× on large slices, would
+			// allocate five times the final table on the way there.
+			out = slices.Grow(out, max(len(out), 64))
+		}
+		out = append(out, Route{Prefix: p.Masked(), Path: rp})
 		stats.Routes++
 	}
 	if err := sc.Err(); err != nil {

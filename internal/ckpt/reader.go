@@ -195,10 +195,16 @@ func (r *Reader) String(what string) string {
 	return string(r.take(r.Count(what, 1), what))
 }
 
+// Bytes reads a length-prefixed byte string in place: the slice aliases
+// the payload.
+func (r *Reader) Bytes(what string) []byte {
+	return r.take(r.Count(what, 1), what)
+}
+
 // Blob reads a length-prefixed byte string into fresh memory (nil when
 // empty).
 func (r *Reader) Blob(what string) []byte {
-	b := r.take(r.Count(what, 1), what)
+	b := r.Bytes(what)
 	if len(b) == 0 {
 		return nil
 	}

@@ -340,14 +340,26 @@ type Builder struct {
 // grouping interfaces through aliases (nil aliases → every interface is
 // its own IR, paper §7.4).
 func NewBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *Builder {
+	return newBuilder(resolver, aliases, 0, 0)
+}
+
+// newBuilder is NewBuilder with room for addrs interned addresses, as
+// many interfaces and routers, and links links.
+func newBuilder(resolver *ip2as.Resolver, aliases *alias.Sets, addrs, links int) *Builder {
+	tab := make([]internEntry, 1, 1+addrs)
+	tab[invalidID] = internEntry{kind: ip2as.Special}
 	return &Builder{
 		resolver: resolver,
 		aliases:  aliases,
-		ids:      make(map[netip.Addr]uint32),
-		tab:      []internEntry{invalidID: {kind: ip2as.Special}},
-		links:    make(map[uint64]*Link),
+		ids:      make(map[netip.Addr]uint32, addrs),
+		tab:      tab,
+		links:    make(map[uint64]*Link, links),
 		groups:   make(map[int]*Router),
 		epoch:    1,
+		routers:  make([]*Router, 0, addrs),
+		queue:    make([]*Router, 0, addrs),
+		touchedI: make([]*Interface, 0, addrs),
+		newAddrs: make([]netip.Addr, 0, addrs),
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"io"
 	"math"
 	"net/netip"
-	"slices"
 
 	"repro/internal/alias"
+	"repro/internal/arena"
 	"repro/internal/asn"
 	"repro/internal/ckpt"
 	"repro/internal/ip2as"
@@ -154,22 +154,29 @@ func DecodeImage(data []byte) (*Image, error) {
 	img.ifaces = make([]imageIface, r.Count("interface count", 8))
 	for k := range img.ifaces {
 		a := &img.ifaces[k].addr
-		if err := a.UnmarshalBinary(r.Blob("address")); err != nil || !a.IsValid() || a.Is4In6() || k > 0 && a.Compare(img.ifaces[k-1].addr) <= 0 {
+		if err := a.UnmarshalBinary(r.Bytes("address")); err != nil || !a.IsValid() || a.Is4In6() || k > 0 && a.Compare(img.ifaces[k-1].addr) <= 0 {
 			r.Fail("interface %d: %v is not an unmapped address above the one before", k, *a)
 			return nil, r.Finish()
 		}
 	}
+	// The links, positions and sets are cut from shared chunks: an image
+	// holds several per interface.
+	var (
+		links arena.Slab[imageLink]
+		prevs arena.Slab[int]
+		dests arena.Slab[asn.ASN]
+	)
 	for k := range img.ifaces {
 		ri := &img.ifaces[k]
 		ri.echo = r.Bool("echo-only")
-		ri.dests = readDests(r)
-		ri.in = make([]imageLink, r.Count("in-link count", 3))
+		ri.dests = readDests(r, &dests)
+		ri.in = links.Take(r.Count("in-link count", 3))
 		for j := range ri.in {
 			rl := &ri.in[j]
 			if rl.label = LinkLabel(r.Byte()); rl.label > LabelNexthop {
 				r.Fail("interface %d link %d: label %d", k, j, rl.label)
 			}
-			rl.prev = make([]int, r.Count("previous-hop count", 1))
+			rl.prev = prevs.Take(r.Count("previous-hop count", 1))
 			if len(rl.prev) == 0 {
 				r.Fail("interface %d link %d has no previous hop", k, j)
 			}
@@ -180,7 +187,7 @@ func DecodeImage(data []byte) (*Image, error) {
 				}
 				rl.prev[h] = pos
 			}
-			rl.dests = readDests(r)
+			rl.dests = readDests(r, &dests)
 		}
 	}
 	if err := r.Finish(); err != nil {
@@ -189,13 +196,10 @@ func DecodeImage(data []byte) (*Image, error) {
 	return img, nil
 }
 
-// readDests reads a destination-AS set as appendDests writes it.
-func readDests(r *ckpt.Reader) asn.SmallSet {
-	n := r.Count("destination AS count", 1)
-	if n == 0 {
-		return nil
-	}
-	s := make(asn.SmallSet, n)
+// readDests reads a destination-AS set as appendDests writes it, into a
+// slice cut from slab.
+func readDests(r *ckpt.Reader, slab *arena.Slab[asn.ASN]) asn.SmallSet {
+	s := asn.SmallSet(slab.Take(r.Count("destination AS count", 1)))
 	var a uint64
 	for k := range s {
 		step := r.U32("destination AS step")
@@ -214,10 +218,18 @@ func readDests(r *ckpt.Reader) asn.SmallSet {
 // yet finished — the caller adds more and finishes, and the graph is the
 // one a Builder fed the whole corpus builds. workers and rec are the
 // Builder's Workers and Rec.
+//
+// Replay consumes the image: the Builder is sized from its counts and
+// takes its decoded destination sets as its own, so an image replays
+// once. Decode the bytes again for a second Builder.
 func (img *Image) Replay(resolver *ip2as.Resolver, aliases *alias.Sets, workers int, rec *obs.Recorder) *Builder {
 	ph := rec.Phase("replay-image")
 	defer ph.End()
-	b := NewBuilder(resolver, aliases)
+	nlinks := 0
+	for k := range img.ifaces {
+		nlinks += len(img.ifaces[k].in)
+	}
+	b := newBuilder(resolver, aliases, len(img.ifaces), nlinks)
 	b.Workers, b.Rec = workers, rec
 	for k := range img.ifaces {
 		b.intern(img.ifaces[k].addr)
@@ -229,19 +241,20 @@ func (img *Image) Replay(resolver *ip2as.Resolver, aliases *alias.Sets, workers 
 	for k := range img.ifaces {
 		ri := &img.ifaces[k]
 		i := b.newIface(uint32(k+1), ri.addr)
-		i.EchoOnly, i.DestASes = ri.echo, slices.Clone(ri.dests)
+		i.EchoOnly, i.DestASes = ri.echo, ri.dests
 	}
+	var prevs arena.Slab[PrevHop]
 	for k := range img.ifaces {
 		to := b.tab[k+1].iface
 		for _, rl := range img.ifaces[k].in {
 			from := b.tab[rl.prev[0]+1].iface.Router
 			l := b.newLink(linkKey(from, uint32(k+1)), from, to, rl.label)
-			l.Prev = make([]PrevHop, len(rl.prev))
+			l.Prev = prevs.Take(len(rl.prev))
 			for h, pos := range rl.prev {
 				pi := b.tab[pos+1].iface
 				l.Prev[h] = PrevHop{pi.Addr, pi.Origin}
 			}
-			l.DestASes = slices.Clone(rl.dests)
+			l.DestASes = rl.dests
 		}
 	}
 	b.traces = img.Traces

@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 
+	"repro/internal/arena"
 	"repro/internal/asn"
 	"repro/internal/bgp"
 )
@@ -42,13 +43,18 @@ type peer struct {
 
 // Read parses an MRT TABLE_DUMP_V2 stream into RIB routes: one Route
 // per (prefix, peer) RIB entry, mirroring a multi-collector text RIB.
-// Records of other MRT types are skipped.
+// Records of other MRT types are skipped. One buffer holds each record in
+// turn, and the paths are cut from shared chunks (arena.Slab).
 func Read(r io.Reader) ([]bgp.Route, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var peers []peer
-	var routes []bgp.Route
+	var (
+		peers  []peer
+		routes []bgp.Route
+		hdr    [12]byte
+		body   []byte
+		d      ribDecoder
+	)
 	for recno := 1; ; recno++ {
-		var hdr [12]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
 				return routes, nil
@@ -61,26 +67,25 @@ func Read(r io.Reader) ([]bgp.Route, error) {
 		if length > 1<<24 {
 			return nil, fmt.Errorf("mrt: record %d: implausible length %d", recno, length)
 		}
-		body := make([]byte, length)
+		if int(length) > cap(body) {
+			body = make([]byte, length)
+		}
+		body = body[:length]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return nil, fmt.Errorf("mrt: record %d body: %w", recno, err)
 		}
 		if typ != typeTableDumpV2 {
 			continue
 		}
+		var err error
 		switch sub {
 		case subtypePeerIndexTable:
-			ps, err := parsePeerIndex(body)
-			if err != nil {
-				return nil, fmt.Errorf("mrt: record %d: %w", recno, err)
-			}
-			peers = ps
+			peers, err = parsePeerIndex(body)
 		case subtypeRIBIPv4Unicast, subtypeRIBIPv6Unicast:
-			rs, err := parseRIB(body, sub == subtypeRIBIPv6Unicast, peers)
-			if err != nil {
-				return nil, fmt.Errorf("mrt: record %d: %w", recno, err)
-			}
-			routes = append(routes, rs...)
+			routes, err = d.parseRIB(routes, body, sub == subtypeRIBIPv6Unicast, peers)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("mrt: record %d: %w", recno, err)
 		}
 	}
 }
@@ -121,7 +126,15 @@ func parsePeerIndex(b []byte) ([]peer, error) {
 	return peers, nil
 }
 
-func parseRIB(b []byte, v6 bool, peers []peer) ([]bgp.Route, error) {
+// ribDecoder is what the RIB records of one dump share: the chunks the
+// paths are cut from and the path being decoded.
+type ribDecoder struct {
+	paths arena.Slab[bgp.PathElem]
+	path  []bgp.PathElem
+}
+
+// parseRIB appends the routes of one RIB record to routes.
+func (d *ribDecoder) parseRIB(routes []bgp.Route, b []byte, v6 bool, peers []peer) ([]bgp.Route, error) {
 	cur := cursor{b: b}
 	cur.skip(4) // sequence number
 	plen := int(cur.u8())
@@ -144,8 +157,8 @@ func parseRIB(b []byte, v6 bool, peers []peer) ([]bgp.Route, error) {
 	if !prefix.IsValid() {
 		return nil, fmt.Errorf("invalid prefix len %d", plen)
 	}
+	prefix = prefix.Masked()
 	count := int(cur.u16())
-	var routes []bgp.Route
 	for i := 0; i < count; i++ {
 		peerIdx := int(cur.u16())
 		cur.skip(4) // originated time
@@ -154,29 +167,42 @@ func parseRIB(b []byte, v6 bool, peers []peer) ([]bgp.Route, error) {
 		if cur.err != nil {
 			return nil, fmt.Errorf("rib entry %d truncated", i)
 		}
-		path, err := parseASPath(attrs)
+		seg, err := asPathValue(attrs)
 		if err != nil {
 			return nil, fmt.Errorf("rib entry %d: %w", i, err)
 		}
+		// Decode behind a slot for the peer AS.
+		if d.path, err = decodeSegments(append(d.path[:0], bgp.PathElem{}), seg); err != nil {
+			return nil, fmt.Errorf("rib entry %d: %w", i, err)
+		}
+		path := d.path[1:]
 		if len(path) == 0 {
 			continue // no AS_PATH attribute: nothing to map
 		}
 		// Prepend the peer AS when the path does not already start
 		// with it (standard practice when flattening collector RIBs).
 		if peerIdx < len(peers) {
-			pa := peers[peerIdx].as
-			if pa != asn.None && (len(path) == 0 || path[0].AS != pa) {
-				path = append([]bgp.PathElem{{AS: pa}}, path...)
+			if pa := peers[peerIdx].as; pa != asn.None && path[0].AS != pa {
+				d.path[0] = bgp.PathElem{AS: pa}
+				path = d.path
 			}
 		}
-		routes = append(routes, bgp.Route{Prefix: prefix.Masked(), Path: path})
+		p := d.paths.Take(len(path))
+		copy(p, path)
+		if len(routes) == cap(routes) {
+			// At least double: append's own growth, 1.25× on large
+			// slices, would allocate five times the final table on the
+			// way there.
+			routes = slices.Grow(routes, max(count-i, len(routes)))
+		}
+		routes = append(routes, bgp.Route{Prefix: prefix, Path: p})
 	}
 	return routes, nil
 }
 
-// parseASPath walks the BGP path attributes and decodes the AS_PATH
-// (4-byte AS numbers, per RFC 6396 §4.3.4).
-func parseASPath(b []byte) ([]bgp.PathElem, error) {
+// asPathValue walks the BGP path attributes and returns the value of the
+// AS_PATH, nil when there is none.
+func asPathValue(b []byte) ([]byte, error) {
 	cur := cursor{b: b}
 	for cur.err == nil && cur.remaining() > 0 {
 		flags := cur.u8()
@@ -191,31 +217,31 @@ func parseASPath(b []byte) ([]bgp.PathElem, error) {
 		if cur.err != nil {
 			return nil, fmt.Errorf("attribute %d truncated", typ)
 		}
-		if typ != attrASPath {
-			continue
+		if typ == attrASPath {
+			return val, nil
 		}
-		return decodeSegments(val)
 	}
 	return nil, nil
 }
 
-func decodeSegments(b []byte) ([]bgp.PathElem, error) {
+// decodeSegments appends the elements of the AS_PATH segments b to out
+// (4-byte AS numbers, per RFC 6396 §4.3.4).
+func decodeSegments(out []bgp.PathElem, b []byte) ([]bgp.PathElem, error) {
 	cur := cursor{b: b}
-	var out []bgp.PathElem
 	for cur.remaining() > 0 {
 		segType := cur.u8()
 		n := int(cur.u8())
 		switch segType {
 		case segASSequence:
-			for i := 0; i < n; i++ {
+			for i := 0; i < n && cur.err == nil; i++ {
 				out = append(out, bgp.PathElem{AS: asn.ASN(cur.u32())})
 			}
 		case segASSet:
 			set := make([]asn.ASN, 0, n)
-			for i := 0; i < n; i++ {
+			for i := 0; i < n && cur.err == nil; i++ {
 				set = append(set, asn.ASN(cur.u32()))
 			}
-			sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
+			slices.Sort(set)
 			out = append(out, bgp.PathElem{Set: set})
 		default:
 			return nil, fmt.Errorf("unknown AS_PATH segment type %d", segType)

@@ -1,14 +1,27 @@
 // Package netutil provides small IP address helpers shared across the
 // bdrmapIT substrates: CIDR arithmetic, special-purpose address
-// classification, and range-to-CIDR expansion used by the RIR delegation
-// parser.
+// classification, range-to-CIDR expansion used by the RIR delegation
+// parser, and the field splitting of the text readers.
 package netutil
 
 import (
 	"fmt"
 	"math/bits"
 	"net/netip"
+	"strings"
+	"unicode"
 )
+
+// CutField returns the first field of s, as strings.Fields splits s, and
+// what follows the field; field is empty when s has no more fields. A
+// reader walks a line with it field by field, without a slice of them.
+func CutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
 
 // AddrToUint32 returns the IPv4 address as a big-endian uint32.
 // It panics if a is not an IPv4 (or 4-in-6 mapped) address.

@@ -3,6 +3,8 @@ package netutil
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +203,29 @@ func TestPrefixSize(t *testing.T) {
 	}
 	if got := PrefixSize(netip.MustParsePrefix("2001:db8::/32")); got != 0 {
 		t.Errorf("IPv6 should report 0, got %d", got)
+	}
+}
+
+// TestCutFieldMatchesFields walks strings field by field with CutField
+// and requires strings.Fields' fields: ASCII and Unicode spaces, invalid
+// UTF-8, and random strings.
+func TestCutFieldMatchesFields(t *testing.T) {
+	walk := func(s string) []string {
+		var out []string
+		for f, rest := CutField(s); f != ""; f, rest = CutField(rest) {
+			out = append(out, f)
+		}
+		return out
+	}
+	check := func(s string) bool {
+		return slices.Equal(walk(s), strings.Fields(s))
+	}
+	for _, s := range []string{"", " ", "a", " a b\tc\n", "1.2.3.4 5.6.7.8", "x y\u0085", "\xff \xc2", "{1,2} 3\v4\f"} {
+		if !check(s) {
+			t.Errorf("CutField splits %q into %q, strings.Fields into %q", s, walk(s), strings.Fields(s))
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
 	}
 }

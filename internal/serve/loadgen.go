@@ -81,8 +81,10 @@ func (r *BenchResult) String() string {
 }
 
 // Bench runs the configured load against the daemon and verifies every
-// successful response against the Expected snapshots. ctx cancels the
-// run early (in-flight requests finish).
+// successful response against the Expected snapshots. A client whose
+// request is shed waits what the 503's Retry-After asks, cut short by
+// the end of the run. ctx cancels the run early (in-flight requests
+// finish).
 func Bench(ctx context.Context, cfg BenchConfig) (*BenchResult, error) {
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("serve: Bench needs a BaseURL")
@@ -147,9 +149,19 @@ func Bench(ctx context.Context, cfg BenchConfig) (*BenchResult, error) {
 				addr := cfg.Addrs[zipf.Uint64()]
 				class := pickClass(rng)
 				start := time.Now()
-				ok := doRequest(deadline, client, cfg, class, addr, &local)
+				ok, wait := doRequest(deadline, client, cfg, class, addr, &local)
 				if ok {
 					localLat = append(localLat, time.Since(start).Nanoseconds())
+				}
+				if wait > 0 {
+					// Honour the daemon's Retry-After, but never past
+					// the end of the run.
+					t := time.NewTimer(wait)
+					select {
+					case <-t.C:
+					case <-deadline.Done():
+					}
+					t.Stop()
 				}
 			}
 			mu.Lock()
@@ -189,44 +201,45 @@ func pickClass(rng *rand.Rand) string {
 	}
 }
 
-// doRequest issues one query and folds the outcome into local.
-// Returns true when the response was a verified success (for latency
-// accounting).
-func doRequest(ctx context.Context, client *http.Client, cfg BenchConfig, class string, addr netip.Addr, local *BenchResult) bool {
+// doRequest issues one query and folds the outcome into local. ok is
+// true when the response was a verified success (for latency
+// accounting); wait is the Retry-After of a shed response.
+func doRequest(ctx context.Context, client *http.Client, cfg BenchConfig, class string, addr netip.Addr, local *BenchResult) (ok bool, wait time.Duration) {
 	url := fmt.Sprintf("%s/v1/%s?ip=%s", cfg.BaseURL, class, addr)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		local.Failed++
-		return false
+		return false, 0
 	}
 	resp, err := client.Do(req)
 	if err != nil {
 		// Cancellation at end-of-run is the bench stopping, not the
 		// daemon failing.
 		if ctx.Err() != nil {
-			return false
+			return false, 0
 		}
 		local.Failed++
-		return false
+		return false, 0
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	closeErr := resp.Body.Close()
 	local.Requests++
 	if err != nil || closeErr != nil {
 		local.Failed++
-		return false
+		return false, 0
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 		// fall through to verification
 	case http.StatusServiceUnavailable:
 		local.Shed++
-		return false
+		secs, _ := strconv.Atoi(resp.Header.Get("Retry-After")) // delay-seconds; 0 when absent
+		return false, time.Duration(secs) * time.Second
 	default:
 		local.Failed++
-		return false
+		return false, 0
 	}
-	return verifyResponse(cfg, class, addr, body, local)
+	return verifyResponse(cfg, class, addr, body, local), 0
 }
 
 // verifyResponse checks one 200 body against the Expected snapshot

@@ -207,7 +207,11 @@ func (l *loader) loadRoutes(ribPaths, pfx2asPaths []string) ([]bgp.Route, error)
 			}
 			continue
 		}
-		routes = append(routes, r...)
+		if routes == nil {
+			routes = r // the one file's routes, not a copy
+		} else {
+			routes = append(routes, r...)
+		}
 		l.rec.Counter("load.rib.routes").Add(int64(stats.Routes))
 		l.rec.Counter("load.rib.skipped_lines").Add(int64(stats.SkippedLines))
 	}
@@ -354,10 +358,13 @@ func (l *loader) loadRels(paths []string, routes []bgp.Route) (*asrel.Graph, err
 	return rels, nil
 }
 
+// loadAliases reads the alias node files. The partition the first file
+// that reads gives is kept, not copied, and the groups of every later one
+// are merged into it.
 func (l *loader) loadAliases(paths []string) (*alias.Sets, error) {
 	phase := l.span.Child("load-aliases")
 	defer phase.End()
-	aliases := alias.NewSets()
+	var aliases *alias.Sets
 	aliasGroups := 0
 	var failed []*SourceError
 	for _, p := range paths {
@@ -372,11 +379,18 @@ func (l *loader) loadAliases(paths []string) (*alias.Sets, error) {
 			failed = append(failed, &SourceError{Class: "alias", Path: p, Err: err})
 			continue
 		}
+		aliasGroups += s.NumGroups()
+		if aliases == nil {
+			aliases = s
+			continue
+		}
 		s.Groups(func(addrs []netip.Addr) bool {
 			aliases.Add(addrs...)
-			aliasGroups++
 			return true
 		})
+	}
+	if aliases == nil {
+		aliases = alias.NewSets()
 	}
 	// With no surviving alias file the run degrades to the paper's
 	// no-alias mode (§7.4: each interface its own router); with some,
