@@ -162,7 +162,6 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzIterLog$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prov -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
@@ -218,9 +217,9 @@ serve-smoke:
 	$(GO) test ./cmd/bdrmapitd -run '^TestServeSmoke$$|^TestOverloadSheds$$' -count=1 -v
 
 # Crash-injection matrix: SIGKILL the real CLI at seeded checkpoint
-# (iteration-0 snapshot, log appends) and output-rename points, resume
-# from the snapshot and log at a different worker count, and require byte-identical annotations with no torn output
-# file. This is the executable proof behind the -checkpoint-dir/-resume
+# (iteration-0 and final snapshots) and output-rename points, resume
+# from the snapshot at a different worker count, and require
+# byte-identical annotations with no torn output file. This is the executable proof behind the -checkpoint-dir/-resume
 # durability claims.
 crash-smoke:
 	$(GO) test ./cmd/bdrmapit -run '^TestCrashResume' -count=1 -v

@@ -121,17 +121,18 @@ type Options struct {
 	// warnings. nil means os.Stderr; use io.Discard to silence.
 	WarnWriter io.Writer
 	// CheckpointDir, when set, makes the refinement loop durable: the
-	// run's first and final states are snapshotted into this directory
-	// (created if needed) with atomic-rename semantics and every iteration
-	// between is appended to a log beside them, so a run killed at any
-	// instant can restart with Resume and finish byte-identically to an
+	// run's iteration-0 state and its final one (converged, capped or
+	// cancelled) are snapshotted into this directory (created if needed)
+	// with atomic-rename semantics, and nothing between, so a run killed
+	// at any instant can restart with Resume — from iteration 0 when the
+	// kill landed inside refinement — and finish byte-identically to an
 	// uninterrupted run. Snapshots record a fingerprint of the heuristic
 	// options and a digest of every input file; worker count and the
 	// iteration cap are deliberately not part of the fingerprint (both
 	// may change across a resume without changing the result).
 	CheckpointDir string
-	// Resume restores the newest snapshot in CheckpointDir before
-	// refinement and continues after it. A missing snapshot fails with
+	// Resume restores the snapshot in CheckpointDir before refinement
+	// and continues after it. A missing snapshot fails with
 	// ckpt.ErrNoCheckpoint; one taken under different options or inputs
 	// fails with a *ckpt.MismatchError. Ignored without CheckpointDir.
 	Resume bool
@@ -200,8 +201,8 @@ type Result struct {
 	Report *obs.Report
 	// Resumed reports that this run restored a checkpoint before
 	// continuing (Options.Resume), ResumedFrom the iteration it restored:
-	// 0 for a run started from scratch, or killed before its first
-	// iteration was durable. A resumed run's annotations, Iterations, and
+	// 0 for a run started from scratch, or killed before its final
+	// snapshot was durable. A resumed run's annotations, Iterations, and
 	// Report trace are byte-identical to an uninterrupted run's.
 	Resumed     bool
 	ResumedFrom int

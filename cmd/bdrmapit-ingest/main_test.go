@@ -269,7 +269,8 @@ func TestIngestCrashMatrix(t *testing.T) {
 		// rather than during the bootstrap inference.
 		bootstrapFirst bool
 	}{
-		{"bootstrap-checkpoint", "checkpoint:1", false},
+		// The bootstrap's final snapshot is published, outputs not yet.
+		{"bootstrap-checkpoint", fmt.Sprintf("checkpoint:%d", fx.oracleIters[0]), false},
 		{"bootstrap-snapshot-rename", "pre-rename:refine.ckpt", false},
 		{"bootstrap-publish", "pre-rename:snapshot.bin", false},
 		{"republish-redo", "pre-rename:annotations.txt", true},
@@ -277,8 +278,9 @@ func TestIngestCrashMatrix(t *testing.T) {
 		{"journal-intent", "journal:intent", true},
 		{"journal-applied", "journal:applied", true},
 		{"journal-quarantined", "journal:quarantined", true},
-		// The iteration-0 snapshot of the bootstrap is published and no
-		// iteration of it is durable.
+		// The iteration-0 snapshot of the bootstrap is published. Nothing
+		// is written until the final one, so this stands for every kill
+		// inside the bootstrap's refinement.
 		{"bootstrap-start-snapshot", "checkpoint:0", false},
 		// A delta run makes one write, batch 1's final snapshot, which
 		// commits the batch. Killed before its rename, the restart redoes
@@ -411,9 +413,10 @@ func (fx *ingestFixture) assertRecovered(t *testing.T, dir, ref string) {
 // killed at "checkpoint:1" of batch 1's absorb after a clean bootstrap
 // of this fixture's files — refine.ckpt that base, refine.log its first
 // iteration — except the absorbed copy of batch 1, which is batch 1's
-// bytes and is copied in here. Recovery resumes that unconverged base
-// (the batch is in its lineage) and must end, under -verify-delta,
-// byte-identical to a session nobody killed. The directory was written
+// bytes and is copied in here. The log is never read, so recovery
+// resumes that base at iteration 0 (the batch is in its lineage), leaves
+// the log where it is, and must end, under -verify-delta, byte-identical
+// to a session nobody killed in every other file. The directory was written
 // at commit 6691a38 (`git archive 6691a38 | tar -x -C <dir>`): in <dir>,
 // a bootstrap session, then a -batch session under
 // BDRMAPIT_CRASH_AT=checkpoint:1, both with this file's srcArgs and
@@ -444,9 +447,9 @@ func TestIngestRecoversRetiredDeltaBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Iteration != 1 || st.FromLog != 1 || st.Converged || len(st.Lineage) != 1 || st.Lineage[0].FP != fx.batchFP[0] {
-		t.Fatalf("the fixture holds iteration %d (%d from the log, converged %v) of %d batches; want batch 1's unconverged first iteration from the log",
-			st.Iteration, st.FromLog, st.Converged, len(st.Lineage))
+	if st.Iteration != 0 || len(st.Lineage) != 1 || st.Lineage[0].FP != fx.batchFP[0] {
+		t.Fatalf("the fixture holds iteration %d of %d batches; want batch 1's iteration-0 base",
+			st.Iteration, len(st.Lineage))
 	}
 	ref := fx.uninterrupted(t)
 	report := filepath.Join(outDir, "report.json")
@@ -457,8 +460,15 @@ func TestIngestRecoversRetiredDeltaBase(t *testing.T) {
 	if line := fmt.Sprintf("batch batch-1.jsonl (fp %016x): resume-apply", fx.batchFP[0]); !strings.Contains(recovered.stdout.String(), line) {
 		t.Errorf("recovery does not report %q:\n%s", line, recovered.stdout.String())
 	}
-	if from := readReport(t, report).ResumedFrom; from != 1 {
-		t.Errorf("recovery's report says it resumed from iteration %d, want 1", from)
+	if from := readReport(t, report).ResumedFrom; from != 0 {
+		t.Errorf("recovery's report says it resumed from iteration %d, want 0", from)
+	}
+	leftover := filepath.Join(state, "refine.log")
+	if kept, err := os.ReadFile(leftover); err != nil || !bytes.Equal(kept, files[filepath.Join("state", "refine.log")]) {
+		t.Fatalf("recovery changed or removed the leftover refine.log (%v)", err)
+	}
+	if err := os.Remove(leftover); err != nil {
+		t.Fatal(err)
 	}
 	fx.assertRecovered(t, outDir, ref)
 }

@@ -30,10 +30,10 @@
 // unreadable required files (traceroutes, RIBs) before aborting.
 //
 // Durability: -checkpoint-dir makes refinement crash-safe — the run's
-// first and final states are snapshotted with atomic-rename semantics,
-// each iteration between is appended to a log beside them, and -resume
-// restarts a killed run from the newest durable iteration, producing
-// output byte-identical to an uninterrupted run at any worker count.
+// first and final (converged, capped or cancelled) states are
+// snapshotted with atomic-rename semantics and nothing between, and
+// -resume restarts a killed run from the snapshot, producing output
+// byte-identical to an uninterrupted run at any worker count.
 // Resume refuses checkpoints taken under different heuristic options or
 // input files.
 // Every output file (annotations, links, ITDK, JSON report) is also
@@ -98,8 +98,8 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "cancel the run after this long, flushing partial annotations (0 = no limit)")
 		strict  = flag.Bool("strict", false, "treat any degraded input source as a hard error")
 		maxBad  = flag.Int("max-bad-inputs", 0, "tolerate up to N unreadable required input files before aborting")
-		ckptDir = flag.String("checkpoint-dir", "", "snapshot committed refinement iterations into this directory for crash-safe resume")
-		resume  = flag.Bool("resume", false, "restore the newest snapshot in -checkpoint-dir and continue the run from there")
+		ckptDir = flag.String("checkpoint-dir", "", "snapshot the first and final refinement states into this directory for crash-safe resume")
+		resume  = flag.Bool("resume", false, "restore the snapshot in -checkpoint-dir and continue the run from there")
 		provOut = flag.String("provenance", "", "collect per-router decision provenance and write the artifact to this file (query with cmd/explain)")
 		srvOut  = flag.String("serve-snapshot", "", "write a serving snapshot to this file for bdrmapitd to load or hot-swap")
 	)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/simnet"
 )
 
@@ -115,7 +117,7 @@ func assertIntactOutputs(t *testing.T, dir string, want map[string][]byte) {
 }
 
 // TestCrashResume is the end-to-end durability matrix: SIGKILL the real
-// CLI at seeded points (mid-refinement checkpoints and the instant
+// CLI at seeded points (the run's two checkpoints and the instant
 // before an output file's atomic rename), resume from the snapshot —
 // at each worker count — and require the final annotations to be
 // byte-identical to an uninterrupted run, with no torn file visible at
@@ -134,9 +136,14 @@ func TestCrashResume(t *testing.T) {
 	baseDir := t.TempDir()
 	baseAnn := filepath.Join(baseDir, "annotations.txt")
 	baseProvOut := filepath.Join(baseDir, "run.prov")
+	baseCkpt := filepath.Join(baseDir, "ckpt")
 	if res := runCLI(t, "", append(srcArgs,
-		"-workers", "1", "-annotations", baseAnn, "-provenance", baseProvOut)...); res.err != nil {
+		"-workers", "1", "-annotations", baseAnn, "-provenance", baseProvOut, "-checkpoint-dir", baseCkpt)...); res.err != nil {
 		t.Fatalf("baseline run failed: %v\nstderr: %s", res.err, res.stderr.String())
+	}
+	final, err := ckpt.Load(baseCkpt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	baseline, err := os.ReadFile(baseAnn)
 	if err != nil {
@@ -152,12 +159,13 @@ func TestCrashResume(t *testing.T) {
 		workerSet = append(workerSet, n)
 	}
 	crashPoints := []string{
-		"checkpoint:0",               // iteration-0 snapshot published, log not yet emptied, no iteration durable
-		"checkpoint:1",               // mid-refinement, first iteration's log record durable
-		"checkpoint:2",               // mid-refinement, later record
-		"pre-rename:annotations.txt", // inference done, output publish in flight
-		"pre-rename:itdk.nodes",      // ITDK publish in flight
-		"pre-rename:run.prov",        // provenance artifact publish in flight
+		// The iteration-0 snapshot is published. Nothing is written until
+		// the final one, so this stands for every kill inside refinement.
+		"checkpoint:0",
+		fmt.Sprintf("checkpoint:%d", final.Iteration), // final snapshot published, outputs not yet
+		"pre-rename:annotations.txt",                  // inference done, output publish in flight
+		"pre-rename:itdk.nodes",                       // ITDK publish in flight
+		"pre-rename:run.prov",                         // provenance artifact publish in flight
 	}
 
 	for _, workers := range workerSet {
@@ -243,13 +251,13 @@ func TestSecondSignalForcesExit(t *testing.T) {
 		"-checkpoint-dir", filepath.Join(outDir, "ckpt"),
 		"-annotations", filepath.Join(outDir, "annotations.txt"),
 	)...)
-	// The stall seam parks the run at the first committed checkpoint —
+	// The stall seam parks the run at its iteration-0 checkpoint —
 	// a full Small inference finishes in well under a second, so
 	// without a deterministic hold the signals would race run
 	// completion.
 	cmd.Env = append(os.Environ(),
 		"BDRMAPIT_TEST_BE_BINARY=1",
-		"BDRMAPIT_STALL_AT=checkpoint:1",
+		"BDRMAPIT_STALL_AT=checkpoint:0",
 	)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -261,7 +269,7 @@ func TestSecondSignalForcesExit(t *testing.T) {
 	defer cmd.Process.Kill()
 
 	// Stage the signals off the CLI's own stderr announcements: first
-	// SIGINT once the run is provably stalled mid-refinement, second
+	// SIGINT once the run is provably stalled at refinement's start, second
 	// SIGINT once the graceful cancellation is provably in progress.
 	sawCancel := false
 	done := make(chan struct{})

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/delta"
-	"repro/internal/faultio"
 	"repro/internal/obs"
 	"repro/simnet"
 )
@@ -308,9 +307,9 @@ func stateFiles(t *testing.T, root string) map[string][]byte {
 }
 
 // TestAbsorbWritesOnce: an absorb makes one durable checkpoint write,
-// its final snapshot, and appends nothing. A session that absorbs three
-// batches into a bootstrapped state directory reports three snapshots
-// and no log record, and leaves no refine.log behind.
+// its final snapshot. A session that absorbs three batches into a
+// bootstrapped state directory reports three snapshots, and no
+// refine.log is ever created.
 func TestAbsorbWritesOnce(t *testing.T) {
 	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
 	dir := t.TempDir()
@@ -333,99 +332,11 @@ func TestAbsorbWritesOnce(t *testing.T) {
 		t.Fatalf("absorbed %d of %d batches", res.Absorbed, len(batches))
 	}
 	rep := res.Report
-	if a, w, n := rep.Counters["ckpt.appends"], rep.Counters["ckpt.writes"], rep.Histograms["ckpt.write_ns"].Count; a != 0 || w != 3 || n != 3 {
-		t.Errorf("absorbing 3 batches made %d log appends and %d snapshot writes (%d timed); want 0, 3, 3", a, w, n)
+	if w, n := rep.Counters["ckpt.writes"], rep.Histograms["ckpt.write_ns"].Count; w != 3 || n != 3 {
+		t.Errorf("absorbing 3 batches made %d snapshot writes (%d timed); want 3, 3", w, n)
 	}
-	if _, err := os.Stat(filepath.Join(opts.StateDir, ckpt.LogName)); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("the state directory holds %s after the absorbs (%v)", ckpt.LogName, err)
-	}
-}
-
-// TestIngestTornLogAppend is the kill the CLI crash matrix cannot seed:
-// inside an append to refine.log, with half a frame on disk. Only the
-// bootstrap appends (an absorb writes one snapshot), so the write of one
-// of its iteration records is cut short (the session ends on the error,
-// as it would on the kill); the restarted session must cut the torn
-// tail before it appends behind it, resume the bootstrap, absorb the
-// batches, and end in a state directory and published files
-// byte-identical to those of a session nobody interrupted — for the
-// first record (no iteration durable yet) and for a later one.
-func TestIngestTornLogAppend(t *testing.T) {
-	p := writeTopology(t, simnet.Options{Small: true, Seed: 42})
-	dir := t.TempDir()
-	base, batches, _ := splitCorpus(t, p.Traceroutes, dir)
-	// Over base alone the bootstrap converges after one append; over two
-	// batches more it makes two.
-	src := topoSources(p)
-	src.TraceroutePaths = []string{base, batches[0], batches[1]}
-	batches = batches[2:]
-	session := func(name string) (IngestOptions, func() (*IngestResult, error)) {
-		opts := IngestOptions{
-			StateDir:        filepath.Join(dir, name, "state"),
-			AnnotationsPath: filepath.Join(dir, name, "annotations.txt"),
-			SnapshotPath:    filepath.Join(dir, name, "snapshot.bin"),
-			Run:             Options{Workers: 2, WarnWriter: io.Discard},
-		}
-		return opts, func() (*IngestResult, error) { return Ingest(src, batches, opts) }
-	}
-	refOpts, ref := session("ref")
-	if _, err := ref(); err != nil {
-		t.Fatal(err)
-	}
-	want := stateFiles(t, refOpts.StateDir)
-
-	for _, nth := range []int{1, 2} {
-		t.Run("append="+string(rune('0'+nth)), func(t *testing.T) {
-			name := "torn-" + string(rune('0'+nth))
-			opts, run := session(name)
-			appends := 0
-			ckpt.TestWriteWrap = func(w io.Writer) io.Writer {
-				if f, ok := w.(*os.File); ok && filepath.Base(f.Name()) == ckpt.LogName {
-					if appends++; appends == nth {
-						return faultio.ShortWriter(w, 20)
-					}
-				}
-				return w
-			}
-			_, err := run()
-			ckpt.TestWriteWrap = nil
-			if !errors.Is(err, faultio.ErrNoSpace) {
-				t.Fatalf("session with a short log write = %v, want ErrNoSpace", err)
-			}
-			// What the kill left: the bootstrap's base and the records
-			// before the torn one.
-			st, err := ckpt.Load(opts.StateDir)
-			if err != nil {
-				t.Fatalf("the state directory with a torn log does not load: %v", err)
-			}
-			if st.Iteration != nth-1 || st.FromLog != nth-1 || len(st.Lineage) != 0 {
-				t.Fatalf("interrupted state: iteration %d, %d from the log, %d batches in the lineage; want %d, %d, 0",
-					st.Iteration, st.FromLog, len(st.Lineage), nth-1, nth-1)
-			}
-			res, err := run()
-			if err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			if res.Absorbed != len(batches) {
-				t.Errorf("restart absorbed %d of %d batches", res.Absorbed, len(batches))
-			}
-			got := stateFiles(t, opts.StateDir)
-			for f, w := range want {
-				if g, ok := got[f]; !ok || !bytes.Equal(g, w) {
-					t.Errorf("state file %s differs from the uninterrupted session's (present: %v)", f, ok)
-				}
-			}
-			if len(got) != len(want) {
-				t.Errorf("state directory holds %d files, the uninterrupted session's %d", len(got), len(want))
-			}
-			for _, f := range []string{"annotations.txt", "snapshot.bin"} {
-				g, err := os.ReadFile(filepath.Join(dir, name, f))
-				w, werr := os.ReadFile(filepath.Join(dir, "ref", f))
-				if err != nil || werr != nil || !bytes.Equal(g, w) {
-					t.Errorf("published %s differs from the uninterrupted session's (%v, %v)", f, err, werr)
-				}
-			}
-		})
+	if _, err := os.Stat(filepath.Join(opts.StateDir, "refine.log")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the state directory holds refine.log after the absorbs (%v)", err)
 	}
 }
 

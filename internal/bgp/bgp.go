@@ -7,11 +7,11 @@ package bgp
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/arena"
@@ -209,23 +209,50 @@ func WriteRoutes(w io.Writer, routes []Route) error {
 	return bw.Flush()
 }
 
-// originEntry accumulates per-prefix origin observations. MOAS prefixes
-// (announced by multiple origins) keep every origin with a count so the
-// table can answer deterministically with the dominant origin.
-type originEntry struct {
-	counts map[asn.ASN]int
+// originEntry holds a prefix's origins, each with how many announcements
+// named it, ascending by AS and free of duplicates (the tally idiom of
+// core's vote). Nearly every prefix has one origin; a MOAS prefix
+// (announced by several) keeps them all so the table answers
+// deterministically with the dominant one.
+type originEntry []originCount
+
+type originCount struct {
+	as asn.ASN
+	n  int
+}
+
+// add counts one announcement by a.
+func (e originEntry) add(a asn.ASN) originEntry {
+	i, ok := slices.BinarySearchFunc(e, a, func(c originCount, a asn.ASN) int { return cmp.Compare(c.as, a) })
+	if ok {
+		e[i].n++
+		return e
+	}
+	return slices.Insert(e, i, originCount{as: a, n: 1})
+}
+
+// dominant returns the origin with the most announcements, the smallest
+// ASN among those tied.
+func (e originEntry) dominant() asn.ASN {
+	best := e[0]
+	for _, c := range e[1:] {
+		if c.n > best.n {
+			best = c
+		}
+	}
+	return best.as
 }
 
 // Table answers longest-prefix-match origin-AS queries (paper §4.1:
 // "we use the longest matching prefix from the route announcements").
 type Table struct {
-	trie      *iptrie.Trie[*originEntry]
+	trie      *iptrie.Trie[originEntry]
 	numRoutes int
 }
 
 // NewTable builds an origin table from RIB routes.
 func NewTable(routes []Route) *Table {
-	t := &Table{trie: iptrie.New[*originEntry]()}
+	t := &Table{trie: iptrie.New[originEntry]()}
 	for _, r := range routes {
 		t.Add(r)
 	}
@@ -239,12 +266,9 @@ func (t *Table) Add(r Route) {
 		return
 	}
 	t.numRoutes++
-	t.trie.Update(r.Prefix, func(e *originEntry, ok bool) *originEntry {
-		if !ok {
-			e = &originEntry{counts: make(map[asn.ASN]int, 1)}
-		}
+	t.trie.Update(r.Prefix, func(e originEntry, _ bool) originEntry {
 		for _, o := range origins {
-			e.counts[o]++
+			e = e.add(o)
 		}
 		return e
 	})
@@ -265,13 +289,7 @@ func (t *Table) Origin(addr netip.Addr) (origin asn.ASN, match netip.Prefix, ok 
 	if !ok {
 		return asn.None, netip.Prefix{}, false
 	}
-	best, bestN := asn.None, -1
-	for a, n := range e.counts {
-		if n > bestN || (n == bestN && a < best) {
-			best, bestN = a, n
-		}
-	}
-	return best, p, true
+	return e.dominant(), p, true
 }
 
 // Origins returns every origin AS announced for the longest matching
@@ -281,11 +299,10 @@ func (t *Table) Origins(addr netip.Addr) ([]asn.ASN, netip.Prefix, bool) {
 	if !ok {
 		return nil, netip.Prefix{}, false
 	}
-	out := make([]asn.ASN, 0, len(e.counts))
-	for a := range e.counts {
-		out = append(out, a)
+	out := make([]asn.ASN, len(e))
+	for i, c := range e {
+		out[i] = c.as
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, p, true
 }
 
@@ -298,13 +315,5 @@ func (t *Table) CoversPrefix(p netip.Prefix) bool {
 
 // Walk visits every (prefix, dominant origin) pair in the table.
 func (t *Table) Walk(f func(p netip.Prefix, origin asn.ASN) bool) {
-	t.trie.Walk(func(p netip.Prefix, e *originEntry) bool {
-		best, bestN := asn.None, -1
-		for a, n := range e.counts {
-			if n > bestN || (n == bestN && a < best) {
-				best, bestN = a, n
-			}
-		}
-		return f(p, best)
-	})
+	t.trie.Walk(func(p netip.Prefix, e originEntry) bool { return f(p, e.dominant()) })
 }

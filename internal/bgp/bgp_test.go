@@ -2,7 +2,9 @@ package bgp
 
 import (
 	"bytes"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,5 +179,60 @@ func TestTableWalk(t *testing.T) {
 	})
 	if n != 4 {
 		t.Errorf("walk visited %d", n)
+	}
+}
+
+// TestTableMatchesOracle holds Origin, Origins and Walk to the map-based
+// table on a MOAS-heavy table: nested prefixes, up to four origins a
+// prefix, AS_SET origins with repeats, and ties on the count.
+func TestTableMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var routes []Route
+	for i := 0; i < 3000; i++ {
+		bits := 16 + rng.Intn(9)
+		p, _ := netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), byte(rng.Intn(8)), 0}).Prefix(bits)
+		elem := PathElem{AS: asn.ASN(64500 + rng.Intn(4))}
+		if rng.Intn(10) == 0 {
+			elem = PathElem{Set: []asn.ASN{asn.ASN(64500 + rng.Intn(4)), asn.ASN(64500 + rng.Intn(4))}}
+			slices.Sort(elem.Set)
+		}
+		routes = append(routes, Route{Prefix: p, Path: []PathElem{{AS: 3356}, elem}})
+	}
+	tbl, o := NewTable(routes), oracleTable{}
+	for _, r := range routes {
+		o.add(r)
+	}
+	moas := 0
+	for _, m := range o {
+		if len(m) > 1 {
+			moas++
+		}
+	}
+	if moas < 50 {
+		t.Fatalf("the fixture has %d MOAS prefixes; it is here for them", moas)
+	}
+	for i := 0; i < 5000; i++ {
+		addr := netip.AddrFrom4([4]byte{10, byte(rng.Intn(5)), byte(rng.Intn(9)), byte(rng.Intn(256))})
+		a, p, ok := tbl.Origin(addr)
+		wa, wp, wok := o.origin(addr)
+		if a != wa || p != wp || ok != wok {
+			t.Fatalf("Origin(%v) = %v %v %v, the oracle %v %v %v", addr, a, p, ok, wa, wp, wok)
+		}
+		as, p, ok := tbl.Origins(addr)
+		was, wp, wok := o.origins(addr)
+		if !slices.Equal(as, was) || p != wp || ok != wok {
+			t.Fatalf("Origins(%v) = %v %v %v, the oracle %v %v %v", addr, as, p, ok, was, wp, wok)
+		}
+	}
+	n := 0
+	tbl.Walk(func(p netip.Prefix, a asn.ASN) bool {
+		n++
+		if want := dominant(o[p]); a != want {
+			t.Fatalf("Walk: %v → %v, the oracle %v", p, a, want)
+		}
+		return true
+	})
+	if n != len(o) {
+		t.Errorf("Walk visited %d prefixes of %d", n, len(o))
 	}
 }

@@ -82,3 +82,62 @@ func oracleReadRoutesStats(r io.Reader) ([]Route, ReadStats, error) {
 	}
 	return out, stats, nil
 }
+
+// oracleTable is Table as it was before its origin tallies became
+// ascending slices: a map from origin to announcements per prefix.
+type oracleTable map[netip.Prefix]map[asn.ASN]int
+
+func (o oracleTable) add(r Route) {
+	origins := r.Origins()
+	if len(origins) == 0 {
+		return
+	}
+	p := r.Prefix.Masked()
+	if o[p] == nil {
+		o[p] = make(map[asn.ASN]int, 1)
+	}
+	for _, a := range origins {
+		o[p][a]++
+	}
+}
+
+// longest is the longest prefix of o holding addr.
+func (o oracleTable) longest(addr netip.Addr) (netip.Prefix, bool) {
+	for bits := addr.BitLen(); bits >= 0; bits-- {
+		if p, _ := addr.Prefix(bits); o[p] != nil {
+			return p, true
+		}
+	}
+	return netip.Prefix{}, false
+}
+
+func dominant(counts map[asn.ASN]int) asn.ASN {
+	best, bestN := asn.None, -1
+	for a, n := range counts {
+		if n > bestN || (n == bestN && a < best) {
+			best, bestN = a, n
+		}
+	}
+	return best
+}
+
+func (o oracleTable) origin(addr netip.Addr) (asn.ASN, netip.Prefix, bool) {
+	p, ok := o.longest(addr)
+	if !ok {
+		return asn.None, netip.Prefix{}, false
+	}
+	return dominant(o[p]), p, true
+}
+
+func (o oracleTable) origins(addr netip.Addr) ([]asn.ASN, netip.Prefix, bool) {
+	p, ok := o.longest(addr)
+	if !ok {
+		return nil, netip.Prefix{}, false
+	}
+	out := make([]asn.ASN, 0, len(o[p]))
+	for a := range o[p] {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out, p, true
+}

@@ -1,18 +1,17 @@
 // Package ckpt makes long bdrmapIT runs crash-safe: it serializes the
 // refinement loop's committed per-iteration state into a versioned,
 // length-prefixed, CRC-guarded binary snapshot, written with
-// write-to-temp + fsync + atomic-rename semantics, plus an append-only
-// log of the iterations since, so the checkpoint on disk is always a
-// complete, consistent iteration no matter when the process dies.
+// write-to-temp + fsync + atomic-rename semantics, so the checkpoint on
+// disk is always a complete, consistent iteration no matter when the
+// process dies.
 //
 // The engine commits one consistent annotation state per refinement
 // iteration (paper §6.3 detects convergence by hashing exactly that
 // state), which makes iteration boundaries natural durability points: a
 // snapshot holds the router and interface annotations, the iteration
 // counter, each iteration's change set and the convergence trace, plus
-// fingerprints of the options and inputs that produced them; a log
-// record holds what one iteration changed in those. Replaying the
-// change sets onto a freshly rebuilt graph and continuing the loop is
+// fingerprints of the options and inputs that produced them. Replaying
+// the change sets onto a freshly rebuilt graph and continuing the loop is
 // byte-identical to never having crashed, at every worker count — the
 // durability complement of the engine's cancellation-equivalence
 // guarantee.
@@ -24,8 +23,9 @@
 //
 // Encode writes one layout, the current Version. Decode also reads a
 // version-3 snapshot, skipping the cycle hashes and provenance blob it
-// carries; the log records written beside one are not folded, so such a
-// directory resumes from its base. Anything else is refused.
+// carries. Anything else is refused. The per-iteration log earlier
+// builds kept beside the snapshot is never read: such a directory
+// resumes from its snapshot.
 package ckpt
 
 import (
@@ -45,9 +45,8 @@ import (
 
 // FileName is the snapshot file written inside the checkpoint
 // directory. A full run publishes it twice, its iteration-0 state and
-// its final one; the iterations between are records in LogName, and the
-// newest durable state is the two folded together (Load). A delta run
-// publishes only its final state.
+// its final one, and nothing between; a delta run publishes only its
+// final state.
 const FileName = "refine.ckpt"
 
 // Version is the current checkpoint format version. Version 3 added the
@@ -69,17 +68,15 @@ var ErrNoCheckpoint = errors.New("ckpt: no checkpoint found")
 
 // TestHook, when non-nil, is invoked at named durability points:
 // "pre-rename:<base>" just before AtomicWrite publishes a file, and
-// "checkpoint:<iteration>" just after an iteration becomes durable,
-// as a snapshot or as a log record. The
-// crash-injection harness uses it to SIGKILL the process at exact,
-// reproducible instants; production runs never set it.
+// "checkpoint:<iteration>" just after a snapshot of that iteration
+// becomes durable. The crash-injection harness uses it to SIGKILL the
+// process at exact, reproducible instants; production runs never set it.
 var TestHook func(point string)
 
 // Config enables checkpointing for a run.
 type Config struct {
 	// Dir is the checkpoint directory. Snapshots are written to
-	// Dir/FileName and iteration records to Dir/LogName; the directory
-	// must exist and be writable.
+	// Dir/FileName; the directory must exist and be writable.
 	Dir string
 	// InputDigest fingerprints the run's input files (the caller
 	// computes it; the root package hashes every source file's
@@ -158,10 +155,6 @@ type State struct {
 	// batches, in application order, whose traces are part of this
 	// snapshot's input set beyond the base corpus.
 	Lineage []BatchInfo
-
-	// FromLog is how many of Iteration's iterations Load folded in from
-	// the refinement log; not serialized.
-	FromLog int
 }
 
 // HistoryError reports a snapshot that neither a resume nor delta ingest
@@ -404,27 +397,19 @@ func Save(dir string, st *State, rec *obs.Recorder) error {
 	if err := AtomicWrite(path, func(w io.Writer) error { return Encode(w, st) }); err != nil {
 		return fmt.Errorf("ckpt: writing snapshot for iteration %d: %w", st.Iteration, err)
 	}
-	durable(rec, start, "ckpt.writes", st.Iteration)
+	if rec.Enabled() {
+		rec.Histogram("ckpt.write_ns").Observe(time.Since(start).Nanoseconds())
+		rec.Counter("ckpt.writes").Inc()
+	}
+	if TestHook != nil {
+		TestHook("checkpoint:" + strconv.Itoa(st.Iteration))
+	}
 	return nil
 }
 
-// durable accounts one durable checkpoint write, a snapshot or a log
-// append, that began at start and covers everything through iteration
-// iter, then fires that iteration's TestHook point.
-func durable(rec *obs.Recorder, start time.Time, counter string, iter int) {
-	if rec.Enabled() {
-		rec.Histogram("ckpt.write_ns").Observe(time.Since(start).Nanoseconds())
-		rec.Counter(counter).Inc()
-	}
-	if TestHook != nil {
-		TestHook("checkpoint:" + strconv.Itoa(iter))
-	}
-}
-
-// Load reads the newest durable state in dir: the snapshot with the
-// refinement log folded onto it (State.FromLog iterations of it). A
-// missing snapshot reports ErrNoCheckpoint (wrapped), whatever the log
-// holds; a structurally invalid one reports a *FormatError.
+// Load reads the durable state in dir, its snapshot. A missing snapshot
+// reports ErrNoCheckpoint (wrapped); a structurally invalid one reports
+// a *FormatError.
 func Load(dir string) (*State, error) {
 	path := filepath.Join(dir, FileName)
 	f, err := os.Open(path)
@@ -439,5 +424,5 @@ func Load(dir string) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
 	}
-	return st, foldLog(dir, st)
+	return st, nil
 }

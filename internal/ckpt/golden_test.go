@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"reflect"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -15,10 +16,8 @@ import (
 // goldenV3 is goldenState() with goldenV3Extras as the version-3
 // checkpoint Decode still reads; goldenV4 is goldenState() in the
 // current version. goldenJournal is sampleJournalRecords() as four
-// appended records. goldenIterLogV1 is the version-1 log records the
-// refinement log was introduced with, which are no longer folded;
-// goldenIterLog is sampleIterRecords() as three appended records in the
-// current version.
+// appended records. goldenIterLog is three records of the refinement
+// log earlier builds wrote beside refine.ckpt, which Load never reads.
 const (
 	goldenV2 = "424d4954434b5054029d0000000df0fecaefbeaddeefcdab89674523011032547698badcfe070102030b000000000000" +
 		"0001160000000000000002210000000000000005040064ffffffff0fe8fb0303c80100ac02020309697465726174696f" +
@@ -40,11 +39,6 @@ const (
 		"4c01180000000122220000000000000d62617463682d622e6a736f6e6c0705a0c440424d49544a524e4c013800000003" +
 		"22220000000000000d62617463682d622e6a736f6e6c206465636f64653a2039206f662037207265636f726473206d61" +
 		"6c666f726d6564b79837bb"
-	goldenIterLogV1 = "424d4954495445520137000000bd8235fdbce359a908000008100000000000000101c801000209697465726174696f6e" +
-		"100f726f75746572735f6368616e67656402010814cd25bd424d495449544552013d000000bd8235fdbce359a9090000" +
-		"091000000000000001030702000102ffffffff0f0209697465726174696f6e120f726f75746572735f6368616e676564" +
-		"020083f10e58424d4954495445520136000000bd8235fdbce359a90a01020a1000000000000001006400020969746572" +
-		"6174696f6e140f726f75746572735f6368616e67656402010a15c1ba43"
 	goldenIterLog = "424d495449544552022d000000ced16ba233cf382f0800000101c801000209697465726174696f6e100f726f75746572" +
 		"735f6368616e67656402d0a32c2d424d4954495445520234000000ced16ba233cf382f09000001030702000102ffffff" +
 		"ff0f0209697465726174696f6e120f726f75746572735f6368616e6765640242bc003c424d495449544552022c000000" +
@@ -183,19 +177,29 @@ func TestGoldenJournal(t *testing.T) {
 	journalRecordsEqual(t, recs, sampleJournalRecords())
 }
 
-func TestGoldenIterLog(t *testing.T) {
-	if recs, _, err := scanLog(unhex(t, goldenIterLogV1), "iteration record", decodeIterRecord); len(recs) != 0 || err == nil {
-		t.Errorf("the recorded version-1 log decodes to %d records (err %v), want none", len(recs), err)
+// TestGoldenDirectoryLoads: a state directory as an earlier build wrote
+// it — the recorded version-3 refine.ckpt, beside the refinement log
+// those builds kept — is the state the snapshot holds: the log is not
+// read, and Load leaves it where it is. Saved again, the state is the
+// version-4 bytes.
+func TestGoldenDirectoryLoads(t *testing.T) {
+	dir := t.TempDir()
+	log := unhex(t, goldenIterLog)
+	if err := os.WriteFile(filepath.Join(dir, FileName), unhex(t, goldenV3), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	want := unhex(t, goldenIterLog)
-	if got := logImage(sampleIterRecords()...); !bytes.Equal(got, want) {
-		t.Errorf("EncodeIterRecord no longer writes the recorded bytes:\n got %x\nwant %x", got, want)
+	if err := os.WriteFile(filepath.Join(dir, "refine.log"), log, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	recs, consumed, err := scanLog(want, "iteration record", decodeIterRecord)
-	if err != nil || consumed != len(want) {
-		t.Fatalf("the recorded log: consumed %d of %d, err %v", consumed, len(want), err)
+	st, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(recs, sampleIterRecords()) {
-		t.Errorf("the recorded log decodes to\n%+v\nwant\n%+v", recs, sampleIterRecords())
+	stateEqual(t, st, goldenState())
+	if !bytes.Equal(encode(t, st), unhex(t, goldenV4)) {
+		t.Error("the golden directory re-encodes differently")
+	}
+	if kept, err := os.ReadFile(filepath.Join(dir, "refine.log")); err != nil || !bytes.Equal(kept, log) {
+		t.Errorf("Load changed the leftover refine.log (%v)", err)
 	}
 }

@@ -458,3 +458,46 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendAfterFailedAppendIsRefused: a short or failed write leaves
+// torn bytes at the end of the journal, and an append behind them would
+// be a valid record after garbage — what the next open refuses as
+// mid-file damage. So the handle stays failed, and the file still reads
+// as the records it had.
+func TestAppendAfterFailedAppendIsRefused(t *testing.T) {
+	jrecs := sampleJournalRecords()
+	for _, mode := range []struct {
+		name string
+		wrap func(io.Writer, int64) io.Writer
+	}{
+		{"enospc", faultio.ErrWriterAt},
+		{"short-write", faultio.ShortWriter},
+	} {
+		t.Run("journal/"+mode.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), JournalName)
+			j, _, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if err := j.Append(jrecs[0]); err != nil {
+				t.Fatal(err)
+			}
+			TestWriteWrap = func(w io.Writer) io.Writer { return mode.wrap(w, 5) }
+			err = j.Append(jrecs[1])
+			TestWriteWrap = nil
+			if !errors.Is(err, faultio.ErrNoSpace) {
+				t.Fatalf("Append under %s = %v, want ErrNoSpace", mode.name, err)
+			}
+			if err := j.Append(jrecs[2]); !errors.Is(err, faultio.ErrNoSpace) {
+				t.Fatalf("Append after a failed append = %v, want the first failure", err)
+			}
+			j2, recs, err := OpenJournal(path)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			j2.Close()
+			journalRecordsEqual(t, recs, jrecs[:1])
+		})
+	}
+}

@@ -9,12 +9,11 @@ import (
 	"os"
 )
 
-// The repo's one append-only record file. The intake journal
-// (journal.go) and the refinement log (iterlog.go) are both a sequence
-// of artifact frames (frame.go) appended with O_APPEND and fsynced, so
-// after a SIGKILL at any byte boundary the file is a valid record
-// sequence and at most one torn tail, which openLog truncates away. The
-// two differ only in their record codec.
+// The repo's one append-only record file, the intake journal's
+// (journal.go): a sequence of artifact frames (frame.go) appended with
+// O_APPEND and fsynced, so after a SIGKILL at any byte boundary the file
+// is a valid record sequence and at most one torn tail, which openLog
+// truncates away.
 
 // frameEnd returns where the frame at the head of data ends by its
 // declared length (magic[8] version[1] len[4] payload crc[4]), and false
@@ -54,7 +53,6 @@ func scanLog[T any](data []byte, what string, decode func(frame []byte) (T, erro
 type appendLog struct {
 	f    *os.File
 	path string
-	size int64
 	// err latches the first failed write or sync: the bytes a short write
 	// left are a torn tail only while nothing follows them, and a later
 	// append would make them the mid-file damage the next open refuses.
@@ -95,7 +93,7 @@ func openLog[T any](path, what string, decode func(frame []byte) (T, error)) (*a
 			return nil, nil, fmt.Errorf("ckpt: truncating torn tail of %s at byte %d: %w", path, consumed, err)
 		}
 	}
-	return &appendLog{f: f, path: path, size: int64(consumed)}, recs, nil
+	return &appendLog{f: f, path: path}, recs, nil
 }
 
 // append writes frames — whole framed records — with one write and one
@@ -110,8 +108,7 @@ func (l *appendLog) append(frames []byte) error {
 	if TestWriteWrap != nil {
 		w = TestWriteWrap(w)
 	}
-	n, err := w.Write(frames)
-	l.size += int64(n)
+	_, err := w.Write(frames)
 	if err == nil {
 		err = l.f.Sync()
 	}

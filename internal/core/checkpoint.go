@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/ckpt"
 	"repro/internal/obs"
@@ -61,26 +60,30 @@ func graphDigest(g *Graph) uint64 {
 }
 
 // ckptRunner owns the durable record of a run's committed iterations.
-// A full run or a resume writes the base snapshot twice, the refinement
-// log between. A delta run writes its final state once and nothing
-// before: the batch and the base it absorbs into are durable already,
-// so a kill before that snapshot is recovered by redoing the batch.
+// A full run writes its iteration-0 state and its final one (converged,
+// capped or cancelled), and nothing between: refinement is a small share
+// of a run, so a run killed inside it resumes from iteration 0. A resume
+// from a later state writes only its final state, the state it resumed
+// being durable already. A delta run writes only its final state too,
+// and nothing when cancelled: the batch and the base it absorbs into are
+// durable, so its restart redoes the batch.
 type ckptRunner struct {
 	cfg *ckpt.Config
 	rec *obs.Recorder
-	// st is the run's committed state. Each iteration's record is folded
-	// into it with the Fold that ckpt.Load applies to the log, so the
-	// final snapshot encodes exactly what a resume from base + log
-	// replays, and nothing re-reads the graph to write it.
-	st  *ckpt.State
-	log *ckpt.IterLog
-	// once marks a delta run: its final snapshot is its one write.
+	// st is the run's committed state, each iteration's change set and
+	// trace row applied to it as the iteration commits, so nothing
+	// re-reads the graph to write the final snapshot.
+	st *ckpt.State
+	// start is the iteration the run started from, which the directory
+	// holds unless once is set.
+	start int
+	// once marks a delta run.
 	once bool
 }
 
 // newCkptRunner gives a run its committed state under its lineage:
 // resumed, or the iteration-0 state last-hop annotation left on g, which
-// is the base at once unless once is set. It returns the runner even
+// it publishes at once unless once is set. It returns the runner even
 // with an error.
 func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.State, once bool) (*ckptRunner, error) {
 	c := &ckptRunner{cfg: cfg, rec: opts.Recorder, st: resumed, once: once}
@@ -100,61 +103,43 @@ func newCkptRunner(cfg *ckpt.Config, opts *Options, g *Graph, resumed *ckpt.Stat
 		}
 	}
 	c.st.Lineage = cfg.Lineage
+	c.start = c.st.Iteration
 	if c.st.Iteration > 0 || once {
 		return c, nil
 	}
-	return c, c.rebase()
+	return c, ckpt.Save(cfg.Dir, c.st, c.rec)
 }
 
-func (c *ckptRunner) close() {
-	if c.log != nil {
-		_ = c.log.Close()
-	}
-}
-
-// rebase publishes the committed state as the base and starts the log
-// afresh behind it. A kill between the two is harmless: Fold leaves out
-// records of another run or behind the base, and is right to apply
-// those of this run's twin (same options, inputs and graph: same
-// iterations).
-func (c *ckptRunner) rebase() error {
-	err := ckpt.Save(c.cfg.Dir, c.st, c.rec)
-	if err == nil {
-		c.log, err = ckpt.OpenIterLog(c.cfg.Dir)
-	}
-	return err
-}
-
-// commit records the iteration res.Iterations just committed — its
-// change set and trace row — and makes it durable: the last iteration
-// (convergence or the cap) as a snapshot, so a finished run's base says
-// so and needs no log; any other as one log append, or not at all in a
-// delta run, whose snapshot replaces the log. A resumed state's
-// iterations are durable; a run going on past them rebases.
+// commit applies the iteration res.Iterations just committed — its
+// change set and trace row — to the committed state, and publishes that
+// state when the iteration is the last (convergence or the cap). An
+// iteration a resume replays is in the state already.
 func (c *ckptRunner) commit(res *Result, row obs.Row, delta ckpt.IterDelta, last bool) error {
-	if res.Iterations <= c.st.Iteration {
-		if res.Iterations < c.st.Iteration || last {
-			return nil
-		}
-		return c.rebase()
-	}
-	it := ckpt.IterRecord{
-		RunID: c.st.RunID(), Iteration: res.Iterations,
-		Converged: res.Converged, CycleLength: res.CycleLength,
-		Row: row, Delta: delta,
-	}
-	if ok, err := c.st.Fold(&it); err != nil || !ok {
-		return fmt.Errorf("core: iteration %d does not follow the committed state at iteration %d (%v)", it.Iteration, c.st.Iteration, err)
-	}
-	switch {
-	case !last && c.once:
+	st := c.st
+	if res.Iterations <= st.Iteration {
 		return nil
-	case !last:
-		return c.log.Append([]ckpt.IterRecord{it}, c.rec)
-	case c.once:
-		if err := ckpt.RemoveLog(c.cfg.Dir); err != nil {
-			return err
-		}
+	}
+	for _, ch := range delta.Routers {
+		st.Routers[ch.Idx] = ch.Ann
+	}
+	for _, ch := range delta.Ifaces {
+		st.Ifaces[ch.Idx] = ch.Ann
+	}
+	st.Iteration = res.Iterations
+	st.Converged, st.CycleLength = res.Converged, res.CycleLength
+	st.Trace = append(st.Trace, row)
+	st.History = append(st.History, delta)
+	if !last {
+		return nil
+	}
+	return ckpt.Save(c.cfg.Dir, st, c.rec)
+}
+
+// interrupted publishes the state a cancelled full run or resume
+// committed last, when that is past the one it started from.
+func (c *ckptRunner) interrupted() error {
+	if c.once || c.st.Iteration == c.start {
+		return nil
 	}
 	return ckpt.Save(c.cfg.Dir, c.st, c.rec)
 }

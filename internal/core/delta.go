@@ -89,7 +89,7 @@ func (p *replay) seed(g *Graph, rec *obs.Recorder, res *Result) (*ckpt.State, er
 	if st := p.base; p.app == nil {
 		res.Resumed, res.ResumedFrom = true, st.Iteration
 		rec.SetResumedFrom(st.Iteration)
-		rec.Logf("refine: resumed from checkpoint at iteration %d (%d of them from %s)", st.Iteration, st.FromLog, ckpt.LogName)
+		rec.Logf("refine: resumed from checkpoint at iteration %d", st.Iteration)
 		return st, p.reached(g, 0)
 	}
 	sd := rec.Phase("delta-seed")

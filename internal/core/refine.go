@@ -49,9 +49,9 @@ type Options struct {
 	// per-worker shard timings. nil (the default) disables collection;
 	// the engine's annotations are identical either way.
 	Recorder *obs.Recorder
-	// Checkpoint, when non-nil, makes the refinement loop durable: each
-	// committed iteration is recorded in Checkpoint.Dir, and ResumeContext
-	// carries on a state ckpt.Load read from there. Durability failures
+	// Checkpoint, when non-nil, makes the refinement loop durable: its
+	// iteration-0 and final states are published in Checkpoint.Dir, and
+	// ResumeContext carries on a state ckpt.Load read from there. Durability failures
 	// are real errors: RunContext and InferContext return them.
 	Checkpoint *ckpt.Config
 	// hookIterEnd, when non-nil, runs after each fully committed
@@ -364,7 +364,6 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	var ckr *ckptRunner
 	if opts.Checkpoint != nil {
 		ckr, err = newCkptRunner(opts.Checkpoint, &opts, g, resumed, src.appended())
-		defer ckr.close()
 		if err != nil {
 			ph.End()
 			return nil, err
@@ -390,7 +389,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 	// changedR[s] and changedI[s] are what shard s committed in the last
 	// pass, in index order. The snapshot step reads the routers'; shard
 	// after shard they are the iteration's change set, which history
-	// keeps: the trace row counts it, the checkpoint logs it, and explain
+	// keeps: the trace row counts it, the checkpoint keeps it, and explain
 	// derives the provenance artifact from it.
 	changedR := make([][]ckpt.AnnChange, len(routerScratch))
 	changedI := make([][]ckpt.AnnChange, len(ifaceScratch))
@@ -553,7 +552,7 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 			res.Converged, res.CycleLength = true, n
 		}
 		// Checkpoint after cycle detection so a converged iteration's
-		// record carries the convergence, but before hookIterEnd so
+		// state carries the convergence, but before hookIterEnd so
 		// crash points injected through the hook see a durable state.
 		if ckr != nil {
 			if err := ckr.commit(res, row, delta, repeated || iter == opts.MaxIterations); err != nil {
@@ -566,6 +565,12 @@ func refine(ctx context.Context, g *Graph, rels RelationshipOracle, opts Options
 		}
 		if repeated {
 			break
+		}
+	}
+	if ckr != nil && res.Interrupted {
+		if err := ckr.interrupted(); err != nil {
+			ph.End()
+			return nil, err
 		}
 	}
 	src.gauges(rec)

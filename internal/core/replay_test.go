@@ -209,8 +209,8 @@ func TestReplayRefusesHistoryThatMissesTheState(t *testing.T) {
 		Workers: 2, Checkpoint: &ckpt.Config{Dir: dir, InputDigest: bad.InputDigest},
 	})
 	refused("resume", res, err)
-	if _, err := os.Stat(filepath.Join(dir, ckpt.LogName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("the refused resume left a log behind (%v)", err)
+	if _, err := os.Stat(filepath.Join(dir, "refine.log")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the refused resume created refine.log (%v)", err)
 	}
 
 	b.Finish(ds.Rels)

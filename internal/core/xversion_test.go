@@ -13,13 +13,17 @@ import (
 	"repro/internal/ckpt"
 )
 
-// The directories under testdata/xversion were written by the build
-// before checkpoint format version 4 — refine.ckpt in version 3 (cycle
-// hashes, provenance flag and blob), refine.log records in version 1 —
-// over xversionGraph's campaign: "converged" by a run to convergence,
-// "cancelled" by a run cancelled after iteration 2, which leaves the
-// iteration-0 base and two log records. -write-xversion rewrites them
-// with the build under test.
+// The directories under testdata/xversion were written over
+// xversionGraph's campaign by builds that kept a refinement log
+// (refine.log) beside refine.ckpt. "converged" and "cancelled" come from
+// the build before checkpoint format version 4 — refine.ckpt in version 3
+// (cycle hashes, provenance flag and blob), log records in version 1 —
+// by a run to convergence and by a run cancelled after iteration 2, which
+// left the iteration-0 base and two log records. "cancelled-v2" is the
+// cancelled run as the last build with the log wrote it (commit 32d8af2,
+// -write-xversion): a version-4 base and two version-2 records, which
+// that build folded to iteration 2. -write-xversion writes the two
+// directories with the build under test.
 var writeXVersion = flag.String("write-xversion", "", "write the cross-version checkpoint directories under this directory and stop")
 
 const xversionDigest = 0x5eed
@@ -74,10 +78,11 @@ func writeXVersionDirs(t *testing.T, root string) {
 	}
 }
 
-// TestCrossVersionCheckpoints: every directory the build before format
-// version 4 left behind still resumes, to the bytes of an uninterrupted
-// run; its log records are not folded, so a cancelled run's directory
-// resumes from its base; and a version-2 snapshot is refused at the frame.
+// TestCrossVersionCheckpoints: every directory an earlier build left
+// behind still resumes, to the bytes of an uninterrupted run. Its
+// refine.log is never read — a cancelled run's directory resumes from
+// its base, iteration 0, to this build's refine.ckpt of the uninterrupted
+// run — and never removed. A version-2 snapshot is refused at the frame.
 func TestCrossVersionCheckpoints(t *testing.T) {
 	if *writeXVersion != "" {
 		writeXVersionDirs(t, *writeXVersion)
@@ -90,36 +95,46 @@ func TestCrossVersionCheckpoints(t *testing.T) {
 		}
 		want, wantProv := dumpAnnotations(full), encodeArtifact(t, full.Provenance)
 		if full.Iterations <= 2 || !full.Converged {
-			t.Fatalf("the fixture stops at iteration %d (converged %v); the cancelled directory needs a run past iteration 2", full.Iterations, full.Converged)
+			t.Fatalf("the fixture stops at iteration %d (converged %v); the cancelled directories need a run past iteration 2", full.Iterations, full.Converged)
+		}
+		// This build's directory of the uninterrupted run.
+		mine := t.TempDir()
+		if _, err := xversionRun(t, workers, Options{Checkpoint: &ckpt.Config{Dir: mine, InputDigest: xversionDigest}}); err != nil {
+			t.Fatal(err)
 		}
 		for _, tc := range []struct {
-			name          string
-			iter, fromLog int
-		}{{"converged", full.Iterations, 0}, {"cancelled", 0, 0}} {
-			dir := t.TempDir()
-			copyDir(t, filepath.Join("testdata", "xversion", tc.name), dir)
+			name string
+			iter int
+		}{{"converged", full.Iterations}, {"cancelled", 0}, {"cancelled-v2", 0}} {
+			dir, fixture := t.TempDir(), filepath.Join("testdata", "xversion", tc.name)
+			copyDir(t, fixture, dir)
 			st, err := ckpt.Load(dir)
-			if err != nil || st.Iteration != tc.iter || st.FromLog != tc.fromLog {
-				t.Fatalf("workers=%d %s: loads at iteration %d (%d from the log), err %v; want %d (%d)",
-					workers, tc.name, st.Iteration, st.FromLog, err, tc.iter, tc.fromLog)
+			if err != nil || st.Iteration != tc.iter {
+				t.Fatalf("workers=%d %s: loads at iteration %d, err %v; want %d", workers, tc.name, st.Iteration, err, tc.iter)
 			}
 			res, err := xversionResume(t, workers, Options{Provenance: true, Checkpoint: &ckpt.Config{Dir: dir, InputDigest: xversionDigest}})
 			if err != nil {
 				t.Fatalf("workers=%d %s: resume: %v", workers, tc.name, err)
 			}
-			if dumpAnnotations(res) != want {
-				t.Errorf("workers=%d %s: resume ends in different annotations", workers, tc.name)
+			if res.ResumedFrom != tc.iter || dumpAnnotations(res) != want {
+				t.Errorf("workers=%d %s: resume from iteration %d ends in different annotations", workers, tc.name, res.ResumedFrom)
 			}
 			if !bytes.Equal(encodeArtifact(t, res.Provenance), wantProv) {
 				t.Errorf("workers=%d %s: resume's provenance differs from the uninterrupted run's", workers, tc.name)
 			}
+			if tc.iter == 0 && !bytes.Equal(readCkpt(t, dir), readCkpt(t, mine)) {
+				t.Errorf("workers=%d %s: the resumed refine.ckpt is not an uninterrupted run's", workers, tc.name)
+			}
+			log, err := os.ReadFile(filepath.Join(fixture, "refine.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kept, err := os.ReadFile(filepath.Join(dir, "refine.log")); err != nil || !bytes.Equal(kept, log) {
+				t.Errorf("workers=%d %s: the resume changed or removed the leftover refine.log (%v)", workers, tc.name, err)
+			}
 		}
 
 		// This build's directory of the same run loads to the same state.
-		mine := t.TempDir()
-		if _, err := xversionRun(t, workers, Options{Checkpoint: &ckpt.Config{Dir: mine, InputDigest: xversionDigest}}); err != nil {
-			t.Fatal(err)
-		}
 		got, err := ckpt.Load(mine)
 		if err != nil {
 			t.Fatal(err)

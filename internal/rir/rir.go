@@ -90,35 +90,56 @@ func ParseRecords(r io.Reader) ([]Record, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Split(line, "|")
+		var f [8]string
+		n := splitFields(line, &f)
 		// Version header: "2|arin|20180101|...", second field is registry
-		// but first is a bare number.
-		if _, err := strconv.Atoi(fields[0]); err == nil {
+		// but first is a bare number. Only a leading digit or sign can
+		// make one, so no other line pays for a failed Atoi.
+		if c := line[0]; c >= '0' && c <= '9' || c == '+' || c == '-' {
+			if _, err := strconv.Atoi(f[0]); err == nil {
+				continue
+			}
+		}
+		if n >= 6 && f[5] == "summary" {
 			continue
 		}
-		if len(fields) >= 6 && fields[5] == "summary" {
-			continue
+		if n < 7 {
+			return nil, fmt.Errorf("rir: line %d: expected ≥7 fields, got %d", lineno, n)
 		}
-		if len(fields) < 7 {
-			return nil, fmt.Errorf("rir: line %d: expected ≥7 fields, got %d", lineno, len(fields))
-		}
-		v, err := strconv.ParseUint(fields[4], 10, 64)
+		v, err := strconv.ParseUint(f[4], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("rir: line %d: value: %w", lineno, err)
 		}
-		rec := Record{
-			Registry: fields[0], CC: fields[1], Type: fields[2],
-			Start: fields[3], Value: v, Date: fields[5], Status: fields[6],
-		}
-		if len(fields) >= 8 {
-			rec.OpaqueID = fields[7]
-		}
-		out = append(out, rec)
+		out = append(out, Record{
+			Registry: f[0], CC: f[1], Type: f[2],
+			Start: f[3], Value: v, Date: f[5], Status: f[6], OpaqueID: f[7],
+		})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("rir: read: %w", err)
 	}
 	return out, nil
+}
+
+// splitFields cuts line at each '|' into f and returns how many fields
+// line has; those past len(f) are counted, not kept.
+func splitFields(line string, f *[8]string) int {
+	n := 0
+	for {
+		i := strings.IndexByte(line, '|')
+		if n < len(f) {
+			if i < 0 {
+				f[n] = line
+			} else {
+				f[n] = line[:i]
+			}
+		}
+		n++
+		if i < 0 {
+			return n
+		}
+		line = line[i+1:]
+	}
 }
 
 // Read parses an extended delegation file and indexes its IPv4/IPv6
