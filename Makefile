@@ -99,7 +99,7 @@ bench:
 # the ITDK nodes reader and a Builder image's decode and replay.
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary' -benchmem ./internal/traceroute
+	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary|BenchmarkWriteJSONL' -benchmem ./internal/traceroute
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildGraph|BenchmarkReplay' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkRunCampaign|BenchmarkProbeSeed' -benchmem ./internal/topo
 	$(GO) test -run '^$$' -bench 'BenchmarkMIDAR|BenchmarkKapar|BenchmarkReadNodes' -benchmem ./internal/alias
@@ -157,6 +157,7 @@ fuzz-smoke:
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzJSONLDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/traceroute -run '^$$' -fuzz '^FuzzWriteJSONL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAddTraceDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAppendDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x

@@ -10,6 +10,7 @@ package alias
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/netip"
@@ -151,21 +152,21 @@ func ReadNodes(r io.Reader) (*Sets, error) {
 	var addrs []netip.Addr // the current line's, reused
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		rest, ok := strings.CutPrefix(line, "node ")
+		rest, ok := bytes.CutPrefix(line, []byte("node "))
 		if !ok {
 			return nil, fmt.Errorf("alias: line %d: expected 'node' record", lineno)
 		}
-		_, addrPart, ok := strings.Cut(rest, ":")
+		_, addrPart, ok := bytes.Cut(rest, []byte(":"))
 		if !ok {
 			return nil, fmt.Errorf("alias: line %d: missing ':' after node id", lineno)
 		}
 		addrs = addrs[:0]
-		for f, more := netutil.CutField(addrPart); f != ""; f, more = netutil.CutField(more) {
-			a, err := netip.ParseAddr(f)
+		for f, more := netutil.CutField(addrPart); len(f) > 0; f, more = netutil.CutField(more) {
+			a, err := netutil.ParseAddr(f)
 			if err != nil {
 				return nil, fmt.Errorf("alias: line %d: %w", lineno, err)
 			}

@@ -2,7 +2,11 @@ package ckpt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"os"
 )
 
 // The intake journal is the write-ahead log of the continuous-ingest
@@ -10,8 +14,8 @@ import (
 // lands here, and the batch's terminal fate (applied or quarantined)
 // lands here too. Each record is a self-contained artifact frame
 // (journalMagic + CRC, the same envelope as every other serialized
-// format in the repo) in the repo's one append-only record file (log.go),
-// so the journal after a SIGKILL at any byte boundary is a valid record
+// format in the repo), appended with O_APPEND and fsynced, so the
+// journal after a SIGKILL at any byte boundary is a valid record
 // sequence followed by at most one torn tail, which opening it repairs.
 // Replaying the surviving records rebuilds the intake state machine
 // exactly: which fingerprints are applied, which are quarantined, and
@@ -71,25 +75,85 @@ type JournalRecord struct {
 }
 
 // Journal is an open intake journal positioned for appending.
-type Journal struct{ log *appendLog }
+type Journal struct {
+	f    *os.File
+	path string
+	// err latches the first failed write or sync: the bytes a short write
+	// left are a torn tail only while nothing follows them, and a later
+	// append would make them the mid-file damage the next open refuses.
+	err error
+}
 
 // OpenJournal opens (creating if absent) the journal at path, returns
-// every intact record, and repairs a torn tail; mid-file damage is
-// refused (openLog).
+// every intact record, and repairs a torn tail: a trailing fragment that
+// fails framing or CRC — the signature of a kill mid-append — is
+// truncated so the next append starts on a record boundary. A valid
+// record after the first bad frame is refused instead: O_APPEND plus
+// fsync ordering cannot produce it, and dropping records would be worse.
 func OpenJournal(path string) (*Journal, []JournalRecord, error) {
-	l, recs, err := openLog(path, "journal record", decodeJournalRecord)
-	if err != nil {
-		return nil, nil, err
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("ckpt: reading %s: %w", path, err)
 	}
-	return &Journal{log: l}, recs, nil
+	recs, consumed, derr := DecodeJournal(data)
+	if derr != nil {
+		// A frame whose declared length runs past the file has nothing
+		// beyond it: a tail by definition.
+		if end, ok := frameEnd(data[consumed:]); ok {
+			if later, _, _ := DecodeJournal(data[consumed+end:]); len(later) > 0 {
+				return nil, nil, fmt.Errorf("ckpt: %s: journal record %d is corrupt but later records are intact — mid-file damage, not a torn append; refusing to repair: %w", path, len(recs), derr)
+			}
+		}
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ckpt: opening %s: %w", path, err)
+	}
+	if consumed < len(data) {
+		if err = f.Truncate(int64(consumed)); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			_ = f.Close()
+			return nil, nil, fmt.Errorf("ckpt: truncating torn tail of %s at byte %d: %w", path, consumed, err)
+		}
+	}
+	return &Journal{f: f, path: path}, recs, nil
 }
 
 // DecodeJournal parses records from the head of data until it is
 // exhausted or a frame fails to validate, returning the intact records,
 // how many bytes they span, and the first validation failure (nil when
-// the whole buffer parsed).
+// the whole buffer parsed). Whether that is a repairable torn tail is
+// the caller's judgement.
 func DecodeJournal(data []byte) ([]JournalRecord, int, error) {
-	return scanLog(data, "journal record", decodeJournalRecord)
+	var recs []JournalRecord
+	off := 0
+	for off < len(data) {
+		end, ok := frameEnd(data[off:])
+		if !ok {
+			return recs, off, &FormatError{Reason: fmt.Sprintf("journal record %d: truncated header or payload (%d bytes remain)", len(recs), len(data)-off)}
+		}
+		rec, err := decodeJournalRecord(data[off : off+end])
+		if err != nil {
+			return recs, off, fmt.Errorf("journal record %d: %w", len(recs), err)
+		}
+		recs = append(recs, rec)
+		off += end
+	}
+	return recs, off, nil
+}
+
+// frameEnd returns where the frame at the head of data ends by its
+// declared length (magic[8] version[1] len[4] payload crc[4]), and false
+// when data holds less than that.
+func frameEnd(data []byte) (int, bool) {
+	const fixed = 8 + 1 + 4 + 4
+	if len(data) < fixed {
+		return 0, false
+	}
+	end := fixed + uint64(binary.LittleEndian.Uint32(data[8+1:]))
+	return int(end), end <= uint64(len(data))
 }
 
 const journalKind = "bdrmapIT intake journal record"
@@ -140,14 +204,29 @@ func EncodeJournalRecord(rec JournalRecord) []byte {
 	return frameBytes(journalMagic, journalVersion, appendJournalRecord(nil, rec))
 }
 
-// Append writes rec as one framed record and fsyncs before returning,
-// so a record the caller believes in has survived any subsequent crash.
-// After the record is durable the "journal:<kind>" TestHook point fires,
-// giving the crash harness a seam exactly between a batch's durability
+// Append writes rec as one framed record with one write and one fsync
+// before returning, so a record the caller believes in has survived any
+// subsequent crash. A short or failed write leaves a torn tail the next
+// open repairs, and fails every later append on this handle. After the
+// record is durable the "journal:<kind>" TestHook point fires, giving
+// the crash harness a seam exactly between a batch's durability
 // milestones.
 func (j *Journal) Append(rec JournalRecord) error {
-	if err := j.log.append(EncodeJournalRecord(rec)); err != nil {
-		return fmt.Errorf("ckpt: journaling %s record: %w", rec.Kind, err)
+	if j.err == nil {
+		var w io.Writer = j.f
+		if TestWriteWrap != nil {
+			w = TestWriteWrap(w)
+		}
+		_, err := w.Write(EncodeJournalRecord(rec))
+		if err == nil {
+			err = j.f.Sync()
+		}
+		if err != nil {
+			j.err = fmt.Errorf("ckpt: appending to %s: %w", j.path, err)
+		}
+	}
+	if j.err != nil {
+		return fmt.Errorf("ckpt: journaling %s record: %w", rec.Kind, j.err)
 	}
 	if TestHook != nil {
 		TestHook("journal:" + rec.Kind.String())
@@ -155,5 +234,12 @@ func (j *Journal) Append(rec JournalRecord) error {
 	return nil
 }
 
-// Close closes the journal file.
-func (j *Journal) Close() error { return j.log.Close() }
+// Close closes the journal file; closing twice is harmless.
+func (j *Journal) Close() error {
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
+}

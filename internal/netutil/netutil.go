@@ -1,26 +1,85 @@
 // Package netutil provides small IP address helpers shared across the
 // bdrmapIT substrates: CIDR arithmetic, special-purpose address
 // classification, range-to-CIDR expansion used by the RIR delegation
-// parser, and the field splitting of the text readers.
+// parser, and the text readers' field splitting and address parsing.
 package netutil
 
 import (
 	"fmt"
 	"math/bits"
 	"net/netip"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // CutField returns the first field of s, as strings.Fields splits s, and
 // what follows the field; field is empty when s has no more fields. A
 // reader walks a line with it field by field, without a slice of them.
-func CutField(s string) (field, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
+func CutField[S ~string | ~[]byte](s S) (field, rest S) {
+	start := -1
+	for i := 0; i < len(s); {
+		r, n := rune(s[i]), 1
+		if r >= utf8.RuneSelf { // at most UTFMax bytes, so a []byte's string is made on the stack
+			r, n = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		}
+		if space := unicode.IsSpace(r); start < 0 && !space {
+			start = i
+		} else if start >= 0 && space {
+			return s[start:i], s[i:]
+		}
+		i += n
 	}
-	return s, ""
+	if start < 0 {
+		start = len(s)
+	}
+	return s[start:], s[len(s):]
+}
+
+// ParseAddr is netip.ParseAddr over bytes. Dotted quads, the bulk of
+// every corpus, are parsed in place; anything else is netip's call, so
+// IPv6 text forms, zones and every rejection and its error stay its.
+func ParseAddr(b []byte) (netip.Addr, error) {
+	if a, ok := parseIPv4(b); ok {
+		return a, nil
+	}
+	return netip.ParseAddr(string(b))
+}
+
+// parseIPv4 accepts exactly four dot-separated decimal octets without
+// leading zeros, the form netip.ParseAddr accepts for IPv4.
+//
+//lint:hotpath
+func parseIPv4(b []byte) (netip.Addr, bool) {
+	var (
+		octets [4]byte
+		field  int // octet being read
+		val    int
+		digits int
+	)
+	for _, c := range b {
+		switch {
+		case '0' <= c && c <= '9':
+			if digits == 1 && val == 0 {
+				return netip.Addr{}, false // leading zero
+			}
+			val = val*10 + int(c-'0')
+			digits++
+			if val > 255 {
+				return netip.Addr{}, false
+			}
+		case c == '.' && digits > 0 && field < 3:
+			octets[field] = byte(val)
+			field++
+			val, digits = 0, 0
+		default:
+			return netip.Addr{}, false
+		}
+	}
+	if field != 3 || digits == 0 {
+		return netip.Addr{}, false
+	}
+	octets[3] = byte(val)
+	return netip.AddrFrom4(octets), true
 }
 
 // AddrToUint32 returns the IPv4 address as a big-endian uint32.

@@ -206,9 +206,9 @@ func TestPrefixSize(t *testing.T) {
 	}
 }
 
-// TestCutFieldMatchesFields walks strings field by field with CutField
-// and requires strings.Fields' fields: ASCII and Unicode spaces, invalid
-// UTF-8, and random strings.
+// TestCutFieldMatchesFields walks strings and their bytes field by
+// field with CutField and requires strings.Fields' fields: ASCII and
+// Unicode spaces, invalid UTF-8, and random strings.
 func TestCutFieldMatchesFields(t *testing.T) {
 	walk := func(s string) []string {
 		var out []string
@@ -217,8 +217,15 @@ func TestCutFieldMatchesFields(t *testing.T) {
 		}
 		return out
 	}
+	walkBytes := func(s string) []string {
+		var out []string
+		for f, rest := CutField([]byte(s)); len(f) > 0; f, rest = CutField(rest) {
+			out = append(out, string(f))
+		}
+		return out
+	}
 	check := func(s string) bool {
-		return slices.Equal(walk(s), strings.Fields(s))
+		return slices.Equal(walk(s), strings.Fields(s)) && slices.Equal(walkBytes(s), strings.Fields(s))
 	}
 	for _, s := range []string{"", " ", "a", " a b\tc\n", "1.2.3.4 5.6.7.8", "x y\u0085", "\xff \xc2", "{1,2} 3\v4\f"} {
 		if !check(s) {
@@ -227,5 +234,19 @@ func TestCutFieldMatchesFields(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseAddrMatchesNetip holds ParseAddr to netip.ParseAddr, address
+// and error text, on dotted quads at and past their limits and on text
+// the in-place path hands on.
+func TestParseAddrMatchesNetip(t *testing.T) {
+	for _, s := range []string{"1.2.3.4", "0.0.0.0", "255.255.255.255", "1.2.3.256", "1.2.3.04", "1.2.3", "1.2.3.4.5",
+		"1..3.4", ".1.2.3", "1.2.3.", "", "::ffff:1.2.3.4", "2001:db8::1", "fe80::1%eth0", "1.2.3.4 ", "x"} {
+		got, err := ParseAddr([]byte(s))
+		want, werr := netip.ParseAddr(s)
+		if got != want || (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Errorf("ParseAddr(%q) = %v, %v; netip.ParseAddr: %v, %v", s, got, err, want, werr)
+		}
 	}
 }

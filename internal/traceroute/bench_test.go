@@ -2,6 +2,7 @@ package traceroute_test
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -64,6 +65,31 @@ func BenchmarkReadBinary(b *testing.B) {
 			benchTraces = append(benchTraces, t)
 			return nil
 		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteJSONL(b *testing.B) {
+	corpus, _ := loaderCorpus()
+	var traces []*traceroute.Trace
+	if _, err := traceroute.ReadJSONLStats(bytes.NewReader(corpus), func(t *traceroute.Trace) error {
+		traces = append(traces, t)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(corpus)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := traceroute.NewJSONLWriter(io.Discard)
+		for _, t := range traces {
+			if err := w.Write(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,11 +3,14 @@ package traceroute
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/netip"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"repro/internal/netutil"
 )
 
 // The JSONL decoder goes from the bytes of one line straight to a
@@ -212,11 +215,11 @@ func (d *decoder) setString(f int, s []byte) {
 	case fVP:
 		d.vp = d.vps.intern(s)
 	case fSrc:
-		var ok bool
-		d.src, ok = parseAddr(s)
-		d.srcBad = !ok && len(s) > 0
+		var err error
+		d.src, err = netutil.ParseAddr(s)
+		d.srcBad = err != nil && len(s) > 0
 	case fDst:
-		d.dst, _ = parseAddr(s)
+		d.dst, _ = netutil.ParseAddr(s)
 	case fStop:
 		var ok bool
 		d.stop, ok = lookupStop(string(s))
@@ -258,8 +261,10 @@ func (d *decoder) hopsValue() error {
 			d.hops[n] = rawHop{}
 			d.hopsUsed = n + 1
 		}
-		if err := d.hopValue(&d.hops[n]); err != nil {
-			return err
+		if !d.fastHop(&d.hops[n]) {
+			if err := d.hopValue(&d.hops[n]); err != nil {
+				return err
+			}
 		}
 		n++
 	}
@@ -289,7 +294,7 @@ func (d *decoder) hopValue(h *rawHop) error {
 		case fAddr:
 			var s []byte
 			if s, err = d.stringValue(); err == nil && s != nil {
-				h.addr, _ = parseAddr(s)
+				h.addr, _ = netutil.ParseAddr(s)
 			}
 		case fProbeTTL:
 			err = d.uint8Value(&h.ttl)
@@ -361,35 +366,51 @@ func (d *decoder) float32Value(v *float32) error {
 	if err != nil {
 		return err
 	}
-	if f, ok := exactFloat32(tok); ok {
-		*v = f
-		return nil
-	}
-	f, err := strconv.ParseFloat(string(tok), 32)
-	if err != nil {
+	f, ok := parseFloat32(tok)
+	if !ok {
 		return errRange
 	}
-	*v = float32(f)
+	*v = f
 	return nil
 }
 
-// float32Pow10 are the powers of ten float32 holds exactly.
-var float32Pow10 = [...]float32{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+// parseFloat32 is strconv.ParseFloat(tok, 32) for a validated number
+// token, exactFloat32 first; ok is false when the value overflows.
+//
+//lint:hotpath
+func parseFloat32(tok []byte) (float32, bool) {
+	if f, ok := exactFloat32(tok); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(tok), 32)
+	return float32(f), err == nil
+}
+
+// float64Pow10 are the powers of ten float64 holds exactly.
+var float64Pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // exactFloat32 parses a validated number token of the form
-// digits[.digits] whose digits, read as one integer m, stay below 2^24
-// with at most 10 of them after the point: float32 holds m and 1e{k}
-// exactly, so one IEEE division is the correctly rounded value, the
-// exact path strconv.ParseFloat itself takes. ok is false for any
-// other token.
+// digits[.digits] whose digits, read as one integer m, stay below 2^53
+// with k ≤ 22 of them after the point, to the float32 nearest m / 10^k;
+// ok is false for any other token and for the rare one below.
+//
+// float64 holds m and 10^k exactly, so one IEEE division gives q, the
+// quotient correctly rounded to float64. Rounding q to float32 is then
+// correct unless q is exactly halfway between two float32s: the halfway
+// points are float64s and rounding is monotonic, so a quotient strictly
+// on one side of one leaves q on that side or on the point itself. As q
+// is 0 or a normal float32 (10^-22 ≤ q < 2^53), q is a halfway point
+// exactly when its 29 fraction bits below float32's 23 read 1<<28;
+// those tokens go to strconv.
 //
 //lint:hotpath
 func exactFloat32(tok []byte) (f float32, ok bool) {
-	m, k, frac := uint32(0), 0, false
+	m, k, frac := uint64(0), 0, false
 	for _, c := range tok {
 		switch {
 		case '0' <= c && c <= '9':
-			if m = m*10 + uint32(c-'0'); m >= 1<<24 {
+			if m = m*10 + uint64(c-'0'); m >= 1<<53 {
 				return 0, false
 			}
 			if frac {
@@ -401,10 +422,91 @@ func exactFloat32(tok []byte) (f float32, ok bool) {
 			return 0, false
 		}
 	}
-	if k >= len(float32Pow10) {
+	if k >= len(float64Pow10) {
 		return 0, false
 	}
-	return float32(m) / float32Pow10[k], true
+	q := float64(m) / float64Pow10[k]
+	if math.Float64bits(q)&(1<<29-1) == 1<<28 {
+		return 0, false
+	}
+	return float32(q), true
+}
+
+// The hop JSONLWriter writes, between its variable parts (jsonl.go);
+// the address's closing quote is fastHop's to match.
+const (
+	hopHead = "{" + keyAddr + `"`
+	hopTTL  = "," + keyTTL
+	hopICMP = "," + keyICMP
+	hopRTT  = "," + keyRTT
+)
+
+// fastHop parses the hop under the cursor when it is an IPv4 hop in
+// JSONLWriter's exact bytes, and reports whether it did. Otherwise it
+// moves neither the cursor nor h, and hopValue parses the hop from its
+// first byte: the fast path accepts nothing the member loop would not,
+// with the same values, and sets rtt only when the hop states one (the
+// overlay rule of hopsValue). Each literal is compared where it is used,
+// as a constant, which compiles to a word compare or two instead of a
+// memequal call.
+//
+//lint:hotpath
+func (d *decoder) fastHop(h *rawHop) bool {
+	line, i, start, hop := d.line, d.pos, d.pos, *h
+	if len(line)-i < len(hopHead) || string(line[i:i+len(hopHead)]) != hopHead {
+		return false
+	}
+	i += len(hopHead)
+	var quad [4]byte // a dotted quad as netip.ParseAddr takes one, and its closing quote
+	for n := range quad {
+		v, end, ok := fastUint8(line, i)
+		if !ok || end == len(line) || line[end] != `..."`[n] {
+			return false
+		}
+		quad[n], i = v, end+1
+	}
+	if len(line)-i < len(hopTTL) || string(line[i:i+len(hopTTL)]) != hopTTL {
+		return false
+	}
+	var ok bool
+	if hop.ttl, i, ok = fastUint8(line, i+len(hopTTL)); !ok || len(line)-i < len(hopICMP) || string(line[i:i+len(hopICMP)]) != hopICMP {
+		return false
+	}
+	if hop.icmp, i, ok = fastUint8(line, i+len(hopICMP)); !ok {
+		return false
+	}
+	if len(line)-i >= len(hopRTT) && string(line[i:i+len(hopRTT)]) == hopRTT {
+		d.pos = i + len(hopRTT)
+		tok, err := d.scanNumber()
+		if hop.rtt, ok = parseFloat32(tok); err != nil || !ok {
+			d.pos = start
+			return false
+		}
+		i, d.pos = d.pos, start
+	}
+	if i >= len(line) || line[i] != '}' {
+		return false
+	}
+	hop.addr = netip.AddrFrom4(quad)
+	*h, d.pos = hop, i+1
+	return true
+}
+
+// fastUint8 reads the integer at line[i:] when it is one JSON allows,
+// without a leading zero, and within 0..255; end is the index after it.
+// Whether a fraction or an exponent follows is the caller's next literal
+// to refuse.
+//
+//lint:hotpath
+func fastUint8(line []byte, i int) (v uint8, end int, ok bool) {
+	n, j := 0, i
+	for ; j < len(line) && '0' <= line[j] && line[j] <= '9'; j++ {
+		n = n*10 + int(line[j]-'0')
+	}
+	if j == i || j > i+3 || n > 255 || line[i] == '0' && j > i+1 {
+		return 0, i, false
+	}
+	return uint8(n), j, true
 }
 
 // nextKey moves to the next member of the object the cursor is in and
@@ -751,52 +853,4 @@ func matchField(key []byte, names [][]byte) int {
 		}
 	}
 	return -1
-}
-
-// parseAddr is netip.ParseAddr over bytes. Dotted quads, the whole of
-// today's corpora, are parsed in place; anything else is netip's call,
-// so that IPv6 text forms, zones and every rejection stay exactly its.
-func parseAddr(b []byte) (netip.Addr, bool) {
-	if a, ok := parseIPv4(b); ok {
-		return a, true
-	}
-	a, err := netip.ParseAddr(string(b))
-	return a, err == nil
-}
-
-// parseIPv4 accepts exactly four dot-separated decimal octets without
-// leading zeros, the form netip.ParseAddr accepts for IPv4.
-//
-//lint:hotpath
-func parseIPv4(b []byte) (netip.Addr, bool) {
-	var (
-		octets [4]byte
-		field  int // octet being read
-		val    int
-		digits int
-	)
-	for _, c := range b {
-		switch {
-		case '0' <= c && c <= '9':
-			if digits == 1 && val == 0 {
-				return netip.Addr{}, false // leading zero
-			}
-			val = val*10 + int(c-'0')
-			digits++
-			if val > 255 {
-				return netip.Addr{}, false
-			}
-		case c == '.' && digits > 0 && field < 3:
-			octets[field] = byte(val)
-			field++
-			val, digits = 0, 0
-		default:
-			return netip.Addr{}, false
-		}
-	}
-	if field != 3 || digits == 0 {
-		return netip.Addr{}, false
-	}
-	octets[3] = byte(val)
-	return netip.AddrFrom4(octets), true
 }

@@ -31,6 +31,18 @@ func hopRecord(members string) string {
 	return `{"dst":"1.2.3.4","hops":[{"addr":"9.9.9.9","icmp_type":11,` + members + `}]}`
 }
 
+// writerRecord wraps hops into a record in JSONLWriter's shape, and
+// writerHop is one hop in that shape but for its rtt member; a seed that
+// changes one thing in either tests the fast path's hand-over to the
+// member loop at that byte.
+func writerRecord(hops string) string {
+	return `{"vp":"vp-1","src":"192.0.2.1","dst":"1.2.3.4","stop_reason":"GAPLIMIT","hops":[` + hops + `]}`
+}
+
+func writerHop(rtt string) string {
+	return `{"addr":"9.9.9.9","probe_ttl":1,"icmp_type":11` + rtt + `}`
+}
+
 // differentialSeeds are the inputs on which encoding/json's behaviour
 // is least obvious; each is a case the decoder once had to be taught,
 // or could plausibly get wrong.
@@ -135,6 +147,41 @@ var differentialSeeds = []string{
 	`{"dst":"1.2.3.4","hops":[{"icmp_type":12},{"addr":"x","icmp_type":11}]}`,
 	`{"dst":"1.2.3.4","stop_reason":"NOPE","hops":[{"icmp_type":5}]}`,
 	`{"dst":"bogus","hops":[{"icmp_type":5}]}`,
+	// The fast path: the writer's shape, then one change to it each.
+	writerRecord(writerHop(`,"rtt":1.234567`) + "," + writerHop("") + "," + writerHop(`,"rtt":12345678`)),
+	writerRecord(`{"addr":"9.9.9.9","probe_ttl":01,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.9","probe_ttl":256,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.9","probe_ttl":1.0,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.9","probe_ttl":1e0,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.9","probe_ttl":1,"icmp_type":0011}`),
+	writerRecord(writerHop(`,"rtt":-0`)),
+	writerRecord(writerHop(`,"rtt":0`)),
+	writerRecord(writerHop(`,"rtt":01.5`)),
+	writerRecord(writerHop(`,"rtt":1.`)),
+	writerRecord(writerHop(`,"rtt":1.5e2`)),
+	writerRecord(writerHop(`,"rtt":15E-1`)),
+	writerRecord(writerHop(`,"rtt":340282356779733661637539395458142568448`)),
+	writerRecord(writerHop(`,"rtt":16777217`)),
+	writerRecord(writerHop(`,"rtt":8388608.5`)),
+	writerRecord(`{"\u0061ddr":"9.9.9.9","probe_ttl":1,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.\u0039","probe_ttl":1,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.09","probe_ttl":1,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.9.9","probe_ttl":1,"icmp_type":11}`),
+	writerRecord(`{"addr":"2001:db8::9","probe_ttl":1,"icmp_type":11}`),
+	writerRecord(`{ "addr":"9.9.9.9","probe_ttl":1,"icmp_type":11}`),
+	writerRecord(`{"addr": "9.9.9.9","probe_ttl":1,"icmp_type":11}`),
+	writerRecord(`{"addr":"9.9.9.9","probe_ttl":1 ,"icmp_type":11}`),
+	writerRecord(writerHop(`,"rtt":1.5 `)),
+	writerRecord(writerHop(`,"rtt":1.5,"probe_ttl":2`)),
+	writerRecord(writerHop(`,"addr":"8.8.8.8"`)),
+	writerRecord(`{"Addr":"9.9.9.9","probe_TTL":1,"icmp_type":11}`),
+	writerRecord(writerHop(`,"RTT":1.5`)),
+	strings.TrimSuffix(writerRecord(writerHop(`,"rtt":1.5`)), "}]}"),
+	strings.TrimSuffix(writerRecord(writerHop(`,"rtt":1.5`)), "}") + `,"hops":[` + writerHop("") + `]}`,
+	`{"vp":"vp-1","vp":"vp-2","src":"192.0.2.1","dst":"1.2.3.4","stop_reason":"GAPLIMIT","hops":[]}`,
+	`{"vp" :"vp-1","src":"192.0.2.1","dst":"1.2.3.4","stop_reason":"GAPLIMIT","hops":[]}`,
+	`{"vp":"a\u003cb","SRC":"192.0.2.1","dst":"1.2.3.4","stop_reason":"GAPLIMIT","hops":[]}`,
+	`{"dst":"1.2.3.4","src":"192.0.2.1","hops":[],"stop_reason":"LOOP","dst":"5.6.7.8"}`,
 	// Line structure: CRLF, blank lines, whitespace-only lines, a final
 	// line without a newline.
 	"{\"dst\":\"1.2.3.4\"}\r\n\r\n\n{\"dst\":\"5.6.7.8\"}\r",
@@ -320,29 +367,14 @@ func TestJSONLAllocBudget(t *testing.T) {
 }
 
 // TestExactFloat32MatchesStrconv holds the exact path to
-// strconv.ParseFloat bit for bit on random tokens around its limits
-// (mantissas near 2^24, up to 12 fraction digits, leading zeros), and
-// requires it to decline exactly the tokens outside them.
+// strconv.ParseFloat bit for bit on 2^20 random tokens of 7 to 17
+// digits (the rtts of a campaign have 8), the point anywhere, and on
+// tokens at and next to float32 midpoints, where rounding twice could
+// go wrong. It must take exactly the tokens within its limits whose
+// float64 quotient is not a float32 midpoint, and decline every other.
 func TestExactFloat32MatchesStrconv(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for n := 0; n < 200000; n++ {
-		m := rng.Int63n(1 << 25)
-		if n%2 == 0 {
-			m = 1<<24 - 64 + rng.Int63n(128)
-		}
-		digits := strconv.FormatInt(m, 10)
-		k := rng.Intn(13)
-		if pad := k + 1 - len(digits); pad > 0 {
-			digits = strings.Repeat("0", pad) + digits
-		}
-		tok := digits
-		if k > 0 {
-			tok = digits[:len(digits)-k] + "." + digits[len(digits)-k:]
-		}
+	check := func(tok string) bool {
 		got, ok := exactFloat32([]byte(tok))
-		if want := m < 1<<24 && k <= 10; ok != want {
-			t.Fatalf("%s: exact path taken %v, want %v", tok, ok, want)
-		}
 		want, err := strconv.ParseFloat(tok, 32)
 		if err != nil {
 			t.Fatal(err)
@@ -350,10 +382,144 @@ func TestExactFloat32MatchesStrconv(t *testing.T) {
 		if ok && math.Float32bits(got) != math.Float32bits(float32(want)) {
 			t.Fatalf("%s: exact path %v, strconv %v", tok, got, float32(want))
 		}
+		return ok
+	}
+	// inLimits says whether the token's digits read below 2^53 with at
+	// most 22 after the point.
+	inLimits := func(tok string) bool {
+		intPart, frac, _ := strings.Cut(tok, ".")
+		m, err := strconv.ParseUint(intPart+frac, 10, 64)
+		return err == nil && m < 1<<53 && len(frac) <= 22
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 1<<20; n++ {
+		digits := make([]byte, 7+rng.Intn(11))
+		for i := range digits {
+			digits[i] = byte('0' + rng.Intn(10))
+		}
+		tok := string(digits)
+		if k := rng.Intn(len(digits) + 1); k > 0 {
+			tok = tok[:len(tok)-k] + "." + tok[len(tok)-k:]
+		}
+		q, _ := strconv.ParseFloat(tok, 64)
+		want := inLimits(tok) && math.Float64bits(q)&(1<<29-1) != 1<<28
+		if ok := check(tok); ok != want {
+			t.Fatalf("%s: exact path taken %v, want %v", tok, ok, want)
+		}
+	}
+	// Midpoints between float32 neighbours in [2^p, 2^p+1), written out
+	// exactly, shortest (a token that reads as the midpoint in float64
+	// but is not it), and one unit in the last place either side.
+	declined := 0
+	for n := 0; n < 200000; n++ {
+		p := 10 + rng.Intn(44)
+		lo := math.Float32frombits(uint32(p+127)<<23 | uint32(rng.Intn(1<<23-1)))
+		mid := (float64(lo) + float64(math.Nextafter32(lo, float32(math.Inf(1))))) / 2
+		exact := strconv.FormatFloat(mid, 'f', max(0, 24-p), 64)
+		for _, tok := range []string{exact, strconv.FormatFloat(mid, 'f', -1, 64), bump(exact, 1), bump(exact, -1)} {
+			ok := check(tok)
+			if q, _ := strconv.ParseFloat(tok, 64); q == mid && inLimits(tok) {
+				if ok {
+					t.Fatalf("%s: exact path taken on a float32 midpoint", tok)
+				}
+				declined++
+			}
+		}
+	}
+	if declined < 10000 {
+		t.Errorf("only %d midpoint tokens within the exact path's limits", declined)
 	}
 	for _, tok := range []string{"-1.5", "1e3", "1.5E-2"} {
 		if _, ok := exactFloat32([]byte(tok)); ok {
 			t.Errorf("%s: exact path taken for a sign or an exponent", tok)
 		}
 	}
+}
+
+// bump adds delta, ±1, to the last digit of the decimal token tok,
+// carrying or borrowing; it returns tok when the result would need a
+// new leading digit or lose its last.
+func bump(tok string, delta int) string {
+	b := []byte(tok)
+	for i := len(b) - 1; i >= 0; i-- {
+		if b[i] == '.' {
+			continue
+		}
+		if d := int(b[i]-'0') + delta; d >= 0 && d <= 9 {
+			b[i] = byte('0' + d)
+			return string(b)
+		}
+		b[i] = byte('0' + (10+delta)%10)
+	}
+	return tok
+}
+
+// TestWriterShapeTakesFastPath writes a campaign's worth of traces (the
+// simulator's shape: IPv4, TTLs from 1, rtt = 0.8·ttl + U[0,2) ms) and
+// walks each line the way traceObject and hopsValue do, requiring every
+// hop to match fastHop. A writer change that leaves the fast path's
+// shape fails here instead of only costing the decoder its speed.
+func TestWriterShapeTakesFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(2018))
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
+	var traces []*Trace
+	for i := 0; i < 2000; i++ {
+		tr := &Trace{Stop: StopReason(i % 4), Dst: netip.AddrFrom4([4]byte{byte(rng.Intn(224)), byte(i), 0, 9})}
+		if i%7 != 0 {
+			tr.VP = fmt.Sprintf("vp-%d", i%9)
+		}
+		if i%5 != 0 {
+			tr.Src = netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})
+		}
+		for ttl := 1; ttl <= rng.Intn(32); ttl++ {
+			tr.Hops = append(tr.Hops, Hop{
+				Addr:      netip.AddrFrom4([4]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(ttl), byte(rng.Intn(256))}),
+				ProbeTTL:  uint8(ttl),
+				Reply:     ReplyType(rng.Intn(3)),
+				RTTMillis: float32(ttl)*0.8 + float32(rng.Float64()*2),
+			})
+		}
+		if len(tr.Hops) > 0 && i%3 == 0 {
+			tr.Hops[0].RTTMillis = 0 // written without "rtt"
+		}
+		if err := w.Write(tr); err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+	for n, line := range lines {
+		tr := traces[n]
+		d := decoder{line: line, pos: 1, vps: make(interner)}
+		for first := true; ; first = false {
+			key, done, err := d.nextKey(first)
+			if err != nil || done {
+				t.Fatalf("line %d: no hops (%v):\n%s", n+1, err, line)
+			}
+			if matchField(key, traceFields) == fHops {
+				break
+			}
+			if _, err := d.stringValue(); err != nil {
+				t.Fatalf("line %d: %v", n+1, err)
+			}
+		}
+		d.pos++ // the '[' of "hops"
+		for i := range tr.Hops {
+			if _, err := d.nextElem(i == 0); err != nil {
+				t.Fatalf("line %d: %v", n+1, err)
+			}
+			var h rawHop
+			if !d.fastHop(&h) {
+				t.Fatalf("line %d: hop %d at byte %d not taken by the fast path:\n%s", n+1, i, d.pos, line)
+			}
+		}
+		if rest := string(line[d.pos:]); rest != "]}" {
+			t.Fatalf("line %d: %q after the hops", n+1, rest)
+		}
+	}
+	checkDifferential(t, buf.Bytes())
 }

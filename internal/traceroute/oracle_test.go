@@ -8,6 +8,53 @@ import (
 	"net/netip"
 )
 
+// jsonHop is the wire form of a hop in the JSONL codec, mirroring the
+// fields scamper's JSON output uses for the same information.
+type jsonHop struct {
+	Addr     string  `json:"addr"`
+	ProbeTTL uint8   `json:"probe_ttl"`
+	ICMPType uint8   `json:"icmp_type"`
+	RTT      float32 `json:"rtt,omitempty"`
+}
+
+// jsonTrace is the wire form of a trace. The Type and Method fields
+// exist for scamper compatibility: sc_warts2json streams carry a
+// "type" discriminator ("trace", "cycle-start", …) and a probing
+// method; records that are not traces are skipped.
+type jsonTrace struct {
+	Type   string    `json:"type,omitempty"`
+	Method string    `json:"method,omitempty"`
+	VP     string    `json:"vp,omitempty"`
+	Src    string    `json:"src,omitempty"`
+	Dst    string    `json:"dst"`
+	Stop   string    `json:"stop_reason"`
+	Hops   []jsonHop `json:"hops"`
+}
+
+// writeJSONLOracle is JSONLWriter.Write as the package shipped it before
+// the writer appended bytes by hand: the wire struct through
+// json.Encoder. FuzzWriteJSONL holds the writer to it byte for byte.
+func writeJSONLOracle(enc *json.Encoder, t *Trace) error {
+	wire := jsonTrace{
+		VP:   t.VP,
+		Dst:  t.Dst.String(),
+		Stop: t.Stop.String(),
+		Hops: make([]jsonHop, len(t.Hops)),
+	}
+	if t.Src.IsValid() {
+		wire.Src = t.Src.String()
+	}
+	for i, h := range t.Hops {
+		wire.Hops[i] = jsonHop{
+			Addr:     h.Addr.String(),
+			ProbeTTL: h.ProbeTTL,
+			ICMPType: h.Reply.ICMPType(),
+			RTT:      h.RTTMillis,
+		}
+	}
+	return enc.Encode(wire)
+}
+
 // The reader this package shipped before the single-pass decoder:
 // bufio.Scanner, json.Unmarshal into the wire struct, then toTrace. It
 // is kept verbatim as the oracle that defines the decoder's accept set
