@@ -96,7 +96,8 @@ bench:
 # its alias resolution over a small campaign (MIDAR, kapar), one daemon
 # request per query class through the handler, without a socket, and
 # what a process reads before it refines: the MRT and text RIB readers,
-# the ITDK nodes reader and a Builder image's decode and replay.
+# the ITDK nodes reader and a Builder image's decode and replay; and
+# relationship inference and every customer cone at rung M.
 bench-micro:
 	$(GO) test -short -bench 'BenchmarkRefineWorkers|BenchmarkInferenceWorkers|BenchmarkRefineRecorder|BenchmarkServeSnapshot' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadJSONL|BenchmarkReadBinary|BenchmarkWriteJSONL' -benchmem ./internal/traceroute
@@ -106,6 +107,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkHandler' -benchmem ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkMRTRead' -benchmem ./internal/mrt
 	$(GO) test -run '^$$' -bench 'BenchmarkReadRoutes' -benchmem ./internal/bgp
+	$(GO) test -run '^$$' -bench 'BenchmarkInfer|BenchmarkAllCones' -benchmem ./internal/asrel
 
 # CI gate: a fresh S rung end-to-end, validated against the benchfmt
 # schema by reportcheck, compared metric-by-metric against the committed
@@ -144,7 +146,9 @@ smoke:
 # refinement-log targets cap it too (uncapped, a 6 s log burst spent its
 # second half in minimization): uncapped, a cold 30 s provenance burst stalled in
 # minimization after 28 k executions (capped, 15 s reach 300 k), and a
-# 20 s reader burst after 88 k (capped, 15 s reach 200 k).
+# 20 s reader burst after 88 k (capped, 15 s reach 200 k). The
+# relationship reader's differential target caps it for the graph
+# builders' reason: its oracle's sets are hash maps.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/alias -run '^$$' -fuzz '^FuzzReadNodes$$' -fuzztime $(FUZZTIME)
@@ -166,6 +170,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prov -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/asrel -run '^$$' -fuzz '^FuzzReadDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # Decision-provenance smoke: run the quickstart topology with
 # -provenance on, check the prov.* aggregates reached the run report,

@@ -38,7 +38,6 @@ import (
 	"sync"
 
 	"repro/internal/asn"
-	"repro/internal/asrel"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/ip2as"
@@ -469,19 +468,4 @@ func withFileErr(path string, f func(io.Reader) error) error {
 	}
 	defer fh.Close()
 	return f(fh)
-}
-
-func mergeRels(dst, src *asrel.Graph) {
-	for _, a := range src.ASes() {
-		//lint:ignore maporder edge insertion into the relationship graph commutes: AddP2C is idempotent per (a,c) pair
-		for c := range src.Customers(a) {
-			dst.AddP2C(a, c)
-		}
-		//lint:ignore maporder edge insertion commutes: AddP2P is idempotent per (a,p) pair
-		for p := range src.Peers(a) {
-			if a < p {
-				dst.AddP2P(a, p)
-			}
-		}
-	}
 }

@@ -2,6 +2,7 @@ package bdrmapit
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +110,54 @@ func TestRunWithoutRelationshipFile(t *testing.T) {
 	}
 	if len(res.InterdomainLinks()) == 0 {
 		t.Error("no links without a relationship file")
+	}
+}
+
+// TestRelationshipsSplitAcrossFiles: the relationship file's edges split
+// over two files (alternate lines, one edge in both) give the one file's
+// annotations. The first file's graph is the run's, and the second is
+// merged into it.
+func TestRelationshipsSplitAcrossFiles(t *testing.T) {
+	p, _ := dataset(t)
+	data, err := os.ReadFile(p.Relationships)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	var halves [2]strings.Builder
+	for k, line := range lines {
+		halves[k%2].WriteString(line)
+	}
+	halves[1].WriteString(lines[len(lines)/2])
+	dir := t.TempDir()
+	var paths []string
+	for k := range halves {
+		path := filepath.Join(dir, fmt.Sprintf("as-rel-%d.txt", k))
+		if err := os.WriteFile(path, []byte(halves[k].String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	split, err := Run(Sources{
+		TraceroutePaths:     []string{p.Traceroutes},
+		BGPRIBPaths:         []string{p.RIB},
+		RIRDelegationPaths:  []string{p.Delegations},
+		IXPPrefixListPaths:  []string{p.IXPPrefixes},
+		ASRelationshipPaths: paths,
+		AliasNodePaths:      []string{p.Aliases},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := split.Annotations(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := runFull(t, Options{}).Annotations(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("annotations from the split relationship files (%d bytes) differ from the one file's (%d bytes)", got.Len(), want.Len())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,36 +22,32 @@ import (
 // Graph holds AS relationships. The zero value is not usable; construct
 // with New.
 //
-// Once construction (AddP2C/AddP2P) is done, a Graph is safe for any
-// number of concurrent readers: the lazily-filled customer-cone cache —
-// the only state queries mutate — is guarded by an RWMutex, which the
+// Once construction (AddP2C/AddP2P/Merge) is done, a Graph is safe for
+// any number of concurrent readers: the lazily-filled customer-cone cache
+// — the only state queries mutate — is guarded by an RWMutex, which the
 // parallel refinement engine relies on (core.Options.Workers > 1).
 type Graph struct {
-	providers map[asn.ASN]asn.Set // AS → its transit providers
-	customers map[asn.ASN]asn.Set // AS → its customers
-	peers     map[asn.ASN]asn.Set // AS → its settlement-free peers
+	providers map[asn.ASN]asn.SmallSet // AS → its transit providers
+	customers map[asn.ASN]asn.SmallSet // AS → its customers
+	peers     map[asn.ASN]asn.SmallSet // AS → its settlement-free peers
 
-	coneMu sync.RWMutex // guards cones and sizes
-	cones  map[asn.ASN]asn.Set
-	sizes  map[asn.ASN]int
+	coneMu sync.RWMutex // guards cones
+	cones  map[asn.ASN]asn.SmallSet
 }
 
 // New returns an empty relationship graph.
 func New() *Graph {
 	return &Graph{
-		providers: make(map[asn.ASN]asn.Set),
-		customers: make(map[asn.ASN]asn.Set),
-		peers:     make(map[asn.ASN]asn.Set),
+		providers: make(map[asn.ASN]asn.SmallSet),
+		customers: make(map[asn.ASN]asn.SmallSet),
+		peers:     make(map[asn.ASN]asn.SmallSet),
 	}
 }
 
-func addTo(m map[asn.ASN]asn.Set, k, v asn.ASN) {
-	s, ok := m[k]
-	if !ok {
-		s = asn.NewSet()
+func addTo(m map[asn.ASN]asn.SmallSet, k, v asn.ASN) {
+	if s := m[k]; s.Add(v) {
 		m[k] = s
 	}
-	s.Add(v)
 }
 
 // AddP2C records that provider transits customer.
@@ -73,10 +70,23 @@ func (g *Graph) AddP2P(a, b asn.ASN) {
 	g.invalidate()
 }
 
+// Merge adds every relationship of other to g.
+func (g *Graph) Merge(other *Graph) {
+	for _, a := range other.ASes() {
+		for _, c := range other.customers[a] {
+			g.AddP2C(a, c)
+		}
+		for _, p := range other.peers[a] {
+			if a < p {
+				g.AddP2P(a, p)
+			}
+		}
+	}
+}
+
 func (g *Graph) invalidate() {
 	g.coneMu.Lock()
 	g.cones = nil
-	g.sizes = nil
 	g.coneMu.Unlock()
 }
 
@@ -95,43 +105,28 @@ func (g *Graph) IsProvider(p, c asn.ASN) bool { return g.customers[p].Has(c) }
 // IsPeer reports whether a and b peer.
 func (g *Graph) IsPeer(a, b asn.ASN) bool { return g.peers[a].Has(b) }
 
-// Providers returns the providers of a (never nil).
-func (g *Graph) Providers(a asn.ASN) asn.Set {
-	if s, ok := g.providers[a]; ok {
-		return s
-	}
-	return asn.Set{}
-}
+// Providers returns the providers of a, ascending. The set is the
+// graph's own: do not modify it.
+func (g *Graph) Providers(a asn.ASN) asn.SmallSet { return g.providers[a] }
 
-// Customers returns the customers of a (never nil).
-func (g *Graph) Customers(a asn.ASN) asn.Set {
-	if s, ok := g.customers[a]; ok {
-		return s
-	}
-	return asn.Set{}
-}
+// Customers returns the customers of a, ascending. The set is the
+// graph's own: do not modify it.
+func (g *Graph) Customers(a asn.ASN) asn.SmallSet { return g.customers[a] }
 
-// Peers returns the peers of a (never nil).
-func (g *Graph) Peers(a asn.ASN) asn.Set {
-	if s, ok := g.peers[a]; ok {
-		return s
-	}
-	return asn.Set{}
-}
+// Peers returns the peers of a, ascending. The set is the graph's own:
+// do not modify it.
+func (g *Graph) Peers(a asn.ASN) asn.SmallSet { return g.peers[a] }
 
 // ASes returns every AS mentioned in the graph, sorted.
 func (g *Graph) ASes() []asn.ASN {
-	seen := asn.NewSet()
-	for a := range g.providers {
-		seen.Add(a)
+	out := make([]asn.ASN, 0, len(g.providers)+len(g.customers)+len(g.peers))
+	for _, m := range [...]map[asn.ASN]asn.SmallSet{g.providers, g.customers, g.peers} {
+		for a := range m {
+			out = append(out, a)
+		}
 	}
-	for a := range g.customers {
-		seen.Add(a)
-	}
-	for a := range g.peers {
-		seen.Add(a)
-	}
-	return seen.Sorted()
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NumEdges returns the count of distinct relationship edges.
@@ -149,60 +144,48 @@ func (g *Graph) NumEdges() int {
 
 // CustomerCone returns the customer cone of a: a itself plus every AS
 // reachable from a by following only provider→customer edges (paper
-// §4.1). The result is cached; do not mutate it. Safe to call from many
-// goroutines at once.
-func (g *Graph) CustomerCone(a asn.ASN) asn.Set {
+// §4.1), ascending. The result is cached; do not modify it. Safe to call
+// from many goroutines at once.
+func (g *Graph) CustomerCone(a asn.ASN) asn.SmallSet {
 	g.coneMu.RLock()
-	c, ok := g.cones[a]
+	cone, ok := g.cones[a]
 	g.coneMu.RUnlock()
 	if ok {
-		return c
+		return cone
 	}
-	// Compute outside the lock (the BFS reads only the immutable
-	// relationship maps); a racing goroutine computing the same cone
-	// just produces an identical set, and one of the two wins the cache.
-	cone := asn.NewSet(a)
-	queue := []asn.ASN{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for c := range g.customers[cur] {
-			if !cone.Has(c) {
-				cone.Add(c)
-				queue = append(queue, c)
+	// One breadth-first walk outside the lock (it reads only the
+	// immutable customer sets), with the cone itself as the queue; its
+	// members are sorted once at the end. A racing goroutine computing
+	// the same cone just produces an identical set, and one of the two
+	// wins the cache.
+	cone = asn.SmallSet{a}
+	if len(g.customers[a]) > 0 {
+		seen := map[asn.ASN]bool{a: true}
+		for next := 0; next < len(cone); next++ {
+			for _, c := range g.customers[cone[next]] {
+				if !seen[c] {
+					seen[c] = true
+					cone = append(cone, c)
+				}
 			}
 		}
+		slices.Sort(cone)
 	}
 	g.coneMu.Lock()
 	if g.cones == nil {
-		g.cones = make(map[asn.ASN]asn.Set)
-		g.sizes = make(map[asn.ASN]int)
+		g.cones = make(map[asn.ASN]asn.SmallSet)
 	}
 	if prior, ok := g.cones[a]; ok {
 		cone = prior // keep the first published set stable for readers
 	} else {
 		g.cones[a] = cone
-		g.sizes[a] = cone.Len()
 	}
 	g.coneMu.Unlock()
 	return cone
 }
 
 // ConeSize returns |CustomerCone(a)|. Stub ASes have cone size 1.
-func (g *Graph) ConeSize(a asn.ASN) int {
-	g.coneMu.RLock()
-	n, ok := g.sizes[a]
-	g.coneMu.RUnlock()
-	if ok {
-		return n
-	}
-	return g.CustomerCone(a).Len()
-}
-
-// InCone reports whether member is inside owner's customer cone.
-func (g *Graph) InCone(owner, member asn.ASN) bool {
-	return g.CustomerCone(owner).Has(member)
-}
+func (g *Graph) ConeSize(a asn.ASN) int { return len(g.CustomerCone(a)) }
 
 // SmallestCone returns the candidate with the smallest customer cone,
 // breaking ties toward the smallest ASN. It returns asn.None for an
@@ -287,12 +270,12 @@ func (g *Graph) Write(w io.Writer) error {
 	}
 	var edges []edge
 	for p, cs := range g.customers {
-		for c := range cs {
+		for _, c := range cs {
 			edges = append(edges, edge{p, c, -1})
 		}
 	}
 	for a, ps := range g.peers {
-		for b := range ps {
+		for _, b := range ps {
 			if a < b {
 				edges = append(edges, edge{a, b, 0})
 			}

@@ -56,18 +56,14 @@ func TestSelfAndNoneEdgesIgnored(t *testing.T) {
 func TestCustomerCone(t *testing.T) {
 	g := buildTestGraph()
 	cone := g.CustomerCone(1)
-	want := asn.NewSet(1, 3, 5, 6)
-	if !cone.Equal(want) {
-		t.Errorf("cone(1) = %v, want %v", cone.Sorted(), want.Sorted())
+	if want := (asn.SmallSet{1, 3, 5, 6}); !cone.Equal(want) {
+		t.Errorf("cone(1) = %v, want %v", cone, want)
 	}
 	if g.ConeSize(1) != 4 {
 		t.Errorf("coneSize(1) = %d", g.ConeSize(1))
 	}
 	if g.ConeSize(5) != 1 {
 		t.Errorf("stub cone = %d", g.ConeSize(5))
-	}
-	if !g.InCone(1, 6) || g.InCone(1, 4) {
-		t.Error("InCone wrong")
 	}
 }
 

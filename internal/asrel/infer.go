@@ -1,6 +1,7 @@
 package asrel
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/asn"
@@ -117,16 +118,11 @@ func Infer(paths [][]asn.ASN) *Graph {
 // transitDegrees counts, for each AS, the distinct neighbours seen while
 // the AS appears in the middle of a path (i.e. providing transit).
 func transitDegrees(paths [][]asn.ASN) map[asn.ASN]int {
-	nbrs := make(map[asn.ASN]asn.Set)
+	nbrs := make(map[asn.ASN]asn.SmallSet)
 	for _, path := range paths {
 		for i := 1; i+1 < len(path); i++ {
-			s, ok := nbrs[path[i]]
-			if !ok {
-				s = asn.NewSet()
-				nbrs[path[i]] = s
-			}
-			s.Add(path[i-1])
-			s.Add(path[i+1])
+			addTo(nbrs, path[i], path[i-1])
+			addTo(nbrs, path[i], path[i+1])
 		}
 	}
 	deg := make(map[asn.ASN]int, len(nbrs))
@@ -140,21 +136,7 @@ func transitDegrees(paths [][]asn.ASN) map[asn.ASN]int {
 // that are mutually adjacent in the paths, seeding from the highest-
 // degree AS (the Luckie-2013 clique construction, without the
 // Bron–Kerbosch refinement).
-func inferClique(paths [][]asn.ASN, deg map[asn.ASN]int, max int) asn.Set {
-	adj := make(map[asn.ASN]asn.Set)
-	for _, path := range paths {
-		for i := 0; i+1 < len(path); i++ {
-			a, b := path[i], path[i+1]
-			for _, pr := range [2][2]asn.ASN{{a, b}, {b, a}} {
-				s, ok := adj[pr[0]]
-				if !ok {
-					s = asn.NewSet()
-					adj[pr[0]] = s
-				}
-				s.Add(pr[1])
-			}
-		}
-	}
+func inferClique(paths [][]asn.ASN, deg map[asn.ASN]int, max int) asn.SmallSet {
 	type kv struct {
 		a asn.ASN
 		d int
@@ -169,7 +151,7 @@ func inferClique(paths [][]asn.ASN, deg map[asn.ASN]int, max int) asn.Set {
 		}
 		return order[i].a < order[j].a
 	})
-	clique := asn.NewSet()
+	var clique asn.SmallSet
 	if len(order) == 0 {
 		return clique
 	}
@@ -177,12 +159,31 @@ func inferClique(paths [][]asn.ASN, deg map[asn.ASN]int, max int) asn.Set {
 	// degree comparable to the top AS — regional transits adjacent to a
 	// tier-1 must not slip in.
 	minDeg := (order[0].d*2 + 2) / 3
+	// Only ASes of at least minDeg can join, so adjacency is needed
+	// among them alone.
+	var cands asn.SmallSet
+	for _, kv := range order {
+		if kv.d < minDeg {
+			break
+		}
+		cands = append(cands, kv.a)
+	}
+	slices.Sort(cands)
+	adj := make(map[asn.ASN]asn.SmallSet)
+	for _, path := range paths {
+		for i := 0; i+1 < len(path); i++ {
+			if a, b := path[i], path[i+1]; cands.Has(a) && cands.Has(b) {
+				addTo(adj, a, b)
+				addTo(adj, b, a)
+			}
+		}
+	}
 	for _, cand := range order {
 		if clique.Len() >= max || cand.d < minDeg {
 			break
 		}
 		ok := true
-		for member := range clique {
+		for _, member := range clique {
 			if !adj[cand.a].Has(member) {
 				ok = false
 				break
@@ -198,7 +199,7 @@ func inferClique(paths [][]asn.ASN, deg map[asn.ASN]int, max int) asn.Set {
 // pathPeak returns the index of the path's topological top — the first
 // clique member if any, otherwise the AS with the highest transit
 // degree — and whether a clique member anchored it.
-func pathPeak(path []asn.ASN, deg map[asn.ASN]int, clique asn.Set) (int, bool) {
+func pathPeak(path []asn.ASN, deg map[asn.ASN]int, clique asn.SmallSet) (int, bool) {
 	for i, a := range path {
 		if clique.Has(a) {
 			return i, true
@@ -214,12 +215,10 @@ func pathPeak(path []asn.ASN, deg map[asn.ASN]int, clique asn.Set) (int, bool) {
 }
 
 func hasLoop(path []asn.ASN) bool {
-	seen := make(asn.Set, len(path))
-	for _, a := range path {
-		if seen.Has(a) {
+	for i, a := range path {
+		if slices.Contains(path[:i], a) {
 			return true
 		}
-		seen.Add(a)
 	}
 	return false
 }

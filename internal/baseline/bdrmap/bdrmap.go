@@ -51,13 +51,13 @@ func (r *Result) OperatorOf(addr netip.Addr) asn.ASN {
 // Neighbors returns the ASes inferred to interconnect with the VP
 // network.
 func (r *Result) Neighbors() []asn.ASN {
-	s := asn.NewSet()
+	var s asn.SmallSet
 	for _, rt := range r.graph.Routers {
 		if rt.Annotation != asn.None && rt.Annotation != r.vpAS {
 			s.Add(rt.Annotation)
 		}
 	}
-	return s.Sorted()
+	return s
 }
 
 // Infer runs bdrmap over a single-VP trace archive.
@@ -149,13 +149,13 @@ func annotateBorder(r *core.Router, rels core.RelationshipOracle, vp asn.ASN) as
 		// peers at IXPs without requiring a previously known
 		// relationship. (A router that also exposes VP address space is
 		// the VP's own port and is handled below.)
-		fwd := make(asn.Counter)
+		var fwd asn.Tally
 		for _, l := range r.Links {
 			if o := l.To.Origin; o != asn.None && o != vp {
-				fwd.Inc(o, 1)
+				fwd.Add(o, 1)
 			}
 		}
-		if top, _ := fwd.Max(); len(top) > 0 {
+		if top, _ := fwd.Max(nil); len(top) > 0 {
 			return rels.SmallestCone(top)
 		}
 		return asn.None
@@ -165,16 +165,16 @@ func annotateBorder(r *core.Router, rels core.RelationshipOracle, vp asn.ASN) as
 		// The router exposes foreign address space: vote among its
 		// interface origins, constrained to ASes with a relationship to
 		// the VP network.
-		votes := make(asn.Counter)
+		var votes asn.Tally
 		for _, i := range r.Interfaces {
 			if i.Origin == asn.None || i.Kind == ip2as.IXP || i.Origin == vp {
 				continue
 			}
 			if rels.HasRelationship(vp, i.Origin) {
-				votes.Inc(i.Origin, 1)
+				votes.Add(i.Origin, 1)
 			}
 		}
-		if top, _ := votes.Max(); len(top) > 0 {
+		if top, _ := votes.Max(nil); len(top) > 0 {
 			return rels.SmallestCone(top)
 		}
 	}
@@ -184,13 +184,13 @@ func annotateBorder(r *core.Router, rels core.RelationshipOracle, vp asn.ASN) as
 	// neighbour's ingress reveals the neighbour's space one hop on. A
 	// clear majority is required — the VP's own egress borders also fan
 	// out to neighbours.
-	fwd := make(asn.Counter)
+	var fwd asn.Tally
 	for _, l := range r.Links {
 		if o := l.To.Origin; o != asn.None && o != vp {
-			fwd.Inc(o, 1)
+			fwd.Add(o, 1)
 		}
 	}
-	if top, n := fwd.Max(); len(top) > 0 && n*2 > len(r.Links) {
+	if top, n := fwd.Max(nil); len(top) > 0 && int(n)*2 > len(r.Links) {
 		return rels.SmallestCone(top)
 	}
 
@@ -220,12 +220,12 @@ func annotateBorder(r *core.Router, rels core.RelationshipOracle, vp asn.ASN) as
 	if vpOnly {
 		return vp
 	}
-	all := make(asn.Counter)
+	var all asn.Tally
 	for _, i := range r.Interfaces {
 		if i.Origin != asn.None {
-			all.Inc(i.Origin, 1)
+			all.Add(i.Origin, 1)
 		}
 	}
-	top, _ := all.Max()
+	top, _ := all.Max(nil)
 	return rels.SmallestCone(top)
 }

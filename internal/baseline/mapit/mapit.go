@@ -177,7 +177,7 @@ func Infer(traces []*traceroute.Trace, resolver *ip2as.Resolver, opts Options) *
 // neighbours' refined operators vote (the MAP-IT graph-refinement
 // step); otherwise their address origins do.
 func majority(res *Result, nbrs map[netip.Addr]int, self asn.ASN, threshold float64, useOperator bool) (asn.ASN, bool) {
-	votes := make(asn.Counter)
+	var votes asn.Tally
 	total := 0
 	for addr, w := range nbrs {
 		n := res.nodes[addr]
@@ -188,13 +188,13 @@ func majority(res *Result, nbrs map[netip.Addr]int, self asn.ASN, threshold floa
 		if v == asn.None {
 			continue
 		}
-		votes.Inc(v, w)
+		votes.Add(v, int32(w))
 		total += w
 	}
 	if total == 0 {
 		return asn.None, false
 	}
-	top, n := votes.Max()
+	top, n := votes.Max(nil)
 	if len(top) != 1 {
 		return asn.None, false
 	}
@@ -207,7 +207,7 @@ func majority(res *Result, nbrs map[netip.Addr]int, self asn.ASN, threshold floa
 	// A half-link interface sits entirely past (or before) the border:
 	// any vote for the interface's own AS means it still fans into its
 	// origin's space and is not a far half.
-	if !useOperator && votes[self] > 0 {
+	if !useOperator && votes.Count(self) > 0 {
 		return asn.None, false
 	}
 	return top[0], true

@@ -7,6 +7,7 @@ package bgp
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
@@ -77,23 +78,23 @@ func (r Route) ASPath() []asn.ASN {
 // ParsePath parses a space-separated AS path such as
 // "3356 174 {64512,64513}".
 func ParsePath(s string) ([]PathElem, error) {
-	return appendPath(nil, s)
+	return appendPath(nil, []byte(s))
 }
 
 // appendPath appends the elements of the AS path s to out, walking its
 // fields in place.
-func appendPath(out []PathElem, s string) ([]PathElem, error) {
-	for f, rest := netutil.CutField(s); f != ""; f, rest = netutil.CutField(rest) {
+func appendPath(out []PathElem, s []byte) ([]PathElem, error) {
+	for f, rest := netutil.CutField(s); len(f) > 0; f, rest = netutil.CutField(rest) {
 		if f[0] == '{' {
-			inner := strings.Trim(f, "{}")
-			if inner == "" {
+			inner := bytes.Trim(f, "{}")
+			if len(inner) == 0 {
 				return nil, fmt.Errorf("bgp: empty AS_SET in path %q", s)
 			}
-			set := make([]asn.ASN, 0, strings.Count(inner, ",")+1)
+			set := make([]asn.ASN, 0, bytes.Count(inner, []byte{','})+1)
 			for m, more := inner, true; more; {
-				var member string
-				member, m, more = strings.Cut(m, ",")
-				a, err := asn.Parse(member)
+				var member []byte
+				member, m, more = bytes.Cut(m, []byte{','})
+				a, err := asn.ParseBytes(member)
 				if err != nil {
 					return nil, fmt.Errorf("bgp: AS_SET member: %w", err)
 				}
@@ -103,7 +104,7 @@ func appendPath(out []PathElem, s string) ([]PathElem, error) {
 			out = append(out, PathElem{Set: set})
 			continue
 		}
-		a, err := asn.Parse(f)
+		a, err := asn.ParseBytes(f)
 		if err != nil {
 			return nil, fmt.Errorf("bgp: path element: %w", err)
 		}
@@ -128,8 +129,8 @@ func ReadRoutes(r io.Reader) ([]Route, error) {
 }
 
 // ReadRoutesStats is ReadRoutes returning skip tallies alongside the
-// parsed routes. It streams, one line at a time, and cuts the paths from
-// shared chunks (arena.Slab).
+// parsed routes. It streams, one line at a time, parses each line in the
+// scanner's buffer, and cuts the paths from shared chunks (arena.Slab).
 func ReadRoutesStats(r io.Reader) ([]Route, ReadStats, error) {
 	var stats ReadStats
 	sc := bufio.NewScanner(r)
@@ -142,20 +143,20 @@ func ReadRoutesStats(r io.Reader) ([]Route, ReadStats, error) {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			stats.SkippedLines++
 			continue
 		}
-		pfxStr, pathStr, ok := strings.Cut(line, "|")
-		if !ok {
+		bar := bytes.IndexByte(line, '|')
+		if bar < 0 {
 			return nil, stats, fmt.Errorf("bgp: line %d: missing '|' separator", lineno)
 		}
-		p, err := netip.ParsePrefix(strings.TrimSpace(pfxStr))
+		p, err := netutil.ParsePrefix(bytes.TrimSpace(line[:bar]))
 		if err != nil {
 			return nil, stats, fmt.Errorf("bgp: line %d: %w", lineno, err)
 		}
-		if path, err = appendPath(path[:0], pathStr); err != nil {
+		if path, err = appendPath(path[:0], line[bar+1:]); err != nil {
 			return nil, stats, fmt.Errorf("bgp: line %d: %w", lineno, err)
 		}
 		if len(path) == 0 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // This file is the one implementation of the repo's artifact framing
@@ -124,17 +123,6 @@ func ReadFrameRange(data []byte, magic string, minVersion, maxVersion byte, kind
 		return fail(fmt.Sprintf("checksum mismatch (stored %#x, computed %#x)", wantCRC, got))
 	}
 	return data[headLen : len(data)-4], version, nil
-}
-
-// ReadFrameFile reads path fully and validates its envelope, returning
-// the payload. Open and read failures are returned as wrapped I/O
-// errors; structural violations as a *FrameError.
-func ReadFrameFile(path, magic string, version byte, kind string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s %s: %w", kind, path, err)
-	}
-	return ReadFrame(data, magic, version, kind)
 }
 
 // Fingerprint is the repo's content fingerprint: FNV-64a over data. A

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/alias"
-	"repro/internal/asn"
 	"repro/internal/baseline/bdrmap"
 	"repro/internal/core"
 	"repro/internal/topo"
@@ -17,7 +16,7 @@ func testWorld(t *testing.T) (*topo.Internet, Engine, Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vps := in.SelectVPs(1, asn.NewSet())
+	vps := in.SelectVPs(1, nil)
 	if len(vps) == 0 {
 		t.Fatal("no VP")
 	}
@@ -65,7 +64,7 @@ func TestRunResolvesAliases(t *testing.T) {
 // way the original system did: reactive collection, then inference.
 func TestCollectionFeedsBdrmap(t *testing.T) {
 	in, eng, opts := testWorld(t)
-	vps := in.SelectVPs(1, asn.NewSet())
+	vps := in.SelectVPs(1, nil)
 	res := Run(eng, in.RoutedPrefixes(), opts)
 	if len(res.Traces) == 0 {
 		t.Fatal("no traces collected")

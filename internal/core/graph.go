@@ -996,16 +996,18 @@ func (s *GraphStats) merge(other GraphStats) {
 // consumes; the indirection keeps core testable with table-driven fakes.
 // When Options.Workers > 1 the engine queries the oracle from many
 // goroutines at once, so implementations must be safe for concurrent
-// readers (asrel.Graph guards its lazy cone cache accordingly).
+// readers (asrel.Graph guards its lazy cone cache accordingly). The sets
+// it returns are ascending and the oracle's own: read them, never modify
+// them.
 type RelationshipOracle interface {
 	HasRelationship(a, b asn.ASN) bool
 	IsProvider(p, c asn.ASN) bool
 	IsPeer(a, b asn.ASN) bool
-	Providers(a asn.ASN) asn.Set
-	Customers(a asn.ASN) asn.Set
-	Peers(a asn.ASN) asn.Set
+	Providers(a asn.ASN) asn.SmallSet
+	Customers(a asn.ASN) asn.SmallSet
+	Peers(a asn.ASN) asn.SmallSet
 	ConeSize(a asn.ASN) int
-	CustomerCone(a asn.ASN) asn.Set
+	CustomerCone(a asn.ASN) asn.SmallSet
 	SmallestCone(candidates []asn.ASN) asn.ASN
 	LargestCone(candidates []asn.ASN) asn.ASN
 }

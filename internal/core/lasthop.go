@@ -107,9 +107,8 @@ func annotateEmptyDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *
 	// An AS outside the set with a relationship to every member: it is
 	// among the first member's neighbours, under one relationship or more.
 	var outside asn.SmallSet
-	for _, nbrs := range [...]asn.Set{rels.Providers(origins[0]), rels.Customers(origins[0]), rels.Peers(origins[0])} {
-		//lint:ignore maporder inserts into a sorted set; SmallestCone below reads it in ascending order whatever order the oracle's set was visited in
-		for a := range nbrs {
+	for _, nbrs := range [...]asn.SmallSet{rels.Providers(origins[0]), rels.Customers(origins[0]), rels.Peers(origins[0])} {
+		for _, a := range nbrs {
 			if origins.Has(a) {
 				continue
 			}
@@ -133,13 +132,13 @@ func annotateEmptyDest(r *Router, rels RelationshipOracle, t *lasthopTally, pr *
 	// Most interface AS mappings; tie → smallest customer cone.
 	t.emptyVote.Inc()
 	setRule(pr, prov.RuleLHVote)
-	var votes tally
+	var votes asn.Tally
 	for _, i := range r.Interfaces {
 		if i.Origin != asn.None {
-			votes.add(i.Origin, 1)
+			votes.Add(i.Origin, 1)
 		}
 	}
-	top, _ := votes.max(nil)
+	top, _ := votes.Max(nil)
 	a := rels.SmallestCone(top)
 	fillTally(pr, votes, a)
 	return a

@@ -9,7 +9,7 @@ package core
 //
 // So are the AS sets as hash maps, which the graph held before they
 // became sorted slices (asn.SmallSet): the oracle accumulates, cleans and
-// aggregates in asn.Set side tables keyed by the entity, and Finish
+// aggregates in mapSet side tables keyed by the entity, and Finish
 // renders each into its graph field only once it is final — where
 // diffGraphs compares.
 //
@@ -41,6 +41,70 @@ import (
 	"repro/internal/traceroute"
 )
 
+// mapSet and counter are asn.Set and asn.Counter as they were before
+// the sorted slice (asn.SmallSet) and the sorted tally (asn.Tally)
+// became the program's only AS set and vote counter: the oracle keeps
+// its sets and tallies in a different representation from production's.
+type mapSet map[asn.ASN]struct{}
+
+func newMapSet(members ...asn.ASN) mapSet {
+	s := make(mapSet, len(members))
+	for _, m := range members {
+		s[m] = struct{}{}
+	}
+	return s
+}
+
+func (s mapSet) Add(a asn.ASN) { s[a] = struct{}{} }
+
+func (s mapSet) Has(a asn.ASN) bool {
+	_, ok := s[a]
+	return ok
+}
+
+func (s mapSet) Len() int { return len(s) }
+
+func (s mapSet) AddAll(other mapSet) {
+	for a := range other {
+		s[a] = struct{}{}
+	}
+}
+
+func (s mapSet) Sorted() []asn.ASN {
+	out := make([]asn.ASN, 0, len(s))
+	for a := range s {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+type counter map[asn.ASN]int
+
+func (c counter) Inc(a asn.ASN, n int) { c[a] += n }
+
+// Max returns the ASes with the highest vote count, sorted ascending,
+// and the count itself. An empty counter returns (nil, 0).
+func (c counter) Max() ([]asn.ASN, int) {
+	best := 0
+	for _, n := range c {
+		if n > best {
+			best = n
+		}
+	}
+	if best == 0 {
+		return nil, 0
+	}
+	var out []asn.ASN
+	for a, n := range c {
+		if n == best {
+			out = append(out, a)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out, best
+}
+
 // oracleBuilder constructs the IR graph incrementally from traceroutes
 // (paper §4). Feed traces with AddTrace, then call Finish. Optionally
 // call PreResolve first to perform the IP→AS lookups concurrently.
@@ -64,9 +128,9 @@ type oracleBuilder struct {
 	traces   int
 	resolved map[netip.Addr]ip2as.Result // PreResolve lookup cache
 
-	ifaceDests                 map[*Interface]asn.Set
-	linkDests                  map[*Link]asn.Set
-	routerOrigins, routerDests map[*Router]asn.Set
+	ifaceDests                 map[*Interface]mapSet
+	linkDests                  map[*Link]mapSet
+	routerOrigins, routerDests map[*Router]mapSet
 	// routerLinks maps each router's subsequent interface addresses to
 	// its links, and linkPrev each link's previous-hop addresses to their
 	// origin AS; Finish renders both into Router.Links and Link.Prev.
@@ -91,10 +155,10 @@ func newOracleBuilder(resolver *ip2as.Resolver, aliases *alias.Sets) *oracleBuil
 		byIface:  make(map[netip.Addr]*Router),
 		seen:     make(map[netip.Addr]bool),
 
-		ifaceDests:    make(map[*Interface]asn.Set),
-		linkDests:     make(map[*Link]asn.Set),
-		routerOrigins: make(map[*Router]asn.Set),
-		routerDests:   make(map[*Router]asn.Set),
+		ifaceDests:    make(map[*Interface]mapSet),
+		linkDests:     make(map[*Link]mapSet),
+		routerOrigins: make(map[*Router]mapSet),
+		routerDests:   make(map[*Router]mapSet),
 		routerLinks:   make(map[*Router]map[netip.Addr]*Link),
 		linkPrev:      make(map[*Link]map[netip.Addr]asn.ASN),
 	}
@@ -122,8 +186,8 @@ func (b *oracleBuilder) routerFor(addr netip.Addr) *Router {
 func (b *oracleBuilder) newRouter() *Router {
 	r := &Router{ID: b.nextID}
 	b.routerLinks[r] = make(map[netip.Addr]*Link)
-	b.routerOrigins[r] = asn.NewSet()
-	b.routerDests[r] = asn.NewSet()
+	b.routerOrigins[r] = newMapSet()
+	b.routerDests[r] = newMapSet()
 	b.nextID++
 	return r
 }
@@ -173,7 +237,7 @@ func (b *oracleBuilder) iface(addr netip.Addr) *Interface {
 			Kind:     res.Kind,
 			EchoOnly: true,
 		}
-		b.ifaceDests[i] = asn.NewSet()
+		b.ifaceDests[i] = newMapSet()
 		i.Router = b.routerFor(addr)
 		i.Router.Interfaces = append(i.Router.Interfaces, i)
 		if i.Origin != asn.None && i.Kind != ip2as.IXP {
@@ -229,7 +293,7 @@ func (b *oracleBuilder) AddTrace(t *traceroute.Trace) {
 				To:    ci,
 				Label: label,
 			}
-			b.linkDests[l] = asn.NewSet()
+			b.linkDests[l] = newMapSet()
 			b.linkPrev[l] = make(map[netip.Addr]asn.ASN, 1)
 			b.routerLinks[ai.Router][c.Addr] = l
 			ci.InLinks = append(ci.InLinks, l)
@@ -417,8 +481,8 @@ func (b *oracleBuilder) Finish(rels RelationshipOracle) *Graph {
 // oracleLinkOrigins returns L(IRi,j): the origin ASes of From's
 // interfaces seen immediately prior to To. Unannounced origins are
 // omitted.
-func oracleLinkOrigins(l *Link) asn.Set {
-	s := asn.NewSet()
+func oracleLinkOrigins(l *Link) mapSet {
+	s := newMapSet()
 	for _, p := range l.Prev {
 		if p.Origin != asn.None {
 			s.Add(p.Origin)
@@ -433,7 +497,7 @@ func oracleLinkOrigins(l *Link) asn.Set {
 // five ASes, and the two share no BGP-observable relationship, the AS
 // with the larger cone is inferred to be the reallocating provider and
 // removed.
-func oracleCleanReallocatedDest(i *Interface, dests asn.Set, rels RelationshipOracle) {
+func oracleCleanReallocatedDest(i *Interface, dests mapSet, rels RelationshipOracle) {
 	ds := dests.Sorted()
 	a, b := ds[0], ds[1]
 	var other asn.ASN
@@ -661,7 +725,7 @@ func campaign(t testing.TB, seed int64, vps int) (*testEnv, []*traceroute.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := in.RunCampaign(in.SelectVPs(vps, asn.NewSet()), in.Targets())
+	traces := in.RunCampaign(in.SelectVPs(vps, nil), in.Targets())
 	seen := make(map[netip.Addr]bool)
 	var addrs []netip.Addr
 	for _, a := range oracleDistinctAddrs(traces) {
@@ -1257,8 +1321,8 @@ func oracleState(g *Graph) string {
 // votes, exception checks, the relationship-restricted election, and
 // the hidden-AS check.
 func oracleAnnotateRouter(r *Router, rels RelationshipOracle, opts Options) asn.ASN {
-	votes := make(asn.Counter)
-	m := make(map[asn.ASN]asn.Set) // vote AS → link origin ASes backing it
+	votes := make(counter)
+	m := make(map[asn.ASN]mapSet) // vote AS → link origin ASes backing it
 	linkVote := make(map[*Link]asn.ASN)
 
 	links := selectLinks(r)
@@ -1270,7 +1334,7 @@ func oracleAnnotateRouter(r *Router, rels RelationshipOracle, opts Options) asn.
 		votes.Inc(a, 1)
 		s, ok := m[a]
 		if !ok {
-			s = asn.NewSet()
+			s = newMapSet()
 			m[a] = s
 		}
 		s.AddAll(oracleLinkOrigins(l))
@@ -1303,7 +1367,7 @@ func oracleAnnotateRouter(r *Router, rels RelationshipOracle, opts Options) asn.
 
 	// Alg. 2 lines 11–12: restrict the election to origin ASes plus
 	// subsequent ASes with a relationship to an origin on their links.
-	restricted := asn.NewSet(r.OriginSet...)
+	restricted := newMapSet(r.OriginSet...)
 	grew := false
 	for v := range votes {
 		if r.OriginSet.Has(v) {
@@ -1334,7 +1398,7 @@ func oracleAnnotateRouter(r *Router, rels RelationshipOracle, opts Options) asn.
 
 // oracleElectFrom picks the AS with the most votes among the allowed
 // set. asn.None when no allowed AS has votes.
-func oracleElectFrom(r *Router, votes asn.Counter, allowed asn.Set, rels RelationshipOracle, opts Options) asn.ASN {
+func oracleElectFrom(r *Router, votes counter, allowed mapSet, rels RelationshipOracle, opts Options) asn.ASN {
 	best := 0
 	for v, n := range votes {
 		if allowed.Has(v) && n > best {
@@ -1466,7 +1530,7 @@ func oracleLinkHeuristics(l *Link, rels RelationshipOracle, opts Options) asn.AS
 // reallocated prefix and their votes move from the provider to the
 // customer.
 func oracleFixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.ASN,
-	votes asn.Counter, m map[asn.ASN]asn.Set, rels RelationshipOracle) {
+	votes counter, m map[asn.ASN]mapSet, rels RelationshipOracle) {
 
 	var cands []*Link
 	for _, l := range links {
@@ -1516,7 +1580,7 @@ func oracleFixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.
 		linkVote[l] = annot
 		s, ok := m[annot]
 		if !ok {
-			s = asn.NewSet()
+			s = newMapSet()
 			m[annot] = s
 		}
 		s.AddAll(oracleLinkOrigins(l))
@@ -1526,10 +1590,10 @@ func oracleFixReallocatedVotes(r *Router, links []*Link, linkVote map[*Link]asn.
 // oracleExceptionCases implements §6.1.3: the multihomed-customer
 // exception and the multiple-peers/providers exception. ok reports
 // whether an exception fired.
-func oracleExceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Counter,
+func oracleExceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes counter,
 	rels RelationshipOracle) (asn.ASN, bool) {
 
-	subs := asn.NewSet()
+	subs := newMapSet()
 	for _, v := range linkVote {
 		if v != asn.None {
 			subs.Add(v)
@@ -1587,7 +1651,7 @@ func oracleExceptionCases(r *Router, linkVote map[*Link]asn.ASN, votes asn.Count
 // relationship with any IR origin AS, look for a single AS bridging the
 // link origins and the selection — a customer of a link origin that is a
 // provider of the selection (Fig. 12) — and use it instead.
-func oracleHiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels RelationshipOracle) asn.ASN {
+func oracleHiddenAS(r *Router, selected asn.ASN, backing mapSet, rels RelationshipOracle) asn.ASN {
 	if r.OriginSet.Has(selected) {
 		return selected
 	}
@@ -1596,8 +1660,8 @@ func oracleHiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels Relations
 			return selected
 		}
 	}
-	bridges := asn.NewSet()
-	for p := range rels.Providers(selected) {
+	bridges := newMapSet()
+	for _, p := range rels.Providers(selected) {
 		for o := range backing {
 			if rels.IsProvider(o, p) {
 				bridges.Add(p)
@@ -1608,7 +1672,7 @@ func oracleHiddenAS(r *Router, selected asn.ASN, backing asn.Set, rels Relations
 	if bridges.Len() == 0 {
 		// Fall back to the IR origin set when the links carried no
 		// origins (e.g. all unannounced).
-		for p := range rels.Providers(selected) {
+		for _, p := range rels.Providers(selected) {
 			for _, o := range r.OriginSet {
 				if rels.IsProvider(o, p) {
 					bridges.Add(p)
@@ -1645,7 +1709,7 @@ func oracleAnnotateInterface(i *Interface, rels RelationshipOracle) {
 			best = l.Label
 		}
 	}
-	votes := make(asn.Counter)
+	votes := make(counter)
 	for _, l := range i.InLinks {
 		if l.Label != best {
 			continue
@@ -1742,7 +1806,7 @@ func oracleAnnotateEmptyDest(r *Router, rels RelationshipOracle) asn.ASN {
 		return rels.SmallestCone(outside)
 	}
 	// Most interface AS mappings; tie → smallest customer cone.
-	votes := make(asn.Counter)
+	votes := make(counter)
 	for _, i := range r.Interfaces {
 		if i.Origin != asn.None {
 			votes.Inc(i.Origin, 1)
@@ -1752,11 +1816,13 @@ func oracleAnnotateEmptyDest(r *Router, rels RelationshipOracle) asn.ASN {
 	return rels.SmallestCone(top)
 }
 
-func oracleNeighborSet(rels RelationshipOracle, a asn.ASN) asn.Set {
-	s := asn.NewSet()
-	s.AddAll(rels.Providers(a))
-	s.AddAll(rels.Customers(a))
-	s.AddAll(rels.Peers(a))
+func oracleNeighborSet(rels RelationshipOracle, a asn.ASN) mapSet {
+	s := newMapSet()
+	for _, nbrs := range [...]asn.SmallSet{rels.Providers(a), rels.Customers(a), rels.Peers(a)} {
+		for _, b := range nbrs {
+			s.Add(b)
+		}
+	}
 	return s
 }
 
@@ -1818,8 +1884,8 @@ func oracleAnnotateWithDest(r *Router, rels RelationshipOracle) asn.ASN {
 	a := rels.SmallestCone(D)
 	// Look for a bridge AS: a provider of a that is also a customer of
 	// some origin AS. Exactly one such AS → use it.
-	bridge := asn.NewSet()
-	for p := range rels.Providers(a) {
+	bridge := newMapSet()
+	for _, p := range rels.Providers(a) {
 		for _, o := range O {
 			if rels.IsProvider(o, p) {
 				bridge.Add(p)

@@ -105,16 +105,16 @@ func explain(g *Graph, rels RelationshipOracle, opts Options, history []ckpt.Ite
 // votes, then the smallest ASN, which an ascending walk meets first.
 //
 //lint:hotpath
-func fillTally(pr *prov.Record, votes tally, winner asn.ASN) {
+func fillTally(pr *prov.Record, votes asn.Tally, winner asn.ASN) {
 	if pr == nil {
 		return
 	}
 	pr.Winner = winner
-	pr.WinnerVotes = votes.count(winner)
+	pr.WinnerVotes = votes.Count(winner)
 	pr.RunnerUp, pr.RunnerUpVotes = asn.None, 0
 	for _, v := range votes {
-		if v.as != winner && v.n > pr.RunnerUpVotes {
-			pr.RunnerUp, pr.RunnerUpVotes = v.as, v.n
+		if v.AS != winner && v.N > pr.RunnerUpVotes {
+			pr.RunnerUp, pr.RunnerUpVotes = v.AS, v.N
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"net/netip"
 	"slices"
@@ -87,61 +86,6 @@ func (o *Options) setDefaults() {
 	o.Workers = shard.Resolve(o.Workers)
 }
 
-// vote is one tally entry: an AS and the votes it holds.
-type vote struct {
-	as asn.ASN
-	n  int32
-}
-
-// tally counts votes per AS as an ascending, duplicate-free slice. Every
-// entry holds at least one vote — one that drops to none is removed — so
-// an empty tally means nothing voted, and a walk meets the ASes in order.
-type tally []vote
-
-func (t tally) find(a asn.ASN) (int, bool) {
-	return slices.BinarySearchFunc(t, a, func(v vote, a asn.ASN) int { return cmp.Compare(v.as, a) })
-}
-
-// add gives a n more votes; n may be negative.
-//
-//lint:hotpath
-func (t *tally) add(a asn.ASN, n int32) {
-	at, ok := t.find(a)
-	if !ok {
-		*t = slices.Insert(*t, at, vote{as: a})
-	}
-	if (*t)[at].n += n; (*t)[at].n <= 0 {
-		*t = slices.Delete(*t, at, at+1)
-	}
-}
-
-// count returns a's votes, 0 when it holds none.
-func (t tally) count(a asn.ASN) int32 {
-	if at, ok := t.find(a); ok {
-		return t[at].n
-	}
-	return 0
-}
-
-// max returns the ASes holding the most votes, ascending in dst[:0], and
-// that count; (dst[:0], 0) for an empty tally.
-//
-//lint:hotpath
-func (t tally) max(dst []asn.ASN) ([]asn.ASN, int32) {
-	dst = dst[:0]
-	var best int32
-	for _, v := range t {
-		switch {
-		case v.n > best:
-			best = v.n
-			dst = append(dst[:0], v.as)
-		case v.n == best:
-			dst = append(dst, v.as)
-		}
-	}
-	return dst, best
-}
-
 // voteScratch is one worker shard's reusable annotation storage: the
 // vote's working state as slices whose backing arrays outlive the router
 // or interface they were filled for, so a warmed shard allocates nothing.
@@ -149,7 +93,7 @@ func (t tally) max(dst []asn.ASN) ([]asn.ASN, int32) {
 // shard s sees the same entities every iteration, and scratch never
 // crosses shards: no synchronization is needed.
 type voteScratch struct {
-	votes tally // the router's (Alg. 2) or interface's (§6.2) vote tally
+	votes asn.Tally // the router's (Alg. 2) or interface's (§6.2) vote tally
 
 	// Parallel to the router's voteLinks; asn.None where a link cast no
 	// vote. cast is what Alg. 3 said, linkVote what the link votes for
@@ -161,7 +105,7 @@ type voteScratch struct {
 	restricted asn.SmallSet // §6.1.4: the ASes the restricted election admits
 	backing    []asn.ASN    // §6.1.5: link origins backing the elected AS
 	cands      []int        // §6.1.2: indices of the candidate links
-	top, tied  []asn.ASN    // tied-max storage: tally.max, electFrom
+	top, tied  []asn.ASN    // tied-max storage: Tally.Max, electFrom
 	full, best []asn.ASN    // breakTie's destination-coverage candidates
 	related    []asn.ASN    // annotateInterface's related candidates
 }
@@ -679,7 +623,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 		sc.cast = append(sc.cast, a)
 		if a != asn.None {
 			t[votesCast]++
-			sc.votes.add(a, 1)
+			sc.votes.Add(a, 1)
 		}
 	}
 	sc.linkVote = append(sc.linkVote[:0], sc.cast...)
@@ -692,7 +636,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	for _, i := range r.Interfaces {
 		if i.Origin != asn.None {
 			t[votesCast]++
-			sc.votes.add(i.Origin, 1)
+			sc.votes.Add(i.Origin, 1)
 		}
 	}
 	votes := sc.votes
@@ -740,7 +684,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 	}
 
 	// Alg. 2 lines 13–14: unrestricted election, then hidden-AS check.
-	sc.top, _ = votes.max(sc.top)
+	sc.top, _ = votes.Max(sc.top)
 	a := breakTie(r, sc.top, rels, opts, t, sc, pr)
 	if pr != nil {
 		pr.Rule = prov.RuleElection
@@ -757,9 +701,9 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 			// bridge as the winner and the displaced AS as runner-up.
 			pr.Rule = prov.RuleHiddenAS
 			pr.Winner = h
-			pr.WinnerVotes = votes.count(h)
+			pr.WinnerVotes = votes.Count(h)
 			pr.RunnerUp = a
-			pr.RunnerUpVotes = votes.count(a)
+			pr.RunnerUpVotes = votes.Count(a)
 		}
 	}
 	return h
@@ -772,7 +716,7 @@ func annotateRouter(r *Router, rels RelationshipOracle, opts Options, t *iterTal
 //
 //lint:hotpath
 func (sc *voteScratch) admit(v asn.ASN, l *Link, rels RelationshipOracle) bool {
-	if v == asn.None || sc.restricted.Has(v) || sc.votes.count(v) == 0 {
+	if v == asn.None || sc.restricted.Has(v) || sc.votes.Count(v) == 0 {
 		return false
 	}
 	for _, o := range l.origins {
@@ -791,12 +735,12 @@ func electFrom(r *Router, rels RelationshipOracle, opts Options, t *iterTally, s
 	tied, best := sc.tied[:0], int32(0)
 	for _, v := range sc.votes {
 		switch {
-		case !sc.restricted.Has(v.as):
-		case v.n > best:
-			best = v.n
-			tied = append(tied[:0], v.as)
-		case v.n == best:
-			tied = append(tied, v.as)
+		case !sc.restricted.Has(v.AS):
+		case v.N > best:
+			best = v.N
+			tied = append(tied[:0], v.AS)
+		case v.N == best:
+			tied = append(tied, v.AS)
 		}
 	}
 	sc.tied = tied
@@ -986,8 +930,8 @@ func fixReallocatedVotes(r *Router, rels RelationshipOracle, t *iterTally, sc *v
 		if old == asn.None || old == annot {
 			continue
 		}
-		sc.votes.add(old, -1)
-		sc.votes.add(annot, 1)
+		sc.votes.Add(old, -1)
+		sc.votes.Add(annot, 1)
 		t[heurRealloc]++
 		sc.linkVote[i] = annot
 	}
@@ -1024,7 +968,7 @@ func exceptionCases(r *Router, rels RelationshipOracle, sc *voteScratch) (asn.AS
 	// provided it retains at least half the top vote count.
 	var maxVotes int32
 	for _, v := range sc.votes {
-		maxVotes = max(maxVotes, v.n)
+		maxVotes = max(maxVotes, v.N)
 	}
 
 	if r.OriginSet.Len() == 1 && len(subs) > 1 {
@@ -1036,7 +980,7 @@ func exceptionCases(r *Router, rels RelationshipOracle, sc *voteScratch) (asn.AS
 				break
 			}
 		}
-		if all && sc.votes.count(origin)*2 >= maxVotes {
+		if all && sc.votes.Count(origin)*2 >= maxVotes {
 			return origin, true
 		}
 	}
@@ -1049,7 +993,7 @@ func exceptionCases(r *Router, rels RelationshipOracle, sc *voteScratch) (asn.AS
 				break
 			}
 		}
-		if all && !r.OriginSet.Has(s) && sc.votes.count(s)*2 >= maxVotes {
+		if all && !r.OriginSet.Has(s) && sc.votes.Count(s)*2 >= maxVotes {
 			return s, true
 		}
 	}
@@ -1095,8 +1039,7 @@ func hiddenAS(r *Router, selected asn.ASN, rels RelationshipOracle, sc *voteScra
 //
 //lint:hotpath
 func bridges(rels RelationshipOracle, a asn.ASN, over []asn.ASN) (n int, bridge asn.ASN) {
-	//lint:ignore maporder a count and a minimum over the oracle's provider set; every visit order yields the same pair
-	for p := range rels.Providers(a) {
+	for _, p := range rels.Providers(a) {
 		for _, o := range over {
 			if rels.IsProvider(o, p) {
 				if n++; n == 1 || p < bridge {
@@ -1146,10 +1089,10 @@ func annotateInterface(i *Interface, rels RelationshipOracle, sc *voteScratch, p
 			continue
 		}
 		if a := l.From.Annotation; a != asn.None {
-			sc.votes.add(a, int32(len(l.Prev)))
+			sc.votes.Add(a, int32(len(l.Prev)))
 		}
 	}
-	top, _ := sc.votes.max(sc.top)
+	top, _ := sc.votes.Max(sc.top)
 	sc.top = top
 	switch len(top) {
 	case 0:

@@ -2,65 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/asn"
 	"repro/internal/obs"
 )
-
-// tallyOps is one seeded sequence of increments: AS % 8, so entries
-// collide, and N ∈ [-2, 3], so counts fall to and below zero.
-type tallyOps []struct {
-	A uint8
-	N uint8
-}
-
-// TestTallyMatchesCounterModel holds tally to asn.Counter (with the
-// delete-at-≤-0 the map-based vote applied by hand) over seeded random
-// increment sequences: after every step the entries are ascending and
-// duplicate-free, every count agrees, and max equals Counter.Max.
-func TestTallyMatchesCounterModel(t *testing.T) {
-	f := func(ops tallyOps) bool {
-		var got tally
-		model := make(asn.Counter)
-		var top []asn.ASN
-		for _, op := range ops {
-			a, n := asn.ASN(op.A%8), int(op.N%6)-2
-			got.add(a, int32(n))
-			model.Inc(a, n)
-			if model[a] <= 0 {
-				delete(model, a)
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i-1].as >= got[i].as {
-					return false
-				}
-			}
-			if len(got) != len(model) {
-				return false
-			}
-			for v := asn.ASN(0); v < 9; v++ {
-				if int(got.count(v)) != model[v] {
-					return false
-				}
-			}
-			wantTop, wantBest := model.Max()
-			var best int32
-			top, best = got.max(top)
-			if !slices.Equal(top, wantTop) || int(best) != wantBest {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(26))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestVoteAllocatesNothing: on a warmed scratch, with no provenance
 // record to fill, re-annotating every voting router of the bench campaign

@@ -187,12 +187,12 @@ func RunRelAccuracy(ds *Dataset) RelAccuracy {
 		}
 	}
 	for _, a := range inferred.ASes() {
-		for b := range inferred.Customers(a) {
+		for _, b := range inferred.Customers(a) {
 			if !truth.HasRelationship(a, b) {
 				out.Spurious++
 			}
 		}
-		for b := range inferred.Peers(a) {
+		for _, b := range inferred.Peers(a) {
 			if a < b && !truth.HasRelationship(a, b) {
 				out.Spurious++
 			}

@@ -59,7 +59,7 @@ func BuildDataset(cfg topo.Config, numVPs int, excludeGT bool) (*Dataset, error)
 		return nil, err
 	}
 	ds := &Dataset{In: in, GT: in.GroundTruthNetworks()}
-	exclude := asn.NewSet()
+	var exclude asn.SmallSet
 	if excludeGT {
 		for _, a := range ds.GT {
 			exclude.Add(a)

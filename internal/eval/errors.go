@@ -53,7 +53,7 @@ func RunErrorCensus(ds *Dataset) ErrorCensus {
 	res := ds.RunBdrmapIT(nil, core.Options{})
 	out := ErrorCensus{PerClass: make(map[ErrorClass]int)}
 	for _, r := range res.Graph.Routers {
-		owners := asn.NewSet()
+		var owners asn.SmallSet
 		thirdParty := false
 		hidden, realloc := false, false
 		for _, i := range r.Interfaces {
@@ -79,7 +79,7 @@ func RunErrorCensus(ds *Dataset) ErrorCensus {
 			continue
 		}
 		out.Total++
-		if owners.Len() == 1 && r.Annotation == owners.Sorted()[0] {
+		if owners.Len() == 1 && r.Annotation == owners[0] {
 			continue
 		}
 		out.Wrong++
@@ -97,7 +97,7 @@ func RunErrorCensus(ds *Dataset) ErrorCensus {
 			class = ErrHiddenAS
 		case realloc:
 			class = ErrRealloc
-		case !r.OriginSet.Has(owners.Sorted()[0]):
+		case !r.OriginSet.Has(owners[0]):
 			class = ErrInvisibleOwner
 		default:
 			class = ErrOther

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/alias"
@@ -260,7 +259,7 @@ func MultiAliasRouterAccuracy(in *topo.Internet, res *core.Result, gt asn.ASN) (
 		if len(r.Interfaces) < 2 {
 			continue
 		}
-		owners := asn.NewSet()
+		var owners asn.SmallSet
 		for _, i := range r.Interfaces {
 			if o := in.OwnerASN(i.Addr); o != asn.None {
 				owners.Add(o)
@@ -270,7 +269,7 @@ func MultiAliasRouterAccuracy(in *topo.Internet, res *core.Result, gt asn.ASN) (
 			continue
 		}
 		total++
-		if owners.Len() == 1 && r.Annotation == owners.Sorted()[0] {
+		if owners.Len() == 1 && r.Annotation == owners[0] {
 			correct++
 		}
 	}
@@ -366,15 +365,4 @@ func FormatTable(header []string, rows [][]string) string {
 		writeRow(r)
 	}
 	return sb.String()
-}
-
-// SortedGTNames returns the dataset's ground-truth network names in
-// presentation order.
-func (ds *Dataset) SortedGTNames() []string {
-	var names []string
-	for _, gt := range ds.gtNetworks() {
-		names = append(names, gt.Name)
-	}
-	sort.Strings(names)
-	return names
 }

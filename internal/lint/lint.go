@@ -129,16 +129,11 @@ func checkNames(as []*Analyzer) []string {
 	return out
 }
 
-// Run executes analyzers over pkgs, drops suppressed findings, and
-// returns the rest ordered by file, line, and check — a deterministic
-// report for a determinism linter.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunAudited(pkgs, analyzers)
-	return diags
-}
-
-// RunAudited is Run plus the ignore audit: the second return value
-// holds one "ignoreaudit" diagnostic per stale //lint:ignore annotation
+// RunAudited executes analyzers over pkgs, drops suppressed findings,
+// and returns the rest ordered by file, line, and check — a
+// deterministic report for a determinism linter. It also audits the
+// ignores: the second return value holds one "ignoreaudit" diagnostic
+// per stale //lint:ignore annotation
 // — a suppression whose named check ran on its package and produced no
 // finding at that site. A stale annotation is worse than none: it
 // documents a hazard that no longer exists, and it will silently eat

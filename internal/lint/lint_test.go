@@ -56,7 +56,7 @@ import (
 	_ "sort"
 )
 `)
-	diags := Run([]*Package{pkg}, []*Analyzer{Layering})
+	diags, _ := RunAudited([]*Package{pkg}, []*Analyzer{Layering})
 	if len(diags) != 1 {
 		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
 	}
@@ -73,7 +73,7 @@ import (
 	_ "sync"
 )
 `)
-	diags := Run([]*Package{pkg}, []*Analyzer{Layering})
+	diags, _ := RunAudited([]*Package{pkg}, []*Analyzer{Layering})
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "dependency-free") {
 		t.Fatalf("got %v, want one dependency-free finding", diags)
 	}
@@ -93,7 +93,7 @@ import (
 	_ "repro/cmd/c"
 )
 `)
-	diags := Run([]*Package{pkg}, []*Analyzer{Layering})
+	diags, _ := RunAudited([]*Package{pkg}, []*Analyzer{Layering})
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "repro/cmd/c") {
 		t.Fatalf("got %v, want exactly the cmd/c finding", diags)
 	}
@@ -107,7 +107,7 @@ import (
 	_ "repro/cmd/a"
 )
 `)
-	diags := Run([]*Package{pkg}, []*Analyzer{Layering})
+	diags, _ := RunAudited([]*Package{pkg}, []*Analyzer{Layering})
 	if len(diags) != 1 {
 		t.Fatalf("got %v, want the finding to survive a mismatched check name", diags)
 	}
@@ -140,7 +140,7 @@ import (
 	_ "repro/internal/topo"
 )
 `)
-	diags := Run([]*Package{pkg}, []*Analyzer{Layering})
+	diags, _ := RunAudited([]*Package{pkg}, []*Analyzer{Layering})
 	if len(diags) != 2 {
 		t.Fatalf("got %d findings, want 2", len(diags))
 	}

@@ -9,7 +9,7 @@ import (
 // Maporder guards the determinism invariant at the heart of the §6.3
 // stopping condition: annotation and emission code must not let Go's
 // randomized map iteration order leak into results. It flags every
-// `range` over a map (including named map types like asn.Set) inside
+// `range` over a map (a named map type included) inside
 // the refinement core, the sharding substrate, the telemetry layer, and
 // the public API package, unless the loop matches
 // one of the provably order-independent idioms below or the site carries

@@ -5,6 +5,7 @@
 package netutil
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"net/netip"
@@ -43,6 +44,36 @@ func ParseAddr(b []byte) (netip.Addr, error) {
 		return a, nil
 	}
 	return netip.ParseAddr(string(b))
+}
+
+// ParsePrefix is netip.ParsePrefix over bytes: the address through
+// ParseAddr, then the bit count in place. Whatever it would refuse is
+// netip's call, so every rejection and its error stay netip's.
+func ParsePrefix(b []byte) (netip.Prefix, error) {
+	if i := bytes.LastIndexByte(b, '/'); i >= 0 {
+		if a, err := ParseAddr(b[:i]); err == nil && a.Zone() == "" {
+			if bits, ok := parseBits(b[i+1:], a.BitLen()); ok {
+				return netip.PrefixFrom(a, bits), nil
+			}
+		}
+	}
+	return netip.ParsePrefix(string(b))
+}
+
+// parseBits accepts the decimal prefix lengths netip.ParsePrefix does:
+// no sign, no leading zero, at most limit.
+func parseBits(b []byte, limit int) (int, bool) {
+	if len(b) == 0 || len(b) > 3 || len(b) > 1 && b[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, n <= limit
 }
 
 // parseIPv4 accepts exactly four dot-separated decimal octets without

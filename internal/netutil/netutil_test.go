@@ -250,3 +250,20 @@ func TestParseAddrMatchesNetip(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePrefixMatchesNetip holds ParsePrefix to netip.ParsePrefix,
+// prefix and error text: bit counts at and past each family's limit,
+// with leading zeros or a sign, zones, a missing or doubled '/', and
+// addresses the in-place path hands on.
+func TestParsePrefixMatchesNetip(t *testing.T) {
+	for _, s := range []string{"1.2.3.0/24", "0.0.0.0/0", "1.2.3.4/32", "1.2.3.4/33", "1.2.3.0/024", "1.2.3.0/00",
+		"01.2.3.0/24", "1.2.3.0/+24", "1.2.3.0/-1", "1.2.3.0/", "1.2.3.0", "/24", "", "1.2.3.0/24/8", "1.2.3.0/2 4",
+		"1.2.3.0/1x", "1.2.3.0/999", "::/0", "2001:db8::/32", "2001:db8::/128", "2001:db8::/129", "2001:db8::/0128",
+		"::ffff:1.2.3.4/96", "fe80::1%eth0/64", "fe80::1%eth0", "1.2.3.256/24", "x/8"} {
+		got, err := ParsePrefix([]byte(s))
+		want, werr := netip.ParsePrefix(s)
+		if got != want || (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Errorf("ParsePrefix(%q) = %v, %v; netip.ParsePrefix: %v, %v", s, got, err, want, werr)
+		}
+	}
+}

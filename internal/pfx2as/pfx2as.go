@@ -107,20 +107,17 @@ func Write(w io.Writer, entries []Entry) error {
 // set of observed origins (sorted), one entry per prefix in address
 // order — how CAIDA's generator condenses a collector RIB.
 func FromRoutes(routes []bgp.Route) []Entry {
-	origins := make(map[netip.Prefix]asn.Set)
+	origins := make(map[netip.Prefix]asn.SmallSet)
 	for _, r := range routes {
-		s, ok := origins[r.Prefix]
-		if !ok {
-			s = asn.NewSet()
-			origins[r.Prefix] = s
-		}
+		s := origins[r.Prefix]
 		for _, o := range r.Origins() {
 			s.Add(o)
 		}
+		origins[r.Prefix] = s
 	}
 	out := make([]Entry, 0, len(origins))
 	for p, s := range origins {
-		out = append(out, Entry{Prefix: p, Origins: s.Sorted()})
+		out = append(out, Entry{Prefix: p, Origins: s})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Prefix.Addr() != out[j].Prefix.Addr() {

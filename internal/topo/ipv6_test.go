@@ -3,8 +3,6 @@ package topo
 import (
 	"net/netip"
 	"testing"
-
-	"repro/internal/asn"
 )
 
 func TestV6EmbeddingRoundTrip(t *testing.T) {
@@ -82,7 +80,7 @@ func TestV6ResolverParity(t *testing.T) {
 
 func TestRunCampaignV6Isomorphic(t *testing.T) {
 	in := smallNet(t, 23)
-	vps := in.SelectVPs(3, asn.NewSet())
+	vps := in.SelectVPs(3, nil)
 	targets := in.Targets()[:30]
 	v4 := in.RunCampaign(vps, targets)
 	v6 := in.RunCampaignV6(vps, targets)
@@ -144,8 +142,8 @@ func TestIPv6DoesNotPerturbIPv4(t *testing.T) {
 	if v4Count != len(off.IfaceByAddr) {
 		t.Fatalf("v4 interface counts differ: %d vs %d", v4Count, len(off.IfaceByAddr))
 	}
-	vpsOn := on.SelectVPs(2, asn.NewSet())
-	vpsOff := off.SelectVPs(2, asn.NewSet())
+	vpsOn := on.SelectVPs(2, nil)
+	vpsOff := off.SelectVPs(2, nil)
 	trOn := on.RunCampaign(vpsOn, on.Targets()[:20])
 	trOff := off.RunCampaign(vpsOff, off.Targets()[:20])
 	if len(trOn) != len(trOff) {

@@ -174,7 +174,7 @@ func TestValleyFreePaths(t *testing.T) {
 
 func TestTracerouteStructure(t *testing.T) {
 	in := smallNet(t, 6)
-	vps := in.SelectVPs(5, asn.NewSet())
+	vps := in.SelectVPs(5, nil)
 	if len(vps) != 5 {
 		t.Fatalf("got %d VPs", len(vps))
 	}
@@ -213,7 +213,7 @@ func TestFirewalledNeverRevealsInside(t *testing.T) {
 	if fw == nil {
 		t.Skip("no firewalled AS in this seed")
 	}
-	vps := in.SelectVPs(3, asn.NewSet(fw.ASN))
+	vps := in.SelectVPs(3, asn.SmallSet{fw.ASN})
 	rng := rand.New(rand.NewSource(1))
 	for _, vp := range vps {
 		tr := in.Traceroute(vp, fw.Hosts[0], rng)
@@ -250,8 +250,8 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 	// Campaign determinism.
-	vpsA := a.SelectVPs(3, asn.NewSet())
-	vpsB := b.SelectVPs(3, asn.NewSet())
+	vpsA := a.SelectVPs(3, nil)
+	vpsB := b.SelectVPs(3, nil)
 	trA := a.RunCampaign(vpsA, a.Targets()[:30])
 	trB := b.RunCampaign(vpsB, b.Targets()[:30])
 	if len(trA) != len(trB) {
@@ -337,7 +337,7 @@ func TestProberConsistency(t *testing.T) {
 func TestVPSelectionExclusions(t *testing.T) {
 	in := smallNet(t, 12)
 	gt := in.GroundTruthNetworks()
-	exclude := asn.NewSet()
+	var exclude asn.SmallSet
 	for _, a := range gt {
 		exclude.Add(a)
 	}

@@ -21,7 +21,7 @@ type VP struct {
 // SelectVPs picks n vantage points in distinct ASes, excluding the given
 // ASes (the ground-truth networks are excluded in §7.2/§7.3) plus
 // firewalled and BGP-silent networks (a VP needs working connectivity).
-func (in *Internet) SelectVPs(n int, exclude asn.Set) []VP {
+func (in *Internet) SelectVPs(n int, exclude asn.SmallSet) []VP {
 	rng := rand.New(rand.NewSource(in.Cfg.Seed ^ 0x5650))
 	var pool []*AS
 	for _, a := range in.ASList {

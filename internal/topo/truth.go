@@ -21,7 +21,7 @@ func (in *Internet) OwnerASN(addr netip.Addr) asn.ASN {
 // the paper's ground-truth set: the busiest tier-1, the busiest large
 // access network, and two R&E networks.
 func (in *Internet) GroundTruthNetworks() map[string]asn.ASN {
-	busiest := func(t ASType, skip asn.Set) *AS {
+	busiest := func(t ASType, skip asn.SmallSet) *AS {
 		var best *AS
 		bestDeg := -1
 		for _, a := range in.ASList {
@@ -36,7 +36,7 @@ func (in *Internet) GroundTruthNetworks() map[string]asn.ASN {
 		return best
 	}
 	out := make(map[string]asn.ASN, 4)
-	skip := asn.NewSet()
+	var skip asn.SmallSet
 	if a := busiest(Tier1, skip); a != nil {
 		out["Tier1"] = a.ASN
 		skip.Add(a.ASN)

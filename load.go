@@ -305,6 +305,10 @@ func (l *loader) loadIXPs(paths []string) (*ixp.Set, error) {
 	return ixps, nil
 }
 
+// loadRels reads the relationship files. The graph the first file that
+// reads gives is kept, not copied, and the edges of every later one are
+// merged into it; with no file, or none that reads, relationships are
+// inferred from the RIB's AS paths.
 func (l *loader) loadRels(paths []string, routes []bgp.Route) (*asrel.Graph, error) {
 	phase := l.span.Child("load-relationships")
 	defer phase.End()
@@ -319,8 +323,6 @@ func (l *loader) loadRels(paths []string, routes []bgp.Route) (*asrel.Graph, err
 	}
 	var rels *asrel.Graph
 	if len(paths) > 0 {
-		rels = asrel.New()
-		loaded := 0
 		var failed []*SourceError
 		for _, p := range paths {
 			if err := l.checkCtx(); err != nil {
@@ -334,15 +336,18 @@ func (l *loader) loadRels(paths []string, routes []bgp.Route) (*asrel.Graph, err
 				failed = append(failed, &SourceError{Class: "relationships", Path: p, Err: err})
 				continue
 			}
-			mergeRels(rels, g)
-			loaded++
+			if rels == nil {
+				rels = g
+			} else {
+				rels.Merge(g)
+			}
 		}
 		// The class-level fallback depends on whether any file survived:
 		// with none, relationships come from RIB AS paths (the paper's
 		// no-serial-1 fallback); with some, the run continues on the
 		// partial relationship graph.
 		fallback := fallbackRelsPart
-		if loaded == 0 {
+		if rels == nil {
 			fallback = fallbackRels
 			rels = inferFromRIB()
 		}
